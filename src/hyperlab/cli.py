@@ -3,8 +3,8 @@ metadata sidecars, optional SVG plots, and golden-file comparisons.
 
 Subcommands: foliate, weyl-check, zs-compare, mass, kg, residuals.
 Exit codes: 0 success, 2 config validation error, 3 numerical failure,
-4 golden mismatch.  Output is byte-identical across repeated runs and
-thread counts (all orchestration is deterministic; rows are emitted in
+4 golden mismatch.  Output is byte-identical across repeated runs (all
+orchestration is single-threaded and deterministic; rows are emitted in
 loop-index order and floats are written in shortest round-trip form).
 """
 
@@ -19,18 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GoldenMismatch, HyperlabError
+from .errors import (CentralLineDegenerate, ConfigError, GoldenMismatch,
+                     HyperlabError)
 from .foliation import (angular_grid, leaf_scalars, second_fundamental_at,
-                        frames_at, structure_residuals)
-from .geodesic import Direction, direction_from_angles, exp_map, fan_build
-from .kgflat import KGConfig, decay_report, energy, evolve_kg
+                        structure_residuals)
+from .geodesic import Direction, direction_from_angles, exp_map
+from .kgflat import KGConfig, energy, evolve_kg
 from .mass import bondi_trace
 from .metric import MetricModel, curvature_at
 from .nullgeom import (hat_tetrad, left_dual, right_dual, null_decompose,
                        schwarzschild_closed_forms)
 from .zscompare import (cone_sphere_geometry, radial_comparison_series,
                         schw_optical, transport_residuals_zs)
-from .errors import CentralLineDegenerate
 
 
 @dataclass
@@ -49,8 +49,6 @@ class RunConfig:
     theta_nodes: int = 1
     phi_nodes: int = 1
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    max_step: float = np.inf
     kg: KGConfig = field(default_factory=KGConfig)
     kg_t_samples: int = 40
     out_dir: str = "out"
@@ -105,8 +103,6 @@ def load_config(path):
         if cp.has_section("integrator"):
             s = cp["integrator"]
             rc.rel_tol = s.getfloat("rel_tol", rc.rel_tol)
-            rc.abs_tol = s.getfloat("abs_tol", rc.abs_tol)
-            rc.max_step = s.getfloat("max_step", rc.max_step)
         if cp.has_section("kg"):
             s = cp["kg"]
             rc.kg = KGConfig(
@@ -142,7 +138,7 @@ def _validate(rc):
         raise ConfigError(f"metric.kind must be minkowski|schwarzschild|glued, "
                           f"got {rc.metric_kind!r}")
     for name in ("mass", "r_in", "r_out", "origin_t", "rho_min", "rho_max",
-                 "zeta_max", "rel_tol", "abs_tol"):
+                 "zeta_max", "rel_tol"):
         v = getattr(rc, name)
         if not np.isfinite(v):
             raise ConfigError(f"{name} must be finite, got {v}")
@@ -191,7 +187,8 @@ def write_meta(csv_path, config_path, rc, extra=None):
         "code_version": __version__,
         "config_sha256": hashlib.sha256(
             Path(config_path).read_bytes()).hexdigest() if config_path else "",
-        "tolerances": {"rel_tol": rc.rel_tol, "abs_tol": rc.abs_tol},
+        # the integrator runs with atol = rtol = rel_tol
+        "tolerances": {"rel_tol": rc.rel_tol, "abs_tol": rc.rel_tol},
         "time_convention": "raw_t",
     }
     if extra:
@@ -482,7 +479,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--plot", action="store_true")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--golden", default=None)
     args = parser.parse_args(argv)
 

@@ -21,18 +21,19 @@ fundamental form vanishes identically and the static-observer acceleration
 is <D_T T, X> = X(log n).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BracketFailure, CentralLineDegenerate, FanTooCoarse,
                      MissingK, OutOfRange, Unreachable)
-from .geodesic import (Direction, FanGrid, direction_from_angles,
-                       integrate_rays)
-from .metric import curvature_at, lapse_gradient, metric_at
+from .geodesic import Direction, direction_from_angles, integrate_rays
+from .metric import (_optical_mass_terms, _orthonormalize, curvature_at,
+                     lapse_gradient, metric_at)
 
 FRAME_FLOOR = 1e-6
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
+_SIDES5 = tuple((s, _STENCIL5[s + 2]) for s in (-2, -1, 1, 2))
 
 
 @dataclass
@@ -81,21 +82,28 @@ def leaf_scalars(model, rec, rho):
     return _leaf_scalars_from_state(model, rec, float(rho), st)
 
 
-def _leaf_scalars_from_state(model, rec, rho, st):
-    x, b4 = st["x"], st["b"]
+def _leaf_scalar_arrays(rec, rho, x, B, n):
+    """Leaf scalars t, b^{-1}, b^{-1}t, rtilde, tau, u, ubar along the record,
+    vectorised over rho (x, B: states at rho; n: the lapse there)."""
     t = _time_of(rec, x)
-    if t <= 0:
+    binv = rho * n * B[..., 0] / t      # -(rho/t)<B,T>, <B,T> = -n B^t
+    bt = binv * t
+    rtilde = np.sqrt(np.maximum(bt * bt - rho * rho, 0.0))
+    tau = rho * rec.direction.hyperboloid_point()[0]
+    return {"t": t, "binv": binv, "bt": bt, "rtilde": rtilde, "tau": tau,
+            "u": bt - rtilde, "ubar": bt + rtilde}
+
+
+def _leaf_scalars_from_state(model, rec, rho, st):
+    x = st["x"]
+    if _time_of(rec, x) <= 0:
         raise OutOfRange("leaf scalars need t > 0 past the origin")
     n = float(metric_at(model, x, level=0).lapse)
-    binv = rho * n * b4[0] / t          # -(rho/t)<B,T>, <B,T> = -n B^t
-    v0 = rec.direction.hyperboloid_point()[0]
-    tau = rho * v0
-    bt = binv * t
-    rt2 = bt * bt - rho * rho
-    rtilde = np.sqrt(max(rt2, 0.0))
-    return LeafScalars(rho=rho, t=float(t), tau=float(tau), b=float(1.0 / binv),
-                       n=n, rtilde=float(rtilde), u=float(bt - rtilde),
-                       ubar=float(bt + rtilde),
+    s = _leaf_scalar_arrays(rec, rho, x, st["b"], n)
+    rtilde = float(s["rtilde"])
+    return LeafScalars(rho=rho, t=float(s["t"]), tau=float(s["tau"]),
+                       b=float(1.0 / s["binv"]), n=n, rtilde=rtilde,
+                       u=float(s["u"]), ubar=float(s["ubar"]),
                        a=float(rho / rtilde) if rtilde > 0 else np.inf)
 
 
@@ -117,27 +125,21 @@ def _frames_from_state(model, rec, rho, st, frame_floor=FRAME_FLOOR):
     bt = sc.t / sc.b
     N = (rho * B - bt * T) / sc.rtilde
     Nbar = (sc.rtilde * T + bt * N) / rho
-    L = T + N
-    Lb = T - N
-    # orthonormal pair tangent to the leaf: Gram-Schmidt spatial axes vs {T, N}
+    # orthonormal pair tangent to the leaf: the spatial axes least aligned
+    # with N, orthogonalized against {T, N}
     cands = np.eye(4)[1:]
-    align = [abs(c @ g @ N) for c in cands]
-    order = np.argsort(align)
-    eA = []
-    for idx in order:
-        c = cands[idx].copy()
-        c = c + (c @ g @ T) * T - (c @ g @ N) * N
-        for e in eA:
-            c = c - (c @ g @ e) * e
-        nc = np.sqrt(max(c @ g @ c, 0.0))
-        if nc > 1e-10:
-            eA.append(c / nc)
-        if len(eA) == 2:
-            break
-    if len(eA) < 2:
-        raise CentralLineDegenerate("could not build a leaf-tangent pair")
-    return FrameSet(T=T, N=N, Nbar=Nbar, B=B.copy(), L=L, Lb=Lb,
-                    eA=np.stack(eA), g=g, x=x.copy())
+    cands = cands[np.argsort([abs(c @ g @ N) for c in cands])]
+    eA = _orthonormalize(g, [T, N], cands, 2)
+    return FrameSet(T=T, N=N, Nbar=Nbar, B=B.copy(), L=T + N, Lb=T - N,
+                    eA=eA, g=g, x=x.copy())
+
+
+def _radial_overlap(frames):
+    """r, the radial unit 3-vector, varpi = N(r) and the angular gradient
+    snr_A = e_A(r) at a frame point (Euclidean components)."""
+    r = float(np.linalg.norm(frames.x[1:]))
+    rad = frames.x[1:] / r
+    return r, rad, float(frames.N[1:] @ rad), frames.eA[:, 1:] @ rad
 
 
 def second_fundamental_transport(model, rec):
@@ -200,10 +202,7 @@ def param_tangents(rec, st):
     is realized by sum_i (w_i / V^0) J_i.
     """
     d = rec.direction
-    om = np.asarray(d.omega)
-    theta = np.arccos(np.clip(om[2], -1.0, 1.0))
-    phi = np.arctan2(om[1], om[0])
-    M = _vparam_jacobian(d.zeta, theta, phi)
+    M = _vparam_jacobian(d.zeta, *d.angles())
     v0 = np.cosh(d.zeta)
     coef = M[1:, :] / v0                      # (3 frame-spatial, 3 params)
     return np.einsum('ip,ia->pa', coef, st["j"])   # (3 params, 4 coords)
@@ -267,9 +266,8 @@ def angular_grid(n_theta, n_phi, axis=None):
     for th, ph, w in nodes:
         om = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                        np.cos(th)])
-        om = R @ om
-        out.append((float(np.arccos(np.clip(om[2], -1, 1))),
-                    float(np.arctan2(om[1], om[0])), w))
+        th_r, ph_r = Direction(0.0, R @ om).angles()
+        out.append((float(th_r), float(ph_r), w))
     return out
 
 
@@ -285,31 +283,31 @@ def _rotation_to(axis):
 
 
 def _uhat_gradient(model, x):
-    """Coordinate gradient of uhat = t - r - 4M ln(r - 2M) (exterior zone)."""
-    M = model.mass
+    """Coordinate gradient of uhat = t - gamma_r (exterior zone)."""
     xs = x[..., 1:]
     r = np.sqrt(np.sum(xs * xs, axis=-1))
-    dgam = 1.0 + 4.0 * M / (r - 2.0 * M)
+    dgam = 1.0 + _optical_mass_terms(model.mass, r)[1]
     grad = np.zeros_like(x)
     grad[..., 0] = 1.0
     grad[..., 1:] = -dgam[..., None] * xs / r[..., None]
     return grad
 
 
-def level_value(model, rec_origin_t, x, level):
-    t = x[..., 0] - rec_origin_t
+def _level_value(model, origin_t, x, level):
+    """The level function t or uhat = t - gamma_r, t relative to origin_t."""
+    t = x[..., 0] - origin_t
     if level == "t":
         return t
     if level == "uhat":
         xs = x[..., 1:]
         r = np.sqrt(np.sum(xs * xs, axis=-1))
-        return t - r - 4.0 * model.mass * np.log(r - 2.0 * model.mass)
+        return t - r - _optical_mass_terms(model.mass, r)[0]
     raise ValueError(level)
 
 
 def solve_level_nodes(model, origin, rho, target, angles, level="t",
                       zeta_max=6.0, ode_tol=1e-11, root_tol_rel=1e-10,
-                      max_iter=80, n_scan=25):
+                      n_scan=25):
     """Find, for each direction (theta, phi), the rapidity zeta at which the
     level function (t or uhat) equals target on H_rho.
 
@@ -340,7 +338,7 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
         if np.any(bad):
             safe[bad, 1] = max(2.0 * abs(r_floor), 1.0)
             safe[bad, 2:] = 0.0
-        val = level_value(model, origin[0], safe, level)
+        val = _level_value(model, origin[0], safe, level)
         return np.where(bad, np.nan, val)
 
     # scan stage: one batch over (node, zeta_scan)
@@ -356,7 +354,7 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     valid = rr > max(r_floor, 1e-12)
     safe_xs = np.where(valid[..., None], xs, 0.0)
     safe_xs[..., 1] = np.where(valid, safe_xs[..., 1], max(2 * abs(r_floor), 1.0))
-    fvals = level_value(model, origin[0], safe_xs, level) - target
+    fvals = _level_value(model, origin[0], safe_xs, level) - target
     fvals = np.where(valid, fvals, np.nan)
 
     a = np.empty(m)
@@ -434,7 +432,7 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
                                  [direction_from_angles(zn, thetas[i], phis[i])],
                                  [rho], ode_tol=tight, with_jacobi=True,
                                  with_k=True)[0]
-            fn = float(level_value(model, origin[0], rec.x[-1], level)) - target
+            fn = float(_level_value(model, origin[0], rec.x[-1], level)) - target
             za, fa_i, zb, fb_i = zb, fb_i, zn, fn
             if abs(fn) <= tol_abs:
                 ok = True
@@ -511,6 +509,30 @@ def slice_null_forms(model, sl):
 # ---------------------------------------------------------------------------
 # finite-difference oracle for k across a fan
 
+def _fan_steps(fan):
+    """Signed mean spacings of the (zeta, theta, phi) fan axes."""
+    return [np.diff(grid).mean()
+            for grid in (fan.zeta_grid, fan.theta_grid, fan.phi_grid)]
+
+
+def _fan_partials(value_at, index, steps):
+    """5-point first partials along the three parameter axes at index.
+
+    value_at(j) returns a tuple of arrays at the parameter index j; steps
+    holds the signed axis spacings.  Returns one array per tuple entry, with
+    the three partials stacked on a new leading axis.
+    """
+    partials = []
+    for a, h in enumerate(steps):
+        terms = []
+        for s, coef in _SIDES5:
+            j = list(index)
+            j[a] += s
+            terms.append([coef * v / h for v in value_at(tuple(j))])
+        partials.append([sum(t) for t in zip(*terms)])
+    return [np.stack(p) for p in zip(*partials)]
+
+
 def second_fundamental_fd_oracle(model, fan, index, rho):
     """Brute-force k at fan.records[flat index] by differencing the velocity
     field across neighboring rays: k(X, Y) = <D_X B, Y> with 5-point stencils
@@ -522,26 +544,19 @@ def second_fundamental_fd_oracle(model, fan, index, rho):
         raise FanTooCoarse("fd oracle needs >= 5 nodes per fan axis")
     if not (2 <= iz < nz - 2 and 2 <= it < nt - 2 and 2 <= ip < npp - 2):
         raise FanTooCoarse("probe index too close to the fan boundary")
-    steps = [np.diff(fan.zeta_grid).mean(), np.diff(fan.theta_grid).mean(),
-             np.diff(fan.phi_grid).mean()]
+    steps = _fan_steps(fan)
     hmax = max(abs(h) for h in steps)
     if hmax > 2e-2:
         raise FanTooCoarse(f"fan spacing {hmax:.3g} exceeds 2e-2")
 
-    def state(jz, jt, jp):
-        return fan.record(jz, jt, jp).state_at(rho)
+    def x_and_b(j):
+        st = fan.record(*j).state_at(rho)
+        return st["x"], st["b"]
 
-    center = state(iz, it, ip)
+    center = fan.record(iz, it, ip).state_at(rho)
     x0, b0 = center["x"], center["b"]
     jet = metric_at(model, x0, level=1)
-    X = np.zeros((3, 4))
-    dB = np.zeros((3, 4))
-    for a, (di, h) in enumerate(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), steps)):
-        for s, coef in zip((-2, -1, 1, 2), (_STENCIL5[0], _STENCIL5[1],
-                                            _STENCIL5[3], _STENCIL5[4])):
-            stn = state(iz + s * di[0], it + s * di[1], ip + s * di[2])
-            X[a] += coef * stn["x"] / h
-            dB[a] += coef * stn["b"] / h
+    X, dB = _fan_partials(x_and_b, index, steps)
     covB = dB + np.einsum('lmn,am,n->al', jet.gamma, X, b0)
     k_param = np.einsum('al,lm,bm->ab', covB, jet.g, X)
     # express in the probe triad: X_a ~ sum_i <X_a, E_i> E_i
@@ -562,10 +577,7 @@ def _boost_coeffs(direction):
 
     Returns s (3 boosts, 3 params) with R_c = sum_a s[c,a] d/d(param_a).
     """
-    om = np.asarray(direction.omega)
-    theta = np.arccos(np.clip(om[2], -1.0, 1.0))
-    phi = np.arctan2(om[1], om[0])
-    M = _vparam_jacobian(direction.zeta, theta, phi)     # (4, 3)
+    M = _vparam_jacobian(direction.zeta, *direction.angles())     # (4, 3)
     V = direction.hyperboloid_point()
     out = np.zeros((3, 3))
     for c in range(3):
@@ -581,23 +593,9 @@ def _fan_directional(fan, values, index, coeffs):
     """Directional derivatives over the fan of a per-node array of values.
 
     values: array shaped fan.shape + tail.  coeffs: (3, 3) parameter-space
-    directions.  5-point stencils; grid spacings from the fan axes.
+    directions.
     """
-    iz, it, ip = index
-    hs = [np.diff(fan.zeta_grid).mean(), np.diff(fan.theta_grid).mean(),
-          np.diff(fan.phi_grid).mean()]
-    partials = []
-    for a, h in enumerate(hs):
-        acc = None
-        for s, coef in zip((-2, -1, 0, 1, 2), _STENCIL5):
-            if coef == 0.0:
-                continue
-            j = [iz, it, ip]
-            j[a] += s
-            v = values[tuple(j)] * (coef / h)
-            acc = v if acc is None else acc + v
-        partials.append(acc)
-    partials = np.stack(partials)               # (3 params,) + tail
+    partials, = _fan_partials(lambda j: (values[j],), index, _fan_steps(fan))
     return np.einsum('ca,a...->c...', coeffs, partials)
 
 
@@ -715,24 +713,31 @@ def _ray_scalars(model, rec, rhos):
     """Scalars along the ray at an array of rhos (vectorized)."""
     st = rec.state_at(rhos)
     x, B = st["x"], st["b"]
-    t = x[:, 0] - rec.origin[0]
     n, gradn = lapse_gradient(model, x)
-    binv = rhos * n * B[:, 0] / t
-    bt = binv * t
-    rtilde = np.sqrt(np.maximum(bt * bt - rhos ** 2, 0.0))
-    v0 = rec.direction.hyperboloid_point()[0]
-    tau = rhos * v0
-    u = bt - rtilde
-    Bn = np.einsum('na,na->n', B, gradn)        # B(n), analytic lapse gradient
-    out = {"t": t, "n": n, "binv": binv, "bt": bt, "rtilde": rtilde,
-           "tau": tau, "u": u, "Bn": Bn, "x": x, "B": B,
-           "q0": st["q0"], "khat": st["khat"], "triad": st["triad"]}
+    out = _leaf_scalar_arrays(rec, rhos, x, B, n)
+    out.update(n=n, Bn=np.einsum('na,na->n', B, gradn),   # B(n), analytic
+               x=x, B=B, q0=st["q0"], khat=st["khat"], triad=st["triad"])
     return out
 
 
-def _deriv5(vals, h):
-    """5-point first derivative at the center of a cluster axis 0."""
-    return np.tensordot(_STENCIL5, vals, axes=(0, 0)) / h
+def _rho_cluster(rhos, h):
+    """5-point clusters rho + (-2..2) h around each probe rho.
+
+    Returns the flat array of cluster points and two maps taking a value
+    over those points to its value and to its 5-point rho-derivative at the
+    probe rhos.
+    """
+    shape = (5, len(rhos))
+    cl = (rhos[None, :] + (np.arange(-2, 3) * h)[:, None]).ravel()
+
+    def center(v):
+        return v.reshape(shape + v.shape[1:])[2]
+
+    def ddr(v):
+        return np.tensordot(_STENCIL5, v.reshape(shape + v.shape[1:]),
+                            axes=(0, 0)) / h
+
+    return cl, center, ddr
 
 
 def structure_residuals(model, rec, probe_rhos=None, h=None,
@@ -756,16 +761,8 @@ def structure_residuals(model, rec, probe_rhos=None, h=None,
     if h is None:
         h = min(6e-3, 0.03 * float(rhos.min()))
 
-    offs = np.array([-2, -1, 0, 1, 2]) * h
-    cl = (rhos[None, :] + offs[:, None]).ravel()
+    cl, center, ddr = _rho_cluster(rhos, h)
     S = _ray_scalars(model, rec, cl)
-    shape = (5, len(rhos))
-
-    def center(v):
-        return v.reshape(shape + v.shape[1:])[2]
-
-    def ddr(v):
-        return _deriv5(v.reshape(shape + v.shape[1:]), h)
 
     t, n = center(S["t"]), center(S["n"])
     binv, bt = center(S["binv"]), center(S["bt"])
@@ -835,9 +832,8 @@ def structure_residuals(model, rec, probe_rhos=None, h=None,
 
     if transverse:
         tb = _transverse_residuals(model, rec, rhos, h, fan_delta,
-                                   dict(t=t, n=n, binv=binv, bt=bt, u=u,
-                                        rtilde=rtilde, q0=q0, khat=khat,
-                                        x=x, B=B, N_log_n=N_log_n,
+                                   dict(t=t, bt=bt, u=u, rtilde=rtilde,
+                                        q0=q0, khat=khat, N_log_n=N_log_n,
                                         d_u=d_u, d_binv=ddr(S["binv"])))
         table.update(tb)
     return table
@@ -852,20 +848,15 @@ def _tvec(n):
 def _transverse_residuals(model, rec, rhos, h, delta, C):
     """T(u) and N(b^-1) identities, using a mini-fan for leaf gradients."""
     d = rec.direction
-    om = np.asarray(d.omega)
-    theta = np.arccos(np.clip(om[2], -1.0, 1.0))
-    phi = np.arctan2(om[1], om[0])
-    params = np.array([d.zeta, theta, phi])
-    dirs = []
-    stencil_idx = []
-    for a in range(3):
-        for s in (-2, -1, 1, 2):
-            p = params.copy()
-            p[a] += s * delta
-            dirs.append(direction_from_angles(*p))
-            stencil_idx.append((a, s))
+    params = np.array([d.zeta, *d.angles()])
+    # the mini-fan: stencil neighbours of the parameter index (0, 0, 0)
+    shifts = [tuple(s if b == a else 0 for b in range(3))
+              for a in range(3) for s, _ in _SIDES5]
+    dirs = [direction_from_angles(*(params + delta * np.array(j)))
+            for j in shifts]
     recs = integrate_rays(model, rec.origin, dirs, [float(rhos.max())],
                           ode_tol=rec.ode_tol, with_jacobi=False, with_k=True)
+    near = dict(zip(shifts, recs))
 
     out_tu = []
     out_nb = []
@@ -878,17 +869,13 @@ def _transverse_residuals(model, rec, rhos, h, delta, C):
         rhsv = np.einsum('ai,ij,j->a', p_t, fr.g, fr.Nbar)
         beta = np.linalg.solve(gram, rhsv)
 
-        def fan_scalar(which):
-            vals = np.zeros((3, 5))
-            vals[:, 2] = {"u": C["u"][i], "binv": C["binv"][i]}[which]
-            for (a, s), rr in zip(stencil_idx, recs):
-                sc = _leaf_scalars_from_state(model, rr, float(r),
-                                              rr.state_at(float(r)))
-                vals[a, 2 + s] = {"u": sc.u, "binv": 1.0 / sc.b}[which]
-            return np.tensordot(vals, _STENCIL5, axes=(1, 0)) / delta
+        def u_and_binv(j):
+            rr = near[j]
+            sc = _leaf_scalars_from_state(model, rr, float(r),
+                                          rr.state_at(float(r)))
+            return sc.u, 1.0 / sc.b
 
-        du_p = fan_scalar("u")                   # (3 params,)
-        dbinv_p = fan_scalar("binv")
+        du_p, dbinv_p = _fan_partials(u_and_binv, (0, 0, 0), [delta] * 3)
         Nbar_u = beta @ du_p
         Nbar_binv = beta @ dbinv_p
         bt, rt = C["bt"][i], C["rtilde"][i]
@@ -920,8 +907,6 @@ def codazzi_residual(model, fan, index, rho):
     nz, nt, npp = fan.shape
     if min(nz, nt, npp) < 5:
         raise FanTooCoarse("codazzi residual needs >= 5 nodes per fan axis")
-    hs = [np.diff(fan.zeta_grid).mean(), np.diff(fan.theta_grid).mean(),
-          np.diff(fan.phi_grid).mean()]
     hr = 1e-3 * max(rho, 1.0)
     rho = min(rho, fan.records[0].rho_reached - hr)
 
@@ -941,23 +926,11 @@ def codazzi_residual(model, fan, index, rho):
     B = st0["b"]
 
     # parameter derivatives of K, x, trk: rho then (zeta, theta, phi)
-    dK = np.zeros((4, 4, 4))
-    dxp = np.zeros((4, 4))
-    dtrk = np.zeros(4)
-    for sgn in (-1, 1):
-        Kp, xp, tp = K_and_x(iz, it, ip, rho + sgn * hr)
-        dK[0] += sgn * Kp / (2 * hr)
-        dxp[0] += sgn * xp / (2 * hr)
-        dtrk[0] += sgn * tp / (2 * hr)
-    for a, h in enumerate(hs):
-        for s, coef in zip((-2, -1, 1, 2), (_STENCIL5[0], _STENCIL5[1],
-                                            _STENCIL5[3], _STENCIL5[4])):
-            j = [iz, it, ip]
-            j[a] += s
-            Kp, xp, tp = K_and_x(*j, rho)
-            dK[a + 1] += coef * Kp / h
-            dxp[a + 1] += coef * xp / h
-            dtrk[a + 1] += coef * tp / h
+    Kp, xp, tp = K_and_x(iz, it, ip, rho + hr)
+    Km, xm, tm = K_and_x(iz, it, ip, rho - hr)
+    fan_d = _fan_partials(lambda j: K_and_x(*j, rho), index, _fan_steps(fan))
+    dK, dxp, dtrk = (np.concatenate([[(p - m) / (2 * hr)], d])
+                     for p, m, d in zip((Kp, xp, tp), (Km, xm, tm), fan_d))
 
     Jac = dxp.T                                  # dx^mu/dparam_a -> (mu, a)
     Jinv = np.linalg.inv(Jac)                    # (a, mu)

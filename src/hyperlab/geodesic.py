@@ -30,7 +30,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (OutOfRange, SeedRegionTooSmall, SingularityTruncated,
                      StepFailure)
-from .metric import HORIZON_MARGIN, metric_at
+from .metric import HORIZON_MARGIN, _orthonormalize, metric_at
 
 DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
@@ -73,6 +73,11 @@ class Direction:
         w = np.asarray(self.omega)
         return np.concatenate([[np.cosh(self.zeta)], np.sinh(self.zeta) * w])
 
+    def angles(self):
+        """Polar and azimuthal angles (theta, phi) of omega."""
+        om = np.asarray(self.omega)
+        return np.arccos(np.clip(om[2], -1.0, 1.0)), np.arctan2(om[1], om[0])
+
 
 def direction_from_angles(zeta, theta, phi):
     return Direction(zeta, (np.sin(theta) * np.cos(phi),
@@ -85,17 +90,10 @@ def frame_at_origin(model, origin):
 
     Rows of the returned (4,4) array are the frame vectors in coordinates.
     """
-    jet = metric_at(model, np.asarray(origin, dtype=float), level=0)
-    g = jet.g
-    e = np.zeros((4, 4))
-    e[0, 0] = 1.0 / np.sqrt(-g[0, 0])
-    basis = np.eye(4)[1:]
-    for i in range(3):
-        v = basis[i].copy()
-        for j in range(i):
-            v -= (e[j + 1] @ g @ v) * e[j + 1]
-        e[i + 1] = v / np.sqrt(v @ g @ v)
-    return e
+    g = metric_at(model, np.asarray(origin, dtype=float), level=0).g
+    e0 = np.zeros(4)
+    e0[0] = 1.0 / np.sqrt(-g[0, 0])
+    return np.vstack([e0, _orthonormalize(g, [e0], np.eye(4)[1:], 3)])
 
 
 @dataclass
@@ -306,18 +304,11 @@ def _triad_ics(model, x_seed, v0, frame0):
 
     Valid in the flat core where frame vectors are coordinate-constant."""
     g = metric_at(model, x_seed, level=0).g
-    triad = []
-    for i in range(3):
-        c = frame0[i + 1] + (frame0[i + 1] @ g @ v0) * v0
-        for t in triad:
-            c = c - (c @ g @ t) * t
-        triad.append(c / np.sqrt(c @ g @ c))
-    return np.stack(triad)
+    return _orthonormalize(g, [v0], frame0[1:], 3)
 
 
 def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
-                   atol=None, with_jacobi=False, with_k=False,
-                   events_on=False, max_step=np.inf):
+                   with_jacobi=False, with_k=False, events_on=False):
     """Integrate one batched system for several directions from one origin.
 
     Returns a list of GeodesicRecord sharing a dense solution.  All
@@ -328,7 +319,6 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     if np.any(np.diff(rho_grid) <= 0) or rho_grid[0] <= 0:
         raise ValueError("rho grid must be positive and strictly increasing")
     rho_max = rho_grid[-1]
-    atol = ode_tol if atol is None else atol
     frame0 = frame_at_origin(model, origin)
     n_nodes = len(directions)
 
@@ -383,8 +373,8 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
         events = horizon_event
 
     sol = solve_ivp(rhs, (rho_seed, rho_max), y0.ravel(), method='DOP853',
-                    rtol=ode_tol, atol=atol, dense_output=True, events=events,
-                    max_step=max_step)
+                    rtol=ode_tol, atol=ode_tol, dense_output=True,
+                    events=events)
     if sol.status == -1:
         raise StepFailure(sol.message)
     truncated = sol.status == 1

@@ -142,22 +142,35 @@ def evolve_kg(cfg, output_times, check_energy=True):
     Output times are snapped to the step grid (dt = cfl * dr), which is exact
     for binary dr and integer-multiple requests.
     """
-    r = _grid(cfg)
-    _, phi0 = initial_data(cfg)
-    psi = r * phi0
-    pi = np.zeros_like(psi)
-    dt = cfg.cfl * cfg.dr
-    m = cfg.kg_mass
-    rhs, _ = _make_rhs_fast(cfg)
-
-    req = sorted(set(int(round(t / dt)) for t in np.atleast_1d(output_times)))
-    if req and req[-1] * dt > cfg.t_max + 1e-9:
-        raise InsufficientStates("requested output beyond t_max")
+    r, phi0 = initial_data(cfg)
     out = []
     e0 = None
+    for t, psi, pi in _rk4_outputs(cfg, r * phi0, np.zeros_like(r),
+                                   output_times, cfg.t_max):
+        out.append(_snapshot(cfg, r, psi, pi, t))
+        if check_energy and cfg.kg_mass > 0:
+            e = energy(out[-1])
+            if e0 is None:
+                e0 = max(e, 1e-300)
+            elif e > e0 * (1.0 + 1e-3):
+                raise UnstableDetected(f"energy grew by {e/e0-1.0:.3e}")
+    return out
+
+
+def _rk4_outputs(cfg, psi, pi, output_times, t_horizon):
+    """Classical RK4 steps of the (psi, pi) system with dt = cfl * dr.
+
+    Yields (elapsed time, psi, pi) at each output time, snapped to the step
+    grid and taken in increasing order.  Output times beyond t_horizon raise
+    InsufficientStates before any step is taken.
+    """
+    dt = cfg.cfl * cfg.dr
+    rhs, _ = _make_rhs_fast(cfg)
+    req = sorted(set(int(round(t / dt)) for t in np.atleast_1d(output_times)))
+    if req and req[-1] * dt > t_horizon + 1e-9:
+        raise InsufficientStates(
+            f"requested output beyond the horizon t = {t_horizon:g}")
     step = 0
-    if 0 in req:
-        out.append(_snapshot(cfg, r, psi, pi, 0.0))
     for target in req:
         while step < target:
             k1 = rhs(psi, pi)
@@ -167,15 +180,7 @@ def evolve_kg(cfg, output_times, check_energy=True):
             psi = psi + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             pi = pi + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             step += 1
-        if target != 0:
-            out.append(_snapshot(cfg, r, psi, pi, step * dt))
-        if check_energy and m > 0:
-            e = energy(out[-1])
-            if e0 is None:
-                e0 = max(e, 1e-300)
-            elif e > e0 * (1.0 + 1e-3):
-                raise UnstableDetected(f"energy grew by {e/e0-1.0:.3e}")
-    return out
+        yield step * dt, psi, pi
 
 
 def _snapshot(cfg, r, psi, pi, t):
@@ -191,27 +196,15 @@ def reverse_state(state):
 
 
 def evolve_from_state(cfg, state, t_extra, output_times):
-    """Continue the evolution from an arbitrary state for t_extra more time."""
-    r = state.r
-    psi = r * state.phi
-    pi = r * state.phit
-    dt = cfg.cfl * cfg.dr
-    rhs, _ = _make_rhs_fast(cfg)
+    """Continue the evolution from an arbitrary state for t_extra more time.
 
-    req = sorted(set(int(round(t / dt)) for t in np.atleast_1d(output_times)))
-    out = []
-    step = 0
-    for target in req:
-        while step < target:
-            k1 = rhs(psi, pi)
-            k2 = rhs(psi + 0.5 * dt * k1[0], pi + 0.5 * dt * k1[1])
-            k3 = rhs(psi + 0.5 * dt * k2[0], pi + 0.5 * dt * k2[1])
-            k4 = rhs(psi + dt * k3[0], pi + dt * k3[1])
-            psi = psi + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            pi = pi + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            step += 1
-        out.append(_snapshot(cfg, r, psi, pi, state.t + step * dt))
-    return out
+    output_times are elapsed times after state.t; beyond t_extra they raise
+    InsufficientStates.
+    """
+    r = state.r
+    return [_snapshot(cfg, r, psi, pi, state.t + t)
+            for t, psi, pi in _rk4_outputs(cfg, r * state.phi, r * state.phit,
+                                           output_times, t_extra)]
 
 
 # ---------------------------------------------------------------------------

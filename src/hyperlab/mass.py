@@ -1,4 +1,4 @@
-"""Hawking mass on the leaves S_{t,rho} and its large-t (Bondi) limit.
+r"""Hawking mass on the leaves S_{t,rho} and its large-t (Bondi) limit.
 
 m(t, rho) = (rbar/2) (1 + (1/16 pi) \oint trchi trchib dmu_gamma),
 rbar = sqrt(area / 4 pi).  The null pair entering the integrand is the

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoordinateSingularity, UnsupportedLevel
+from .errors import (CentralLineDegenerate, CoordinateSingularity,
+                     UnsupportedLevel)
 
 HORIZON_MARGIN = 1e-6   # relative guard above r = 2M
 _R_FLOOR = 1e-300       # avoids 0/0 in direction vectors at the origin
@@ -134,6 +135,44 @@ def _schw_profiles(M, r):
     dBc = (dC - dA) / r**2 - 2.0 * (C - A) / r**3
     d2Bc = (d2C - d2A) / r**2 - 4.0 * (dC - dA) / r**3 + 6.0 * (C - A) / r**4
     return np.stack([n2, dn2, d2n2, A, dA, d2A, Bc, dBc, d2Bc])
+
+
+def _optical_mass_terms(M, r):
+    """Mass terms of the Schwarzschild optical function uhat = t - gamma_r.
+
+    gamma_r = r + 4M ln(r - 2M) and dgamma_r/dr = 1 + 4M/(r - 2M) are r and 1
+    plus the two returned terms, which vanish for M = 0.  Callers add r and 1
+    themselves, so the level function t - r - 4M ln(r - 2M) keeps its own
+    operation order: the leaf solver's secant iteration count follows the
+    last bits of uhat.
+    """
+    if M == 0.0:
+        return 0.0 * r, 0.0 * r
+    return 4.0 * M * np.log(r - 2.0 * M), 4.0 * M / (r - 2.0 * M)
+
+
+def _orthonormalize(g, fixed, cands, keep):
+    """Gram-Schmidt with the metric matrix g: the first `keep` candidates,
+    taken in the order given, made g-orthonormal to each other and
+    g-orthogonal to the unit vectors `fixed` (timelike or spacelike).
+
+    A candidate whose remainder has norm <= 1e-10 is skipped; fewer than
+    `keep` survivors raise CentralLineDegenerate.  Returns (keep, 4).
+    """
+    out = []
+    for c in cands:
+        coef = [np.sign(f @ g @ f) * (c @ g @ f) for f in fixed]
+        for a, f in zip(coef, fixed):
+            c = c - a * f
+        for e in out:
+            c = c - (c @ g @ e) * e
+        nc = np.sqrt(max(c @ g @ c, 0.0))
+        if nc > 1e-10:
+            out.append(c / nc)
+            if len(out) == keep:
+                return np.stack(out)
+    raise CentralLineDegenerate(
+        f"only {len(out)} of {keep} candidates survive orthonormalization")
 
 
 def _profiles(model, r):

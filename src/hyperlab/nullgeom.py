@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadFrame, BadTetrad, Horizon, OutsideZs
-from .foliation import frames_at, leaf_scalars
-from .metric import curvature_at
+from .foliation import _radial_overlap, frames_at
+from .metric import _optical_mass_terms, _orthonormalize, curvature_at
 
 TETRAD_TOL = 1e-9
 
@@ -162,7 +162,7 @@ def schwarzschild_closed_forms(M, r):
         "trchi_s": 2.0 / R,
         "trchib_s": -2.0 / R,
         "K_sphere": 1.0 / R**2,
-        "gamma_r": r + 4.0 * M * np.log(r - 2.0 * M) if M > 0 else r,
+        "gamma_r": r + _optical_mass_terms(M, r)[0],
     }
 
 
@@ -179,36 +179,19 @@ def hat_tetrad(jet):
     Lbhat = np.zeros(4)
     Lbhat[0] = 1.0
     Lbhat[1:] = -n * n * rad[1:]
+    # sphere pair: the spatial axes least aligned with rad, orthogonalized
+    # against the g-unit radial vector
     g = jet.g
+    radu = rad / np.sqrt(rad @ g @ rad)
     cands = np.eye(4)[1:]
-    order = np.argsort([abs(c[1:] @ rad[1:]) for c in cands])
-    eA = []
-    for idx in order:
-        c = cands[idx].copy()
-        c -= (c[1:] @ rad[1:]) * rad
-        for e in eA:
-            c = c - (c @ g @ e) * e
-        nc = np.sqrt(c @ g @ c)
-        if nc > 1e-12:
-            eA.append(c / nc)
-        if len(eA) == 2:
-            break
-    return NullTetrad(e4=Lhat / n, e3=Lbhat / n, eA=np.stack(eA))
+    cands = cands[np.argsort([abs(c @ g @ radu) for c in cands])]
+    eA = _orthonormalize(g, [radu], cands, 2)
+    return NullTetrad(e4=Lhat / n, e3=Lbhat / n, eA=eA)
 
 
 def intrinsic_tetrad(frames):
     """Canonical tetrad {L, Lb, eA} of the hyperboloidal foliation."""
     return NullTetrad(e4=frames.L, e3=frames.Lb, eA=frames.eA)
-
-
-def radial_overlap_at(frames):
-    """varpi = N(r) and the angular gradient (snr_A = e_A(r)) at a frame point."""
-    x = frames.x
-    r = float(np.linalg.norm(x[1:]))
-    rad = x[1:] / r
-    varpi = float(frames.N[1:] @ rad)
-    snr = frames.eA[:, 1:] @ rad
-    return varpi, snr
 
 
 def varrho_consistency(model, rec, rho, r_out_margin=0.0):
@@ -219,13 +202,11 @@ def varrho_consistency(model, rec, rho, r_out_margin=0.0):
     betab_A = -(3/2) n^-6 varpi varrho_hat e_A(r).
     """
     frames = frames_at(model, rec, rho)
-    x = frames.x
-    r = float(np.linalg.norm(x[1:]))
+    r, _, varpi, snr = _radial_overlap(frames)
     if model.kind != "schwarzschild" and r < model.r_out + r_out_margin:
         raise OutsideZs(f"r={r:.6g} below the exterior zone r_out={model.r_out:.6g}")
-    jet = curvature_at(model, x)
+    jet = curvature_at(model, frames.x)
     dec = null_decompose(jet, intrinsic_tetrad(frames))
-    varpi, snr = radial_overlap_at(frames)
     n = float(jet.lapse)
     vr_hat_n4 = -4.0 * model.mass / (r + 2.0 * model.mass) ** 3
     varrho_formula = vr_hat_n4 * (1.0 + 1.5 * ((varpi / n) ** 2 - 1.0))

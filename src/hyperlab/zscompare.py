@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Horizon, OutsideZs, SphereExitsZone
-from .foliation import (_STENCIL5, _frames_from_state, _leaf_scalars_from_state,
-                        frames_at, leaf_slice, param_tangents,
-                        second_fundamental_at, slice_null_forms)
-from .metric import MetricModel, curvature_at, lapse_gradient, metric_at
+from .foliation import (_frames_from_state, _leaf_scalar_arrays,
+                        _leaf_scalars_from_state, _radial_overlap, _rho_cluster,
+                        frames_at, leaf_slice)
+from .metric import (MetricModel, _optical_mass_terms, _orthonormalize,
+                     curvature_at, lapse_gradient, metric_at)
 
 
 @dataclass
@@ -60,8 +61,8 @@ def schw_optical(M, t, r):
     """uhat, the null generator Lhat and the eikonal residual at (t, r)."""
     if r <= 2.0 * M:
         raise Horizon(f"r={r:.6g} inside the horizon")
-    gamma_r = r + 4.0 * M * np.log(r - 2.0 * M) if M > 0 else r
-    uhat = t - gamma_r
+    log_term, dlog_term = _optical_mass_terms(M, r)
+    uhat = t - (r + log_term)
     x = np.array([t, r, 0.0, 0.0])
     if M > 0:
         jet = metric_at(MetricModel.schwarzschild(M), x, level=0)
@@ -69,8 +70,7 @@ def schw_optical(M, t, r):
         jet = metric_at(MetricModel.minkowski(), x, level=0)
     n2 = -jet.g[0, 0]
     Lhat = np.array([1.0, n2, 0.0, 0.0])
-    du = np.array([1.0, -(1.0 + (4.0 * M / (r - 2.0 * M) if M > 0 else 0.0)),
-                   0.0, 0.0])
+    du = np.array([1.0, -(1.0 + dlog_term), 0.0, 0.0])
     eik = float(np.einsum('ab,a,b->', jet.g_inv, du, du))
     return {"uhat": float(uhat), "Lhat": Lhat, "eikonal": eik}
 
@@ -87,13 +87,9 @@ def varpi_at(model, rec, rho):
     """Radial overlap varpi = N(r) with the Euclidean-component split
     N = Sigma N + varpi d_r; snr holds the angular gradient e_A(r)."""
     fr = frames_at(model, rec, rho)
-    x = fr.x
-    r = float(np.linalg.norm(x[1:]))
-    rad = x[1:] / r
-    varpi = float(fr.N[1:] @ rad)
+    r, rad, varpi, snr = _radial_overlap(fr)
     sigma_n = np.zeros(4)
     sigma_n[1:] = fr.N[1:] - varpi * rad
-    snr = fr.eA[:, 1:] @ rad
     return {"varpi": varpi, "SigmaN": sigma_n, "snr": snr, "frames": fr, "r": r}
 
 
@@ -139,41 +135,28 @@ def transport_residuals_zs(model, rec, probe_rhos=None, h=None, margin=0.1):
     rhos = np.asarray(rhos)
     if h is None:
         h = min(6e-3, 0.03 * rhos.min())
-    offs = np.array([-2, -1, 0, 1, 2]) * h
-    cl = (rhos[None, :] + offs[:, None]).ravel()
+    cl, center, ddr = _rho_cluster(rhos, h)
 
     st = rec.state_at(cl)
-    x, B = st["x"], st["b"]
+    x = st["x"]
     r_all = np.linalg.norm(x[:, 1:], axis=1)
     if np.any(r_all < floor):
         raise OutsideZs("cluster leaves the exterior zone")
-    t_all = x[:, 0] - rec.origin[0]
     n_all, _ = lapse_gradient(model, x)
-    binv_all = cl * n_all * B[:, 0] / t_all
-    bt_all = binv_all * t_all
-    rt_all = np.sqrt(np.maximum(bt_all**2 - cl**2, 0.0))
+    sc = _leaf_scalar_arrays(rec, cl, x, st["b"], n_all)
+    rt_all = sc["rtilde"]
 
     M = model.mass
-    shape = (5, len(rhos))
-
-    def center(v):
-        return v.reshape(shape)[2]
-
-    def ddr(v):
-        return np.tensordot(_STENCIL5, v.reshape(shape), axes=(0, 0)) / h
-
     # varpi along the cluster (frames per point)
     varpi_all = np.empty_like(cl)
     for i, rho in enumerate(cl):
         stp = {k: (v[i] if v is not None else None) for k, v in st.items()}
-        fr = _frames_from_state(model, rec, float(rho), stp)
-        rad = fr.x[1:] / np.linalg.norm(fr.x[1:])
-        varpi_all[i] = fr.N[1:] @ rad
+        varpi_all[i] = _radial_overlap(
+            _frames_from_state(model, rec, float(rho), stp))[2]
 
     n, varpi = center(n_all), center(varpi_all)
-    r, t = center(r_all), center(t_all)
-    bt, rt = center(bt_all), center(rt_all)
-    u = bt - rt
+    r = center(r_all)
+    bt, rt = center(sc["bt"]), center(rt_all)
     R = r + 2.0 * M
 
     # radial-overlap transport.  The coefficient of (1 - varpi^2/n^2) is
@@ -212,17 +195,13 @@ def transport_residuals_zs(model, rec, probe_rhos=None, h=None, margin=0.1):
 
 def _dag_frames(model, rec, rho, st, frames, sc):
     """dag-lapse (two ways), dag normal and sphere pair at a cone-sphere node."""
-    x = st["x"]
-    r = float(np.linalg.norm(x[1:]))
-    rad4 = np.zeros(4)
-    rad4[1:] = x[1:] / r
+    _, rad, varpi, _ = _radial_overlap(frames)
     n = sc.n
     Ls = np.zeros(4)
     Ls[0] = 1.0 / n**2
-    Ls[1:] = rad4[1:]
+    Ls[1:] = rad
     g = frames.g
     dag_a_def = -1.0 / float(st["b"] @ g @ Ls)
-    varpi = float(frames.N[1:] @ rad4[1:])
     a_inv = sc.rtilde / rho
     dag_a_inv = -a_inv * (varpi - n) / n**2 + sc.u / (n * rho)
     dag_a = 1.0 / dag_a_inv
@@ -231,19 +210,9 @@ def _dag_frames(model, rec, rho, st, frames, sc):
     # orthonormal pair orthogonal to {B, dag_nb}
     cands = np.eye(4)[1:]
     nbu = dag_nb / np.sqrt(dag_nb @ g @ dag_nb)
-    order = np.argsort([abs(c @ g @ nbu) for c in cands])
-    eA = []
-    for idx in order:
-        c = cands[idx].copy()
-        c = c + (c @ g @ st["b"]) * st["b"] - (c @ g @ nbu) * nbu
-        for e in eA:
-            c = c - (c @ g @ e) * e
-        nc = np.sqrt(max(c @ g @ c, 0.0))
-        if nc > 1e-10:
-            eA.append(c / nc)
-        if len(eA) == 2:
-            break
-    return dag_a, dag_a_def, nbu, np.stack(eA), Ls, dag_nb_t, varpi
+    cands = cands[np.argsort([abs(c @ g @ nbu) for c in cands])]
+    eA = _orthonormalize(g, [st["b"], nbu], cands, 2)
+    return dag_a, dag_a_def, nbu, eA, Ls, dag_nb_t, varpi
 
 
 def _grad_ls(model, x):

@@ -158,3 +158,20 @@ def test_output_beyond_tmax_rejected():
     cfg = KGConfig(r_max=16.0, dr=1 / 32, t_max=10.0)
     with pytest.raises(InsufficientStates):
         evolve_kg(cfg, [12.0])
+
+
+def test_continuation_matches_single_run():
+    # evolve_kg to t1, then evolve_from_state for t2 - t1, is evolve_kg to t2
+    cfg = KGConfig(r_max=16.0, dr=1 / 64, t_max=10.0)
+    t1, t2 = 3.0, 7.0
+    mid = evolve_kg(cfg, [t1])[0]
+    cont = evolve_from_state(cfg, mid, t2 - t1, [t2 - t1])[0]
+    ref = evolve_kg(cfg, [t2])[0]
+    assert cont.t == ref.t == t2
+    # compare the evolved variables r phi, r phit: the restart rounds them
+    # through phi = psi / r, which 1/r amplifies in the cells next to the axis
+    r = ref.r
+    for a, b in ((cont.phi, ref.phi), (cont.phit, ref.phit)):
+        assert np.abs(r * (a - b)).max() <= 1e-12 * np.abs(r * b).max()
+    with pytest.raises(InsufficientStates):
+        evolve_from_state(cfg, mid, 1.0, [0.5, 2.0])

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab.errors import CoordinateSingularity, UnsupportedLevel
-from hyperlab.metric import (MetricModel, curvature_at, metric_at,
-                             schouten_scalar_field)
+from hyperlab.errors import (CentralLineDegenerate, CoordinateSingularity,
+                             UnsupportedLevel)
+from hyperlab.metric import (MetricModel, _orthonormalize, curvature_at,
+                             metric_at, schouten_scalar_field)
 
 MINK = MetricModel.minkowski()
 SCHW = MetricModel.schwarzschild(0.05)
@@ -160,3 +161,42 @@ def test_schwarzschild_symmetry_properties(r, costh, phi):
     jet = curvature_at(SCHW, x)
     assert np.abs(jet.ricci).max() < 1e-7 * max(1.0, np.abs(jet.riemann).max())
     assert riemann_symmetry_residuals(jet) < 1e-8
+
+
+def _boosted_pair(g, zeta=0.7):
+    """A g-unit timelike B and a g-unit spacelike Nbar orthogonal to it."""
+    T = np.array([1.0 / np.sqrt(-g[0, 0]), 0.0, 0.0, 0.0])
+    v = np.array([0.0, 0.6, -0.8, 0.3])
+    N = v / np.sqrt(v @ g @ v)
+    return (np.cosh(zeta) * T + np.sinh(zeta) * N,
+            np.sinh(zeta) * T + np.cosh(zeta) * N)
+
+
+@pytest.mark.parametrize("model, x", [
+    (MINK, [0.0, 0.3, -0.2, 0.5]),
+    (SCHW, [0.0, 3.0, 1.0, -2.0]),
+    (GLUED, [0.0, 1.4, 0.3, -0.6]),      # inside the blend annulus
+], ids=["minkowski", "schwarzschild", "glued"])
+def test_orthonormalize_g_orthonormal(model, x):
+    g = metric_at(model, x, level=0).g
+    fixed = _boosted_pair(g)
+    eA = _orthonormalize(g, fixed, np.eye(4)[1:], 2)
+    assert np.abs(eA @ g @ eA.T - np.eye(2)).max() <= 1e-12
+    assert np.abs(eA @ g @ np.stack(fixed).T).max() <= 1e-12
+    # a full spatial triad against the timelike vector alone
+    triad = _orthonormalize(g, fixed[:1], np.eye(4)[1:], 3)
+    assert np.abs(triad @ g @ triad.T - np.eye(3)).max() <= 1e-12
+    assert np.abs(triad @ g @ fixed[0]).max() <= 1e-12
+
+
+def test_orthonormalize_skips_and_rejects_parallel_candidates():
+    g = metric_at(GLUED, [0.0, 1.4, 0.3, -0.6], level=0).g
+    B, Nbar = _boosted_pair(g)
+    cands = np.eye(4)[1:]
+    ref = _orthonormalize(g, [B, Nbar], cands, 2)
+    # a candidate parallel to a fixed vector leaves no remainder: skipped
+    got = _orthonormalize(g, [B, Nbar], np.vstack([2.5 * Nbar, cands]), 2)
+    assert np.abs(got - ref).max() <= 1e-12
+    with pytest.raises(CentralLineDegenerate):
+        _orthonormalize(g, [B, Nbar], np.stack([2.5 * Nbar, -3.0 * B,
+                                                cands[0]]), 2)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hyperlab.errors import Horizon
-from hyperlab.foliation import angular_grid
+from hyperlab.foliation import _level_value, _uhat_gradient, angular_grid
 from hyperlab.geodesic import Direction, exp_map
 from hyperlab.metric import MetricModel, metric_at
+from hyperlab.nullgeom import schwarzschild_closed_forms
 from hyperlab.zscompare import (cone_sphere_geometry, radial_comparison_series,
                                 schw_optical, transport_residuals_zs,
                                 varpi_at)
@@ -24,6 +25,22 @@ def test_schw_optical_values():
     assert flat["uhat"] == pytest.approx(4.0)
     with pytest.raises(Horizon):
         schw_optical(0.05, 1.0, 0.05)
+    # one uhat from schw_optical, the closed forms and the leaf solver's level
+    # function, whose analytic gradient matches central differences
+    h = 1e-5
+    for model in (MINK, MetricModel.schwarzschild(0.05)):
+        M, t = model.mass, 10.0
+        for r in (0.3, 5.0, 40.0):
+            x = np.array([t, 0.6 * r, 0.0, 0.8 * r])
+            uh = schw_optical(M, t, r)["uhat"]
+            assert uh == pytest.approx(
+                t - schwarzschild_closed_forms(M, r)["gamma_r"], abs=1e-14)
+            assert _level_value(model, 0.0, x, "uhat") == pytest.approx(
+                uh, abs=1e-12)
+            fd = [(_level_value(model, 0.0, x + h * e, "uhat")
+                   - _level_value(model, 0.0, x - h * e, "uhat")) / (2 * h)
+                  for e in np.eye(4)]
+            assert np.abs(_uhat_gradient(model, x) - fd).max() <= 1e-8
 
 
 def test_eikonal_exact_many_points():
