@@ -94,11 +94,13 @@ def _leaf_scalar_arrays(rec, rho, x, B, n):
             "u": bt - rtilde, "ubar": bt + rtilde}
 
 
-def _leaf_scalars_from_state(model, rec, rho, st):
+def _leaf_scalars_from_state(model, rec, rho, st, n=None):
+    """LeafScalars at one state; n: the lapse at st["x"], if already known."""
     x = st["x"]
     if _time_of(rec, x) <= 0:
         raise OutOfRange("leaf scalars need t > 0 past the origin")
-    n = float(metric_at(model, x, level=0).lapse)
+    if n is None:
+        n = float(metric_at(model, x, level=0).lapse)
     s = _leaf_scalar_arrays(rec, rho, x, st["b"], n)
     rtilde = float(s["rtilde"])
     return LeafScalars(rho=rho, t=float(s["t"]), tau=float(s["tau"]),
@@ -110,16 +112,18 @@ def _leaf_scalars_from_state(model, rec, rho, st):
 def frames_at(model, rec, rho, frame_floor=FRAME_FLOOR):
     """Intrinsic frame set {T, N, Nbar, B, L, Lb, eA} at rho along the record."""
     st = rec.state_at(float(rho))
-    return _frames_from_state(model, rec, float(rho), st, frame_floor)
+    return _frames_from_state(model, rec, float(rho), st, frame_floor)[0]
 
 
 def _frames_from_state(model, rec, rho, st, frame_floor=FRAME_FLOOR):
-    sc = _leaf_scalars_from_state(model, rec, rho, st)
+    """(FrameSet, LeafScalars) at one state, from one level-0 metric jet."""
+    x, B = st["x"], st["b"]
+    jet = metric_at(model, x, level=0)
+    sc = _leaf_scalars_from_state(model, rec, rho, st, float(jet.lapse))
     if sc.rtilde < frame_floor:
         raise CentralLineDegenerate(
             f"rtilde={sc.rtilde:.3g} below frame floor {frame_floor:.3g}")
-    x, B = st["x"], st["b"]
-    g = metric_at(model, x, level=0).g
+    g = jet.g
     T = np.zeros(4)
     T[0] = 1.0 / sc.n
     bt = sc.t / sc.b
@@ -131,7 +135,7 @@ def _frames_from_state(model, rec, rho, st, frame_floor=FRAME_FLOOR):
     cands = cands[np.argsort([abs(c @ g @ N) for c in cands])]
     eA = _orthonormalize(g, [T, N], cands, 2)
     return FrameSet(T=T, N=N, Nbar=Nbar, B=B.copy(), L=T + N, Lb=T - N,
-                    eA=eA, g=g, x=x.copy())
+                    eA=eA, g=g, x=x.copy()), sc
 
 
 def _radial_overlap(frames):
@@ -157,16 +161,20 @@ def second_fundamental_at(model, rec, rho, frames=None):
         raise MissingK("record has no transported second fundamental form")
     st = rec.state_at(float(rho))
     if frames is None:
-        frames = _frames_from_state(model, rec, float(rho), st)
+        frames = _frames_from_state(model, rec, float(rho), st)[0]
     return _second_fundamental_from_state(rec, float(rho), st, frames)
 
 
+def _k_triad(q0, khat, rho):
+    """k in the parallel triad, khat + (1/rho + q0/3) I, batched."""
+    return khat + np.asarray(1.0 / rho + q0 / 3.0)[..., None, None] * np.eye(3)
+
+
 def _second_fundamental_from_state(rec, rho, st, frames):
-    q0, kh, E = st["q0"], st["khat"], st["triad"]
-    trk = 3.0 / rho + q0
-    k_triad = kh + (trk / 3.0) * np.eye(3)
+    trk = 3.0 / rho + st["q0"]
+    k_triad = _k_triad(st["q0"], st["khat"], rho)
     leaf = np.stack([frames.Nbar, frames.eA[0], frames.eA[1]])
-    C = np.einsum('ai,ij,bj->ab', leaf, frames.g, E)   # <f_a, E_b>
+    C = np.einsum('ai,ij,bj->ab', leaf, frames.g, st["triad"])   # <f_a, E_b>
     k_leaf = C @ k_triad @ C.T
     k_leaf = 0.5 * (k_leaf + k_leaf.T)
     khat_leaf = k_leaf - (trk / 3.0) * np.eye(3)
@@ -462,8 +470,7 @@ def leaf_slice(model, origin, t, rho, omega_nodes, zeta_max=6.0,
     area = 0.0
     for (th, ph, w), z, rec in zip(omega_nodes, zs, recs):
         st = rec.state_at(rho)
-        frames = _frames_from_state(model, rec, rho, st)
-        sc = _leaf_scalars_from_state(model, rec, rho, st)
+        frames, sc = _frames_from_state(model, rec, rho, st)
         k = _second_fundamental_from_state(rec, rho, st, frames)
         p = param_tangents(rec, st)              # rows: d x/d(zeta,theta,phi)
         if level == "t":
@@ -862,7 +869,7 @@ def _transverse_residuals(model, rec, rhos, h, delta, C):
     out_nb = []
     for i, r in enumerate(rhos):
         st0 = rec.state_at(float(r))
-        fr = _frames_from_state(model, rec, float(r), st0)
+        fr = _frames_from_state(model, rec, float(r), st0)[0]
         p_t = param_tangents(rec, st0)           # (3 params, 4)
         gram = np.einsum('ai,ij,bj->ab', p_t, fr.g, p_t)
         # leaf gradient coefficients of Nbar: Nbar = sum beta_a p_a
@@ -915,7 +922,7 @@ def codazzi_residual(model, fan, index, rho):
         st = rec.state_at(r)
         g = metric_at(model, st["x"], level=0).g
         E_low = st["triad"] @ g
-        kmat = st["khat"] + ((1.0 / r + st["q0"] / 3.0)) * np.eye(3)
+        kmat = _k_triad(st["q0"], st["khat"], r)
         Kf = np.einsum('ij,ia,jb->ab', kmat, E_low, E_low)
         return Kf, st["x"], (1.0 / r * 3.0 + st["q0"])
 

@@ -14,10 +14,12 @@ components share step-size control:
     q0'  = -(2/rho) q0 - q0^2/3 - Ric(B,B) - |kh|^2      (q0 = trk - 3/rho)
     kh'  = -(2/3) trk kh - Rhat(B,E,B,E) - (kh^2 - |kh|^2 I/3)
 
-with Rhat the trace-free tidal tensor in the triad.  Rays from an origin in
-the flat core are exact straight lines there, so the system is seeded with
-closed-form flat values at the largest proper time still inside the core
-(k = gbar/rho exactly; the regularized variables vanish).
+with Rhat the trace-free tidal tensor in the triad.  Both curvature terms
+use T_bd = R_abcd B^a B^c, contracted once per step: Rhat is E T E^T less
+its trace, and R^l_bcd B^b B^c = -g^{la} T_ad by pair symmetry.  Rays from
+an origin in the flat core are exact straight lines there, so the system is
+seeded with closed-form flat values at the largest proper time still inside
+the core (k = gbar/rho exactly; the regularized variables vanish).
 
 Many rays can be integrated in a single batched solve; results are
 independent of the batch composition up to integrator tolerance.
@@ -35,19 +37,17 @@ from .metric import HORIZON_MARGIN, _orthonormalize, metric_at
 DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
 RHO_SEED_MIN = 1e-3
-_SYM6 = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+# packed upper triangle (00, 01, 02, 11, 12, 22) of a symmetric 3x3 matrix
+_SYM6_ROW, _SYM6_COL = np.triu_indices(3)
+_SYM6_OF = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def sym6_to_mat(v):
-    m = np.zeros(v.shape[:-1] + (3, 3))
-    for a, (i, j) in enumerate(_SYM6):
-        m[..., i, j] = v[..., a]
-        m[..., j, i] = v[..., a]
-    return m
+    return v[..., _SYM6_OF]
 
 
 def mat_to_sym6(m):
-    return np.stack([m[..., i, j] for (i, j) in _SYM6], axis=-1)
+    return m[..., _SYM6_ROW, _SYM6_COL]
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,6 @@ class GeodesicRecord:
     @property
     def has_k(self):
         return self.q0 is not None
-
-    def k_matrix(self, idx=None):
-        """Full second fundamental form in the triad at sample idx (or all)."""
-        if self.q0 is None:
-            return None
-        q0 = self.q0 if idx is None else self.q0[idx]
-        kh = self.khat if idx is None else self.khat[idx]
-        rho = self.rho if idx is None else self.rho[idx]
-        trk3 = 1.0 / rho + q0 / 3.0
-        return kh + np.asarray(trk3)[..., None, None] * np.eye(3)
 
     def state_at(self, rho):
         """Evaluate the integrated state at arbitrary rho (scalar or array)."""
@@ -229,19 +219,20 @@ def _make_rhs(model, nj, nk, n_nodes):
 
     def rhs(rho, yflat):
         y = yflat.reshape(n_nodes, dim)
-        x = y[:, 0:4]
         b = y[:, 4:8]
-        jet = metric_at(model, x, level=level)
-        gam = jet.gamma
+        jet = metric_at(model, y[:, 0:4], level=level)
         dy = np.empty_like(y)
         dy[:, 0:4] = b
-        gb = np.einsum('nlmk,nm->nlk', gam, b)
+        gb = np.einsum('nlmk,nm->nlk', jet.gamma, b)
         dy[:, 4:8] = -np.einsum('nlk,nk->nl', gb, b)
         p = 8
+        if level == 2:
+            T = np.einsum('nbcd,nc->nbd',
+                          np.einsum('nabcd,na->nbcd', jet.riemann, b), b)
         if nj:
             J = y[:, p:p + 12].reshape(-1, 3, 4)
             P = y[:, p + 12:p + 24].reshape(-1, 3, 4)
-            RB = np.einsum('nlbcd,nb,nc->nld', jet.riemann_ud, b, b)
+            RB = -np.einsum('nlb,nbd->nld', jet.g_inv, T)   # R^l_bcd B^b B^c
             dJ = P - np.einsum('nlk,njk->njl', gb, J)
             dP = np.einsum('nld,njd->njl', RB, J) - np.einsum('nlk,njk->njl', gb, P)
             dy[:, p:p + 12] = dJ.reshape(-1, 12)
@@ -252,8 +243,7 @@ def _make_rhs(model, nj, nk, n_nodes):
             q0 = y[:, p + 12]
             kh = sym6_to_mat(y[:, p + 13:p + 19])
             dE = -np.einsum('nlk,njk->njl', gb, E)
-            BE = np.einsum('nabcd,na,nc->nbd', jet.riemann, b, b)
-            tidal = np.einsum('nbd,nib,njd->nij', BE, E, E)
+            tidal = np.einsum('nbd,nib,njd->nij', T, E, E)
             ric_bb = np.einsum('nii->n', tidal)
             rhat = tidal - (ric_bb[:, None, None] / 3.0) * eye3
             kh2 = np.einsum('nij,njk->nik', kh, kh)

@@ -22,14 +22,19 @@ the blend), so jets up to level 2 are exact up to rounding everywhere.
 
 Index conventions (used throughout the package):
     Gamma[l, m, n]   = Gamma^l_{mn}
-    riemann[a,b,c,d] = R_{abcd},   R^r_{smn} = d_m G^r_{ns} - d_n G^r_{ms} + ...
+    riemann[a,b,c,d] = R_{abcd} = (1/2)(g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
+                       + g_ef (Gamma^e_bc Gamma^f_ad - Gamma^e_bd Gamma^f_ac),
+                       so that R^r_{smn} = d_m G^r_{ns} - d_n G^r_{ms} + ...
     ricci[s, n]      = R^r_{srn},  schouten = ricci - (scalar/6) g
     weyl per W_abcd  = R_abcd - (1/2)(g_ac S_bd + g_bd S_ac - g_bc S_ad - g_ad S_bc)
 
-Evaluation is batched: x may have any leading shape (..., 4).
+Evaluation is batched: x may have any leading shape (..., 4).  Level 2
+builds d2g and Riemann only; ricci, scalar, schouten and weyl are built
+from them on first access and cached on the jet.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,14 +105,33 @@ class MetricJet:
     gamma: np.ndarray = None         # (S, 4, 4, 4)  gamma[l,m,n] = Gamma^l_mn
     d2g: np.ndarray = None           # (S, 4, 4, 4, 4) d2g[k,m,a,b] = d_k d_m g_ab
     riemann: np.ndarray = None       # (S, 4, 4, 4, 4) fully lowered
-    riemann_ud: np.ndarray = None    # (S, 4, 4, 4, 4) R^a_bcd
-    ricci: np.ndarray = None         # (S, 4, 4)
-    scalar: np.ndarray = None        # (S,)
-    weyl: np.ndarray = None          # (S, 4, 4, 4, 4)
-    schouten: np.ndarray = None      # (S, 4, 4)
     sqrt_det: np.ndarray = None      # (S,) sqrt(-det g)
     lapse: np.ndarray = None         # (S,) static lapse n = sqrt(-g_tt)
     model: MetricModel = field(default=None, repr=False)
+
+    @cached_property
+    def ricci(self):                 # (S, 4, 4); None below level 2
+        return None if self.riemann is None else np.einsum(
+            '...ra,...asrn->...sn', self.g_inv, self.riemann)
+
+    @cached_property
+    def scalar(self):                # (S,)
+        return None if self.riemann is None else np.einsum(
+            '...sn,...sn->...', self.g_inv, self.ricci)
+
+    @cached_property
+    def schouten(self):              # (S, 4, 4)
+        return None if self.riemann is None else (
+            self.ricci - (self.scalar[..., None, None] / 6.0) * self.g)
+
+    @cached_property
+    def weyl(self):                  # (S, 4, 4, 4, 4)
+        if self.riemann is None:
+            return None
+        # g_ac S_bd + g_bd S_ac, less the same with c and d exchanged
+        gS = np.einsum('...ac,...bd->...abcd', self.g, self.schouten)
+        gS = gS + np.einsum('...abcd->...badc', gS)
+        return self.riemann - 0.5 * (gS - np.swapaxes(gS, -1, -2))
 
 
 def _smoothstep(w):
@@ -250,23 +274,20 @@ def metric_at(model, x, level=2):
     g_inv[..., 1:, 1:] = ((1.0 / A)[..., None, None] * eye3
                           - coef[..., None, None] * xs[..., :, None] * xs[..., None, :])
 
-    jet = MetricJet(x=x, level=level, g=g, g_inv=g_inv, model=model)
-    jet.sqrt_det = np.sqrt(n2 * A * A * Cr)
-    jet.lapse = np.sqrt(n2)
+    jet = MetricJet(x=x, level=level, g=g, g_inv=g_inv, model=model,
+                    sqrt_det=np.sqrt(n2 * A * A * Cr), lapse=np.sqrt(n2))
     if level == 0:
         return _squeeze(jet, scalar_input)
 
     # first derivatives: dg[m, a, b] = d_m g_ab, time derivatives vanish
     dg = np.zeros(shape + (4, 4, 4))
-    du = (eye3 - u[..., :, None] * u[..., None, :]) / rs[..., None, None]
     dg[..., 1:, 0, 0] = -dn2[..., None] * u
-    dg_sp = (dA[..., None, None, None] * u[..., :, None, None] * eye3
-             + dBc[..., None, None, None] * u[..., :, None, None]
-             * xs[..., None, :, None] * xs[..., None, None, :]
-             + Bc[..., None, None, None]
-             * (eye3[:, :, None] * xs[..., None, None, :]
-                + eye3[:, None, :] * xs[..., None, :, None]))
-    dg[..., 1:, 1:, 1:] = dg_sp
+    dg[..., 1:, 1:, 1:] = (dA[..., None, None, None] * u[..., :, None, None] * eye3
+                           + dBc[..., None, None, None] * u[..., :, None, None]
+                           * xs[..., None, :, None] * xs[..., None, None, :]
+                           + Bc[..., None, None, None]
+                           * (eye3[:, :, None] * xs[..., None, None, :]
+                              + eye3[:, None, :] * xs[..., None, :, None]))
     jet.dg = dg
     # dg index order is (m, a, b); build F[m,s,n] = d_m g_sn + d_n g_sm - d_s g_mn
     sym = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
@@ -275,56 +296,34 @@ def metric_at(model, x, level=2):
     if level == 1:
         return _squeeze(jet, scalar_input)
 
-    # second derivatives d2g[k, m, a, b] = d_k d_m g_ab
-    d2g = np.zeros(shape + (4, 4, 4, 4))
-    d2g[..., 1:, 1:, 0, 0] = -(d2n2[..., None, None] * u[..., :, None] * u[..., None, :]
-                               + dn2[..., None, None] * du)
-    uu = u[..., :, None] * u[..., None, :]
-    xx = xs[..., :, None] * xs[..., None, :]
-    term = (d2A[..., None, None, None, None] * uu[..., :, :, None, None] * eye3
-            + dA[..., None, None, None, None] * du[..., :, :, None, None] * eye3
-            + d2Bc[..., None, None, None, None] * uu[..., :, :, None, None]
-            * xx[..., None, None, :, :]
-            + dBc[..., None, None, None, None] * du[..., :, :, None, None]
-            * xx[..., None, None, :, :])
-    # dBc * [u_l (d_ik x_j + d_jk x_i) + u_k (d_il x_j + d_jl x_i)] ; (k,l,i,j)
-    cross = (eye3[:, :, None] * xs[..., None, None, :]
-             + eye3[:, None, :] * xs[..., None, :, None])          # (k, i, j)
-    term += dBc[..., None, None, None, None] * (
-        u[..., None, :, None, None] * cross[..., :, None, :, :]
-        + u[..., :, None, None, None] * cross[..., None, :, :, :])
-    term += Bc[..., None, None, None, None] * (
-        eye3[:, None, :, None] * eye3[None, :, None, :]
-        + eye3[:, None, None, :] * eye3[None, :, :, None])[None]
-    d2g[..., 1:, 1:, 1:, 1:] = term
-    jet.d2g = d2g
+    # second derivatives d2g[k, m, a, b] = d_k d_m g_ab.  The Hessians of the
+    # radial profiles n2, A, Bc are f'' u_k u_m + f' (delta_km - u_k u_m) / r.
+    fr = p[1::3] / rs
+    Hn2, HA, HBc = ((p[2::3] - fr)[..., None, None] * (u[..., :, None] * u[..., None, :])
+                    + fr[..., None, None] * eye3)
+    d2g = jet.d2g = np.zeros(shape + (4, 4, 4, 4))
+    d2g[..., 1:, 1:, 0, 0] = -Hn2
+    # spatial block (k, l, i, j): Hess(A)_kl delta_ij + Hess(Bc)_kl x_i x_j,
+    # plus delta_il W_kj symmetrised over (i, j) and over (k, l), where
+    # W_kj = dBc u_k x_j + (Bc/2) delta_kj carries the terms linear in x
+    W = dBc[..., None, None] * u[..., :, None] * xs[..., None, :] \
+        + (0.5 * Bc)[..., None, None] * eye3
+    C = W[..., :, None, None, :] * eye3[:, :, None]
+    C = C + np.swapaxes(C, -1, -2)
+    d2g[..., 1:, 1:, 1:, 1:] = (
+        C + np.swapaxes(C, -4, -3)
+        + HA[..., :, :, None, None] * eye3
+        + HBc[..., :, :, None, None]
+        * (xs[..., :, None] * xs[..., None, :])[..., None, None, :, :])
 
-    # dGamma[k, l, m, n] = d_k Gamma^l_mn
-    dg_inv = -np.einsum('...la,...kab,...bs->...kls', g_inv, dg, g_inv)
-    dsym = d2g + np.swapaxes(d2g, -3, -1) - np.swapaxes(d2g, -3, -2)
-    dgamma = (0.5 * np.einsum('...kls,...msn->...klmn', dg_inv, sym)
-              + 0.5 * np.einsum('...ls,...kmsn->...klmn', g_inv, dsym))
-
-    # R^r_{smn} = d_m G^r_ns - d_n G^r_ms + G^r_ml G^l_ns - G^r_nl G^l_ms
-    # dgamma is (k,l,m,n) = d_k G^l_mn; move d_m G^r_ns into slot (r,s,m,n)
-    gg = np.einsum('...rml,...lns->...rsmn', gamma, gamma)
-    riem_ud = (np.einsum('...mrns->...rsmn', dgamma)
-               - np.einsum('...nrms->...rsmn', dgamma)
-               + gg - np.swapaxes(gg, -2, -1))
-    riem = np.einsum('...ra,...asmn->...rsmn', g, riem_ud)
-    ricci = np.einsum('...rsrn->...sn', riem_ud)
-    scal = np.einsum('...sn,...sn->...', g_inv, ricci)
-    schouten = ricci - (scal[..., None, None] / 6.0) * g
-    weyl = riem - 0.5 * (np.einsum('...ac,...bd->...abcd', g, schouten)
-                         + np.einsum('...bd,...ac->...abcd', g, schouten)
-                         - np.einsum('...bc,...ad->...abcd', g, schouten)
-                         - np.einsum('...ad,...bc->...abcd', g, schouten))
-    jet.riemann_ud = riem_ud
-    jet.riemann = riem
-    jet.ricci = ricci
-    jet.scalar = scal
-    jet.weyl = weyl
-    jet.schouten = schouten
+    # R_abcd = Z_abcd - Z_abdc with Z_abcd = Gamma^e_bc Gamma_ead
+    # - (1/2)(d_a d_c g_bd - d_b d_c g_ad); Gamma_ead = sym[a, e, d] / 2
+    gg = np.matmul(np.swapaxes(gamma.reshape(-1, 4, 16), -1, -2),
+                   0.5 * np.swapaxes(sym, -3, -2).reshape(-1, 4, 16))
+    X = np.swapaxes(d2g, -3, -2)
+    Z = (np.moveaxis(gg.reshape(shape + (4, 4, 4, 4)), -2, -4)
+         - 0.5 * (X - np.swapaxes(X, -4, -3)))
+    jet.riemann = Z - np.swapaxes(Z, -1, -2)
     return _squeeze(jet, scalar_input)
 
 
@@ -332,7 +331,6 @@ def _squeeze(jet, scalar_input):
     if not scalar_input:
         return jet
     for name in ("x", "g", "g_inv", "dg", "gamma", "d2g", "riemann",
-                 "riemann_ud", "ricci", "scalar", "weyl", "schouten",
                  "sqrt_det", "lapse"):
         v = getattr(jet, name)
         if v is not None and isinstance(v, np.ndarray):
@@ -341,7 +339,7 @@ def _squeeze(jet, scalar_input):
 
 
 def curvature_at(model, x):
-    """Level-2 jet (Riemann/Ricci/Weyl/Schouten populated)."""
+    """Level-2 jet; Ricci, scalar, Schouten and Weyl are built on access."""
     return metric_at(model, x, level=2)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Horizon, OutsideZs, SphereExitsZone
-from .foliation import (_frames_from_state, _leaf_scalar_arrays,
+from .foliation import (_frames_from_state, _k_triad, _leaf_scalar_arrays,
                         _leaf_scalars_from_state, _radial_overlap, _rho_cluster,
                         frames_at, leaf_slice)
 from .metric import (MetricModel, _optical_mass_terms, _orthonormalize,
@@ -152,7 +152,7 @@ def transport_residuals_zs(model, rec, probe_rhos=None, h=None, margin=0.1):
     for i, rho in enumerate(cl):
         stp = {k: (v[i] if v is not None else None) for k, v in st.items()}
         varpi_all[i] = _radial_overlap(
-            _frames_from_state(model, rec, float(rho), stp))[2]
+            _frames_from_state(model, rec, float(rho), stp)[0])[2]
 
     n, varpi = center(n_all), center(varpi_all)
     r = center(r_all)
@@ -271,7 +271,7 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
         chi = da * np.einsum('Am,mn,ns,Cs->AC', eA, covLs, fr.g, eA)
         # k(eA, eC) from the transported k (triad components)
         E = st["triad"]
-        kmat = st["khat"] + (1.0 / rho + st["q0"] / 3.0) * np.eye(3)
+        kmat = _k_triad(st["q0"], st["khat"], rho)
         coefA = np.einsum('Aa,ab,ib->Ai', eA, fr.g, E)
         k_AC = coefA @ kmat @ coefA.T
         chib = 2.0 * k_AC - chi

@@ -75,6 +75,32 @@ def geodesic_rhs(model):
     return f
 
 
+def riemann_fd(model, x, h=1e-3):
+    """Fully lowered R_abcd at one point from central differences of Gamma.
+
+    d_k Gamma^l_mn is taken by the 5-point stencil on level-1 jets, then
+    R^r_smn = d_m G^r_ns - d_n G^r_ms + G^r_ml G^l_ns - G^r_nl G^l_ms is
+    lowered with g.  Independent of the second-derivative formula that
+    metric_at uses at level 2.
+    """
+    from hyperlab.metric import metric_at
+
+    x = np.asarray(x, dtype=float)
+    jet = metric_at(model, x, level=1)
+    dgam = np.zeros((4, 4, 4, 4))                   # dgam[k, l, m, n]
+    for k in range(4):
+        for s, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
+            dx = np.zeros(4)
+            dx[k] = s * h
+            dgam[k] += c * metric_at(model, x + dx, level=1).gamma
+    dgam /= 12.0 * h
+    gam = jet.gamma
+    gg = np.einsum('rml,lns->rsmn', gam, gam)
+    riem_ud = (np.einsum('mrns->rsmn', dgam) - np.einsum('nrms->rsmn', dgam)
+               + gg - np.swapaxes(gg, -2, -1))
+    return np.einsum('ra,asmn->rsmn', jet.g, riem_ud)
+
+
 def gauss_curvature_axisym(thetas, E, G):
     """Gauss curvature of an axisymmetric 2-metric E(th) dth^2 + G(th) dph^2
     by 4th-order finite differences on a uniform theta grid (interior)."""

@@ -5,7 +5,7 @@ from hyperlab.errors import SeedRegionTooSmall
 from hyperlab.foliation import second_fundamental_fd_oracle
 from hyperlab.geodesic import (Direction, FanGrid, direction_from_angles,
                                exp_map, fan_build, integrate_rays,
-                               jacobi_boosts)
+                               jacobi_boosts, mat_to_sym6, sym6_to_mat)
 from hyperlab.metric import MetricModel, metric_at
 
 from oracles import geodesic_rhs, rk8_fixed
@@ -23,6 +23,20 @@ def test_direction_unit_hyperboloid():
         d = Direction(z, (0.3, -1.2, 0.5))
         V = d.hyperboloid_point()
         assert abs(minkowski_norm(V) + 1.0) < 1e-14 * np.cosh(z) ** 2
+
+
+def test_sym6_packing_matches_loop_reference():
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    v = np.random.default_rng(3).normal(size=(5, 2, 6))
+    ref = np.zeros((5, 2, 3, 3))
+    for a, (i, j) in enumerate(pairs):
+        ref[..., i, j] = v[..., a]
+        ref[..., j, i] = v[..., a]
+    m = sym6_to_mat(v)
+    assert np.array_equal(m, ref)
+    assert np.array_equal(mat_to_sym6(m),
+                          np.stack([ref[..., i, j] for i, j in pairs], -1))
+    assert np.array_equal(sym6_to_mat(v[0, 0]), ref[0, 0])
 
 
 def test_minkowski_straight_lines():

@@ -8,6 +8,8 @@ from hyperlab.errors import (CentralLineDegenerate, CoordinateSingularity,
 from hyperlab.metric import (MetricModel, _orthonormalize, curvature_at,
                              metric_at, schouten_scalar_field)
 
+from oracles import riemann_fd
+
 MINK = MetricModel.minkowski()
 SCHW = MetricModel.schwarzschild(0.05)
 GLUED = MetricModel.glued(0.01)
@@ -85,6 +87,38 @@ def test_glued_annulus_symmetries_and_weyl_trace():
     assert np.abs(tracew).max() < 1e-7
     # the blend annulus is not vacuum
     assert np.abs(jet.ricci).max() > 1e-6
+
+
+@pytest.mark.parametrize("model, x", [
+    (MINK, [0.1, 0.3, -0.2, 0.5]),
+    (SCHW, [0.4, 3.0, 1.0, -2.0]),
+    (SCHW, [0.0, 0.3, 0.2, -0.1]),       # r = 0.37: strong field
+    (GLUED, [0.0, 1.4, 0.3, -0.6]),      # inside the blend annulus
+    (GLUED, [0.0, 1.05, 0.0, 0.2]),      # annulus, near r_in
+    (GLUED, [0.0, 2.5, -1.0, 0.7]),      # exterior
+], ids=["minkowski", "schwarzschild", "schwarzschild-near", "glued-annulus",
+        "glued-annulus-inner", "glued-exterior"])
+def test_riemann_matches_gamma_difference_oracle(model, x):
+    R = metric_at(model, x, level=2).riemann
+    ref = riemann_fd(model, x)
+    scale = max(np.abs(ref).max(), 1e-300)
+    assert np.abs(R - ref).max() <= 1e-8 * scale + 1e-14
+
+
+def test_lazy_curvature_fields_scalar_input():
+    x = np.array([0.0, 1.4, 0.3, -0.6])
+    one = metric_at(GLUED, x, level=2)
+    batch = metric_at(GLUED, np.stack([x, 2.0 * x]), level=2)
+    for name, shape in (("riemann", (4, 4, 4, 4)), ("ricci", (4, 4)),
+                        ("scalar", ()), ("schouten", (4, 4)),
+                        ("weyl", (4, 4, 4, 4))):
+        got = np.asarray(getattr(one, name))
+        assert got.shape == shape, name
+        assert np.array_equal(got, getattr(batch, name)[0]), name
+    assert getattr(batch, "weyl").shape == (2, 4, 4, 4, 4)
+    for level in (0, 1):
+        low = metric_at(GLUED, x, level=level)
+        assert low.riemann is None and low.weyl is None and low.ricci is None
 
 
 def test_glued_c2_continuity_at_blend_boundaries():
