@@ -274,20 +274,22 @@ def metric_at(model, x, level=2):
     g_inv[..., 1:, 1:] = ((1.0 / A)[..., None, None] * eye3
                           - coef[..., None, None] * xs[..., :, None] * xs[..., None, :])
 
-    jet = MetricJet(x=x, level=level, g=g, g_inv=g_inv, model=model,
-                    sqrt_det=np.sqrt(n2 * A * A * Cr), lapse=np.sqrt(n2))
+    jet = MetricJet(x=x, level=level, g=g, g_inv=g_inv, model=model)
+    jet.sqrt_det = np.sqrt(n2 * A * A * Cr)
+    jet.lapse = np.sqrt(n2)
     if level == 0:
         return _squeeze(jet, scalar_input)
 
     # first derivatives: dg[m, a, b] = d_m g_ab, time derivatives vanish
     dg = np.zeros(shape + (4, 4, 4))
     dg[..., 1:, 0, 0] = -dn2[..., None] * u
-    dg[..., 1:, 1:, 1:] = (dA[..., None, None, None] * u[..., :, None, None] * eye3
-                           + dBc[..., None, None, None] * u[..., :, None, None]
-                           * xs[..., None, :, None] * xs[..., None, None, :]
-                           + Bc[..., None, None, None]
-                           * (eye3[:, :, None] * xs[..., None, None, :]
-                              + eye3[:, None, :] * xs[..., None, :, None]))
+    dg_sp = (dA[..., None, None, None] * u[..., :, None, None] * eye3
+             + dBc[..., None, None, None] * u[..., :, None, None]
+             * xs[..., None, :, None] * xs[..., None, None, :]
+             + Bc[..., None, None, None]
+             * (eye3[:, :, None] * xs[..., None, None, :]
+                + eye3[:, None, :] * xs[..., None, :, None]))
+    dg[..., 1:, 1:, 1:] = dg_sp
     jet.dg = dg
     # dg index order is (m, a, b); build F[m,s,n] = d_m g_sn + d_n g_sm - d_s g_mn
     sym = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
@@ -299,7 +301,8 @@ def metric_at(model, x, level=2):
     # second derivatives d2g[k, m, a, b] = d_k d_m g_ab.  The Hessians of the
     # radial profiles n2, A, Bc are f'' u_k u_m + f' (delta_km - u_k u_m) / r.
     fr = p[1::3] / rs
-    Hn2, HA, HBc = ((p[2::3] - fr)[..., None, None] * (u[..., :, None] * u[..., None, :])
+    uu = u[..., :, None] * u[..., None, :]
+    Hn2, HA, HBc = ((p[2::3] - fr)[..., None, None] * uu
                     + fr[..., None, None] * eye3)
     d2g = jet.d2g = np.zeros(shape + (4, 4, 4, 4))
     d2g[..., 1:, 1:, 0, 0] = -Hn2
