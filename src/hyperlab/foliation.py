@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import (BracketFailure, CentralLineDegenerate, FanTooCoarse,
                      MissingK, OutOfRange, Unreachable)
-from .geodesic import Direction, direction_from_angles, integrate_rays
-from .metric import (_optical_mass_terms, _orthonormalize, curvature_at,
-                     lapse_gradient, metric_at)
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, direction_from_angles,
+                       integrate_rays)
+from .metric import (_optical_mass_terms, _orthonormalize, _zs_floor,
+                     curvature_at, lapse_gradient, metric_at)
 
 FRAME_FLOOR = 1e-6
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
@@ -144,15 +145,6 @@ def _radial_overlap(frames):
     r = float(np.linalg.norm(frames.x[1:]))
     rad = frames.x[1:] / r
     return r, rad, float(frames.N[1:] @ rad), frames.eA[:, 1:] @ rad
-
-
-def second_fundamental_transport(model, rec):
-    """Record with the transported second fundamental form populated."""
-    if rec.has_k:
-        return rec
-    return integrate_rays(model, rec.origin, [rec.direction], rec.rho,
-                          ode_tol=rec.ode_tol, with_jacobi=rec.has_jacobi,
-                          with_k=True)[0]
 
 
 def second_fundamental_at(model, rec, rho, frames=None):
@@ -290,17 +282,6 @@ def _rotation_to(axis):
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def _uhat_gradient(model, x):
-    """Coordinate gradient of uhat = t - gamma_r (exterior zone)."""
-    xs = x[..., 1:]
-    r = np.sqrt(np.sum(xs * xs, axis=-1))
-    dgam = 1.0 + _optical_mass_terms(model.mass, r)[1]
-    grad = np.zeros_like(x)
-    grad[..., 0] = 1.0
-    grad[..., 1:] = -dgam[..., None] * xs / r[..., None]
-    return grad
-
-
 def _level_value(model, origin_t, x, level):
     """The level function t or uhat = t - gamma_r, t relative to origin_t."""
     t = x[..., 0] - origin_t
@@ -313,62 +294,78 @@ def _level_value(model, origin_t, x, level):
     raise ValueError(level)
 
 
+def _level_gradient(model, x, level):
+    """Coordinate gradient of the level function t or uhat = t - gamma_r."""
+    grad = np.zeros_like(x)
+    grad[..., 0] = 1.0
+    if level == "uhat":
+        xs = x[..., 1:]
+        r = np.sqrt(np.sum(xs * xs, axis=-1))
+        dgam = 1.0 + _optical_mass_terms(model.mass, r)[1]
+        grad[..., 1:] = -dgam[..., None] * xs / r[..., None]
+    return grad
+
+
+def _newton_step(model, recs, rho, level, target, r_floor, z, lo, hi):
+    """One safeguarded Newton step on f = level - target over H_rho.
+
+    recs carry Jacobi fields at the rapidities z, so df/dzeta = p_zeta . grad F
+    is exact.  f is monotone on the bracket [lo, hi], so the sign of f df
+    tells on which side of z the root lies; the bracket shrinks onto it, and
+    a step leaving it falls back to bisection.  Returns f at z, the next
+    iterate and the bracket.
+    """
+    sts = [rec.state_at(rho) for rec in recs]
+    x = np.stack([st["x"] for st in sts])
+    if np.any(np.linalg.norm(x[:, 1:], axis=1) <= r_floor):
+        raise BracketFailure("level function undefined inside the bracket")
+    f = _level_value(model, recs[0].origin[0], x, level) - target
+    grad = _level_gradient(model, x, level)
+    df = np.array([param_tangents(rec, st)[0] @ g
+                   for rec, st, g in zip(recs, sts, grad)])
+    below = f * df < 0
+    lo = np.where(below, z, lo)
+    hi = np.where(below, hi, z)
+    zn = z - f / df
+    zn = np.where((zn >= lo) & (zn <= hi), zn, 0.5 * (lo + hi))
+    return f, zn, lo, hi
+
+
 def solve_level_nodes(model, origin, rho, target, angles, level="t",
-                      zeta_max=6.0, ode_tol=1e-11, root_tol_rel=1e-10,
-                      n_scan=25):
+                      ode_tol=1e-11):
     """Find, for each direction (theta, phi), the rapidity zeta at which the
     level function (t or uhat) equals target on H_rho.
 
-    A batched scan over zeta locates per-node brackets (masking rapidities
-    whose endpoint falls below the zone where the level function is defined),
-    verifies monotonicity on them, and a safeguarded secant refines the root.
-    Returns the zeta array and fully populated records (Jacobi + k).
+    A batched scan over zeta in (0, ZETA_MAX_DEFAULT] brackets each node's
+    root (masking rapidities whose endpoint falls below the exterior zone
+    where uhat is defined) and checks monotonicity there.  From the
+    regula-falsi point of each bracket, safeguarded Newton steps on batched
+    solves with Jacobi fields bring every node to a coarse residual; the
+    derivative d(level)/dzeta = p_zeta . grad F comes from the Jacobi-field
+    pushforward.  The same Newton step then runs per node on single-ray solves
+    with Jacobi fields and k, which makes each root independent of the
+    batching, and a node is accepted once the residual on its returned record
+    is below 1e-10 max(|target|, 1).  Returns the zeta array and those records.
     """
     origin = np.asarray(origin, dtype=float)
     thetas = np.array([a[0] for a in angles])
     phis = np.array([a[1] for a in angles])
     m = len(angles)
-    if level == "uhat":
-        r_floor = model.r_out + 0.02 if model.kind == "glued" else \
-            2.0 * model.mass * 1.2
-    else:
-        r_floor = -np.inf
-
-    def evaluate(zs, tol):
-        dirs = [direction_from_angles(z, th, ph)
-                for z, th, ph in zip(zs, thetas, phis)]
-        recs = integrate_rays(model, origin, dirs, [rho], ode_tol=tol,
-                              with_jacobi=False, with_k=False)
-        xs = np.stack([r.x[-1] for r in recs])
-        rr = np.linalg.norm(xs[:, 1:], axis=1)
-        bad = rr <= max(r_floor, 1e-12)
-        safe = xs.copy()
-        if np.any(bad):
-            safe[bad, 1] = max(2.0 * abs(r_floor), 1.0)
-            safe[bad, 2:] = 0.0
-        val = _level_value(model, origin[0], safe, level)
-        return np.where(bad, np.nan, val)
+    r_floor = max(_zs_floor(model, 0.02) if level == "uhat" else 0.0, 1e-12)
 
     # scan stage: one batch over (node, zeta_scan)
-    z_scan = np.concatenate([[1e-8], np.linspace(0.05, zeta_max, n_scan - 1)])
-    zz = np.tile(z_scan, m)
-    tt = np.repeat(thetas, len(z_scan))
-    pp = np.repeat(phis, len(z_scan))
-    dirs = [direction_from_angles(z, th, ph) for z, th, ph in zip(zz, tt, pp)]
-    recs = integrate_rays(model, origin, dirs, [rho], ode_tol=1e-9,
-                          with_jacobi=False, with_k=False)
+    z_scan = np.concatenate([[1e-8], np.linspace(0.05, ZETA_MAX_DEFAULT, 24)])
+    dirs = [direction_from_angles(z, th, ph) for th, ph in zip(thetas, phis)
+            for z in z_scan]
+    recs = integrate_rays(model, origin, dirs, [rho], ode_tol=1e-9)
     xs = np.stack([r.x[-1] for r in recs]).reshape(m, len(z_scan), 4)
-    rr = np.linalg.norm(xs[..., 1:], axis=-1)
-    valid = rr > max(r_floor, 1e-12)
-    safe_xs = np.where(valid[..., None], xs, 0.0)
-    safe_xs[..., 1] = np.where(valid, safe_xs[..., 1], max(2 * abs(r_floor), 1.0))
-    fvals = _level_value(model, origin[0], safe_xs, level) - target
-    fvals = np.where(valid, fvals, np.nan)
+    valid = np.linalg.norm(xs[..., 1:], axis=-1) > r_floor
+    fvals = np.full(valid.shape, np.nan)
+    fvals[valid] = _level_value(model, origin[0], xs[valid], level) - target
 
-    a = np.empty(m)
-    b = np.empty(m)
-    fa = np.empty(m)
-    fb = np.empty(m)
+    lo = np.empty(m)
+    hi = np.empty(m)
+    z = np.empty(m)
     for i in range(m):
         ok = np.where(valid[i])[0]
         f = fvals[i, ok]
@@ -382,79 +379,51 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
         if len(cross) == 0:
             raise Unreachable("target level not attained on the zeta bracket")
         j = cross[0]
-        a[i], b[i] = z_scan[ok[j]], z_scan[ok[j + 1]]
-        fa[i], fb[i] = f[j], f[j + 1]
+        lo[i], hi[i] = z_scan[ok[j]], z_scan[ok[j + 1]]
+        z[i] = lo[i] - f[j] * (hi[i] - lo[i]) / (f[j + 1] - f[j])
 
-    tol_abs = root_tol_rel * max(abs(target), 1.0)
-
-    # phase 1: plain bisection at loose tolerance down to a narrow bracket
-    while (b - a).max() > 1e-4:
-        z = 0.5 * (a + b)
-        fz = evaluate(z, 1e-9) - target
-        if np.any(np.isnan(fz)):
-            raise BracketFailure("level function undefined inside the bracket")
-        left = (fz * fa) <= 0
-        b = np.where(left, z, b)
-        fb = np.where(left, fz, fb)
-        a = np.where(left, a, z)
-        fa = np.where(left, fa, fz)
-
-    # phase 2: batched secant at tight tolerance down to a coarse target.
-    # Nodes in a shared batch couple weakly through the adaptive stepper
-    # (~1e-8 relative), so the last digits are refined per node below.
+    tol_abs = 1e-10 * max(abs(target), 1.0)
     tight = min(ode_tol, 1e-12)
-    lo_b, hi_b = a - 1e-3, b + 1e-3
     coarse = max(tol_abs, 3e-6 * max(abs(target), 1.0))
-    z0, z1 = a.copy(), b.copy()
-    f0 = evaluate(z0, tight) - target
-    f1 = evaluate(z1, tight) - target
-    for it in range(12):
-        done = np.abs(f1) <= coarse
-        if np.all(done):
+
+    # batched Newton down to a coarse residual; nodes in a shared batch
+    # couple weakly through the adaptive stepper, so the last digits are
+    # left to the per-node solves
+    for _ in range(30):
+        dirs = [direction_from_angles(*a) for a in zip(z, thetas, phis)]
+        recs = integrate_rays(model, origin, dirs, [rho], ode_tol=tight,
+                              with_jacobi=True)
+        f, z, lo, hi = _newton_step(model, recs, rho, level, target, r_floor,
+                                    z, lo, hi)
+        if np.all(np.abs(f) <= coarse):
             break
-        step = f1 * (z1 - z0) / (f1 - f0 + 1e-300)
-        z = np.clip(np.where(done, z1, z1 - step), lo_b, hi_b)
-        fz = evaluate(z, tight) - target
-        if np.any(np.isnan(fz)):
-            raise BracketFailure("level function undefined inside the bracket")
-        z0 = np.where(done, z0, z1)
-        f0 = np.where(done, f0, f1)
-        z1, f1 = z, fz
     else:
         raise BracketFailure("level root iteration did not converge")
 
-    # phase 3: per-node decoupled secant with the final full-payload solve;
-    # the accepted residual is measured on the returned record itself
-    recs = [None] * m
+    # per-node Newton with the full payload; the accepted residual is
+    # measured on the returned record itself
     zs = np.empty(m)
+    out = []
     for i in range(m):
-        za, fa_i = z0[i], f0[i]
-        zb, fb_i = z1[i], f1[i]
-        if abs(fb_i - fa_i) < 1e-300:
-            zb = za + 1e-7
-        ok = False
-        for it in range(15):
-            zn = zb - fb_i * (zb - za) / (fb_i - fa_i + 1e-300)
-            zn = min(max(zn, lo_b[i]), hi_b[i])
-            rec = integrate_rays(model, origin,
-                                 [direction_from_angles(zn, thetas[i], phis[i])],
-                                 [rho], ode_tol=tight, with_jacobi=True,
-                                 with_k=True)[0]
-            fn = float(_level_value(model, origin[0], rec.x[-1], level)) - target
-            za, fa_i, zb, fb_i = zb, fb_i, zn, fn
-            if abs(fn) <= tol_abs:
-                ok = True
+        zi, lo_i, hi_i = z[i:i + 1], lo[i:i + 1], hi[i:i + 1]
+        for _ in range(15):
+            zs[i] = zi[0]
+            rec = integrate_rays(
+                model, origin, [direction_from_angles(zs[i], thetas[i], phis[i])],
+                [rho], ode_tol=tight, with_jacobi=True, with_k=True)
+            f, zi, lo_i, hi_i = _newton_step(model, rec, rho, level, target,
+                                             r_floor, zi, lo_i, hi_i)
+            if abs(f[0]) <= tol_abs:
                 break
-        if not ok:
+        else:
             raise BracketFailure(
-                f"node {i}: per-node refinement stalled at |df|={abs(fb_i):.2e}")
-        zs[i] = zb
-        recs[i] = rec
-    return zs, recs
+                f"node {i}: per-node refinement stalled at |df|={abs(f[0]):.2e}")
+        out.append(rec[0])
+    return zs, out
 
 
-def leaf_slice(model, origin, t, rho, omega_nodes, zeta_max=6.0,
-               ode_tol=1e-11, level="t", target=None):
+def leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=1e-11, level="t",
+               target=None):
     """Quadrature-ready sphere S_{t,rho} (or a uhat-level sphere on H_rho).
 
     omega_nodes: list of (theta, phi, solid-angle weight) triples, e.g. from
@@ -464,8 +433,7 @@ def leaf_slice(model, origin, t, rho, omega_nodes, zeta_max=6.0,
     """
     tgt = t if target is None else target
     zs, recs = solve_level_nodes(model, origin, rho, tgt, omega_nodes,
-                                 level=level, zeta_max=zeta_max,
-                                 ode_tol=ode_tol)
+                                 level=level, ode_tol=ode_tol)
     nodes = []
     area = 0.0
     for (th, ph, w), z, rec in zip(omega_nodes, zs, recs):
@@ -473,10 +441,7 @@ def leaf_slice(model, origin, t, rho, omega_nodes, zeta_max=6.0,
         frames, sc = _frames_from_state(model, rec, rho, st)
         k = _second_fundamental_from_state(rec, rho, st, frames)
         p = param_tangents(rec, st)              # rows: d x/d(zeta,theta,phi)
-        if level == "t":
-            gradF = np.array([1.0, 0, 0, 0])
-        else:
-            gradF = _uhat_gradient(model, st["x"])
+        gradF = _level_gradient(model, st["x"], level)
         dzeta = -(p[1:] @ gradF) / (p[0] @ gradF)
         tang = p[1:] + dzeta[:, None] * p[0]     # (2,4) tangent to the slice
         gam2 = np.einsum('ai,ij,bj->ab', tang, frames.g, tang)
@@ -758,7 +723,7 @@ def structure_residuals(model, rec, probe_rhos=None, h=None,
     the terms entering the equation.
     """
     if not rec.has_k:
-        rec = second_fundamental_transport(model, rec)
+        raise MissingK("record has no transported second fundamental form")
     rhos = np.asarray(probe_rhos if probe_rhos is not None
                       else rec.rho[1:-1], dtype=float)
     rhos = rhos[(rhos > max(2.0 * rec.rho_seed, 0.05))

@@ -395,13 +395,6 @@ def exp_map(model, origin, direction, rho_grid, ode_tol=DEFAULT_TOL,
                           with_k=with_k, events_on=True)[0]
 
 
-def jacobi_boosts(model, rec):
-    """Return a copy of rec with the boost Jacobi fields populated."""
-    return integrate_rays(model, rec.origin, [rec.direction], rec.rho,
-                          ode_tol=rec.ode_tol, with_jacobi=True,
-                          with_k=rec.has_k)[0]
-
-
 @dataclass
 class FanGrid:
     """Product family of records over (zeta, theta, phi) direction grids."""

@@ -48,19 +48,17 @@ def hawking_mass(model, sl):
                       integrand_max=float(np.max(vals)))
 
 
-def mass_of_leaf(model, origin, t, rho, omega_nodes=None, zeta_max=6.0,
-                 ode_tol=1e-12):
+def mass_of_leaf(model, origin, t, rho, omega_nodes=None, ode_tol=1e-12):
     """Build the slice, populate null forms and return its mass report."""
     if omega_nodes is None:
         omega_nodes = angular_grid(8, 1)
-    sl = leaf_slice(model, origin, t, rho, omega_nodes, zeta_max=zeta_max,
-                    ode_tol=ode_tol)
+    sl = leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=ode_tol)
     slice_null_forms(model, sl)
     return hawking_mass(model, sl)
 
 
 def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None,
-                zeta_max=6.0, ode_tol=1e-12):
+                ode_tol=1e-12):
     """Mass reports along increasing t on H_rho plus the fitted limit.
 
     The limit is the least-squares fit of m(t) = m_inf + c/t over the last
@@ -71,7 +69,7 @@ def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None,
         raise ValueError("t grid must be strictly increasing")
     origin = np.zeros(4) if origin is None else np.asarray(origin, dtype=float)
     reports = [mass_of_leaf(model, origin, float(t), rho, omega_nodes,
-                            zeta_max=zeta_max, ode_tol=ode_tol)
+                            ode_tol=ode_tol)
                for t in t_grid]
     half = len(t_grid) // 2 if len(t_grid) > 3 else 0
     ts = t_grid[half:]

@@ -166,13 +166,22 @@ def _optical_mass_terms(M, r):
 
     gamma_r = r + 4M ln(r - 2M) and dgamma_r/dr = 1 + 4M/(r - 2M) are r and 1
     plus the two returned terms, which vanish for M = 0.  Callers add r and 1
-    themselves, so the level function t - r - 4M ln(r - 2M) keeps its own
-    operation order: the leaf solver's secant iteration count follows the
-    last bits of uhat.
+    themselves.
     """
     if M == 0.0:
         return 0.0 * r, 0.0 * r
     return 4.0 * M * np.log(r - 2.0 * M), 4.0 * M / (r - 2.0 * M)
+
+
+def _zs_floor(model, margin=0.0):
+    """Inner radius of the exterior zone, where uhat is defined: 0 for
+    Minkowski, just above the horizon for Schwarzschild, r_out + margin for
+    the glued model."""
+    if model.kind == "minkowski":
+        return 0.0
+    if model.kind == "schwarzschild":
+        return 2.0 * model.mass * (1.0 + 1e-5)
+    return model.r_out + margin
 
 
 def _orthonormalize(g, fixed, cands, keep):

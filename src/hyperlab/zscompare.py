@@ -18,7 +18,7 @@ from .foliation import (_frames_from_state, _k_triad, _leaf_scalar_arrays,
                         _leaf_scalars_from_state, _radial_overlap, _rho_cluster,
                         frames_at, leaf_slice)
 from .metric import (MetricModel, _optical_mass_terms, _orthonormalize,
-                     curvature_at, lapse_gradient, metric_at)
+                     _zs_floor, curvature_at, lapse_gradient, metric_at)
 
 
 @dataclass
@@ -73,14 +73,6 @@ def schw_optical(M, t, r):
     du = np.array([1.0, -(1.0 + dlog_term), 0.0, 0.0])
     eik = float(np.einsum('ab,a,b->', jet.g_inv, du, du))
     return {"uhat": float(uhat), "Lhat": Lhat, "eikonal": eik}
-
-
-def _zs_floor(model, margin=0.0):
-    if model.kind == "minkowski":
-        return 0.0
-    if model.kind == "schwarzschild":
-        return 2.0 * model.mass * (1.0 + 1e-5)
-    return model.r_out + margin
 
 
 def varpi_at(model, rec, rho):
@@ -235,7 +227,7 @@ def _grad_ls(model, x):
 
 
 def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
-                         zeta_max=6.0, ode_tol=1e-11):
+                         ode_tol=1e-11):
     """Geometry report for the sphere S_{rho, uhat} on H_rho.
 
     The dag-lapse is computed both from its definition -<B, L^s>^{-1} and
@@ -244,8 +236,7 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
     the transported k and the analytic gradient of L^s.
     """
     origin = np.zeros(4) if origin is None else np.asarray(origin, dtype=float)
-    sl = leaf_slice(model, origin, 0.0, rho, omega_nodes,
-                    zeta_max=zeta_max, ode_tol=ode_tol,
+    sl = leaf_slice(model, origin, 0.0, rho, omega_nodes, ode_tol=ode_tol,
                     level="uhat", target=uhat)
     floor = _zs_floor(model)
     dag_a = []

@@ -9,7 +9,8 @@ from hyperlab.foliation import (angular_grid, codazzi_residual,
                                 deformation_boost, frames_at, leaf_scalars,
                                 leaf_slice, second_fundamental_at,
                                 second_fundamental_fd_oracle,
-                                slice_null_forms, structure_residuals)
+                                slice_null_forms, solve_level_nodes,
+                                structure_residuals)
 from hyperlab.geodesic import Direction, exp_map, fan_build
 from hyperlab.metric import MetricModel, metric_at
 
@@ -207,6 +208,37 @@ def test_structure_residuals_offset(offset_record):
                               probe_rhos=[10.0, 30.0, 50.0])
     for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu"):
         assert tab[key] <= 1e-5 * tab[key + "_scale"], key
+
+
+def test_structure_residuals_requires_k():
+    rec = exp_map(GLUED, np.zeros(4), Direction(1.0, (1, 0, 0)), [1.0, 2.0],
+                  with_jacobi=True)
+    with pytest.raises(MissingK):
+        structure_residuals(GLUED, rec)
+
+
+def test_solve_level_nodes_minkowski_closed_forms():
+    # on H_rho: t = rho cosh(zeta) and uhat = t - r = rho exp(-zeta)
+    nodes = angular_grid(3, 2)
+    zs, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, nodes)
+    assert np.abs(zs - np.arccosh(4.0)).max() <= 1e-10
+    zs, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 2.0, nodes,
+                                 level="uhat")
+    assert np.abs(zs - np.log(5.0)).max() <= 1e-10
+    assert all(r.has_jacobi and r.has_k for r in recs)
+
+
+def test_solve_level_nodes_batch_order():
+    # each root comes from its own single-ray solve, so the order of the
+    # nodes in the batched phase leaves it unchanged
+    origin = np.array([0.0, 0.2, 0.0, 0.0])
+    nodes = angular_grid(4, 1, axis=(1.0, 0.0, 0.0))
+    za, ra = solve_level_nodes(GLUED, origin, 10.0, 40.0, nodes)
+    zb, rb = solve_level_nodes(GLUED, origin, 10.0, 40.0, nodes[::-1])
+    assert np.abs(za - zb[::-1]).max() <= 1e-12
+    for a, b in zip(ra, rb[::-1]):
+        xa, xb = a.x[-1], b.x[-1]
+        assert np.abs(xa - xb).max() <= 1e-12 * np.abs(xa).max()
 
 
 def test_leaf_slice_minkowski_round_sphere():

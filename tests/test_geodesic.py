@@ -5,7 +5,7 @@ from hyperlab.errors import SeedRegionTooSmall
 from hyperlab.foliation import second_fundamental_fd_oracle
 from hyperlab.geodesic import (Direction, FanGrid, direction_from_angles,
                                exp_map, fan_build, integrate_rays,
-                               jacobi_boosts, mat_to_sym6, sym6_to_mat)
+                               mat_to_sym6, sym6_to_mat)
 from hyperlab.metric import MetricModel, metric_at
 
 from oracles import geodesic_rhs, rk8_fixed
@@ -189,12 +189,6 @@ def test_fan_offset_planarity():
                   Direction(1.0, (0.5, 0.0, np.sqrt(0.75))),
                   np.linspace(1, 25, 5), ode_tol=1e-10)
     assert np.abs(rec.x[:, 2]).max() < 1e-8
-
-
-def test_jacobi_boosts_wrapper(glued_record):
-    rec2 = jacobi_boosts(GLUED, glued_record)
-    assert rec2.has_jacobi
-    assert np.abs(rec2.j - glued_record.j).max() < 1e-8
 
 
 def test_seed_region_guard():

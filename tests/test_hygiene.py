@@ -1,7 +1,9 @@
-"""Source hygiene of the hyperlab package: every imported name is used, and
-every module compiles with warnings treated as errors."""
+"""Source hygiene of the hyperlab package: every imported name is used,
+every module-level constant is read, and every module compiles with warnings
+treated as errors."""
 
 import ast
+import re
 import warnings
 from pathlib import Path
 
@@ -30,6 +32,35 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     # __init__.py is exempt: its imports are the package's re-exports
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _module_constants(tree):
+    """UPPER_CASE names bound by assignments at module level."""
+    names = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*",
+                                                            n.id):
+                    names[n.id] = node.lineno
+    return names
+
+
+def test_module_constants_are_read():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    reads = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                reads.add(n.attr)
+    assert [f"{name}: {const} (line {line})" for name, tree in trees.items()
+            for const, line in _module_constants(tree).items()
+            if const not in reads] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

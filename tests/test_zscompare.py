@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperlab.errors import Horizon
-from hyperlab.foliation import _level_value, _uhat_gradient, angular_grid
+from hyperlab.foliation import _level_gradient, _level_value, angular_grid
 from hyperlab.geodesic import Direction, exp_map
 from hyperlab.metric import MetricModel, metric_at
 from hyperlab.nullgeom import schwarzschild_closed_forms
@@ -40,7 +40,7 @@ def test_schw_optical_values():
             fd = [(_level_value(model, 0.0, x + h * e, "uhat")
                    - _level_value(model, 0.0, x - h * e, "uhat")) / (2 * h)
                   for e in np.eye(4)]
-            assert np.abs(_uhat_gradient(model, x) - fd).max() <= 1e-8
+            assert np.abs(_level_gradient(model, x, "uhat") - fd).max() <= 1e-8
 
 
 def test_eikonal_exact_many_points():
