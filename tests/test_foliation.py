@@ -220,7 +220,7 @@ def test_structure_residuals_requires_k():
 def test_solve_level_nodes_minkowski_closed_forms():
     # on H_rho: t = rho cosh(zeta) and uhat = t - r = rho exp(-zeta)
     nodes = angular_grid(3, 2)
-    zs, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, nodes)
+    zs, _ = solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, nodes)
     assert np.abs(zs - np.arccosh(4.0)).max() <= 1e-10
     zs, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 2.0, nodes,
                                  level="uhat")

@@ -11,6 +11,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperlab"
 MODULES = sorted(SRC.glob("*.py"))
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _unused_imports(tree):
@@ -43,8 +44,7 @@ def _module_constants(tree):
                    else [])
         for target in targets:
             for n in ast.walk(target):
-                if isinstance(n, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*",
-                                                            n.id):
+                if isinstance(n, ast.Name) and CONSTANT.fullmatch(n.id):
                     names[n.id] = node.lineno
     return names
 
