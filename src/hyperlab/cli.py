@@ -479,8 +479,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--plot", action="store_true")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--golden", default=None)
     args = parser.parse_args(argv)
 

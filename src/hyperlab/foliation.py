@@ -306,29 +306,17 @@ def _level_gradient(model, x, level):
     return grad
 
 
-def _newton_step(model, recs, rho, level, target, r_floor, z, lo, hi):
-    """One safeguarded Newton step on f = level - target over H_rho.
-
-    recs carry Jacobi fields at the rapidities z, so df/dzeta = p_zeta . grad F
-    is exact.  f is monotone on the bracket [lo, hi], so the sign of f df
-    tells on which side of z the root lies; the bracket shrinks onto it, and
-    a step leaving it falls back to bisection.  Returns f at z, the next
-    iterate and the bracket.
-    """
+def _level_slope(model, recs, rho, level, r_floor):
+    """The level function t or uhat at rho along each record, and its exact
+    derivative p_zeta . grad F along the rapidity from the Jacobi fields."""
     sts = [rec.state_at(rho) for rec in recs]
     x = np.stack([st["x"] for st in sts])
     if np.any(np.linalg.norm(x[:, 1:], axis=1) <= r_floor):
         raise BracketFailure("level function undefined inside the bracket")
-    f = _level_value(model, recs[0].origin[0], x, level) - target
     grad = _level_gradient(model, x, level)
     df = np.array([param_tangents(rec, st)[0] @ g
                    for rec, st, g in zip(recs, sts, grad)])
-    below = f * df < 0
-    lo = np.where(below, z, lo)
-    hi = np.where(below, hi, z)
-    zn = z - f / df
-    zn = np.where((zn >= lo) & (zn <= hi), zn, 0.5 * (lo + hi))
-    return f, zn, lo, hi
+    return _level_value(model, recs[0].origin[0], x, level), df
 
 
 def solve_level_nodes(model, origin, rho, target, angles, level="t",
@@ -336,55 +324,62 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     """Find, for each direction (theta, phi), the rapidity zeta at which the
     level function (t or uhat) equals target on H_rho.
 
-    A batched scan over zeta in (0, ZETA_MAX_DEFAULT] brackets each node's
-    root (masking rapidities whose endpoint falls below the exterior zone
-    where uhat is defined) and checks monotonicity there.  From the
-    regula-falsi point of each bracket, safeguarded Newton steps on batched
-    solves with Jacobi fields bring every node to a coarse residual; the
-    derivative d(level)/dzeta = p_zeta . grad F comes from the Jacobi-field
-    pushforward.  The same Newton step then runs per node on single-ray solves
-    with Jacobi fields and k, which makes each root independent of the
-    batching, and a node is accepted once the residual on its returned record
-    is below 1e-10 max(|target|, 1).  Returns the zeta array and those records.
+    Every node starts at the flat root, arccosh(max(target/rho, 1)) on level
+    t and ln(rho/target) on level uhat (ZETA_MAX_DEFAULT if target <= 0),
+    clipped into the bracket [1e-8, ZETA_MAX_DEFAULT].  Safeguarded Newton
+    steps z - f / df use the exact df = p_zeta . grad F from the Jacobi
+    fields; the sign of f df tells on which side of z the root lies, the
+    bracket shrinks onto it, and a step leaving the bracket bisects it.
+    Batched solves with Jacobi fields bring every node to a coarse residual;
+    the same step then runs per node on single-ray solves with Jacobi fields
+    and k, which makes each root independent of the batching.  A node is
+    accepted once the residual on its returned record is below
+    1e-10 max(|target|, 1).  Returns the zeta array and those records.
+
+    Errors come from the Newton iterates: Unreachable when a node's bracket
+    collapses onto one of its ends with |f| still above the coarse level
+    (the target is not attained for zeta in the bracket);
+    BracketFailure("level function not monotone on the bracket") when a
+    node's df changes sign between iterates; BracketFailure when the
+    iteration does not converge, or when a uhat iterate falls below the
+    exterior zone, where uhat is undefined.
     """
     origin = np.asarray(origin, dtype=float)
     thetas = np.array([a[0] for a in angles])
     phis = np.array([a[1] for a in angles])
     m = len(angles)
     r_floor = max(_zs_floor(model, 0.02) if level == "uhat" else 0.0, 1e-12)
-
-    # scan stage: one batch over (node, zeta_scan)
-    z_scan = np.concatenate([[1e-8], np.linspace(0.05, ZETA_MAX_DEFAULT, 24)])
-    dirs = [direction_from_angles(z, th, ph) for th, ph in zip(thetas, phis)
-            for z in z_scan]
-    recs = integrate_rays(model, origin, dirs, [rho], ode_tol=1e-9)
-    xs = np.stack([r.x[-1] for r in recs]).reshape(m, len(z_scan), 4)
-    valid = np.linalg.norm(xs[..., 1:], axis=-1) > r_floor
-    fvals = np.full(valid.shape, np.nan)
-    fvals[valid] = _level_value(model, origin[0], xs[valid], level) - target
-
-    lo = np.empty(m)
-    hi = np.empty(m)
-    z = np.empty(m)
-    for i in range(m):
-        ok = np.where(valid[i])[0]
-        f = fvals[i, ok]
-        if len(ok) < 3:
-            raise Unreachable("level function defined on too small a bracket")
-        df = np.diff(f)
-        if not (np.all(df > 0) or np.all(df < 0)):
-            raise BracketFailure("level function not monotone on the bracket")
-        sgn = np.sign(f)
-        cross = np.where(sgn[:-1] * sgn[1:] <= 0)[0]
-        if len(cross) == 0:
-            raise Unreachable("target level not attained on the zeta bracket")
-        j = cross[0]
-        lo[i], hi[i] = z_scan[ok[j]], z_scan[ok[j + 1]]
-        z[i] = lo[i] - f[j] * (hi[i] - lo[i]) / (f[j + 1] - f[j])
-
     tol_abs = 1e-10 * max(abs(target), 1.0)
     tight = min(ode_tol, 1e-12)
     coarse = max(tol_abs, 3e-6 * max(abs(target), 1.0))
+
+    # the flat root: t = rho cosh(zeta) and uhat = rho exp(-zeta) on H_rho
+    if level == "t":
+        z0 = np.arccosh(max(target / rho, 1.0))
+    else:
+        z0 = np.log(rho / target) if target > 0 else ZETA_MAX_DEFAULT
+    lo = np.full(m, 1e-8)
+    hi = np.full(m, ZETA_MAX_DEFAULT)
+    z = np.clip(np.full(m, z0), lo, hi)
+    sgn = np.zeros(m)               # sign of df at the last iterate, 0 before
+
+    def newton(idx, recs):
+        """One safeguarded Newton step for the nodes idx, from records at
+        their current z; returns |f| there."""
+        F, df = _level_slope(model, recs, rho, level, r_floor)
+        f = F - target
+        if np.any(sgn[idx] * df < 0):
+            raise BracketFailure("level function not monotone on the bracket")
+        sgn[idx] = np.sign(df)
+        below = f * df < 0
+        lo[idx] = np.where(below, z[idx], lo[idx])
+        hi[idx] = np.where(below, hi[idx], z[idx])
+        if np.any((hi[idx] <= lo[idx]) & (np.abs(f) > coarse)):
+            raise Unreachable("target level not attained on the zeta bracket")
+        zn = z[idx] - f / df
+        z[idx] = np.where((zn >= lo[idx]) & (zn <= hi[idx]), zn,
+                          0.5 * (lo[idx] + hi[idx]))
+        return np.abs(f)
 
     # batched Newton down to a coarse residual; nodes in a shared batch
     # couple weakly through the adaptive stepper, so the last digits are
@@ -393,33 +388,27 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
         dirs = [direction_from_angles(*a) for a in zip(z, thetas, phis)]
         recs = integrate_rays(model, origin, dirs, [rho], ode_tol=tight,
                               with_jacobi=True)
-        f, z, lo, hi = _newton_step(model, recs, rho, level, target, r_floor,
-                                    z, lo, hi)
-        if np.all(np.abs(f) <= coarse):
+        if np.all(newton(slice(None), recs) <= coarse):
             break
     else:
         raise BracketFailure("level root iteration did not converge")
 
     # per-node Newton with the full payload; the accepted residual is
     # measured on the returned record itself
-    zs = np.empty(m)
     out = []
     for i in range(m):
-        zi, lo_i, hi_i = z[i:i + 1], lo[i:i + 1], hi[i:i + 1]
         for _ in range(15):
-            zs[i] = zi[0]
             rec = integrate_rays(
-                model, origin, [direction_from_angles(zs[i], thetas[i], phis[i])],
+                model, origin, [direction_from_angles(z[i], thetas[i], phis[i])],
                 [rho], ode_tol=tight, with_jacobi=True, with_k=True)
-            f, zi, lo_i, hi_i = _newton_step(model, rec, rho, level, target,
-                                             r_floor, zi, lo_i, hi_i)
-            if abs(f[0]) <= tol_abs:
+            res = newton(slice(i, i + 1), rec)[0]
+            if res <= tol_abs:
                 break
         else:
             raise BracketFailure(
-                f"node {i}: per-node refinement stalled at |df|={abs(f[0]):.2e}")
+                f"node {i}: per-node refinement stalled at |f|={res:.2e}")
         out.append(rec[0])
-    return zs, out
+    return np.array([rec.direction.zeta for rec in out]), out
 
 
 def leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=1e-11, level="t",
@@ -591,32 +580,26 @@ def deformation_boost(model, fan, rho, probe=None):
         raise MissingK("fan records need Jacobi fields and k populated")
 
     def gather(r):
-        """Per-node frame data at proper time r over the full fan."""
-        shp = fan.shape
-        G = np.zeros(shp + (3, 3))
-        K = np.zeros(shp + (3, 3))
-        q0 = np.zeros(shp)
-        Vs = np.zeros(shp + (4,))
-        for jz in range(nz):
-            for jt in range(nt):
-                for jp in range(npp):
-                    rec = fan.record(jz, jt, jp)
-                    st = rec.state_at(r)
-                    g = metric_at(model, st["x"], level=0).g
-                    G[jz, jt, jp] = np.einsum('ia,ab,jb->ij', st["j"], g, st["j"])
-                    K[jz, jt, jp] = np.einsum('ia,ab,jb->ij', st["jp"], g, st["j"])
-                    q0[jz, jt, jp] = st["q0"]
-                    Vs[jz, jt, jp] = rec.direction.hyperboloid_point()
-        return G, K, q0, Vs
+        """Gram matrices <J_i, J_j>, <DJ_i/drho, J_j> and q0 at proper time
+        r over the full fan, from one metric evaluation."""
+        sts = [rec.state_at(r) for rec in fan.records]
+        g = metric_at(model, np.stack([st["x"] for st in sts]), level=0).g
+        J = np.stack([st["j"] for st in sts])
+        Jp = np.stack([st["jp"] for st in sts])
+        G = np.einsum('nia,nab,njb->nij', J, g, J)
+        K = np.einsum('nia,nab,njb->nij', Jp, g, J)
+        q0 = np.array([st["q0"] for st in sts])
+        return (G.reshape(fan.shape + (3, 3)), K.reshape(fan.shape + (3, 3)),
+                q0.reshape(fan.shape))
 
     coeffs = _boost_coeffs(center.direction)
+    V = center.direction.hyperboloid_point()
 
     def frame_fields(r):
         """tr pi, pihat, khat frame components and helpers at proper time r."""
-        G, K, q0, Vs = gather(r)
+        G, K, q0 = gather(r)
         dG = _fan_directional(fan, G, probe, coeffs)       # (3, 3, 3)
         G0 = G[iz, it, ip]
-        V = Vs[iz, it, ip]
         Ginv = np.linalg.inv(G0)
         pis = np.zeros((3, 3, 3))
         for c in range(3):
@@ -626,7 +609,7 @@ def deformation_boost(model, fan, rho, probe=None):
         pihat = pis - trpi[:, None, None] / 3.0 * G0
         khf = K - ((3.0 / r + q0)[..., None, None] / 3.0) * G
         return {"trpi": trpi, "pihat": pihat, "G0": G0, "Ginv": Ginv,
-                "K0": K[iz, it, ip], "q0": q0, "khf": khf, "V": V}
+                "K0": K[iz, it, ip], "q0": q0, "khf": khf}
 
     h = 1e-3 * max(rho, 1.0)
     rho = min(rho, center.rho_reached - h)      # keep the stencil integrable
@@ -634,7 +617,7 @@ def deformation_boost(model, fan, rho, probe=None):
     Fm = frame_fields(rho - h)
     F0 = frame_fields(rho)
     trpi0, pihat0 = F0["trpi"], F0["pihat"]
-    G0, Ginv, K0, V = F0["G0"], F0["Ginv"], F0["K0"], F0["V"]
+    G0, Ginv, K0 = F0["G0"], F0["Ginv"], F0["K0"]
     d_trpi = (Fp["trpi"] - Fm["trpi"]) / (2.0 * h)
     rq0 = _fan_directional(fan, F0["q0"], probe, coeffs)   # (3,)
     trpr_res = np.abs(d_trpi - 2.0 * rq0)

@@ -19,6 +19,7 @@ from .foliation import (_frames_from_state, _k_triad, _leaf_scalar_arrays,
                         frames_at, leaf_slice)
 from .metric import (MetricModel, _optical_mass_terms, _orthonormalize,
                      _zs_floor, curvature_at, lapse_gradient, metric_at)
+from .nullgeom import gauss_residual
 
 
 @dataclass
@@ -274,8 +275,7 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
         dagL = st["b"] + nbu
         dagLb = st["b"] - nbu
         w_ll = np.einsum('abcd,a,b,c,d->', jet.weyl, dagL, dagLb, dagL, dagLb)
-        K = (-0.25 * trchi * trchib + 0.5 * float(np.sum(chih * chibh))
-             - 0.25 * float(w_ll))
+        K = -gauss_residual(0.0, trchi, trchib, chih, chibh, w_ll)
         n = sc.n
         dag_a.append(da)
         dag_a_def.append(da_def)

@@ -95,17 +95,6 @@ def test_determinism_and_golden(tmp_path):
     assert code == 4
 
 
-def test_thread_flag_output_identical(tmp_path):
-    a, b = tmp_path / "t1", tmp_path / "t4"
-    for out, th in ((a, "1"), (b, "4")):
-        code = run_cli(["weyl-check", "--config",
-                        str(CONFIGS / "schwarzschild.ini"),
-                        "--out", str(out), "--threads", th])
-        assert code == 0
-    assert (a / "closed_forms.csv").read_bytes() == \
-        (b / "closed_forms.csv").read_bytes()
-
-
 def test_csv_float_roundtrip(tmp_path):
     path = tmp_path / "x.csv"
     vals = [0.1, 1.0 / 3.0, 1e-17, -2.5e8]

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab.errors import (CentralLineDegenerate, FanTooCoarse, MissingK,
-                             Unreachable)
+from hyperlab import foliation
+from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
+                             FanTooCoarse, MissingK, Unreachable)
 from hyperlab.foliation import (angular_grid, codazzi_residual,
                                 deformation_boost, frames_at, leaf_scalars,
                                 leaf_slice, second_fundamental_at,
@@ -239,6 +240,44 @@ def test_solve_level_nodes_batch_order():
     for a, b in zip(ra, rb[::-1]):
         xa, xb = a.x[-1], b.x[-1]
         assert np.abs(xa - xb).max() <= 1e-12 * np.abs(xa).max()
+
+
+def test_solve_level_nodes_unreachable_above_bracket():
+    # t = rho cosh(zeta) <= cosh(ZETA_MAX_DEFAULT) = 201.7 on H_1
+    with pytest.raises(Unreachable):
+        solve_level_nodes(MINK, np.zeros(4), 1.0, 1000.0, angular_grid(2, 1))
+
+
+def test_solve_level_nodes_monotone_guard(monkeypatch):
+    # df changing sign between a node's iterates means the level function
+    # folds over inside the bracket
+    slope = foliation._level_slope
+    calls = []
+
+    def folded(*args):
+        F, df = slope(*args)
+        calls.append(1)
+        return F, (df if len(calls) == 1 else -df)
+
+    monkeypatch.setattr(foliation, "_level_slope", folded)
+    with pytest.raises(BracketFailure, match="not monotone"):
+        solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, angular_grid(2, 1))
+
+
+def test_leaf_slice_integrate_rays_budget(monkeypatch):
+    # the flat seed leaves a few batched Newton solves and one single-ray
+    # solve per node; no solve is wider than the node count
+    widths = []
+    integrate = foliation.integrate_rays
+
+    def counted(model, origin, directions, *args, **kwargs):
+        widths.append(len(directions))
+        return integrate(model, origin, directions, *args, **kwargs)
+
+    monkeypatch.setattr(foliation, "integrate_rays", counted)
+    leaf_slice(GLUED, np.zeros(4), 40.0, 10.0, angular_grid(4, 1))
+    assert len(widths) <= 7
+    assert max(widths) <= 4
 
 
 def test_leaf_slice_minkowski_round_sphere():
