@@ -322,7 +322,8 @@ def _level_slope(model, recs, rho, level, r_floor):
 def solve_level_nodes(model, origin, rho, target, angles, level="t",
                       ode_tol=1e-11):
     """Find, for each direction (theta, phi), the rapidity zeta at which the
-    level function (t or uhat) equals target on H_rho.
+    level function (t or uhat) equals target on H_rho; target is one value,
+    or one per direction.
 
     Every node starts at the flat root, arccosh(max(target/rho, 1)) on level
     t and ln(rho/target) on level uhat (ZETA_MAX_DEFAULT if target <= 0),
@@ -330,15 +331,16 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     steps z - f / df use the exact df = p_zeta . grad F from the Jacobi
     fields; the sign of f df tells on which side of z the root lies, the
     bracket shrinks onto it, and a step leaving the bracket bisects it.
-    Batched solves with Jacobi fields bring every node to a coarse residual;
-    the same step then runs per node on single-ray solves with Jacobi fields
-    and k, which makes each root independent of the batching.  A node is
-    accepted once the residual on its returned record is below
-    1e-10 max(|target|, 1).  Returns the zeta array and those records.
+    Every step is one batched solve with Jacobi fields and k at the tight
+    tolerance over the nodes still open.  A node is accepted once the
+    residual on its own record is below 1e-10 max(|target|, 1); the
+    integrator's lanes are independent, so each root and record is the
+    same whatever the order or grouping of the nodes.  Returns the zeta
+    array and those records.
 
     Errors come from the Newton iterates: Unreachable when a node's bracket
-    collapses onto one of its ends with |f| still above the coarse level
-    (the target is not attained for zeta in the bracket);
+    collapses onto one of its ends with |f| still above 3e-6 max(|target|,
+    1) (the target is not attained for zeta in the bracket);
     BracketFailure("level function not monotone on the bracket") when a
     node's df changes sign between iterates; BracketFailure when the
     iteration does not converge, or when a uhat iterate falls below the
@@ -348,67 +350,48 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     thetas = np.array([a[0] for a in angles])
     phis = np.array([a[1] for a in angles])
     m = len(angles)
+    target = np.broadcast_to(np.asarray(target, dtype=float), (m,))
+    scale = np.maximum(np.abs(target), 1.0)
     r_floor = max(_zs_floor(model, 0.02) if level == "uhat" else 0.0, 1e-12)
-    tol_abs = 1e-10 * max(abs(target), 1.0)
-    tight = min(ode_tol, 1e-12)
-    coarse = max(tol_abs, 3e-6 * max(abs(target), 1.0))
 
     # the flat root: t = rho cosh(zeta) and uhat = rho exp(-zeta) on H_rho
     if level == "t":
-        z0 = np.arccosh(max(target / rho, 1.0))
+        z0 = np.arccosh(np.maximum(target / rho, 1.0))
     else:
-        z0 = np.log(rho / target) if target > 0 else ZETA_MAX_DEFAULT
+        z0 = np.full(m, ZETA_MAX_DEFAULT)
+        z0[target > 0] = np.log(rho / target[target > 0])
     lo = np.full(m, 1e-8)
     hi = np.full(m, ZETA_MAX_DEFAULT)
-    z = np.clip(np.full(m, z0), lo, hi)
+    z = np.clip(z0, lo, hi)
     sgn = np.zeros(m)               # sign of df at the last iterate, 0 before
-
-    def newton(idx, recs):
-        """One safeguarded Newton step for the nodes idx, from records at
-        their current z; returns |f| there."""
-        F, df = _level_slope(model, recs, rho, level, r_floor)
-        f = F - target
-        if np.any(sgn[idx] * df < 0):
-            raise BracketFailure("level function not monotone on the bracket")
-        sgn[idx] = np.sign(df)
-        below = f * df < 0
-        lo[idx] = np.where(below, z[idx], lo[idx])
-        hi[idx] = np.where(below, hi[idx], z[idx])
-        if np.any((hi[idx] <= lo[idx]) & (np.abs(f) > coarse)):
-            raise Unreachable("target level not attained on the zeta bracket")
-        zn = z[idx] - f / df
-        z[idx] = np.where((zn >= lo[idx]) & (zn <= hi[idx]), zn,
-                          0.5 * (lo[idx] + hi[idx]))
-        return np.abs(f)
-
-    # batched Newton down to a coarse residual; nodes in a shared batch
-    # couple weakly through the adaptive stepper, so the last digits are
-    # left to the per-node solves
+    out = [None] * m
+    todo = np.arange(m)
     for _ in range(30):
-        dirs = [direction_from_angles(*a) for a in zip(z, thetas, phis)]
-        recs = integrate_rays(model, origin, dirs, [rho], ode_tol=tight,
-                              with_jacobi=True)
-        if np.all(newton(slice(None), recs) <= coarse):
-            break
-    else:
-        raise BracketFailure("level root iteration did not converge")
-
-    # per-node Newton with the full payload; the accepted residual is
-    # measured on the returned record itself
-    out = []
-    for i in range(m):
-        for _ in range(15):
-            rec = integrate_rays(
-                model, origin, [direction_from_angles(z[i], thetas[i], phis[i])],
-                [rho], ode_tol=tight, with_jacobi=True, with_k=True)
-            res = newton(slice(i, i + 1), rec)[0]
-            if res <= tol_abs:
-                break
-        else:
-            raise BracketFailure(
-                f"node {i}: per-node refinement stalled at |f|={res:.2e}")
-        out.append(rec[0])
-    return np.array([rec.direction.zeta for rec in out]), out
+        recs = integrate_rays(
+            model, origin, [direction_from_angles(z[i], thetas[i], phis[i])
+                            for i in todo],
+            [rho], ode_tol=min(ode_tol, 1e-12), with_jacobi=True, with_k=True)
+        F, df = _level_slope(model, recs, rho, level, r_floor)
+        f = F - target[todo]
+        if np.any(sgn[todo] * df < 0):
+            raise BracketFailure("level function not monotone on the bracket")
+        sgn[todo] = np.sign(df)
+        below = f * df < 0
+        lo[todo] = np.where(below, z[todo], lo[todo])
+        hi[todo] = np.where(below, hi[todo], z[todo])
+        if np.any((hi[todo] <= lo[todo]) & (np.abs(f) > 3e-6 * scale[todo])):
+            raise Unreachable("target level not attained on the zeta bracket")
+        zn = z[todo] - f / df
+        z[todo] = np.where((zn >= lo[todo]) & (zn <= hi[todo]), zn,
+                           0.5 * (lo[todo] + hi[todo]))
+        done = np.abs(f) <= 1e-10 * scale[todo]
+        for i, rec, d in zip(todo, recs, done):
+            if d:
+                out[i] = rec
+        todo = todo[~done]
+        if len(todo) == 0:
+            return np.array([rec.direction.zeta for rec in out]), out
+    raise BracketFailure("level root iteration did not converge")
 
 
 def leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=1e-11, level="t",
@@ -421,11 +404,16 @@ def leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=1e-11, level="t",
     set.
     """
     tgt = t if target is None else target
-    zs, recs = solve_level_nodes(model, origin, rho, tgt, omega_nodes,
-                                 level=level, ode_tol=ode_tol)
+    _, recs = solve_level_nodes(model, origin, rho, tgt, omega_nodes,
+                                level=level, ode_tol=ode_tol)
+    return _slice_of_records(model, t, rho, omega_nodes, recs, level, tgt)
+
+
+def _slice_of_records(model, t, rho, omega_nodes, recs, level, target):
+    """The slice through the solved records of solve_level_nodes."""
     nodes = []
     area = 0.0
-    for (th, ph, w), z, rec in zip(omega_nodes, zs, recs):
+    for (th, ph, w), rec in zip(omega_nodes, recs):
         st = rec.state_at(rho)
         frames, sc = _frames_from_state(model, rec, rho, st)
         k = _second_fundamental_from_state(rec, rho, st, frames)
@@ -442,7 +430,7 @@ def leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=1e-11, level="t",
                               frames=frames, k=k, x=st["x"].copy()))
     return LeafSlice(t=float(t), rho=float(rho), nodes=nodes, area=float(area),
                      area_radius=float(np.sqrt(area / (4.0 * np.pi))),
-                     level=level, target=tgt, model=model)
+                     level=level, target=target, model=model)
 
 
 def slice_null_forms(model, sl):

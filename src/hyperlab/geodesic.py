@@ -3,8 +3,7 @@ proper time rho, Jacobi fields realizing the intrinsic boost vector fields,
 a parallel-transported spatial triad, and the regularized second fundamental
 form variables transported along each ray.
 
-The full per-ray state is integrated as one first-order system so that all
-components share step-size control:
+The full per-ray state is integrated as one first-order system:
 
     x' = B                                  (position)
     B'^l = -G^l_mn B^m B^n                  (geodesic)
@@ -21,14 +20,27 @@ an origin in the flat core are exact straight lines there, so the system is
 seeded with closed-form flat values at the largest proper time still inside
 the core (k = gbar/rho exactly; the regularized variables vanish).
 
-Many rays can be integrated in a single batched solve; results are
-independent of the batch composition up to integrator tolerance.
+Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
+Wanner, Solving ODEs I, II.4-6; tableau and dense-output coefficients from
+scipy) in which each ray is a lane with its own seed, step size, error
+norm, accept/reject decision, end point and dense output.  Only active
+lanes are evaluated, and the right-hand side takes one rho per lane.  The
+error norm scales each block of the state (x^0, x^i, B^0, B^i, the time and
+the spatial parts of J, P and the triad, q0, khat) by tol (1 + |block|), so
+it does not change under spatial rotations.  The glued profiles are only C^2
+at r_in and r_out, so no step straddles either radius: a step is shortened
+onto the crossing.  A Schwarzschild lane stops on the horizon guard
+2M (1 + 2 HORIZON_MARGIN) and is marked truncated.  The integrator's own
+arithmetic is elementwise in a fixed order (no BLAS, no numpy reductions),
+and the right-hand side treats each lane alone, so every record is
+bit-identical to the same direction integrated alone, whatever the rest of
+the batch.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _DOP
 
 from .errors import (OutOfRange, SeedRegionTooSmall, SingularityTruncated,
                      StepFailure)
@@ -37,6 +49,7 @@ from .metric import HORIZON_MARGIN, _orthonormalize, metric_at
 DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
 RHO_SEED_MIN = 1e-3
+SHELL_TOL = 1e-10       # a step lands on a radius R to within SHELL_TOL R
 # packed upper triangle (00, 01, 02, 11, 12, 22) of a symmetric 3x3 matrix
 _SYM6_ROW, _SYM6_COL = np.triu_indices(3)
 _SYM6_OF = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
@@ -118,9 +131,11 @@ class GeodesicRecord:
     rho_seed: float = 0.0
     truncated: bool = False
     rho_reached: float = 0.0
-    _dense: object = field(default=None, repr=False)
-    _layout: tuple = field(default=None, repr=False)
-    _node: int = field(default=0, repr=False)
+    steps: int = 0                  # accepted integrator steps
+    rejected: int = 0               # rejected steps, shell retries included
+    rhs_evals: int = 0              # right-hand-side evaluations of this lane
+    _dense: tuple = field(default=None, repr=False)    # (step ends, coefs)
+    _layout: tuple = field(default=None, repr=False)   # (with_jacobi, with_k)
 
     @property
     def has_jacobi(self):
@@ -166,32 +181,36 @@ def _flat_state(rec, rho, nj, nk):
 
 
 def _eval_ray(rec, rq):
-    nj, nk = rec._layout[0], rec._layout[1]
+    nj, nk = rec._layout
     below = rq <= rec.rho_seed
     out = _flat_state(rec, rq, nj, nk)
     if np.all(below):
         return out
-    if rec._dense is None:
-        raise OutOfRange("record has no dense solution beyond the seed")
     sel = ~below
-    y = rec._dense(rq[sel])                      # (dim_total, m)
-    parts = _unpack(y.T, rec._layout, rec._node)
+    parts = _unpack(_dense_eval(*rec._dense, rq[sel]), nj, nk)
     for key in out:
         if out[key] is not None:
             out[key][sel] = parts[key]
     return out
 
 
-def _layout_dims(nj, nk):
-    dim = 8 + (24 if nj else 0) + (19 if nk else 0)
-    return dim
+def _dense_eval(ts, coef, rq):
+    """DOP853 dense output of one lane at the proper times rq.  Step k runs
+    from ts[k] to ts[k+1]; coef[k] holds y there and the seven
+    interpolation coefficients F_0..F_6."""
+    k = np.clip(np.searchsorted(ts, rq) - 1, 0, len(coef) - 1)
+    x = ((rq - ts[k]) / (ts[k + 1] - ts[k]))[:, None]
+    c = coef[k]
+    y = np.zeros((len(rq), c.shape[2]))
+    for i in range(7, 0, -1):
+        y += c[:, i]
+        y *= x if i % 2 else 1.0 - x
+    return y + c[:, 0]
 
 
-def _unpack(y, layout, node):
-    """y: (m, n_nodes*dim) -> dict of arrays for one node."""
-    nj, nk, dim, n_nodes = layout
+def _unpack(y, nj, nk):
+    """y: (m, dim) lane states -> dict of arrays."""
     m = y.shape[0]
-    y = y.reshape(m, n_nodes, dim)[:, node, :]
     o = {}
     o["x"] = y[:, 0:4]
     o["b"] = y[:, 4:8]
@@ -212,13 +231,13 @@ def _unpack(y, layout, node):
     return o
 
 
-def _make_rhs(model, nj, nk, n_nodes):
+def _make_rhs(model, nj, nk):
+    """Right-hand side rhs(rho, y) on lane states y (n, dim), one rho per
+    lane, with one metric_at call per evaluation."""
     level = 2 if (nj or nk) else 1
-    dim = _layout_dims(nj, nk)
     eye3 = np.eye(3)
 
-    def rhs(rho, yflat):
-        y = yflat.reshape(n_nodes, dim)
+    def rhs(rho, y):
         b = y[:, 4:8]
         jet = metric_at(model, y[:, 0:4], level=level)
         dy = np.empty_like(y)
@@ -247,7 +266,7 @@ def _make_rhs(model, nj, nk, n_nodes):
             ric_bb = np.einsum('nii->n', tidal)
             rhat = tidal - (ric_bb[:, None, None] / 3.0) * eye3
             kh2 = np.einsum('nij,njk->nik', kh, kh)
-            kh_sq = np.einsum('nij,nij->n', kh, kh)
+            kh_sq = np.einsum('nii->n', kh2)
             trk = 3.0 / rho + q0
             dq0 = -(2.0 / rho) * q0 - q0 * q0 / 3.0 - ric_bb - kh_sq
             dkh = (-(2.0 / 3.0) * trk[:, None, None] * kh - rhat
@@ -255,12 +274,182 @@ def _make_rhs(model, nj, nk, n_nodes):
             dy[:, p:p + 12] = dE.reshape(-1, 12)
             dy[:, p + 12] = dq0
             dy[:, p + 13:p + 19] = mat_to_sym6(dkh)
-        return dy.ravel()
+        return dy
 
-    return rhs, dim
+    return rhs
 
 
-def _seed_rho(model, origin, v0, zeta, rho_max):
+# ---------------------------------------------------------------------------
+# batched DOP853 with per-lane step control
+
+def _norm_blocks(nj, nk):
+    """Error-norm blocks of the state layout: an index table (blocks, 9)
+    padded with dim (a zero column), and the weight of each component.
+    The blocks are x^0, x^i, B^0, B^i, the time and the spatial parts of J,
+    P and the triad over their three fields, q0 and khat, whose packed
+    off-diagonals count twice."""
+    blocks = [[0], [1, 2, 3], [4], [5, 6, 7]]
+    p = 8
+    for _ in range(2 * nj + nk):
+        f = np.arange(p, p + 12).reshape(3, 4)
+        blocks += [f[:, 0], f[:, 1:].ravel()]
+        p += 12
+    weight = np.ones(p + 7 * nk)
+    if nk:
+        blocks += [[p], np.arange(p + 1, p + 7)]
+        weight[[p + 2, p + 3, p + 5]] = 2.0
+    table = np.full((len(blocks), 9), len(weight))
+    for i, blk in enumerate(blocks):
+        table[i, :len(blk)] = blk
+    return table, weight
+
+
+def _colsum(a):
+    """Sum over the last axis in index order, elementwise, so a lane's
+    value does not depend on the batch (reductions and BLAS may)."""
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j]
+    return out
+
+
+def _block_sq(v, blocks):
+    """Squared norm of every block of every lane, (n, blocks)."""
+    table, weight = blocks
+    s = np.concatenate([weight * v * v, np.zeros((len(v), 1))], axis=1)
+    return _colsum(s[:, table])
+
+
+def _lincomb(coef, K):
+    """sum_j coef[j] K[j] over the nonzero coefficients, elementwise."""
+    out = 0.0
+    for c, k in zip(coef, K):
+        if c != 0.0:
+            out = out + c * k
+    return out
+
+
+def _radius(y):
+    return np.sqrt(_colsum(y[:, 1:4] * y[:, 1:4]))
+
+
+def _reach(y, radii):
+    """Proper time to the first crossing of any radius along each lane's
+    tangent line (inf when it crosses none, or sits on the radius)."""
+    x, v = y[:, 1:4], y[:, 5:8]
+    xx, xv, vv = _colsum(x * x), _colsum(x * v), _colsum(v * v)
+    out = np.full(len(y), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for R, _ in radii:
+            c = xx - R * R
+            root = np.sqrt(xv * xv - vv * c)
+            s = np.where(c < 0, root - xv, np.where(xv < 0, -xv - root, -1.0))
+            s = s / vv
+            near = np.abs(np.sqrt(xx) - R) <= SHELL_TOL * R
+            out = np.where((s > 0) & ~near, np.minimum(out, s), out)
+    return out
+
+
+def _crossing(ya, ys, hs, radii):
+    """Secant step onto the first radius that a step straddles (inf if
+    none), and whether the step ends on a terminal radius."""
+    r0, r1 = _radius(ya), _radius(ys)
+    sec = np.full(len(ya), np.inf)
+    land = np.zeros(len(ya), bool)
+    for R, terminal in radii:
+        g0, g1 = r0 - R, r1 - R
+        off = (np.abs(g0) > SHELL_TOL * R) & (np.abs(g1) > SHELL_TOL * R)
+        cross = off & ((g0 > 0) != (g1 > 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sec = np.where(cross, np.minimum(sec, hs * g0 / (g0 - g1)), sec)
+        land |= terminal & (np.abs(g1) <= SHELL_TOL * R)
+    return sec, land
+
+
+def _dop853(rhs, t, y, t_end, tol, radii, blocks):
+    """Integrate the lanes y (n, dim) from rho = t to t_end, both (n,).
+
+    Step-size control, starting step and dense output follow HNW II.4-6 as
+    scipy does, with the block norm of _norm_blocks per lane.  radii holds
+    (R, terminal) pairs: a step never straddles R, and a lane that lands on
+    a terminal R stops there.  Returns the rho reached, the truncation
+    flags, each lane's dense segments (step ends, coefficients) and the
+    per-lane (steps, rejected, rhs_evals) counts.
+    """
+    n, dim = y.shape
+    t, y = t.copy(), y.copy()
+    f = rhs(t, y)
+    sc = tol + tol * np.sqrt(_block_sq(y, blocks))
+
+    def rms(v):
+        return np.sqrt(_colsum(_block_sq(v, blocks) / sc**2) / dim)
+
+    d0, d1 = rms(y), rms(f)
+    with np.errstate(divide="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_end - t)
+        dmax = np.maximum(d1, rms(rhs(t + h0, y + h0[:, None] * f) - f) / h0)
+        h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
+                      (0.01 / dmax) ** 0.125)
+    h = np.minimum(np.minimum(100.0 * h0, h1), t_end - t)
+    cap = np.full(n, np.inf)            # secant step onto a straddled radius
+    retry = np.zeros(n, bool)           # error-rejected since the last step
+    done, trunc = np.zeros(n, bool), np.zeros(n, bool)
+    steps, nrej, nfev = np.zeros(n, int), np.zeros(n, int), np.full(n, 2)
+    segs = [([ti], []) for ti in t]
+    while not done.all():
+        a = np.flatnonzero(~done)
+        ta, ya, ha = t[a], y[a], h[a]
+        if np.any(ha < 10 * np.abs(np.nextafter(ta, np.inf) - ta)):
+            raise StepFailure("step size fell below the rounding level of rho")
+        tn = np.minimum(ta + np.minimum(np.minimum(ha, cap[a]),
+                                        _reach(ya, radii)), t_end[a])
+        hs = tn - ta
+        K = np.empty((16, len(a), dim))
+        K[0] = f[a]
+        for s in range(1, 13):          # stage 12: the step end, y_new
+            ys = ya + hs[:, None] * _lincomb(_DOP.A[s, :s], K)
+            K[s] = rhs(ta + _DOP.C[s] * hs, ys)
+        nfev[a] += 12
+        scale = tol + tol * np.sqrt(np.maximum(_block_sq(ya, blocks),
+                                               _block_sq(ys, blocks)))
+        n5, n3 = (_colsum(_block_sq(_lincomb(e, K), blocks) / scale**2)
+                  for e in (_DOP.E5, _DOP.E3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where(n5 + n3 > 0,
+                           hs * n5 / np.sqrt((n5 + 0.01 * n3) * dim), 0.0)
+            fac = 0.9 * err ** -0.125
+        sec, land = _crossing(ya, ys, hs, radii)
+        ok = (err < 1) & np.isinf(sec)
+        grow = hs * np.minimum(np.where(retry[a], 1.0, 10.0), fac)
+        h[a] = np.where(ok, np.where(hs < ha, np.maximum(ha, grow), grow),
+                        np.where(err < 1, ha, hs * np.fmax(0.2, fac)))
+        retry[a] = ~ok & (retry[a] | ~(err < 1))
+        cap[a] = np.where(ok, np.inf, np.minimum(cap[a], sec))
+        nrej[a] += ~ok
+        i = np.flatnonzero(ok)
+        if len(i) == 0:
+            continue
+        acc, hk, Ka = a[i], hs[i][:, None], K[:, i]
+        for s in (13, 14, 15):          # extra stages of the dense output
+            Ka[s] = rhs(ta[i] + _DOP.C[s] * hs[i],
+                        ya[i] + hk * _lincomb(_DOP.A[s, :s], Ka))
+        nfev[acc] += 3
+        dy, f0, f1 = ys[i] - ya[i], Ka[0], Ka[12]
+        coef = np.stack([ya[i], dy, hk * f0 - dy, 2 * dy - hk * (f1 + f0)]
+                        + [hk * _lincomb(d, Ka) for d in _DOP.D], axis=1)
+        for k, j in enumerate(acc):
+            segs[j][0].append(tn[i[k]])
+            segs[j][1].append(coef[k].copy())
+        t[acc], y[acc], f[acc] = tn[i], ys[i], f1
+        steps[acc] += 1
+        trunc[acc] = land[i] & (tn[i] < t_end[acc])
+        done[acc] = land[i] | (tn[i] == t_end[acc])
+    dense = [(np.array(ts), np.array(cs)) for ts, cs in segs]
+    return t, trunc, dense, (steps, nrej, nfev)
+
+
+def _seed_rho(model, origin, v0, rho_max):
     """Largest rho for which the straight line is still inside the flat core
     (with a safety factor), capped to stay below the first samples."""
     core = model.flat_core_radius
@@ -298,11 +487,13 @@ def _triad_ics(model, x_seed, v0, frame0):
 
 
 def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
-                   with_jacobi=False, with_k=False, events_on=False):
-    """Integrate one batched system for several directions from one origin.
+                   with_jacobi=False, with_k=False):
+    """Integrate several directions from one origin, one lane each.
 
-    Returns a list of GeodesicRecord sharing a dense solution.  All
-    directions must start inside the flat core when with_k is requested.
+    Returns one GeodesicRecord per direction, each bit-identical to the
+    same direction integrated alone.  All directions must start inside the
+    flat core when with_k is requested.  A Schwarzschild lane that reaches
+    the horizon guard stops there (truncated, with its own rho_reached).
     """
     origin = np.asarray(origin, dtype=float)
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
@@ -310,74 +501,51 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
         raise ValueError("rho grid must be positive and strictly increasing")
     rho_max = rho_grid[-1]
     frame0 = frame_at_origin(model, origin)
-    n_nodes = len(directions)
-
+    nj, nk = with_jacobi, with_k
+    blocks = _norm_blocks(nj, nk)
+    y0 = np.zeros((len(directions), len(blocks[1])))
     recs = []
-    seeds = []
-    for d in directions:
+    for i, d in enumerate(directions):
         vh = d.hyperboloid_point()
         v0 = vh @ frame0
+        seed = (_seed_rho(model, origin, v0, rho_max) if nk
+                else min(1e-6, 0.5 * rho_grid[0]))
+        if nk and seed < RHO_SEED_MIN:
+            raise SeedRegionTooSmall(
+                f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}")
         rec = GeodesicRecord(model=model, origin=origin, direction=d, v0=v0,
                              frame0=frame0, rho=rho_grid, x=None, b=None,
-                             ode_tol=ode_tol)
-        rec._jacobi_ic = _jacobi_ics(frame0, vh) if with_jacobi else None
-        recs.append(rec)
-        if with_k:
-            seeds.append(_seed_rho(model, origin, v0, d.zeta, rho_max))
-        else:
-            seeds.append(min(1e-6, 0.5 * rho_grid[0]))
-    rho_seed = min(seeds)
-    if with_k and rho_seed < RHO_SEED_MIN:
-        raise SeedRegionTooSmall(
-            f"flat-core seed rho={rho_seed:.3g} below {RHO_SEED_MIN:g}")
-
-    nj, nk = with_jacobi, with_k
-    rhs, dim = _make_rhs(model, nj, nk, n_nodes)
-    y0 = np.zeros((n_nodes, dim))
-    for i, rec in enumerate(recs):
-        rec.rho_seed = rho_seed
+                             ode_tol=ode_tol, rho_seed=seed)
+        rec._jacobi_ic = _jacobi_ics(frame0, vh) if nj else None
         rec._triad_ic = None
-        x_s = rec.origin + rho_seed * rec.v0
+        x_s = origin + seed * v0
         y0[i, 0:4] = x_s
-        y0[i, 4:8] = rec.v0
+        y0[i, 4:8] = v0
         p = 8
         if nj:
-            y0[i, p:p + 12] = (rho_seed * rec._jacobi_ic).ravel()
+            y0[i, p:p + 12] = (seed * rec._jacobi_ic).ravel()
             y0[i, p + 12:p + 24] = rec._jacobi_ic.ravel()
             p += 24
         if nk:
-            rec._triad_ic = _triad_ics(model, x_s, rec.v0, frame0)
+            rec._triad_ic = _triad_ics(model, x_s, v0, frame0)
             y0[i, p:p + 12] = rec._triad_ic.ravel()
-            y0[i, p + 12] = 0.0
-            y0[i, p + 13:p + 19] = 0.0
+        recs.append(rec)
 
-    events = None
-    if events_on and model.kind == "schwarzschild":
-        guard = 2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN)
+    radii = [(R, False) for R in model.shell_radii]
+    if model.kind == "schwarzschild":
+        radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
+    rho0 = np.array([rec.rho_seed for rec in recs])
+    reached, trunc, dense, counts = _dop853(
+        _make_rhs(model, nj, nk), rho0, y0, np.full(len(recs), rho_max),
+        ode_tol, radii, blocks)
 
-        def horizon_event(rho, y):
-            xs = y.reshape(n_nodes, dim)[:, 1:4]
-            return np.min(np.sqrt(np.sum(xs * xs, axis=1))) - guard
-        horizon_event.terminal = True
-        horizon_event.direction = -1.0
-        events = horizon_event
-
-    sol = solve_ivp(rhs, (rho_seed, rho_max), y0.ravel(), method='DOP853',
-                    rtol=ode_tol, atol=ode_tol, dense_output=True,
-                    events=events)
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    truncated = sol.status == 1
-    rho_reached = sol.t[-1]
-
-    layout = (nj, nk, dim, n_nodes)
     for i, rec in enumerate(recs):
-        rec._dense = sol.sol
-        rec._layout = layout
-        rec._node = i
-        rec.truncated = truncated
-        rec.rho_reached = rho_reached
-        grid = rho_grid[rho_grid <= rho_reached * (1 + 1e-12)]
+        rec._dense = dense[i]
+        rec._layout = (nj, nk)
+        rec.truncated = bool(trunc[i])
+        rec.rho_reached = float(reached[i])
+        rec.steps, rec.rejected, rec.rhs_evals = (int(c[i]) for c in counts)
+        grid = rho_grid[rho_grid <= rec.rho_reached * (1 + 1e-12)]
         rec.rho = grid
         st = _eval_ray(rec, grid)
         rec.x, rec.b = st["x"], st["b"]
@@ -392,7 +560,7 @@ def exp_map(model, origin, direction, rho_grid, ode_tol=DEFAULT_TOL,
     the transported second fundamental form)."""
     return integrate_rays(model, origin, [direction], rho_grid,
                           ode_tol=ode_tol, with_jacobi=with_jacobi,
-                          with_k=with_k, events_on=True)[0]
+                          with_k=with_k)[0]
 
 
 @dataclass

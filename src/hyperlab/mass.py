@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingNullForms
-from .foliation import angular_grid, leaf_slice, slice_null_forms
+from .foliation import (_slice_of_records, angular_grid, leaf_slice,
+                         slice_null_forms, solve_level_nodes)
 
 
 @dataclass
@@ -53,24 +54,33 @@ def mass_of_leaf(model, origin, t, rho, omega_nodes=None, ode_tol=1e-12):
     if omega_nodes is None:
         omega_nodes = angular_grid(8, 1)
     sl = leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=ode_tol)
-    slice_null_forms(model, sl)
-    return hawking_mass(model, sl)
+    return hawking_mass(model, slice_null_forms(model, sl))
 
 
 def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None,
                 ode_tol=1e-12):
     """Mass reports along increasing t on H_rho plus the fitted limit.
 
-    The limit is the least-squares fit of m(t) = m_inf + c/t over the last
-    half of the grid (the remainder of the limit statement is O(1/t)).
+    The nodes of all the leaves are solved in one batch; each report equals
+    the one mass_of_leaf gives alone.  The limit is the least-squares fit of
+    m(t) = m_inf + c/t over the last half of the grid (the remainder of the
+    limit statement is O(1/t)).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must be strictly increasing")
     origin = np.zeros(4) if origin is None else np.asarray(origin, dtype=float)
-    reports = [mass_of_leaf(model, origin, float(t), rho, omega_nodes,
-                            ode_tol=ode_tol)
-               for t in t_grid]
+    if omega_nodes is None:
+        omega_nodes = angular_grid(8, 1)
+    k = len(omega_nodes)
+    _, recs = solve_level_nodes(model, origin, rho, np.repeat(t_grid, k),
+                                list(omega_nodes) * len(t_grid),
+                                ode_tol=ode_tol)
+    reports = []
+    for i, t in enumerate(t_grid):
+        sl = _slice_of_records(model, t, rho, omega_nodes,
+                               recs[i * k:(i + 1) * k], "t", t)
+        reports.append(hawking_mass(model, slice_null_forms(model, sl)))
     half = len(t_grid) // 2 if len(t_grid) > 3 else 0
     ts = t_grid[half:]
     ms = np.array([r.mass for r in reports])[half:]

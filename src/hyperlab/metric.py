@@ -80,6 +80,11 @@ class MetricModel:
             return self.r_in
         return 0.0
 
+    @property
+    def shell_radii(self):
+        """Radii where the radial profiles are only C^2 (the glued shells)."""
+        return (self.r_in, self.r_out) if self.kind == "glued" else ()
+
     @staticmethod
     def minkowski():
         return MetricModel("minkowski")

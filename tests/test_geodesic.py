@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from hyperlab.errors import SeedRegionTooSmall
+from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
 from hyperlab.foliation import second_fundamental_fd_oracle
 from hyperlab.geodesic import (Direction, FanGrid, direction_from_angles,
                                exp_map, fan_build, integrate_rays,
                                mat_to_sym6, sym6_to_mat)
-from hyperlab.metric import MetricModel, metric_at
+from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 
 from oracles import geodesic_rhs, rk8_fixed
 
 MINK = MetricModel.minkowski()
 GLUED = MetricModel.glued(0.01)
+SCHW = MetricModel.schwarzschild(0.05)
+OFFSET = np.array([0.0, 0.2, 0.0, 0.0])
 
 
 def minkowski_norm(v):
@@ -161,21 +163,54 @@ def test_fan_build_centered_symmetry():
                     assert np.abs(tr - base).max() < 1e-10
 
 
-def test_fan_reversed_axis_mirrors_records(probe_fan):
-    # a descending theta grid gives the probe fan in mirrored order, and the
-    # signed spacing keeps the finite-difference k unchanged
-    up = probe_fan
-    down = fan_build(GLUED, up.origin, up.zeta_grid, up.theta_grid[::-1],
-                     up.phi_grid, up.rho_grid, ode_tol=1e-11)
+def assert_same_lane(a, b):
+    """Two records of one direction hold bit-identical samples, seed, end
+    point and work counts."""
+    for key in ("x", "b", "j", "jp", "triad", "q0", "khat"):
+        va, vb = getattr(a, key), getattr(b, key)
+        assert (va is None) == (vb is None), key
+        assert va is None or np.array_equal(va, vb), key
+    for key in ("rho_seed", "rho_reached", "truncated", "steps", "rejected",
+                "rhs_evals"):
+        assert getattr(a, key) == getattr(b, key), key
+
+
+def reversed_theta(fan, payload=True):
+    """The fan's directions with the theta axis reversed, and the fan itself
+    rebuilt when payload is False."""
+    kw = dict(ode_tol=1e-11, with_jacobi=payload, with_k=payload)
+    up = fan if payload else fan_build(GLUED, fan.origin, fan.zeta_grid,
+                                       fan.theta_grid, fan.phi_grid,
+                                       fan.rho_grid, **kw)
+    down = fan_build(GLUED, fan.origin, fan.zeta_grid, fan.theta_grid[::-1],
+                     fan.phi_grid, fan.rho_grid, **kw)
+    return up, down
+
+
+def assert_mirrored(up, down):
     for iz in range(5):
         for it in range(5):
             for ip in range(5):
-                a, b = up.record(iz, it, ip), down.record(iz, 4 - it, ip)
-                assert np.abs(a.x - b.x).max() <= 1e-9 * np.abs(a.x).max()
-                assert np.abs(a.b - b.b).max() <= 1e-9 * np.abs(a.b).max()
-    ku = second_fundamental_fd_oracle(GLUED, up, (2, 2, 2), 25.0)
-    kd = second_fundamental_fd_oracle(GLUED, down, (2, 2, 2), 25.0)
-    assert np.abs(ku - kd).max() <= 1e-9 * np.abs(ku).max()
+                assert_same_lane(up.record(iz, it, ip),
+                                 down.record(iz, 4 - it, ip))
+
+
+def test_fan_reversed_axis_mirrors_records(probe_fan, offset_fan):
+    # a descending theta grid gives the fan in mirrored order; each lane is
+    # integrated on its own, so mirrored records are bit-identical, and the
+    # signed spacing keeps the finite-difference k unchanged
+    for fan in (probe_fan, offset_fan):
+        up, down = reversed_theta(fan)
+        assert_mirrored(up, down)
+        rho = fan.rho_grid[-1]
+        ku = second_fundamental_fd_oracle(GLUED, up, (2, 2, 2), rho)
+        kd = second_fundamental_fd_oracle(GLUED, down, (2, 2, 2), rho)
+        assert np.abs(ku - kd).max() <= 1e-9 * np.abs(ku).max()
+
+
+def test_fan_reversed_axis_without_payload(probe_fan, offset_fan):
+    for fan in (probe_fan, offset_fan):
+        assert_mirrored(*reversed_theta(fan, payload=False))
 
 
 def test_fan_non_monotone_grid_rejected():
@@ -202,7 +237,45 @@ def test_batch_matches_single_ray():
     dirs = [Direction(z, (1, 0, 0)) for z in (0.4, 0.9, 1.5)]
     recs = integrate_rays(GLUED, np.zeros(4), dirs, np.linspace(1, 20, 4),
                           ode_tol=1e-11, with_jacobi=True, with_k=True)
-    single = exp_map(GLUED, np.zeros(4), dirs[1], np.linspace(1, 20, 4),
-                     ode_tol=1e-11, with_jacobi=True, with_k=True)
-    assert np.abs(recs[1].x - single.x).max() < 1e-7
-    assert np.abs(recs[1].q0 - single.q0).max() < 1e-7
+    for d, rec in zip(dirs, recs):
+        single = exp_map(GLUED, np.zeros(4), d, np.linspace(1, 20, 4),
+                         ode_tol=1e-11, with_jacobi=True, with_k=True)
+        assert_same_lane(rec, single)
+        rq = np.linspace(0.5, 20.0, 17)
+        sa, sb = rec.state_at(rq), single.state_at(rq)
+        assert all(np.array_equal(sa[k], sb[k]) for k in sa)
+
+
+def test_lane_counts_alone_and_in_batch():
+    # a lane's accepted steps, rejected steps and RHS evaluations are its
+    # own: the same alone as next to a faster lane that crosses the shells
+    # at other proper times
+    d = Direction(0.7, (0.0, 0.6, 0.8))
+    rho = np.linspace(1, 15, 3)
+    batch = integrate_rays(GLUED, OFFSET, [Direction(2.5, (1, 0, 0)), d],
+                           rho, ode_tol=1e-10)
+    alone = exp_map(GLUED, OFFSET, d, rho, ode_tol=1e-10)
+    assert alone.steps > 0 and alone.rhs_evals >= 12 * alone.steps
+    for key in ("steps", "rejected", "rhs_evals"):
+        assert getattr(batch[1], key) == getattr(alone, key), key
+    assert batch[0].rhs_evals != alone.rhs_evals
+
+
+def test_schwarzschild_horizon_guard_per_lane():
+    # the inward lane stops on the horizon guard on its own; the outward
+    # lane of the same batch reaches the end of the grid
+    origin = np.array([0.0, 1.0, 0.0, 0.0])
+    rho = np.linspace(0.5, 5.0, 10)
+    inward, outward = integrate_rays(
+        SCHW, origin, [Direction(1.0, (-1, 0, 0)), Direction(1.0, (1, 0, 0))],
+        rho)
+    guard = 2.0 * SCHW.mass * (1.0 + 2.0 * HORIZON_MARGIN)
+    assert inward.truncated and inward.rho_reached < rho[-1]
+    x_end = inward.state_at(inward.rho_reached)["x"]
+    assert abs(np.linalg.norm(x_end[1:]) - guard) <= 1e-10 * guard
+    assert np.all(inward.rho <= inward.rho_reached)
+    with pytest.raises(SingularityTruncated):
+        inward.state_at(0.5 * (inward.rho_reached + rho[-1]))
+    assert not outward.truncated and outward.rho_reached == rho[-1]
+    assert np.array_equal(outward.rho, rho)
+    assert_same_lane(inward, exp_map(SCHW, origin, inward.direction, rho))

@@ -91,3 +91,14 @@ def test_bondi_offset_two_resolutions():
     # the offset deviation is genuine and decreases toward the limit
     deva = [abs(r.mass - 0.02) for r in tra["reports"]]
     assert deva[0] > deva[-1]
+
+
+def test_bondi_trace_matches_single_leaves():
+    # the trace solves the nodes of all its leaves in one batch; each lane is
+    # integrated on its own, so every report equals the leaf solved alone
+    nodes = angular_grid(3, 1, axis=(1.0, 0.0, 0.0))
+    tr = bondi_trace(GLUED, 5.0, [10.0, 20.0], origin=OFFSET,
+                     omega_nodes=nodes)
+    for rep in tr["reports"]:
+        alone = mass_of_leaf(GLUED, OFFSET, rep.t, 5.0, nodes)
+        assert (rep.mass, rep.area) == (alone.mass, alone.area)
