@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hyperlab.errors import CFLViolation, InsufficientStates
-from hyperlab.kgflat import (KGConfig, commutation_residual, decay_report,
+from hyperlab.kgflat import (WINDOW_CELLS, KGConfig, KGState, _dr4,
+                             _TimeInterp, commutation_residual, decay_report,
                              decay_slope, energy, evolve_from_state, evolve_kg,
                              hyperboloid_energy, initial_data, reverse_state)
 
@@ -101,6 +102,74 @@ def test_hyperboloid_energy_pointwise_constant():
     idx = np.argmin(np.abs(np.sqrt(1 + r**2) - 2.0))
     # integrand Q (rho/t) weights; instead check the lower bound margin >= 0
     assert out["lower_bound_check"] >= -1e-12
+
+
+def test_time_interp_cubic_in_t_is_exact():
+    # snapshots of a field cubic in t at unequal spacings: the cubic
+    # Lagrange interpolation reproduces phi, phit and phir at any t
+    rng = np.random.default_rng(7)
+    dr = 1 / 16
+    r = (np.arange(64) + 0.5) * dr
+    a, b, c, d = rng.standard_normal((4, r.size))
+
+    def phi(t):
+        return a + t * (b + t * (c + t * d))
+
+    def phit(t):
+        return b + t * (2.0 * c + t * 3.0 * d)
+
+    ts = [0.0, 0.5, 1.1, 1.5, 2.0, 2.7, 3.0]
+    interp = _TimeInterp([KGState(t=t, phi=phi(t), phit=phit(t), r=r, dr=dr)
+                          for t in ts])
+    # all times and cells, then a block inside both ranges
+    for t_lo, t_hi, i_hi in ((0.0, 3.0, r.size), (1.2, 2.6, 40)):
+        t_arr = rng.uniform(t_lo, t_hi, 200)
+        idx = rng.integers(0, i_hi, 200)
+        got = interp.at(t_arr, idx)
+        exact = ([phi(t)[i] for t, i in zip(t_arr, idx)],
+                 [phit(t)[i] for t, i in zip(t_arr, idx)],
+                 [_dr4(phi(t), dr, +1)[i] for t, i in zip(t_arr, idx)])
+        for g, e in zip(got, exact):
+            e = np.array(e)
+            assert np.abs(g - e).max() <= 1e-14 * np.abs(e).max()
+
+
+def test_pointwise_oracle():
+    # evolve_kg against the exact Riemann-function solution at t = 12 on
+    # every 8th cell.  The largest error, 5.34e-6 or 2.11e-5 of max|psi|
+    # (the same with a full-grid RK4 stepper), sits at r = t: the odd
+    # continuation of r phi0 jumps in its second derivative at the axis,
+    # so there the error falls only 3.7-4.7x per halving of dr.  The bound
+    # 2.5e-5 of max|psi| leaves a fifth of headroom.
+    cfg = KGConfig(r_max=22.0, t_max=12.0)
+    s = evolve_kg(cfg, [12.0])[0]
+
+    def phi0(r):
+        return cfg.amplitude * np.exp(-((r - cfg.center) / cfg.width) ** 2)
+
+    r = s.r[::8]
+    exact = kg_radial_exact(r, 12.0, phi0, cfg.support_radius)
+    err = np.abs(r * s.phi[::8] - exact).max()
+    assert err <= 2.5e-5 * np.abs(exact).max()
+
+
+def test_causal_window_is_exact():
+    # only the window (the light cone of the support plus WINDOW_CELLS) is
+    # stepped: a larger grid gives bit-identical shared cells, and every cell
+    # past the window is exactly 0 while its last cell is not
+    near, far = (evolve_kg(KGConfig(r_max=r_max, t_max=12.0), [6.0, 12.0])
+                 for r_max in (22.0, 40.0))
+    cfg = KGConfig(r_max=22.0, t_max=12.0)
+    last = np.flatnonzero(initial_data(cfg)[1])[-1]
+    for a, b in zip(near, far):
+        n = a.phi.size
+        assert np.array_equal(a.phi, b.phi[:n])
+        assert np.array_equal(a.phit, b.phit[:n])
+        steps = int(round(a.t / (cfg.cfl * cfg.dr)))
+        w = last + int(np.ceil(steps * cfg.cfl)) + WINDOW_CELLS
+        for s in (a, b):
+            assert not s.phi[w:].any() and not s.phit[w:].any()
+            assert s.phi[w - 1] != 0.0
 
 
 def test_hyperboloid_energy_zero_data():
