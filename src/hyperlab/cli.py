@@ -13,17 +13,15 @@ import configparser
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (CentralLineDegenerate, ConfigError, GoldenMismatch,
-                     HyperlabError)
-from .foliation import (angular_grid, leaf_scalars, second_fundamental_at,
-                        structure_residuals)
-from .geodesic import Direction, direction_from_angles, exp_map
+from .errors import ConfigError, GoldenMismatch, HyperlabError
+from .foliation import angular_grid, leaf_frames, structure_residuals
+from .geodesic import Direction, direction_from_angles, exp_map, integrate_rays
 from .kgflat import KGConfig, energy, evolve_kg
 from .mass import bondi_trace
 from .metric import MetricModel, curvature_at
@@ -72,63 +70,60 @@ def _floats(s):
     return tuple(float(v) for v in s.replace(",", " ").split())
 
 
+# config section -> {key: RunConfig attribute}; "kg." names a KGConfig field
+_CONFIG_KEYS = {
+    "metric": {"kind": "metric_kind", "mass": "mass", "r_in": "r_in",
+               "r_out": "r_out"},
+    "origin": {"t": "origin_t", "offset": "offset"},
+    "foliation": {k: k for k in ("rho_min", "rho_max", "rho_samples",
+                                 "zeta_max", "zeta_samples", "theta_nodes",
+                                 "phi_nodes")},
+    "integrator": {"rel_tol": "rel_tol"},
+    "kg": {"t_samples": "kg_t_samples",
+           **{k: "kg." + k for k in ("r_max", "dr", "t_max", "cfl",
+                                     "amplitude", "width", "center",
+                                     "kg_mass")}},
+    "mass": {"rho_list": "mass_rho_list", "t_factors": "mass_t_factors"},
+    "output": {"dir": "out_dir", "plot": "plot", "golden": "golden"},
+}
+
+
+def _config_value(section, key, default):
+    """section[key] parsed as the type of its default value."""
+    if isinstance(default, tuple):
+        return _floats(section[key])
+    return {bool: section.getboolean, int: section.getint,
+            float: section.getfloat}.get(type(default), section.get)(key)
+
+
 def load_config(path):
-    """Parse and validate an INI-style run configuration."""
+    """Parse and validate an INI-style run configuration; unknown sections
+    and keys are errors."""
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise ConfigError(f"config file {path!r} not found")
-    rc = RunConfig()
+    for name in cp.sections():
+        if name not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        for key in cp[name]:
+            if key not in _CONFIG_KEYS[name]:
+                raise ConfigError(f"unknown config key {key!r} in [{name}]")
+    rc, kg = RunConfig(), {}
     try:
-        if cp.has_section("metric"):
-            s = cp["metric"]
-            rc.metric_kind = s.get("kind", rc.metric_kind).strip().lower()
-            rc.mass = s.getfloat("mass", rc.mass)
-            rc.r_in = s.getfloat("r_in", rc.r_in)
-            rc.r_out = s.getfloat("r_out", rc.r_out)
-        if cp.has_section("origin"):
-            s = cp["origin"]
-            rc.origin_t = s.getfloat("t", rc.origin_t)
-            if "offset" in s:
-                rc.offset = _floats(s["offset"])
-        if cp.has_section("foliation"):
-            s = cp["foliation"]
-            rc.rho_min = s.getfloat("rho_min", rc.rho_min)
-            rc.rho_max = s.getfloat("rho_max", rc.rho_max)
-            rc.rho_samples = s.getint("rho_samples", rc.rho_samples)
-            rc.zeta_max = s.getfloat("zeta_max", rc.zeta_max)
-            rc.zeta_samples = s.getint("zeta_samples", rc.zeta_samples)
-            rc.theta_nodes = s.getint("theta_nodes", rc.theta_nodes)
-            rc.phi_nodes = s.getint("phi_nodes", rc.phi_nodes)
-        if cp.has_section("integrator"):
-            s = cp["integrator"]
-            rc.rel_tol = s.getfloat("rel_tol", rc.rel_tol)
-        if cp.has_section("kg"):
-            s = cp["kg"]
-            rc.kg = KGConfig(
-                r_max=s.getfloat("r_max", KGConfig.r_max),
-                dr=s.getfloat("dr", KGConfig.dr),
-                t_max=s.getfloat("t_max", KGConfig.t_max),
-                cfl=s.getfloat("cfl", KGConfig.cfl),
-                amplitude=s.getfloat("amplitude", KGConfig.amplitude),
-                width=s.getfloat("width", KGConfig.width),
-                center=s.getfloat("center", KGConfig.center),
-                kg_mass=s.getfloat("kg_mass", KGConfig.kg_mass),
-            )
-            rc.kg_t_samples = s.getint("t_samples", rc.kg_t_samples)
-        if cp.has_section("mass"):
-            s = cp["mass"]
-            if "rho_list" in s:
-                rc.mass_rho_list = _floats(s["rho_list"])
-            if "t_factors" in s:
-                rc.mass_t_factors = _floats(s["t_factors"])
-        if cp.has_section("output"):
-            s = cp["output"]
-            rc.out_dir = s.get("dir", rc.out_dir)
-            rc.plot = s.getboolean("plot", rc.plot)
-            rc.golden = s.get("golden", rc.golden)
+        for name in cp.sections():
+            for key in cp[name]:
+                attr = _CONFIG_KEYS[name][key]
+                if attr.startswith("kg."):
+                    kg[attr[3:]] = _config_value(cp[name], key,
+                                                 getattr(rc.kg, attr[3:]))
+                else:
+                    setattr(rc, attr, _config_value(cp[name], key,
+                                                    getattr(rc, attr)))
+        rc.kg = replace(rc.kg, **kg)
     except (ValueError, HyperlabError) as e:
         raise ConfigError(f"invalid config value: {e}") from e
+    rc.metric_kind = rc.metric_kind.strip().lower()
     _validate(rc)
     return rc
 
@@ -154,6 +149,8 @@ def _validate(rc):
         raise ConfigError("need 0 < rho_min < rho_max")
     if rc.rho_samples < 2 or rc.zeta_samples < 1:
         raise ConfigError("rho_samples >= 2 and zeta_samples >= 1 required")
+    if rc.theta_nodes < 1 or rc.phi_nodes < 1:
+        raise ConfigError("theta_nodes >= 1 and phi_nodes >= 1 required")
     try:
         rc.model()
     except ValueError as e:
@@ -252,42 +249,38 @@ def _fan_directions(rc):
         thetas = np.arccos(xs)[::-1]
     else:
         thetas = np.array([np.pi / 2.0])
-    phis = 2.0 * np.pi * np.arange(max(rc.phi_nodes, 1)) / max(rc.phi_nodes, 1)
+    phis = 2.0 * np.pi * np.arange(rc.phi_nodes) / rc.phi_nodes
     return zg, thetas, phis
 
 
 def cmd_foliate(rc, out, config_path):
     model = rc.model()
-    origin = rc.origin()
     rho_grid = np.linspace(rc.rho_min, rc.rho_max, rc.rho_samples)
     zg, thetas, phis = _fan_directions(rc)
+    params = [(z, th, ph) for z in zg for th in thetas for ph in phis]
+    recs = integrate_rays(model, rc.origin(),
+                          [direction_from_angles(*p) for p in params],
+                          rho_grid, ode_tol=rc.rel_tol, with_jacobi=True,
+                          with_k=True)
     rows = []
     res_rows = []
-    for z in zg:
-        for th in thetas:
-            for ph in phis:
-                rec = exp_map(model, origin, direction_from_angles(z, th, ph),
-                              rho_grid, ode_tol=rc.rel_tol, with_jacobi=True,
-                              with_k=True)
-                for rho in rec.rho:
-                    sc = leaf_scalars(model, rec, float(rho))
-                    status = "ok"
-                    khat_nn = khat_na = np.nan
-                    try:
-                        k = second_fundamental_at(model, rec, float(rho))
-                        khat_nn = k.khat[0, 0]
-                        khat_na = float(np.max(np.abs(k.khat[0, 1:])))
-                    except CentralLineDegenerate:
-                        status = "central-line-degenerate"
-                    st = rec.state_at(float(rho))
-                    r = float(np.linalg.norm(st["x"][1:]))
-                    rows.append([rho, z, sc.t, r, sc.tau, sc.b, sc.rtilde,
-                                 sc.u, sc.ubar, st["q0"], khat_nn, khat_na,
-                                 status])
-                tab = structure_residuals(model, rec, transverse=False)
-                for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu"):
-                    res_rows.append([z, th, ph, key, tab[key],
-                                     tab[key + "_scale"], "ok"])
+    for (z, th, ph), rec in zip(params, recs):
+        lf = leaf_frames(model, [rec], rec.rho)
+        sc, x, q0 = lf.scalars, lf.st["x"], lf.st["q0"]
+        for i, rho in enumerate(rec.rho):
+            status = "central-line-degenerate"
+            khat_nn = khat_na = np.nan
+            if not lf.degenerate[i]:
+                status = "ok"
+                khat_nn = lf.k.khat[i, 0, 0]
+                khat_na = float(np.max(np.abs(lf.k.khat[i, 0, 1:])))
+            rows.append([rho, z, sc.t[i], float(np.linalg.norm(x[i, 1:])),
+                         sc.tau[i], sc.b[i], sc.rtilde[i], sc.u[i], sc.ubar[i],
+                         q0[i], khat_nn, khat_na, status])
+        tab = structure_residuals(model, rec, transverse=False)
+        for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu"):
+            res_rows.append([z, th, ph, key, tab[key],
+                             tab[key + "_scale"], "ok"])
     write_csv(out / "foliate.csv",
               ["rho", "zeta", "t", "r", "tau", "b", "rtilde", "u", "ubar",
                "trk_minus_3_over_rho", "khat_nn", "khat_na_max", "status"],
@@ -302,7 +295,7 @@ def cmd_foliate(rc, out, config_path):
 
 def cmd_weyl_check(rc, out, config_path):
     model = rc.model()
-    M = model.mass if model.kind != "minkowski" else 0.0
+    M = model.mass
     radii = [3.0, 5.0, 10.0]
     rows = []
     id_rows = []
@@ -312,8 +305,7 @@ def cmd_weyl_check(rc, out, config_path):
         status = "ok"
         if model.kind == "glued" and r < model.r_out:
             status = "inside-blend"
-        jet = curvature_at(model if model.kind != "minkowski"
-                           else MetricModel.minkowski(), x)
+        jet = curvature_at(model, x)
         tet = hat_tetrad(jet)
         dec = null_decompose(jet, tet)
         rows.append([r, cf["varrho_hat_n4"], cf["K_sphere"], cf["trchi_s"],
@@ -346,14 +338,14 @@ def cmd_zs_compare(rc, out, config_path):
     origin = rc.origin()
     rho_grid = np.linspace(rc.rho_min, rc.rho_max, rc.rho_samples)
     zg, _, _ = _fan_directions(rc)
-    rows = []
-    for z in zg:
-        rec = exp_map(model, origin, Direction(z, (1.0, 0.0, 0.0)), rho_grid,
-                      ode_tol=rc.rel_tol, with_jacobi=True, with_k=True)
-        for row in radial_comparison_series(model, rec):
-            rows.append([row.rho, row.t, row.r, row.n, row.varpi,
-                         row.n_minus_varpi, row.u, row.uhat, row.u_minus_uhat,
-                         row.rt_over_r_minus_ninv, row.status])
+    recs = integrate_rays(model, origin,
+                          [Direction(z, (1.0, 0.0, 0.0)) for z in zg],
+                          rho_grid, ode_tol=rc.rel_tol, with_jacobi=True,
+                          with_k=True)
+    rows = [[row.rho, row.t, row.r, row.n, row.varpi, row.n_minus_varpi,
+             row.u, row.uhat, row.u_minus_uhat, row.rt_over_r_minus_ninv,
+             row.status]
+            for rec in recs for row in radial_comparison_series(model, rec)]
     write_csv(out / "compare.csv",
               ["rho", "t", "r", "n", "varpi", "n_minus_varpi", "u", "uhat",
                "u_minus_uhat", "rt_over_r_minus_ninv", "status"], rows)

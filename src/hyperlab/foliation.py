@@ -16,12 +16,20 @@ and the frame identities
     Nbar = (rtilde/rho) T + (b^{-1}t/rho) N,
     L = T + N,  Lb = T - N,   2 rho B = ubar L + u Lb.
 
+One evaluator, leaf_frames, builds all of this at n points (several records
+at several rho) from one level-0 metric jet: the leaf scalars, the frame set
+with the radial overlap varpi = N(r), and k in the leaf basis.  Its batching
+rule is elementwise per point: arithmetic that is elementwise runs over all
+points at once, and the contractions (the sphere-pair Gram-Schmidt, the
+radial overlap and k in the leaf basis) run one point at a time, so every
+point's result is bit-identical to that point evaluated alone.
+
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
 is <D_T T, X> = X(log n).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +41,7 @@ from .metric import (_optical_mass_terms, _orthonormalize, _zs_floor,
                      curvature_at, lapse_gradient, metric_at)
 
 FRAME_FLOOR = 1e-6
+_FAN_DELTA = 5e-3           # parameter spacing of the transverse mini-fan
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
 _SIDES5 = tuple((s, _STENCIL5[s + 2]) for s in (-2, -1, 1, 2))
 
@@ -61,6 +70,9 @@ class FrameSet:
     eA: np.ndarray          # (2, 4)
     g: np.ndarray           # metric at the point, for downstream contractions
     x: np.ndarray
+    r: float = None         # radial overlap: r, varpi = N(r), snr_A = e_A(r)
+    varpi: float = None
+    snr: np.ndarray = None  # (2,)
 
 
 @dataclass
@@ -73,107 +85,143 @@ class SecondFundamental:
     k_ab: np.ndarray        # (2,2)
 
 
-def _time_of(rec, x):
-    return x[..., 0] - rec.origin[0]
+def _pick(batch, i):
+    """Point i of a dataclass whose fields carry a leading point axis."""
+    return type(batch)(*(getattr(batch, f.name)[i] for f in fields(batch)))
+
+
+def _stack(points):
+    """The inverse of _pick: one dataclass with a leading point axis."""
+    cols = zip(*([getattr(p, f.name) for f in fields(p)] for p in points))
+    return type(points[0])(*map(np.stack, cols))
+
+
+@dataclass
+class LeafFrames:
+    """leaf_frames at n points; every array has a leading axis of length n."""
+    st: dict                    # the states, keys as GeodesicRecord.state_at
+    binv: np.ndarray            # b^{-1}
+    scalars: LeafScalars
+    frames: FrameSet            # eA and the radial overlap zero where degenerate
+    degenerate: np.ndarray      # rtilde < FRAME_FLOOR: no frame there
+    k: SecondFundamental = None     # when the records carry k
+
+    def state(self, i):
+        """The state at point i, keys as GeodesicRecord.state_at."""
+        return {key: None if v is None else v[i] for key, v in self.st.items()}
+
+    def point(self, i):
+        """(LeafScalars, FrameSet, SecondFundamental or None) at point i."""
+        return (_pick(self.scalars, i), _pick(self.frames, i),
+                None if self.k is None else _pick(self.k, i))
+
+    def require_frames(self):
+        """Raise CentralLineDegenerate unless every point has a frame."""
+        if np.any(self.degenerate):
+            raise CentralLineDegenerate(
+                f"rtilde={np.min(self.scalars.rtilde):.3g} below frame floor "
+                f"{FRAME_FLOOR:.3g}")
+        return self
+
+
+def _sphere_pair(g, fixed):
+    """g-orthonormal pair orthogonal to the unit vectors fixed: the spatial
+    coordinate axes least aligned with fixed[-1], orthogonalized."""
+    cands = np.eye(4)[1:]
+    cands = cands[np.argsort([abs(c @ g @ fixed[-1]) for c in cands])]
+    return _orthonormalize(g, fixed, cands, 2)
+
+
+def leaf_frames(model, recs, rhos):
+    """Leaf scalars, frames, radial overlap and (when the records carry k) k
+    in the leaf basis of every record of recs at every rho of rhos, record
+    by record, from one level-0 metric jet.
+
+    Points with rtilde below FRAME_FLOOR are flagged in `degenerate`; their
+    scalars are valid, their frames are not built.
+    """
+    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
+    sts = [rec.state_at(rhos) for rec in recs]
+    st = {key: None if sts[0][key] is None
+          else np.concatenate([s[key] for s in sts]) for key in sts[0]}
+    rho = np.tile(rhos, len(recs))
+    of_rec = np.repeat(np.arange(len(recs)), len(rhos))   # record of each point
+    x, B = st["x"], st["b"]
+    t = x[:, 0] - np.array([rec.origin[0] for rec in recs])[of_rec]
+    if np.any(t <= 0):
+        raise OutOfRange("leaf scalars need t > 0 past the origin")
+    jet = metric_at(model, x, level=0)
+    n = jet.lapse
+    binv = rho * n * B[:, 0] / t        # -(rho/t)<B,T>, <B,T> = -n B^t
+    bt = binv * t
+    rtilde = np.sqrt(np.maximum(bt * bt - rho * rho, 0.0))
+    b = 1.0 / binv
+    with np.errstate(divide="ignore"):
+        a = rho / rtilde
+    v0 = np.array([rec.direction.hyperboloid_point()[0] for rec in recs])
+    sc = LeafScalars(rho=rho, t=t, tau=rho * v0[of_rec], b=b, n=n,
+                     rtilde=rtilde, u=bt - rtilde, ubar=bt + rtilde, a=a)
+
+    degenerate = rtilde < FRAME_FLOOR
+    T = np.zeros_like(x)
+    T[:, 0] = 1.0 / n
+    tb = (t / b)[:, None]
+    N = (rho[:, None] * B - tb * T) / np.maximum(rtilde, FRAME_FLOOR)[:, None]
+    Nbar = (rtilde[:, None] * T + tb * N) / rho[:, None]
+    eA = np.zeros((len(x), 2, 4))
+    r, varpi, snr = np.zeros(len(x)), np.zeros(len(x)), np.zeros((len(x), 2))
+    for i in np.flatnonzero(~degenerate):
+        eA[i] = _sphere_pair(jet.g[i], [T[i], N[i]])
+        r[i] = np.linalg.norm(x[i, 1:])
+        rad = x[i, 1:] / r[i]
+        varpi[i] = N[i, 1:] @ rad
+        snr[i] = eA[i, :, 1:] @ rad
+    lf = LeafFrames(st=st, binv=binv, scalars=sc, degenerate=degenerate,
+                    frames=FrameSet(T=T, N=N, Nbar=Nbar, B=B, L=T + N,
+                                    Lb=T - N, eA=eA, g=jet.g, x=x, r=r,
+                                    varpi=varpi, snr=snr))
+    if st["q0"] is not None:
+        lf.k = _stack([_second_fundamental(lf.point(i)[1], lf.state(i), rho[i])
+                       for i in range(len(rho))])
+    return lf
+
+
+def _second_fundamental(frames, st, rho):
+    """Transported k at one state in the orthonormal leaf basis {Nbar, eA}."""
+    trk = 3.0 / rho + st["q0"]
+    leaf = np.stack([frames.Nbar, frames.eA[0], frames.eA[1]])
+    C = np.einsum('ai,ij,bj->ab', leaf, frames.g, st["triad"])   # <f_a, E_b>
+    k_leaf = C @ _k_triad(st["q0"], st["khat"], rho) @ C.T
+    k_leaf = 0.5 * (k_leaf + k_leaf.T)
+    return SecondFundamental(k=k_leaf, trk=trk,
+                             khat=k_leaf - (trk / 3.0) * np.eye(3),
+                             k_nn=k_leaf[0, 0], k_na=k_leaf[0, 1:],
+                             k_ab=k_leaf[1:, 1:])
 
 
 def leaf_scalars(model, rec, rho):
     """Leaf scalars of the record at proper time rho (scalar)."""
-    st = rec.state_at(float(rho))
-    return _leaf_scalars_from_state(model, rec, float(rho), st)
+    return leaf_frames(model, [rec], rho).point(0)[0]
 
 
-def _leaf_scalar_arrays(rec, rho, x, B, n):
-    """Leaf scalars t, b^{-1}, b^{-1}t, rtilde, tau, u, ubar along the record,
-    vectorised over rho (x, B: states at rho; n: the lapse there)."""
-    t = _time_of(rec, x)
-    binv = rho * n * B[..., 0] / t      # -(rho/t)<B,T>, <B,T> = -n B^t
-    bt = binv * t
-    rtilde = np.sqrt(np.maximum(bt * bt - rho * rho, 0.0))
-    tau = rho * rec.direction.hyperboloid_point()[0]
-    return {"t": t, "binv": binv, "bt": bt, "rtilde": rtilde, "tau": tau,
-            "u": bt - rtilde, "ubar": bt + rtilde}
-
-
-def _leaf_scalars_from_state(model, rec, rho, st, n=None):
-    """LeafScalars at one state; n: the lapse at st["x"], if already known."""
-    x = st["x"]
-    if _time_of(rec, x) <= 0:
-        raise OutOfRange("leaf scalars need t > 0 past the origin")
-    if n is None:
-        n = float(metric_at(model, x, level=0).lapse)
-    s = _leaf_scalar_arrays(rec, rho, x, st["b"], n)
-    rtilde = float(s["rtilde"])
-    return LeafScalars(rho=rho, t=float(s["t"]), tau=float(s["tau"]),
-                       b=float(1.0 / s["binv"]), n=n, rtilde=rtilde,
-                       u=float(s["u"]), ubar=float(s["ubar"]),
-                       a=float(rho / rtilde) if rtilde > 0 else np.inf)
-
-
-def frames_at(model, rec, rho, frame_floor=FRAME_FLOOR):
-    """Intrinsic frame set {T, N, Nbar, B, L, Lb, eA} at rho along the record."""
-    st = rec.state_at(float(rho))
-    return _frames_from_state(model, rec, float(rho), st, frame_floor)[0]
-
-
-def _frames_from_state(model, rec, rho, st, frame_floor=FRAME_FLOOR):
-    """(FrameSet, LeafScalars) at one state, from one level-0 metric jet."""
-    x, B = st["x"], st["b"]
-    jet = metric_at(model, x, level=0)
-    sc = _leaf_scalars_from_state(model, rec, rho, st, float(jet.lapse))
-    if sc.rtilde < frame_floor:
-        raise CentralLineDegenerate(
-            f"rtilde={sc.rtilde:.3g} below frame floor {frame_floor:.3g}")
-    g = jet.g
-    T = np.zeros(4)
-    T[0] = 1.0 / sc.n
-    bt = sc.t / sc.b
-    N = (rho * B - bt * T) / sc.rtilde
-    Nbar = (sc.rtilde * T + bt * N) / rho
-    # orthonormal pair tangent to the leaf: the spatial axes least aligned
-    # with N, orthogonalized against {T, N}
-    cands = np.eye(4)[1:]
-    cands = cands[np.argsort([abs(c @ g @ N) for c in cands])]
-    eA = _orthonormalize(g, [T, N], cands, 2)
-    return FrameSet(T=T, N=N, Nbar=Nbar, B=B.copy(), L=T + N, Lb=T - N,
-                    eA=eA, g=g, x=x.copy()), sc
-
-
-def _radial_overlap(frames):
-    """r, the radial unit 3-vector, varpi = N(r) and the angular gradient
-    snr_A = e_A(r) at a frame point (Euclidean components)."""
-    r = float(np.linalg.norm(frames.x[1:]))
-    rad = frames.x[1:] / r
-    return r, rad, float(frames.N[1:] @ rad), frames.eA[:, 1:] @ rad
+def frames_at(model, rec, rho):
+    """Intrinsic frame set {T, N, Nbar, B, L, Lb, eA} at rho along the record,
+    with the radial overlap r, varpi = N(r) and snr_A = e_A(r)."""
+    return leaf_frames(model, [rec], rho).require_frames().point(0)[1]
 
 
 def second_fundamental_at(model, rec, rho, frames=None):
     """Transported k expressed in the orthonormal leaf basis {Nbar, eA}."""
     if not rec.has_k:
         raise MissingK("record has no transported second fundamental form")
-    st = rec.state_at(float(rho))
     if frames is None:
-        frames = _frames_from_state(model, rec, float(rho), st)[0]
-    return _second_fundamental_from_state(rec, float(rho), st, frames)
+        return leaf_frames(model, [rec], rho).require_frames().point(0)[2]
+    return _second_fundamental(frames, rec.state_at(float(rho)), float(rho))
 
 
 def _k_triad(q0, khat, rho):
     """k in the parallel triad, khat + (1/rho + q0/3) I, batched."""
     return khat + np.asarray(1.0 / rho + q0 / 3.0)[..., None, None] * np.eye(3)
-
-
-def _second_fundamental_from_state(rec, rho, st, frames):
-    trk = 3.0 / rho + st["q0"]
-    k_triad = _k_triad(st["q0"], st["khat"], rho)
-    leaf = np.stack([frames.Nbar, frames.eA[0], frames.eA[1]])
-    C = np.einsum('ai,ij,bj->ab', leaf, frames.g, st["triad"])   # <f_a, E_b>
-    k_leaf = C @ k_triad @ C.T
-    k_leaf = 0.5 * (k_leaf + k_leaf.T)
-    khat_leaf = k_leaf - (trk / 3.0) * np.eye(3)
-    return SecondFundamental(k=k_leaf, trk=float(trk), khat=khat_leaf,
-                             k_nn=float(k_leaf[0, 0]),
-                             k_na=k_leaf[0, 1:].copy(),
-                             k_ab=k_leaf[1:, 1:].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +459,14 @@ def leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=1e-11, level="t",
 
 def _slice_of_records(model, t, rho, omega_nodes, recs, level, target):
     """The slice through the solved records of solve_level_nodes."""
+    lf = leaf_frames(model, recs, rho).require_frames()
+    grad = _level_gradient(model, lf.st["x"], level)
     nodes = []
     area = 0.0
-    for (th, ph, w), rec in zip(omega_nodes, recs):
-        st = rec.state_at(rho)
-        frames, sc = _frames_from_state(model, rec, rho, st)
-        k = _second_fundamental_from_state(rec, rho, st, frames)
-        p = param_tangents(rec, st)              # rows: d x/d(zeta,theta,phi)
-        gradF = _level_gradient(model, st["x"], level)
-        dzeta = -(p[1:] @ gradF) / (p[0] @ gradF)
+    for i, ((th, ph, w), rec) in enumerate(zip(omega_nodes, recs)):
+        sc, frames, k = lf.point(i)
+        p = param_tangents(rec, lf.state(i))     # rows: d x/d(zeta,theta,phi)
+        dzeta = -(p[1:] @ grad[i]) / (p[0] @ grad[i])
         tang = p[1:] + dzeta[:, None] * p[0]     # (2,4) tangent to the slice
         gam2 = np.einsum('ai,ij,bj->ab', tang, frames.g, tang)
         dens = np.sqrt(max(np.linalg.det(gam2), 0.0))
@@ -427,7 +474,7 @@ def _slice_of_records(model, t, rho, omega_nodes, recs, level, target):
         area += dmu
         nodes.append(LeafNode(direction=rec.direction, record=rec,
                               weight=float(dmu), solid_weight=w, scalars=sc,
-                              frames=frames, k=k, x=st["x"].copy()))
+                              frames=frames, k=k, x=frames.x))
     return LeafSlice(t=float(t), rho=float(rho), nodes=nodes, area=float(area),
                      area_radius=float(np.sqrt(area / (4.0 * np.pi))),
                      level=level, target=target, model=model)
@@ -652,17 +699,6 @@ def deformation_boost(model, fan, rho, probe=None):
 # ---------------------------------------------------------------------------
 # structure-equation residual table along one record
 
-def _ray_scalars(model, rec, rhos):
-    """Scalars along the ray at an array of rhos (vectorized)."""
-    st = rec.state_at(rhos)
-    x, B = st["x"], st["b"]
-    n, gradn = lapse_gradient(model, x)
-    out = _leaf_scalar_arrays(rec, rhos, x, B, n)
-    out.update(n=n, Bn=np.einsum('na,na->n', B, gradn),   # B(n), analytic
-               x=x, B=B, q0=st["q0"], khat=st["khat"], triad=st["triad"])
-    return out
-
-
 def _rho_cluster(rhos, h):
     """5-point clusters rho + (-2..2) h around each probe rho.
 
@@ -683,8 +719,7 @@ def _rho_cluster(rhos, h):
     return cl, center, ddr
 
 
-def structure_residuals(model, rec, probe_rhos=None, h=None,
-                        transverse=True, fan_delta=5e-3):
+def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     """Residual table of the per-ray structure equations.
 
     Keys: Bb1, ctt, s1, eq_3_14_1, s1_1, Bu and (with transverse=True,
@@ -701,54 +736,54 @@ def structure_residuals(model, rec, probe_rhos=None, h=None,
                 & (rhos < rec.rho_reached * 0.999)]
     if len(rhos) == 0:
         raise OutOfRange("no admissible probe rhos")
-    if h is None:
-        h = min(6e-3, 0.03 * float(rhos.min()))
+    h = min(6e-3, 0.03 * float(rhos.min()))
 
     cl, center, ddr = _rho_cluster(rhos, h)
-    S = _ray_scalars(model, rec, cl)
+    lf = leaf_frames(model, [rec], cl).require_frames()
+    S, st = lf.scalars, lf.st
+    _, gradn_all = lapse_gradient(model, st["x"])
 
-    t, n = center(S["t"]), center(S["n"])
-    binv, bt = center(S["binv"]), center(S["bt"])
-    rtilde, tau, u = center(S["rtilde"]), center(S["tau"]), center(S["u"])
-    q0 = center(S["q0"])
-    khat = center(S["khat"])
-    x, B = center(S["x"]), center(S["B"])
-    Bn = center(S["Bn"])
+    t, n, binv = center(S.t), center(S.n), center(lf.binv)
+    bt = binv * t
+    rtilde, u = center(S.rtilde), center(S.u)
+    q0 = center(st["q0"])
+    khat = center(st["khat"])
+    B = center(st["b"])
+    Bn = center(np.einsum('na,na->n', st["b"], gradn_all))   # B(n), analytic
     trk = 3.0 / rhos + q0
 
     # pointwise curvature along the probe points (independent of transport)
-    jet = curvature_at(model, x)
+    jet = curvature_at(model, center(st["x"]))
     ric_bb = np.einsum('nab,na,nb->n', jet.ricci, B, B)
-    E = center(S["triad"])
+    E = center(st["triad"])
     tidal = np.einsum('nabcd,na,nib,nc,njd->nij', jet.riemann, B, E, B, E)
     rhat = tidal - (np.einsum('nii->n', tidal)[:, None, None] / 3.0) * np.eye(3)
 
-    _, gradn = lapse_gradient(model, x)
-    Nvec = (rhos[:, None] * B - bt[:, None] * _tvec(n)) / rtilde[:, None]
-    N_log_n = np.einsum('na,na->n', Nvec, gradn) / n
+    gradn = center(gradn_all)
+    N_log_n = np.einsum('na,na->n', center(lf.frames.N), gradn) / n
 
     res = {}
 
-    d_nb = ddr(S["n"] - S["binv"])
+    d_nb = ddr(S.n - lf.binv)
     lhs = d_nb + (binv / (n * rhos)) * (n - binv)
     rhs = (rtilde * binv / rhos) * N_log_n + Bn
     res["Bb1"] = (lhs - rhs, np.abs(rhs) + np.abs(d_nb))
 
-    d_ctt = ddr(np.log(S["t"] / S["tau"]))
+    d_ctt = ddr(np.log(S.t / S.tau))
     res["ctt"] = (d_ctt - (binv / n - 1.0) / rhos,
                   np.abs(d_ctt) + 1.0 / rhos)
 
     kh_sq = np.einsum('nij,nij->n', khat, khat)
-    d_trk = ddr(3.0 / cl + S["q0"])
+    d_trk = ddr(3.0 / cl + st["q0"])
     res["s1"] = (d_trk + trk ** 2 / 3.0 + ric_bb + kh_sq,
                  np.abs(d_trk) + trk ** 2 / 3.0)
 
-    d_q0 = ddr(S["q0"])
+    d_q0 = ddr(st["q0"])
     res["eq_3_14_1"] = (d_q0 + 2.0 * q0 / rhos + q0 ** 2 / 3.0 + ric_bb + kh_sq,
                         np.abs(d_q0) + np.abs(ric_bb) + 2.0 * np.abs(q0) / rhos
-                        + 1.0 / rhos ** 2 * 0 + 1e-14)
+                        + 1e-14)
 
-    d_kh = ddr(S["khat"])
+    d_kh = ddr(st["khat"])
     kh2 = np.einsum('nij,njk->nik', khat, khat)
     s11 = (d_kh + (2.0 / 3.0) * trk[:, None, None] * khat + rhat
            + kh2 - (kh_sq[:, None, None] / 3.0) * np.eye(3))
@@ -756,7 +791,7 @@ def structure_residuals(model, rec, probe_rhos=None, h=None,
                    np.max(np.abs(rhat), axis=(1, 2))
                    + (2.0 / 3.0) * trk * np.max(np.abs(khat), axis=(1, 2)) + 1e-14)
 
-    d_u = ddr(S["u"])
+    d_u = ddr(S.u)
     rhs_bu = u / rhos + (bt * u / rhos) * N_log_n
     res["Bu"] = (d_u - rhs_bu, np.abs(d_u) + np.abs(rhs_bu))
 
@@ -766,66 +801,52 @@ def structure_residuals(model, rec, probe_rhos=None, h=None,
         table[key + "_scale"] = float(np.max(np.abs(scale)) + 1e-300)
 
     # zbar diagnostic: zbar_A = -(b^{-1} t / rtilde) e_A(log n)
-    zb = []
-    for i, r in enumerate(rhos):
-        fr = frames_at(model, rec, float(r))
-        ealogn = np.einsum('Aa,a->A', fr.eA, gradn[i]) / n[i]
-        zb.append(np.max(np.abs(-(bt[i] / rtilde[i]) * ealogn)))
-    table["zbar_max"] = float(np.max(zb))
+    ealogn = np.einsum('nAa,na->nA', center(lf.frames.eA), gradn) / n[:, None]
+    table["zbar_max"] = float(np.max(np.abs((bt / rtilde)[:, None] * ealogn)))
 
     if transverse:
-        tb = _transverse_residuals(model, rec, rhos, h, fan_delta,
+        tb = _transverse_residuals(model, rec, rhos, lf,
                                    dict(t=t, bt=bt, u=u, rtilde=rtilde,
                                         q0=q0, khat=khat, N_log_n=N_log_n,
-                                        d_u=d_u, d_binv=ddr(S["binv"])))
+                                        d_u=d_u, d_binv=ddr(lf.binv)))
         table.update(tb)
     return table
 
 
-def _tvec(n):
-    T = np.zeros(np.shape(n) + (4,))
-    T[..., 0] = 1.0 / n
-    return T
-
-
-def _transverse_residuals(model, rec, rhos, h, delta, C):
-    """T(u) and N(b^-1) identities, using a mini-fan for leaf gradients."""
+def _transverse_residuals(model, rec, rhos, lf, C):
+    """T(u) and N(b^-1) identities, using a mini-fan for leaf gradients; lf
+    holds the record at the 5-point rho clusters around the probe rhos."""
     d = rec.direction
     params = np.array([d.zeta, *d.angles()])
     # the mini-fan: stencil neighbours of the parameter index (0, 0, 0)
     shifts = [tuple(s if b == a else 0 for b in range(3))
               for a in range(3) for s, _ in _SIDES5]
-    dirs = [direction_from_angles(*(params + delta * np.array(j)))
+    dirs = [direction_from_angles(*(params + _FAN_DELTA * np.array(j)))
             for j in shifts]
     recs = integrate_rays(model, rec.origin, dirs, [float(rhos.max())],
                           ode_tol=rec.ode_tol, with_jacobi=False, with_k=True)
-    near = dict(zip(shifts, recs))
+    sc = leaf_frames(model, recs, rhos).scalars
+    near = dict(zip(shifts, zip(sc.u.reshape(len(recs), -1),
+                                (1.0 / sc.b).reshape(len(recs), -1))))
+    du_p, dbinv_p = _fan_partials(near.get, (0, 0, 0), [_FAN_DELTA] * 3)
 
     out_tu = []
     out_nb = []
+    mid = 2 * len(rhos)                 # the probe rhos within the clusters
     for i, r in enumerate(rhos):
-        st0 = rec.state_at(float(r))
-        fr = _frames_from_state(model, rec, float(r), st0)[0]
+        fr = lf.point(mid + i)[1]
+        st0 = lf.state(mid + i)
         p_t = param_tangents(rec, st0)           # (3 params, 4)
         gram = np.einsum('ai,ij,bj->ab', p_t, fr.g, p_t)
         # leaf gradient coefficients of Nbar: Nbar = sum beta_a p_a
         rhsv = np.einsum('ai,ij,j->a', p_t, fr.g, fr.Nbar)
         beta = np.linalg.solve(gram, rhsv)
-
-        def u_and_binv(j):
-            rr = near[j]
-            sc = _leaf_scalars_from_state(model, rr, float(r),
-                                          rr.state_at(float(r)))
-            return sc.u, 1.0 / sc.b
-
-        du_p, dbinv_p = _fan_partials(u_and_binv, (0, 0, 0), [delta] * 3)
-        Nbar_u = beta @ du_p
-        Nbar_binv = beta @ dbinv_p
+        Nbar_u = beta @ du_p[:, i]
+        Nbar_binv = beta @ dbinv_p[:, i]
         bt, rt = C["bt"][i], C["rtilde"][i]
         Tu = (bt / r) * C["d_u"][i] - (rt / r) * Nbar_u
         kcheck = C["khat"][i]
-        E = rec.state_at(float(r))["triad"]
-        leafN = np.einsum('a,ab,ib->i', fr.Nbar, fr.g, E)
+        leafN = np.einsum('a,ab,ib->i', fr.Nbar, fr.g, st0["triad"])
         kh_nn = leafN @ kcheck @ leafN
         ck_nn = kh_nn + C["q0"][i] / 3.0          # khat_NN + q0/3 = k_NN - 1/rho
         rhs_tu = 1.0 + C["u"][i] * ((rt / r) * ck_nn + C["N_log_n"][i])

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadFrame, BadTetrad, Horizon, OutsideZs
-from .foliation import _radial_overlap, frames_at
-from .metric import _optical_mass_terms, _orthonormalize, curvature_at
+from .foliation import _sphere_pair, frames_at
+from .metric import _optical_mass_terms, curvature_at
 
 TETRAD_TOL = 1e-9
 
@@ -183,9 +183,7 @@ def hat_tetrad(jet):
     # against the g-unit radial vector
     g = jet.g
     radu = rad / np.sqrt(rad @ g @ rad)
-    cands = np.eye(4)[1:]
-    cands = cands[np.argsort([abs(c @ g @ radu) for c in cands])]
-    eA = _orthonormalize(g, [radu], cands, 2)
+    eA = _sphere_pair(g, [radu])
     return NullTetrad(e4=Lhat / n, e3=Lbhat / n, eA=eA)
 
 
@@ -194,7 +192,7 @@ def intrinsic_tetrad(frames):
     return NullTetrad(e4=frames.L, e3=frames.Lb, eA=frames.eA)
 
 
-def varrho_consistency(model, rec, rho, r_out_margin=0.0):
+def varrho_consistency(model, rec, rho):
     """Two computation paths for varrho in the exterior zone, plus betab.
 
     Direct: null decomposition of the pointwise Weyl tensor in the intrinsic
@@ -202,8 +200,8 @@ def varrho_consistency(model, rec, rho, r_out_margin=0.0):
     betab_A = -(3/2) n^-6 varpi varrho_hat e_A(r).
     """
     frames = frames_at(model, rec, rho)
-    r, _, varpi, snr = _radial_overlap(frames)
-    if model.kind != "schwarzschild" and r < model.r_out + r_out_margin:
+    r, varpi, snr = frames.r, frames.varpi, frames.snr
+    if model.kind != "schwarzschild" and r < model.r_out:
         raise OutsideZs(f"r={r:.6g} below the exterior zone r_out={model.r_out:.6g}")
     jet = curvature_at(model, frames.x)
     dec = null_decompose(jet, intrinsic_tetrad(frames))

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Horizon, OutsideZs, SphereExitsZone
-from .foliation import (_frames_from_state, _k_triad, _leaf_scalar_arrays,
-                        _leaf_scalars_from_state, _radial_overlap, _rho_cluster,
-                        frames_at, leaf_slice)
-from .metric import (MetricModel, _optical_mass_terms, _orthonormalize,
-                     _zs_floor, curvature_at, lapse_gradient, metric_at)
+from .foliation import (_k_triad, _rho_cluster, _sphere_pair, frames_at,
+                        leaf_frames, leaf_slice)
+from .metric import (MetricModel, _optical_mass_terms, _zs_floor, curvature_at,
+                     metric_at)
 from .nullgeom import gauss_residual
 
 
@@ -76,80 +75,64 @@ def schw_optical(M, t, r):
     return {"uhat": float(uhat), "Lhat": Lhat, "eikonal": eik}
 
 
+def _sigma_n(fr):
+    """Sigma N = N - varpi d_r, the part of N tangent to the coordinate
+    sphere, from a frame set with its radial overlap."""
+    sigma_n = np.zeros(4)
+    sigma_n[1:] = fr.N[1:] - fr.varpi * (fr.x[1:] / fr.r)
+    return sigma_n
+
+
 def varpi_at(model, rec, rho):
     """Radial overlap varpi = N(r) with the Euclidean-component split
     N = Sigma N + varpi d_r; snr holds the angular gradient e_A(r)."""
     fr = frames_at(model, rec, rho)
-    r, rad, varpi, snr = _radial_overlap(fr)
-    sigma_n = np.zeros(4)
-    sigma_n[1:] = fr.N[1:] - varpi * rad
-    return {"varpi": varpi, "SigmaN": sigma_n, "snr": snr, "frames": fr, "r": r}
+    return {"varpi": fr.varpi, "SigmaN": _sigma_n(fr), "snr": fr.snr,
+            "frames": fr, "r": fr.r}
 
 
-def radial_comparison_series(model, rec, margin=0.0):
+def radial_comparison_series(model, rec):
     """ComparisonRow list over the record samples with r in the exterior zone."""
-    floor = _zs_floor(model, margin)
+    lf = leaf_frames(model, [rec], rec.rho)
+    inside = lf.frames.r >= max(_zs_floor(model), 1e-6)
     rows = []
-    for rho in rec.rho:
-        st = rec.state_at(float(rho))
-        r = float(np.linalg.norm(st["x"][1:]))
-        if r < max(floor, 1e-6):
-            continue
-        sc = _leaf_scalars_from_state(model, rec, float(rho), st)
-        if sc.rtilde < 1e-6:
-            continue
-        vp = varpi_at(model, rec, float(rho))
-        opt = schw_optical(model.mass if model.kind != "minkowski" else 0.0,
-                           sc.t, r)
+    for i in np.flatnonzero(inside & ~lf.degenerate):
+        sc, fr, _ = lf.point(i)
+        opt = schw_optical(model.mass, sc.t, fr.r)
         rows.append(ComparisonRow(
-            rho=float(rho), t=sc.t, r=r, n=sc.n, varpi=vp["varpi"],
-            n_minus_varpi=sc.n - vp["varpi"],
-            rt_over_r_minus_ninv=sc.rtilde / r - 1.0 / sc.n,
+            rho=sc.rho, t=sc.t, r=fr.r, n=sc.n, varpi=fr.varpi,
+            n_minus_varpi=sc.n - fr.varpi,
+            rt_over_r_minus_ninv=sc.rtilde / fr.r - 1.0 / sc.n,
             u=sc.u, uhat=opt["uhat"], u_minus_uhat=sc.u - opt["uhat"],
-            sigma_n_norm=float(np.linalg.norm(vp["SigmaN"])),
-            snr_norm=float(np.linalg.norm(vp["snr"]))))
+            sigma_n_norm=float(np.linalg.norm(_sigma_n(fr))),
+            snr_norm=float(np.linalg.norm(fr.snr))))
     return rows
 
 
-def transport_residuals_zs(model, rec, probe_rhos=None, h=None, margin=0.1):
+def transport_residuals_zs(model, rec, probe_rhos=None):
     """Residuals of the varpi and rtilde/r transport equations in the
     exterior zone, with the rho-derivative taken by a 5-point cluster on the
     dense solution and every other ingredient evaluated pointwise."""
-    floor = _zs_floor(model, margin)
+    floor = _zs_floor(model, 0.1)
     if probe_rhos is None:
         probe_rhos = rec.rho[1:-1]
-    rhos = []
-    for rho in np.atleast_1d(probe_rhos):
-        st = rec.state_at(float(rho))
-        if np.linalg.norm(st["x"][1:]) >= floor:
-            rhos.append(float(rho))
-    if not rhos:
+    rhos = np.atleast_1d(np.asarray(probe_rhos, dtype=float))
+    rhos = rhos[np.linalg.norm(rec.state_at(rhos)["x"][:, 1:], axis=1) >= floor]
+    if len(rhos) == 0:
         raise OutsideZs("no probe rhos inside the exterior zone")
-    rhos = np.asarray(rhos)
-    if h is None:
-        h = min(6e-3, 0.03 * rhos.min())
-    cl, center, ddr = _rho_cluster(rhos, h)
+    cl, center, ddr = _rho_cluster(rhos, min(6e-3, 0.03 * rhos.min()))
 
-    st = rec.state_at(cl)
-    x = st["x"]
-    r_all = np.linalg.norm(x[:, 1:], axis=1)
+    lf = leaf_frames(model, [rec], cl)
+    r_all = np.linalg.norm(lf.st["x"][:, 1:], axis=1)
     if np.any(r_all < floor):
         raise OutsideZs("cluster leaves the exterior zone")
-    n_all, _ = lapse_gradient(model, x)
-    sc = _leaf_scalar_arrays(rec, cl, x, st["b"], n_all)
-    rt_all = sc["rtilde"]
+    lf.require_frames()
+    n_all, rt_all, varpi_all = lf.scalars.n, lf.scalars.rtilde, lf.frames.varpi
 
     M = model.mass
-    # varpi along the cluster (frames per point)
-    varpi_all = np.empty_like(cl)
-    for i, rho in enumerate(cl):
-        stp = {k: (v[i] if v is not None else None) for k, v in st.items()}
-        varpi_all[i] = _radial_overlap(
-            _frames_from_state(model, rec, float(rho), stp)[0])[2]
-
     n, varpi = center(n_all), center(varpi_all)
     r = center(r_all)
-    bt, rt = center(sc["bt"]), center(rt_all)
+    bt, rt = center(lf.binv * lf.scalars.t), center(rt_all)
     R = r + 2.0 * M
 
     # radial-overlap transport.  The coefficient of (1 - varpi^2/n^2) is
@@ -186,9 +169,9 @@ def transport_residuals_zs(model, rec, probe_rhos=None, h=None, margin=0.1):
     }
 
 
-def _dag_frames(model, rec, rho, st, frames, sc):
+def _dag_frames(rho, st, frames, sc):
     """dag-lapse (two ways), dag normal and sphere pair at a cone-sphere node."""
-    _, rad, varpi, _ = _radial_overlap(frames)
+    rad, varpi = frames.x[1:] / frames.r, frames.varpi
     n = sc.n
     Ls = np.zeros(4)
     Ls[0] = 1.0 / n**2
@@ -201,10 +184,8 @@ def _dag_frames(model, rec, rho, st, frames, sc):
     dag_nb = dag_a * Ls - st["b"]
     dag_nb_t = dag_a / n**2 - (1.0 / (sc.b * n)) * sc.t / rho
     # orthonormal pair orthogonal to {B, dag_nb}
-    cands = np.eye(4)[1:]
     nbu = dag_nb / np.sqrt(dag_nb @ g @ dag_nb)
-    cands = cands[np.argsort([abs(c @ g @ nbu) for c in cands])]
-    eA = _orthonormalize(g, [st["b"], nbu], cands, 2)
+    eA = _sphere_pair(g, [st["b"], nbu])
     return dag_a, dag_a_def, nbu, eA, Ls, dag_nb_t, varpi
 
 
@@ -253,11 +234,10 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
     for node in sl.nodes:
         st = node.record.state_at(rho)
         sc, fr = node.scalars, node.frames
-        r = float(np.linalg.norm(st["x"][1:]))
+        r = fr.r
         if r < floor:
             raise SphereExitsZone(f"node at r={r:.4g} below r_out")
-        da, da_def, nbu, eA, Ls, nbt, varpi = _dag_frames(
-            model, node.record, rho, st, fr, sc)
+        da, da_def, nbu, eA, Ls, nbt, varpi = _dag_frames(rho, st, fr, sc)
         covLs, jet1 = _grad_ls(model, st["x"])
         # dag chi_AC = dag_a <cov_{eA} L^s, eC>;  dag chib = 2 k(eA, eC) - chi
         chi = da * np.einsum('Am,mn,ns,Cs->AC', eA, covLs, fr.g, eA)

@@ -123,3 +123,19 @@ def test_foliate_small(tmp_path):
     for row in res:
         fam = row.split(",")
         assert float(fam[4]) < 1e-8
+
+
+@pytest.mark.parametrize("text, word", [
+    ("[integrator]\nrel_tol = 1e-10\nabs_tol = 1e-10\n", "abs_tol"),
+    ("[foliaton]\nrho_min = 1.0\n", "foliaton"),
+    ("[foliation]\nphi_nodes = 0\n", "phi_nodes"),
+    ("[foliation]\ntheta_nodes = 0\n", "theta_nodes"),
+])
+def test_config_rejects_unknown_keys_and_empty_grids(tmp_path, capsys, text,
+                                                     word):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[metric]\nkind = minkowski\n" + text)
+    code = run_cli(["foliate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert word in capsys.readouterr().err
+    assert not (tmp_path / "foliate.csv").exists()

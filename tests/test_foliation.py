@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hyperlab import foliation
 from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
                              FanTooCoarse, MissingK, Unreachable)
 from hyperlab.foliation import (angular_grid, codazzi_residual,
-                                deformation_boost, frames_at, leaf_scalars,
-                                leaf_slice, second_fundamental_at,
+                                deformation_boost, frames_at, leaf_frames,
+                                leaf_scalars, leaf_slice, second_fundamental_at,
                                 second_fundamental_fd_oracle,
                                 slice_null_forms, solve_level_nodes,
                                 structure_residuals)
@@ -326,3 +328,42 @@ def test_slice_null_forms_requires_k():
     sl.nodes[0].k = None
     with pytest.raises(MissingK):
         slice_null_forms(MINK, sl)
+
+
+def _leaf_frame_arrays(lf):
+    """Every array a leaf_frames result carries, by name."""
+    out = {"binv": lf.binv, "degenerate": lf.degenerate}
+    out.update({"st." + key: v for key, v in lf.st.items() if v is not None})
+    for part in ("scalars", "frames", "k"):
+        obj = getattr(lf, part)
+        out.update({f"{part}.{f.name}": getattr(obj, f.name)
+                    for f in fields(obj)})
+    return out
+
+
+@pytest.mark.parametrize("case", ["one record, many rho",
+                                  "many records, one rho"])
+def test_leaf_frames_batch_independent(offset_record, probe_fan, case):
+    # each point of a batch is bit-identical to the point evaluated alone
+    if case == "one record, many rho":
+        recs, rhos = [offset_record], offset_record.rho
+    else:
+        recs, rhos = probe_fan.records[::7], [25.0]
+    batch = _leaf_frame_arrays(leaf_frames(GLUED, recs, rhos))
+    assert not batch["degenerate"].any()
+    for i, (rec, rho) in enumerate((rec, rho) for rec in recs for rho in rhos):
+        alone = _leaf_frame_arrays(leaf_frames(GLUED, [rec], [rho]))
+        for name, v in batch.items():
+            assert np.array_equal(v[i], alone[name][0]), (name, i)
+
+
+def test_slice_frames_match_frames_at(probe_fan):
+    # the nodes of a slice carry the frames that frames_at gives alone
+    recs = probe_fan.records[::11]
+    nodes = [(*rec.direction.angles(), 1.0) for rec in recs]
+    sl = foliation._slice_of_records(GLUED, 0.0, 25.0, nodes, recs, "t", 0.0)
+    for node in sl.nodes:
+        alone = frames_at(GLUED, node.record, 25.0)
+        for f in fields(alone):
+            assert np.array_equal(getattr(node.frames, f.name),
+                                  getattr(alone, f.name)), f.name

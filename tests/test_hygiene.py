@@ -1,6 +1,6 @@
 """Source hygiene of the hyperlab package: every imported name is used,
-every module-level constant is read, and every module compiles with warnings
-treated as errors."""
+every module-level constant is read, every private module-level function or
+class is used, and every module compiles with warnings treated as errors."""
 
 import ast
 import re
@@ -61,6 +61,24 @@ def test_module_constants_are_read():
     assert [f"{name}: {const} (line {line})" for name, tree in trees.items()
             for const, line in _module_constants(tree).items()
             if const not in reads] == []
+
+
+def test_private_definitions_are_used():
+    # a private helper that nothing loads is a leftover twin of a live one
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    loads = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loads.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                loads.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                loads.update(alias.name for alias in n.names)
+    assert [f"{name}: {node.name} (line {node.lineno})"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in loads] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
