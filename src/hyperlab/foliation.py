@@ -181,8 +181,8 @@ def leaf_frames(model, recs, rhos):
                                     Lb=T - N, eA=eA, g=jet.g, x=x, r=r,
                                     varpi=varpi, snr=snr))
     if st["q0"] is not None:
-        lf.k = _stack([_second_fundamental(lf.point(i)[1], lf.state(i), rho[i])
-                       for i in range(len(rho))])
+        lf.k = _stack([_second_fundamental(_pick(lf.frames, i), lf.state(i),
+                                           rho[i]) for i in range(len(rho))])
     return lf
 
 
