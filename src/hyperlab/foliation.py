@@ -210,13 +210,11 @@ def frames_at(model, rec, rho):
     return leaf_frames(model, [rec], rho).require_frames().point(0)[1]
 
 
-def second_fundamental_at(model, rec, rho, frames=None):
+def second_fundamental_at(model, rec, rho):
     """Transported k expressed in the orthonormal leaf basis {Nbar, eA}."""
     if not rec.has_k:
         raise MissingK("record has no transported second fundamental form")
-    if frames is None:
-        return leaf_frames(model, [rec], rho).require_frames().point(0)[2]
-    return _second_fundamental(frames, rec.state_at(float(rho)), float(rho))
+    return leaf_frames(model, [rec], rho).require_frames().point(0)[2]
 
 
 def _k_triad(q0, khat, rho):

@@ -13,12 +13,16 @@ The full per-ray state is integrated as one first-order system:
     q0'  = -(2/rho) q0 - q0^2/3 - Ric(B,B) - |kh|^2      (q0 = trk - 3/rho)
     kh'  = -(2/3) trk kh - Rhat(B,E,B,E) - (kh^2 - |kh|^2 I/3)
 
-with Rhat the trace-free tidal tensor in the triad.  Both curvature terms
-use T_bd = R_abcd B^a B^c, contracted once per step: Rhat is E T E^T less
-its trace, and R^l_bcd B^b B^c = -g^{la} T_ad by pair symmetry.  Rays from
-an origin in the flat core are exact straight lines there, so the system is
-seeded with closed-form flat values at the largest proper time still inside
-the core (k = gbar/rho exactly; the regularized variables vanish).
+with Rhat the trace-free tidal tensor in the triad.  Each evaluation makes
+one metric._ray_terms call, which gives G^l_mn B^m in closed form from the
+radial profiles and, with a payload, the tidal tensor T_bd = R_abcd B^a B^c
+from the four orthonormal curvature functions K1-K4 of a static spherical
+metric; no Christoffel or Riemann array is built.  Both curvature terms use
+T: Rhat is E T E^T less its trace, and R^l_bcd B^b B^c = -g^{la} T_ad by
+pair symmetry.  Rays from an origin in the flat core are exact straight
+lines there, so the system is seeded with closed-form flat values at the
+largest proper time still inside the core (k = gbar/rho exactly; the
+regularized variables vanish).
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; tableau and dense-output coefficients from
@@ -44,7 +48,8 @@ from scipy.integrate._ivp import dop853_coefficients as _DOP
 
 from .errors import (OutOfRange, SeedRegionTooSmall, SingularityTruncated,
                      StepFailure)
-from .metric import HORIZON_MARGIN, _orthonormalize, metric_at
+from .metric import (HORIZON_MARGIN, _colsum, _orthonormalize, _ray_terms,
+                     metric_at)
 
 DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
@@ -233,25 +238,21 @@ def _unpack(y, nj, nk):
 
 def _make_rhs(model, nj, nk):
     """Right-hand side rhs(rho, y) on lane states y (n, dim), one rho per
-    lane, with one metric_at call per evaluation."""
-    level = 2 if (nj or nk) else 1
+    lane, with one metric._ray_terms call per evaluation: Gamma(B, .) and,
+    with a payload, the tidal tensor T from the closed K1-K4 form."""
     eye3 = np.eye(3)
 
     def rhs(rho, y):
         b = y[:, 4:8]
-        jet = metric_at(model, y[:, 0:4], level=level)
+        gb, T, g_inv = _ray_terms(model, y[:, 0:4], b, nj or nk)
         dy = np.empty_like(y)
         dy[:, 0:4] = b
-        gb = np.einsum('nlmk,nm->nlk', jet.gamma, b)
         dy[:, 4:8] = -np.einsum('nlk,nk->nl', gb, b)
         p = 8
-        if level == 2:
-            T = np.einsum('nbcd,nc->nbd',
-                          np.einsum('nabcd,na->nbcd', jet.riemann, b), b)
         if nj:
             J = y[:, p:p + 12].reshape(-1, 3, 4)
             P = y[:, p + 12:p + 24].reshape(-1, 3, 4)
-            RB = -np.einsum('nlb,nbd->nld', jet.g_inv, T)   # R^l_bcd B^b B^c
+            RB = -np.einsum('nlb,nbd->nld', g_inv, T)   # R^l_bcd B^b B^c
             dJ = P - np.einsum('nlk,njk->njl', gb, J)
             dP = np.einsum('nld,njd->njl', RB, J) - np.einsum('nlk,njk->njl', gb, P)
             dy[:, p:p + 12] = dJ.reshape(-1, 12)
@@ -302,15 +303,6 @@ def _norm_blocks(nj, nk):
     for i, blk in enumerate(blocks):
         table[i, :len(blk)] = blk
     return table, weight
-
-
-def _colsum(a):
-    """Sum over the last axis in index order, elementwise, so a lane's
-    value does not depend on the batch (reductions and BLAS may)."""
-    out = a[..., 0]
-    for j in range(1, a.shape[-1]):
-        out = out + a[..., j]
-    return out
 
 
 def _block_sq(v, blocks):

@@ -30,7 +30,10 @@ Index conventions (used throughout the package):
 
 Evaluation is batched: x may have any leading shape (..., 4).  Level 2
 builds d2g and Riemann only; ricci, scalar, schouten and weyl are built
-from them on first access and cached on the jet.
+from them on first access and cached on the jet.  The jet serves
+curvature_at, the diagnostics and, in the tests, the oracle of the geodesic
+terms: the geodesic right-hand side reads only Gamma(B, .) and R(B, ., B, .),
+which _ray_terms builds in closed form from the same radial profiles.
 """
 
 from dataclasses import dataclass, field
@@ -43,6 +46,7 @@ from .errors import (CentralLineDegenerate, CoordinateSingularity,
 
 HORIZON_MARGIN = 1e-6   # relative guard above r = 2M
 _R_FLOOR = 1e-300       # avoids 0/0 in direction vectors at the origin
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -151,19 +155,24 @@ def _schw_profiles(M, r):
     """n2, A, Bc of the Schwarzschild chart with two r-derivatives each."""
     rp = r + 2.0 * M
     rm = r - 2.0 * M
-    n2 = rm / rp
-    dn2 = 4.0 * M / rp**2
-    d2n2 = -8.0 * M / rp**3
-    C = rp / rm                       # polar radial-radial component
-    dC = -4.0 * M / rm**2
-    d2C = 8.0 * M / rm**3
-    A = (rp / r) ** 2
-    dA = -4.0 * M * rp / r**3
-    d2A = 4.0 * M * (2.0 * r + 6.0 * M) / r**4
-    Bc = (C - A) / r**2
-    dBc = (dC - dA) / r**2 - 2.0 * (C - A) / r**3
-    d2Bc = (d2C - d2A) / r**2 - 4.0 * (dC - dA) / r**3 + 6.0 * (C - A) / r**4
-    return np.stack([n2, dn2, d2n2, A, dA, d2A, Bc, dBc, d2Bc])
+    irp = 1.0 / rp
+    irm = 1.0 / rm
+    ir = 1.0 / r
+    ir2 = ir * ir
+    n2 = rm * irp
+    dn2 = 4.0 * M * irp * irp
+    d2n2 = -2.0 * dn2 * irp
+    C = rp * irm                      # polar radial-radial component
+    dC = -4.0 * M * irm * irm
+    d2C = -2.0 * dC * irm
+    A = rp * rp * ir2
+    dA = -4.0 * M * rp * ir2 * ir
+    d2A = 4.0 * M * (2.0 * r + 6.0 * M) * ir2 * ir2
+    D0, D1, D2 = C - A, dC - dA, d2C - d2A
+    Bc = D0 * ir2
+    dBc = (D1 - 2.0 * D0 * ir) * ir2
+    d2Bc = (D2 - 4.0 * D1 * ir + 6.0 * D0 * ir2) * ir2
+    return n2, dn2, d2n2, A, dA, d2A, Bc, dBc, d2Bc
 
 
 def _optical_mass_terms(M, r):
@@ -216,35 +225,32 @@ def _orthonormalize(g, fixed, cands, keep):
 def _profiles(model, r):
     """Radial profiles (n2, A, Bc + derivatives) for any model, batched over r.
 
-    Returns an array of shape (9,) + r.shape ordered as in _schw_profiles.
+    Returns a tuple of nine arrays of r's shape, ordered as in
+    _schw_profiles.
     """
     r = np.asarray(r, dtype=float)
-    out = np.zeros((9,) + r.shape)
-    out[0] = 1.0  # n2
-    out[3] = 1.0  # A
     if model.kind == "minkowski" or model.mass == 0.0:
-        return out
+        one, zero = np.ones(r.shape), np.zeros(r.shape)
+        return one, zero, zero, one, zero, zero, zero, zero, zero
     if model.kind == "schwarzschild":
         safe = np.maximum(r, 2.0 * model.mass * (1.0 + HORIZON_MARGIN))
         return _schw_profiles(model.mass, safe)
-    # glued: piecewise exact + smoothstep blend of the three profiles
+    # glued: piecewise exact + smoothstep blend of the three profiles.  The
+    # clip makes s, ds and d2s exactly 0 in the core and s = 1, ds = d2s = 0
+    # outside, so both zones are exact.
     width = model.r_out - model.r_in
     w = np.clip((r - model.r_in) / width, 0.0, 1.0)
     s, ds, d2s = _smoothstep(w)
     ds /= width
     d2s /= width**2
-    inner = r <= model.r_in
-    s = np.where(inner, 0.0, s)
-    ds = np.where(inner, 0.0, ds)
-    d2s = np.where(inner, 0.0, d2s)
     safe = np.maximum(r, 0.5 * model.r_in)  # profiles only used where s > 0
     p = _schw_profiles(model.mass, safe)
+    out = []
     for j, flat in ((0, 1.0), (3, 1.0), (6, 0.0)):
         f, df, d2f = p[j] - flat, p[j + 1], p[j + 2]
-        out[j] = flat + s * f
-        out[j + 1] = ds * f + s * df
-        out[j + 2] = d2s * f + 2.0 * ds * df + s * d2f
-    return out
+        out += [flat + s * f, ds * f + s * df,
+                d2s * f + 2.0 * ds * df + s * d2f]
+    return tuple(out)
 
 
 def _check_regular(model, r):
@@ -271,7 +277,7 @@ def metric_at(model, x, level=2):
     r = np.sqrt(np.sum(xs * xs, axis=-1))
     _check_regular(model, r)
     p = _profiles(model, r)
-    n2, dn2, d2n2, A, dA, d2A, Bc, dBc, d2Bc = (p[j] for j in range(9))
+    n2, dn2, d2n2, A, dA, d2A, Bc, dBc, d2Bc = p
     rs = np.maximum(r, _R_FLOOR)
     u = xs / rs[..., None]                       # spatial unit radial vector
     eye3 = np.eye(3)
@@ -314,9 +320,9 @@ def metric_at(model, x, level=2):
 
     # second derivatives d2g[k, m, a, b] = d_k d_m g_ab.  The Hessians of the
     # radial profiles n2, A, Bc are f'' u_k u_m + f' (delta_km - u_k u_m) / r.
-    fr = p[1::3] / rs
+    fr = np.stack(p[1::3]) / rs
     uu = u[..., :, None] * u[..., None, :]
-    Hn2, HA, HBc = ((p[2::3] - fr)[..., None, None] * uu
+    Hn2, HA, HBc = ((np.stack(p[2::3]) - fr)[..., None, None] * uu
                     + fr[..., None, None] * eye3)
     d2g = jet.d2g = np.zeros(shape + (4, 4, 4, 4))
     d2g[..., 1:, 1:, 0, 0] = -Hn2
@@ -342,6 +348,96 @@ def metric_at(model, x, level=2):
          - 0.5 * (X - np.swapaxes(X, -4, -3)))
     jet.riemann = Z - np.swapaxes(Z, -1, -2)
     return _squeeze(jet, scalar_input)
+
+
+def _colsum(a):
+    """Sum over the last axis in index order, elementwise, so a lane's
+    value does not depend on the batch (reductions and BLAS may)."""
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j]
+    return out
+
+
+def _ray_terms(model, x, b, tidal):
+    """Closed-form geodesic terms at lane states x, b (n, 4) from one
+    _profiles call: gb[l, k] = Gamma^l_mk B^m and, when tidal is set, the
+    tidal tensor T_bd = R_abcd B^a B^c and g^{-1}; otherwise (gb, None, None).
+
+    With v the spatial part of B, u = x/r and C = A + Bc r^2, the raised
+    contraction is gb_tt = n2' (u.v)/(2 n2), gb_tj = n2' B^t u_j/(2 n2),
+    gb_it = n2' B^t u_i/(2C) and
+        gb_ij = hA (u.v) d_ij + hA v_i u_j + (Bc r - A'/2)/C u_i v_j
+                + (u.v) r^2 (Bc'/2 - 2 Bc hA)/C u_i u_j,    hA = A'/(2A).
+    For -F dt^2 + C dr^2 + S dOmega^2 (F = n2, S = A r^2) the orthonormal
+    Riemann components in this module's convention are
+        K1 = R_trtr = (2CFF'' - CF'^2 - FC'F')/(4C^2F^2),
+        K2 = R_tAtA = F'S'/(4CFS),
+        K3 = R_rArA = (-2CSS'' + CS'^2 + SC'S')/(4C^2S^2),
+        K4 = R_ABAB = (4CS - S'^2)/(4CS^2),
+    written below with S'/S = 2 hA + 2/r and the 1/r^2 terms cancelled, so
+    every 1/r multiplies a profile derivative and the flat core gives exact
+    zeros.  With the coframe th_t = sqrt(F) dt, th_r = sqrt(C) dr, the
+    transverse metric P = A (d - u u), p = P v and |B_perp|^2 = v.P v,
+        T = K1 w w + K2 [(th_t.B)^2 P - (th_t.B)(p th_t + th_t p)
+            + |B_perp|^2 th_t th_t] + (the same with th_r for K3)
+            + K4 [|B_perp|^2 P - p p],   w = (th_t.B) th_r - (th_r.B) th_t.
+    Every lane is computed alone (no reductions across lanes or BLAS).
+    """
+    xs, v, bt = x[:, 1:], b[:, 1:], b[:, 0]
+    r = np.sqrt(_colsum(xs * xs))
+    _check_regular(model, r)
+    F, dF, d2F, A, dA, d2A, Bc, dBc, _ = _profiles(model, r)
+    ir = 1.0 / np.maximum(r, _R_FLOOR)
+    u = xs * ir[:, None]
+    uv = _colsum(u * v)
+    r2 = r * r
+    C = A + Bc * r2
+    iA, iC = 1.0 / A, 1.0 / C
+    hA = 0.5 * dA * iA
+    hF = 0.5 * dF / F
+    gb = np.empty(x.shape + (4,))
+    gb[:, 0, 0] = hF * uv
+    gb[:, 0, 1:] = (hF * bt)[:, None] * u
+    gb[:, 1:, 0] = (0.5 * dF * bt * iC)[:, None] * u
+    c_uu = uv * r2 * (0.5 * dBc - 2.0 * Bc * hA) * iC
+    c_uv = (Bc * r - 0.5 * dA) * iC
+    gb[:, 1:, 1:] = ((hA * uv)[:, None, None] * _EYE3
+                     + hA[:, None, None] * v[:, :, None] * u[:, None, :]
+                     + u[:, :, None] * (c_uu[:, None] * u
+                                        + c_uv[:, None] * v)[:, None, :])
+    if not tidal:
+        return gb, None, None
+
+    hC = 0.5 * (dA + (dBc * r + 2.0 * Bc) * r) * iC     # C'/(2C)
+    m = hA + ir                                          # S'/(2S)
+    K1 = 0.5 * (d2F - dF * (hF + hC)) / F * iC
+    K2 = hF * m * iC
+    K3 = (-0.5 * d2A * iA - 2.0 * hA * ir + hA * hA + hC * m) * iC
+    K4 = (Bc * iA - 2.0 * hA * ir - hA * hA) * iC
+    p = A[:, None] * (v - uv[:, None] * u)
+    bp2 = _colsum(p * v)                                 # |B_perp|^2
+    Ft2 = F * bt * bt                                    # (th_t.B)^2
+    Cu2 = C * uv * uv                                    # (th_r.B)^2
+    sig = A * (K2 * Ft2 + K3 * Cu2 + K4 * bp2)
+    beta = (K1 * Ft2 + K3 * bp2) * C - sig
+    gam = -K3 * C * uv
+    T = np.empty_like(gb)
+    T[:, 0, 0] = F * (K1 * Cu2 + K2 * bp2)
+    T[:, 0, 1:] = -(F * bt)[:, None] * ((K1 * C * uv)[:, None] * u
+                                        + K2[:, None] * p)
+    T[:, 1:, 0] = T[:, 0, 1:]
+    T[:, 1:, 1:] = (sig[:, None, None] * _EYE3
+                    + u[:, :, None] * (beta[:, None] * u
+                                       + gam[:, None] * p)[:, None, :]
+                    + p[:, :, None] * (gam[:, None] * u
+                                       - K4[:, None] * p)[:, None, :])
+    g_inv = np.zeros_like(gb)
+    g_inv[:, 0, 0] = -1.0 / F
+    g_inv[:, 1:, 1:] = (iA[:, None, None] * _EYE3
+                        - (Bc * r2 * iA * iC)[:, None, None]
+                        * u[:, :, None] * u[:, None, :])
+    return gb, T, g_inv
 
 
 def _squeeze(jet, scalar_input):

@@ -190,22 +190,21 @@ def _dag_frames(rho, st, frames, sc):
 
 
 def _grad_ls(model, x):
-    """Covariant derivative of the static field L^s = n^-2 d_t + d_r:
-    (cov_m Ls)^nu = d_m Ls^nu + G^nu_m,lam Ls^lam."""
+    """Covariant derivative of the static field L^s = n^-2 d_t + d_r at the
+    points x (..., 4): (cov_m Ls)^nu = d_m Ls^nu + G^nu_m,lam Ls^lam, with
+    the level-1 jet it was built from."""
     jet = metric_at(model, x, level=1)
-    r = float(np.linalg.norm(x[1:]))
-    rad = x[1:] / r
-    n2 = float(-jet.g[0, 0])
+    r = np.linalg.norm(x[..., 1:], axis=-1)
+    rad = x[..., 1:] / r[..., None]
     M = model.mass
-    dn2inv_dr = -4.0 * M / (r - 2.0 * M) ** 2
-    Ls = np.zeros(4)
-    Ls[0] = 1.0 / n2
-    Ls[1:] = rad
-    dLs = np.zeros((4, 4))            # d_m Ls^nu
-    dLs[1:, 0] = dn2inv_dr * rad
-    dLs[1:, 1:] = (np.eye(3) - np.outer(rad, rad)) / r
-    cov = dLs + np.einsum('nml,l->mn', jet.gamma, Ls)
-    return cov, jet
+    Ls = np.zeros(np.shape(x))
+    Ls[..., 0] = -1.0 / jet.g[..., 0, 0]
+    Ls[..., 1:] = rad
+    dLs = np.zeros(np.shape(x) + (4,))        # d_m Ls^nu
+    dLs[..., 1:, 0] = (-4.0 * M / (r - 2.0 * M) ** 2)[..., None] * rad
+    dLs[..., 1:, 1:] = ((np.eye(3) - rad[..., :, None] * rad[..., None, :])
+                        / r[..., None, None])
+    return dLs + np.einsum('...nml,...l->...mn', jet.gamma, Ls), jet
 
 
 def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
@@ -221,6 +220,13 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
     sl = leaf_slice(model, origin, 0.0, rho, omega_nodes, ode_tol=ode_tol,
                     level="uhat", target=uhat)
     floor = _zs_floor(model)
+    for node in sl.nodes:
+        if node.frames.r < floor:
+            raise SphereExitsZone(f"node at r={node.frames.r:.4g} below r_out")
+    states = [node.record.state_at(rho) for node in sl.nodes]
+    x = np.stack([st["x"] for st in states])
+    covLs, _ = _grad_ls(model, x)
+    weyl = curvature_at(model, x).weyl
     dag_a = []
     dag_a_def = []
     dag_nbt = []
@@ -231,16 +237,12 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
     rs = []
     ws = []
     umb = []
-    for node in sl.nodes:
-        st = node.record.state_at(rho)
+    for i, (node, st) in enumerate(zip(sl.nodes, states)):
         sc, fr = node.scalars, node.frames
         r = fr.r
-        if r < floor:
-            raise SphereExitsZone(f"node at r={r:.4g} below r_out")
         da, da_def, nbu, eA, Ls, nbt, varpi = _dag_frames(rho, st, fr, sc)
-        covLs, jet1 = _grad_ls(model, st["x"])
         # dag chi_AC = dag_a <cov_{eA} L^s, eC>;  dag chib = 2 k(eA, eC) - chi
-        chi = da * np.einsum('Am,mn,ns,Cs->AC', eA, covLs, fr.g, eA)
+        chi = da * np.einsum('Am,mn,ns,Cs->AC', eA, covLs[i], fr.g, eA)
         # k(eA, eC) from the transported k (triad components)
         E = st["triad"]
         kmat = _k_triad(st["q0"], st["khat"], rho)
@@ -251,10 +253,9 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
         trchib = np.trace(chib)
         chih = chi - 0.5 * trchi * np.eye(2)
         chibh = chib - 0.5 * trchib * np.eye(2)
-        jet = curvature_at(model, st["x"])
         dagL = st["b"] + nbu
         dagLb = st["b"] - nbu
-        w_ll = np.einsum('abcd,a,b,c,d->', jet.weyl, dagL, dagLb, dagL, dagLb)
+        w_ll = np.einsum('abcd,a,b,c,d->', weyl[i], dagL, dagLb, dagL, dagLb)
         K = -gauss_residual(0.0, trchi, trchib, chih, chibh, w_ll)
         n = sc.n
         dag_a.append(da)

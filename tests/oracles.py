@@ -75,6 +75,55 @@ def geodesic_rhs(model):
     return f
 
 
+def jet_ray_rhs(model, nj, nk):
+    """Geodesic right-hand side built on the full level-2 jet: Gamma(B, .)
+    and T_bd = R_abcd B^a B^c contracted from metric_at's gamma and
+    riemann, with the same transport arithmetic as geodesic._make_rhs."""
+    from hyperlab.geodesic import mat_to_sym6, sym6_to_mat
+    from hyperlab.metric import metric_at
+
+    eye3 = np.eye(3)
+
+    def rhs(rho, y):
+        b = y[:, 4:8]
+        jet = metric_at(model, y[:, 0:4], level=2)
+        gb = np.einsum('nlmk,nm->nlk', jet.gamma, b)
+        T = np.einsum('nbcd,nc->nbd',
+                      np.einsum('nabcd,na->nbcd', jet.riemann, b), b)
+        dy = np.empty_like(y)
+        dy[:, 0:4] = b
+        dy[:, 4:8] = -np.einsum('nlk,nk->nl', gb, b)
+        p = 8
+        if nj:
+            J = y[:, p:p + 12].reshape(-1, 3, 4)
+            P = y[:, p + 12:p + 24].reshape(-1, 3, 4)
+            RB = -np.einsum('nlb,nbd->nld', jet.g_inv, T)
+            dJ = P - np.einsum('nlk,njk->njl', gb, J)
+            dP = (np.einsum('nld,njd->njl', RB, J)
+                  - np.einsum('nlk,njk->njl', gb, P))
+            dy[:, p:p + 12] = dJ.reshape(-1, 12)
+            dy[:, p + 12:p + 24] = dP.reshape(-1, 12)
+            p += 24
+        if nk:
+            E = y[:, p:p + 12].reshape(-1, 3, 4)
+            q0 = y[:, p + 12]
+            kh = sym6_to_mat(y[:, p + 13:p + 19])
+            tidal = np.einsum('nbd,nib,njd->nij', T, E, E)
+            ric_bb = np.einsum('nii->n', tidal)
+            kh2 = np.einsum('nij,njk->nik', kh, kh)
+            kh_sq = np.einsum('nii->n', kh2)
+            dy[:, p:p + 12] = -np.einsum('nlk,njk->njl', gb, E).reshape(-1, 12)
+            dy[:, p + 12] = (-(2.0 / rho) * q0 - q0 * q0 / 3.0 - ric_bb
+                             - kh_sq)
+            dkh = (-(2.0 / 3.0) * (3.0 / rho + q0)[:, None, None] * kh
+                   - (tidal - (ric_bb[:, None, None] / 3.0) * eye3)
+                   - (kh2 - (kh_sq[:, None, None] / 3.0) * eye3))
+            dy[:, p + 13:p + 19] = mat_to_sym6(dkh)
+        return dy
+
+    return rhs
+
+
 def riemann_fd(model, x, h=1e-3):
     """Fully lowered R_abcd at one point from central differences of Gamma.
 

@@ -246,6 +246,51 @@ def test_batch_matches_single_ray():
         assert all(np.array_equal(sa[k], sb[k]) for k in sa)
 
 
+def test_batch_matches_single_ray_offset_payload():
+    # an offset origin: the lanes cross the shells at different proper times
+    # and see different radii and angles at every stage
+    dirs = [Direction(0.4, (0.0, 0.6, 0.8)), Direction(1.1, (1, 0, 0)),
+            Direction(1.6, (-0.3, 0.2, -0.9))]
+    rho = np.linspace(1, 18, 4)
+    recs = integrate_rays(GLUED, OFFSET, dirs, rho, ode_tol=1e-11,
+                          with_jacobi=True, with_k=True)
+    rq = np.linspace(0.5, 18.0, 13)
+    for d, rec in zip(dirs, recs):
+        single = exp_map(GLUED, OFFSET, d, rho, ode_tol=1e-11,
+                         with_jacobi=True, with_k=True)
+        assert_same_lane(rec, single)
+        sa, sb = rec.state_at(rq), single.state_at(rq)
+        assert all(np.array_equal(sa[k], sb[k]) for k in sa)
+
+
+def _static_invariants(model, x, b):
+    """Static energy E = n2 B^t and angular momentum L = x cross (g B), which
+    is A x cross v for g_ij = A delta_ij + Bc x_i x_j, at states (n, 4)."""
+    g = metric_at(model, x, level=0).g
+    gv = np.einsum('nij,nj->ni', g[:, 1:, 1:], b[:, 1:])
+    return -g[:, 0, 0] * b[:, 0], np.cross(x[:, 1:], gv), gv
+
+
+def test_static_invariants_conserved(glued_record, offset_record):
+    # every model is static and spherically symmetric about r = 0, so E and
+    # L are exact invariants of each geodesic, offset origins included.
+    # They are read from the metric alone, not from Gamma or Riemann, so a
+    # wrong but self-consistent geodesic term cannot keep them.
+    outward = exp_map(SCHW, np.array([0.0, 1.0, 0.0, 0.0]),
+                      Direction(1.0, (0.6, 0.8, 0.0)), np.linspace(0.5, 20, 9))
+    assert not outward.truncated
+    # The drift is taken from the seed state on, which is the integrator's
+    # initial value (below rho_seed a record holds the straight-line seed).
+    for rec in (glued_record, offset_record, outward):
+        st = rec.state_at(np.linspace(rec.rho_seed, rec.rho_reached, 41))
+        x, b = st["x"], st["b"]
+        E, L, gv = _static_invariants(rec.model, x, b)
+        assert np.abs(E - E[0]).max() <= 1e-8 * abs(E[0])
+        l_scale = (np.linalg.norm(x[:, 1:], axis=1)
+                   * np.linalg.norm(gv, axis=1)).max()
+        assert np.abs(L - L[0]).max() <= 1e-8 * l_scale
+
+
 def test_lane_counts_alone_and_in_batch():
     # a lane's accepted steps, rejected steps and RHS evaluations are its
     # own: the same alone as next to a faster lane that crosses the shells

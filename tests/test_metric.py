@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from hyperlab.errors import (CentralLineDegenerate, CoordinateSingularity,
                              UnsupportedLevel)
-from hyperlab.metric import (MetricModel, _orthonormalize, curvature_at,
-                             metric_at, schouten_scalar_field)
+from hyperlab.geodesic import _make_rhs
+from hyperlab.metric import (HORIZON_MARGIN, MetricModel, _orthonormalize,
+                             _ray_terms, curvature_at, metric_at,
+                             schouten_scalar_field)
 
-from oracles import riemann_fd
+from oracles import jet_ray_rhs, riemann_fd
 
 MINK = MetricModel.minkowski()
 SCHW = MetricModel.schwarzschild(0.05)
@@ -234,3 +236,80 @@ def test_orthonormalize_skips_and_rejects_parallel_candidates():
     with pytest.raises(CentralLineDegenerate):
         _orthonormalize(g, [B, Nbar], np.stack([2.5 * Nbar, -3.0 * B,
                                                 cands[0]]), 2)
+
+
+GUARD = 2.0 * SCHW.mass * (1.0 + HORIZON_MARGIN) * (1.0 + 1e-12)  # lowest r allowed
+
+
+def _ray_states(model, radii, seed):
+    """Random lane states at the given radii: random directions (plus the
+    six axis directions, so listed radii are hit exactly), random times and
+    spatial velocities, B^t from <B, B> = -1."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(len(radii), 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    d[:6] = np.vstack([np.eye(3), -np.eye(3)])[:len(d)]
+    x = np.zeros((len(radii), 4))
+    x[:, 0] = rng.uniform(0.0, 5.0, len(radii))
+    x[:, 1:] = radii[:, None] * d
+    b = np.zeros_like(x)
+    b[:, 1:] = rng.normal(size=(len(radii), 3))
+    g = metric_at(model, x, level=0).g
+    vv = np.einsum('nij,ni,nj->n', g[:, 1:, 1:], b[:, 1:], b[:, 1:])
+    b[:, 0] = np.sqrt((1.0 + vv) / -g[:, 0, 0])
+    return x, b
+
+
+def _lane_max(a):
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+
+@pytest.mark.parametrize("model, lo, hi, exact, vacuum", [
+    (MINK, 0.0, 5.0, [0.0, 1.0], True),
+    (GLUED, 0.0, 1.0, [0.0, 1.0], True),           # flat core, r_in included
+    (GLUED, 1.0, 2.0, [1.0, 2.0], False),          # blend annulus
+    (GLUED, 2.0, 60.0, [2.0], True),               # exterior
+    (MetricModel.glued(0.05), 1.0, 2.0, [1.0, 2.0], False),
+    (SCHW, 0.3, 60.0, [0.3], True),
+    (SCHW, GUARD, GUARD * (1.0 + 1e-3), [GUARD], True),  # horizon margin
+], ids=["minkowski", "glued-core", "glued-annulus", "glued-exterior",
+        "glued-m005-annulus", "schwarzschild", "schwarzschild-horizon"])
+def test_ray_terms_match_jet(model, lo, hi, exact, vacuum):
+    # The closed-form Gamma(B, .), tidal tensor and g^{-1}, and the RHS built
+    # on them, against the level-2 jet contractions.  The bound is 1e-13 of
+    # the size of the terms the jet sums (g^{-1} dg for Gamma, d2g and
+    # Gamma dg for Riemann, times the |B| factors), which is where its own
+    # rounding sits: near the horizon the jet's T is only good to ~1e-9 of
+    # |T| while those terms are ~1e10 |T|.  In the flat core both are exact
+    # zeros.
+    radii = np.concatenate([exact, np.random.default_rng(7).uniform(lo, hi, 200)])
+    x, b = _ray_states(model, radii, seed=11)
+    jet = metric_at(model, x, level=2)
+    gb, T, g_inv = _ray_terms(model, x, b, True)
+    gb_only, T_none, _ = _ray_terms(model, x, b, False)
+    assert T_none is None and np.array_equal(gb_only, gb)
+    babs = np.abs(b).sum(axis=1)
+    s_gb = _lane_max(jet.g_inv) * _lane_max(jet.dg) * babs
+    s_T = (_lane_max(jet.d2g) + _lane_max(jet.gamma) * _lane_max(jet.dg)) * babs**2
+    ref_gb = np.einsum('nlmk,nm->nlk', jet.gamma, b)
+    ref_T = np.einsum('nabcd,na,nc->nbd', jet.riemann, b, b)
+    assert np.all(_lane_max(gb - ref_gb) <= 1e-13 * s_gb)
+    assert np.all(_lane_max(T - ref_T) <= 1e-13 * s_T)
+    assert np.all(_lane_max(g_inv - jet.g_inv) <= 1e-13 * _lane_max(jet.g_inv))
+    if vacuum:
+        # Ric(B, B) = g^bd T_bd = 0 holds without the jet; it reads <= 8e-12
+        # of its terms at the horizon margin and <= 3e-13 elsewhere
+        terms = np.einsum('nbd,nbd->n', np.abs(g_inv), np.abs(T))
+        assert np.all(np.abs(np.einsum('nbd,nbd->n', g_inv, T)) <= 1e-10 * terms)
+
+    rng = np.random.default_rng(5)
+    for nj, nk in ((False, False), (True, True)):
+        y = rng.normal(size=(len(x), 8 + 24 * nj + 19 * nk))
+        y[:, 0:4], y[:, 4:8] = x, b
+        rho = rng.uniform(0.5, 10.0, len(x))
+        got, ref = _make_rhs(model, nj, nk)(rho, y), jet_ray_rhs(model, nj, nk)(rho, y)
+        # every term that differs is gb or T (raised by g^{-1}) times at
+        # most two state factors
+        s_rhs = ((s_gb + (1.0 + _lane_max(jet.g_inv)) * s_T)
+                 * np.maximum(1.0, _lane_max(y)) ** 2)
+        assert np.all(_lane_max(got - ref) <= 1e-13 * s_rhs)
