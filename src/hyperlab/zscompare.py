@@ -197,10 +197,10 @@ def _grad_ls(model, x):
     r = np.linalg.norm(x[..., 1:], axis=-1)
     rad = x[..., 1:] / r[..., None]
     M = model.mass
-    Ls = np.zeros(np.shape(x))
+    Ls = np.zeros(x.shape)
     Ls[..., 0] = -1.0 / jet.g[..., 0, 0]
     Ls[..., 1:] = rad
-    dLs = np.zeros(np.shape(x) + (4,))        # d_m Ls^nu
+    dLs = np.zeros(x.shape + (4,))            # d_m Ls^nu
     dLs[..., 1:, 0] = (-4.0 * M / (r - 2.0 * M) ** 2)[..., None] * rad
     dLs[..., 1:, 1:] = ((np.eye(3) - rad[..., :, None] * rad[..., None, :])
                         / r[..., None, None])
