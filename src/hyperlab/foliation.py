@@ -41,6 +41,16 @@ from .metric import (_optical_mass_terms, _orthonormalize, _zs_floor,
                      curvature_at, lapse_gradient, metric_at)
 
 FRAME_FLOOR = 1e-6
+# Tolerance of a loose Newton iterate of the leaf solver: LOOSE_TOL before
+# the first step, then NEWTON_TOL_C dz^2 after a step dz (solve_level_nodes).
+# A lane at tol tau moves the next z by about alpha tau, measured on glued
+# M = 0.01 leaves as alpha = 0.01-0.03 on level t and 0.1-0.2 on level uhat.
+# After the flat-root step (dz ~ 3e-3) that error must stay below the
+# acceptance threshold, about 1e-10 in z, or the first tight iterate misses
+# it.  Over 12 centred t-leaves (t/rho = 2, 4, 8) 1e-4 costs the fewest RHS
+# calls; 3e-4 adds a Newton round to one leaf, 1e-5 costs 5 % more.
+LOOSE_TOL = 1e-8
+NEWTON_TOL_C = 1e-4
 _FAN_DELTA = 5e-3           # parameter spacing of the transverse mini-fan
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
 _SIDES5 = tuple((s, _STENCIL5[s + 2]) for s in (-2, -1, 1, 2))
@@ -377,12 +387,20 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     steps z - f / df use the exact df = p_zeta . grad F from the Jacobi
     fields; the sign of f df tells on which side of z the root lies, the
     bracket shrinks onto it, and a step leaving the bracket bisects it.
-    Every step is one batched solve with Jacobi fields and k at the tight
-    tolerance over the nodes still open.  A node is accepted once the
-    residual on its own record is below 1e-10 max(|target|, 1); the
-    integrator's lanes are independent, so each root and record is the
-    same whatever the order or grouping of the nodes.  Returns the zeta
-    array and those records.
+    Every step is one batched solve with Jacobi fields and k over the nodes
+    still open, each lane at its own tolerance: a node whose last step was
+    |dz| (inf before the first) is integrated at
+    clip(NEWTON_TOL_C dz^2, tight, LOOSE_TOL), tight = min(ode_tol, 1e-12).
+    The error a loose iterate puts into the next z shrinks with the Newton
+    steps and stays below the acceptance bound, so on level t the loose
+    iterates add no Newton round (the measurements are at NEWTON_TOL_C).
+    A node is accepted only on a record integrated at tight whose residual
+    is below 1e-10 max(|target|, 1); loose iterates only move z and the
+    bracket, and every returned record is tight.  The integrator's lanes
+    are independent, so each root and record is the same whatever the
+    order or grouping of the nodes.  Returns the zeta array and those
+    records.  An exact flat root (Minkowski) still takes two solves: the
+    loose one that finds it and the tight one that accepts it.
 
     Errors come from the Newton iterates: Unreachable when a node's bracket
     collapses onto one of its ends with |f| still above 3e-6 max(|target|,
@@ -410,13 +428,16 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     hi = np.full(m, ZETA_MAX_DEFAULT)
     z = np.clip(z0, lo, hi)
     sgn = np.zeros(m)               # sign of df at the last iterate, 0 before
+    step = np.full(m, np.inf)       # |dz| of the last iterate, inf before
+    tight = min(ode_tol, 1e-12)
     out = [None] * m
     todo = np.arange(m)
     for _ in range(30):
+        tol = np.clip(NEWTON_TOL_C * step[todo] ** 2, tight, LOOSE_TOL)
         recs = integrate_rays(
             model, origin, [direction_from_angles(z[i], thetas[i], phis[i])
                             for i in todo],
-            [rho], ode_tol=min(ode_tol, 1e-12), with_jacobi=True, with_k=True)
+            [rho], ode_tol=tol, with_jacobi=True, with_k=True)
         F, df = _level_slope(model, recs, rho, level, r_floor)
         f = F - target[todo]
         if np.any(sgn[todo] * df < 0):
@@ -428,9 +449,11 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
         if np.any((hi[todo] <= lo[todo]) & (np.abs(f) > 3e-6 * scale[todo])):
             raise Unreachable("target level not attained on the zeta bracket")
         zn = z[todo] - f / df
-        z[todo] = np.where((zn >= lo[todo]) & (zn <= hi[todo]), zn,
-                           0.5 * (lo[todo] + hi[todo]))
-        done = np.abs(f) <= 1e-10 * scale[todo]
+        zn = np.where((zn >= lo[todo]) & (zn <= hi[todo]), zn,
+                      0.5 * (lo[todo] + hi[todo]))
+        step[todo] = np.abs(zn - z[todo])
+        z[todo] = zn
+        done = (tol == tight) & (np.abs(f) <= 1e-10 * scale[todo])
         for i, rec, d in zip(todo, recs, done):
             if d:
                 out[i] = rec

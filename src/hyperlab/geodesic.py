@@ -27,18 +27,19 @@ regularized variables vanish).
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; tableau and dense-output coefficients from
 scipy) in which each ray is a lane with its own seed, step size, error
-norm, accept/reject decision, end point and dense output.  Only active
-lanes are evaluated, and the right-hand side takes one rho per lane.  The
-error norm scales each block of the state (x^0, x^i, B^0, B^i, the time and
-the spatial parts of J, P and the triad, q0, khat) by tol (1 + |block|), so
-it does not change under spatial rotations.  The glued profiles are only C^2
-at r_in and r_out, so no step straddles either radius: a step is shortened
-onto the crossing.  A Schwarzschild lane stops on the horizon guard
-2M (1 + 2 HORIZON_MARGIN) and is marked truncated.  The integrator's own
-arithmetic is elementwise in a fixed order (no BLAS, no numpy reductions),
-and the right-hand side treats each lane alone, so every record is
-bit-identical to the same direction integrated alone, whatever the rest of
-the batch.
+norm, tolerance, accept/reject decision, end point and dense output.  Only
+active lanes are evaluated, and the right-hand side takes one rho per lane.
+The error norm scales each block of the state (x^0, x^i, B^0, B^i, the time
+and the spatial parts of J, P and the triad, q0, khat) by the lane's tol
+(1 + |block|), so it does not change under spatial rotations.  The glued
+profiles are only C^2 at r_in and r_out, so no step straddles either
+radius: a step is shortened onto the crossing.  A Schwarzschild lane stops
+on the horizon guard 2M (1 + 2 HORIZON_MARGIN) and is marked truncated.
+The integrator's own arithmetic is elementwise in a fixed order (no BLAS,
+no numpy reductions), and the right-hand side treats each lane alone, so
+every record is bit-identical to the same direction integrated alone at its
+own tolerance, whatever the rest of the batch and its tolerances.  A scalar
+tolerance is the same as that value on every lane.
 """
 
 from dataclasses import dataclass, field
@@ -132,7 +133,7 @@ class GeodesicRecord:
     triad: np.ndarray = None        # (n,3,4)
     q0: np.ndarray = None           # (n,)   trk - 3/rho
     khat: np.ndarray = None         # (n,3,3) trace-free part in the triad
-    ode_tol: float = DEFAULT_TOL
+    ode_tol: float = DEFAULT_TOL    # this lane's own tolerance
     rho_seed: float = 0.0
     truncated: bool = False
     rho_reached: float = 0.0
@@ -359,7 +360,8 @@ def _crossing(ya, ys, hs, radii):
 
 
 def _dop853(rhs, t, y, t_end, tol, radii, blocks):
-    """Integrate the lanes y (n, dim) from rho = t to t_end, both (n,).
+    """Integrate the lanes y (n, dim) from rho = t to t_end, both (n,),
+    each at its own tolerance tol (n, 1).
 
     Step-size control, starting step and dense output follow HNW II.4-6 as
     scipy does, with the block norm of _norm_blocks per lane.  radii holds
@@ -403,8 +405,8 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
             ys = ya + hs[:, None] * _lincomb(_DOP.A[s, :s], K)
             K[s] = rhs(ta + _DOP.C[s] * hs, ys)
         nfev[a] += 12
-        scale = tol + tol * np.sqrt(np.maximum(_block_sq(ya, blocks),
-                                               _block_sq(ys, blocks)))
+        scale = tol[a] + tol[a] * np.sqrt(np.maximum(_block_sq(ya, blocks),
+                                                     _block_sq(ys, blocks)))
         n5, n3 = (_colsum(_block_sq(_lincomb(e, K), blocks) / scale**2)
                   for e in (_DOP.E5, _DOP.E3))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -482,10 +484,12 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
                    with_jacobi=False, with_k=False):
     """Integrate several directions from one origin, one lane each.
 
+    ode_tol is one tolerance for all directions or one per direction.
     Returns one GeodesicRecord per direction, each bit-identical to the
-    same direction integrated alone.  All directions must start inside the
-    flat core when with_k is requested.  A Schwarzschild lane that reaches
-    the horizon guard stops there (truncated, with its own rho_reached).
+    same direction integrated alone at its own tolerance.  All directions
+    must start inside the flat core when with_k is requested.  A
+    Schwarzschild lane that reaches the horizon guard stops there
+    (truncated, with its own rho_reached).
     """
     origin = np.asarray(origin, dtype=float)
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
@@ -496,6 +500,8 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     nj, nk = with_jacobi, with_k
     blocks = _norm_blocks(nj, nk)
     y0 = np.zeros((len(directions), len(blocks[1])))
+    tol = np.broadcast_to(np.asarray(ode_tol, dtype=float),
+                          (len(directions),))
     recs = []
     for i, d in enumerate(directions):
         vh = d.hyperboloid_point()
@@ -507,7 +513,7 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
                 f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}")
         rec = GeodesicRecord(model=model, origin=origin, direction=d, v0=v0,
                              frame0=frame0, rho=rho_grid, x=None, b=None,
-                             ode_tol=ode_tol, rho_seed=seed)
+                             ode_tol=float(tol[i]), rho_seed=seed)
         rec._jacobi_ic = _jacobi_ics(frame0, vh) if nj else None
         rec._triad_ic = None
         x_s = origin + seed * v0
@@ -529,7 +535,7 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     rho0 = np.array([rec.rho_seed for rec in recs])
     reached, trunc, dense, counts = _dop853(
         _make_rhs(model, nj, nk), rho0, y0, np.full(len(recs), rho_max),
-        ode_tol, radii, blocks)
+        tol[:, None], radii, blocks)
 
     for i, rec in enumerate(recs):
         rec._dense = dense[i]

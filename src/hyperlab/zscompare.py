@@ -204,7 +204,7 @@ def _grad_ls(model, x):
     dLs[..., 1:, 0] = (-4.0 * M / (r - 2.0 * M) ** 2)[..., None] * rad
     dLs[..., 1:, 1:] = ((np.eye(3) - rad[..., :, None] * rad[..., None, :])
                         / r[..., None, None])
-    return dLs + np.einsum('...nml,...l->...mn', jet.gamma, Ls), jet
+    return dLs + np.einsum('...nml,...l->...mn', jet.gamma, Ls)
 
 
 def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
@@ -225,7 +225,7 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
             raise SphereExitsZone(f"node at r={node.frames.r:.4g} below r_out")
     states = [node.record.state_at(rho) for node in sl.nodes]
     x = np.stack([st["x"] for st in states])
-    covLs, _ = _grad_ls(model, x)
+    covLs = _grad_ls(model, x)
     weyl = curvature_at(model, x).weyl
     dag_a = []
     dag_a_def = []

@@ -89,7 +89,7 @@ def test_criterion_2_schwarzschild_closed_forms():
             dec = ng.null_decompose(jet, ng.hat_tetrad(jet))
             assert abs(dec.varrho + 4 * M / R**3) <= 1e-7
             # trchi of the cone generator field via the covariant pipeline
-            covLs, _ = _grad_ls(model, x)
+            covLs = _grad_ls(model, x)
             tet = ng.hat_tetrad(jet)
             trchi_s = float(np.einsum('Am,mn,ns,As->', tet.eA, covLs,
                                       jet.g, tet.eA))

@@ -283,6 +283,35 @@ def test_leaf_slice_integrate_rays_budget(monkeypatch):
     assert max(widths) <= 4
 
 
+def test_leaf_work_budget_inexact_newton(monkeypatch):
+    # the Newton iterates before the last run loose (the first at LOOSE_TOL
+    # on every lane); every record returned is tight with the full payload.
+    # An all-tight Newton spends 8,448 lane evaluations on this leaf.
+    calls = []
+    integrate = foliation.integrate_rays
+
+    def counted(*args, **kwargs):
+        recs = integrate(*args, **kwargs)
+        calls.append(recs)
+        return recs
+
+    monkeypatch.setattr(foliation, "integrate_rays", counted)
+    nodes = angular_grid(4, 1)
+    _, recs = solve_level_nodes(GLUED, np.zeros(4), 15.79, 63.16, nodes)
+    assert len(calls) <= 4
+    assert max(len(c) for c in calls) <= len(nodes)
+    assert all(r.ode_tol == foliation.LOOSE_TOL for r in calls[0])
+    for r in recs:
+        assert r.ode_tol == 1e-12 and r.has_jacobi and r.has_k
+    assert sum(r.rhs_evals for c in calls for r in c) <= 6500
+    # an exact flat root is found by the loose solve and accepted only by a
+    # tight one
+    calls.clear()
+    _, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, nodes)
+    assert len(calls) == 2
+    assert all(r.ode_tol == 1e-12 for r in recs)
+
+
 def test_leaf_slice_minkowski_round_sphere():
     sl = leaf_slice(MINK, np.zeros(4), 5.0, 3.0, angular_grid(8, 1))
     assert sl.area == pytest.approx(4 * np.pi * 16.0, rel=1e-8)

@@ -1,11 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
 from hyperlab.foliation import second_fundamental_fd_oracle
-from hyperlab.geodesic import (Direction, FanGrid, direction_from_angles,
-                               exp_map, fan_build, integrate_rays,
-                               mat_to_sym6, sym6_to_mat)
+from hyperlab.geodesic import (Direction, FanGrid, GeodesicRecord,
+                               direction_from_angles, exp_map, fan_build,
+                               integrate_rays, mat_to_sym6, sym6_to_mat)
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 
 from oracles import geodesic_rhs, rk8_fixed
@@ -261,6 +263,39 @@ def test_batch_matches_single_ray_offset_payload():
         assert_same_lane(rec, single)
         sa, sb = rec.state_at(rq), single.state_at(rq)
         assert all(np.array_equal(sa[k], sb[k]) for k in sa)
+
+
+def _same_field(va, vb):
+    """Equality of two record field values, arrays (also inside tuples)
+    compared bit for bit."""
+    if isinstance(va, tuple):
+        return len(va) == len(vb) and all(map(_same_field, va, vb))
+    if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
+        return np.array_equal(va, vb)
+    return va == vb
+
+
+@pytest.mark.parametrize("origin", [np.zeros(4), OFFSET],
+                         ids=["centred", "offset"])
+def test_per_lane_tolerance_matches_single_ray(origin):
+    # one batch whose lanes run at three tolerances: each record is the
+    # same direction integrated alone at its own tolerance, field by field
+    dirs = [Direction(0.4, (0.0, 0.6, 0.8)), Direction(1.1, (1, 0, 0)),
+            Direction(1.6, (-0.3, 0.2, -0.9))]
+    tols = (1e-8, 1e-10, 1e-12)
+    rho = np.linspace(1, 18, 4)
+    recs = integrate_rays(GLUED, origin, dirs, rho, ode_tol=tols,
+                          with_jacobi=True, with_k=True)
+    for d, tol, rec in zip(dirs, tols, recs):
+        assert rec.ode_tol == tol
+        single = exp_map(GLUED, origin, d, rho, ode_tol=tol,
+                         with_jacobi=True, with_k=True)
+        for f in fields(GeodesicRecord):
+            assert _same_field(getattr(rec, f.name),
+                               getattr(single, f.name)), f.name
+        for key in ("_jacobi_ic", "_triad_ic"):
+            assert np.array_equal(getattr(rec, key), getattr(single, key))
+    assert len({rec.rhs_evals for rec in recs}) == 3
 
 
 def _static_invariants(model, x, b):
