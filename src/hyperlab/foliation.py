@@ -888,32 +888,32 @@ def _transverse_residuals(model, rec, rhos, lf, C):
 def codazzi_residual(model, fan, index, rho):
     """|div k - grad(trk) + Ric(B, .)| on H_rho at a fan probe, by
     finite-differencing the transported k field across the fan (FD-limited)."""
-    iz, it, ip = index
-    nz, nt, npp = fan.shape
-    if min(nz, nt, npp) < 5:
+    if min(fan.shape) < 5:
         raise FanTooCoarse("codazzi residual needs >= 5 nodes per fan axis")
     hr = 1e-3 * max(rho, 1.0)
     rho = min(rho, fan.records[0].rho_reached - hr)
 
-    def K_and_x(jz, jt, jp, r):
-        rec = fan.record(jz, jt, jp)
-        st = rec.state_at(r)
-        g = metric_at(model, st["x"], level=0).g
-        E_low = st["triad"] @ g
-        kmat = _k_triad(st["q0"], st["khat"], r)
-        Kf = np.einsum('ij,ia,jb->ab', kmat, E_low, E_low)
-        return Kf, st["x"], (1.0 / r * 3.0 + st["q0"])
-
-    K0, x0, trk0 = K_and_x(iz, it, ip, rho)
-    rec0 = fan.record(iz, it, ip)
-    st0 = rec0.state_at(rho)
+    # K, x and trk at the probe, at rho -+ hr and at the fan stencil
+    # neighbours, from one level-0 metric call
+    nbrs = [tuple(index[b] + (s if b == a else 0) for b in range(3))
+            for a in range(3) for s, _ in _SIDES5]
+    pts = [(index, rho), (index, rho + hr), (index, rho - hr)] \
+        + [(j, rho) for j in nbrs]
+    sts = [fan.record(*j).state_at(r) for j, r in pts]
+    st = {key: np.stack([s[key] for s in sts])
+          for key in ("x", "triad", "q0", "khat")}
+    rhos = np.array([r for _, r in pts])
+    E_low = st["triad"] @ metric_at(model, st["x"], level=0).g
+    kmat = _k_triad(st["q0"], st["khat"], rhos)
+    vals = list(zip(np.einsum('nij,nia,njb->nab', kmat, E_low, E_low),
+                    st["x"], 1.0 / rhos * 3.0 + st["q0"]))
+    (K0, x0, _), (Kp, xp, tp), (Km, xm, tm) = vals[:3]
     jet = curvature_at(model, x0)
-    B = st0["b"]
+    B, E = sts[0]["b"], sts[0]["triad"]
 
     # parameter derivatives of K, x, trk: rho then (zeta, theta, phi)
-    Kp, xp, tp = K_and_x(iz, it, ip, rho + hr)
-    Km, xm, tm = K_and_x(iz, it, ip, rho - hr)
-    fan_d = _fan_partials(lambda j: K_and_x(*j, rho), index, _fan_steps(fan))
+    fan_d = _fan_partials(dict(zip(nbrs, vals[3:])).get, index,
+                          _fan_steps(fan))
     dK, dxp, dtrk = (np.concatenate([[(p - m) / (2 * hr)], d])
                      for p, m, d in zip((Kp, xp, tp), (Km, xm, tm), fan_d))
 
@@ -929,7 +929,6 @@ def codazzi_residual(model, fan, index, rho):
     ric_b = np.einsum('ab,a->b', jet.ricci, B)
     resid = divk - dtrk_coord + ric_b
     # project tangentially to H_rho (components along the triad)
-    E = st0["triad"]
     res_t = np.einsum('ia,a->i', E, resid)
     scale = np.abs(np.einsum('ia,a->i', E, dtrk_coord)).max() + np.abs(ric_b).max() + 1e-14
     return float(np.max(np.abs(res_t))), float(scale)

@@ -204,3 +204,51 @@ def kg_radial_exact(r, t, phi0, support):
                                   epsabs=1e-13, epsrel=1e-11)[0]
         out.append(psi)
     return np.array(out)
+
+
+def kg_rk4_in_stage_ko(cfg, times):
+    """psi = r phi of the flat Klein-Gordon evolution by a plain full-grid
+    classical RK4 whose right-hand side carries the Kreiss-Oliger term.
+
+    The method of lines for psi_tt = psi_rr - m psi reads
+
+        psi_t = pi + K psi,    pi_t = D2 psi - m psi + K pi,
+
+    with D2 the 4th-order second difference and K = sigma / (64 dr) D^6 the
+    6th-order Kreiss-Oliger dissipation.  Both rows are odd across the
+    axis (ghost cell -1 - i holds minus cell i) and vanish past the grid.
+    Steps are k1..k4 with dt = cfl * dr from psi = r phi0, pi = 0 over the
+    whole grid; returns psi at each of times, snapped to the step grid.
+    """
+    n = int(round(cfg.r_max / cfg.dr))
+    r = (np.arange(n) + 0.5) * cfg.dr
+    phi0 = cfg.amplitude * np.exp(-((r - cfg.center) / cfg.width) ** 2)
+    phi0[np.abs(phi0) < 1e-16 * abs(cfg.amplitude)] = 0.0
+    dt = cfg.cfl * cfg.dr
+    d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * cfg.dr ** 2)
+    d6 = (cfg.ko_sigma / (64.0 * cfg.dr)
+          * np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]))
+
+    def stencil(f, coef):
+        h = len(coef) // 2
+        return np.correlate(np.concatenate([-f[h - 1::-1], f, np.zeros(h)]),
+                            coef, 'valid')
+
+    def rhs(y):
+        psi, pi = y
+        return np.stack([pi + stencil(psi, d6),
+                         stencil(psi, d2) - cfg.kg_mass * psi
+                         + stencil(pi, d6)])
+
+    y = np.stack([r * phi0, np.zeros(n)])
+    out, step = [], 0
+    for target in sorted(int(round(t / dt)) for t in times):
+        while step < target:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            step += 1
+        out.append(y[0].copy())
+    return out

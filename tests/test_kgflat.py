@@ -7,7 +7,7 @@ from hyperlab.kgflat import (WINDOW_CELLS, KGConfig, KGState, _dr4,
                              decay_slope, energy, evolve_from_state, evolve_kg,
                              hyperboloid_energy, initial_data, reverse_state)
 
-from oracles import kg_radial_exact
+from oracles import kg_radial_exact, kg_rk4_in_stage_ko
 
 
 def test_config_guards():
@@ -151,6 +151,43 @@ def test_pointwise_oracle():
     exact = kg_radial_exact(r, 12.0, phi0, cfg.support_radius)
     err = np.abs(r * s.phi[::8] - exact).max()
     assert err <= 2.5e-5 * np.abs(exact).max()
+
+
+def test_ko_filter_matches_in_stage_ko():
+    # evolve_kg applies Kreiss-Oliger once per step as a filter; the plain
+    # RK4 oracle carries it inside every stage.  The two differ by
+    # O((dt K)^2) on the grid-scale content, which rides the front r = t:
+    # 6.7e-10 of max|psi| at dr = 1/160 and 3.5e-9 at dr = 1/64.  A filter
+    # at a quarter of its strength (dt / 4 for dt) moves psi by 1.5e-6 of
+    # max|psi| at dr = 1/160; with the wrong sign the evolution blows up.
+    # Without Kreiss-Oliger the schemes agree to rounding (1.6e-14 at
+    # dr = 1/64).
+    cases = ((KGConfig(r_max=22.0, t_max=12.0), (6.0, 12.0), 2e-9),
+             (KGConfig(r_max=26.0, dr=1 / 64, t_max=22.0), (11.0, 22.0), 1e-8),
+             (KGConfig(r_max=26.0, dr=1 / 64, t_max=22.0, ko_sigma=0.0),
+              (11.0, 22.0), 1e-13))
+    for cfg, times, bound in cases:
+        for s, ref in zip(evolve_kg(cfg, times),
+                          kg_rk4_in_stage_ko(cfg, times)):
+            err = np.abs(s.r * s.phi - ref).max()
+            assert err <= bound * np.abs(ref).max(), (cfg.dr, cfg.ko_sigma, s.t)
+
+
+@pytest.mark.parametrize("ko_sigma, per_step", [(0.02, 6), (0.0, 4)])
+def test_correlations_per_step(monkeypatch, ko_sigma, per_step):
+    # work budget of the evolver: one Laplacian correlation per RK4 stage,
+    # plus one Kreiss-Oliger filter correlation per row and step
+    cfg = KGConfig(r_max=8.0, dr=1 / 32, t_max=1.0, ko_sigma=ko_sigma)
+    calls = []
+    correlate = np.correlate
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return correlate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "correlate", spy)
+    evolve_kg(cfg, [cfg.t_max])
+    assert len(calls) == per_step * round(cfg.t_max / (cfg.cfl * cfg.dr))
 
 
 def test_causal_window_is_exact():
