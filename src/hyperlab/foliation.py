@@ -175,9 +175,9 @@ def leaf_frames(model, recs, rhos):
     degenerate = rtilde < FRAME_FLOOR
     T = np.zeros_like(x)
     T[:, 0] = 1.0 / n
-    tb = (t / b)[:, None]
-    N = (rho[:, None] * B - tb * T) / np.maximum(rtilde, FRAME_FLOOR)[:, None]
-    Nbar = (rtilde[:, None] * T + tb * N) / rho[:, None]
+    N = ((rho[:, None] * B - bt[:, None] * T)
+         / np.maximum(rtilde, FRAME_FLOOR)[:, None])
+    Nbar = (rtilde[:, None] * T + bt[:, None] * N) / rho[:, None]
     eA = np.zeros((len(x), 2, 4))
     r, varpi, snr = np.zeros(len(x)), np.zeros(len(x)), np.zeros((len(x), 2))
     for i in np.flatnonzero(~degenerate):

@@ -29,11 +29,10 @@ Index conventions (used throughout the package):
     weyl per W_abcd  = R_abcd - (1/2)(g_ac S_bd + g_bd S_ac - g_bc S_ad - g_ad S_bc)
 
 Evaluation is batched: x may have any leading shape (..., 4).  Level 2
-builds d2g and Riemann only; ricci, scalar, schouten and weyl are built
-from them on first access and cached on the jet.  The jet serves
-curvature_at, the diagnostics and, in the tests, the oracle of the geodesic
-terms: the geodesic right-hand side reads only Gamma(B, .) and R(B, ., B, .),
-which _ray_terms builds in closed form from the same radial profiles.
+adds Riemann as Kulkarni-Nomizu products of the curvature functions K1-K4
+of _radial_terms; no second derivatives of g are formed.  ricci, scalar,
+schouten and weyl are built from Riemann on first access.  _ray_terms builds
+the geodesic terms Gamma(B, .) and R(B, ., B, .) from the same K1-K4.
 """
 
 from dataclasses import dataclass, field
@@ -112,8 +111,7 @@ class MetricJet:
     g_inv: np.ndarray                # (S, 4, 4)
     dg: np.ndarray = None            # (S, 4, 4, 4)  dg[m,a,b] = d_m g_ab
     gamma: np.ndarray = None         # (S, 4, 4, 4)  gamma[l,m,n] = Gamma^l_mn
-    d2g: np.ndarray = None           # (S, 4, 4, 4, 4) d2g[k,m,a,b] = d_k d_m g_ab
-    riemann: np.ndarray = None       # (S, 4, 4, 4, 4) fully lowered
+    riemann: np.ndarray = None       # (S, 4, 4, 4, 4) fully lowered, K1-K4
     sqrt_det: np.ndarray = None      # (S,) sqrt(-det g)
     lapse: np.ndarray = None         # (S,) static lapse n = sqrt(-g_tt)
     model: MetricModel = field(default=None, repr=False)
@@ -277,21 +275,19 @@ def metric_at(model, x, level=2):
     r = np.sqrt(np.sum(xs * xs, axis=-1))
     _check_regular(model, r)
     p = _profiles(model, r)
-    n2, dn2, d2n2, A, dA, d2A, Bc, dBc, d2Bc = p
-    rs = np.maximum(r, _R_FLOOR)
-    u = xs / rs[..., None]                       # spatial unit radial vector
-    eye3 = np.eye(3)
+    n2, dn2, _, A, dA, _, Bc, dBc, _ = p
+    u = xs / np.maximum(r, _R_FLOOR)[..., None]  # spatial unit radial vector
 
     g = np.zeros(shape + (4, 4))
     g[..., 0, 0] = -n2
-    g[..., 1:, 1:] = (A[..., None, None] * eye3
+    g[..., 1:, 1:] = (A[..., None, None] * _EYE3
                       + Bc[..., None, None] * xs[..., :, None] * xs[..., None, :])
 
     g_inv = np.zeros_like(g)
     g_inv[..., 0, 0] = -1.0 / n2
     Cr = A + Bc * r * r                          # radial-radial eigenvalue
     coef = Bc / (A * Cr)
-    g_inv[..., 1:, 1:] = ((1.0 / A)[..., None, None] * eye3
+    g_inv[..., 1:, 1:] = ((1.0 / A)[..., None, None] * _EYE3
                           - coef[..., None, None] * xs[..., :, None] * xs[..., None, :])
 
     jet = MetricJet(x=x, level=level, g=g, g_inv=g_inv, model=model)
@@ -303,49 +299,35 @@ def metric_at(model, x, level=2):
     # first derivatives: dg[m, a, b] = d_m g_ab, time derivatives vanish
     dg = np.zeros(shape + (4, 4, 4))
     dg[..., 1:, 0, 0] = -dn2[..., None] * u
-    dg_sp = (dA[..., None, None, None] * u[..., :, None, None] * eye3
+    dg_sp = (dA[..., None, None, None] * u[..., :, None, None] * _EYE3
              + dBc[..., None, None, None] * u[..., :, None, None]
              * xs[..., None, :, None] * xs[..., None, None, :]
              + Bc[..., None, None, None]
-             * (eye3[:, :, None] * xs[..., None, None, :]
-                + eye3[:, None, :] * xs[..., None, :, None]))
+             * (_EYE3[:, :, None] * xs[..., None, None, :]
+                + _EYE3[:, None, :] * xs[..., None, :, None]))
     dg[..., 1:, 1:, 1:] = dg_sp
     jet.dg = dg
     # dg index order is (m, a, b); build F[m,s,n] = d_m g_sn + d_n g_sm - d_s g_mn
     sym = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
-    gamma = 0.5 * np.einsum('...ls,...msn->...lmn', g_inv, sym)
-    jet.gamma = gamma
+    jet.gamma = 0.5 * np.einsum('...ls,...msn->...lmn', g_inv, sym)
     if level == 1:
         return _squeeze(jet, scalar_input)
 
-    # second derivatives d2g[k, m, a, b] = d_k d_m g_ab.  The Hessians of the
-    # radial profiles n2, A, Bc are f'' u_k u_m + f' (delta_km - u_k u_m) / r.
-    fr = np.stack(p[1::3]) / rs
+    # R = KN(tt, K1 rr + K2 P) + KN(K3 rr + (K4/2) P, P), tt = n2 dt^2,
+    # rr = C u u, P = A (delta - u u) and KN(h, k)_abcd = h_ac k_bd + h_bd k_ac
+    # - h_ad k_bc - h_bc k_ad.  KN is linear in h (x) k, so Z_abcd = h_ac k_bd
+    # is symmetrised once, and all but the first Bianchi symmetry are exact.
+    _, C, _, _, _, _, (K1, K2, K3, K4) = _radial_terms(p, r, True)
     uu = u[..., :, None] * u[..., None, :]
-    Hn2, HA, HBc = ((np.stack(p[2::3]) - fr)[..., None, None] * uu
-                    + fr[..., None, None] * eye3)
-    d2g = jet.d2g = np.zeros(shape + (4, 4, 4, 4))
-    d2g[..., 1:, 1:, 0, 0] = -Hn2
-    # spatial block (k, l, i, j): Hess(A)_kl delta_ij + Hess(Bc)_kl x_i x_j,
-    # plus delta_il W_kj symmetrised over (i, j) and over (k, l), where
-    # W_kj = dBc u_k x_j + (Bc/2) delta_kj carries the terms linear in x
-    W = dBc[..., None, None] * u[..., :, None] * xs[..., None, :] \
-        + (0.5 * Bc)[..., None, None] * eye3
-    C = W[..., :, None, None, :] * eye3[:, :, None]
-    C = C + np.swapaxes(C, -1, -2)
-    d2g[..., 1:, 1:, 1:, 1:] = (
-        C + np.swapaxes(C, -4, -3)
-        + HA[..., :, :, None, None] * eye3
-        + HBc[..., :, :, None, None]
-        * (xs[..., :, None] * xs[..., None, :])[..., None, None, :, :])
-
-    # R_abcd = Z_abcd - Z_abdc with Z_abcd = Gamma^e_bc Gamma_ead
-    # - (1/2)(d_a d_c g_bd - d_b d_c g_ad); Gamma_ead = sym[a, e, d] / 2
-    gg = np.matmul(np.swapaxes(gamma.reshape(-1, 4, 16), -1, -2),
-                   0.5 * np.swapaxes(sym, -3, -2).reshape(-1, 4, 16))
-    X = np.swapaxes(d2g, -3, -2)
-    Z = (np.moveaxis(gg.reshape(shape + (4, 4, 4, 4)), -2, -4)
-         - 0.5 * (X - np.swapaxes(X, -4, -3)))
+    P = A[..., None, None] * (_EYE3 - uu)
+    rr = C[..., None, None] * uu
+    H = K3[..., None, None] * rr + (0.5 * K4)[..., None, None] * P
+    Z = np.zeros(shape + (4, 4, 4, 4))
+    Z[..., 1:, 1:, 1:, 1:] = (H[..., :, None, :, None]
+                              * P[..., None, :, None, :])
+    Z[..., 0, 1:, 0, 1:] = n2[..., None, None] * (K1[..., None, None] * rr
+                                                  + K2[..., None, None] * P)
+    Z = Z + np.swapaxes(np.swapaxes(Z, -4, -3), -2, -1)
     jet.riemann = Z - np.swapaxes(Z, -1, -2)
     return _squeeze(jet, scalar_input)
 
@@ -359,6 +341,37 @@ def _colsum(a):
     return out
 
 
+def _radial_terms(p, r, curvature):
+    """Radial coefficients of the profiles p = _profiles(model, r): 1/r,
+    C = A + Bc r^2, 1/A, 1/C, hA = A'/(2A), hF = n2'/(2 n2) and, if curvature
+    is set, K = (K1, K2, K3, K4), otherwise None.  For -F dt^2 + C dr^2
+    + S dOmega^2 (F = n2, S = A r^2) the orthonormal Riemann components in
+    this module's convention are
+        K1 = R_trtr = (2CFF'' - CF'^2 - FC'F')/(4C^2F^2),
+        K2 = R_tAtA = F'S'/(4CFS),
+        K3 = R_rArA = (-2CSS'' + CS'^2 + SC'S')/(4C^2S^2),
+        K4 = R_ABAB = (4CS - S'^2)/(4CS^2),
+    written below with S'/S = 2 hA + 2/r and the 1/r^2 terms cancelled, so
+    every 1/r multiplies a profile derivative and the flat core gives exact
+    zeros.
+    """
+    F, dF, d2F, A, dA, d2A, Bc, dBc, _ = p
+    ir = 1.0 / np.maximum(r, _R_FLOOR)
+    C = A + Bc * (r * r)
+    iA, iC = 1.0 / A, 1.0 / C
+    hA = 0.5 * dA * iA
+    hF = 0.5 * dF / F
+    if not curvature:
+        return ir, C, iA, iC, hA, hF, None
+    hC = 0.5 * (dA + (dBc * r + 2.0 * Bc) * r) * iC     # C'/(2C)
+    m = hA + ir                                          # S'/(2S)
+    K1 = 0.5 * (d2F - dF * (hF + hC)) / F * iC
+    K2 = hF * m * iC
+    K3 = (-0.5 * d2A * iA - 2.0 * hA * ir + hA * hA + hC * m) * iC
+    K4 = (Bc * iA - 2.0 * hA * ir - hA * hA) * iC
+    return ir, C, iA, iC, hA, hF, (K1, K2, K3, K4)
+
+
 def _ray_terms(model, x, b, tidal):
     """Closed-form geodesic terms at lane states x, b (n, 4) from one
     _profiles call: gb[l, k] = Gamma^l_mk B^m and, when tidal is set, the
@@ -369,16 +382,9 @@ def _ray_terms(model, x, b, tidal):
     gb_it = n2' B^t u_i/(2C) and
         gb_ij = hA (u.v) d_ij + hA v_i u_j + (Bc r - A'/2)/C u_i v_j
                 + (u.v) r^2 (Bc'/2 - 2 Bc hA)/C u_i u_j,    hA = A'/(2A).
-    For -F dt^2 + C dr^2 + S dOmega^2 (F = n2, S = A r^2) the orthonormal
-    Riemann components in this module's convention are
-        K1 = R_trtr = (2CFF'' - CF'^2 - FC'F')/(4C^2F^2),
-        K2 = R_tAtA = F'S'/(4CFS),
-        K3 = R_rArA = (-2CSS'' + CS'^2 + SC'S')/(4C^2S^2),
-        K4 = R_ABAB = (4CS - S'^2)/(4CS^2),
-    written below with S'/S = 2 hA + 2/r and the 1/r^2 terms cancelled, so
-    every 1/r multiplies a profile derivative and the flat core gives exact
-    zeros.  With the coframe th_t = sqrt(F) dt, th_r = sqrt(C) dr, the
-    transverse metric P = A (d - u u), p = P v and |B_perp|^2 = v.P v,
+    With K1-K4 of _radial_terms, the coframe th_t = sqrt(F) dt,
+    th_r = sqrt(C) dr, the transverse metric P = A (d - u u), p = P v and
+    |B_perp|^2 = v.P v,
         T = K1 w w + K2 [(th_t.B)^2 P - (th_t.B)(p th_t + th_t p)
             + |B_perp|^2 th_t th_t] + (the same with th_r for K3)
             + K4 [|B_perp|^2 P - p p],   w = (th_t.B) th_r - (th_r.B) th_t.
@@ -387,15 +393,12 @@ def _ray_terms(model, x, b, tidal):
     xs, v, bt = x[:, 1:], b[:, 1:], b[:, 0]
     r = np.sqrt(_colsum(xs * xs))
     _check_regular(model, r)
-    F, dF, d2F, A, dA, d2A, Bc, dBc, _ = _profiles(model, r)
-    ir = 1.0 / np.maximum(r, _R_FLOOR)
+    p = _profiles(model, r)
+    F, dF, _, A, dA, _, Bc, dBc, _ = p
+    ir, C, iA, iC, hA, hF, K = _radial_terms(p, r, tidal)
     u = xs * ir[:, None]
     uv = _colsum(u * v)
     r2 = r * r
-    C = A + Bc * r2
-    iA, iC = 1.0 / A, 1.0 / C
-    hA = 0.5 * dA * iA
-    hF = 0.5 * dF / F
     gb = np.empty(x.shape + (4,))
     gb[:, 0, 0] = hF * uv
     gb[:, 0, 1:] = (hF * bt)[:, None] * u
@@ -409,12 +412,7 @@ def _ray_terms(model, x, b, tidal):
     if not tidal:
         return gb, None, None
 
-    hC = 0.5 * (dA + (dBc * r + 2.0 * Bc) * r) * iC     # C'/(2C)
-    m = hA + ir                                          # S'/(2S)
-    K1 = 0.5 * (d2F - dF * (hF + hC)) / F * iC
-    K2 = hF * m * iC
-    K3 = (-0.5 * d2A * iA - 2.0 * hA * ir + hA * hA + hC * m) * iC
-    K4 = (Bc * iA - 2.0 * hA * ir - hA * hA) * iC
+    K1, K2, K3, K4 = K
     p = A[:, None] * (v - uv[:, None] * u)
     bp2 = _colsum(p * v)                                 # |B_perp|^2
     Ft2 = F * bt * bt                                    # (th_t.B)^2
@@ -443,8 +441,8 @@ def _ray_terms(model, x, b, tidal):
 def _squeeze(jet, scalar_input):
     if not scalar_input:
         return jet
-    for name in ("x", "g", "g_inv", "dg", "gamma", "d2g", "riemann",
-                 "sqrt_det", "lapse"):
+    for name in ("x", "g", "g_inv", "dg", "gamma", "riemann", "sqrt_det",
+                 "lapse"):
         v = getattr(jet, name)
         if v is not None and isinstance(v, np.ndarray):
             setattr(jet, name, v[0])

@@ -75,10 +75,64 @@ def geodesic_rhs(model):
     return f
 
 
+def cartesian_level2(model, x):
+    """Second derivatives of g and Riemann from them at points x (n, 4):
+    (d2g, riemann) with d2g[k, m, a, b] = d_k d_m g_ab and
+    R_abcd = Z_abcd - Z_abdc, Z_abcd = Gamma^e_bc Gamma_ead
+    - (1/2)(d_a d_c g_bd - d_b d_c g_ad).
+
+    The Cartesian reference for metric_at's level 2: it uses the radial
+    profiles and the level-1 jet, not the K1-K4 formulas.
+    """
+    from hyperlab.metric import _profiles, metric_at
+
+    x = np.asarray(x, dtype=float)
+    jet = metric_at(model, x, level=1)
+    shape = x.shape[:-1]
+    xs = x[..., 1:]
+    r = np.sqrt(np.sum(xs * xs, axis=-1))
+    p = _profiles(model, r)
+    Bc, dBc = p[6], p[7]
+    rs = np.maximum(r, 1e-300)
+    u = xs / rs[..., None]
+    eye3 = np.eye(3)
+    # The Hessians of the radial profiles n2, A, Bc are
+    # f'' u_k u_m + f' (delta_km - u_k u_m) / r.
+    fr = np.stack(p[1::3]) / rs
+    uu = u[..., :, None] * u[..., None, :]
+    Hn2, HA, HBc = ((np.stack(p[2::3]) - fr)[..., None, None] * uu
+                    + fr[..., None, None] * eye3)
+    d2g = np.zeros(shape + (4, 4, 4, 4))
+    d2g[..., 1:, 1:, 0, 0] = -Hn2
+    # spatial block (k, l, i, j): Hess(A)_kl delta_ij + Hess(Bc)_kl x_i x_j,
+    # plus delta_il W_kj symmetrised over (i, j) and over (k, l), where
+    # W_kj = dBc u_k x_j + (Bc/2) delta_kj carries the terms linear in x
+    W = dBc[..., None, None] * u[..., :, None] * xs[..., None, :] \
+        + (0.5 * Bc)[..., None, None] * eye3
+    C = W[..., :, None, None, :] * eye3[:, :, None]
+    C = C + np.swapaxes(C, -1, -2)
+    d2g[..., 1:, 1:, 1:, 1:] = (
+        C + np.swapaxes(C, -4, -3)
+        + HA[..., :, :, None, None] * eye3
+        + HBc[..., :, :, None, None]
+        * (xs[..., :, None] * xs[..., None, :])[..., None, None, :, :])
+
+    # Gamma_ead = sym[a, e, d] / 2
+    dg = jet.dg
+    sym = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
+    gg = np.matmul(np.swapaxes(jet.gamma.reshape(-1, 4, 16), -1, -2),
+                   0.5 * np.swapaxes(sym, -3, -2).reshape(-1, 4, 16))
+    X = np.swapaxes(d2g, -3, -2)
+    Z = (np.moveaxis(gg.reshape(shape + (4, 4, 4, 4)), -2, -4)
+         - 0.5 * (X - np.swapaxes(X, -4, -3)))
+    return d2g, Z - np.swapaxes(Z, -1, -2)
+
+
 def jet_ray_rhs(model, nj, nk):
-    """Geodesic right-hand side built on the full level-2 jet: Gamma(B, .)
-    and T_bd = R_abcd B^a B^c contracted from metric_at's gamma and
-    riemann, with the same transport arithmetic as geodesic._make_rhs."""
+    """Geodesic right-hand side built on the Cartesian jet: Gamma(B, .)
+    from metric_at's level-1 gamma and T_bd = R_abcd B^a B^c from
+    cartesian_level2, so independent of the K1-K4 formulas, with the same
+    transport arithmetic as geodesic._make_rhs."""
     from hyperlab.geodesic import mat_to_sym6, sym6_to_mat
     from hyperlab.metric import metric_at
 
@@ -86,10 +140,10 @@ def jet_ray_rhs(model, nj, nk):
 
     def rhs(rho, y):
         b = y[:, 4:8]
-        jet = metric_at(model, y[:, 0:4], level=2)
+        jet = metric_at(model, y[:, 0:4], level=1)
         gb = np.einsum('nlmk,nm->nlk', jet.gamma, b)
-        T = np.einsum('nbcd,nc->nbd',
-                      np.einsum('nabcd,na->nbcd', jet.riemann, b), b)
+        T = np.einsum('nbcd,nc->nbd', np.einsum(
+            'nabcd,na->nbcd', cartesian_level2(model, y[:, 0:4])[1], b), b)
         dy = np.empty_like(y)
         dy[:, 0:4] = b
         dy[:, 4:8] = -np.einsum('nlk,nk->nl', gb, b)
@@ -129,8 +183,8 @@ def riemann_fd(model, x, h=1e-3):
 
     d_k Gamma^l_mn is taken by the 5-point stencil on level-1 jets, then
     R^r_smn = d_m G^r_ns - d_n G^r_ms + G^r_ml G^l_ns - G^r_nl G^l_ms is
-    lowered with g.  Independent of the second-derivative formula that
-    metric_at uses at level 2.
+    lowered with g.  Independent of the K1-K4 formulas that metric_at uses
+    at level 2 and of the second derivatives in cartesian_level2.
     """
     from hyperlab.metric import metric_at
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hyperlab.metric import (HORIZON_MARGIN, MetricModel, _orthonormalize,
                              _ray_terms, curvature_at, metric_at,
                              schouten_scalar_field)
 
-from oracles import jet_ray_rhs, riemann_fd
+from oracles import cartesian_level2, jet_ray_rhs, riemann_fd
 
 MINK = MetricModel.minkowski()
 SCHW = MetricModel.schwarzschild(0.05)
@@ -105,6 +106,25 @@ def test_riemann_matches_gamma_difference_oracle(model, x):
     ref = riemann_fd(model, x)
     scale = max(np.abs(ref).max(), 1e-300)
     assert np.abs(R - ref).max() <= 1e-8 * scale + 1e-14
+
+
+@pytest.mark.parametrize("model, xs", [
+    (MINK, [[0.1, 0.3, -0.2, 0.5]]),
+    (SCHW, [[0.4, 3.0, 1.0, -2.0], [0.0, 0.3, 0.2, -0.1]]),
+    (GLUED, [[0.0, 1.4, 0.3, -0.6], [0.0, 1.05, 0.0, 0.2],
+             [0.0, 2.5, -1.0, 0.7]]),
+], ids=["minkowski", "schwarzschild", "glued"])
+def test_riemann_algebraic_symmetries_exact(model, xs):
+    # the points of test_riemann_matches_gamma_difference_oracle: the
+    # Kulkarni-Nomizu build makes the pair symmetries exact, and leaves the
+    # first Bianchi sum at rounding
+    R = metric_at(model, xs, level=2).riemann
+    assert np.abs(R + np.swapaxes(R, -4, -3)).max() == 0.0
+    assert np.abs(R + np.swapaxes(R, -2, -1)).max() == 0.0
+    assert np.abs(R - np.einsum('...abcd->...cdab', R)).max() == 0.0
+    bianchi = (R + np.einsum('...acdb->...abcd', R)
+               + np.einsum('...adbc->...abcd', R))
+    assert np.all(_lane_max(bianchi) <= 1e-15 * _lane_max(R))
 
 
 def test_lazy_curvature_fields_scalar_input():
@@ -276,23 +296,24 @@ def _lane_max(a):
         "glued-m005-annulus", "schwarzschild", "schwarzschild-horizon"])
 def test_ray_terms_match_jet(model, lo, hi, exact, vacuum):
     # The closed-form Gamma(B, .), tidal tensor and g^{-1}, and the RHS built
-    # on them, against the level-2 jet contractions.  The bound is 1e-13 of
-    # the size of the terms the jet sums (g^{-1} dg for Gamma, d2g and
-    # Gamma dg for Riemann, times the |B| factors), which is where its own
-    # rounding sits: near the horizon the jet's T is only good to ~1e-9 of
-    # |T| while those terms are ~1e10 |T|.  In the flat core both are exact
-    # zeros.
+    # on them, against the contractions of the level-1 jet and of the
+    # Cartesian Riemann of cartesian_level2.  The bound is 1e-13 of the size
+    # of the terms the jet sums (g^{-1} dg for Gamma, d2g and Gamma dg for
+    # Riemann, times the |B| factors), which is where its own rounding sits:
+    # near the horizon the Cartesian T is only good to ~1e-9 of |T| while
+    # those terms are ~1e10 |T|.  In the flat core both are exact zeros.
     radii = np.concatenate([exact, np.random.default_rng(7).uniform(lo, hi, 200)])
     x, b = _ray_states(model, radii, seed=11)
-    jet = metric_at(model, x, level=2)
+    jet = metric_at(model, x, level=1)
+    d2g, riemann = cartesian_level2(model, x)
     gb, T, g_inv = _ray_terms(model, x, b, True)
     gb_only, T_none, _ = _ray_terms(model, x, b, False)
     assert T_none is None and np.array_equal(gb_only, gb)
     babs = np.abs(b).sum(axis=1)
     s_gb = _lane_max(jet.g_inv) * _lane_max(jet.dg) * babs
-    s_T = (_lane_max(jet.d2g) + _lane_max(jet.gamma) * _lane_max(jet.dg)) * babs**2
+    s_T = (_lane_max(d2g) + _lane_max(jet.gamma) * _lane_max(jet.dg)) * babs**2
     ref_gb = np.einsum('nlmk,nm->nlk', jet.gamma, b)
-    ref_T = np.einsum('nabcd,na,nc->nbd', jet.riemann, b, b)
+    ref_T = np.einsum('nabcd,na,nc->nbd', riemann, b, b)
     assert np.all(_lane_max(gb - ref_gb) <= 1e-13 * s_gb)
     assert np.all(_lane_max(T - ref_T) <= 1e-13 * s_T)
     assert np.all(_lane_max(g_inv - jet.g_inv) <= 1e-13 * _lane_max(jet.g_inv))
@@ -313,3 +334,52 @@ def test_ray_terms_match_jet(model, lo, hi, exact, vacuum):
         s_rhs = ((s_gb + (1.0 + _lane_max(jet.g_inv)) * s_T)
                  * np.maximum(1.0, _lane_max(y)) ** 2)
         assert np.all(_lane_max(got - ref) <= 1e-13 * s_rhs)
+
+
+def _mp_tidal(M, x, b):
+    """T_bd = R_abcd B^a B^c of the Schwarzschild chart at one point, at 60
+    digits: K1-K4 of F = (r - 2M)/(r + 2M), C = 1/F, S = (r + 2M)^2 from
+    their closed-form derivatives, contracted through
+    KN(h, k)(B, ., B, .) = h(B, B) k + k(B, B) h - (hB)(kB) - (kB)(hB)."""
+    with mpmath.workdps(60):
+        M = mpmath.mpf(M)
+        xs = [mpmath.mpf(float(c)) for c in x[1:]]
+        B = mpmath.matrix([mpmath.mpf(float(c)) for c in b])
+        r = mpmath.sqrt(sum(c * c for c in xs))
+        rp, rm = r + 2 * M, r - 2 * M
+        F, dF, d2F = rm / rp, 4 * M / rp**2, -8 * M / rp**3
+        C, dC = rp / rm, -4 * M / rm**2
+        S, dS, d2S = rp**2, 2 * rp, 2
+        K1 = (2 * C * F * d2F - C * dF**2 - F * dC * dF) / (4 * C**2 * F**2)
+        K2 = dF * dS / (4 * C * F * S)
+        K3 = (-2 * C * S * d2S + C * dS**2 + S * dC * dS) / (4 * C**2 * S**2)
+        K4 = (4 * C * S - dS**2) / (4 * C * S**2)
+        u = [c / r for c in xs]
+        tt, rr, P = (mpmath.zeros(4, 4) for _ in range(3))
+        tt[0, 0] = F
+        for i in range(3):
+            for j in range(3):
+                rr[i + 1, j + 1] = C * u[i] * u[j]
+                P[i + 1, j + 1] = S / r**2 * (int(i == j) - u[i] * u[j])
+        T = mpmath.zeros(4, 4)
+        for h, k in ((tt, K1 * rr + K2 * P), (K3 * rr + K4 / 2 * P, P)):
+            hB, kB = h * B, k * B
+            hBB, kBB = (B.T * hB)[0], (B.T * kB)[0]
+            T += hBB * k + kBB * h - hB * kB.T - kB * hB.T
+        return np.array(T.tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("gaps, bound", [
+    (np.geomspace(9e-6, 7e-5, 8), 1e-11),
+    (np.array([0.02, 0.5, 3.0]), 1e-14),
+], ids=["near-horizon", "away"])
+def test_level2_tidal_matches_mpmath(gaps, bound):
+    # R(B, ., B, .) of metric_at's level 2, B unit timelike, against K1-K4
+    # at 60 digits where r - 2M = gaps; Cartesian second derivatives cancel
+    # large terms of C here and read up to 1.7e-9 of |T| on these states
+    x, b = _ray_states(SCHW, 2.0 * SCHW.mass + gaps, seed=13)
+    T = np.einsum('nabcd,na,nc->nbd', metric_at(SCHW, x, level=2).riemann,
+                  b, b)
+    for Tn, xn, bn in zip(T, x, b):
+        ref = _mp_tidal(SCHW.mass, xn, bn)
+        assert np.abs(Tn - ref).max() <= bound * np.abs(ref).max()
