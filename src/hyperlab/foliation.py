@@ -175,8 +175,10 @@ def leaf_frames(model, recs, rhos):
     degenerate = rtilde < FRAME_FLOOR
     T = np.zeros_like(x)
     T[:, 0] = 1.0 / n
-    N = ((rho[:, None] * B - bt[:, None] * T)
-         / np.maximum(rtilde, FRAME_FLOOR)[:, None])
+    # N = (rho B - bt T)/rtilde with bt = rho n B^t: the time part is 0
+    N = np.zeros_like(x)
+    N[:, 1:] = (rho[:, None] * B[:, 1:]
+                / np.maximum(rtilde, FRAME_FLOOR)[:, None])
     Nbar = (rtilde[:, None] * T + bt[:, None] * N) / rho[:, None]
     eA = np.zeros((len(x), 2, 4))
     r, varpi, snr = np.zeros(len(x)), np.zeros(len(x)), np.zeros((len(x), 2))

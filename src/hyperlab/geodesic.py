@@ -35,11 +35,14 @@ and the spatial parts of J, P and the triad, q0, khat) by the lane's tol
 profiles are only C^2 at r_in and r_out, so no step straddles either
 radius: a step is shortened onto the crossing.  A Schwarzschild lane stops
 on the horizon guard 2M (1 + 2 HORIZON_MARGIN) and is marked truncated.
-The integrator's own arithmetic is elementwise in a fixed order (no BLAS,
-no numpy reductions), and the right-hand side treats each lane alone, so
-every record is bit-identical to the same direction integrated alone at its
-own tolerance, whatever the rest of the batch and its tolerances.  A scalar
-tolerance is the same as that value on every lane.
+Every contraction is per lane: the right-hand side's products are stacked
+matmuls, one small matrix product per lane (Gamma(B, .) of the B, J, P and
+E rows at once, and the two curvature terms), each stage sum is one einsum
+that sums the stage axis in index order, and the rest is elementwise in a
+fixed order.  No lane's arithmetic sees another lane, so every record is
+bit-identical to the same direction integrated alone at its own tolerance,
+whatever the rest of the batch and its tolerances.  A scalar tolerance is
+the same as that value on every lane.
 """
 
 from dataclasses import dataclass, field
@@ -240,31 +243,30 @@ def _unpack(y, nj, nk):
 def _make_rhs(model, nj, nk):
     """Right-hand side rhs(rho, y) on lane states y (n, dim), one rho per
     lane, with one metric._ray_terms call per evaluation: Gamma(B, .) and,
-    with a payload, the tidal tensor T from the closed K1-K4 form."""
+    with a payload, the tidal tensor T from the closed K1-K4 form.
+
+    B, J, P and the triad E are contiguous rows of 4 in the state, so one
+    per-lane matmul with gb^T gives Gamma(B, .) of every row at once."""
     eye3 = np.eye(3)
+    m = 1 + 3 * (2 * nj + nk)               # rows B, J_i, P_i, E_i
 
     def rhs(rho, y):
-        b = y[:, 4:8]
-        gb, T, g_inv = _ray_terms(model, y[:, 0:4], b, nj or nk)
-        dy = np.empty_like(y)
-        dy[:, 0:4] = b
-        dy[:, 4:8] = -np.einsum('nlk,nk->nl', gb, b)
-        p = 8
+        n = len(y)
+        gb, T, g_inv = _ray_terms(model, y[:, 0:4], y[:, 4:8], nj or nk)
+        Y = y[:, 4:4 + 4 * m].reshape(n, m, 4)
+        dY = -(Y @ gb.transpose(0, 2, 1))   # -Gamma(B, row) for every row
         if nj:
-            J = y[:, p:p + 12].reshape(-1, 3, 4)
-            P = y[:, p + 12:p + 24].reshape(-1, 3, 4)
-            RB = -np.einsum('nlb,nbd->nld', g_inv, T)   # R^l_bcd B^b B^c
-            dJ = P - np.einsum('nlk,njk->njl', gb, J)
-            dP = np.einsum('nld,njd->njl', RB, J) - np.einsum('nlk,njk->njl', gb, P)
-            dy[:, p:p + 12] = dJ.reshape(-1, 12)
-            dy[:, p + 12:p + 24] = dP.reshape(-1, 12)
-            p += 24
+            dY[:, 1:4] += Y[:, 4:7]                 # dJ = P - Gamma(B, J)
+            dY[:, 4:7] -= (Y[:, 1:4] @ T) @ g_inv   # dP = R(B, J)B - Gamma(B, P)
+        dy = np.empty_like(y)
+        dy[:, 0:4] = y[:, 4:8]
+        dy[:, 4:4 + 4 * m] = dY.reshape(n, 4 * m)
         if nk:
-            E = y[:, p:p + 12].reshape(-1, 3, 4)
-            q0 = y[:, p + 12]
-            kh = sym6_to_mat(y[:, p + 13:p + 19])
-            dE = -np.einsum('nlk,njk->njl', gb, E)
-            tidal = np.einsum('nbd,nib,njd->nij', T, E, E)
+            p = 4 + 4 * m
+            E = Y[:, m - 3:]
+            q0 = y[:, p]
+            kh = sym6_to_mat(y[:, p + 1:p + 7])
+            tidal = (E @ T) @ E.transpose(0, 2, 1)
             ric_bb = np.einsum('nii->n', tidal)
             rhat = tidal - (ric_bb[:, None, None] / 3.0) * eye3
             kh2 = np.einsum('nij,njk->nik', kh, kh)
@@ -273,9 +275,8 @@ def _make_rhs(model, nj, nk):
             dq0 = -(2.0 / rho) * q0 - q0 * q0 / 3.0 - ric_bb - kh_sq
             dkh = (-(2.0 / 3.0) * trk[:, None, None] * kh - rhat
                    - (kh2 - (kh_sq[:, None, None] / 3.0) * eye3))
-            dy[:, p:p + 12] = dE.reshape(-1, 12)
-            dy[:, p + 12] = dq0
-            dy[:, p + 13:p + 19] = mat_to_sym6(dkh)
+            dy[:, p] = dq0
+            dy[:, p + 1:p + 7] = mat_to_sym6(dkh)
         return dy
 
     return rhs
@@ -314,12 +315,8 @@ def _block_sq(v, blocks):
 
 
 def _lincomb(coef, K):
-    """sum_j coef[j] K[j] over the nonzero coefficients, elementwise."""
-    out = 0.0
-    for c, k in zip(coef, K):
-        if c != 0.0:
-            out = out + c * k
-    return out
+    """sum_j coef[j] K[j], accumulated over j in index order per element."""
+    return np.einsum('j,j...->...', coef, K[:len(coef)])
 
 
 def _radius(y):

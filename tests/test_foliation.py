@@ -104,6 +104,12 @@ def test_frame_decomposition_residuals_offset(offset_record):
         assert frame_residuals(GLUED, offset_record, rho) < 1e-8
 
 
+def test_leaf_normal_has_no_time_part(glued_record, offset_record):
+    # N = (rho B - bt T)/rtilde with bt = rho n B^t: N^0 is exactly 0
+    for rec in (glued_record, offset_record):
+        assert np.all(leaf_frames(GLUED, [rec], rec.rho).frames.N[:, 0] == 0.0)
+
+
 def test_central_line_degenerate():
     rec = exp_map(GLUED, np.zeros(4), Direction(0.0, (1, 0, 0)), [5.0],
                   with_jacobi=True, with_k=True)

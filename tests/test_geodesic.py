@@ -5,9 +5,10 @@ import pytest
 
 from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
 from hyperlab.foliation import second_fundamental_fd_oracle
-from hyperlab.geodesic import (Direction, FanGrid, GeodesicRecord,
-                               direction_from_angles, exp_map, fan_build,
-                               integrate_rays, mat_to_sym6, sym6_to_mat)
+from hyperlab.geodesic import (Direction, FanGrid, GeodesicRecord, _DOP,
+                               _lincomb, _make_rhs, direction_from_angles,
+                               exp_map, fan_build, integrate_rays,
+                               mat_to_sym6, sym6_to_mat)
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 
 from oracles import geodesic_rhs, rk8_fixed
@@ -296,6 +297,63 @@ def test_per_lane_tolerance_matches_single_ray(origin):
         for key in ("_jacobi_ic", "_triad_ic"):
             assert np.array_equal(getattr(rec, key), getattr(single, key))
     assert len({rec.rhs_evals for rec in recs}) == 3
+
+
+def test_wide_batch_matches_single_ray(probe_fan):
+    # a 125-lane batch: the first, middle and last lanes are each the same
+    # direction integrated alone, field by field and counter by counter;
+    # the per-lane matmuls of the right-hand side see the whole batch
+    for i in (0, 62, 124):
+        rec = probe_fan.records[i]
+        single = exp_map(GLUED, probe_fan.origin, rec.direction,
+                         probe_fan.rho_grid, ode_tol=1e-11,
+                         with_jacobi=True, with_k=True)
+        for f in fields(GeodesicRecord):
+            assert _same_field(getattr(rec, f.name),
+                               getattr(single, f.name)), (i, f.name)
+
+
+@pytest.mark.parametrize("n", [1, 4, 125])
+def test_stage_sums_match_loop(n):
+    # every DOP853 stage sum adds c_j K_j one stage at a time, elementwise,
+    # so it equals that loop bit for bit and each lane alone
+    K = np.random.default_rng(n).normal(size=(16, n, 51))
+    for coef in [_DOP.A[s, :s] for s in range(1, 16)] + [_DOP.E5, _DOP.E3,
+                                                          *_DOP.D]:
+        ref = 0.0
+        for c, k in zip(coef, K):
+            ref = ref + c * k
+        got = _lincomb(coef, K)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got[-1:], _lincomb(coef, K[:, -1:]))
+
+
+@pytest.mark.parametrize("payload, per_rhs", [(True, 3), (False, 0)],
+                         ids=["payload", "bare"])
+def test_einsums_per_step(monkeypatch, payload, per_rhs):
+    # work budget of the integrator: the right-hand side contracts by
+    # per-lane matmul and calls einsum only for the k transport (kh^2 and
+    # two traces); each DOP853 stage sum is one einsum, 12 stages and two
+    # error estimates per attempt, 3 dense stages and 4 dense coefficients
+    # per accepted step
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    rec = exp_map(GLUED, OFFSET, Direction(1.1, (1, 0, 0)), [1.0, 18.0],
+                  with_jacobi=payload, with_k=payload)
+    attempts = rec.steps + rec.rejected
+    assert len(calls) == (per_rhs * rec.rhs_evals + 14 * attempts
+                          + 7 * rec.steps)
+    y = np.zeros((4, rec._dense[1].shape[2]))
+    y[:, 0:4], y[:, 4:8] = rec.x[-1], rec.b[-1]
+    calls.clear()
+    _make_rhs(GLUED, payload, payload)(np.full(4, 18.0), y)
+    assert len(calls) == per_rhs
 
 
 def _static_invariants(model, x, b):
