@@ -360,7 +360,7 @@ def cmd_zs_compare(rc, out, config_path):
         r = float(np.linalg.norm(st["x"][1:]))
         uh = schw_optical(model.mass, st["x"][0] - origin[0], r)["uhat"]
         rep = cone_sphere_geometry(model, rho, uh, angular_grid(6, 1),
-                                   origin=origin, ode_tol=rc.rel_tol)
+                                   origin=origin)
         for i in range(len(rep.t_nodes)):
             cs_rows.append([rep.rho, rep.uhat, i, rep.t_nodes[i],
                             rep.r_nodes[i], rep.dag_a[i], rep.dag_a_def[i],

@@ -51,6 +51,7 @@ FRAME_FLOOR = 1e-6
 # calls; 3e-4 adds a Newton round to one leaf, 1e-5 costs 5 % more.
 LOOSE_TOL = 1e-8
 NEWTON_TOL_C = 1e-4
+TIGHT_TOL = 1e-12           # tolerance of every accepted leaf record
 _FAN_DELTA = 5e-3           # parameter spacing of the transverse mini-fan
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
 _SIDES5 = tuple((s, _STENCIL5[s + 2]) for s in (-2, -1, 1, 2))
@@ -377,8 +378,7 @@ def _level_slope(model, recs, rho, level, r_floor):
     return _level_value(model, recs[0].origin[0], x, level), df
 
 
-def solve_level_nodes(model, origin, rho, target, angles, level="t",
-                      ode_tol=1e-11):
+def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     """Find, for each direction (theta, phi), the rapidity zeta at which the
     level function (t or uhat) equals target on H_rho; target is one value,
     or one per direction.
@@ -392,12 +392,12 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     Every step is one batched solve with Jacobi fields and k over the nodes
     still open, each lane at its own tolerance: a node whose last step was
     |dz| (inf before the first) is integrated at
-    clip(NEWTON_TOL_C dz^2, tight, LOOSE_TOL), tight = min(ode_tol, 1e-12).
-    The error a loose iterate puts into the next z shrinks with the Newton
-    steps and stays below the acceptance bound, so on level t the loose
-    iterates add no Newton round (the measurements are at NEWTON_TOL_C).
-    A node is accepted only on a record integrated at tight whose residual
-    is below 1e-10 max(|target|, 1); loose iterates only move z and the
+    clip(NEWTON_TOL_C dz^2, TIGHT_TOL, LOOSE_TOL).  The error a loose
+    iterate puts into the next z shrinks with the Newton steps and stays
+    below the acceptance bound, so on level t the loose iterates add no
+    Newton round (the measurements are at NEWTON_TOL_C).  A node is
+    accepted only on a record integrated at TIGHT_TOL whose residual is
+    below 1e-10 max(|target|, 1); loose iterates only move z and the
     bracket, and every returned record is tight.  The integrator's lanes
     are independent, so each root and record is the same whatever the
     order or grouping of the nodes.  Returns the zeta array and those
@@ -431,11 +431,10 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     z = np.clip(z0, lo, hi)
     sgn = np.zeros(m)               # sign of df at the last iterate, 0 before
     step = np.full(m, np.inf)       # |dz| of the last iterate, inf before
-    tight = min(ode_tol, 1e-12)
     out = [None] * m
     todo = np.arange(m)
     for _ in range(30):
-        tol = np.clip(NEWTON_TOL_C * step[todo] ** 2, tight, LOOSE_TOL)
+        tol = np.clip(NEWTON_TOL_C * step[todo] ** 2, TIGHT_TOL, LOOSE_TOL)
         recs = integrate_rays(
             model, origin, [direction_from_angles(z[i], thetas[i], phis[i])
                             for i in todo],
@@ -455,7 +454,7 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
                       0.5 * (lo[todo] + hi[todo]))
         step[todo] = np.abs(zn - z[todo])
         z[todo] = zn
-        done = (tol == tight) & (np.abs(f) <= 1e-10 * scale[todo])
+        done = (tol == TIGHT_TOL) & (np.abs(f) <= 1e-10 * scale[todo])
         for i, rec, d in zip(todo, recs, done):
             if d:
                 out[i] = rec
@@ -465,8 +464,7 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t",
     raise BracketFailure("level root iteration did not converge")
 
 
-def leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=1e-11, level="t",
-               target=None):
+def leaf_slice(model, origin, t, rho, omega_nodes, level="t", target=None):
     """Quadrature-ready sphere S_{t,rho} (or a uhat-level sphere on H_rho).
 
     omega_nodes: list of (theta, phi, solid-angle weight) triples, e.g. from
@@ -476,7 +474,7 @@ def leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=1e-11, level="t",
     """
     tgt = t if target is None else target
     _, recs = solve_level_nodes(model, origin, rho, tgt, omega_nodes,
-                                level=level, ode_tol=ode_tol)
+                                level=level)
     return _slice_of_records(model, t, rho, omega_nodes, recs, level, tgt)
 
 
@@ -503,7 +501,7 @@ def _slice_of_records(model, t, rho, omega_nodes, recs, level, target):
                      level=level, target=target, model=model)
 
 
-def slice_null_forms(model, sl):
+def slice_null_forms(sl):
     """Populate trchi, trchib, chihat, chibhat on every node of the slice.
 
     Static models: the maximal second fundamental form vanishes, so
@@ -618,6 +616,14 @@ def _fan_directional(fan, values, index, coeffs):
     return np.einsum('ca,a...->c...', coeffs, partials)
 
 
+def _boost_lie(V, dX, X0):
+    """Lie derivative along each boost field c = 0, 1, 2 of a J-frame
+    tensor: its fan derivative dX[c] less the commutator term of the boost
+    at the probe velocity V, where the tensor is X0."""
+    comm = (V[1:, None, None] * X0 - V[1:, None] * X0[:, None, :]) / V[0]
+    return dX - comm - comm.transpose(0, 2, 1)
+
+
 def deformation_boost(model, fan, rho, probe=None):
     """Boost deformation-tensor report at proper time rho.
 
@@ -659,10 +665,7 @@ def deformation_boost(model, fan, rho, probe=None):
         dG = _fan_directional(fan, G, probe, coeffs)       # (3, 3, 3)
         G0 = G[iz, it, ip]
         Ginv = np.linalg.inv(G0)
-        pis = np.zeros((3, 3, 3))
-        for c in range(3):
-            comm = (V[c + 1] * G0 - V[1 + np.arange(3)][:, None] * G0[c]) / V[0]
-            pis[c] = dG[c] - comm - comm.T
+        pis = _boost_lie(V, dG, G0)
         trpi = np.einsum('ab,cab->c', Ginv, pis)
         pihat = pis - trpi[:, None, None] / 3.0 * G0
         khf = K - ((3.0 / r + q0)[..., None, None] / 3.0) * G
@@ -690,10 +693,7 @@ def deformation_boost(model, fan, rho, probe=None):
     # bpr0: D_B pihat + (khat * pihat) - 2 Lie_R khat + (2/3) tr pi khat = 0
     kh0 = F0["khf"][iz, it, ip]
     dkh = _fan_directional(fan, F0["khf"], probe, coeffs)  # (3,3,3)
-    lie_kh = np.zeros((3, 3, 3))
-    for c in range(3):
-        comm = (V[c + 1] * kh0 - V[1 + np.arange(3)][:, None] * kh0[c]) / V[0]
-        lie_kh[c] = dkh[c] - comm - comm.T
+    lie_kh = _boost_lie(V, dkh, kh0)
     # D_B of pihat in the J-frame: d/drho of components minus P-corrections
     dpihat = (Fp["pihat"] - Fm["pihat"]) / (2.0 * h)
     Pmix = K0 @ Ginv                                      # P_a = Pmix[a,c] J_c

@@ -20,9 +20,12 @@ from the four orthonormal curvature functions K1-K4 of a static spherical
 metric; no Christoffel or Riemann array is built.  Both curvature terms use
 T: Rhat is E T E^T less its trace, and R^l_bcd B^b B^c = -g^{la} T_ad by
 pair symmetry.  Rays from an origin in the flat core are exact straight
-lines there, so the system is seeded with closed-form flat values at the
-largest proper time still inside the core (k = gbar/rho exactly; the
-regularized variables vanish).
+lines there.  Each record holds its line as one (2, dim) array _line: the
+lane state at rho = 0 (x = origin, B = V, P = W, the triad E) and its
+rho-derivative (x' = V, J' = W), with W_i = V^i e_0 + V^0 e_i the boost
+Jacobi data; the regularized variables vanish, as k = gbar/rho exactly.
+The integrator starts from the line at the largest proper time still
+inside the core, and state_at evaluates it below that.
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; tableau and dense-output coefficients from
@@ -143,6 +146,7 @@ class GeodesicRecord:
     steps: int = 0                  # accepted integrator steps
     rejected: int = 0               # rejected steps, shell retries included
     rhs_evals: int = 0              # right-hand-side evaluations of this lane
+    _line: np.ndarray = field(default=None, repr=False)  # y, y' at rho = 0
     _dense: tuple = field(default=None, repr=False)    # (step ends, coefs)
     _layout: tuple = field(default=None, repr=False)   # (with_jacobi, with_k)
 
@@ -170,37 +174,14 @@ class GeodesicRecord:
         return out
 
 
-def _flat_state(rec, rho, nj, nk):
-    """Closed-form state inside the flat core (straight-line regime)."""
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    n = rho.shape[0]
-    x = rec.origin[None, :] + rho[:, None] * rec.v0[None, :]
-    b = np.broadcast_to(rec.v0, (n, 4)).copy()
-    out = {"x": x, "b": b, "j": None, "jp": None,
-           "triad": None, "q0": None, "khat": None}
-    if nj:
-        W = rec._jacobi_ic                       # (3,4)
-        out["j"] = rho[:, None, None] * W[None, :, :]
-        out["jp"] = np.broadcast_to(W, (n, 3, 4)).copy()
-    if nk:
-        out["triad"] = np.broadcast_to(rec._triad_ic, (n, 3, 4)).copy()
-        out["q0"] = np.zeros(n)
-        out["khat"] = np.zeros((n, 3, 3))
-    return out
-
-
 def _eval_ray(rec, rq):
-    nj, nk = rec._layout
-    below = rq <= rec.rho_seed
-    out = _flat_state(rec, rq, nj, nk)
-    if np.all(below):
-        return out
-    sel = ~below
-    parts = _unpack(_dense_eval(*rec._dense, rq[sel]), nj, nk)
-    for key in out:
-        if out[key] is not None:
-            out[key][sel] = parts[key]
-    return out
+    """The lane's fields at the proper times rq: the straight line up to
+    rho_seed, the dense output above it."""
+    y = rec._line[0] + rq[:, None] * rec._line[1]
+    above = rq > rec.rho_seed
+    if np.any(above):
+        y[above] = _dense_eval(*rec._dense, rq[above])
+    return _unpack(y, *rec._layout)
 
 
 def _dense_eval(ts, coef, rq):
@@ -218,7 +199,8 @@ def _dense_eval(ts, coef, rq):
 
 
 def _unpack(y, nj, nk):
-    """y: (m, dim) lane states -> dict of arrays."""
+    """y: (m, dim) lane states -> dict of views into y (khat, unpacked from
+    its upper triangle, is a copy)."""
     m = y.shape[0]
     o = {}
     o["x"] = y[:, 0:4]
@@ -463,20 +445,6 @@ def _seed_rho(model, origin, v0, rho_max):
     return min(rho_exit, cap)
 
 
-def _jacobi_ics(frame0, vh):
-    """Initial DJ/drho for the three boost fields: W_i = V^i e_0 + V^0 e_i."""
-    return np.stack([vh[i + 1] * frame0[0] + vh[0] * frame0[i + 1]
-                     for i in range(3)])
-
-
-def _triad_ics(model, x_seed, v0, frame0):
-    """Orthonormal triad orthogonal to the velocity at the seed point.
-
-    Valid in the flat core where frame vectors are coordinate-constant."""
-    g = metric_at(model, x_seed, level=0).g
-    return _orthonormalize(g, [v0], frame0[1:], 3)
-
-
 def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
                    with_jacobi=False, with_k=False):
     """Integrate several directions from one origin, one lane each.
@@ -496,7 +464,6 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     frame0 = frame_at_origin(model, origin)
     nj, nk = with_jacobi, with_k
     blocks = _norm_blocks(nj, nk)
-    y0 = np.zeros((len(directions), len(blocks[1])))
     tol = np.broadcast_to(np.asarray(ode_tol, dtype=float),
                           (len(directions),))
     recs = []
@@ -508,44 +475,39 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
         if nk and seed < RHO_SEED_MIN:
             raise SeedRegionTooSmall(
                 f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}")
-        rec = GeodesicRecord(model=model, origin=origin, direction=d, v0=v0,
-                             frame0=frame0, rho=rho_grid, x=None, b=None,
-                             ode_tol=float(tol[i]), rho_seed=seed)
-        rec._jacobi_ic = _jacobi_ics(frame0, vh) if nj else None
-        rec._triad_ic = None
-        x_s = origin + seed * v0
-        y0[i, 0:4] = x_s
-        y0[i, 4:8] = v0
-        p = 8
-        if nj:
-            y0[i, p:p + 12] = (seed * rec._jacobi_ic).ravel()
-            y0[i, p + 12:p + 24] = rec._jacobi_ic.ravel()
-            p += 24
-        if nk:
-            rec._triad_ic = _triad_ics(model, x_s, v0, frame0)
-            y0[i, p:p + 12] = rec._triad_ic.ravel()
-        recs.append(rec)
+        line = np.zeros((2, len(blocks[1])))      # state, d/drho at rho = 0
+        st = _unpack(line, nj, nk)
+        st["x"][:] = origin, v0
+        st["b"][0] = v0
+        if nj:      # the boost fields: W_i = V^i e_0 + V^0 e_i
+            st["jp"][0] = st["j"][1] = (vh[1:, None] * frame0[0]
+                                        + vh[0] * frame0[1:])
+        if nk:      # the frame vectors are coordinate-constant in the core
+            g = metric_at(model, origin + seed * v0, level=0).g
+            st["triad"][0] = _orthonormalize(g, [v0], frame0[1:], 3)
+        recs.append(GeodesicRecord(
+            model=model, origin=origin, direction=d, v0=v0, frame0=frame0,
+            rho=rho_grid, x=None, b=None, ode_tol=float(tol[i]),
+            rho_seed=seed, _line=line, _layout=(nj, nk)))
 
     radii = [(R, False) for R in model.shell_radii]
     if model.kind == "schwarzschild":
         radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
     rho0 = np.array([rec.rho_seed for rec in recs])
+    y0 = np.array([rec._line[0] + rec.rho_seed * rec._line[1] for rec in recs])
     reached, trunc, dense, counts = _dop853(
         _make_rhs(model, nj, nk), rho0, y0, np.full(len(recs), rho_max),
         tol[:, None], radii, blocks)
 
     for i, rec in enumerate(recs):
         rec._dense = dense[i]
-        rec._layout = (nj, nk)
         rec.truncated = bool(trunc[i])
         rec.rho_reached = float(reached[i])
         rec.steps, rec.rejected, rec.rhs_evals = (int(c[i]) for c in counts)
         grid = rho_grid[rho_grid <= rec.rho_reached * (1 + 1e-12)]
         rec.rho = grid
-        st = _eval_ray(rec, grid)
-        rec.x, rec.b = st["x"], st["b"]
-        rec.j, rec.jp = st["j"], st["jp"]
-        rec.triad, rec.q0, rec.khat = st["triad"], st["q0"], st["khat"]
+        for key, val in _eval_ray(rec, grid).items():
+            setattr(rec, key, val)
     return recs
 
 

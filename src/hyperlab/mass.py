@@ -32,7 +32,7 @@ class MassReport:
     status: str = "ok"
 
 
-def hawking_mass(model, sl):
+def hawking_mass(sl):
     """Hawking mass of a slice whose null forms are populated."""
     if sl.nodes[0].trchi is None:
         raise MissingNullForms("run slice_null_forms first")
@@ -49,16 +49,15 @@ def hawking_mass(model, sl):
                       integrand_max=float(np.max(vals)))
 
 
-def mass_of_leaf(model, origin, t, rho, omega_nodes=None, ode_tol=1e-12):
+def mass_of_leaf(model, origin, t, rho, omega_nodes=None):
     """Build the slice, populate null forms and return its mass report."""
     if omega_nodes is None:
         omega_nodes = angular_grid(8, 1)
-    sl = leaf_slice(model, origin, t, rho, omega_nodes, ode_tol=ode_tol)
-    return hawking_mass(model, slice_null_forms(model, sl))
+    sl = leaf_slice(model, origin, t, rho, omega_nodes)
+    return hawking_mass(slice_null_forms(sl))
 
 
-def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None,
-                ode_tol=1e-12):
+def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None):
     """Mass reports along increasing t on H_rho plus the fitted limit.
 
     The nodes of all the leaves are solved in one batch; each report equals
@@ -74,13 +73,12 @@ def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None,
         omega_nodes = angular_grid(8, 1)
     k = len(omega_nodes)
     _, recs = solve_level_nodes(model, origin, rho, np.repeat(t_grid, k),
-                                list(omega_nodes) * len(t_grid),
-                                ode_tol=ode_tol)
+                                list(omega_nodes) * len(t_grid))
     reports = []
     for i, t in enumerate(t_grid):
         sl = _slice_of_records(model, t, rho, omega_nodes,
                                recs[i * k:(i + 1) * k], "t", t)
-        reports.append(hawking_mass(model, slice_null_forms(model, sl)))
+        reports.append(hawking_mass(slice_null_forms(sl)))
     half = len(t_grid) // 2 if len(t_grid) > 3 else 0
     ts = t_grid[half:]
     ms = np.array([r.mass for r in reports])[half:]

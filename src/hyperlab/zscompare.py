@@ -207,8 +207,7 @@ def _grad_ls(model, x):
     return dLs + np.einsum('...nml,...l->...mn', jet.gamma, Ls)
 
 
-def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
-                         ode_tol=1e-11):
+def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
     """Geometry report for the sphere S_{rho, uhat} on H_rho.
 
     The dag-lapse is computed both from its definition -<B, L^s>^{-1} and
@@ -217,8 +216,8 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None,
     the transported k and the analytic gradient of L^s.
     """
     origin = np.zeros(4) if origin is None else np.asarray(origin, dtype=float)
-    sl = leaf_slice(model, origin, 0.0, rho, omega_nodes, ode_tol=ode_tol,
-                    level="uhat", target=uhat)
+    sl = leaf_slice(model, origin, 0.0, rho, omega_nodes, level="uhat",
+                    target=uhat)
     floor = _zs_floor(model)
     for node in sl.nodes:
         if node.frames.r < floor:

@@ -325,7 +325,7 @@ def test_leaf_slice_minkowski_round_sphere():
     for node in sl.nodes:
         assert np.linalg.norm(node.x[1:]) == pytest.approx(4.0, abs=1e-8)
         assert abs(node.x[0] - 5.0) <= 1e-9 * 5.0
-    slice_null_forms(MINK, sl)
+    slice_null_forms(sl)
     for node in sl.nodes:
         assert node.trchi == pytest.approx(0.5, abs=1e-9)
         assert node.trchib == pytest.approx(-0.5, abs=1e-9)
@@ -333,11 +333,10 @@ def test_leaf_slice_minkowski_round_sphere():
 
 
 def test_leaf_slice_centered_symmetry():
-    sl = leaf_slice(GLUED, np.zeros(4), 50.0, 10.0, angular_grid(4, 1),
-                    ode_tol=1e-11)
+    sl = leaf_slice(GLUED, np.zeros(4), 50.0, 10.0, angular_grid(4, 1))
     rads = [np.linalg.norm(n.x[1:]) for n in sl.nodes]
     assert max(rads) - min(rads) < 1e-9 * max(rads)
-    slice_null_forms(GLUED, sl)
+    slice_null_forms(sl)
     for node in sl.nodes:
         assert node.trchi > 0 and node.trchib < 0
 
@@ -346,8 +345,8 @@ def test_leaf_slice_offset_area_vs_refined():
     nodes_a = angular_grid(8, 1, axis=(1.0, 0.0, 0.0))
     nodes_b = angular_grid(14, 1, axis=(1.0, 0.0, 0.0))
     origin = np.array([0.0, 0.2, 0.0, 0.0])
-    sa = leaf_slice(GLUED, origin, 50.0, 10.0, nodes_a, ode_tol=1e-11)
-    sb = leaf_slice(GLUED, origin, 50.0, 10.0, nodes_b, ode_tol=1e-11)
+    sa = leaf_slice(GLUED, origin, 50.0, 10.0, nodes_a)
+    sb = leaf_slice(GLUED, origin, 50.0, 10.0, nodes_b)
     rads = [np.linalg.norm(n.x[1:]) for n in sa.nodes]
     assert max(rads) - min(rads) > 1e-4        # genuinely aspherical
     assert sa.area_radius == pytest.approx(sb.area_radius, rel=1e-5)
@@ -362,7 +361,7 @@ def test_slice_null_forms_requires_k():
     sl = leaf_slice(MINK, np.zeros(4), 5.0, 3.0, angular_grid(2, 1))
     sl.nodes[0].k = None
     with pytest.raises(MissingK):
-        slice_null_forms(MINK, sl)
+        slice_null_forms(sl)
 
 
 def _leaf_frame_arrays(lf):

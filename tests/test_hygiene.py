@@ -1,6 +1,7 @@
 """Source hygiene of the hyperlab package: every imported name is used,
 every module-level constant is read, every private module-level function or
-class is used, and every module compiles with warnings treated as errors."""
+class is used, every parameter is read, and every module compiles with
+warnings treated as errors."""
 
 import ast
 import re
@@ -79,6 +80,31 @@ def test_private_definitions_are_used():
             for name, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") and node.name not in loads] == []
+
+
+def _unread_parameters(tree):
+    """Parameters (self exempt) of the functions and lambdas of a module
+    that their body never loads."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        a = fn.args
+        params = (a.posonlyargs + a.args + a.kwonlyargs
+                  + [p for p in (a.vararg, a.kwarg) if p is not None])
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        loads = {n.id for stmt in body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{getattr(fn, 'name', 'lambda')}: {p.arg} (line {fn.lineno})"
+                for p in params if p.arg != "self" and p.arg not in loads]
+    return out
+
+
+def test_parameters_are_read():
+    # a parameter that nothing reads is a knob that does nothing
+    assert [f"{p.name}: {entry}" for p in MODULES
+            for entry in _unread_parameters(ast.parse(p.read_text()))] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -156,8 +156,8 @@ def test_gauss_residual_offset_slice_with_fd_oracle():
     nth = 33
     thetas = np.linspace(0.2, np.pi - 0.2, nth)
     nodes = [(float(th), 0.0, 1.0) for th in thetas]
-    sl = leaf_slice(GLUED, origin, 50.0, 10.0, nodes, ode_tol=1e-11)
-    slice_null_forms(GLUED, sl)
+    sl = leaf_slice(GLUED, origin, 50.0, 10.0, nodes)
+    slice_null_forms(sl)
     from hyperlab.foliation import param_tangents
     E = np.empty(nth)
     G = np.empty(nth)

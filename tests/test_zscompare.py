@@ -164,8 +164,7 @@ def cone_report():
     st = rec.state_at(10.0)
     r = float(np.linalg.norm(st["x"][1:]))
     uh = st["x"][0] - (r + 0.2 * np.log(r - 0.1))
-    return cone_sphere_geometry(GLUED5, 10.0, uh, angular_grid(6, 1),
-                                ode_tol=1e-11)
+    return cone_sphere_geometry(GLUED5, 10.0, uh, angular_grid(6, 1))
 
 
 def test_cone_sphere_centered_oscillation(cone_report):
