@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, GoldenMismatch, HyperlabError
-from .foliation import angular_grid, leaf_frames, structure_residuals
+from .foliation import (TIGHT_TOL, angular_grid, leaf_frames,
+                        structure_residuals)
 from .geodesic import Direction, direction_from_angles, exp_map, integrate_rays
 from .kgflat import KGConfig, energy, evolve_kg
 from .mass import bondi_trace
@@ -177,6 +178,10 @@ def write_csv(path, header, rows):
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# the leaf records of the mass and cone-sphere tables are solved at TIGHT_TOL
+_LEAF_META = {"tolerances": {"rel_tol": TIGHT_TOL, "abs_tol": TIGHT_TOL}}
 
 
 def write_meta(csv_path, config_path, rc, extra=None):
@@ -370,7 +375,7 @@ def cmd_zs_compare(rc, out, config_path):
               ["rho", "uhat", "node", "t", "r", "dag_a", "dag_a_def",
                "dag_nb_t", "K_sphere", "K_model", "osc_t", "diam_bound",
                "status"], cs_rows)
-    write_meta(out / "cone_spheres.csv", config_path, rc)
+    write_meta(out / "cone_spheres.csv", config_path, rc, _LEAF_META)
     return ["compare.csv", "cone_spheres.csv"]
 
 
@@ -389,10 +394,10 @@ def cmd_mass(rc, out, config_path):
         fits.append([rho, tr["m_inf"], tr["c"], tr["fit_residual"], "ok"])
     write_csv(out / "masses.csv",
               ["t", "rho", "area_radius", "mass", "status"], rows)
-    write_meta(out / "masses.csv", config_path, rc)
+    write_meta(out / "masses.csv", config_path, rc, _LEAF_META)
     write_csv(out / "mass_fits.csv",
               ["rho", "m_inf", "c_over_t", "fit_residual", "status"], fits)
-    write_meta(out / "mass_fits.csv", config_path, rc)
+    write_meta(out / "mass_fits.csv", config_path, rc, _LEAF_META)
     return ["masses.csv", "mass_fits.csv"]
 
 

@@ -49,10 +49,6 @@ class MissingK(HyperlabError):
     """Second fundamental form required but not populated."""
 
 
-class MissingNullForms(HyperlabError):
-    """Null second fundamental forms required but not populated on the slice."""
-
-
 class BadTetrad(HyperlabError):
     """Null tetrad does not satisfy its normalization invariants."""
 

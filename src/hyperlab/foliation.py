@@ -37,8 +37,8 @@ from .errors import (BracketFailure, CentralLineDegenerate, FanTooCoarse,
                      MissingK, OutOfRange, Unreachable)
 from .geodesic import (ZETA_MAX_DEFAULT, Direction, direction_from_angles,
                        integrate_rays)
-from .metric import (_optical_mass_terms, _orthonormalize, _zs_floor,
-                     curvature_at, lapse_gradient, metric_at)
+from .metric import (_colsum, _optical_mass_terms, _orthonormalize,
+                     _zs_floor, curvature_at, lapse_gradient, metric_at)
 
 FRAME_FLOOR = 1e-6
 # Tolerance of a loose Newton iterate of the leaf solver: LOOSE_TOL before
@@ -91,9 +91,6 @@ class SecondFundamental:
     k: np.ndarray           # (3,3) in the orthonormal leaf basis {Nbar, eA}
     trk: float
     khat: np.ndarray        # (3,3) trace-free part, same basis
-    k_nn: float
-    k_na: np.ndarray        # (2,)
-    k_ab: np.ndarray        # (2,2)
 
 
 def _pick(batch, i):
@@ -207,9 +204,7 @@ def _second_fundamental(frames, st, rho):
     k_leaf = C @ _k_triad(st["q0"], st["khat"], rho) @ C.T
     k_leaf = 0.5 * (k_leaf + k_leaf.T)
     return SecondFundamental(k=k_leaf, trk=trk,
-                             khat=k_leaf - (trk / 3.0) * np.eye(3),
-                             k_nn=k_leaf[0, 0], k_na=k_leaf[0, 1:],
-                             k_ab=k_leaf[1:, 1:])
+                             khat=k_leaf - (trk / 3.0) * np.eye(3))
 
 
 def leaf_scalars(model, rec, rho):
@@ -271,32 +266,21 @@ def param_tangents(rec, st):
 # leaf slices
 
 @dataclass
-class LeafNode:
-    direction: Direction
-    record: object
-    weight: float               # induced-area measure d(mu_gamma) of the node
-    solid_weight: float         # quadrature weight on the direction sphere
-    scalars: LeafScalars = None
-    frames: FrameSet = None
-    k: SecondFundamental = None
-    x: np.ndarray = None
-    trchi: float = None
-    trchib: float = None
-    chihat: np.ndarray = None
-    chibhat: np.ndarray = None
-    status: str = "ok"
-
-
-@dataclass
 class LeafSlice:
+    """The sphere through the solved records of one leaf: their leaf frames
+    at rho, the induced-area measure and the static null forms, one row per
+    node."""
     t: float
     rho: float
-    nodes: list
+    records: list
+    frames: LeafFrames
+    weight: np.ndarray          # induced-area measure d(mu_gamma) per node
+    trchi: np.ndarray
+    trchib: np.ndarray
+    chihat: np.ndarray          # (n, 2, 2)
+    chibhat: np.ndarray
     area: float
     area_radius: float
-    level: str = "t"
-    target: float = None
-    model: object = None
 
 
 def angular_grid(n_theta, n_phi, axis=None):
@@ -472,55 +456,39 @@ def leaf_slice(model, origin, t, rho, omega_nodes, level="t", target=None):
     the exact pushforward tangents (Jacobi fields), constrained to the level
     set.
     """
-    tgt = t if target is None else target
-    _, recs = solve_level_nodes(model, origin, rho, tgt, omega_nodes,
+    _, recs = solve_level_nodes(model, origin, rho,
+                                t if target is None else target, omega_nodes,
                                 level=level)
-    return _slice_of_records(model, t, rho, omega_nodes, recs, level, tgt)
+    return _slice_of_records(model, t, rho, omega_nodes, recs, level)
 
 
-def _slice_of_records(model, t, rho, omega_nodes, recs, level, target):
-    """The slice through the solved records of solve_level_nodes."""
-    lf = leaf_frames(model, recs, rho).require_frames()
-    grad = _level_gradient(model, lf.st["x"], level)
-    nodes = []
-    area = 0.0
-    for i, ((th, ph, w), rec) in enumerate(zip(omega_nodes, recs)):
-        sc, frames, k = lf.point(i)
-        p = param_tangents(rec, lf.state(i))     # rows: d x/d(zeta,theta,phi)
-        dzeta = -(p[1:] @ grad[i]) / (p[0] @ grad[i])
-        tang = p[1:] + dzeta[:, None] * p[0]     # (2,4) tangent to the slice
-        gam2 = np.einsum('ai,ij,bj->ab', tang, frames.g, tang)
-        dens = np.sqrt(max(np.linalg.det(gam2), 0.0))
-        dmu = w * dens / max(np.sin(th), 1e-300)
-        area += dmu
-        nodes.append(LeafNode(direction=rec.direction, record=rec,
-                              weight=float(dmu), solid_weight=w, scalars=sc,
-                              frames=frames, k=k, x=frames.x))
-    return LeafSlice(t=float(t), rho=float(rho), nodes=nodes, area=float(area),
-                     area_radius=float(np.sqrt(area / (4.0 * np.pi))),
-                     level=level, target=target, model=model)
-
-
-def slice_null_forms(sl):
-    """Populate trchi, trchib, chihat, chibhat on every node of the slice.
+def _slice_of_records(model, t, rho, omega_nodes, recs, level):
+    """The slice through the solved records of solve_level_nodes.
 
     Static models: the maximal second fundamental form vanishes, so
     trchi = (rho/rtilde)((2/3) trk - khat_NbNb), trchib = -trchi, and the
     trace-free parts are +-(rho/rtilde)(khat_AB + khat_NbNb delta_AB / 2).
     """
-    for node in sl.nodes:
-        if node.k is None:
-            raise MissingK("slice node lacks the second fundamental form")
-        sc, k = node.scalars, node.k
-        fac = sl.rho / sc.rtilde
-        delta_b = k.khat[0, 0]
-        base = (2.0 / 3.0) * k.trk - delta_b
-        node.trchi = float(fac * base)
-        node.trchib = float(-fac * base)
-        hat = k.khat[1:, 1:] + 0.5 * delta_b * np.eye(2)
-        node.chihat = fac * hat
-        node.chibhat = -fac * hat
-    return sl
+    lf = leaf_frames(model, recs, rho).require_frames()
+    grad = _level_gradient(model, lf.st["x"], level)
+    weight = np.empty(len(recs))
+    for i, ((th, _, w), rec) in enumerate(zip(omega_nodes, recs)):
+        p = param_tangents(rec, lf.state(i))     # rows: d x/d(zeta,theta,phi)
+        dzeta = -(p[1:] @ grad[i]) / (p[0] @ grad[i])
+        tang = p[1:] + dzeta[:, None] * p[0]     # (2,4) tangent to the slice
+        gam2 = np.einsum('ai,ij,bj->ab', tang, lf.frames.g[i], tang)
+        dens = np.sqrt(max(np.linalg.det(gam2), 0.0))
+        weight[i] = w * dens / max(np.sin(th), 1e-300)
+    area = float(_colsum(weight))               # in node order
+    fac = lf.scalars.rho / lf.scalars.rtilde
+    delta_b = lf.k.khat[:, 0, 0]
+    trchi = fac * ((2.0 / 3.0) * lf.k.trk - delta_b)
+    hat = lf.k.khat[:, 1:, 1:] + (0.5 * delta_b)[:, None, None] * np.eye(2)
+    chihat = fac[:, None, None] * hat
+    return LeafSlice(t=float(t), rho=float(rho), records=recs, frames=lf,
+                     weight=weight, trchi=trchi, trchib=-trchi, chihat=chihat,
+                     chibhat=-chihat, area=area,
+                     area_radius=float(np.sqrt(area / (4.0 * np.pi))))
 
 
 # ---------------------------------------------------------------------------

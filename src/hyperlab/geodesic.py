@@ -115,7 +115,11 @@ def frame_at_origin(model, origin):
 
     Rows of the returned (4,4) array are the frame vectors in coordinates.
     """
-    g = metric_at(model, np.asarray(origin, dtype=float), level=0).g
+    return _frame(metric_at(model, np.asarray(origin, dtype=float), level=0).g)
+
+
+def _frame(g):
+    """The frame of frame_at_origin from the metric g at the origin."""
     e0 = np.zeros(4)
     e0[0] = 1.0 / np.sqrt(-g[0, 0])
     return np.vstack([e0, _orthonormalize(g, [e0], np.eye(4)[1:], 3)])
@@ -424,7 +428,9 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
 
 def _seed_rho(model, origin, v0, rho_max):
     """Largest rho for which the straight line is still inside the flat core
-    (with a safety factor), capped to stay below the first samples."""
+    (with a safety factor), capped to stay below the first samples.  Raises
+    SeedRegionTooSmall when the origin is not inside that core: a line from
+    outside it would cross the curved region."""
     core = model.flat_core_radius
     cap = min(1.0, 0.25 * rho_max)
     if not np.isfinite(core):
@@ -432,15 +438,15 @@ def _seed_rho(model, origin, v0, rho_max):
     if core <= 0.0:
         return 0.0
     xs = np.asarray(origin, dtype=float)[1:]
+    b2 = (0.98 * core) ** 2
+    if xs @ xs >= b2:
+        raise SeedRegionTooSmall("origin is not inside the flat core")
     vs = np.asarray(v0)[1:]
     v2 = vs @ vs
     if v2 < 1e-28:                      # central line: never exits the core
         return cap
-    # |xs + rho vs| = 0.98 * core
-    b2 = (0.98 * core) ** 2
+    # |xs + rho vs| = 0.98 * core, the exit ahead of the origin
     disc = (xs @ vs) ** 2 + v2 * (b2 - xs @ xs)
-    if disc <= 0.0:
-        raise SeedRegionTooSmall("origin is not inside the flat core")
     rho_exit = (-(xs @ vs) + np.sqrt(disc)) / v2
     return min(rho_exit, cap)
 
@@ -461,7 +467,8 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     if np.any(np.diff(rho_grid) <= 0) or rho_grid[0] <= 0:
         raise ValueError("rho grid must be positive and strictly increasing")
     rho_max = rho_grid[-1]
-    frame0 = frame_at_origin(model, origin)
+    g0 = metric_at(model, origin, level=0).g   # also g on each seed line
+    frame0 = _frame(g0)
     nj, nk = with_jacobi, with_k
     blocks = _norm_blocks(nj, nk)
     tol = np.broadcast_to(np.asarray(ode_tol, dtype=float),
@@ -483,8 +490,7 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
             st["jp"][0] = st["j"][1] = (vh[1:, None] * frame0[0]
                                         + vh[0] * frame0[1:])
         if nk:      # the frame vectors are coordinate-constant in the core
-            g = metric_at(model, origin + seed * v0, level=0).g
-            st["triad"][0] = _orthonormalize(g, [v0], frame0[1:], 3)
+            st["triad"][0] = _orthonormalize(g0, [v0], frame0[1:], 3)
         recs.append(GeodesicRecord(
             model=model, origin=origin, direction=d, v0=v0, frame0=frame0,
             rho=rho_grid, x=None, b=None, ode_tol=float(tol[i]),

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingNullForms
 from .foliation import (_slice_of_records, angular_grid, leaf_slice,
-                         slice_null_forms, solve_level_nodes)
+                         solve_level_nodes)
+from .metric import _colsum
 
 
 @dataclass
@@ -33,28 +33,20 @@ class MassReport:
 
 
 def hawking_mass(sl):
-    """Hawking mass of a slice whose null forms are populated."""
-    if sl.nodes[0].trchi is None:
-        raise MissingNullForms("run slice_null_forms first")
-    integral = 0.0
-    vals = []
-    for node in sl.nodes:
-        prod = node.trchi * node.trchib
-        integral += prod * node.weight
-        vals.append(prod)
+    """Hawking mass of a slice, its integral summed in node order."""
+    prod = sl.trchi * sl.trchib
     rbar = sl.area_radius
-    m = 0.5 * rbar * (1.0 + integral / (16.0 * np.pi))
+    m = 0.5 * rbar * (1.0 + _colsum(prod * sl.weight) / (16.0 * np.pi))
     return MassReport(t=sl.t, rho=sl.rho, area=sl.area, area_radius=rbar,
-                      mass=float(m), integrand_min=float(np.min(vals)),
-                      integrand_max=float(np.max(vals)))
+                      mass=float(m), integrand_min=float(np.min(prod)),
+                      integrand_max=float(np.max(prod)))
 
 
 def mass_of_leaf(model, origin, t, rho, omega_nodes=None):
-    """Build the slice, populate null forms and return its mass report."""
+    """Build the slice and return its mass report."""
     if omega_nodes is None:
         omega_nodes = angular_grid(8, 1)
-    sl = leaf_slice(model, origin, t, rho, omega_nodes)
-    return hawking_mass(slice_null_forms(sl))
+    return hawking_mass(leaf_slice(model, origin, t, rho, omega_nodes))
 
 
 def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None):
@@ -76,9 +68,8 @@ def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None):
                                 list(omega_nodes) * len(t_grid))
     reports = []
     for i, t in enumerate(t_grid):
-        sl = _slice_of_records(model, t, rho, omega_nodes,
-                               recs[i * k:(i + 1) * k], "t", t)
-        reports.append(hawking_mass(slice_null_forms(sl)))
+        reports.append(hawking_mass(_slice_of_records(
+            model, t, rho, omega_nodes, recs[i * k:(i + 1) * k], "t")))
     half = len(t_grid) // 2 if len(t_grid) > 3 else 0
     ts = t_grid[half:]
     ms = np.array([r.mass for r in reports])[half:]

@@ -106,7 +106,6 @@ class MetricJet:
     """Metric and curvature data at one or many points (leading shape S)."""
 
     x: np.ndarray                    # (S, 4)
-    level: int
     g: np.ndarray                    # (S, 4, 4)
     g_inv: np.ndarray                # (S, 4, 4)
     dg: np.ndarray = None            # (S, 4, 4, 4)  dg[m,a,b] = d_m g_ab
@@ -290,7 +289,7 @@ def metric_at(model, x, level=2):
     g_inv[..., 1:, 1:] = ((1.0 / A)[..., None, None] * _EYE3
                           - coef[..., None, None] * xs[..., :, None] * xs[..., None, :])
 
-    jet = MetricJet(x=x, level=level, g=g, g_inv=g_inv, model=model)
+    jet = MetricJet(x=x, g=g, g_inv=g_inv, model=model)
     jet.sqrt_det = np.sqrt(n2 * A * A * Cr)
     jet.lapse = np.sqrt(n2)
     if level == 0:

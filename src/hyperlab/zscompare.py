@@ -33,8 +33,6 @@ class ComparisonRow:
     u: float
     uhat: float
     u_minus_uhat: float
-    sigma_n_norm: float
-    snr_norm: float
     status: str = "ok"
 
 
@@ -47,7 +45,6 @@ class ConeSphereReport:
     dag_nb_t: np.ndarray         # dag Nbar(t) per node
     dag_nb_t_model: np.ndarray   # n^-1 rtilde / rho per node
     osc_t: float
-    t_bar: float
     K_sphere: np.ndarray         # Gauss curvature per node (dag Gauss path)
     K_model: np.ndarray          # n^2/(r+2M)^2 per node
     diam_bound: float
@@ -103,9 +100,7 @@ def radial_comparison_series(model, rec):
             rho=sc.rho, t=sc.t, r=fr.r, n=sc.n, varpi=fr.varpi,
             n_minus_varpi=sc.n - fr.varpi,
             rt_over_r_minus_ninv=sc.rtilde / fr.r - 1.0 / sc.n,
-            u=sc.u, uhat=opt["uhat"], u_minus_uhat=sc.u - opt["uhat"],
-            sigma_n_norm=float(np.linalg.norm(_sigma_n(fr))),
-            snr_norm=float(np.linalg.norm(fr.snr))))
+            u=sc.u, uhat=opt["uhat"], u_minus_uhat=sc.u - opt["uhat"]))
     return rows
 
 
@@ -186,7 +181,7 @@ def _dag_frames(rho, st, frames, sc):
     # orthonormal pair orthogonal to {B, dag_nb}
     nbu = dag_nb / np.sqrt(dag_nb @ g @ dag_nb)
     eA = _sphere_pair(g, [st["b"], nbu])
-    return dag_a, dag_a_def, nbu, eA, Ls, dag_nb_t, varpi
+    return dag_a, dag_a_def, nbu, eA, dag_nb_t
 
 
 def _grad_ls(model, x):
@@ -218,28 +213,22 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
     origin = np.zeros(4) if origin is None else np.asarray(origin, dtype=float)
     sl = leaf_slice(model, origin, 0.0, rho, omega_nodes, level="uhat",
                     target=uhat)
-    floor = _zs_floor(model)
-    for node in sl.nodes:
-        if node.frames.r < floor:
-            raise SphereExitsZone(f"node at r={node.frames.r:.4g} below r_out")
-    states = [node.record.state_at(rho) for node in sl.nodes]
-    x = np.stack([st["x"] for st in states])
-    covLs = _grad_ls(model, x)
-    weyl = curvature_at(model, x).weyl
+    lf = sl.frames
+    sc, r = lf.scalars, lf.frames.r
+    low = r[r < _zs_floor(model)]
+    if len(low):
+        raise SphereExitsZone(f"node at r={low[0]:.4g} below r_out")
+    covLs = _grad_ls(model, lf.st["x"])
+    weyl = curvature_at(model, lf.st["x"]).weyl
     dag_a = []
     dag_a_def = []
     dag_nbt = []
-    dag_nbt_model = []
     Ks = []
-    Kmod = []
-    ts = []
-    rs = []
-    ws = []
     umb = []
-    for i, (node, st) in enumerate(zip(sl.nodes, states)):
-        sc, fr = node.scalars, node.frames
-        r = fr.r
-        da, da_def, nbu, eA, Ls, nbt, varpi = _dag_frames(rho, st, fr, sc)
+    for i in range(len(r)):
+        st = lf.state(i)
+        sc_i, fr, _ = lf.point(i)
+        da, da_def, nbu, eA, nbt = _dag_frames(rho, st, fr, sc_i)
         # dag chi_AC = dag_a <cov_{eA} L^s, eC>;  dag chib = 2 k(eA, eC) - chi
         chi = da * np.einsum('Am,mn,ns,Cs->AC', eA, covLs[i], fr.g, eA)
         # k(eA, eC) from the transported k (triad components)
@@ -255,28 +244,19 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
         dagL = st["b"] + nbu
         dagLb = st["b"] - nbu
         w_ll = np.einsum('abcd,a,b,c,d->', weyl[i], dagL, dagLb, dagL, dagLb)
-        K = -gauss_residual(0.0, trchi, trchib, chih, chibh, w_ll)
-        n = sc.n
         dag_a.append(da)
         dag_a_def.append(da_def)
         dag_nbt.append(nbt)
-        dag_nbt_model.append(sc.rtilde / (n * rho))
-        Ks.append(K)
-        Kmod.append(n**2 / (r + 2.0 * model.mass) ** 2)
-        ts.append(sc.t)
-        rs.append(r)
-        ws.append(node.weight)
+        Ks.append(-gauss_residual(0.0, trchi, trchib, chih, chibh, w_ll))
         umb.append(np.abs(chih).max() / (abs(trchi) + 1e-300))
-    ts = np.asarray(ts)
-    ws = np.asarray(ws)
-    t_bar = float(np.sum(ws * ts) / np.sum(ws))
+    t_bar = float(np.sum(sl.weight * sc.t) / np.sum(sl.weight))
     Ks = np.asarray(Ks)
     return ConeSphereReport(
         rho=float(rho), uhat=float(uhat), dag_a=np.asarray(dag_a),
         dag_a_def=np.asarray(dag_a_def), dag_nb_t=np.asarray(dag_nbt),
-        dag_nb_t_model=np.asarray(dag_nbt_model),
-        osc_t=float(np.max(np.abs(ts - t_bar))), t_bar=t_bar,
-        K_sphere=Ks, K_model=np.asarray(Kmod),
+        dag_nb_t_model=sc.rtilde / (sc.n * rho),
+        osc_t=float(np.max(np.abs(sc.t - t_bar))),
+        K_sphere=Ks, K_model=sc.n**2 / (r + 2.0 * model.mass) ** 2,
         diam_bound=float(np.pi / np.sqrt(max(Ks.min(), 1e-300))),
         chi_tracefree_ratio=float(np.max(umb)),
-        t_nodes=ts, r_nodes=np.asarray(rs), area=sl.area)
+        t_nodes=sc.t, r_nodes=r, area=sl.area)

@@ -7,6 +7,7 @@ import pytest
 
 from hyperlab.cli import load_config, main, write_csv, write_svg
 from hyperlab.errors import ConfigError
+from hyperlab.foliation import TIGHT_TOL
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -71,6 +72,9 @@ def test_kg_and_mass_subcommands(tmp_path):
     for row in rows:
         vals = row.split(",")
         assert abs(float(vals[3])) <= 1e-10
+    # the sidecar names the tolerance the leaf records were solved at
+    meta = json.loads((tmp_path / "mass" / "masses.meta.json").read_text())
+    assert meta["tolerances"] == {"rel_tol": TIGHT_TOL, "abs_tol": TIGHT_TOL}
     fits = (tmp_path / "mass" / "mass_fits.csv").read_text().splitlines()[1:]
     assert abs(float(fits[0].split(",")[1])) < 1e-8
 

@@ -12,8 +12,7 @@ from hyperlab.foliation import (angular_grid, codazzi_residual,
                                 deformation_boost, frames_at, leaf_frames,
                                 leaf_scalars, leaf_slice, second_fundamental_at,
                                 second_fundamental_fd_oracle,
-                                slice_null_forms, solve_level_nodes,
-                                structure_residuals)
+                                solve_level_nodes, structure_residuals)
 from hyperlab.geodesic import Direction, exp_map, fan_build
 from hyperlab.metric import MetricModel, metric_at
 
@@ -322,23 +321,21 @@ def test_leaf_slice_minkowski_round_sphere():
     sl = leaf_slice(MINK, np.zeros(4), 5.0, 3.0, angular_grid(8, 1))
     assert sl.area == pytest.approx(4 * np.pi * 16.0, rel=1e-8)
     assert sl.area_radius == pytest.approx(4.0, rel=1e-8)
-    for node in sl.nodes:
-        assert np.linalg.norm(node.x[1:]) == pytest.approx(4.0, abs=1e-8)
-        assert abs(node.x[0] - 5.0) <= 1e-9 * 5.0
-    slice_null_forms(sl)
-    for node in sl.nodes:
-        assert node.trchi == pytest.approx(0.5, abs=1e-9)
-        assert node.trchib == pytest.approx(-0.5, abs=1e-9)
-        assert np.abs(node.chihat).max() < 1e-9
+    for x in sl.frames.frames.x:
+        assert np.linalg.norm(x[1:]) == pytest.approx(4.0, abs=1e-8)
+        assert abs(x[0] - 5.0) <= 1e-9 * 5.0
+    for trchi, trchib, chihat in zip(sl.trchi, sl.trchib, sl.chihat):
+        assert trchi == pytest.approx(0.5, abs=1e-9)
+        assert trchib == pytest.approx(-0.5, abs=1e-9)
+        assert np.abs(chihat).max() < 1e-9
 
 
 def test_leaf_slice_centered_symmetry():
     sl = leaf_slice(GLUED, np.zeros(4), 50.0, 10.0, angular_grid(4, 1))
-    rads = [np.linalg.norm(n.x[1:]) for n in sl.nodes]
+    rads = [np.linalg.norm(x[1:]) for x in sl.frames.frames.x]
     assert max(rads) - min(rads) < 1e-9 * max(rads)
-    slice_null_forms(sl)
-    for node in sl.nodes:
-        assert node.trchi > 0 and node.trchib < 0
+    for trchi, trchib in zip(sl.trchi, sl.trchib):
+        assert trchi > 0 and trchib < 0
 
 
 def test_leaf_slice_offset_area_vs_refined():
@@ -347,7 +344,7 @@ def test_leaf_slice_offset_area_vs_refined():
     origin = np.array([0.0, 0.2, 0.0, 0.0])
     sa = leaf_slice(GLUED, origin, 50.0, 10.0, nodes_a)
     sb = leaf_slice(GLUED, origin, 50.0, 10.0, nodes_b)
-    rads = [np.linalg.norm(n.x[1:]) for n in sa.nodes]
+    rads = [np.linalg.norm(x[1:]) for x in sa.frames.frames.x]
     assert max(rads) - min(rads) > 1e-4        # genuinely aspherical
     assert sa.area_radius == pytest.approx(sb.area_radius, rel=1e-5)
 
@@ -355,13 +352,6 @@ def test_leaf_slice_offset_area_vs_refined():
 def test_leaf_slice_unreachable():
     with pytest.raises(Unreachable):
         leaf_slice(MINK, np.zeros(4), 2.0, 3.0, angular_grid(2, 1))
-
-
-def test_slice_null_forms_requires_k():
-    sl = leaf_slice(MINK, np.zeros(4), 5.0, 3.0, angular_grid(2, 1))
-    sl.nodes[0].k = None
-    with pytest.raises(MissingK):
-        slice_null_forms(sl)
 
 
 def _leaf_frame_arrays(lf):
@@ -395,9 +385,9 @@ def test_slice_frames_match_frames_at(probe_fan):
     # the nodes of a slice carry the frames that frames_at gives alone
     recs = probe_fan.records[::11]
     nodes = [(*rec.direction.angles(), 1.0) for rec in recs]
-    sl = foliation._slice_of_records(GLUED, 0.0, 25.0, nodes, recs, "t", 0.0)
-    for node in sl.nodes:
-        alone = frames_at(GLUED, node.record, 25.0)
+    sl = foliation._slice_of_records(GLUED, 0.0, 25.0, nodes, recs, "t")
+    for i, rec in enumerate(sl.records):
+        alone = frames_at(GLUED, rec, 25.0)
         for f in fields(alone):
-            assert np.array_equal(getattr(node.frames, f.name),
+            assert np.array_equal(getattr(sl.frames.frames, f.name)[i],
                                   getattr(alone, f.name)), f.name

@@ -234,6 +234,11 @@ def test_seed_region_guard():
         integrate_rays(MetricModel.glued(0.4, r_in=0.9, r_out=2.0),
                        np.array([0.0, 0.895, 0.0, 0.0]),
                        [Direction(1.0, (1, 0, 0))], [5.0], with_k=True)
+    # this line runs into the core, but from an origin in the curved blend
+    with pytest.raises(SeedRegionTooSmall):
+        integrate_rays(GLUED, np.array([0.0, 1.5, 0.0, 0.0]),
+                       [Direction(1.0, (-1, 0, 0))], [5.0], with_jacobi=True,
+                       with_k=True)
 
 
 @pytest.mark.parametrize("model, origin, payload", [

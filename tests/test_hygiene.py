@@ -1,7 +1,7 @@
 """Source hygiene of the hyperlab package: every imported name is used,
 every module-level constant is read, every private module-level function or
-class is used, every parameter is read, and every module compiles with
-warnings treated as errors."""
+class is used, every parameter is read, every dataclass field is read, and
+every module compiles with warnings treated as errors."""
 
 import ast
 import re
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hyperlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hyperlab"
 MODULES = sorted(SRC.glob("*.py"))
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
@@ -105,6 +106,39 @@ def test_parameters_are_read():
     # a parameter that nothing reads is a knob that does nothing
     assert [f"{p.name}: {entry}" for p in MODULES
             for entry in _unread_parameters(ast.parse(p.read_text()))] == []
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) of every annotated field of the dataclasses of a
+    module."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            yield from ((cls.name, stmt.target.id, stmt.lineno)
+                        for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign))
+
+
+def _attribute_reads(tree):
+    """Attribute names loaded as x.name or getattr(x, "name")."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+              and n.func.id == "getattr" and len(n.args) > 1
+              and isinstance(n.args[1], ast.Constant)):
+            yield n.args[1].value
+
+
+def test_dataclass_fields_are_read():
+    # a field that nothing reads is a second copy of data or a dead result
+    readers = [p for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    reads = {name for p in readers
+             for name in _attribute_reads(ast.parse(p.read_text()))}
+    assert [f"{p.name}: {cls}.{name} (line {line})" for p in MODULES
+            for cls, name, line in _dataclass_fields(ast.parse(p.read_text()))
+            if name not in reads] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

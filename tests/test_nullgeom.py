@@ -150,34 +150,33 @@ def test_gauss_residual_minkowski_round_sphere():
 
 def test_gauss_residual_offset_slice_with_fd_oracle():
     # K from an independent angular finite-difference curvature oracle
-    from hyperlab.foliation import leaf_slice, slice_null_forms
+    from hyperlab.foliation import leaf_slice
     from oracles import gauss_curvature_axisym
     origin = np.array([0.0, 0.2, 0.0, 0.0])
     nth = 33
     thetas = np.linspace(0.2, np.pi - 0.2, nth)
     nodes = [(float(th), 0.0, 1.0) for th in thetas]
     sl = leaf_slice(GLUED, origin, 50.0, 10.0, nodes)
-    slice_null_forms(sl)
+    fr = sl.frames.frames
     from hyperlab.foliation import param_tangents
     E = np.empty(nth)
     G = np.empty(nth)
-    for i, node in enumerate(sl.nodes):
-        st = node.record.state_at(10.0)
-        p = param_tangents(node.record, st)
+    for i, rec in enumerate(sl.records):
+        st = rec.state_at(10.0)
+        p = param_tangents(rec, st)
         gradF = np.array([1.0, 0, 0, 0])
         dz = -(p[1:] @ gradF) / (p[0] @ gradF)
         tang = p[1:] + dz[:, None] * p[0]
-        gam = np.einsum('ai,ij,bj->ab', tang, node.frames.g, tang)
+        gam = np.einsum('ai,ij,bj->ab', tang, fr.g[i], tang)
         E[i], G[i] = gam[0, 0], gam[1, 1]
         assert abs(gam[0, 1]) < 1e-8 * max(E[i], G[i])
     K_or = gauss_curvature_axisym(thetas, E, G)
     for i in (nth // 2 - 2, nth // 2, nth // 2 + 2):
-        node = sl.nodes[i]
-        jet = curvature_at(GLUED, node.x)
-        w_ll = np.einsum('abcd,a,b,c,d->', jet.weyl, node.frames.L,
-                         node.frames.Lb, node.frames.L, node.frames.Lb)
-        res = ng.gauss_residual(K_or[i], node.trchi, node.trchib,
-                                node.chihat, node.chibhat, w_ll)
+        jet = curvature_at(GLUED, fr.x[i])
+        w_ll = np.einsum('abcd,a,b,c,d->', jet.weyl, fr.L[i], fr.Lb[i],
+                         fr.L[i], fr.Lb[i])
+        res = ng.gauss_residual(K_or[i], sl.trchi[i], sl.trchib[i],
+                                sl.chihat[i], sl.chibhat[i], w_ll)
         assert abs(res) < 1e-4
 
 
