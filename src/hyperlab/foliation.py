@@ -18,11 +18,14 @@ and the frame identities
 
 One evaluator, leaf_frames, builds all of this at n points (several records
 at several rho) from one level-0 metric jet: the leaf scalars, the frame set
-with the radial overlap varpi = N(r), and k in the leaf basis.  Its batching
-rule is elementwise per point: arithmetic that is elementwise runs over all
-points at once, and the contractions (the sphere-pair Gram-Schmidt, the
-radial overlap and k in the leaf basis) run one point at a time, so every
-point's result is bit-identical to that point evaluated alone.
+with the radial overlap varpi = N(r), and k in the leaf basis, as arrays
+with a leading point axis that every consumer reads.  Its batching rule is
+elementwise per point: arithmetic runs over all points at once, and each
+contraction is a stacked einsum or matmul with no reduction across points
+and, per point, the operand shapes of the one-point product.  Only the
+sphere-pair Gram-Schmidt, whose candidate order and skips branch per point,
+runs one point at a time.  So every point's result is bit-identical to that
+point evaluated alone.
 
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
@@ -98,12 +101,6 @@ def _pick(batch, i):
     return type(batch)(*(getattr(batch, f.name)[i] for f in fields(batch)))
 
 
-def _stack(points):
-    """The inverse of _pick: one dataclass with a leading point axis."""
-    cols = zip(*([getattr(p, f.name) for f in fields(p)] for p in points))
-    return type(points[0])(*map(np.stack, cols))
-
-
 @dataclass
 class LeafFrames:
     """leaf_frames at n points; every array has a leading axis of length n."""
@@ -113,15 +110,6 @@ class LeafFrames:
     frames: FrameSet            # eA and the radial overlap zero where degenerate
     degenerate: np.ndarray      # rtilde < FRAME_FLOOR: no frame there
     k: SecondFundamental = None     # when the records carry k
-
-    def state(self, i):
-        """The state at point i, keys as GeodesicRecord.state_at."""
-        return {key: None if v is None else v[i] for key, v in self.st.items()}
-
-    def point(self, i):
-        """(LeafScalars, FrameSet, SecondFundamental or None) at point i."""
-        return (_pick(self.scalars, i), _pick(self.frames, i),
-                None if self.k is None else _pick(self.k, i))
 
     def require_frames(self):
         """Raise CentralLineDegenerate unless every point has a frame."""
@@ -180,49 +168,52 @@ def leaf_frames(model, recs, rhos):
     Nbar = (rtilde[:, None] * T + bt[:, None] * N) / rho[:, None]
     eA = np.zeros((len(x), 2, 4))
     r, varpi, snr = np.zeros(len(x)), np.zeros(len(x)), np.zeros((len(x), 2))
-    for i in np.flatnonzero(~degenerate):
+    ok = ~degenerate
+    for i in np.flatnonzero(ok):
         eA[i] = _sphere_pair(jet.g[i], [T[i], N[i]])
-        r[i] = np.linalg.norm(x[i, 1:])
-        rad = x[i, 1:] / r[i]
-        varpi[i] = N[i, 1:] @ rad
-        snr[i] = eA[i, :, 1:] @ rad
-    lf = LeafFrames(st=st, binv=binv, scalars=sc, degenerate=degenerate,
-                    frames=FrameSet(T=T, N=N, Nbar=Nbar, B=B, L=T + N,
-                                    Lb=T - N, eA=eA, g=jet.g, x=x, r=r,
-                                    varpi=varpi, snr=snr))
+    xs = x[ok, 1:, None]
+    r[ok] = np.sqrt(_T(xs) @ xs)[:, 0, 0]
+    rad = xs / r[ok, None, None]
+    varpi[ok] = (N[ok, None, 1:] @ rad)[:, 0, 0]
+    snr[ok] = (eA[ok, :, 1:] @ rad)[:, :, 0]
+    frames = FrameSet(T=T, N=N, Nbar=Nbar, B=B, L=T + N, Lb=T - N, eA=eA,
+                      g=jet.g, x=x, r=r, varpi=varpi, snr=snr)
+    k = None
     if st["q0"] is not None:
-        lf.k = _stack([_second_fundamental(_pick(lf.frames, i), lf.state(i),
-                                           rho[i]) for i in range(len(rho))])
-    return lf
+        # k in the orthonormal leaf basis f = {Nbar, eA}, from C = <f_a, E_b>
+        trk = 3.0 / rho + st["q0"]
+        leaf = np.concatenate([Nbar[:, None], eA], axis=1)
+        C = np.einsum('nai,nij,nbj->nab', leaf, jet.g, st["triad"])
+        k_leaf = C @ _k_triad(st["q0"], st["khat"], rho) @ _T(C)
+        k_leaf = 0.5 * (k_leaf + _T(k_leaf))
+        k = SecondFundamental(
+            k=k_leaf, trk=trk,
+            khat=k_leaf - (trk / 3.0)[:, None, None] * np.eye(3))
+    return LeafFrames(st=st, binv=binv, scalars=sc, frames=frames,
+                      degenerate=degenerate, k=k)
 
 
-def _second_fundamental(frames, st, rho):
-    """Transported k at one state in the orthonormal leaf basis {Nbar, eA}."""
-    trk = 3.0 / rho + st["q0"]
-    leaf = np.stack([frames.Nbar, frames.eA[0], frames.eA[1]])
-    C = np.einsum('ai,ij,bj->ab', leaf, frames.g, st["triad"])   # <f_a, E_b>
-    k_leaf = C @ _k_triad(st["q0"], st["khat"], rho) @ C.T
-    k_leaf = 0.5 * (k_leaf + k_leaf.T)
-    return SecondFundamental(k=k_leaf, trk=trk,
-                             khat=k_leaf - (trk / 3.0) * np.eye(3))
+def _T(a):
+    """The transpose of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
 def leaf_scalars(model, rec, rho):
     """Leaf scalars of the record at proper time rho (scalar)."""
-    return leaf_frames(model, [rec], rho).point(0)[0]
+    return _pick(leaf_frames(model, [rec], rho).scalars, 0)
 
 
 def frames_at(model, rec, rho):
     """Intrinsic frame set {T, N, Nbar, B, L, Lb, eA} at rho along the record,
     with the radial overlap r, varpi = N(r) and snr_A = e_A(r)."""
-    return leaf_frames(model, [rec], rho).require_frames().point(0)[1]
+    return _pick(leaf_frames(model, [rec], rho).require_frames().frames, 0)
 
 
 def second_fundamental_at(model, rec, rho):
     """Transported k expressed in the orthonormal leaf basis {Nbar, eA}."""
     if not rec.has_k:
         raise MissingK("record has no transported second fundamental form")
-    return leaf_frames(model, [rec], rho).require_frames().point(0)[2]
+    return _pick(leaf_frames(model, [rec], rho).require_frames().k, 0)
 
 
 def _k_triad(q0, khat, rho):
@@ -249,17 +240,17 @@ def _vparam_jacobian(zeta, theta, phi):
     return M
 
 
-def param_tangents(rec, st):
-    """Coordinate tangent vectors d x / d(zeta, theta, phi) at a state.
+def param_tangents(recs, j):
+    """Coordinate tangent vectors d x / d(zeta, theta, phi), shape (n, 3
+    params, 4 coords), at n states of the records recs whose Jacobi fields
+    are j, shape (n, 3, 4).
 
-    Uses the Jacobi fields: a hyperboloid tangent with frame-spatial part w
-    is realized by sum_i (w_i / V^0) J_i.
+    A hyperboloid tangent with frame-spatial part w is realized by
+    sum_i (w_i / V^0) J_i.
     """
-    d = rec.direction
-    M = _vparam_jacobian(d.zeta, *d.angles())
-    v0 = np.cosh(d.zeta)
-    coef = M[1:, :] / v0                      # (3 frame-spatial, 3 params)
-    return np.einsum('ip,ia->pa', coef, st["j"])   # (3 params, 4 coords)
+    coef = np.stack([_vparam_jacobian(d.zeta, *d.angles())[1:]
+                     / np.cosh(d.zeta) for d in (r.direction for r in recs)])
+    return np.einsum('nip,nia->npa', coef, j)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +348,8 @@ def _level_slope(model, recs, rho, level, r_floor):
     if np.any(np.linalg.norm(x[:, 1:], axis=1) <= r_floor):
         raise BracketFailure("level function undefined inside the bracket")
     grad = _level_gradient(model, x, level)
-    df = np.array([param_tangents(rec, st)[0] @ g
-                   for rec, st, g in zip(recs, sts, grad)])
+    p_zeta = param_tangents(recs, np.stack([st["j"] for st in sts]))[:, :1]
+    df = (p_zeta @ grad[:, :, None])[:, 0, 0]
     return _level_value(model, recs[0].origin[0], x, level), df
 
 
@@ -470,15 +461,14 @@ def _slice_of_records(model, t, rho, omega_nodes, recs, level):
     trace-free parts are +-(rho/rtilde)(khat_AB + khat_NbNb delta_AB / 2).
     """
     lf = leaf_frames(model, recs, rho).require_frames()
-    grad = _level_gradient(model, lf.st["x"], level)
-    weight = np.empty(len(recs))
-    for i, ((th, _, w), rec) in enumerate(zip(omega_nodes, recs)):
-        p = param_tangents(rec, lf.state(i))     # rows: d x/d(zeta,theta,phi)
-        dzeta = -(p[1:] @ grad[i]) / (p[0] @ grad[i])
-        tang = p[1:] + dzeta[:, None] * p[0]     # (2,4) tangent to the slice
-        gam2 = np.einsum('ai,ij,bj->ab', tang, lf.frames.g[i], tang)
-        dens = np.sqrt(max(np.linalg.det(gam2), 0.0))
-        weight[i] = w * dens / max(np.sin(th), 1e-300)
+    grad = _level_gradient(model, lf.st["x"], level)[:, :, None]
+    p = param_tangents(recs, lf.st["j"])        # rows: d x/d(zeta,theta,phi)
+    dzeta = -(p[:, 1:] @ grad) / (p[:, :1] @ grad)
+    tang = p[:, 1:] + dzeta * p[:, :1]          # (n, 2, 4) slice tangents
+    gam2 = np.einsum('nai,nij,nbj->nab', tang, lf.frames.g, tang)
+    th, _, w = np.array(omega_nodes).T
+    weight = (w * np.sqrt(np.maximum(np.linalg.det(gam2), 0.0))
+              / np.maximum(np.sin(th), 1e-300))
     area = float(_colsum(weight))               # in node order
     fac = lf.scalars.rho / lf.scalars.rtilde
     delta_b = lf.k.khat[:, 0, 0]
@@ -592,8 +582,9 @@ def _boost_lie(V, dX, X0):
     return dX - comm - comm.transpose(0, 2, 1)
 
 
-def deformation_boost(model, fan, rho, probe=None):
-    """Boost deformation-tensor report at proper time rho.
+def deformation_boost(model, fan, rho):
+    """Boost deformation-tensor report at proper time rho, at the probe node
+    in the middle of the fan.
 
     pi_bb[c]     = 2 <D J_c/drho, B> at the probe node (should vanish),
     pi_br[c][j]  = <DJ_c/drho, J_j> - <DJ_j/drho, J_c>  (Gram asymmetry),
@@ -604,8 +595,7 @@ def deformation_boost(model, fan, rho, probe=None):
     nz, nt, npp = fan.shape
     if min(nz, nt, npp) < 5:
         raise FanTooCoarse("deformation report needs >= 5 nodes per fan axis")
-    if probe is None:
-        probe = (nz // 2, nt // 2, npp // 2)
+    probe = (nz // 2, nt // 2, npp // 2)
     iz, it, ip = probe
     center = fan.record(iz, it, ip)
     if not (center.has_jacobi and center.has_k):
@@ -721,6 +711,8 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     """
     if not rec.has_k:
         raise MissingK("record has no transported second fundamental form")
+    if transverse and not rec.has_jacobi:
+        raise MissingK("transverse residuals need the record's Jacobi fields")
     rhos = np.asarray(probe_rhos if probe_rhos is not None
                       else rec.rho[1:-1], dtype=float)
     rhos = rhos[(rhos > max(2.0 * rec.rho_seed, 0.05))
@@ -821,34 +813,26 @@ def _transverse_residuals(model, rec, rhos, lf, C):
                                 (1.0 / sc.b).reshape(len(recs), -1))))
     du_p, dbinv_p = _fan_partials(near.get, (0, 0, 0), [_FAN_DELTA] * 3)
 
-    out_tu = []
-    out_nb = []
-    mid = 2 * len(rhos)                 # the probe rhos within the clusters
-    for i, r in enumerate(rhos):
-        fr = lf.point(mid + i)[1]
-        st0 = lf.state(mid + i)
-        p_t = param_tangents(rec, st0)           # (3 params, 4)
-        gram = np.einsum('ai,ij,bj->ab', p_t, fr.g, p_t)
-        # leaf gradient coefficients of Nbar: Nbar = sum beta_a p_a
-        rhsv = np.einsum('ai,ij,j->a', p_t, fr.g, fr.Nbar)
-        beta = np.linalg.solve(gram, rhsv)
-        Nbar_u = beta @ du_p[:, i]
-        Nbar_binv = beta @ dbinv_p[:, i]
-        bt, rt = C["bt"][i], C["rtilde"][i]
-        Tu = (bt / r) * C["d_u"][i] - (rt / r) * Nbar_u
-        kcheck = C["khat"][i]
-        leafN = np.einsum('a,ab,ib->i', fr.Nbar, fr.g, st0["triad"])
-        kh_nn = leafN @ kcheck @ leafN
-        ck_nn = kh_nn + C["q0"][i] / 3.0          # khat_NN + q0/3 = k_NN - 1/rho
-        rhs_tu = 1.0 + C["u"][i] * ((rt / r) * ck_nn + C["N_log_n"][i])
-        out_tu.append(Tu - rhs_tu)
-
-        N_binv = (bt / r) * Nbar_binv - (rt / r) * C["d_binv"][i]
-        rhs_nb = (rt / C["t"][i]) * (bt / r) * ck_nn
-        out_nb.append(N_binv - rhs_nb)
-    return {"t_of_u": float(np.max(np.abs(out_tu))),
+    mid = slice(2 * len(rhos), 3 * len(rhos))   # probe rhos in the clusters
+    g, Nbar = lf.frames.g[mid], lf.frames.Nbar[mid]
+    p_t = param_tangents([rec] * len(rhos), lf.st["j"][mid])   # (n, 3, 4)
+    gram = np.einsum('nai,nij,nbj->nab', p_t, g, p_t)
+    # leaf gradient coefficients of Nbar: Nbar = sum beta_a p_a
+    rhsv = np.einsum('nai,nij,nj->na', p_t, g, Nbar)
+    beta = np.linalg.solve(gram, rhsv[:, :, None])[:, None, :, 0]   # (n, 1, 3)
+    Nbar_u = (beta @ du_p.T[:, :, None])[:, 0, 0]
+    Nbar_binv = (beta @ dbinv_p.T[:, :, None])[:, 0, 0]
+    bt, rt = C["bt"], C["rtilde"]
+    Tu = (bt / rhos) * C["d_u"] - (rt / rhos) * Nbar_u
+    leafN = np.einsum('na,nab,nib->ni', Nbar, g, lf.st["triad"][mid])[:, None]
+    kh_nn = (leafN @ C["khat"] @ _T(leafN))[:, 0, 0]
+    ck_nn = kh_nn + C["q0"] / 3.0          # khat_NN + q0/3 = k_NN - 1/rho
+    rhs_tu = 1.0 + C["u"] * ((rt / rhos) * ck_nn + C["N_log_n"])
+    N_binv = (bt / rhos) * Nbar_binv - (rt / rhos) * C["d_binv"]
+    rhs_nb = (rt / C["t"]) * (bt / rhos) * ck_nn
+    return {"t_of_u": float(np.max(np.abs(Tu - rhs_tu))),
             "t_of_u_scale": 1.0,
-            "n_of_binv": float(np.max(np.abs(out_nb))),
+            "n_of_binv": float(np.max(np.abs(N_binv - rhs_nb))),
             "n_of_binv_scale": float(np.max(np.abs(C["d_binv"])) + 1e-2)}
 
 

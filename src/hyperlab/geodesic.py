@@ -466,13 +466,15 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
     if np.any(np.diff(rho_grid) <= 0) or rho_grid[0] <= 0:
         raise ValueError("rho grid must be positive and strictly increasing")
+    tol = np.broadcast_to(np.asarray(ode_tol, dtype=float),
+                          (len(directions),))
+    if not np.all(tol > 0):
+        raise ValueError("ode_tol must be > 0")
     rho_max = rho_grid[-1]
     g0 = metric_at(model, origin, level=0).g   # also g on each seed line
     frame0 = _frame(g0)
     nj, nk = with_jacobi, with_k
     blocks = _norm_blocks(nj, nk)
-    tol = np.broadcast_to(np.asarray(ode_tol, dtype=float),
-                          (len(directions),))
     recs = []
     for i, d in enumerate(directions):
         vh = d.hyperboloid_point()

@@ -65,6 +65,9 @@ class KGConfig:
     ko_sigma: float = 0.02        # 6th-order Kreiss-Oliger filter strength
 
     def __post_init__(self):
+        if not (self.dr > 0 and self.cfl > 0):
+            raise ValueError(f"need dr > 0 and cfl > 0, got dr={self.dr}, "
+                             f"cfl={self.cfl}")
         if self.cfl > 0.5:
             raise CFLViolation(f"cfl={self.cfl} exceeds 0.5")
         if self.r_max <= self.t_max + 1.0 + self.support_radius:
@@ -258,7 +261,7 @@ class _TimeInterp:
         return tuple(np.sum(lag * v, axis=1) for v in vals)
 
 
-def hyperboloid_energy(states, rho, kg_mass=1.0):
+def hyperboloid_energy(states, rho):
     """E_B = int_{H_rho} Q(d_t, B) (rho/t) dmu_R3 over the covered portion.
 
     Q(T, B) = (1/(4 rho))(u (Lb f)^2 + ubar (L f)^2) + (t/(2 rho)) m f^2
@@ -267,7 +270,8 @@ def hyperboloid_energy(states, rho, kg_mass=1.0):
 
         Q(T, B) - (rho/(2 ubar))((B f)^2 + (Nbar f)^2) - (t/(2 rho)) m f^2,
 
-    which equals (rtilde/(2 rho))(u Lb f / rho)^2 >= 0 identically.
+    which equals (rtilde/(2 rho))(u Lb f / rho)^2 >= 0 identically.  The
+    Klein-Gordon mass is m = 1, as in energy().
     """
     interp = _TimeInterp(states)
     t_max = interp.ts[-1]
@@ -287,11 +291,11 @@ def hyperboloid_energy(states, rho, kg_mass=1.0):
     Lf = phit + phir
     Lbf = phit - phir
     Q = (u * Lbf**2 + ubar * Lf**2) / (4.0 * rho) \
-        + (tt / (2.0 * rho)) * kg_mass * phi**2
+        + (tt / (2.0 * rho)) * phi**2
     Bf = (tt * phit + rr * phir) / rho
     Nbf = (rr * phit + tt * phir) / rho
     margin = Q - (rho / (2.0 * ubar)) * (Bf**2 + Nbf**2) \
-        - (tt / (2.0 * rho)) * kg_mass * phi**2
+        - (tt / (2.0 * rho)) * phi**2
     w = 4.0 * np.pi * rr * rr * interp.dr * (rho / tt)
     return {"E_B": float(np.sum(Q * w)),
             "lower_bound_check": float(np.min(margin)) if len(margin) else 0.0,
@@ -301,15 +305,16 @@ def hyperboloid_energy(states, rho, kg_mass=1.0):
 # ---------------------------------------------------------------------------
 # decay and commutation reports
 
-def decay_report(states, shell_width=2.0):
-    """Table of t, sup|phi|, t^{3/2} sup|phi|, and null-derivative sups."""
+def decay_report(states):
+    """Table of t, sup|phi|, t^{3/2} sup|phi|, and the sups of L phi and
+    Lb phi on the shell |r - t| <= 2 about the light cone."""
     rows = []
     for s in states:
         if s.t <= 0:
             continue
         phir = s.phir
         sup = s.sup_phi
-        shell = np.abs(s.r - s.t) <= shell_width
+        shell = np.abs(s.r - s.t) <= 2.0
         Lphi = s.phit + phir
         Lbphi = s.phit - phir
         rows.append({
@@ -333,7 +338,7 @@ def decay_slope(states, t_lo=20.0, t_hi=80.0):
     return float(coef[1])
 
 
-def commutation_residual(cfg, cluster, which="S", cone_margin=6.0):
+def commutation_residual(cfg, cluster, which="S"):
     """L2 residual of the on-shell commutation identity at the center of a
     5-snapshot cluster equally spaced by dt_fd.
 
@@ -373,8 +378,9 @@ def commutation_residual(cfg, cluster, which="S", cone_margin=6.0):
         resid = -g_tt + g_rr + 2.0 * g_r / r - 2.0 * g / r**2 - m * g
     # restrict to the causal interior, uniformly away from the null cone:
     # the dispersive precursor's local frequency is unbounded at the cone,
-    # so the identity is checked where the field is resolution-converged
-    sel = (r > 4 * dr) & (r < cluster[2].t - cone_margin)
+    # so the identity is checked where the field is resolution-converged,
+    # 6 inside the cone
+    sel = (r > 4 * dr) & (r < cluster[2].t - 6.0)
     norm = np.sqrt(np.sum(cluster[2].phi[sel] ** 2))
     return float(np.sqrt(np.sum(resid[sel] ** 2)) / max(norm, 1e-300))
 

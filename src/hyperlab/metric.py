@@ -35,7 +35,7 @@ schouten and weyl are built from Riemann on first access.  _ray_terms builds
 the geodesic terms Gamma(B, .) and R(B, ., B, .) from the same K1-K4.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,15 +53,13 @@ class MetricModel:
     """Closed-form spacetime description.
 
     kind is one of "minkowski", "schwarzschild", "glued".  mass is the
-    parameter M of the chart above (the ADM mass is 2M).  kg_mass is the
-    Klein-Gordon mass, fixed to 1 in all experiments.
+    parameter M of the chart above (the ADM mass is 2M).
     """
 
     kind: str
     mass: float = 0.0
     r_in: float = 1.0
     r_out: float = 2.0
-    kg_mass: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("minkowski", "schwarzschild", "glued"):
@@ -113,7 +111,6 @@ class MetricJet:
     riemann: np.ndarray = None       # (S, 4, 4, 4, 4) fully lowered, K1-K4
     sqrt_det: np.ndarray = None      # (S,) sqrt(-det g)
     lapse: np.ndarray = None         # (S,) static lapse n = sqrt(-g_tt)
-    model: MetricModel = field(default=None, repr=False)
 
     @cached_property
     def ricci(self):                 # (S, 4, 4); None below level 2
@@ -289,7 +286,7 @@ def metric_at(model, x, level=2):
     g_inv[..., 1:, 1:] = ((1.0 / A)[..., None, None] * _EYE3
                           - coef[..., None, None] * xs[..., :, None] * xs[..., None, :])
 
-    jet = MetricJet(x=x, g=g, g_inv=g_inv, model=model)
+    jet = MetricJet(x=x, g=g, g_inv=g_inv)
     jet.sqrt_det = np.sqrt(n2 * A * A * Cr)
     jet.lapse = np.sqrt(n2)
     if level == 0:
@@ -453,14 +450,14 @@ def curvature_at(model, x):
     return metric_at(model, x, level=2)
 
 
-def schouten_scalar_field(jet, dphi, phi, kg_mass=1.0):
+def schouten_scalar_field(jet, dphi, phi):
     """Matter Schouten tensor of a scalar field snapshot at the jet's point(s).
 
-    S_ab = d_a phi d_b phi - (1/6) g_ab (d^m phi d_m phi - m phi^2).
+    S_ab = d_a phi d_b phi - (1/6) g_ab (d^m phi d_m phi - m phi^2), m = 1.
     """
     dphi = np.asarray(dphi, dtype=float)
     grad_sq = np.einsum('...a,...ab,...b->...', dphi, jet.g_inv, dphi)
-    trace_part = grad_sq - kg_mass * np.asarray(phi) ** 2
+    trace_part = grad_sq - np.asarray(phi) ** 2
     return (dphi[..., :, None] * dphi[..., None, :]
             - (trace_part[..., None, None] / 6.0) * jet.g)
 

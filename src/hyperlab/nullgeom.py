@@ -46,7 +46,7 @@ class NullTetrad:
     e3: np.ndarray
     eA: np.ndarray          # (2, 4)
 
-    def validate(self, g, tol=TETRAD_TOL):
+    def validate(self, g):
         e4, e3, eA = self.e4, self.e3, self.eA
         checks = [
             abs(e4 @ g @ e3 + 2.0),
@@ -58,8 +58,9 @@ class NullTetrad:
             abs(eA[0] @ g @ e3), abs(eA[0] @ g @ e4),
             abs(eA[1] @ g @ e3), abs(eA[1] @ g @ e4),
         ]
-        if max(checks) > tol:
-            raise BadTetrad(f"tetrad residual {max(checks):.3e} exceeds {tol:g}")
+        if max(checks) > TETRAD_TOL:
+            raise BadTetrad(f"tetrad residual {max(checks):.3e} exceeds "
+                            f"{TETRAD_TOL:g}")
 
 
 @dataclass
@@ -89,10 +90,9 @@ def right_dual(W, g_inv, sqrt_det):
     return 0.5 * sqrt_det * np.einsum('abmn,mncd->abcd', Wud, _EPS4)
 
 
-def null_decompose(jet, tetrad, W=None):
-    """Null decomposition of a Weyl tensor at the jet's point."""
-    if W is None:
-        W = jet.weyl
+def null_decompose(jet, tetrad):
+    """Null decomposition of the jet's Weyl tensor at its point."""
+    W = jet.weyl
     tetrad.validate(jet.g)
     e4, e3, eA = tetrad.e4, tetrad.e3, tetrad.eA
     Wd = left_dual(W, jet.g_inv, jet.sqrt_det)
@@ -109,21 +109,20 @@ def null_decompose(jet, tetrad, W=None):
                     sigma=float(sigma), betab=betab, alphab=alphab)
 
 
-def em_decompose(jet, frame, which="T", W=None):
-    """Electric/magnetic parts of W in the frame {U, spatial triad}.
+def em_decompose(jet, frame, which="T"):
+    """Electric/magnetic parts of the jet's Weyl tensor W in the frame
+    {U, spatial triad}.
 
     which = "T": U is the static observer with triad {N, eA};
     which = "B": U is the hyperboloid normal with triad {Nbar, eA}.
     """
-    if W is None:
-        W = jet.weyl
     if which == "T":
         U, triad = frame.T, np.stack([frame.N, frame.eA[0], frame.eA[1]])
     elif which == "B":
         U, triad = frame.B, np.stack([frame.Nbar, frame.eA[0], frame.eA[1]])
     else:
         raise BadFrame(f"which must be 'T' or 'B', got {which!r}")
-    g = jet.g
+    g, W = jet.g, jet.weyl
     if abs(U @ g @ U + 1.0) > 1e-8:
         raise BadFrame("frame vector U is not unit timelike")
     Wd = left_dual(W, jet.g_inv, jet.sqrt_det)
@@ -132,10 +131,10 @@ def em_decompose(jet, frame, which="T", W=None):
     return EMParts(E=0.5 * (E + E.T), H=0.5 * (H + H.T))
 
 
-def bel_robinson_scalar(jet, X, Y, Z, U, W=None):
-    """Q(W)(X,Y,Z,U) = (W_arcs W_b^r_d^s + *W_arcs *W_b^r_d^s) X^a Y^b Z^c U^d."""
-    if W is None:
-        W = jet.weyl
+def bel_robinson_scalar(jet, X, Y, Z, U):
+    """Q(W)(X,Y,Z,U) = (W_arcs W_b^r_d^s + *W_arcs *W_b^r_d^s) X^a Y^b Z^c U^d
+    for the jet's Weyl tensor W."""
+    W = jet.weyl
     Wd = left_dual(W, jet.g_inv, jet.sqrt_det)
     total = 0.0
     for T in (W, Wd):
@@ -144,12 +143,12 @@ def bel_robinson_scalar(jet, X, Y, Z, U, W=None):
     return float(total)
 
 
-def gauss_residual(K, trchi, trchib, chihat, chibhat, w_llbllb, schouten_ang=0.0):
-    """Residual of the sphere Gauss equation
-    K + trchi trchib / 4 - chihat.chibhat / 2 + W(L,Lb,L,Lb)/4 - S_ang/2."""
-    dot = float(np.sum(np.asarray(chihat) * np.asarray(chibhat)))
-    return float(K + 0.25 * trchi * trchib - 0.5 * dot
-                 + 0.25 * w_llbllb - 0.5 * schouten_ang)
+def gauss_residual(K, trchi, trchib, chihat, chibhat, w_llbllb):
+    """Residual of the sphere Gauss equation in vacuum, where the angular
+    Schouten term vanishes: K + trchi trchib / 4 - chihat.chibhat / 2
+    + W(L,Lb,L,Lb)/4, over the leading axes of its arguments."""
+    dot = np.sum(np.asarray(chihat) * np.asarray(chibhat), axis=(-2, -1))
+    return K + 0.25 * trchi * trchib - 0.5 * dot + 0.25 * w_llbllb
 
 
 def schwarzschild_closed_forms(M, r):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Horizon, OutsideZs, SphereExitsZone
-from .foliation import (_k_triad, _rho_cluster, _sphere_pair, frames_at,
-                        leaf_frames, leaf_slice)
+from .foliation import (_T, _k_triad, _pick, _rho_cluster, _sphere_pair,
+                        frames_at, leaf_frames, leaf_slice)
 from .metric import (MetricModel, _optical_mass_terms, _zs_floor, curvature_at,
                      metric_at)
 from .nullgeom import gauss_residual
@@ -51,7 +51,6 @@ class ConeSphereReport:
     chi_tracefree_ratio: float   # umbilicity of dag chi
     t_nodes: np.ndarray
     r_nodes: np.ndarray
-    area: float
 
 
 def schw_optical(M, t, r):
@@ -91,17 +90,13 @@ def varpi_at(model, rec, rho):
 def radial_comparison_series(model, rec):
     """ComparisonRow list over the record samples with r in the exterior zone."""
     lf = leaf_frames(model, [rec], rec.rho)
-    inside = lf.frames.r >= max(_zs_floor(model), 1e-6)
-    rows = []
-    for i in np.flatnonzero(inside & ~lf.degenerate):
-        sc, fr, _ = lf.point(i)
-        opt = schw_optical(model.mass, sc.t, fr.r)
-        rows.append(ComparisonRow(
-            rho=sc.rho, t=sc.t, r=fr.r, n=sc.n, varpi=fr.varpi,
-            n_minus_varpi=sc.n - fr.varpi,
-            rt_over_r_minus_ninv=sc.rtilde / fr.r - 1.0 / sc.n,
-            u=sc.u, uhat=opt["uhat"], u_minus_uhat=sc.u - opt["uhat"]))
-    return rows
+    keep = (lf.frames.r >= max(_zs_floor(model), 1e-6)) & ~lf.degenerate
+    sc = _pick(lf.scalars, keep)
+    r, varpi = lf.frames.r[keep], lf.frames.varpi[keep]
+    uhat = sc.t - (r + _optical_mass_terms(model.mass, r)[0])
+    return [ComparisonRow(*row) for row in zip(
+        sc.rho, sc.t, r, sc.n, varpi, sc.n - varpi, sc.rtilde / r - 1.0 / sc.n,
+        sc.u, uhat, sc.u - uhat)]
 
 
 def transport_residuals_zs(model, rec, probe_rhos=None):
@@ -164,26 +159,6 @@ def transport_residuals_zs(model, rec, probe_rhos=None):
     }
 
 
-def _dag_frames(rho, st, frames, sc):
-    """dag-lapse (two ways), dag normal and sphere pair at a cone-sphere node."""
-    rad, varpi = frames.x[1:] / frames.r, frames.varpi
-    n = sc.n
-    Ls = np.zeros(4)
-    Ls[0] = 1.0 / n**2
-    Ls[1:] = rad
-    g = frames.g
-    dag_a_def = -1.0 / float(st["b"] @ g @ Ls)
-    a_inv = sc.rtilde / rho
-    dag_a_inv = -a_inv * (varpi - n) / n**2 + sc.u / (n * rho)
-    dag_a = 1.0 / dag_a_inv
-    dag_nb = dag_a * Ls - st["b"]
-    dag_nb_t = dag_a / n**2 - (1.0 / (sc.b * n)) * sc.t / rho
-    # orthonormal pair orthogonal to {B, dag_nb}
-    nbu = dag_nb / np.sqrt(dag_nb @ g @ dag_nb)
-    eA = _sphere_pair(g, [st["b"], nbu])
-    return dag_a, dag_a_def, nbu, eA, dag_nb_t
-
-
 def _grad_ls(model, x):
     """Covariant derivative of the static field L^s = n^-2 d_t + d_r at the
     points x (..., 4): (cov_m Ls)^nu = d_m Ls^nu + G^nu_m,lam Ls^lam, with
@@ -214,49 +189,44 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
     sl = leaf_slice(model, origin, 0.0, rho, omega_nodes, level="uhat",
                     target=uhat)
     lf = sl.frames
-    sc, r = lf.scalars, lf.frames.r
+    sc, fr, st = lf.scalars, lf.frames, lf.st
+    r, n, B, g = fr.r, sc.n, st["b"], fr.g
     low = r[r < _zs_floor(model)]
     if len(low):
         raise SphereExitsZone(f"node at r={low[0]:.4g} below r_out")
-    covLs = _grad_ls(model, lf.st["x"])
-    weyl = curvature_at(model, lf.st["x"]).weyl
-    dag_a = []
-    dag_a_def = []
-    dag_nbt = []
-    Ks = []
-    umb = []
-    for i in range(len(r)):
-        st = lf.state(i)
-        sc_i, fr, _ = lf.point(i)
-        da, da_def, nbu, eA, nbt = _dag_frames(rho, st, fr, sc_i)
-        # dag chi_AC = dag_a <cov_{eA} L^s, eC>;  dag chib = 2 k(eA, eC) - chi
-        chi = da * np.einsum('Am,mn,ns,Cs->AC', eA, covLs[i], fr.g, eA)
-        # k(eA, eC) from the transported k (triad components)
-        E = st["triad"]
-        kmat = _k_triad(st["q0"], st["khat"], rho)
-        coefA = np.einsum('Aa,ab,ib->Ai', eA, fr.g, E)
-        k_AC = coefA @ kmat @ coefA.T
-        chib = 2.0 * k_AC - chi
-        trchi = np.trace(chi)
-        trchib = np.trace(chib)
-        chih = chi - 0.5 * trchi * np.eye(2)
-        chibh = chib - 0.5 * trchib * np.eye(2)
-        dagL = st["b"] + nbu
-        dagLb = st["b"] - nbu
-        w_ll = np.einsum('abcd,a,b,c,d->', weyl[i], dagL, dagLb, dagL, dagLb)
-        dag_a.append(da)
-        dag_a_def.append(da_def)
-        dag_nbt.append(nbt)
-        Ks.append(-gauss_residual(0.0, trchi, trchib, chih, chibh, w_ll))
-        umb.append(np.abs(chih).max() / (abs(trchi) + 1e-300))
+    # the dag-lapse from its definition -<B, L^s>^-1 and from the formula
+    Ls = np.zeros_like(B)
+    Ls[:, 0] = 1.0 / n**2
+    Ls[:, 1:] = fr.x[:, 1:] / r[:, None]
+    dag_a_def = -1.0 / ((B[:, None] @ g) @ Ls[:, :, None])[:, 0, 0]
+    dag_a_inv = -(sc.rtilde / rho) * (fr.varpi - n) / n**2 + sc.u / (n * rho)
+    dag_a = 1.0 / dag_a_inv
+    dag_nb = dag_a[:, None] * Ls - B
+    nbu = dag_nb / np.sqrt((dag_nb[:, None] @ g) @ dag_nb[:, :, None])[:, 0]
+    # orthonormal pair orthogonal to {B, dag_nb}
+    eA = np.stack([_sphere_pair(g[i], [B[i], nbu[i]]) for i in range(len(r))])
+    # dag chi_AC = dag_a <cov_{eA} L^s, eC>;  dag chib = 2 k(eA, eC) - chi
+    chi = dag_a[:, None, None] * np.einsum(
+        'nAm,nmk,nks,nCs->nAC', eA, _grad_ls(model, fr.x), g, eA)
+    # k(eA, eC) from the transported k (triad components)
+    coefA = np.einsum('nAa,nab,nib->nAi', eA, g, st["triad"])
+    k_AC = coefA @ _k_triad(st["q0"], st["khat"], rho) @ _T(coefA)
+    chib = 2.0 * k_AC - chi
+    trchi, trchib = (np.trace(c, axis1=1, axis2=2) for c in (chi, chib))
+    chih = chi - 0.5 * trchi[:, None, None] * np.eye(2)
+    chibh = chib - 0.5 * trchib[:, None, None] * np.eye(2)
+    dagL, dagLb = B + nbu, B - nbu
+    w_ll = np.einsum('nabcd,na,nb,nc,nd->n', curvature_at(model, fr.x).weyl,
+                     dagL, dagLb, dagL, dagLb)
+    Ks = -gauss_residual(0.0, trchi, trchib, chih, chibh, w_ll)
+    umb = np.abs(chih).max(axis=(1, 2)) / (np.abs(trchi) + 1e-300)
     t_bar = float(np.sum(sl.weight * sc.t) / np.sum(sl.weight))
-    Ks = np.asarray(Ks)
     return ConeSphereReport(
-        rho=float(rho), uhat=float(uhat), dag_a=np.asarray(dag_a),
-        dag_a_def=np.asarray(dag_a_def), dag_nb_t=np.asarray(dag_nbt),
+        rho=float(rho), uhat=float(uhat), dag_a=dag_a, dag_a_def=dag_a_def,
+        dag_nb_t=dag_a / n**2 - (1.0 / (sc.b * n)) * sc.t / rho,
         dag_nb_t_model=sc.rtilde / (sc.n * rho),
         osc_t=float(np.max(np.abs(sc.t - t_bar))),
         K_sphere=Ks, K_model=sc.n**2 / (r + 2.0 * model.mass) ** 2,
         diam_bound=float(np.pi / np.sqrt(max(Ks.min(), 1e-300))),
         chi_tracefree_ratio=float(np.max(umb)),
-        t_nodes=sc.t, r_nodes=r, area=sl.area)
+        t_nodes=sc.t, r_nodes=r)

@@ -31,14 +31,34 @@ def test_load_and_validate(tmp_path):
         load_config(str(ugly))
 
 
+# (subcommand, config text, words of the message): each is rejected with
+# exit 2 before the subcommand runs
+_BAD_VALUES = [
+    ("foliate", "[origin]\noffset = 0.95 0.0 0.0\n", ("offset", "r_in")),
+    ("foliate", "[integrator]\nrel_tol = 0\n", ("rel_tol",)),
+    ("foliate", "[integrator]\nrel_tol = -1e-10\n", ("rel_tol",)),
+    ("foliate", "[foliation]\nzeta_max = -1\n", ("zeta_max",)),
+    ("zs-compare", "[foliation]\nzeta_max = 0\n", ("zeta_max",)),
+    ("mass", "[mass]\nrho_list = 0\n", ("rho_list",)),
+    ("mass", "[mass]\nrho_list = -5\n", ("rho_list",)),
+    ("mass", "[mass]\nt_factors = 4 2\n", ("t_factors",)),
+    ("mass", "[mass]\nt_factors = 0.5\n", ("t_factors",)),
+    ("mass", "[mass]\nt_factors =\n", ("t_factors",)),
+    ("kg", "[kg]\ndr = 0\n", ("dr",)),
+    ("kg", "[kg]\ncfl = 0\n", ("cfl",)),
+]
+
+
 def test_exit_code_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[metric]\nkind = glued\nmass = 0.01\n"
-                   "[origin]\noffset = 0.95 0.0 0.0\n")
-    code = run_cli(["foliate", "--config", str(bad), "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "offset" in err and "r_in" in err
+    out = tmp_path / "out"
+    for sub, text, words in _BAD_VALUES:
+        bad.write_text("[metric]\nkind = glued\nmass = 0.01\n" + text)
+        code = run_cli([sub, "--config", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, text
+        assert all(w in err for w in words), (text, err)
+        assert not out.exists(), text
 
 
 def test_weyl_check_outputs(tmp_path):

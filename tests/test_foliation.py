@@ -223,6 +223,11 @@ def test_structure_residuals_requires_k():
                   with_jacobi=True)
     with pytest.raises(MissingK):
         structure_residuals(GLUED, rec)
+    # k without Jacobi fields: the transverse residuals need the fields
+    rec = exp_map(GLUED, np.zeros(4), Direction(1.0, (1, 0, 0)), [1.0, 2.0],
+                  with_k=True)
+    with pytest.raises(MissingK):
+        structure_residuals(GLUED, rec)
 
 
 def test_solve_level_nodes_minkowski_closed_forms():

@@ -221,6 +221,17 @@ def test_fan_non_monotone_grid_rejected():
         fan_build(GLUED, np.zeros(4), [1.0], [0.1, 0.3, 0.2], [0.0], [1.0])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+def test_nonpositive_ode_tol_rejected(tol):
+    # a zero tolerance made the step size NaN and the step loop endless
+    with pytest.raises(ValueError):
+        integrate_rays(GLUED, np.zeros(4), [Direction(1.0)], [2.0],
+                       ode_tol=tol)
+    with pytest.raises(ValueError):
+        integrate_rays(GLUED, np.zeros(4), [Direction(1.0)] * 2, [2.0],
+                       ode_tol=[1e-10, tol])
+
+
 def test_fan_offset_planarity():
     # origin offset along x, direction in the x-z plane: motion stays planar
     rec = exp_map(GLUED, np.array([0.0, 0.2, 0.0, 0.0]),

@@ -131,7 +131,13 @@ def _attribute_reads(tree):
 
 
 def test_dataclass_fields_are_read():
-    # a field that nothing reads is a second copy of data or a dead result
+    """A field that nothing reads is a second copy of data or a dead result.
+
+    Blind spot: reads are matched by field name alone, so a field whose
+    name several dataclasses share passes when any one of them is read
+    (an unread MetricModel.kg_mass passed on KGConfig.kg_mass, and an unread
+    ConeSphereReport.area on LeafSlice.area).
+    """
     readers = [p for d in ("src", "tests", "perfbench")
                for p in sorted((ROOT / d).rglob("*.py"))]
     reads = {name for p in readers
@@ -146,3 +152,52 @@ def test_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, positional index or None, line) of every
+    parameter with a default value; the index of a method's parameter
+    counts from the first argument after self."""
+    methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)
+               and "staticmethod" not in map(ast.unparse, f.decorator_list)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        a = fn.args
+        pos = (a.posonlyargs + a.args)[1 if id(fn) in methods else 0:]
+        yield from ((fn.name, p.arg, i, fn.lineno)
+                    for i, p in enumerate(pos)
+                    if i >= len(pos) - len(a.defaults))
+        yield from ((fn.name, p.arg, None, fn.lineno)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None)
+
+
+def _passed_arguments(tree):
+    """(callee name, positional count, keyword names) of every call; a
+    starred argument counts as every position or keyword."""
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "id", getattr(n.func, "attr", None))
+        npos = (float("inf") if any(isinstance(a, ast.Starred) for a in n.args)
+                else len(n.args))
+        kws = {k.arg for k in n.keywords}
+        yield name, npos, kws
+
+
+def test_parameter_defaults_are_overridden():
+    # a default that no call overrides is a constant dressed as a knob
+    callers = [p for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    passed = {}
+    for p in callers:
+        for name, npos, kws in _passed_arguments(ast.parse(p.read_text())):
+            passed.setdefault(name, []).append((npos, kws))
+    assert [f"{p.name}: {fn}({param}) (line {line})" for p in MODULES
+            for fn, param, i, line in _defaulted_parameters(
+                ast.parse(p.read_text()))
+            if not any(param in kws or None in kws
+                       or (i is not None and npos > i)
+                       for npos, kws in passed.get(fn, ()))] == []

@@ -163,7 +163,7 @@ def test_gauss_residual_offset_slice_with_fd_oracle():
     G = np.empty(nth)
     for i, rec in enumerate(sl.records):
         st = rec.state_at(10.0)
-        p = param_tangents(rec, st)
+        p = param_tangents([rec], st["j"][None])[0]
         gradF = np.array([1.0, 0, 0, 0])
         dz = -(p[1:] @ gradF) / (p[0] @ gradF)
         tang = p[1:] + dz[:, None] * p[0]

@@ -157,14 +157,30 @@ def test_transport_residuals_minkowski():
 
 
 @pytest.fixture(scope="module")
-def cone_report():
+def cone_uhat():
     # uhat placing nodes near r = 5 on H_10 for the M = 0.05 glued model
     rec = exp_map(GLUED5, np.zeros(4), Direction(0.49, (1, 0, 0)), [10.0],
                   ode_tol=1e-11)
     st = rec.state_at(10.0)
     r = float(np.linalg.norm(st["x"][1:]))
-    uh = st["x"][0] - (r + 0.2 * np.log(r - 0.1))
-    return cone_sphere_geometry(GLUED5, 10.0, uh, angular_grid(6, 1))
+    return st["x"][0] - (r + 0.2 * np.log(r - 0.1))
+
+
+@pytest.fixture(scope="module")
+def cone_report(cone_uhat):
+    return cone_sphere_geometry(GLUED5, 10.0, cone_uhat, angular_grid(6, 1))
+
+
+def test_cone_sphere_nodes_independent(cone_report, cone_uhat):
+    # each node's values do not depend on the rest of the sphere
+    shared = [1, 4]
+    nodes = angular_grid(6, 1)
+    sub = cone_sphere_geometry(GLUED5, 10.0, cone_uhat,
+                               [nodes[i] for i in shared])
+    for name in ("dag_a", "dag_a_def", "dag_nb_t", "K_sphere", "K_model",
+                 "t_nodes", "r_nodes"):
+        assert np.array_equal(getattr(cone_report, name)[shared],
+                              getattr(sub, name)), name
 
 
 def test_cone_sphere_centered_oscillation(cone_report):
