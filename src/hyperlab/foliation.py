@@ -37,23 +37,28 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (BracketFailure, CentralLineDegenerate, FanTooCoarse,
-                     MissingK, OutOfRange, Unreachable)
-from .geodesic import (ZETA_MAX_DEFAULT, Direction, direction_from_angles,
-                       integrate_rays)
+                     MissingK, OutOfRange, SingularityTruncated, Unreachable)
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, _ray_ends,
+                       direction_from_angles, integrate_rays)
 from .metric import (_colsum, _optical_mass_terms, _orthonormalize,
                      _zs_floor, curvature_at, lapse_gradient, metric_at)
 
 FRAME_FLOOR = 1e-6
 # Tolerance of a loose Newton iterate of the leaf solver: LOOSE_TOL before
 # the first step, then NEWTON_TOL_C dz^2 after a step dz (solve_level_nodes).
-# A lane at tol tau moves the next z by about alpha tau, measured on glued
-# M = 0.01 leaves as alpha = 0.01-0.03 on level t and 0.1-0.2 on level uhat.
-# After the flat-root step (dz ~ 3e-3) that error must stay below the
-# acceptance threshold, about 1e-10 in z, or the first tight iterate misses
-# it.  Over 12 centred t-leaves (t/rho = 2, 4, 8) 1e-4 costs the fewest RHS
-# calls; 3e-4 adds a Newton round to one leaf, 1e-5 costs 5 % more.
+# A loose iterate carries Jacobi fields but no k and keeps only its end
+# state, and the step is Newton's with the flat level's curvature term.  A
+# lane at tol tau moves the next z by about alpha tau, with alpha larger
+# on level uhat than on level t; after the flat-root step (dz ~ 3e-3) that
+# error must stay below the acceptance threshold, about 1e-10 in z, or the
+# first tight iterate misses it and a fourth integration follows.  Scan on
+# glued M = 0.01, RHS calls over 12 centred t-leaves (t/rho = 2, 4, 8) and
+# integrations of the uhat leaf rho = 15, uhat = 3 (angular_grid(6, 1)):
+# 1e-4 15,785 and 4; 3e-5 14,378 and 4; 1e-5 14,145 and 4; 3e-6 14,565
+# and 3; 1e-6 14,937 and 3.  3e-6 is the largest that leaves every leaf
+# three integrations (at 1e-4 and 3e-5 the t = 2 rho leaves take four).
 LOOSE_TOL = 1e-8
-NEWTON_TOL_C = 1e-4
+NEWTON_TOL_C = 3e-6
 TIGHT_TOL = 1e-12           # tolerance of every accepted leaf record
 _FAN_DELTA = 5e-3           # parameter spacing of the transverse mini-fan
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
@@ -340,17 +345,38 @@ def _level_gradient(model, x, level):
     return grad
 
 
-def _level_slope(model, recs, rho, level, r_floor):
-    """The level function t or uhat at rho along each record, and its exact
-    derivative p_zeta . grad F along the rapidity from the Jacobi fields."""
-    sts = [rec.state_at(rho) for rec in recs]
-    x = np.stack([st["x"] for st in sts])
+def _level_slope(model, recs, level, r_floor):
+    """The level function t or uhat at the end of each record, its one
+    sample at the leaf's rho, and its exact derivative p_zeta . grad F along
+    the rapidity from the Jacobi fields."""
+    if any(rec.truncated for rec in recs):
+        raise SingularityTruncated("a level iterate stopped short of rho")
+    x = np.stack([rec.x[-1] for rec in recs])
     if np.any(np.linalg.norm(x[:, 1:], axis=1) <= r_floor):
         raise BracketFailure("level function undefined inside the bracket")
     grad = _level_gradient(model, x, level)
-    p_zeta = param_tangents(recs, np.stack([st["j"] for st in sts]))[:, :1]
+    p_zeta = param_tangents(recs, np.stack([rec.j[-1] for rec in recs]))[:, :1]
     df = (p_zeta @ grad[:, :, None])[:, 0, 0]
     return _level_value(model, recs[0].origin[0], x, level), df
+
+
+def _level_iterates(model, origin, rho, dirs, tol):
+    """One Newton round of solve_level_nodes: the loose lanes (tol above
+    TIGHT_TOL) integrated with Jacobi fields to their end state only, which
+    is all that _level_slope reads, and the tight lanes as leaf records
+    with Jacobi fields and k; one integration for each kind present."""
+    recs = [None] * len(dirs)
+    for tight in (False, True):
+        idx = np.flatnonzero((tol == TIGHT_TOL) == tight)
+        if len(idx) == 0:
+            continue
+        sub = [dirs[i] for i in idx]
+        got = (integrate_rays(model, origin, sub, [rho], ode_tol=tol[idx],
+                              with_jacobi=True, with_k=True) if tight
+               else _ray_ends(model, origin, sub, rho, tol[idx]))
+        for i, rec in zip(idx, got):
+            recs[i] = rec
+    return recs
 
 
 def solve_level_nodes(model, origin, rho, target, angles, level="t"):
@@ -360,24 +386,26 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
 
     Every node starts at the flat root, arccosh(max(target/rho, 1)) on level
     t and ln(rho/target) on level uhat (ZETA_MAX_DEFAULT if target <= 0),
-    clipped into the bracket [1e-8, ZETA_MAX_DEFAULT].  Safeguarded Newton
-    steps z - f / df use the exact df = p_zeta . grad F from the Jacobi
-    fields; the sign of f df tells on which side of z the root lies, the
-    bracket shrinks onto it, and a step leaving the bracket bisects it.
-    Every step is one batched solve with Jacobi fields and k over the nodes
-    still open, each lane at its own tolerance: a node whose last step was
-    |dz| (inf before the first) is integrated at
-    clip(NEWTON_TOL_C dz^2, TIGHT_TOL, LOOSE_TOL).  The error a loose
-    iterate puts into the next z shrinks with the Newton steps and stays
-    below the acceptance bound, so on level t the loose iterates add no
-    Newton round (the measurements are at NEWTON_TOL_C).  A node is
-    accepted only on a record integrated at TIGHT_TOL whose residual is
-    below 1e-10 max(|target|, 1); loose iterates only move z and the
-    bracket, and every returned record is tight.  The integrator's lanes
-    are independent, so each root and record is the same whatever the
-    order or grouping of the nodes.  Returns the zeta array and those
-    records.  An exact flat root (Minkowski) still takes two solves: the
-    loose one that finds it and the tight one that accepts it.
+    clipped into the bracket [1e-8, ZETA_MAX_DEFAULT].  Each step is
+    z - d - c d^2 / 2 with d = f / df: Newton's step with the exact
+    df = p_zeta . grad F from the Jacobi fields, corrected to second order
+    by the curvature c = F''/F' of the flat level, coth(z) on level t and
+    -1 on level uhat (uhat = rho e^-z).  The sign of f df tells on which
+    side of z the root lies, the bracket shrinks onto it, and a step
+    leaving the bracket bisects it.  A node whose last step was |dz| (inf
+    before the first) is integrated at clip(NEWTON_TOL_C dz^2, TIGHT_TOL,
+    LOOSE_TOL).  A loose iterate only moves z and the bracket, so it is
+    integrated with Jacobi fields alone and keeps only its end state: no
+    k and no dense output.  A node is accepted only on a record integrated
+    at TIGHT_TOL, with Jacobi fields and k, whose residual is below 1e-10
+    max(|target|, 1), so every returned record is tight.  A round makes one
+    batched integration of its loose lanes and one of its tight lanes, when
+    it has them.  The integrator's lanes are independent, so each root and
+    record is the same whatever the order or grouping of the nodes.
+    Returns the zeta array and those records.  A centred leaf takes three
+    integrations: two loose, one tight.  An exact flat root (Minkowski)
+    still takes two: the loose one that finds it and the tight one that
+    accepts it.
 
     Errors come from the Newton iterates: Unreachable when a node's bracket
     collapses onto one of its ends with |f| still above 3e-6 max(|target|,
@@ -385,7 +413,8 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     BracketFailure("level function not monotone on the bracket") when a
     node's df changes sign between iterates; BracketFailure when the
     iteration does not converge, or when a uhat iterate falls below the
-    exterior zone, where uhat is undefined.
+    exterior zone, where uhat is undefined.  An origin outside the flat
+    core raises SeedRegionTooSmall at the first tight round.
     """
     origin = np.asarray(origin, dtype=float)
     thetas = np.array([a[0] for a in angles])
@@ -410,11 +439,11 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     todo = np.arange(m)
     for _ in range(30):
         tol = np.clip(NEWTON_TOL_C * step[todo] ** 2, TIGHT_TOL, LOOSE_TOL)
-        recs = integrate_rays(
-            model, origin, [direction_from_angles(z[i], thetas[i], phis[i])
-                            for i in todo],
-            [rho], ode_tol=tol, with_jacobi=True, with_k=True)
-        F, df = _level_slope(model, recs, rho, level, r_floor)
+        recs = _level_iterates(
+            model, origin, rho, [direction_from_angles(z[i], thetas[i],
+                                                       phis[i])
+                                 for i in todo], tol)
+        F, df = _level_slope(model, recs, level, r_floor)
         f = F - target[todo]
         if np.any(sgn[todo] * df < 0):
             raise BracketFailure("level function not monotone on the bracket")
@@ -424,14 +453,16 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
         hi[todo] = np.where(below, hi[todo], z[todo])
         if np.any((hi[todo] <= lo[todo]) & (np.abs(f) > 3e-6 * scale[todo])):
             raise Unreachable("target level not attained on the zeta bracket")
-        zn = z[todo] - f / df
+        d = f / df
+        curv = 1.0 / np.tanh(z[todo]) if level == "t" else -1.0
+        zn = z[todo] - d - 0.5 * curv * d * d
         zn = np.where((zn >= lo[todo]) & (zn <= hi[todo]), zn,
                       0.5 * (lo[todo] + hi[todo]))
         step[todo] = np.abs(zn - z[todo])
         z[todo] = zn
         done = (tol == TIGHT_TOL) & (np.abs(f) <= 1e-10 * scale[todo])
-        for i, rec, d in zip(todo, recs, done):
-            if d:
+        for i, rec, accepted in zip(todo, recs, done):
+            if accepted:
                 out[i] = rec
         todo = todo[~done]
         if len(todo) == 0:

@@ -19,19 +19,27 @@ radial profiles and, with a payload, the tidal tensor T_bd = R_abcd B^a B^c
 from the four orthonormal curvature functions K1-K4 of a static spherical
 metric; no Christoffel or Riemann array is built.  Both curvature terms use
 T: Rhat is E T E^T less its trace, and R^l_bcd B^b B^c = -g^{la} T_ad by
-pair symmetry.  Rays from an origin in the flat core are exact straight
-lines there.  Each record holds its line as one (2, dim) array _line: the
-lane state at rho = 0 (x = origin, B = V, P = W, the triad E) and its
-rho-derivative (x' = V, J' = W), with W_i = V^i e_0 + V^0 e_i the boost
-Jacobi data; the regularized variables vanish, as k = gbar/rho exactly.
-The integrator starts from the line at the largest proper time still
-inside the core, and state_at evaluates it below that.
+pair symmetry.  Each record holds its straight line as one (2, dim) array
+_line: the lane state at rho = 0 (x = origin, B = V, P = W, the triad E)
+and its rho-derivative (x' = V, J' = W), with W_i = V^i e_0 + V^0 e_i the
+boost Jacobi data; the regularized variables vanish, as k = gbar/rho
+exactly.  One seed rule holds for every lane (_seed_rho): from an origin
+in the flat core the line is exact there, and the integrator starts from
+it at the largest proper time still inside the core, with or without k;
+from an origin outside the core a lane without k starts at rho = 0
+exactly, from the origin state (its right-hand side does not read rho),
+and a lane with k, whose q0' has a 1/rho term, raises SeedRegionTooSmall.
+state_at evaluates the line below the seed.
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
-Wanner, Solving ODEs I, II.4-6; tableau and dense-output coefficients from
-scipy) in which each ray is a lane with its own seed, step size, error
-norm, tolerance, accept/reject decision, end point and dense output.  Only
-active lanes are evaluated, and the right-hand side takes one rho per lane.
+Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
+A, C, E3, E5 and D are scipy's, kept bit for bit in dop853.npz, so the
+runtime needs numpy alone) in which each ray is a lane with its own seed,
+step size, error norm, tolerance, accept/reject decision, end point and
+dense output.  Only active lanes are evaluated, and the right-hand side
+takes one rho per lane.  _ray_ends, for the leaf solver's loose iterates,
+runs the same steps without the three dense-output stages and keeps only
+each lane's end state.
 The error norm scales each block of the state (x^0, x^i, B^0, B^i, the time
 and the spatial parts of J, P and the triad, q0, khat) by the lane's tol
 (1 + |block|), so it does not change under spatial rotations.  The glued
@@ -49,9 +57,11 @@ the same as that value on every lane.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _DOP
 
 from .errors import (OutOfRange, SeedRegionTooSmall, SingularityTruncated,
                      StepFailure)
@@ -167,6 +177,8 @@ class GeodesicRecord:
         rho = np.asarray(rho, dtype=float)
         scalar = rho.ndim == 0
         rq = np.atleast_1d(rho)
+        if self._dense is None:
+            raise OutOfRange("record keeps its end state only")
         if np.any(rq <= 0.0) or np.any(rq > self.rho_reached * (1 + 1e-12)):
             if self.truncated and np.any(rq > self.rho_reached):
                 raise SingularityTruncated(
@@ -342,18 +354,29 @@ def _crossing(ya, ys, hs, radii):
     return sec, land
 
 
-def _dop853(rhs, t, y, t_end, tol, radii, blocks):
+@cache
+def _tableau():
+    """The DOP853 tableau A, C, E3, E5 and D, read from dop853.npz on first
+    use (not at import); nothing writes to its arrays."""
+    with np.load(Path(__file__).with_name("dop853.npz")) as f:
+        return SimpleNamespace(**f)
+
+
+def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
     """Integrate the lanes y (n, dim) from rho = t to t_end, both (n,),
     each at its own tolerance tol (n, 1).
 
     Step-size control, starting step and dense output follow HNW II.4-6 as
     scipy does, with the block norm of _norm_blocks per lane.  radii holds
     (R, terminal) pairs: a step never straddles R, and a lane that lands on
-    a terminal R stops there.  Returns the rho reached, the truncation
-    flags, each lane's dense segments (step ends, coefficients) and the
-    per-lane (steps, rejected, rhs_evals) counts.
+    a terminal R stops there.  Returns the rho reached, the end states, the
+    truncation flags, each lane's dense segments (step ends, coefficients)
+    and the per-lane (steps, rejected, rhs_evals) counts.  Without dense the
+    three extra stages of the dense output are skipped and the segments are
+    None; the steps and the end states are the same.
     """
     n, dim = y.shape
+    tab = _tableau()
     t, y = t.copy(), y.copy()
     f = rhs(t, y)
     sc = tol + tol * np.sqrt(_block_sq(y, blocks))
@@ -373,7 +396,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     retry = np.zeros(n, bool)           # error-rejected since the last step
     done, trunc = np.zeros(n, bool), np.zeros(n, bool)
     steps, nrej, nfev = np.zeros(n, int), np.zeros(n, int), np.full(n, 2)
-    segs = [([ti], []) for ti in t]
+    segs = [([ti], []) for ti in t] if dense else None
     while not done.all():
         a = np.flatnonzero(~done)
         ta, ya, ha = t[a], y[a], h[a]
@@ -385,13 +408,13 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
         K = np.empty((16, len(a), dim))
         K[0] = f[a]
         for s in range(1, 13):          # stage 12: the step end, y_new
-            ys = ya + hs[:, None] * _lincomb(_DOP.A[s, :s], K)
-            K[s] = rhs(ta + _DOP.C[s] * hs, ys)
+            ys = ya + hs[:, None] * _lincomb(tab.A[s, :s], K)
+            K[s] = rhs(ta + tab.C[s] * hs, ys)
         nfev[a] += 12
         scale = tol[a] + tol[a] * np.sqrt(np.maximum(_block_sq(ya, blocks),
                                                      _block_sq(ys, blocks)))
         n5, n3 = (_colsum(_block_sq(_lincomb(e, K), blocks) / scale**2)
-                  for e in (_DOP.E5, _DOP.E3))
+                  for e in (tab.E5, tab.E3))
         with np.errstate(divide="ignore", invalid="ignore"):
             err = np.where(n5 + n3 > 0,
                            hs * n5 / np.sqrt((n5 + 0.01 * n3) * dim), 0.0)
@@ -408,29 +431,30 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
         if len(i) == 0:
             continue
         acc, hk, Ka = a[i], hs[i][:, None], K[:, i]
-        for s in (13, 14, 15):          # extra stages of the dense output
-            Ka[s] = rhs(ta[i] + _DOP.C[s] * hs[i],
-                        ya[i] + hk * _lincomb(_DOP.A[s, :s], Ka))
-        nfev[acc] += 3
-        dy, f0, f1 = ys[i] - ya[i], Ka[0], Ka[12]
-        coef = np.stack([ya[i], dy, hk * f0 - dy, 2 * dy - hk * (f1 + f0)]
-                        + [hk * _lincomb(d, Ka) for d in _DOP.D], axis=1)
-        for k, j in enumerate(acc):
-            segs[j][0].append(tn[i[k]])
-            segs[j][1].append(coef[k].copy())
-        t[acc], y[acc], f[acc] = tn[i], ys[i], f1
+        if dense:
+            for s in (13, 14, 15):      # extra stages of the dense output
+                Ka[s] = rhs(ta[i] + tab.C[s] * hs[i],
+                            ya[i] + hk * _lincomb(tab.A[s, :s], Ka))
+            nfev[acc] += 3
+            dy, f0, f1 = ys[i] - ya[i], Ka[0], Ka[12]
+            coef = np.stack([ya[i], dy, hk * f0 - dy, 2 * dy - hk * (f1 + f0)]
+                            + [hk * _lincomb(d, Ka) for d in tab.D], axis=1)
+            for k, j in enumerate(acc):
+                segs[j][0].append(tn[i[k]])
+                segs[j][1].append(coef[k].copy())
+        t[acc], y[acc], f[acc] = tn[i], ys[i], Ka[12]
         steps[acc] += 1
         trunc[acc] = land[i] & (tn[i] < t_end[acc])
         done[acc] = land[i] | (tn[i] == t_end[acc])
-    dense = [(np.array(ts), np.array(cs)) for ts, cs in segs]
-    return t, trunc, dense, (steps, nrej, nfev)
+    if dense:
+        segs = [(np.array(ts), np.array(cs)) for ts, cs in segs]
+    return t, y, trunc, segs, (steps, nrej, nfev)
 
 
 def _seed_rho(model, origin, v0, rho_max):
     """Largest rho for which the straight line is still inside the flat core
-    (with a safety factor), capped to stay below the first samples.  Raises
-    SeedRegionTooSmall when the origin is not inside that core: a line from
-    outside it would cross the curved region."""
+    (with a safety factor), capped to stay below the first samples; 0 when
+    the origin is not inside that core, where no line is exact."""
     core = model.flat_core_radius
     cap = min(1.0, 0.25 * rho_max)
     if not np.isfinite(core):
@@ -440,7 +464,7 @@ def _seed_rho(model, origin, v0, rho_max):
     xs = np.asarray(origin, dtype=float)[1:]
     b2 = (0.98 * core) ** 2
     if xs @ xs >= b2:
-        raise SeedRegionTooSmall("origin is not inside the flat core")
+        return 0.0
     vs = np.asarray(v0)[1:]
     v2 = vs @ vs
     if v2 < 1e-28:                      # central line: never exits the core
@@ -451,17 +475,10 @@ def _seed_rho(model, origin, v0, rho_max):
     return min(rho_exit, cap)
 
 
-def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
-                   with_jacobi=False, with_k=False):
-    """Integrate several directions from one origin, one lane each.
-
-    ode_tol is one tolerance for all directions or one per direction.
-    Returns one GeodesicRecord per direction, each bit-identical to the
-    same direction integrated alone at its own tolerance.  All directions
-    must start inside the flat core when with_k is requested.  A
-    Schwarzschild lane that reaches the horizon guard stops there
-    (truncated, with its own rho_reached).
-    """
+def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
+    """Seed one lane per direction by _seed_rho and integrate them all to
+    the end of rho_grid: the records, with their counters and (when dense)
+    their dense output but no samples yet, and the end states (n, dim)."""
     origin = np.asarray(origin, dtype=float)
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
     if np.any(np.diff(rho_grid) <= 0) or rho_grid[0] <= 0:
@@ -473,17 +490,16 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     rho_max = rho_grid[-1]
     g0 = metric_at(model, origin, level=0).g   # also g on each seed line
     frame0 = _frame(g0)
-    nj, nk = with_jacobi, with_k
     blocks = _norm_blocks(nj, nk)
     recs = []
     for i, d in enumerate(directions):
         vh = d.hyperboloid_point()
         v0 = vh @ frame0
-        seed = (_seed_rho(model, origin, v0, rho_max) if nk
-                else min(1e-6, 0.5 * rho_grid[0]))
+        seed = _seed_rho(model, origin, v0, rho_max)
         if nk and seed < RHO_SEED_MIN:
             raise SeedRegionTooSmall(
-                f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}")
+                f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}: a "
+                f"lane with k must start inside the flat core")
         line = np.zeros((2, len(blocks[1])))      # state, d/drho at rho = 0
         st = _unpack(line, nj, nk)
         st["x"][:] = origin, v0
@@ -503,18 +519,47 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
         radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
     rho0 = np.array([rec.rho_seed for rec in recs])
     y0 = np.array([rec._line[0] + rec.rho_seed * rec._line[1] for rec in recs])
-    reached, trunc, dense, counts = _dop853(
+    reached, y_end, trunc, segs, counts = _dop853(
         _make_rhs(model, nj, nk), rho0, y0, np.full(len(recs), rho_max),
-        tol[:, None], radii, blocks)
-
+        tol[:, None], radii, blocks, dense)
     for i, rec in enumerate(recs):
-        rec._dense = dense[i]
+        rec._dense = segs[i] if dense else None
         rec.truncated = bool(trunc[i])
         rec.rho_reached = float(reached[i])
         rec.steps, rec.rejected, rec.rhs_evals = (int(c[i]) for c in counts)
-        grid = rho_grid[rho_grid <= rec.rho_reached * (1 + 1e-12)]
-        rec.rho = grid
-        for key, val in _eval_ray(rec, grid).items():
+        rec.rho = rho_grid[rho_grid <= rec.rho_reached * (1 + 1e-12)]
+    return recs, y_end
+
+
+def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
+                   with_jacobi=False, with_k=False):
+    """Integrate several directions from one origin, one lane each.
+
+    ode_tol is one tolerance for all directions or one per direction.
+    Returns one GeodesicRecord per direction, each bit-identical to the
+    same direction integrated alone at its own tolerance.  All directions
+    must start inside the flat core when with_k is requested; without k, a
+    lane from an origin outside it starts at rho = 0.  A Schwarzschild
+    lane that reaches the horizon guard stops there (truncated, with its
+    own rho_reached).
+    """
+    recs, _ = _lanes(model, origin, directions, rho_grid, ode_tol,
+                     with_jacobi, with_k, True)
+    for rec in recs:
+        for key, val in _eval_ray(rec, rec.rho).items():
+            setattr(rec, key, val)
+    return recs
+
+
+def _ray_ends(model, origin, directions, rho, ode_tol):
+    """integrate_rays(model, origin, directions, [rho], ode_tol,
+    with_jacobi=True) without the dense output: each record holds its one
+    sample, the integrator's end state at rho (none when truncated), and
+    state_at raises OutOfRange, as nothing else of the ray is kept."""
+    recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True,
+                         False, False)
+    for rec, y in zip(recs, y_end):
+        for key, val in _unpack(y[None][:len(rec.rho)], True, False).items():
             setattr(rec, key, val)
     return recs
 

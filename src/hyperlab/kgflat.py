@@ -65,9 +65,10 @@ class KGConfig:
     ko_sigma: float = 0.02        # 6th-order Kreiss-Oliger filter strength
 
     def __post_init__(self):
-        if not (self.dr > 0 and self.cfl > 0):
-            raise ValueError(f"need dr > 0 and cfl > 0, got dr={self.dr}, "
-                             f"cfl={self.cfl}")
+        if not (self.dr > 0 and self.cfl > 0 and self.width > 0):
+            raise ValueError(f"need dr > 0, cfl > 0 and width > 0, got "
+                             f"dr={self.dr}, cfl={self.cfl}, "
+                             f"width={self.width}")
         if self.cfl > 0.5:
             raise CFLViolation(f"cfl={self.cfl} exceeds 0.5")
         if self.r_max <= self.t_max + 1.0 + self.support_radius:

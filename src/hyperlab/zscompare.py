@@ -159,11 +159,11 @@ def transport_residuals_zs(model, rec, probe_rhos=None):
     }
 
 
-def _grad_ls(model, x):
+def _grad_ls(model, jet):
     """Covariant derivative of the static field L^s = n^-2 d_t + d_r at the
-    points x (..., 4): (cov_m Ls)^nu = d_m Ls^nu + G^nu_m,lam Ls^lam, with
-    the level-1 jet it was built from."""
-    jet = metric_at(model, x, level=1)
+    points of the jet (level >= 1): (cov_m Ls)^nu = d_m Ls^nu
+    + G^nu_m,lam Ls^lam."""
+    x = jet.x
     r = np.linalg.norm(x[..., 1:], axis=-1)
     rad = x[..., 1:] / r[..., None]
     M = model.mass
@@ -206,8 +206,9 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
     # orthonormal pair orthogonal to {B, dag_nb}
     eA = np.stack([_sphere_pair(g[i], [B[i], nbu[i]]) for i in range(len(r))])
     # dag chi_AC = dag_a <cov_{eA} L^s, eC>;  dag chib = 2 k(eA, eC) - chi
+    jet = curvature_at(model, fr.x)     # its Christoffels and its Weyl tensor
     chi = dag_a[:, None, None] * np.einsum(
-        'nAm,nmk,nks,nCs->nAC', eA, _grad_ls(model, fr.x), g, eA)
+        'nAm,nmk,nks,nCs->nAC', eA, _grad_ls(model, jet), g, eA)
     # k(eA, eC) from the transported k (triad components)
     coefA = np.einsum('nAa,nab,nib->nAi', eA, g, st["triad"])
     k_AC = coefA @ _k_triad(st["q0"], st["khat"], rho) @ _T(coefA)
@@ -216,7 +217,7 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
     chih = chi - 0.5 * trchi[:, None, None] * np.eye(2)
     chibh = chib - 0.5 * trchib[:, None, None] * np.eye(2)
     dagL, dagLb = B + nbu, B - nbu
-    w_ll = np.einsum('nabcd,na,nb,nc,nd->n', curvature_at(model, fr.x).weyl,
+    w_ll = np.einsum('nabcd,na,nb,nc,nd->n', jet.weyl,
                      dagL, dagLb, dagL, dagLb)
     Ks = -gauss_residual(0.0, trchi, trchib, chih, chibh, w_ll)
     umb = np.abs(chih).max(axis=(1, 2)) / (np.abs(trchi) + 1e-300)

@@ -46,6 +46,7 @@ _BAD_VALUES = [
     ("mass", "[mass]\nt_factors =\n", ("t_factors",)),
     ("kg", "[kg]\ndr = 0\n", ("dr",)),
     ("kg", "[kg]\ncfl = 0\n", ("cfl",)),
+    ("kg", "[kg]\nwidth = 0\n", ("width",)),
 ]
 
 

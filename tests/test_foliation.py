@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hyperlab import foliation
 from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
-                             FanTooCoarse, MissingK, Unreachable)
+                             FanTooCoarse, MissingK, OutOfRange, Unreachable)
 from hyperlab.foliation import (angular_grid, codazzi_residual,
                                 deformation_boost, frames_at, leaf_frames,
                                 leaf_scalars, leaf_slice, second_fundamental_at,
@@ -276,50 +276,88 @@ def test_solve_level_nodes_monotone_guard(monkeypatch):
         solve_level_nodes(GLUED, np.zeros(4), 10.0, 40.0, angular_grid(2, 1))
 
 
+def _spy_solver(monkeypatch):
+    """Every integration of the leaf solver, as (records, loose) pairs: the
+    loose iterates (foliation._ray_ends) and the tight leaf records
+    (foliation.integrate_rays)."""
+    calls = []
+    for name, loose in (("integrate_rays", False), ("_ray_ends", True)):
+        def counted(*args, _run=getattr(foliation, name), _loose=loose,
+                    **kwargs):
+            recs = _run(*args, **kwargs)
+            calls.append((recs, _loose))
+            return recs
+        monkeypatch.setattr(foliation, name, counted)
+    return calls
+
+
 def test_leaf_slice_integrate_rays_budget(monkeypatch):
-    # the flat seed leaves a few Newton steps, each one batched solve with
-    # the full payload over the open nodes; no solve is wider than the
-    # node count
-    widths = []
-    integrate = foliation.integrate_rays
-
-    def counted(model, origin, directions, *args, **kwargs):
-        widths.append(len(directions))
-        return integrate(model, origin, directions, *args, **kwargs)
-
-    monkeypatch.setattr(foliation, "integrate_rays", counted)
+    # the flat seed leaves a few Newton steps, each one batched solve over
+    # the open nodes; no solve is wider than the node count
+    calls = _spy_solver(monkeypatch)
     leaf_slice(GLUED, np.zeros(4), 40.0, 10.0, angular_grid(4, 1))
-    assert len(widths) <= 4
-    assert max(widths) <= 4
+    assert len(calls) <= 4
+    assert max(len(recs) for recs, _ in calls) <= 4
 
 
 def test_leaf_work_budget_inexact_newton(monkeypatch):
     # the Newton iterates before the last run loose (the first at LOOSE_TOL
     # on every lane); every record returned is tight with the full payload.
     # An all-tight Newton spends 8,448 lane evaluations on this leaf.
-    calls = []
-    integrate = foliation.integrate_rays
-
-    def counted(*args, **kwargs):
-        recs = integrate(*args, **kwargs)
-        calls.append(recs)
-        return recs
-
-    monkeypatch.setattr(foliation, "integrate_rays", counted)
+    calls = _spy_solver(monkeypatch)
     nodes = angular_grid(4, 1)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), 15.79, 63.16, nodes)
     assert len(calls) <= 4
-    assert max(len(c) for c in calls) <= len(nodes)
-    assert all(r.ode_tol == foliation.LOOSE_TOL for r in calls[0])
+    assert max(len(c) for c, _ in calls) <= len(nodes)
+    assert calls[0][1]
+    assert all(r.ode_tol == foliation.LOOSE_TOL for r in calls[0][0])
     for r in recs:
         assert r.ode_tol == 1e-12 and r.has_jacobi and r.has_k
-    assert sum(r.rhs_evals for c in calls for r in c) <= 6500
+    assert sum(r.rhs_evals for c, _ in calls for r in c) <= 5200
     # an exact flat root is found by the loose solve and accepted only by a
     # tight one
     calls.clear()
     _, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, nodes)
     assert len(calls) == 2
     assert all(r.ode_tol == 1e-12 for r in recs)
+
+
+@pytest.mark.parametrize("rho, target, nodes, level", [
+    (10.0, 20.0, angular_grid(4, 1), "t"),
+    (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t=2rho", "uhat"])
+def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
+    # two loose rounds and one tight round: the curvature-corrected step
+    # lands the first tight iterate within the acceptance bound on both
+    # levels.  Loose iterates carry Jacobi fields but no k and keep only
+    # their end state; every returned record is tight with Jacobi fields
+    # and k.
+    calls = _spy_solver(monkeypatch)
+    _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
+                                level=level)
+    assert [loose for _, loose in calls] == [True, True, False]
+    for c, loose in calls:
+        for r in c:
+            if loose:
+                assert r.has_jacobi and not r.has_k and r._dense is None
+                assert r.ode_tol > foliation.TIGHT_TOL
+                assert len(r.x) == 1 and np.array_equal(r.rho, [rho])
+                with pytest.raises(OutOfRange):
+                    r.state_at(rho)
+    for r in recs:
+        assert r.ode_tol == foliation.TIGHT_TOL
+        assert r.has_jacobi and r.has_k and r._dense is not None
+
+
+def test_solve_level_nodes_grouping():
+    # each node solved alone gives the root and record of the full solve
+    nodes = angular_grid(4, 1)
+    zs, recs = solve_level_nodes(GLUED, np.zeros(4), 10.0, 40.0, nodes)
+    for node, z, rec in zip(nodes, zs, recs):
+        (za,), (ra,) = solve_level_nodes(GLUED, np.zeros(4), 10.0, 40.0,
+                                         [node])
+        assert za == z
+        for key in ("x", "b", "j", "jp", "triad", "q0", "khat"):
+            assert np.array_equal(getattr(ra, key), getattr(rec, key)), key
 
 
 def test_leaf_slice_minkowski_round_sphere():

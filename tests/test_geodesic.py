@@ -5,10 +5,10 @@ import pytest
 
 from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
 from hyperlab.foliation import second_fundamental_fd_oracle
-from hyperlab.geodesic import (Direction, FanGrid, GeodesicRecord, _DOP,
-                               _lincomb, _make_rhs, direction_from_angles,
-                               exp_map, fan_build, integrate_rays,
-                               mat_to_sym6, sym6_to_mat)
+from hyperlab.geodesic import (RHO_SEED_MIN, Direction, FanGrid,
+                               GeodesicRecord, _lincomb, _make_rhs, _tableau,
+                               direction_from_angles, exp_map, fan_build,
+                               integrate_rays, mat_to_sym6, sym6_to_mat)
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 
 from oracles import geodesic_rhs, rk8_fixed
@@ -253,13 +253,26 @@ def test_seed_region_guard():
 
 
 @pytest.mark.parametrize("model, origin, payload", [
-    (GLUED, OFFSET, True), (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), False)],
-    ids=["glued-payload", "schwarzschild-bare"])
+    (GLUED, OFFSET, True), (GLUED, OFFSET, False),
+    (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), False)],
+    ids=["glued-payload", "glued-bare", "schwarzschild-bare"])
 def test_state_below_seed_is_the_straight_line(model, origin, payload):
     # up to rho_seed a record is its straight line, exactly, and the
-    # integrator starts from that line at rho_seed
+    # integrator starts from that line at rho_seed, with or without k.  An
+    # origin outside the flat core (Schwarzschild) has no line: the lane
+    # starts at rho = 0 from the origin state.
     rec = exp_map(model, origin, Direction(1.2, (0.6, 0.0, -0.8)),
                   [2.0, 6.0], with_jacobi=payload, with_k=payload)
+    ts, coef = rec._dense
+    assert ts[0] == rec.rho_seed
+    assert np.array_equal(coef[0][0],
+                          rec._line[0] + rec.rho_seed * rec._line[1])
+    if model is SCHW:
+        assert rec.rho_seed == 0.0
+        assert np.array_equal(coef[0][0][:8], np.concatenate([origin,
+                                                              rec.v0]))
+        return
+    assert rec.rho_seed >= RHO_SEED_MIN      # the flat-core seed, k or not
     V, e = rec.direction.hyperboloid_point(), rec.frame0
     W = np.stack([V[i + 1] * e[0] + V[0] * e[i + 1] for i in range(3)])
     rhos = rec.rho_seed * np.array([1e-3, 0.3, 0.7, 1.0])
@@ -273,11 +286,16 @@ def test_state_below_seed_is_the_straight_line(model, origin, payload):
         assert np.array_equal(st["triad"], np.tile(st["triad"][0], (4, 1, 1)))
     else:
         assert st["j"] is st["triad"] is st["q0"] is None
-    ts, coef = rec._dense
-    assert ts[0] == rec.rho_seed
-    assert np.array_equal(coef[0][0],
-                          rec._line[0] + rec.rho_seed * rec._line[1])
     assert np.array_equal(rec.state_at(rec.rho_seed)["x"], coef[0][0][:4])
+
+
+def test_dop853_tableau_matches_scipy():
+    # the tableau kept with the package is scipy's, bit for bit
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    for key in ("A", "C", "E3", "E5", "D"):
+        got, want = getattr(_tableau(), key), getattr(ref, key)
+        assert got.dtype == want.dtype and got.shape == want.shape, key
+        assert got.tobytes() == want.tobytes(), key
 
 
 def test_batch_matches_single_ray():
@@ -360,8 +378,9 @@ def test_stage_sums_match_loop(n):
     # every DOP853 stage sum adds c_j K_j one stage at a time, elementwise,
     # so it equals that loop bit for bit and each lane alone
     K = np.random.default_rng(n).normal(size=(16, n, 51))
-    for coef in [_DOP.A[s, :s] for s in range(1, 16)] + [_DOP.E5, _DOP.E3,
-                                                          *_DOP.D]:
+    tab = _tableau()
+    for coef in [tab.A[s, :s] for s in range(1, 16)] + [tab.E5, tab.E3,
+                                                        *tab.D]:
         ref = 0.0
         for c, k in zip(coef, K):
             ref = ref + c * k
@@ -414,11 +433,12 @@ def test_static_invariants_conserved(glued_record, offset_record):
     outward = exp_map(SCHW, np.array([0.0, 1.0, 0.0, 0.0]),
                       Direction(1.0, (0.6, 0.8, 0.0)), np.linspace(0.5, 20, 9))
     assert not outward.truncated
-    # The drift is taken from the seed state on, which is the integrator's
-    # initial value (below rho_seed a record holds the straight-line seed).
+    # The drift is taken from the origin state (origin, v0) on, which is the
+    # initial value of the geodesic, whatever the lane's seed.
     for rec in (glued_record, offset_record, outward):
-        st = rec.state_at(np.linspace(rec.rho_seed, rec.rho_reached, 41))
-        x, b = st["x"], st["b"]
+        st = rec.state_at(np.linspace(0.0, rec.rho_reached, 41)[1:])
+        x = np.vstack([rec.origin, st["x"]])
+        b = np.vstack([rec.v0, st["b"]])
         E, L, gv = _static_invariants(rec.model, x, b)
         assert np.abs(E - E[0]).max() <= 1e-8 * abs(E[0])
         l_scale = (np.linalg.norm(x[:, 1:], axis=1)
