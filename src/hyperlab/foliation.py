@@ -38,10 +38,11 @@ import numpy as np
 
 from .errors import (BracketFailure, CentralLineDegenerate, FanTooCoarse,
                      MissingK, OutOfRange, SingularityTruncated, Unreachable)
-from .geodesic import (ZETA_MAX_DEFAULT, Direction, _ray_ends,
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_seed_rho, _ray_ends,
                        direction_from_angles, integrate_rays)
-from .metric import (_colsum, _optical_mass_terms, _orthonormalize,
-                     _zs_floor, curvature_at, lapse_gradient, metric_at)
+from .metric import (_check_regular, _colsum, _optical_mass_terms,
+                     _orthonormalize, _zs_floor, curvature_at, lapse_gradient,
+                     metric_at)
 
 FRAME_FLOOR = 1e-6
 # Tolerance of a loose Newton iterate of the leaf solver: LOOSE_TOL before
@@ -414,9 +415,15 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     node's df changes sign between iterates; BracketFailure when the
     iteration does not converge, or when a uhat iterate falls below the
     exterior zone, where uhat is undefined.  An origin outside the flat
-    core raises SeedRegionTooSmall at the first tight round.
+    core raises SeedRegionTooSmall before any integration.
     """
     origin = np.asarray(origin, dtype=float)
+    # every returned record carries k, and no lane keeps a longer flat-core
+    # seed than the static line (spatial velocity 0), so an origin where
+    # that seed is too short fails every tight round; a singular origin
+    # raises first, as in integrate_rays
+    _check_regular(model, np.linalg.norm(origin[1:]))
+    _k_seed_rho(model, origin, np.eye(4)[0], rho)
     thetas = np.array([a[0] for a in angles])
     phis = np.array([a[1] for a in angles])
     m = len(angles)

@@ -15,21 +15,25 @@ The full per-ray state is integrated as one first-order system:
 
 with Rhat the trace-free tidal tensor in the triad.  Each evaluation makes
 one metric._ray_terms call, which gives G^l_mn B^m in closed form from the
-radial profiles and, with a payload, the tidal tensor T_bd = R_abcd B^a B^c
-from the four orthonormal curvature functions K1-K4 of a static spherical
-metric; no Christoffel or Riemann array is built.  Both curvature terms use
-T: Rhat is E T E^T less its trace, and R^l_bcd B^b B^c = -g^{la} T_ad by
-pair symmetry.  Each record holds its straight line as one (2, dim) array
-_line: the lane state at rho = 0 (x = origin, B = V, P = W, the triad E)
-and its rho-derivative (x' = V, J' = W), with W_i = V^i e_0 + V^0 e_i the
-boost Jacobi data; the regularized variables vanish, as k = gbar/rho
-exactly.  One seed rule holds for every lane (_seed_rho): from an origin
-in the flat core the line is exact there, and the integrator starts from
-it at the largest proper time still inside the core, with or without k;
-from an origin outside the core a lane without k starts at rho = 0
-exactly, from the origin state (its right-hand side does not read rho),
-and a lane with k, whose q0' has a 1/rho term, raises SeedRegionTooSmall.
-state_at evaluates the line below the seed.
+radial coefficients of metric._radial and, with a payload, the tidal tensor
+T_bd = R_abcd B^a B^c from the four orthonormal curvature functions K1-K4
+of a static spherical metric; no Christoffel or Riemann array is built.  A
+lane on the Schwarzschild chart (r >= r_out in the glued model) takes the
+closed exterior form, K = (-2, 1, -1, 2) 2M/R^3 with R = r + 2M, and skips
+the blend; the other lanes of the batch take the blended profiles.  Both
+curvature terms use T: Rhat is E T E^T less its trace, and
+R^l_bcd B^b B^c = -g^{la} T_ad by pair symmetry.  Each record holds its
+straight line as one (2, dim) array _line: the lane state at rho = 0
+(x = origin, B = V, P = W, the triad E) and its rho-derivative (x' = V,
+J' = W), with W_i = V^i e_0 + V^0 e_i the boost Jacobi data; the
+regularized variables vanish, as k = gbar/rho exactly.  One seed rule holds
+for every lane (_seed_rho): from an origin in the flat core the line is
+exact there, and the integrator starts from it at the largest proper time
+still inside the core, with or without k; from an origin outside the core
+a lane without k starts at rho = 0 exactly, from the origin state (its
+right-hand side does not read rho), and a lane with k, whose q0' has a
+1/rho term, raises SeedRegionTooSmall.  state_at evaluates the line below
+the seed.
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
@@ -475,6 +479,17 @@ def _seed_rho(model, origin, v0, rho_max):
     return min(rho_exit, cap)
 
 
+def _k_seed_rho(model, origin, v0, rho_max):
+    """_seed_rho of a lane with k, which must start inside the flat core:
+    SeedRegionTooSmall when it is below RHO_SEED_MIN."""
+    seed = _seed_rho(model, origin, v0, rho_max)
+    if seed < RHO_SEED_MIN:
+        raise SeedRegionTooSmall(
+            f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}: a "
+            f"lane with k must start inside the flat core")
+    return seed
+
+
 def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
     """Seed one lane per direction by _seed_rho and integrate them all to
     the end of rho_grid: the records, with their counters and (when dense)
@@ -495,11 +510,7 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
     for i, d in enumerate(directions):
         vh = d.hyperboloid_point()
         v0 = vh @ frame0
-        seed = _seed_rho(model, origin, v0, rho_max)
-        if nk and seed < RHO_SEED_MIN:
-            raise SeedRegionTooSmall(
-                f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}: a "
-                f"lane with k must start inside the flat core")
+        seed = (_k_seed_rho if nk else _seed_rho)(model, origin, v0, rho_max)
         line = np.zeros((2, len(blocks[1])))      # state, d/drho at rho = 0
         st = _unpack(line, nj, nk)
         st["x"][:] = origin, v0

@@ -28,11 +28,17 @@ Index conventions (used throughout the package):
     ricci[s, n]      = R^r_{srn},  schouten = ricci - (scalar/6) g
     weyl per W_abcd  = R_abcd - (1/2)(g_ac S_bd + g_bd S_ac - g_bc S_ad - g_ad S_bc)
 
-Evaluation is batched: x may have any leading shape (..., 4).  Level 2
-adds Riemann as Kulkarni-Nomizu products of the curvature functions K1-K4
-of _radial_terms; no second derivatives of g are formed.  ricci, scalar,
-schouten and weyl are built from Riemann on first access.  _ray_terms builds
-the geodesic terms Gamma(B, .) and R(B, ., B, .) from the same K1-K4.
+Evaluation is batched: x may have any leading shape (..., 4).  Every
+radial coefficient comes from one helper, _radial, which picks per point:
+on the Schwarzschild chart (the Schwarzschild model, and the glued model
+for r >= r_out) it is the closed form of a Schwarzschild metric of mass 2M
+and area radius R = r + 2M, with the orthonormal curvature functions
+(K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3; elsewhere (the flat core and the
+blend annulus) it is the general form of _radial_terms on the blended
+profiles.  Level 2 adds Riemann as Kulkarni-Nomizu products of K1-K4; no
+second derivatives of g are formed.  ricci, scalar, schouten and weyl are
+built from Riemann on first access.  _ray_terms builds the geodesic terms
+Gamma(B, .) and R(B, ., B, .) from the same helper.
 """
 
 from dataclasses import dataclass
@@ -145,28 +151,45 @@ def _smoothstep(w):
     return s, ds, d2s
 
 
+def _exterior_terms(M, r, curvature):
+    """_radial on the Schwarzschild chart, in closed form.  With R = r + 2M
+    the area radius of a Schwarzschild metric of mass 2M,
+        n2 = 1/C = (r - 2M)/R,   A = R^2/r^2,
+        Bc = (C - A)/r^2 = 4M^2 R/(r^4 (r - 2M)),
+        hA = A'/(2A) = -2M/(rR),   hF = n2'/(2 n2) = 2M/(R(r - 2M)),
+        n2' = 2 hF n2,   A' = 2 hA A,   Bc'/Bc = 1/R - 4/r - 1/(r - 2M),
+        (K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3.
+    Bc carries no cancellation of C - A at large r."""
+    m2 = 2.0 * M
+    R = r + m2
+    rm = r - m2
+    iR, irm, ir = 1.0 / R, 1.0 / rm, 1.0 / r
+    n2 = rm * iR
+    hA = -m2 * ir * iR
+    hF = m2 * iR * irm
+    Rr = R * ir
+    A = Rr * Rr
+    Bc = m2 * m2 * Rr * ir * ir * ir * irm
+    terms = (n2, 2.0 * hF * n2, A, 2.0 * hA * A, Bc,
+             Bc * (iR - 4.0 * ir - irm), ir, R * irm, 1.0 / A, n2, hA, hF)
+    if not curvature:
+        return terms
+    k = m2 * iR * iR * iR
+    return terms + (-2.0 * k, k, -k, 2.0 * k)
+
+
 def _schw_profiles(M, r):
-    """n2, A, Bc of the Schwarzschild chart with two r-derivatives each."""
-    rp = r + 2.0 * M
-    rm = r - 2.0 * M
-    irp = 1.0 / rp
-    irm = 1.0 / rm
-    ir = 1.0 / r
-    ir2 = ir * ir
-    n2 = rm * irp
-    dn2 = 4.0 * M * irp * irp
-    d2n2 = -2.0 * dn2 * irp
-    C = rp * irm                      # polar radial-radial component
-    dC = -4.0 * M * irm * irm
-    d2C = -2.0 * dC * irm
-    A = rp * rp * ir2
-    dA = -4.0 * M * rp * ir2 * ir
-    d2A = 4.0 * M * (2.0 * r + 6.0 * M) * ir2 * ir2
-    D0, D1, D2 = C - A, dC - dA, d2C - d2A
-    Bc = D0 * ir2
-    dBc = (D1 - 2.0 * D0 * ir) * ir2
-    d2Bc = (D2 - 4.0 * D1 * ir + 6.0 * D0 * ir2) * ir2
-    return n2, dn2, d2n2, A, dA, d2A, Bc, dBc, d2Bc
+    """n2, A, Bc of the Schwarzschild chart with two r-derivatives each: the
+    first-order profiles of _exterior_terms and, with R = r + 2M,
+    n2'' = -2 n2'/R, A'' = A' (1/R - 3/r) and Bc'' = (g Bc)' with
+    g = Bc'/Bc = 1/R - 4/r - 1/(r - 2M)."""
+    n2, dn2, A, dA, Bc, dBc, ir = _exterior_terms(M, r, False)[:7]
+    iR = 1.0 / (r + 2.0 * M)
+    irm = 1.0 / (r - 2.0 * M)
+    d2Bc = (dBc * (iR - 4.0 * ir - irm)
+            + Bc * (4.0 * ir * ir - iR * iR + irm * irm))
+    return (n2, dn2, -2.0 * dn2 * iR, A, dA, dA * (iR - 3.0 * ir), Bc, dBc,
+            d2Bc)
 
 
 def _optical_mass_terms(M, r):
@@ -237,7 +260,7 @@ def _profiles(model, r):
     s, ds, d2s = _smoothstep(w)
     ds /= width
     d2s /= width**2
-    safe = np.maximum(r, 0.5 * model.r_in)  # profiles only used where s > 0
+    safe = np.maximum(r, model.r_in)   # below r_in, s = ds = d2s = 0
     p = _schw_profiles(model.mass, safe)
     out = []
     for j, flat in ((0, 1.0), (3, 1.0), (6, 0.0)):
@@ -270,8 +293,8 @@ def metric_at(model, x, level=2):
     xs = x[..., 1:]
     r = np.sqrt(np.sum(xs * xs, axis=-1))
     _check_regular(model, r)
-    p = _profiles(model, r)
-    n2, dn2, _, A, dA, _, Bc, dBc, _ = p
+    n2, dn2, A, dA, Bc, dBc, _, C, iA, iC, _, _, *K = _radial(model, r,
+                                                              level == 2)
     u = xs / np.maximum(r, _R_FLOOR)[..., None]  # spatial unit radial vector
 
     g = np.zeros(shape + (4, 4))
@@ -281,13 +304,12 @@ def metric_at(model, x, level=2):
 
     g_inv = np.zeros_like(g)
     g_inv[..., 0, 0] = -1.0 / n2
-    Cr = A + Bc * r * r                          # radial-radial eigenvalue
-    coef = Bc / (A * Cr)
-    g_inv[..., 1:, 1:] = ((1.0 / A)[..., None, None] * _EYE3
+    coef = Bc * iA * iC                          # C: radial-radial eigenvalue
+    g_inv[..., 1:, 1:] = (iA[..., None, None] * _EYE3
                           - coef[..., None, None] * xs[..., :, None] * xs[..., None, :])
 
     jet = MetricJet(x=x, g=g, g_inv=g_inv)
-    jet.sqrt_det = np.sqrt(n2 * A * A * Cr)
+    jet.sqrt_det = np.sqrt(n2 * A * A * C)
     jet.lapse = np.sqrt(n2)
     if level == 0:
         return _squeeze(jet, scalar_input)
@@ -313,7 +335,7 @@ def metric_at(model, x, level=2):
     # rr = C u u, P = A (delta - u u) and KN(h, k)_abcd = h_ac k_bd + h_bd k_ac
     # - h_ad k_bc - h_bc k_ad.  KN is linear in h (x) k, so Z_abcd = h_ac k_bd
     # is symmetrised once, and all but the first Bianchi symmetry are exact.
-    _, C, _, _, _, _, (K1, K2, K3, K4) = _radial_terms(p, r, True)
+    K1, K2, K3, K4 = K
     uu = u[..., :, None] * u[..., None, :]
     P = A[..., None, None] * (_EYE3 - uu)
     rr = C[..., None, None] * uu
@@ -337,12 +359,11 @@ def _colsum(a):
     return out
 
 
-def _radial_terms(p, r, curvature):
-    """Radial coefficients of the profiles p = _profiles(model, r): 1/r,
-    C = A + Bc r^2, 1/A, 1/C, hA = A'/(2A), hF = n2'/(2 n2) and, if curvature
-    is set, K = (K1, K2, K3, K4), otherwise None.  For -F dt^2 + C dr^2
-    + S dOmega^2 (F = n2, S = A r^2) the orthonormal Riemann components in
-    this module's convention are
+def _radial_terms(model, r, curvature):
+    """The terms of _radial from the profiles of _profiles, blend included,
+    for Minkowski, the flat core and the blend annulus.  For -F dt^2
+    + C dr^2 + S dOmega^2 (F = n2, S = A r^2) the orthonormal Riemann
+    components in this module's convention are
         K1 = R_trtr = (2CFF'' - CF'^2 - FC'F')/(4C^2F^2),
         K2 = R_tAtA = F'S'/(4CFS),
         K3 = R_rArA = (-2CSS'' + CS'^2 + SC'S')/(4C^2S^2),
@@ -351,26 +372,53 @@ def _radial_terms(p, r, curvature):
     every 1/r multiplies a profile derivative and the flat core gives exact
     zeros.
     """
-    F, dF, d2F, A, dA, d2A, Bc, dBc, _ = p
+    F, dF, d2F, A, dA, d2A, Bc, dBc, _ = _profiles(model, r)
     ir = 1.0 / np.maximum(r, _R_FLOOR)
     C = A + Bc * (r * r)
     iA, iC = 1.0 / A, 1.0 / C
     hA = 0.5 * dA * iA
     hF = 0.5 * dF / F
+    terms = (F, dF, A, dA, Bc, dBc, ir, C, iA, iC, hA, hF)
     if not curvature:
-        return ir, C, iA, iC, hA, hF, None
+        return terms
     hC = 0.5 * (dA + (dBc * r + 2.0 * Bc) * r) * iC     # C'/(2C)
     m = hA + ir                                          # S'/(2S)
     K1 = 0.5 * (d2F - dF * (hF + hC)) / F * iC
     K2 = hF * m * iC
     K3 = (-0.5 * d2A * iA - 2.0 * hA * ir + hA * hA + hC * m) * iC
     K4 = (Bc * iA - 2.0 * hA * ir - hA * hA) * iC
-    return ir, C, iA, iC, hA, hF, (K1, K2, K3, K4)
+    return terms + (K1, K2, K3, K4)
+
+
+def _radial(model, r, curvature):
+    """Radial coefficients of model at radii r (any shape): the tuple
+    (n2, n2', A, A', Bc, Bc', 1/r, C, 1/A, 1/C, hA, hF), followed by K1-K4
+    when curvature is set; C = A + Bc r^2, hA = A'/(2A), hF = n2'/(2 n2).
+
+    Lanes on the Schwarzschild chart, every Schwarzschild lane and every
+    glued lane with r >= r_out, take the closed form of _exterior_terms; the
+    others, the blend annulus and the flat core, take _radial_terms.  A
+    glued batch with lanes of both kinds computes both and picks per lane,
+    so each lane's values depend on its own r alone.
+    """
+    if model.kind == "schwarzschild":
+        guard = 2.0 * model.mass * (1.0 + HORIZON_MARGIN)
+        return _exterior_terms(model.mass, np.maximum(r, guard), curvature)
+    if model.kind == "glued":
+        out = r >= model.r_out
+        if out.all():
+            return _exterior_terms(model.mass, r, curvature)
+        if out.any():
+            ext = _exterior_terms(model.mass, np.maximum(r, model.r_out),
+                                  curvature)
+            return tuple(np.where(out, e, b) for e, b in
+                         zip(ext, _radial_terms(model, r, curvature)))
+    return _radial_terms(model, r, curvature)
 
 
 def _ray_terms(model, x, b, tidal):
     """Closed-form geodesic terms at lane states x, b (n, 4) from one
-    _profiles call: gb[l, k] = Gamma^l_mk B^m and, when tidal is set, the
+    _radial call: gb[l, k] = Gamma^l_mk B^m and, when tidal is set, the
     tidal tensor T_bd = R_abcd B^a B^c and g^{-1}; otherwise (gb, None, None).
 
     With v the spatial part of B, u = x/r and C = A + Bc r^2, the raised
@@ -378,20 +426,21 @@ def _ray_terms(model, x, b, tidal):
     gb_it = n2' B^t u_i/(2C) and
         gb_ij = hA (u.v) d_ij + hA v_i u_j + (Bc r - A'/2)/C u_i v_j
                 + (u.v) r^2 (Bc'/2 - 2 Bc hA)/C u_i u_j,    hA = A'/(2A).
-    With K1-K4 of _radial_terms, the coframe th_t = sqrt(F) dt,
+    With K1-K4 of _radial, the coframe th_t = sqrt(F) dt,
     th_r = sqrt(C) dr, the transverse metric P = A (d - u u), p = P v and
     |B_perp|^2 = v.P v,
         T = K1 w w + K2 [(th_t.B)^2 P - (th_t.B)(p th_t + th_t p)
             + |B_perp|^2 th_t th_t] + (the same with th_r for K3)
             + K4 [|B_perp|^2 P - p p],   w = (th_t.B) th_r - (th_r.B) th_t.
-    Every lane is computed alone (no reductions across lanes or BLAS).
+    Every lane is computed alone (no reductions across lanes or BLAS), and
+    _radial picks each lane's form by its own r, so a lane's terms do not
+    depend on the rest of the batch.
     """
     xs, v, bt = x[:, 1:], b[:, 1:], b[:, 0]
     r = np.sqrt(_colsum(xs * xs))
     _check_regular(model, r)
-    p = _profiles(model, r)
-    F, dF, _, A, dA, _, Bc, dBc, _ = p
-    ir, C, iA, iC, hA, hF, K = _radial_terms(p, r, tidal)
+    F, dF, A, dA, Bc, dBc, ir, C, iA, iC, hA, hF, *K = _radial(model, r,
+                                                               tidal)
     u = xs * ir[:, None]
     uv = _colsum(u * v)
     r2 = r * r
@@ -467,9 +516,9 @@ def lapse_gradient(model, x):
     x = np.asarray(x, dtype=float)
     xs = x[..., 1:]
     r = np.sqrt(np.sum(xs * xs, axis=-1))
-    p = _profiles(model, r)
-    n = np.sqrt(p[0])
-    dn_dr = p[1] / (2.0 * n)
+    n2, dn2 = _radial(model, r, False)[:2]
+    n = np.sqrt(n2)
+    dn_dr = dn2 / (2.0 * n)
     grad = np.zeros_like(x)
     grad[..., 1:] = dn_dr[..., None] * xs / np.maximum(r, _R_FLOOR)[..., None]
     return n, grad

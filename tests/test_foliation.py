@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import foliation
+from hyperlab import foliation, geodesic
 from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
-                             FanTooCoarse, MissingK, OutOfRange, Unreachable)
+                             FanTooCoarse, MissingK, OutOfRange,
+                             SeedRegionTooSmall, Unreachable)
 from hyperlab.foliation import (angular_grid, codazzi_residual,
                                 deformation_boost, frames_at, leaf_frames,
                                 leaf_scalars, leaf_slice, second_fundamental_at,
                                 second_fundamental_fd_oracle,
                                 solve_level_nodes, structure_residuals)
 from hyperlab.geodesic import Direction, exp_map, fan_build
+from hyperlab.mass import mass_of_leaf
 from hyperlab.metric import MetricModel, metric_at
 
 MINK = MetricModel.minkowski()
@@ -289,6 +291,28 @@ def _spy_solver(monkeypatch):
             return recs
         monkeypatch.setattr(foliation, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("model, origin, rho", [
+    (GLUED, [0.0, 1.5, 0.0, 0.0], 10.0),       # origin in the blend annulus
+    (GLUED, [0.0, 0.99, 0.0, 0.0], 10.0),      # core, beyond the seed margin
+    (MINK, [0.0, 0.0, 0.0, 0.0], 2e-3),        # leaf below the seed cap
+], ids=["annulus", "core-edge", "minkowski-tiny-rho"])
+def test_seed_region_raised_before_integration(monkeypatch, model, origin,
+                                               rho):
+    # every leaf record carries k, so an origin that leaves no lane a
+    # flat-core seed fails before the loose rounds integrate anything
+    calls = []
+
+    def spy(*args, _run=geodesic._dop853, **kwargs):
+        calls.append(args)
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr(geodesic, "_dop853", spy)
+    with pytest.raises(SeedRegionTooSmall):
+        mass_of_leaf(model, np.array(origin), 2.0 * rho, rho,
+                     angular_grid(4, 1))
+    assert calls == []
 
 
 def test_leaf_slice_integrate_rays_budget(monkeypatch):

@@ -1,10 +1,14 @@
 """Source hygiene of the hyperlab package: every imported name is used,
 every module-level constant is read, every private module-level function or
-class is used, every parameter is read, every dataclass field is read, and
-every module compiles with warnings treated as errors."""
+class is used, every parameter is read, every dataclass field is read, every
+module compiles with warnings treated as errors, and the runtime loads no
+scipy."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -201,3 +205,22 @@ def test_parameter_defaults_are_overridden():
             if not any(param in kws or None in kws
                        or (i is not None and npos > i)
                        for npos, kws in passed.get(fn, ()))] == []
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing every module and running a
+    # foliate pass must not load it (it costs about 44 MB of peak RSS)
+    code = (
+        "import importlib, sys\n"
+        f"for m in {[p.stem for p in MODULES if p.stem != '__init__']!r}:\n"
+        "    importlib.import_module('hyperlab.' + m)\n"
+        "from hyperlab.cli import main\n"
+        f"assert main(['foliate', '--config', "
+        f"{str(ROOT / 'configs' / 'glued_small.ini')!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.splitlines()[-1] == "[]"

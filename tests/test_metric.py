@@ -82,6 +82,27 @@ def test_glued_flat_core_and_exterior():
     assert np.abs(outer.ricci).max() < 1e-7
 
 
+@pytest.mark.parametrize("model, x", [
+    (MetricModel.glued(0.3), [0.0, 0.6, 0.0, 0.0]),     # r = 2M
+    (MetricModel.glued(0.45), [0.0, 0.0, 0.9, 0.0]),    # r = 2M, near r_in
+    (MetricModel.glued(0.45), [0.0, 0.3, 0.0, -0.4]),   # r = 0.5 < 2M
+], ids=["m03-r06", "m045-r09", "m045-r05"])
+def test_glued_core_flat_inside_schwarzschild_horizon(model, x):
+    # where 2M >= r_in / 2 the core holds radii at which the Schwarzschild
+    # chart is singular; the blend weights are exactly 0 there, so the
+    # jet and the geodesic terms are exactly flat
+    jet = metric_at(model, x, level=2)
+    assert np.array_equal(jet.g, np.diag([-1.0, 1, 1, 1]))
+    assert np.array_equal(jet.g_inv, np.diag([-1.0, 1, 1, 1]))
+    assert np.abs(jet.gamma).max() == 0.0
+    assert np.abs(jet.riemann).max() == 0.0
+    xb = np.array([x])
+    b = np.array([[1.25, 0.6, 0.0, -0.45]])
+    gb, T, g_inv = _ray_terms(model, xb, b, True)
+    assert np.abs(gb).max() == 0.0 and np.abs(T).max() == 0.0
+    assert np.array_equal(g_inv[0], np.diag([-1.0, 1, 1, 1]))
+
+
 def test_glued_annulus_symmetries_and_weyl_trace():
     x = np.array([0.0, 1.4, 0.3, 0.2])
     jet = curvature_at(GLUED, x)
@@ -334,6 +355,38 @@ def test_ray_terms_match_jet(model, lo, hi, exact, vacuum):
         s_rhs = ((s_gb + (1.0 + _lane_max(jet.g_inv)) * s_T)
                  * np.maximum(1.0, _lane_max(y)) ** 2)
         assert np.all(_lane_max(got - ref) <= 1e-13 * s_rhs)
+
+
+@pytest.mark.parametrize("model, radii", [
+    (GLUED, np.concatenate([[2.0], np.geomspace(2.0, 60.0, 40)])),
+    (SCHW, np.concatenate([[GUARD], 2.0 * SCHW.mass + np.geomspace(
+        GUARD - 2.0 * SCHW.mass, 60.0, 60)])),
+], ids=["glued-exterior", "schwarzschild"])
+def test_exterior_vacuum_ricci(model, radii):
+    # on the Schwarzschild chart K = (-2, 1, -1, 2) 2M/R^3, so the level-2
+    # jet is vacuum to rounding, down to the horizon margin
+    x, _ = _ray_states(model, radii, seed=17)
+    jet = metric_at(model, x, level=2)
+    assert np.all(_lane_max(jet.ricci) <= 1e-14 * _lane_max(jet.riemann))
+
+
+def test_ray_terms_batch_independent_across_zones():
+    # lanes in the core, at r_in, in the annulus, at r_out and outside: each
+    # lane of the mixed batch is the lane alone, bit for bit, and each
+    # exterior lane is its value in an all-exterior batch
+    radii = np.array([0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7, 15.0])
+    x, b = _ray_states(GLUED, radii, seed=19)
+    outer = radii >= GLUED.r_out
+    for tidal in (False, True):
+        mixed = _ray_terms(GLUED, x, b, tidal)
+        ext = _ray_terms(GLUED, x[outer], b[outer], tidal)
+        for i in range(len(x)):
+            alone = _ray_terms(GLUED, x[i:i + 1], b[i:i + 1], tidal)
+            for got, ref in zip(mixed, alone):
+                assert (got is ref is None
+                        or got[i:i + 1].tobytes() == ref.tobytes()), (i, tidal)
+        for got, ref in zip(mixed, ext):
+            assert got is ref is None or got[outer].tobytes() == ref.tobytes()
 
 
 def _mp_tidal(M, x, b):
