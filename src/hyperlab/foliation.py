@@ -30,6 +30,20 @@ point evaluated alone.
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
 is <D_T T, X> = X(log n).
+
+The fan diagnostics difference across the exponential map with one 5-point
+stencil per parameter axis (zeta, theta, phi).  _stencil5 is the one
+definition of a fan fine enough to difference: at least 5 nodes on every
+axis, the probe at least 2 nodes from every boundary and no signed mean
+spacing above 2e-2 in size, else FanTooCoarse.  It returns the probe's 12
+neighbours axis by axis, each axis in _SIDES5 order (offsets -2, -1, +1,
++2), and _fan_partials takes the values at those 12 neighbours.
+second_fundamental_fd_oracle reads the probe and its neighbours at rho;
+codazzi_residual reads them at rho and the probe also at rho -+ 1e-3
+max(rho, 1); deformation_boost reads the fan's middle node and its
+neighbours at three rhos; the transverse residuals of structure_residuals
+integrate only the 12 neighbours of a mini-fan of spacing _FAN_DELTA about
+the record's own parameters.
 """
 
 from dataclasses import dataclass, fields
@@ -41,8 +55,7 @@ from .errors import (BracketFailure, CentralLineDegenerate, FanTooCoarse,
 from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_seed_rho, _ray_ends,
                        direction_from_angles, integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
-                     _orthonormalize, _zs_floor, curvature_at, lapse_gradient,
-                     metric_at)
+                     _orthonormalize, _zs_floor, curvature_at, metric_at)
 
 FRAME_FLOOR = 1e-6
 # Tolerance of a loose Newton iterate of the leaf solver: LOOSE_TOL before
@@ -522,28 +535,41 @@ def _slice_of_records(model, t, rho, omega_nodes, recs, level):
 # ---------------------------------------------------------------------------
 # finite-difference oracle for k across a fan
 
-def _fan_steps(fan):
-    """Signed mean spacings of the (zeta, theta, phi) fan axes."""
-    return [np.diff(grid).mean()
-            for grid in (fan.zeta_grid, fan.theta_grid, fan.phi_grid)]
+def _stencil5(shape, index, steps):
+    """Index offsets, shape (12, 3), of the 12 neighbours of the 5-point
+    stencil at index on a fan of the given shape and signed mean axis
+    spacings: axis by axis, each axis in _SIDES5 order.
 
-
-def _fan_partials(value_at, index, steps):
-    """5-point first partials along the three parameter axes at index.
-
-    value_at(j) returns a tuple of arrays at the parameter index j; steps
-    holds the signed axis spacings.  Returns one array per tuple entry, with
-    the three partials stacked on a new leading axis.
+    FanTooCoarse unless every axis has at least 5 nodes, the probe lies at
+    least 2 nodes from every boundary and no spacing exceeds 2e-2 in size.
     """
-    partials = []
-    for a, h in enumerate(steps):
-        terms = []
-        for s, coef in _SIDES5:
-            j = list(index)
-            j[a] += s
-            terms.append([coef * v / h for v in value_at(tuple(j))])
-        partials.append([sum(t) for t in zip(*terms)])
-    return [np.stack(p) for p in zip(*partials)]
+    if min(shape) < 5:
+        raise FanTooCoarse("5-point fan stencil needs >= 5 nodes per axis")
+    if not all(2 <= i < n - 2 for i, n in zip(index, shape)):
+        raise FanTooCoarse("probe index too close to the fan boundary")
+    hmax = max(abs(h) for h in steps)
+    if hmax > 2e-2:
+        raise FanTooCoarse(f"fan spacing {hmax:.3g} exceeds 2e-2")
+    return np.array([s * np.eye(3, dtype=int)[a]
+                     for a in range(3) for s, _ in _SIDES5])
+
+
+def _fan_stencil(fan, index):
+    """The 12 stencil neighbour records of fan.record(*index), in _stencil5
+    order, and the signed mean spacings of the fan axes."""
+    steps = [np.diff(grid).mean()
+             for grid in (fan.zeta_grid, fan.theta_grid, fan.phi_grid)]
+    offsets = _stencil5(fan.shape, index, steps)
+    return [fan.record(*j) for j in np.add(index, offsets)], steps
+
+
+def _fan_partials(values, steps):
+    """5-point first partials along the three parameter axes, stacked on a
+    new leading axis, from the values at the 12 stencil neighbours in
+    _stencil5 order; steps holds the signed axis spacings."""
+    return np.stack([sum(coef * values[4 * a + i] / h
+                         for i, (_, coef) in enumerate(_SIDES5))
+                     for a, h in enumerate(steps)])
 
 
 def second_fundamental_fd_oracle(model, fan, index, rho):
@@ -551,25 +577,13 @@ def second_fundamental_fd_oracle(model, fan, index, rho):
     field across neighboring rays: k(X, Y) = <D_X B, Y> with 5-point stencils
     in each fan parameter.  Returns k in the probe record's parallel triad.
     """
-    iz, it, ip = index
-    nz, nt, npp = fan.shape
-    if min(nz, nt, npp) < 5:
-        raise FanTooCoarse("fd oracle needs >= 5 nodes per fan axis")
-    if not (2 <= iz < nz - 2 and 2 <= it < nt - 2 and 2 <= ip < npp - 2):
-        raise FanTooCoarse("probe index too close to the fan boundary")
-    steps = _fan_steps(fan)
-    hmax = max(abs(h) for h in steps)
-    if hmax > 2e-2:
-        raise FanTooCoarse(f"fan spacing {hmax:.3g} exceeds 2e-2")
-
-    def x_and_b(j):
-        st = fan.record(*j).state_at(rho)
-        return st["x"], st["b"]
-
-    center = fan.record(iz, it, ip).state_at(rho)
+    nbrs, steps = _fan_stencil(fan, index)
+    sts = [rec.state_at(rho) for rec in nbrs]
+    center = fan.record(*index).state_at(rho)
     x0, b0 = center["x"], center["b"]
     jet = metric_at(model, x0, level=1)
-    X, dB = _fan_partials(x_and_b, index, steps)
+    X = _fan_partials([st["x"] for st in sts], steps)
+    dB = _fan_partials([st["b"] for st in sts], steps)
     covB = dB + np.einsum('lmn,am,n->al', jet.gamma, X, b0)
     k_param = np.einsum('al,lm,bm->ab', covB, jet.g, X)
     # express in the probe triad: X_a ~ sum_i <X_a, E_i> E_i
@@ -602,16 +616,6 @@ def _boost_coeffs(direction):
     return out
 
 
-def _fan_directional(fan, values, index, coeffs):
-    """Directional derivatives over the fan of a per-node array of values.
-
-    values: array shaped fan.shape + tail.  coeffs: (3, 3) parameter-space
-    directions.
-    """
-    partials, = _fan_partials(lambda j: (values[j],), index, _fan_steps(fan))
-    return np.einsum('ca,a...->c...', coeffs, partials)
-
-
 def _boost_lie(V, dX, X0):
     """Lie derivative along each boost field c = 0, 1, 2 of a J-frame
     tensor: its fan derivative dX[c] less the commutator term of the boost
@@ -630,43 +634,37 @@ def deformation_boost(model, fan, rho):
     bpr0_residual: residual of the trace-free deformation transport equation
                    (reported diagnostic; FD-limited).
     """
-    nz, nt, npp = fan.shape
-    if min(nz, nt, npp) < 5:
-        raise FanTooCoarse("deformation report needs >= 5 nodes per fan axis")
-    probe = (nz // 2, nt // 2, npp // 2)
-    iz, it, ip = probe
-    center = fan.record(iz, it, ip)
+    probe = tuple(n // 2 for n in fan.shape)
+    nbrs, steps = _fan_stencil(fan, probe)
+    center = fan.record(*probe)
     if not (center.has_jacobi and center.has_k):
         raise MissingK("fan records need Jacobi fields and k populated")
-
-    def gather(r):
-        """Gram matrices <J_i, J_j>, <DJ_i/drho, J_j> and q0 at proper time
-        r over the full fan, from one metric evaluation."""
-        sts = [rec.state_at(r) for rec in fan.records]
-        g = metric_at(model, np.stack([st["x"] for st in sts]), level=0).g
-        J = np.stack([st["j"] for st in sts])
-        Jp = np.stack([st["jp"] for st in sts])
-        G = np.einsum('nia,nab,njb->nij', J, g, J)
-        K = np.einsum('nia,nab,njb->nij', Jp, g, J)
-        q0 = np.array([st["q0"] for st in sts])
-        return (G.reshape(fan.shape + (3, 3)), K.reshape(fan.shape + (3, 3)),
-                q0.reshape(fan.shape))
-
     coeffs = _boost_coeffs(center.direction)
     V = center.direction.hyperboloid_point()
 
+    def boost_derivative(values):
+        """Derivatives along the three boost fields at the probe, from the
+        values at its stencil neighbours."""
+        return np.einsum('ca,a...->c...', coeffs, _fan_partials(values, steps))
+
     def frame_fields(r):
-        """tr pi, pihat, khat frame components and helpers at proper time r."""
-        G, K, q0 = gather(r)
-        dG = _fan_directional(fan, G, probe, coeffs)       # (3, 3, 3)
-        G0 = G[iz, it, ip]
-        Ginv = np.linalg.inv(G0)
-        pis = _boost_lie(V, dG, G0)
+        """tr pi, pihat, khat frame components and helpers at proper time r,
+        from the probe (entry 0 of the Gram stacks) and its neighbours."""
+        sts = [rec.state_at(r) for rec in [center] + nbrs]
+        g = metric_at(model, np.stack([st["x"] for st in sts]), level=0).g
+        J = np.stack([st["j"] for st in sts])
+        Jp = np.stack([st["jp"] for st in sts])
+        G = np.einsum('nia,nab,njb->nij', J, g, J)      # <J_i, J_j>
+        K = np.einsum('nia,nab,njb->nij', Jp, g, J)     # <DJ_i/drho, J_j>
+        q0 = np.array([st["q0"] for st in sts])
+        dG = boost_derivative(G[1:])                    # (3, 3, 3)
+        Ginv = np.linalg.inv(G[0])
+        pis = _boost_lie(V, dG, G[0])
         trpi = np.einsum('ab,cab->c', Ginv, pis)
-        pihat = pis - trpi[:, None, None] / 3.0 * G0
+        pihat = pis - trpi[:, None, None] / 3.0 * G[0]
         khf = K - ((3.0 / r + q0)[..., None, None] / 3.0) * G
-        return {"trpi": trpi, "pihat": pihat, "G0": G0, "Ginv": Ginv,
-                "K0": K[iz, it, ip], "q0": q0, "khf": khf}
+        return {"trpi": trpi, "pihat": pihat, "Ginv": Ginv, "K0": K[0],
+                "q0": q0, "khf": khf, "st0": sts[0], "g0": g[0]}
 
     h = 1e-3 * max(rho, 1.0)
     rho = min(rho, center.rho_reached - h)      # keep the stencil integrable
@@ -674,21 +672,20 @@ def deformation_boost(model, fan, rho):
     Fm = frame_fields(rho - h)
     F0 = frame_fields(rho)
     trpi0, pihat0 = F0["trpi"], F0["pihat"]
-    G0, Ginv, K0 = F0["G0"], F0["Ginv"], F0["K0"]
+    Ginv, K0 = F0["Ginv"], F0["K0"]
     d_trpi = (Fp["trpi"] - Fm["trpi"]) / (2.0 * h)
-    rq0 = _fan_directional(fan, F0["q0"], probe, coeffs)   # (3,)
+    rq0 = boost_derivative(F0["q0"][1:])                 # (3,)
     trpr_res = np.abs(d_trpi - 2.0 * rq0)
     trpr_scale = (np.max(np.abs(2.0 * rq0))
                   + np.max(np.abs(trpi0)) / max(rho, 1.0) + 1e-14)
 
-    st0 = center.state_at(rho)
-    g0 = metric_at(model, st0["x"], level=0).g
-    pi_bb = 2.0 * np.einsum('ca,ab,b->c', st0["jp"], g0, st0["b"])
+    st0 = F0["st0"]
+    pi_bb = 2.0 * np.einsum('ca,ab,b->c', st0["jp"], F0["g0"], st0["b"])
     pi_br = K0 - K0.T
 
     # bpr0: D_B pihat + (khat * pihat) - 2 Lie_R khat + (2/3) tr pi khat = 0
-    kh0 = F0["khf"][iz, it, ip]
-    dkh = _fan_directional(fan, F0["khf"], probe, coeffs)  # (3,3,3)
+    kh0 = F0["khf"][0]
+    dkh = boost_derivative(F0["khf"][1:])                # (3,3,3)
     lie_kh = _boost_lie(V, dkh, kh0)
     # D_B of pihat in the J-frame: d/drho of components minus P-corrections
     dpihat = (Fp["pihat"] - Fm["pihat"]) / (2.0 * h)
@@ -738,6 +735,16 @@ def _rho_cluster(rhos, h):
     return cl, center, ddr
 
 
+def _residual_table(res):
+    """The table of max-abs entries of {key: (residual, scale)}: key holds
+    max |residual| and key_scale max |scale|, floored at 1e-300."""
+    table = {}
+    for key, (r, scale) in res.items():
+        table[key] = float(np.max(np.abs(r)))
+        table[key + "_scale"] = float(np.max(np.abs(scale)) + 1e-300)
+    return table
+
+
 def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     """Residual table of the per-ray structure equations.
 
@@ -751,6 +758,10 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
         raise MissingK("record has no transported second fundamental form")
     if transverse and not rec.has_jacobi:
         raise MissingK("transverse residuals need the record's Jacobi fields")
+    if transverse and rec.direction.zeta < 2.0 * _FAN_DELTA:
+        raise CentralLineDegenerate(
+            f"zeta={rec.direction.zeta:.3g} leaves no room for the transverse "
+            f"mini-fan (needs zeta >= {2.0 * _FAN_DELTA:.3g})")
     rhos = np.asarray(probe_rhos if probe_rhos is not None
                       else rec.rho[1:-1], dtype=float)
     rhos = rhos[(rhos > max(2.0 * rec.rho_seed, 0.05))
@@ -762,7 +773,6 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     cl, center, ddr = _rho_cluster(rhos, h)
     lf = leaf_frames(model, [rec], cl).require_frames()
     S, st = lf.scalars, lf.st
-    _, gradn_all = lapse_gradient(model, st["x"])
 
     t, n, binv = center(S.t), center(S.n), center(lf.binv)
     bt = binv * t
@@ -770,7 +780,6 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     q0 = center(st["q0"])
     khat = center(st["khat"])
     B = center(st["b"])
-    Bn = center(np.einsum('na,na->n', st["b"], gradn_all))   # B(n), analytic
     trk = 3.0 / rhos + q0
 
     # pointwise curvature along the probe points (independent of transport)
@@ -780,7 +789,9 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     tidal = np.einsum('nabcd,na,nib,nc,njd->nij', jet.riemann, B, E, B, E)
     rhat = tidal - (np.einsum('nii->n', tidal)[:, None, None] / 3.0) * np.eye(3)
 
-    gradn = center(gradn_all)
+    # static lapse: d_mu n = n Gamma^t_{t mu}, analytic
+    gradn = jet.lapse[:, None] * jet.gamma[:, 0, 0, :]
+    Bn = np.einsum('na,na->n', B, gradn)
     N_log_n = np.einsum('na,na->n', center(lf.frames.N), gradn) / n
 
     res = {}
@@ -816,10 +827,7 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     rhs_bu = u / rhos + (bt * u / rhos) * N_log_n
     res["Bu"] = (d_u - rhs_bu, np.abs(d_u) + np.abs(rhs_bu))
 
-    table = {}
-    for key, (r, scale) in res.items():
-        table[key] = float(np.max(np.abs(r)))
-        table[key + "_scale"] = float(np.max(np.abs(scale)) + 1e-300)
+    table = _residual_table(res)
 
     # zbar diagnostic: zbar_A = -(b^{-1} t / rtilde) e_A(log n)
     ealogn = np.einsum('nAa,na->nA', center(lf.frames.eA), gradn) / n[:, None]
@@ -839,17 +847,16 @@ def _transverse_residuals(model, rec, rhos, lf, C):
     holds the record at the 5-point rho clusters around the probe rhos."""
     d = rec.direction
     params = np.array([d.zeta, *d.angles()])
-    # the mini-fan: stencil neighbours of the parameter index (0, 0, 0)
-    shifts = [tuple(s if b == a else 0 for b in range(3))
-              for a in range(3) for s, _ in _SIDES5]
-    dirs = [direction_from_angles(*(params + _FAN_DELTA * np.array(j)))
-            for j in shifts]
+    # the mini-fan: a 5x5x5 fan of spacing _FAN_DELTA with the record in the
+    # middle, of which only the 12 stencil neighbours are integrated
+    steps = [_FAN_DELTA] * 3
+    dirs = [direction_from_angles(*(params + _FAN_DELTA * j))
+            for j in _stencil5((5, 5, 5), (2, 2, 2), steps)]
     recs = integrate_rays(model, rec.origin, dirs, [float(rhos.max())],
                           ode_tol=rec.ode_tol, with_jacobi=False, with_k=True)
     sc = leaf_frames(model, recs, rhos).scalars
-    near = dict(zip(shifts, zip(sc.u.reshape(len(recs), -1),
-                                (1.0 / sc.b).reshape(len(recs), -1))))
-    du_p, dbinv_p = _fan_partials(near.get, (0, 0, 0), [_FAN_DELTA] * 3)
+    du_p = _fan_partials(sc.u.reshape(len(recs), -1), steps)
+    dbinv_p = _fan_partials((1.0 / sc.b).reshape(len(recs), -1), steps)
 
     mid = slice(2 * len(rhos), 3 * len(rhos))   # probe rhos in the clusters
     g, Nbar = lf.frames.g[mid], lf.frames.Nbar[mid]
@@ -868,10 +875,9 @@ def _transverse_residuals(model, rec, rhos, lf, C):
     rhs_tu = 1.0 + C["u"] * ((rt / rhos) * ck_nn + C["N_log_n"])
     N_binv = (bt / rhos) * Nbar_binv - (rt / rhos) * C["d_binv"]
     rhs_nb = (rt / C["t"]) * (bt / rhos) * ck_nn
-    return {"t_of_u": float(np.max(np.abs(Tu - rhs_tu))),
-            "t_of_u_scale": 1.0,
-            "n_of_binv": float(np.max(np.abs(N_binv - rhs_nb))),
-            "n_of_binv_scale": float(np.max(np.abs(C["d_binv"])) + 1e-2)}
+    return _residual_table({
+        "t_of_u": (Tu - rhs_tu, 1.0),
+        "n_of_binv": (N_binv - rhs_nb, np.abs(C["d_binv"]) + 1e-2)})
 
 
 # ---------------------------------------------------------------------------
@@ -880,34 +886,28 @@ def _transverse_residuals(model, rec, rhos, lf, C):
 def codazzi_residual(model, fan, index, rho):
     """|div k - grad(trk) + Ric(B, .)| on H_rho at a fan probe, by
     finite-differencing the transported k field across the fan (FD-limited)."""
-    if min(fan.shape) < 5:
-        raise FanTooCoarse("codazzi residual needs >= 5 nodes per fan axis")
+    nbrs, steps = _fan_stencil(fan, index)
     hr = 1e-3 * max(rho, 1.0)
     rho = min(rho, fan.records[0].rho_reached - hr)
 
     # K, x and trk at the probe, at rho -+ hr and at the fan stencil
     # neighbours, from one level-0 metric call
-    nbrs = [tuple(index[b] + (s if b == a else 0) for b in range(3))
-            for a in range(3) for s, _ in _SIDES5]
-    pts = [(index, rho), (index, rho + hr), (index, rho - hr)] \
-        + [(j, rho) for j in nbrs]
-    sts = [fan.record(*j).state_at(r) for j, r in pts]
+    probe = fan.record(*index)
+    rhos = np.array([rho, rho + hr, rho - hr] + [rho] * len(nbrs))
+    sts = [rec.state_at(r) for rec, r in zip([probe] * 3 + nbrs, rhos)]
     st = {key: np.stack([s[key] for s in sts])
           for key in ("x", "triad", "q0", "khat")}
-    rhos = np.array([r for _, r in pts])
     E_low = st["triad"] @ metric_at(model, st["x"], level=0).g
     kmat = _k_triad(st["q0"], st["khat"], rhos)
-    vals = list(zip(np.einsum('nij,nia,njb->nab', kmat, E_low, E_low),
-                    st["x"], 1.0 / rhos * 3.0 + st["q0"]))
-    (K0, x0, _), (Kp, xp, tp), (Km, xm, tm) = vals[:3]
-    jet = curvature_at(model, x0)
+    K = np.einsum('nij,nia,njb->nab', kmat, E_low, E_low)
+    K0 = K[0]
+    jet = curvature_at(model, st["x"][0])
     B, E = sts[0]["b"], sts[0]["triad"]
 
     # parameter derivatives of K, x, trk: rho then (zeta, theta, phi)
-    fan_d = _fan_partials(dict(zip(nbrs, vals[3:])).get, index,
-                          _fan_steps(fan))
-    dK, dxp, dtrk = (np.concatenate([[(p - m) / (2 * hr)], d])
-                     for p, m, d in zip((Kp, xp, tp), (Km, xm, tm), fan_d))
+    dK, dxp, dtrk = (np.concatenate([[(v[1] - v[2]) / (2 * hr)],
+                                     _fan_partials(v[3:], steps)])
+                     for v in (K, st["x"], 1.0 / rhos * 3.0 + st["q0"]))
 
     Jac = dxp.T                                  # dx^mu/dparam_a -> (mu, a)
     Jinv = np.linalg.inv(Jac)                    # (a, mu)

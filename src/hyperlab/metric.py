@@ -510,15 +510,3 @@ def schouten_scalar_field(jet, dphi, phi):
     return (dphi[..., :, None] * dphi[..., None, :]
             - (trace_part[..., None, None] / 6.0) * jet.g)
 
-
-def lapse_gradient(model, x):
-    """Static lapse n and its coordinate gradient (dn/dx^mu), batched."""
-    x = np.asarray(x, dtype=float)
-    xs = x[..., 1:]
-    r = np.sqrt(np.sum(xs * xs, axis=-1))
-    n2, dn2 = _radial(model, r, False)[:2]
-    n = np.sqrt(n2)
-    dn_dr = dn2 / (2.0 * n)
-    grad = np.zeros_like(x)
-    grad[..., 1:] = dn_dr[..., None] * xs / np.maximum(r, _R_FLOOR)[..., None]
-    return n, grad

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Horizon, OutsideZs, SphereExitsZone
-from .foliation import (_T, _k_triad, _pick, _rho_cluster, _sphere_pair,
-                        frames_at, leaf_frames, leaf_slice)
+from .foliation import (_T, _k_triad, _pick, _residual_table, _rho_cluster,
+                        _sphere_pair, frames_at, leaf_frames, leaf_slice)
 from .metric import (MetricModel, _optical_mass_terms, _zs_floor, curvature_at,
                      metric_at)
 from .nullgeom import gauss_residual
@@ -150,13 +150,9 @@ def transport_residuals_zs(model, rec, probe_rhos=None):
     cm = lhs_c - rhs_c
     cm_scale = np.abs(d_q) + np.abs(qc) / rhos + np.abs(rhs_c) + 1e-14
 
-    return {
-        "bvarpi": float(np.max(np.abs(bv))),
-        "bvarpi_scale": float(np.max(bv_scale)),
-        "cmr_1": float(np.max(np.abs(cm))),
-        "cmr_1_scale": float(np.max(cm_scale)),
-        "rhos": rhos,
-    }
+    return {**_residual_table({"bvarpi": (bv, bv_scale),
+                               "cmr_1": (cm, cm_scale)}),
+            "rhos": rhos}
 
 
 def _grad_ls(model, jet):

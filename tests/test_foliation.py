@@ -111,11 +111,22 @@ def test_leaf_normal_has_no_time_part(glued_record, offset_record):
         assert np.all(leaf_frames(GLUED, [rec], rec.rho).frames.N[:, 0] == 0.0)
 
 
-def test_central_line_degenerate():
+def test_central_line_degenerate(monkeypatch):
     rec = exp_map(GLUED, np.zeros(4), Direction(0.0, (1, 0, 0)), [5.0],
                   with_jacobi=True, with_k=True)
     with pytest.raises(CentralLineDegenerate):
         frames_at(GLUED, rec, 5.0)
+    # closer to the central line than the transverse mini-fan's half-width
+    # 2 _FAN_DELTA: raised before the mini-fan is integrated
+    rec = exp_map(GLUED, np.zeros(4), Direction(0.005, (1, 0, 0)),
+                  [1.0, 3.0, 5.0], with_jacobi=True, with_k=True)
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("mini-fan integrated")
+
+    monkeypatch.setattr(foliation, "integrate_rays", no_integration)
+    with pytest.raises(CentralLineDegenerate):
+        structure_residuals(GLUED, rec, probe_rhos=[3.0])
 
 
 def test_second_fundamental_minkowski_umbilic(mink_record):
@@ -150,11 +161,43 @@ def test_transport_vs_fd_oracle_offset(offset_fan):
     assert np.abs(ko - kt).max() < 1e-4 * np.abs(kt).max()
 
 
-def test_fd_oracle_coarse_fan_error():
-    fan = fan_build(GLUED, np.zeros(4), [0.9, 1.1], [np.pi / 2], [0.0],
-                    [1.0, 5.0], ode_tol=1e-9, with_jacobi=False, with_k=True)
-    with pytest.raises(FanTooCoarse):
-        second_fundamental_fd_oracle(GLUED, fan, (0, 0, 0), 5.0)
+def _mink_fan(n_zeta, dz):
+    """Minkowski fan about (zeta=1, x-axis), rho grid [5, 10]: n_zeta nodes
+    on the zeta axis and 5 on the angles, all at spacing dz."""
+    side = dz * np.arange(-2, 3)
+    return fan_build(MINK, np.zeros(4), 1.0 + dz * np.arange(n_zeta),
+                     np.pi / 2 + side, side, [5.0, 10.0], ode_tol=1e-9)
+
+
+FAN_DIAGNOSTICS = {
+    "oracle": lambda fan, probe: second_fundamental_fd_oracle(MINK, fan, probe,
+                                                              9.0),
+    "codazzi": lambda fan, probe: codazzi_residual(MINK, fan, probe, 9.0),
+    "deformation": lambda fan, probe: deformation_boost(MINK, fan, 9.0),
+}
+# each guard of the 5-point stencil: the fan, the probes, the message; the
+# deformation report always probes the middle node, so the boundary guard
+# does not apply to it
+FAN_GUARDS = {
+    "4-node-axis": (lambda: _mink_fan(4, 5e-3), [(2, 2, 2)], "5 nodes"),
+    "probe-near-boundary": (lambda: _mink_fan(5, 5e-3),
+                            [(0, 0, 0), (1, 2, 2), (2, 2, 3), (4, 4, 4)],
+                            "boundary"),
+    "spacing": (lambda: _mink_fan(5, 3e-2), [(2, 2, 2)], "spacing"),
+}
+
+
+@pytest.mark.parametrize("diagnostic, guard", [
+    (d, g) for d in FAN_DIAGNOSTICS for g in FAN_GUARDS
+    if not (d == "deformation" and g == "probe-near-boundary")])
+def test_fd_oracle_coarse_fan_error(diagnostic, guard):
+    # every fan diagnostic refuses a fan that cannot resolve its stencil,
+    # rather than reading wrapped or missing neighbours
+    build, probes, message = FAN_GUARDS[guard]
+    fan = build()
+    for probe in probes:
+        with pytest.raises(FanTooCoarse, match=message):
+            FAN_DIAGNOSTICS[diagnostic](fan, probe)
 
 
 def test_minkowski_fd_oracle_matches_umbilic():
@@ -166,12 +209,25 @@ def test_minkowski_fd_oracle_matches_umbilic():
     assert np.abs(ko - np.eye(3) / 10.0).max() < 1e-6
 
 
-def test_deformation_boost_minkowski():
+def test_deformation_boost_minkowski(monkeypatch):
     dz = 4e-3
     fan = fan_build(MINK, np.zeros(4), 1.0 + dz * np.arange(-2, 3),
                     np.pi / 2 + dz * np.arange(-2, 3), dz * np.arange(-2, 3),
                     [1.0, 10.0], ode_tol=1e-11)
+    read = []
+    state_at = geodesic.GeodesicRecord.state_at
+
+    def spy(rec, rho):
+        read.append(id(rec))
+        return state_at(rec, rho)
+
+    monkeypatch.setattr(geodesic.GeodesicRecord, "state_at", spy)
     rep = deformation_boost(MINK, fan, 10.0)
+    # only the middle node and its 12 stencil neighbours, at three rhos
+    stencil = [(2, 2, 2)] + [tuple(2 + s * (b == a) for b in range(3))
+                             for a in range(3) for s in (-2, -1, 1, 2)]
+    assert len(read) == 3 * 13
+    assert set(read) == {id(fan.record(*j)) for j in stencil}
     assert np.abs(rep["pi_bb"]).max() < 1e-9
     assert np.abs(rep["pi_br"]).max() < 1e-9 * max(rep["pi_br_scale"], 1.0)
     assert rep["trpr_residual"] < 1e-9
