@@ -50,8 +50,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (BracketFailure, CentralLineDegenerate, FanTooCoarse,
-                     MissingK, OutOfRange, SingularityTruncated, Unreachable)
+from .errors import (BracketFailure, CentralLineDegenerate,
+                     CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
+                     SingularityTruncated, Unreachable)
 from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_seed_rho, _ray_ends,
                        direction_from_angles, integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
@@ -862,6 +863,11 @@ def _transverse_residuals(model, rec, rhos, lf, C):
     g, Nbar = lf.frames.g[mid], lf.frames.Nbar[mid]
     p_t = param_tangents([rec] * len(rhos), lf.st["j"][mid])   # (n, 3, 4)
     gram = np.einsum('nai,nij,nbj->nab', p_t, g, p_t)
+    if not np.all(np.linalg.cond(gram) < 1.0 / np.finfo(float).eps):
+        # on the polar axis of the (theta, phi) chart d/dphi vanishes
+        raise CoordinateSingularity(
+            f"direction zeta={d.zeta:.6g}, omega={tuple(map(float, d.omega))} "
+            f"is on the polar axis of the mini-fan's (theta, phi) chart")
     # leaf gradient coefficients of Nbar: Nbar = sum beta_a p_a
     rhsv = np.einsum('nai,nij,nj->na', p_t, g, Nbar)
     beta = np.linalg.solve(gram, rhsv[:, :, None])[:, None, :, 0]   # (n, 1, 3)

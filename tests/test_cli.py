@@ -47,6 +47,7 @@ _BAD_VALUES = [
     ("kg", "[kg]\ndr = 0\n", ("dr",)),
     ("kg", "[kg]\ncfl = 0\n", ("cfl",)),
     ("kg", "[kg]\nwidth = 0\n", ("width",)),
+    ("kg", "[kg]\nkg_mass = -1\n", ("kg_mass",)),
 ]
 
 

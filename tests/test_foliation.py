@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hyperlab import foliation, geodesic
 from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
-                             FanTooCoarse, MissingK, OutOfRange,
-                             SeedRegionTooSmall, Unreachable)
+                             CoordinateSingularity, FanTooCoarse, MissingK,
+                             OutOfRange, SeedRegionTooSmall, Unreachable)
 from hyperlab.foliation import (angular_grid, codazzi_residual,
                                 deformation_boost, frames_at, leaf_frames,
                                 leaf_scalars, leaf_slice, second_fundamental_at,
@@ -286,6 +286,23 @@ def test_structure_residuals_requires_k():
                   with_k=True)
     with pytest.raises(MissingK):
         structure_residuals(GLUED, rec)
+
+
+def test_transverse_residuals_polar_axis():
+    # on the polar axis of the mini-fan's (theta, phi) chart d/dphi vanishes
+    # and the Gram matrix of the parameter tangents is singular; a record
+    # tilted off the axis by 1e-6 keeps the identity (t_of_u 4.6e-11)
+    for tilt, singular in ((0.0, True), (1e-6, False)):
+        rec = exp_map(GLUED, np.zeros(4),
+                      Direction(1.0, (np.sin(tilt), 0.0, np.cos(tilt))),
+                      [1.0, 5.0, 10.0], ode_tol=1e-11, with_jacobi=True,
+                      with_k=True)
+        if singular:
+            with pytest.raises(CoordinateSingularity, match="polar axis"):
+                structure_residuals(GLUED, rec, probe_rhos=[5.0])
+        else:
+            tab = structure_residuals(GLUED, rec, probe_rhos=[5.0])
+            assert tab["t_of_u"] <= 1e-9 and tab["n_of_binv"] <= 1e-9
 
 
 def test_solve_level_nodes_minkowski_closed_forms():
