@@ -863,14 +863,16 @@ def _transverse_residuals(model, rec, rhos, lf, C):
     g, Nbar = lf.frames.g[mid], lf.frames.Nbar[mid]
     p_t = param_tangents([rec] * len(rhos), lf.st["j"][mid])   # (n, 3, 4)
     gram = np.einsum('nai,nij,nbj->nab', p_t, g, p_t)
-    if not np.all(np.linalg.cond(gram) < 1.0 / np.finfo(float).eps):
+    # leaf gradient coefficients of Nbar: Nbar = sum beta_a p_a
+    rhsv = np.einsum('nai,nij,nj->na', p_t, g, Nbar)
+    try:
+        beta = np.linalg.solve(gram, rhsv[:, :, None])[:, None, :, 0]
+    except np.linalg.LinAlgError:
         # on the polar axis of the (theta, phi) chart d/dphi vanishes
         raise CoordinateSingularity(
             f"direction zeta={d.zeta:.6g}, omega={tuple(map(float, d.omega))} "
-            f"is on the polar axis of the mini-fan's (theta, phi) chart")
-    # leaf gradient coefficients of Nbar: Nbar = sum beta_a p_a
-    rhsv = np.einsum('nai,nij,nj->na', p_t, g, Nbar)
-    beta = np.linalg.solve(gram, rhsv[:, :, None])[:, None, :, 0]   # (n, 1, 3)
+            f"is on the polar axis of the mini-fan's (theta, phi) chart"
+        ) from None
     Nbar_u = (beta @ du_p.T[:, :, None])[:, 0, 0]
     Nbar_binv = (beta @ dbinv_p.T[:, :, None])[:, 0, 0]
     bt, rt = C["bt"], C["rtilde"]

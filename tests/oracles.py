@@ -310,17 +310,16 @@ def kg_rk4_in_stage_ko(cfg, times):
 
 def kg_rk4_long_double(cfg, times):
     """psi = r phi of the flat Klein-Gordon scheme of kgflat, stepped in long
-    double: RK4 of psi_t = pi, pi_t = D2 psi - m psi with dt =
-    cfl * dr, followed in every step by the Kreiss-Oliger filter y <- y +
-    dt K y on both rows.  D2 is the 4th-order second difference and K =
-    sigma / (64 dr) D^6; both take odd ghosts across the axis and zeros past
-    the grid.  The data are the solver's float64 r phi0.  Returns psi at each
-    of times, snapped to the step grid.
+    double: RK4 of psi_t = pi, pi_t = D2 psi - m psi with dt = cfl * dr,
+    followed in every step by the Kreiss-Oliger filter y <- y + dt K y on
+    both rows.  D2 is the 4th-order second difference and K = sigma /
+    (64 dr) D^6; both take odd ghosts across the axis and zeros past the
+    grid.  The data are the solver's, kgflat.initial_data.  Returns psi at
+    each of times, snapped to the step grid.
     """
+    from hyperlab.kgflat import initial_data
     ld = np.longdouble
-    r = (np.arange(int(round(cfg.r_max / cfg.dr))) + 0.5) * cfg.dr
-    phi0 = cfg.amplitude * np.exp(-((r - cfg.center) / cfg.width) ** 2)
-    phi0[np.abs(phi0) < 1e-16 * abs(cfg.amplitude)] = 0.0
+    r, phi0 = initial_data(cfg)
     n = r.size
     dt = ld(cfg.cfl) * ld(cfg.dr)
     c2 = 1 / (12 * ld(cfg.dr) ** 2)
