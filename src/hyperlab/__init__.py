@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .metric import MetricModel, MetricJet, metric_at, curvature_at, schouten_scalar_field
+from .metric import MetricModel, MetricJet, metric_at, curvature_at
 
 __all__ = [
     "MetricModel",
     "MetricJet",
     "metric_at",
     "curvature_at",
-    "schouten_scalar_field",
     "__version__",
 ]

@@ -53,10 +53,6 @@ class BadTetrad(HyperlabError):
     """Null tetrad does not satisfy its normalization invariants."""
 
 
-class BadFrame(HyperlabError):
-    """Frame set does not satisfy its normalization invariants."""
-
-
 class Horizon(HyperlabError):
     """Closed-form expression evaluated at or inside the horizon."""
 

@@ -38,12 +38,9 @@ axis, the probe at least 2 nodes from every boundary and no signed mean
 spacing above 2e-2 in size, else FanTooCoarse.  It returns the probe's 12
 neighbours axis by axis, each axis in _SIDES5 order (offsets -2, -1, +1,
 +2), and _fan_partials takes the values at those 12 neighbours.
-second_fundamental_fd_oracle reads the probe and its neighbours at rho;
-codazzi_residual reads them at rho and the probe also at rho -+ 1e-3
-max(rho, 1); deformation_boost reads the fan's middle node and its
-neighbours at three rhos; the transverse residuals of structure_residuals
-integrate only the 12 neighbours of a mini-fan of spacing _FAN_DELTA about
-the record's own parameters.
+second_fundamental_fd_oracle reads the probe and its neighbours at rho; the
+transverse residuals of structure_residuals integrate only the 12 neighbours
+of a mini-fan of spacing _FAN_DELTA about the record's own parameters.
 """
 
 from dataclasses import dataclass, fields
@@ -555,15 +552,6 @@ def _stencil5(shape, index, steps):
                      for a in range(3) for s, _ in _SIDES5])
 
 
-def _fan_stencil(fan, index):
-    """The 12 stencil neighbour records of fan.record(*index), in _stencil5
-    order, and the signed mean spacings of the fan axes."""
-    steps = [np.diff(grid).mean()
-             for grid in (fan.zeta_grid, fan.theta_grid, fan.phi_grid)]
-    offsets = _stencil5(fan.shape, index, steps)
-    return [fan.record(*j) for j in np.add(index, offsets)], steps
-
-
 def _fan_partials(values, steps):
     """5-point first partials along the three parameter axes, stacked on a
     new leading axis, from the values at the 12 stencil neighbours in
@@ -578,8 +566,10 @@ def second_fundamental_fd_oracle(model, fan, index, rho):
     field across neighboring rays: k(X, Y) = <D_X B, Y> with 5-point stencils
     in each fan parameter.  Returns k in the probe record's parallel triad.
     """
-    nbrs, steps = _fan_stencil(fan, index)
-    sts = [rec.state_at(rho) for rec in nbrs]
+    steps = [np.diff(grid).mean()
+             for grid in (fan.zeta_grid, fan.theta_grid, fan.phi_grid)]
+    sts = [fan.record(*j).state_at(rho)
+           for j in np.add(index, _stencil5(fan.shape, index, steps))]
     center = fan.record(*index).state_at(rho)
     x0, b0 = center["x"], center["b"]
     jet = metric_at(model, x0, level=1)
@@ -595,122 +585,6 @@ def second_fundamental_fd_oracle(model, fan, index, rho):
     Minv = np.linalg.inv(Mm)
     k_triad = Minv @ k_param @ Minv.T
     return 0.5 * (k_triad + k_triad.T)
-
-
-# ---------------------------------------------------------------------------
-# boost deformation report across a fan
-
-def _boost_coeffs(direction):
-    """Parameter-space directions realizing the three boost generators at V.
-
-    Returns s (3 boosts, 3 params) with R_c = sum_a s[c,a] d/d(param_a).
-    """
-    M = _vparam_jacobian(direction.zeta, *direction.angles())     # (4, 3)
-    V = direction.hyperboloid_point()
-    out = np.zeros((3, 3))
-    for c in range(3):
-        K = np.zeros(4)
-        K[0] = V[c + 1]
-        K[c + 1] = V[0]
-        s, *_ = np.linalg.lstsq(M, K, rcond=None)
-        out[c] = s
-    return out
-
-
-def _boost_lie(V, dX, X0):
-    """Lie derivative along each boost field c = 0, 1, 2 of a J-frame
-    tensor: its fan derivative dX[c] less the commutator term of the boost
-    at the probe velocity V, where the tensor is X0."""
-    comm = (V[1:, None, None] * X0 - V[1:, None] * X0[:, None, :]) / V[0]
-    return dX - comm - comm.transpose(0, 2, 1)
-
-
-def deformation_boost(model, fan, rho):
-    """Boost deformation-tensor report at proper time rho, at the probe node
-    in the middle of the fan.
-
-    pi_bb[c]     = 2 <D J_c/drho, B> at the probe node (should vanish),
-    pi_br[c][j]  = <DJ_c/drho, J_j> - <DJ_j/drho, J_c>  (Gram asymmetry),
-    trpr_residual: finite-difference residual of d_B(tr pi^R) = 2 R(trk-3/rho),
-    bpr0_residual: residual of the trace-free deformation transport equation
-                   (reported diagnostic; FD-limited).
-    """
-    probe = tuple(n // 2 for n in fan.shape)
-    nbrs, steps = _fan_stencil(fan, probe)
-    center = fan.record(*probe)
-    if not (center.has_jacobi and center.has_k):
-        raise MissingK("fan records need Jacobi fields and k populated")
-    coeffs = _boost_coeffs(center.direction)
-    V = center.direction.hyperboloid_point()
-
-    def boost_derivative(values):
-        """Derivatives along the three boost fields at the probe, from the
-        values at its stencil neighbours."""
-        return np.einsum('ca,a...->c...', coeffs, _fan_partials(values, steps))
-
-    def frame_fields(r):
-        """tr pi, pihat, khat frame components and helpers at proper time r,
-        from the probe (entry 0 of the Gram stacks) and its neighbours."""
-        sts = [rec.state_at(r) for rec in [center] + nbrs]
-        g = metric_at(model, np.stack([st["x"] for st in sts]), level=0).g
-        J = np.stack([st["j"] for st in sts])
-        Jp = np.stack([st["jp"] for st in sts])
-        G = np.einsum('nia,nab,njb->nij', J, g, J)      # <J_i, J_j>
-        K = np.einsum('nia,nab,njb->nij', Jp, g, J)     # <DJ_i/drho, J_j>
-        q0 = np.array([st["q0"] for st in sts])
-        dG = boost_derivative(G[1:])                    # (3, 3, 3)
-        Ginv = np.linalg.inv(G[0])
-        pis = _boost_lie(V, dG, G[0])
-        trpi = np.einsum('ab,cab->c', Ginv, pis)
-        pihat = pis - trpi[:, None, None] / 3.0 * G[0]
-        khf = K - ((3.0 / r + q0)[..., None, None] / 3.0) * G
-        return {"trpi": trpi, "pihat": pihat, "Ginv": Ginv, "K0": K[0],
-                "q0": q0, "khf": khf, "st0": sts[0], "g0": g[0]}
-
-    h = 1e-3 * max(rho, 1.0)
-    rho = min(rho, center.rho_reached - h)      # keep the stencil integrable
-    Fp = frame_fields(rho + h)
-    Fm = frame_fields(rho - h)
-    F0 = frame_fields(rho)
-    trpi0, pihat0 = F0["trpi"], F0["pihat"]
-    Ginv, K0 = F0["Ginv"], F0["K0"]
-    d_trpi = (Fp["trpi"] - Fm["trpi"]) / (2.0 * h)
-    rq0 = boost_derivative(F0["q0"][1:])                 # (3,)
-    trpr_res = np.abs(d_trpi - 2.0 * rq0)
-    trpr_scale = (np.max(np.abs(2.0 * rq0))
-                  + np.max(np.abs(trpi0)) / max(rho, 1.0) + 1e-14)
-
-    st0 = F0["st0"]
-    pi_bb = 2.0 * np.einsum('ca,ab,b->c', st0["jp"], F0["g0"], st0["b"])
-    pi_br = K0 - K0.T
-
-    # bpr0: D_B pihat + (khat * pihat) - 2 Lie_R khat + (2/3) tr pi khat = 0
-    kh0 = F0["khf"][0]
-    dkh = boost_derivative(F0["khf"][1:])                # (3,3,3)
-    lie_kh = _boost_lie(V, dkh, kh0)
-    # D_B of pihat in the J-frame: d/drho of components minus P-corrections
-    dpihat = (Fp["pihat"] - Fm["pihat"]) / (2.0 * h)
-    Pmix = K0 @ Ginv                                      # P_a = Pmix[a,c] J_c
-    covp = dpihat - np.einsum('ac,ncb->nab', Pmix, pihat0) \
-        - np.einsum('bc,nac->nab', Pmix, pihat0)
-    # (khat * pi)_ab = khat_a^c pi_cb + khat_b^c pi_ac, raising with G^{-1}
-    khmix = kh0 @ Ginv
-    kstar = np.einsum('ac,ncb->nab', khmix, pihat0) \
-        + np.einsum('bc,nac->nab', khmix, pihat0)
-    trpi_kh = trpi0[:, None, None] * kh0
-    bpr0 = covp + kstar - 2.0 * lie_kh + (2.0 / 3.0) * trpi_kh
-    bpr0_res = np.max(np.abs(bpr0))
-    bpr0_scale = np.max(np.abs(lie_kh)) + np.max(np.abs(kh0)) / max(rho, 1.0) + 1e-14
-
-    return {
-        "pi_bb": pi_bb,
-        "pi_br": pi_br,
-        "pi_br_scale": float(np.max(np.abs(K0))),
-        "trpr_residual": float(np.max(trpr_res)),
-        "trpr_scale": float(trpr_scale),
-        "bpr0_residual": float(bpr0_res),
-        "bpr0_scale": float(bpr0_scale),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -886,49 +760,3 @@ def _transverse_residuals(model, rec, rhos, lf, C):
     return _residual_table({
         "t_of_u": (Tu - rhs_tu, 1.0),
         "n_of_binv": (N_binv - rhs_nb, np.abs(C["d_binv"]) + 1e-2)})
-
-
-# ---------------------------------------------------------------------------
-# Codazzi residual at fan probes
-
-def codazzi_residual(model, fan, index, rho):
-    """|div k - grad(trk) + Ric(B, .)| on H_rho at a fan probe, by
-    finite-differencing the transported k field across the fan (FD-limited)."""
-    nbrs, steps = _fan_stencil(fan, index)
-    hr = 1e-3 * max(rho, 1.0)
-    rho = min(rho, fan.records[0].rho_reached - hr)
-
-    # K, x and trk at the probe, at rho -+ hr and at the fan stencil
-    # neighbours, from one level-0 metric call
-    probe = fan.record(*index)
-    rhos = np.array([rho, rho + hr, rho - hr] + [rho] * len(nbrs))
-    sts = [rec.state_at(r) for rec, r in zip([probe] * 3 + nbrs, rhos)]
-    st = {key: np.stack([s[key] for s in sts])
-          for key in ("x", "triad", "q0", "khat")}
-    E_low = st["triad"] @ metric_at(model, st["x"], level=0).g
-    kmat = _k_triad(st["q0"], st["khat"], rhos)
-    K = np.einsum('nij,nia,njb->nab', kmat, E_low, E_low)
-    K0 = K[0]
-    jet = curvature_at(model, st["x"][0])
-    B, E = sts[0]["b"], sts[0]["triad"]
-
-    # parameter derivatives of K, x, trk: rho then (zeta, theta, phi)
-    dK, dxp, dtrk = (np.concatenate([[(v[1] - v[2]) / (2 * hr)],
-                                     _fan_partials(v[3:], steps)])
-                     for v in (K, st["x"], 1.0 / rhos * 3.0 + st["q0"]))
-
-    Jac = dxp.T                                  # dx^mu/dparam_a -> (mu, a)
-    Jinv = np.linalg.inv(Jac)                    # (a, mu)
-    dK_coord = np.einsum('am,aij->mij', Jinv, dK)
-    dtrk_coord = Jinv.T @ dtrk
-    # cov_m K_ij = d_m K_ij - G^l_mi K_lj - G^l_mj K_il
-    covK = dK_coord - np.einsum('lmi,lj->mij', jet.gamma, K0) \
-        - np.einsum('lmj,il->mij', jet.gamma, K0)
-    ginvb = jet.g_inv + np.einsum('a,b->ab', B, B)
-    divk = np.einsum('mi,mij->j', ginvb, covK)
-    ric_b = np.einsum('ab,a->b', jet.ricci, B)
-    resid = divk - dtrk_coord + ric_b
-    # project tangentially to H_rho (components along the triad)
-    res_t = np.einsum('ia,a->i', E, resid)
-    scale = np.abs(np.einsum('ia,a->i', E, dtrk_coord)).max() + np.abs(ric_b).max() + 1e-14
-    return float(np.max(np.abs(res_t))), float(scale)

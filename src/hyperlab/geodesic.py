@@ -124,16 +124,9 @@ def direction_from_angles(zeta, theta, phi):
                             np.cos(theta)))
 
 
-def frame_at_origin(model, origin):
-    """Orthonormal frame {e_mu} at the origin, e_0 along the static observer.
-
-    Rows of the returned (4,4) array are the frame vectors in coordinates.
-    """
-    return _frame(metric_at(model, np.asarray(origin, dtype=float), level=0).g)
-
-
 def _frame(g):
-    """The frame of frame_at_origin from the metric g at the origin."""
+    """Orthonormal frame {e_mu} at the origin from the metric g there, e_0
+    along the static observer; rows are the frame vectors in coordinates."""
     e0 = np.zeros(4)
     e0[0] = 1.0 / np.sqrt(-g[0, 0])
     return np.vstack([e0, _orthonormalize(g, [e0], np.eye(4)[1:], 3)])

@@ -31,10 +31,11 @@ mu = dt^2 lambda, one step multiplies a mode by
 
     g = (1 - cfl sigma s^6) [(1 + mu/2 + mu^2/24) + i dt omega (1 + mu/6)],
 
-and k steps give psi_k = Re(g^k) psi + Im(g^k)/omega pi, pi_k = Re(g^k) pi
-- Im(g^k) omega psi.  g^k is taken in polar form, whose rounding grows as
-k eps arg g, not as k eps like repeated squaring: 6.9e-15 of max|psi| from
-a long-double RK4 (dr = 1/64, t = 22, sigma = 0), squaring 1.35e-13.
+and k steps take data at rest, (psi, pi) = (psi_0, 0), to psi_k = Re(g^k)
+psi_0 and pi_k = -Im(g^k) omega psi_0.  g^k is taken in polar form, whose
+rounding grows as k eps arg g, not as k eps like repeated squaring: 6.9e-15
+of max|psi| from a long-double RK4 (dr = 1/64, t = 22, sigma = 0), squaring
+1.35e-13.
 
 The solution does not need the damping; commutation_residual does.  Its
 h = dr second differences amplify the grid-scale content that the odd
@@ -147,9 +148,9 @@ def evolve_kg(cfg, output_times, check_energy=True):
     r, phi0 = initial_data(cfg)
     out = []
     e0 = None
-    for t, psi, pi in _rk4_outputs(cfg, r * phi0, np.zeros_like(r),
-                                   output_times, cfg.t_max):
-        out.append(_snapshot(cfg, r, psi, pi, t))
+    for t, psi, pi in _rk4_outputs(cfg, r * phi0, output_times):
+        out.append(KGState(t=float(t), phi=psi / r, phit=pi / r, r=r,
+                           dr=cfg.dr))
         if check_energy and cfg.kg_mass > 0:
             e = energy(out[-1])
             if e0 is None:
@@ -159,18 +160,19 @@ def evolve_kg(cfg, output_times, check_energy=True):
     return out
 
 
-def _rk4_outputs(cfg, psi, pi, output_times, t_horizon):
-    """Yields (elapsed time, psi, pi) at each output time, snapped to the
-    step grid and in increasing order (module docstring).  g^k = sign(1 -
-    x)^k exp(k log|g| + i k arg g), x = cfl sigma s^6, where log1p(mu^3/72 +
-    mu^4/576) / 2 is the log-modulus of the RK4 factor.  Before any output,
-    |g| > 1 raises UnstableDetected, and t > t_horizon InsufficientStates.
+def _rk4_outputs(cfg, psi, output_times):
+    """Yields (elapsed time, psi, pi) of the data (psi, 0) at rest at each
+    output time, snapped to the step grid and in increasing order (module
+    docstring).  g^k = sign(1 - x)^k exp(k log|g| + i k arg g), x = cfl
+    sigma s^6, where log1p(mu^3/72 + mu^4/576) / 2 is the log-modulus of the
+    RK4 factor.  Before any output, |g| > 1 raises UnstableDetected, and
+    t > cfg.t_max InsufficientStates.
     """
     dt = cfg.cfl * cfg.dr
     req = sorted(set(int(round(t / dt)) for t in np.atleast_1d(output_times)))
-    if req and req[-1] * dt > t_horizon + 1e-9:
+    if req and req[-1] * dt > cfg.t_max + 1e-9:
         raise InsufficientStates(
-            f"requested output beyond the horizon t = {t_horizon:g}")
+            f"requested output beyond the horizon t = {cfg.t_max:g}")
     n = len(psi)
     s2 = np.sin(np.pi * (2 * np.arange(n) + 1) / (4 * n)) ** 2
     lam = -(4.0 + (4.0 / 3.0) * s2) * s2 / cfg.dr ** 2 - cfg.kg_mass
@@ -184,8 +186,7 @@ def _rk4_outputs(cfg, psi, pi, output_times, t_horizon):
     if log_g.max() > 0.0:
         raise UnstableDetected(
             f"mode growth factor {np.exp(log_g.max()):.6g} > 1 per step")
-    p, q = (np.fft.rfft(np.concatenate([f, f[::-1], -f, -f[::-1]]))[1::2]
-            for f in (psi, pi))
+    p = np.fft.rfft(np.concatenate([psi, psi[::-1], -psi, -psi[::-1]]))[1::2]
     full = np.zeros(2 * n + 1, complex)     # even modes stay 0
 
     def cells(c):
@@ -194,33 +195,7 @@ def _rk4_outputs(cfg, psi, pi, output_times, t_horizon):
 
     for k in req:
         gk = np.sign(1.0 - x) ** k * np.exp(k * log_g + 1j * (k * arg))
-        re, im = gk.real, gk.imag
-        yield (k * dt, cells(re * p + (im / omega) * q),
-               cells(re * q - (im * omega) * p))
-
-
-def _snapshot(cfg, r, psi, pi, t):
-    phi = psi / r
-    phit = pi / r
-    return KGState(t=float(t), phi=phi, phit=phit, r=r, dr=cfg.dr)
-
-
-def reverse_state(state):
-    """Time-reversal: flip phi_t."""
-    return KGState(t=state.t, phi=state.phi.copy(), phit=-state.phit,
-                   r=state.r, dr=state.dr)
-
-
-def evolve_from_state(cfg, state, t_extra, output_times):
-    """Continue the evolution from an arbitrary state for t_extra more time.
-
-    output_times are elapsed times after state.t; beyond t_extra they raise
-    InsufficientStates.
-    """
-    r = state.r
-    return [_snapshot(cfg, r, psi, pi, state.t + t)
-            for t, psi, pi in _rk4_outputs(cfg, r * state.phi, r * state.phit,
-                                           output_times, t_extra)]
+        yield k * dt, cells(gk.real * p), cells(-(gk.imag * omega) * p)
 
 
 # ---------------------------------------------------------------------------

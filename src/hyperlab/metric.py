@@ -497,16 +497,3 @@ def _squeeze(jet, scalar_input):
 def curvature_at(model, x):
     """Level-2 jet; Ricci, scalar, Schouten and Weyl are built on access."""
     return metric_at(model, x, level=2)
-
-
-def schouten_scalar_field(jet, dphi, phi):
-    """Matter Schouten tensor of a scalar field snapshot at the jet's point(s).
-
-    S_ab = d_a phi d_b phi - (1/6) g_ab (d^m phi d_m phi - m phi^2), m = 1.
-    """
-    dphi = np.asarray(dphi, dtype=float)
-    grad_sq = np.einsum('...a,...ab,...b->...', dphi, jet.g_inv, dphi)
-    trace_part = grad_sq - np.asarray(phi) ** 2
-    return (dphi[..., :, None] * dphi[..., None, :]
-            - (trace_part[..., None, None] / 6.0) * jet.g)
-

@@ -1,6 +1,6 @@
-"""Null tetrad algebra: Weyl null decomposition, electric/magnetic parts,
-Bel-Robinson contractions, Gauss-equation closure and the exterior-zone
-frame-transformation identities for the sphere-adapted tetrads.
+"""Null tetrad algebra: Weyl duals and null decomposition, Gauss-equation
+closure and the exterior-zone frame-transformation identities for the
+sphere-adapted tetrads.
 
 Orientation convention: the volume form is fixed by eps_{0123} = +sqrt(-det g)
 in coordinates (t, x1, x2, x3).  The sign of sigma flips with orientation, so
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFrame, BadTetrad, Horizon, OutsideZs
+from .errors import BadTetrad, Horizon, OutsideZs
 from .foliation import _sphere_pair, frames_at
 from .metric import _optical_mass_terms, curvature_at
 
@@ -73,12 +73,6 @@ class WeylNull:
     alphab: np.ndarray
 
 
-@dataclass
-class EMParts:
-    E: np.ndarray           # (3,3) symmetric trace-free
-    H: np.ndarray
-
-
 def left_dual(W, g_inv, sqrt_det):
     """*W_abcd = (1/2) eps_abmn W^mn_cd with eps_0123 = +sqrt(-det g)."""
     Wud = np.einsum('ma,nb,abcd->mncd', g_inv, g_inv, W)
@@ -107,40 +101,6 @@ def null_decompose(jet, tetrad):
     sigma = 0.25 * c(Wd, e3, e4, e3, e4)
     return WeylNull(alpha=alpha, beta=beta, varrho=float(varrho),
                     sigma=float(sigma), betab=betab, alphab=alphab)
-
-
-def em_decompose(jet, frame, which="T"):
-    """Electric/magnetic parts of the jet's Weyl tensor W in the frame
-    {U, spatial triad}.
-
-    which = "T": U is the static observer with triad {N, eA};
-    which = "B": U is the hyperboloid normal with triad {Nbar, eA}.
-    """
-    if which == "T":
-        U, triad = frame.T, np.stack([frame.N, frame.eA[0], frame.eA[1]])
-    elif which == "B":
-        U, triad = frame.B, np.stack([frame.Nbar, frame.eA[0], frame.eA[1]])
-    else:
-        raise BadFrame(f"which must be 'T' or 'B', got {which!r}")
-    g, W = jet.g, jet.weyl
-    if abs(U @ g @ U + 1.0) > 1e-8:
-        raise BadFrame("frame vector U is not unit timelike")
-    Wd = left_dual(W, jet.g_inv, jet.sqrt_det)
-    E = np.einsum('abcd,a,ib,c,jd->ij', W, U, triad, U, triad)
-    H = np.einsum('abcd,a,ib,c,jd->ij', Wd, U, triad, U, triad)
-    return EMParts(E=0.5 * (E + E.T), H=0.5 * (H + H.T))
-
-
-def bel_robinson_scalar(jet, X, Y, Z, U):
-    """Q(W)(X,Y,Z,U) = (W_arcs W_b^r_d^s + *W_arcs *W_b^r_d^s) X^a Y^b Z^c U^d
-    for the jet's Weyl tensor W."""
-    W = jet.weyl
-    Wd = left_dual(W, jet.g_inv, jet.sqrt_det)
-    total = 0.0
-    for T in (W, Wd):
-        Tu = np.einsum('rm,sn,amcn->arcs', jet.g_inv, jet.g_inv, T)
-        total += np.einsum('arcs,brds,a,b,c,d->', T, Tu, X, Y, Z, U)
-    return float(total)
 
 
 def gauss_residual(K, trchi, trchib, chihat, chibhat, w_llbllb):
@@ -217,38 +177,3 @@ def varrho_consistency(model, rec, rho):
         "varpi": varpi,
         "snr": snr,
     }
-
-
-def weyl_current(dS_cov):
-    """J_bcd = (1/2)(cov_c S_bd - cov_d S_bc) from the covariant derivative of
-    the Schouten tensor (dS_cov[m, a, b] = cov_m S_ab)."""
-    return 0.5 * (np.einsum('cbd->bcd', dS_cov) - np.einsum('dbc->bcd', dS_cov))
-
-
-def covariant_schouten_derivative(jet, S, dS_partial):
-    """cov_m S_ab = d_m S_ab - G^l_ma S_lb - G^l_mb S_al."""
-    return (dS_partial
-            - np.einsum('lma,lb->mab', jet.gamma, S)
-            - np.einsum('lmb,al->mab', jet.gamma, S))
-
-
-def h_metric(jet, T):
-    """Riemannian auxiliary metric h_ab = g_ab + 2 T_a T_b and its inverse."""
-    T_low = jet.g @ T
-    h = jet.g + 2.0 * np.outer(T_low, T_low)
-    h_inv = jet.g_inv + 2.0 * np.outer(T, T)
-    return h, h_inv
-
-
-def q_oneform(jet, F, dF_cov, T, kg_mass=1.0):
-    """Energy-momentum tensor of a covariant 1-form F with the h-metric trace:
-
-    Q_mn = h^cd [cov_m F_c cov_n F_d
-                 - g_mn (cov^a F_c cov_a F_d + m F_c F_d)/2].
-    """
-    _, h_inv = h_metric(jet, T)
-    grad2 = np.einsum('ab,ac,bd->cd', jet.g_inv, dF_cov, dF_cov)
-    inner = np.einsum('cd,mc,nd->mn', h_inv, dF_cov, dF_cov)
-    trace = np.einsum('cd,cd->', h_inv, grad2) + kg_mass * np.einsum(
-        'cd,c,d->', h_inv, F, F)
-    return inner - 0.5 * jet.g * trace

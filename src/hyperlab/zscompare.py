@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import Horizon, OutsideZs, SphereExitsZone
 from .foliation import (_T, _k_triad, _pick, _residual_table, _rho_cluster,
-                        _sphere_pair, frames_at, leaf_frames, leaf_slice)
+                        _sphere_pair, leaf_frames, leaf_slice)
 from .metric import (MetricModel, _optical_mass_terms, _zs_floor, curvature_at,
                      metric_at)
 from .nullgeom import gauss_residual
@@ -69,22 +69,6 @@ def schw_optical(M, t, r):
     du = np.array([1.0, -(1.0 + dlog_term), 0.0, 0.0])
     eik = float(np.einsum('ab,a,b->', jet.g_inv, du, du))
     return {"uhat": float(uhat), "Lhat": Lhat, "eikonal": eik}
-
-
-def _sigma_n(fr):
-    """Sigma N = N - varpi d_r, the part of N tangent to the coordinate
-    sphere, from a frame set with its radial overlap."""
-    sigma_n = np.zeros(4)
-    sigma_n[1:] = fr.N[1:] - fr.varpi * (fr.x[1:] / fr.r)
-    return sigma_n
-
-
-def varpi_at(model, rec, rho):
-    """Radial overlap varpi = N(r) with the Euclidean-component split
-    N = Sigma N + varpi d_r; snr holds the angular gradient e_A(r)."""
-    fr = frames_at(model, rec, rho)
-    return {"varpi": fr.varpi, "SigmaN": _sigma_n(fr), "snr": fr.snr,
-            "frames": fr, "r": fr.r}
 
 
 def radial_comparison_series(model, rec):

@@ -9,8 +9,7 @@ from hyperlab import foliation, geodesic
 from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
                              CoordinateSingularity, FanTooCoarse, MissingK,
                              OutOfRange, SeedRegionTooSmall, Unreachable)
-from hyperlab.foliation import (angular_grid, codazzi_residual,
-                                deformation_boost, frames_at, leaf_frames,
+from hyperlab.foliation import (angular_grid, frames_at, leaf_frames,
                                 leaf_scalars, leaf_slice, second_fundamental_at,
                                 second_fundamental_fd_oracle,
                                 solve_level_nodes, structure_residuals)
@@ -172,12 +171,8 @@ def _mink_fan(n_zeta, dz):
 FAN_DIAGNOSTICS = {
     "oracle": lambda fan, probe: second_fundamental_fd_oracle(MINK, fan, probe,
                                                               9.0),
-    "codazzi": lambda fan, probe: codazzi_residual(MINK, fan, probe, 9.0),
-    "deformation": lambda fan, probe: deformation_boost(MINK, fan, 9.0),
 }
-# each guard of the 5-point stencil: the fan, the probes, the message; the
-# deformation report always probes the middle node, so the boundary guard
-# does not apply to it
+# each guard of the 5-point stencil: the fan, the probes, the message
 FAN_GUARDS = {
     "4-node-axis": (lambda: _mink_fan(4, 5e-3), [(2, 2, 2)], "5 nodes"),
     "probe-near-boundary": (lambda: _mink_fan(5, 5e-3),
@@ -188,8 +183,7 @@ FAN_GUARDS = {
 
 
 @pytest.mark.parametrize("diagnostic, guard", [
-    (d, g) for d in FAN_DIAGNOSTICS for g in FAN_GUARDS
-    if not (d == "deformation" and g == "probe-near-boundary")])
+    (d, g) for d in FAN_DIAGNOSTICS for g in FAN_GUARDS])
 def test_fd_oracle_coarse_fan_error(diagnostic, guard):
     # every fan diagnostic refuses a fan that cannot resolve its stencil,
     # rather than reading wrapped or missing neighbours
@@ -207,47 +201,6 @@ def test_minkowski_fd_oracle_matches_umbilic():
                     [1.0, 10.0], ode_tol=1e-11)
     ko = second_fundamental_fd_oracle(MINK, fan, (2, 2, 2), 10.0)
     assert np.abs(ko - np.eye(3) / 10.0).max() < 1e-6
-
-
-def test_deformation_boost_minkowski(monkeypatch):
-    dz = 4e-3
-    fan = fan_build(MINK, np.zeros(4), 1.0 + dz * np.arange(-2, 3),
-                    np.pi / 2 + dz * np.arange(-2, 3), dz * np.arange(-2, 3),
-                    [1.0, 10.0], ode_tol=1e-11)
-    read = []
-    state_at = geodesic.GeodesicRecord.state_at
-
-    def spy(rec, rho):
-        read.append(id(rec))
-        return state_at(rec, rho)
-
-    monkeypatch.setattr(geodesic.GeodesicRecord, "state_at", spy)
-    rep = deformation_boost(MINK, fan, 10.0)
-    # only the middle node and its 12 stencil neighbours, at three rhos
-    stencil = [(2, 2, 2)] + [tuple(2 + s * (b == a) for b in range(3))
-                             for a in range(3) for s in (-2, -1, 1, 2)]
-    assert len(read) == 3 * 13
-    assert set(read) == {id(fan.record(*j)) for j in stencil}
-    assert np.abs(rep["pi_bb"]).max() < 1e-9
-    assert np.abs(rep["pi_br"]).max() < 1e-9 * max(rep["pi_br_scale"], 1.0)
-    assert rep["trpr_residual"] < 1e-9
-    assert rep["bpr0_residual"] < 1e-8
-
-
-def test_deformation_boost_glued(probe_fan):
-    rep = deformation_boost(GLUED, probe_fan, 25.0)
-    assert np.abs(rep["pi_bb"]).max() < 1e-8
-    assert np.abs(rep["pi_br"]).max() < 1e-7 * rep["pi_br_scale"]
-    assert rep["trpr_residual"] < 1e-3
-    # trace-free transport equation: reported diagnostic, loose tolerance
-    assert rep["bpr0_residual"] < 1e-2 * max(rep["bpr0_scale"], 1.0)
-
-
-def test_codazzi_residual(probe_fan, offset_fan):
-    res, scale = codazzi_residual(GLUED, probe_fan, (2, 2, 2), 25.0)
-    assert res < 1e-3
-    res2, _ = codazzi_residual(GLUED, offset_fan, (2, 2, 2), 20.0)
-    assert res2 < 1e-3
 
 
 def test_structure_residuals_minkowski(mink_record):

@@ -1,8 +1,9 @@
 """Source hygiene of the hyperlab package: every imported name is used,
 every module-level constant is read, every private module-level function or
 class is used, every parameter is read, every dataclass field is read, every
-module compiles with warnings treated as errors, and the runtime loads no
-scipy."""
+module-level function or class is reached from the CLI, the benchmark or the
+acceptance suite, every module compiles with warnings treated as errors, and
+the runtime loads no scipy."""
 
 import ast
 import os
@@ -69,18 +70,22 @@ def test_module_constants_are_read():
             if const not in reads] == []
 
 
+def _loaded_names(nodes):
+    """Names loaded as x, read as .x, or imported by name, in the nodes."""
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.ImportFrom):
+                yield from (alias.name for alias in n.names)
+
+
 def test_private_definitions_are_used():
     # a private helper that nothing loads is a leftover twin of a live one
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
-    loads = set()
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                loads.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                loads.add(n.attr)
-            elif isinstance(n, ast.ImportFrom):
-                loads.update(alias.name for alias in n.names)
+    loads = set(_loaded_names(trees.values()))
     assert [f"{name}: {node.name} (line {node.lineno})"
             for name, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -149,6 +154,44 @@ def test_dataclass_fields_are_read():
     assert [f"{p.name}: {cls}.{name} (line {line})" for p in MODULES
             for cls, name, line in _dataclass_fields(ast.parse(p.read_text()))
             if name not in reads] == []
+
+
+def test_definitions_are_reached():
+    """Every module-level function and class of the package is reached from
+    the CLI, the benchmark, the acceptance suite or a module's own
+    module-level code.
+
+    The walk starts from the names that cli.py, perfbench/*.py,
+    tests/test_acceptance.py, tests/conftest.py and the module-level
+    statements of every module load (a module's own imports and __init__'s
+    re-exports reach nothing), then adds the names loaded by the body of
+    each definition it reaches, until nothing new is reached.
+
+    Blind spot: definitions are matched by name alone, so a definition
+    passes when any name it shares is reached: another module's definition,
+    a method, or an attribute of the same name (an unread nullgeom.energy
+    would pass on kgflat.energy).
+    """
+    roots = ([SRC / "cli.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+             + [ROOT / "tests" / "test_acceptance.py",
+                ROOT / "tests" / "conftest.py"])
+    reached = set(_loaded_names(ast.parse(p.read_text()) for p in roots))
+    defs = []
+    for p in MODULES:
+        for node in ast.parse(p.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((p.name, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached.update(_loaded_names([node]))
+    todo = defs
+    while True:
+        hit = [node for _, node in todo if node.name in reached]
+        if not hit:
+            break
+        reached.update(_loaded_names(hit))
+        todo = [(name, node) for name, node in todo if node not in hit]
+    assert [f"{name}: {node.name} (line {node.lineno})"
+            for name, node in defs if node.name not in reached] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

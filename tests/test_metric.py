@@ -8,8 +8,7 @@ from hyperlab.errors import (CentralLineDegenerate, CoordinateSingularity,
                              UnsupportedLevel)
 from hyperlab.geodesic import _make_rhs
 from hyperlab.metric import (HORIZON_MARGIN, MetricModel, _orthonormalize,
-                             _ray_terms, curvature_at, metric_at,
-                             schouten_scalar_field)
+                             _ray_terms, curvature_at, metric_at)
 
 from oracles import cartesian_level2, jet_ray_rhs, riemann_fd
 
@@ -202,30 +201,6 @@ def test_errors():
         MetricModel("schwarzschild", mass=0.0)
     with pytest.raises(ValueError):
         MetricModel("glued", mass=0.6, r_in=1.0, r_out=2.0)
-
-
-def test_schouten_scalar_field_values():
-    jet = metric_at(MINK, [0.0, 1.0, 0.0, 0.0], level=0)
-    S0 = schouten_scalar_field(jet, np.zeros(4), 0.0)
-    assert np.abs(S0).max() == 0.0
-    S1 = schouten_scalar_field(jet, np.array([1.0, 0, 0, 0]), 0.0)
-    assert S1[0, 0] == pytest.approx(5.0 / 6.0, abs=1e-12)
-    assert S1[1, 1] == pytest.approx(1.0 / 6.0, abs=1e-12)
-    S2 = schouten_scalar_field(jet, np.zeros(4), 1.0)
-    assert np.allclose(S2, jet.g / 6.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(dphi=st.tuples(*[st.floats(-2, 2) for _ in range(4)]),
-       phi=st.floats(-2, 2))
-def test_schouten_scalar_field_trace_property(dphi, phi):
-    # g^{ab} S_ab = -(1/3) d phi . d phi + (2/3) m phi^2 for any inputs
-    jet = metric_at(MINK, [0.0, 1.0, 0.0, 0.0], level=0)
-    dphi = np.asarray(dphi)
-    S = schouten_scalar_field(jet, dphi, phi)
-    tr = np.einsum('ab,ab->', jet.g_inv, S)
-    grad2 = np.einsum('a,ab,b->', dphi, jet.g_inv, dphi)
-    assert tr == pytest.approx(grad2 / 3.0 + 2.0 / 3.0 * phi**2, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from hyperlab.errors import Horizon
-from hyperlab.foliation import _level_gradient, _level_value, angular_grid
+from hyperlab.foliation import (_level_gradient, _level_value, angular_grid,
+                                frames_at)
 from hyperlab.geodesic import Direction, exp_map
 from hyperlab.metric import MetricModel, metric_at
 from hyperlab.nullgeom import schwarzschild_closed_forms
 from hyperlab.zscompare import (cone_sphere_geometry, radial_comparison_series,
-                                schw_optical, transport_residuals_zs,
-                                varpi_at)
+                                schw_optical, transport_residuals_zs)
 
 MINK = MetricModel.minkowski()
 GLUED = MetricModel.glued(0.01)
@@ -51,29 +51,26 @@ def test_eikonal_exact_many_points():
 def test_varpi_minkowski():
     rec = exp_map(MINK, np.zeros(4), Direction(1.0, (0, 1, 0)), [5.0],
                   with_jacobi=True, with_k=True)
-    out = varpi_at(MINK, rec, 5.0)
-    assert out["varpi"] == pytest.approx(1.0, abs=1e-10)
-    assert np.abs(out["SigmaN"]).max() < 1e-10
-    assert np.abs(out["snr"]).max() < 1e-10
+    fr = frames_at(MINK, rec, 5.0)
+    assert fr.varpi == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(fr.snr).max() < 1e-10
 
 
 def test_varpi_centered_equals_lapse(glued_record):
-    out = varpi_at(GLUED, glued_record, 20.0)
-    r = out["r"]
-    n = np.sqrt((r - 0.02) / (r + 0.02))
-    assert abs(out["varpi"] - n) < 1e-8
-    assert np.abs(out["snr"]).max() < 1e-8
+    fr = frames_at(GLUED, glued_record, 20.0)
+    n = np.sqrt((fr.r - 0.02) / (fr.r + 0.02))
+    assert abs(fr.varpi - n) < 1e-8
+    assert np.abs(fr.snr).max() < 1e-8
 
 
 def test_varpi_identity_offset(offset_record):
     # n^2 = varpi^2 + |snr|^2 wherever the chart is exact
     for rho in (20.0, 35.0, 50.0):
-        out = varpi_at(GLUED, offset_record, rho)
-        r = out["r"]
-        n2 = (r - 0.02) / (r + 0.02)
-        snr2 = float(np.sum(out["snr"] ** 2))
-        assert abs(n2 - out["varpi"] ** 2 - snr2) < 1e-8
-        assert np.sqrt(n2) - out["varpi"] >= -1e-8
+        fr = frames_at(GLUED, offset_record, rho)
+        n2 = (fr.r - 0.02) / (fr.r + 0.02)
+        snr2 = float(np.sum(fr.snr ** 2))
+        assert abs(n2 - fr.varpi ** 2 - snr2) < 1e-8
+        assert np.sqrt(n2) - fr.varpi >= -1e-8
 
 
 def test_comparison_series_minkowski():
