@@ -373,19 +373,18 @@ def _level_slope(model, recs, level, r_floor):
 
 
 def _level_iterates(model, origin, rho, dirs, tol):
-    """One Newton round of solve_level_nodes: the loose lanes (tol above
-    TIGHT_TOL) integrated with Jacobi fields to their end state only, which
-    is all that _level_slope reads, and the tight lanes as leaf records
-    with Jacobi fields and k; one integration for each kind present."""
+    """One Newton round of solve_level_nodes: every lane integrated with
+    Jacobi fields to its end state only, the one sample at rho that
+    _level_slope and every reader of a leaf record use; the loose lanes
+    (tol above TIGHT_TOL) without k, the tight lanes as leaf records with
+    k.  One _ray_ends call for each kind present."""
     recs = [None] * len(dirs)
     for tight in (False, True):
         idx = np.flatnonzero((tol == TIGHT_TOL) == tight)
         if len(idx) == 0:
             continue
-        sub = [dirs[i] for i in idx]
-        got = (integrate_rays(model, origin, sub, [rho], ode_tol=tol[idx],
-                              with_jacobi=True, with_k=True) if tight
-               else _ray_ends(model, origin, sub, rho, tol[idx]))
+        got = _ray_ends(model, origin, [dirs[i] for i in idx], rho, tol[idx],
+                        tight)
         for i, rec in zip(idx, got):
             recs[i] = rec
     return recs
@@ -406,14 +405,15 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     side of z the root lies, the bracket shrinks onto it, and a step
     leaving the bracket bisects it.  A node whose last step was |dz| (inf
     before the first) is integrated at clip(NEWTON_TOL_C dz^2, TIGHT_TOL,
-    LOOSE_TOL).  A loose iterate only moves z and the bracket, so it is
-    integrated with Jacobi fields alone and keeps only its end state: no
-    k and no dense output.  A node is accepted only on a record integrated
-    at TIGHT_TOL, with Jacobi fields and k, whose residual is below 1e-10
-    max(|target|, 1), so every returned record is tight.  A round makes one
-    batched integration of its loose lanes and one of its tight lanes, when
-    it has them.  The integrator's lanes are independent, so each root and
-    record is the same whatever the order or grouping of the nodes.
+    LOOSE_TOL).  Every iterate keeps only its end state, with no dense
+    output: a returned record is read only at rho.  A loose one only moves
+    z and the bracket, so it carries Jacobi fields and no k.  A node is
+    accepted only on a record integrated at TIGHT_TOL, with Jacobi fields
+    and k, whose residual is below 1e-10 max(|target|, 1), so every
+    returned record is tight.  A round makes one batched integration of its
+    loose lanes and one of its tight lanes, when it has them.  The
+    integrator's lanes are independent, so each root and record is the same
+    whatever the order or grouping of the nodes.
     Returns the zeta array and those records.  A centred leaf takes three
     integrations: two loose, one tight.  An exact flat root (Minkowski)
     still takes two: the loose one that finds it and the tight one that

@@ -41,9 +41,10 @@ A, C, E3, E5 and D are scipy's, kept bit for bit in dop853.npz, so the
 runtime needs numpy alone) in which each ray is a lane with its own seed,
 step size, error norm, tolerance, accept/reject decision, end point and
 dense output.  Only active lanes are evaluated, and the right-hand side
-takes one rho per lane.  _ray_ends, for the leaf solver's loose iterates,
-runs the same steps without the three dense-output stages and keeps only
-each lane's end state.
+takes one rho per lane.  _ray_ends, for every iterate of the leaf solver
+(a loose one without k, a tight leaf record with k), runs the same steps
+without the three dense-output stages and keeps only each lane's end
+state, its one sample at rho.
 The error norm scales each block of the state (x^0, x^i, B^0, B^i, the time
 and the spatial parts of J, P and the triad, q0, khat) by the lane's tol
 (1 + |block|), so it does not change under spatial rotations.  The glued
@@ -79,6 +80,7 @@ SHELL_TOL = 1e-10       # a step lands on a radius R to within SHELL_TOL R
 # packed upper triangle (00, 01, 02, 11, 12, 22) of a symmetric 3x3 matrix
 _SYM6_ROW, _SYM6_COL = np.triu_indices(3)
 _SYM6_OF = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_FIELDS = ("x", "b", "j", "jp", "triad", "q0", "khat")   # keys of _unpack
 
 
 def sym6_to_mat(v):
@@ -113,9 +115,12 @@ class Direction:
         return np.concatenate([[np.cosh(self.zeta)], np.sinh(self.zeta) * w])
 
     def angles(self):
-        """Polar and azimuthal angles (theta, phi) of omega."""
+        """Polar and azimuthal angles (theta, phi) of omega; theta from
+        arctan2, which keeps its full relative precision near the poles,
+        where arccos(omega_z) rounds a tilt below about 1e-8 to 0."""
         om = np.asarray(self.omega)
-        return np.arccos(np.clip(om[2], -1.0, 1.0)), np.arctan2(om[1], om[0])
+        theta = np.arctan2(np.hypot(om[0], om[1]), om[2])
+        return theta, np.arctan2(om[1], om[0])
 
 
 def direction_from_angles(zeta, theta, phi):
@@ -170,18 +175,26 @@ class GeodesicRecord:
         return self.q0 is not None
 
     def state_at(self, rho):
-        """Evaluate the integrated state at arbitrary rho (scalar or array)."""
+        """Evaluate the integrated state at arbitrary rho (scalar or array).
+        A record without dense output (_ray_ends) keeps its end state only:
+        it returns that one sample at its own rho and raises OutOfRange at
+        any other rho."""
         rho = np.asarray(rho, dtype=float)
         scalar = rho.ndim == 0
         rq = np.atleast_1d(rho)
-        if self._dense is None:
-            raise OutOfRange("record keeps its end state only")
         if np.any(rq <= 0.0) or np.any(rq > self.rho_reached * (1 + 1e-12)):
             if self.truncated and np.any(rq > self.rho_reached):
                 raise SingularityTruncated(
                     f"record truncated at rho={self.rho_reached:.6g}")
             raise OutOfRange("rho outside the integrated range")
-        out = _eval_ray(self, rq)
+        if self._dense is None:
+            if len(self.rho) == 0 or np.any(rq != self.rho[-1]):
+                raise OutOfRange("record keeps its end state only")
+            end = np.zeros(len(rq), int)
+            out = {key: None if getattr(self, key) is None
+                   else getattr(self, key)[end] for key in _FIELDS}
+        else:
+            out = _eval_ray(self, rq)
         if scalar:
             out = {k: (v[0] if v is not None else None) for k, v in out.items()}
         return out
@@ -555,15 +568,18 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     return recs
 
 
-def _ray_ends(model, origin, directions, rho, ode_tol):
+def _ray_ends(model, origin, directions, rho, ode_tol, with_k):
     """integrate_rays(model, origin, directions, [rho], ode_tol,
-    with_jacobi=True) without the dense output: each record holds its one
-    sample, the integrator's end state at rho (none when truncated), and
-    state_at raises OutOfRange, as nothing else of the ray is kept."""
+    with_jacobi=True, with_k=with_k) without the dense output: the same
+    steps, and each record holds its one sample, the integrator's end state
+    at rho (none when truncated).  state_at returns that sample at rho and
+    raises OutOfRange at any other rho, as nothing else of the ray is
+    kept."""
     recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True,
-                         False, False)
+                         with_k, False)
     for rec, y in zip(recs, y_end):
-        for key, val in _unpack(y[None][:len(rec.rho)], True, False).items():
+        for key, val in _unpack(y[None][:len(rec.rho)], True,
+                                with_k).items():
             setattr(rec, key, val)
     return recs
 

@@ -14,19 +14,19 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_SECONDS, GLUED_M001, GLUED_M005, MINK, OFFSET
+from conftest import FIXTURE_SECONDS, GLUED_M001, GLUED_M005, MINK
 
 from hyperlab import nullgeom as ng
 from hyperlab.foliation import (angular_grid, frames_at, leaf_scalars,
                                 second_fundamental_at,
                                 second_fundamental_fd_oracle,
                                 structure_residuals)
-from hyperlab.geodesic import Direction, direction_from_angles, exp_map, fan_build
+from hyperlab.geodesic import Direction, exp_map, fan_build
 from hyperlab.kgflat import commutation_residual, decay_slope, energy
 from hyperlab.mass import mass_of_leaf
 from hyperlab.metric import curvature_at, metric_at
 from hyperlab.zscompare import (_grad_ls, cone_sphere_geometry,
-                                radial_comparison_series, schw_optical,
+                                radial_comparison_series,
                                 transport_residuals_zs)
 
 

@@ -1,11 +1,9 @@
 import json
-import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from hyperlab.cli import load_config, main, write_csv, write_svg
+from hyperlab.cli import load_config, main, write_csv
 from hyperlab.errors import ConfigError
 from hyperlab.foliation import TIGHT_TOL
 

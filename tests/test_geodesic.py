@@ -5,10 +5,10 @@ import pytest
 
 from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
 from hyperlab.foliation import second_fundamental_fd_oracle
-from hyperlab.geodesic import (RHO_SEED_MIN, Direction, FanGrid,
-                               GeodesicRecord, _lincomb, _make_rhs, _tableau,
-                               direction_from_angles, exp_map, fan_build,
-                               integrate_rays, mat_to_sym6, sym6_to_mat)
+from hyperlab.geodesic import (RHO_SEED_MIN, Direction, GeodesicRecord,
+                               _lincomb, _make_rhs, _tableau, exp_map,
+                               fan_build, integrate_rays, mat_to_sym6,
+                               sym6_to_mat)
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 
 from oracles import geodesic_rhs, rk8_fixed
@@ -28,6 +28,20 @@ def test_direction_unit_hyperboloid():
         d = Direction(z, (0.3, -1.2, 0.5))
         V = d.hyperboloid_point()
         assert abs(minkowski_norm(V) + 1.0) < 1e-14 * np.cosh(z) ** 2
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0], ids=["north", "south"])
+def test_direction_angles_near_poles(pole):
+    # theta keeps its relative precision at any tilt off a pole; arccos of
+    # omega_z rounds a 1e-8 tilt to theta = 0
+    eps = np.finfo(float).eps
+    for tilt in 10.0 ** np.arange(-12, -1):
+        d = Direction(0.5, (np.sin(tilt) * np.cos(0.7),
+                            np.sin(tilt) * np.sin(0.7), pole * np.cos(tilt)))
+        theta, phi = d.angles()
+        want = tilt if pole > 0 else np.pi - tilt
+        assert abs(theta - want) <= 4 * eps * want, tilt
+        assert phi == pytest.approx(0.7, rel=1e-14)
 
 
 def test_sym6_packing_matches_loop_reference():

@@ -1,9 +1,9 @@
-"""Source hygiene of the hyperlab package: every imported name is used,
-every module-level constant is read, every private module-level function or
-class is used, every parameter is read, every dataclass field is read, every
-module-level function or class is reached from the CLI, the benchmark or the
-acceptance suite, every module compiles with warnings treated as errors, and
-the runtime loads no scipy."""
+"""Source hygiene of the hyperlab package: every imported name is used
+(in the test modules too), every module-level constant is read, every
+private module-level function or class is used, every parameter is read,
+every dataclass field is read, every module-level function or class is
+reached from the CLI, the benchmark or the acceptance suite, every module
+compiles with warnings treated as errors, and the runtime loads no scipy."""
 
 import ast
 import os
@@ -18,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hyperlab"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
@@ -35,8 +36,9 @@ def _unused_imports(tree):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"] + TEST_MODULES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     # __init__.py is exempt: its imports are the package's re-exports
     assert _unused_imports(ast.parse(path.read_text())) == []
