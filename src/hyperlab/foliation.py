@@ -27,6 +27,12 @@ sphere-pair Gram-Schmidt, whose candidate order and skips branch per point,
 runs one point at a time.  So every point's result is bit-identical to that
 point evaluated alone.
 
+The spheres come from solve_level_nodes, a curvature-corrected Newton
+solve for each node's rapidity.  Its loose iterates are plain pairs: two
+geodesic lanes per node, at zeta and zeta + _PAIR_DELTA, with no Jacobi
+fields and no k, whose forward difference gives the slope.  Only its tight
+iterates carry the Jacobi fields and k that the leaf records need.
+
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
 is <D_T T, X> = X(log n).
@@ -50,28 +56,41 @@ import numpy as np
 from .errors import (BracketFailure, CentralLineDegenerate,
                      CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
                      SingularityTruncated, Unreachable)
-from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_seed_rho, _ray_ends,
-                       direction_from_angles, integrate_rays)
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_seed_rho, _lanes,
+                       _ray_ends, direction_from_angles, integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
                      _orthonormalize, _zs_floor, curvature_at, metric_at)
 
 FRAME_FLOOR = 1e-6
 # Tolerance of a loose Newton iterate of the leaf solver: LOOSE_TOL before
 # the first step, then NEWTON_TOL_C dz^2 after a step dz (solve_level_nodes).
-# A loose iterate carries Jacobi fields but no k and keeps only its end
-# state, and the step is Newton's with the flat level's curvature term.  A
-# lane at tol tau moves the next z by about alpha tau, with alpha larger
-# on level uhat than on level t; after the flat-root step (dz ~ 3e-3) that
-# error must stay below the acceptance threshold, about 1e-10 in z, or the
-# first tight iterate misses it and a fourth integration follows.  Scan on
-# glued M = 0.01, RHS calls over 12 centred t-leaves (t/rho = 2, 4, 8) and
-# integrations of the uhat leaf rho = 15, uhat = 3 (angular_grid(6, 1)):
-# 1e-4 15,785 and 4; 3e-5 14,378 and 4; 1e-5 14,145 and 4; 3e-6 14,565
-# and 3; 1e-6 14,937 and 3.  3e-6 is the largest that leaves every leaf
-# three integrations (at 1e-4 and 3e-5 the t = 2 rho leaves take four).
+# A loose iterate is a plain pair (_paired_slope): two lanes of x and B
+# alone, read at their end states, and the step is Newton's with the flat
+# level's curvature term.  A lane at tol tau moves the next z by about
+# alpha tau, with alpha larger on level uhat than on level t; after the
+# flat-root step (dz ~ 3e-3) that error must stay below the acceptance
+# threshold, about 1e-10 in z, or the first tight iterate misses it and a
+# fourth integration follows.  Plain pairs need a smaller NEWTON_TOL_C
+# than loose iterates with Jacobi fields did (3e-6).  Scan on glued
+# M = 0.01, RHS calls over 12 centred t-leaves (t/rho = 2, 4, 8; rho = 5,
+# 10, 15.79, 20; angular_grid(4, 1)), each of which takes three
+# integrations throughout, and the integrations of three harder leaves:
+# uhat rho 15 target 3 and uhat rho 6 target 1 (angular_grid(6, 1)), and
+# t 40 on rho 10 of glued M = 0.05 (angular_grid(4, 1)):
+#     LOOSE_TOL \ NEWTON_TOL_C   3e-6        1e-6        3e-7        1e-7
+#     1e-8                 12,732 4,4,4 13,128 3,4,3 13,560 3,3,3 13,848 3,3,3
+#     3e-9                 12,948 4,4,4 13,344 3,4,3 13,776 3,3,3 14,064 3,3,3
+#     1e-9                 13,200 4,4,4 13,596 3,4,3 14,028 3,3,3 14,316 3,3,3
+# (6e-7 reads as 1e-6 with 180 more calls.)  3e-7 is the largest
+# NEWTON_TOL_C that leaves every leaf three integrations, and LOOSE_TOL
+# only sets the first round's accuracy, which the second round corrects,
+# so the loosest 1e-8 is kept.  The mass subcommand's batches (rho 5, 10,
+# 20; t/rho = 2, 4, 8, 16; angular_grid(6, 1)) take three integrations at
+# every entry of the table.
 LOOSE_TOL = 1e-8
-NEWTON_TOL_C = 3e-6
+NEWTON_TOL_C = 3e-7
 TIGHT_TOL = 1e-12           # tolerance of every accepted leaf record
+_PAIR_DELTA = 1e-5          # rapidity offset of a loose iterate's second lane
 _FAN_DELTA = 5e-3           # parameter spacing of the transverse mini-fan
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
 _SIDES5 = tuple((s, _STENCIL5[s + 2]) for s in (-2, -1, 1, 2))
@@ -357,37 +376,53 @@ def _level_gradient(model, x, level):
     return grad
 
 
-def _level_slope(model, recs, level, r_floor):
-    """The level function t or uhat at the end of each record, its one
-    sample at the leaf's rho, and its exact derivative p_zeta . grad F along
-    the rapidity from the Jacobi fields."""
-    if any(rec.truncated for rec in recs):
+def _level_at(model, origin_t, x, truncated, level, r_floor):
+    """The level function t or uhat at the end points x (n, 4) of level
+    iterates: SingularityTruncated when an iterate stopped short of rho,
+    BracketFailure when one ends where the level function is undefined."""
+    if np.any(truncated):
         raise SingularityTruncated("a level iterate stopped short of rho")
-    x = np.stack([rec.x[-1] for rec in recs])
     if np.any(np.linalg.norm(x[:, 1:], axis=1) <= r_floor):
         raise BracketFailure("level function undefined inside the bracket")
+    return _level_value(model, origin_t, x, level)
+
+
+def _flat_curvature(z, level):
+    """c = F''/F' of the flat level function along the rapidity: coth(z) on
+    level t (t = rho cosh z), -1 on level uhat (uhat = rho e^-z)."""
+    return 1.0 / np.tanh(z) if level == "t" else -1.0
+
+
+def _level_slope(model, recs, level, r_floor):
+    """The level function t or uhat at the end of each tight record, its
+    one sample at the leaf's rho, and its exact derivative p_zeta . grad F
+    along the rapidity from the Jacobi fields."""
+    x = np.concatenate([rec.x for rec in recs])
+    F = _level_at(model, recs[0].origin[0], x,
+                  [rec.truncated for rec in recs], level, r_floor)
     grad = _level_gradient(model, x, level)
-    p_zeta = param_tangents(recs, np.stack([rec.j[-1] for rec in recs]))[:, :1]
-    df = (p_zeta @ grad[:, :, None])[:, 0, 0]
-    return _level_value(model, recs[0].origin[0], x, level), df
+    p_zeta = param_tangents(recs, np.concatenate([rec.j for rec in recs]))
+    return F, (p_zeta[:, :1] @ grad[:, :, None])[:, 0, 0]
 
 
-def _level_iterates(model, origin, rho, dirs, tol):
-    """One Newton round of solve_level_nodes: every lane integrated with
-    Jacobi fields to its end state only, the one sample at rho that
-    _level_slope and every reader of a leaf record use; the loose lanes
-    (tol above TIGHT_TOL) without k, the tight lanes as leaf records with
-    k.  One _ray_ends call for each kind present."""
-    recs = [None] * len(dirs)
-    for tight in (False, True):
-        idx = np.flatnonzero((tol == TIGHT_TOL) == tight)
-        if len(idx) == 0:
-            continue
-        got = _ray_ends(model, origin, [dirs[i] for i in idx], rho, tol[idx],
-                        tight)
-        for i, rec in zip(idx, got):
-            recs[i] = rec
-    return recs
+def _paired_slope(model, origin, rho, z, thetas, phis, tol, level, r_floor):
+    """A loose Newton round: the level function F at each node's z and its
+    slope along the rapidity from a plain pair.  Each node runs as two
+    plain geodesic lanes, at z and at z + _PAIR_DELTA, all in one batch
+    with no Jacobi fields, no k and no dense output, read at their end
+    states alone.  The pair's forward difference is
+    F' (1 + c delta / 2) + O(delta^2) with c = F''/F', so it is divided by
+    that factor at the flat level's curvature c."""
+    n = len(z)
+    dirs = [direction_from_angles(zeta, th, ph) for zeta, th, ph in
+            zip(np.concatenate([z, z + _PAIR_DELTA]), np.tile(thetas, 2),
+                np.tile(phis, 2))]
+    recs, y = _lanes(model, origin, dirs, [rho], np.tile(tol, 2), False,
+                     False, False)
+    F = _level_at(model, origin[0], y[:, :4],
+                  [rec.truncated for rec in recs], level, r_floor)
+    corr = 1.0 + 0.5 * _flat_curvature(z, level) * _PAIR_DELTA
+    return F[:n], (F[n:] - F[:n]) / _PAIR_DELTA / corr
 
 
 def solve_level_nodes(model, origin, rho, target, angles, level="t"):
@@ -398,20 +433,24 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     Every node starts at the flat root, arccosh(max(target/rho, 1)) on level
     t and ln(rho/target) on level uhat (ZETA_MAX_DEFAULT if target <= 0),
     clipped into the bracket [1e-8, ZETA_MAX_DEFAULT].  Each step is
-    z - d - c d^2 / 2 with d = f / df: Newton's step with the exact
-    df = p_zeta . grad F from the Jacobi fields, corrected to second order
-    by the curvature c = F''/F' of the flat level, coth(z) on level t and
-    -1 on level uhat (uhat = rho e^-z).  The sign of f df tells on which
-    side of z the root lies, the bracket shrinks onto it, and a step
+    z - d - c d^2 / 2 with d = f / df: Newton's step corrected to second
+    order by the curvature c = F''/F' of the flat level, coth(z) on level t
+    and -1 on level uhat (uhat = rho e^-z).  The sign of f df tells on
+    which side of z the root lies, the bracket shrinks onto it, and a step
     leaving the bracket bisects it.  A node whose last step was |dz| (inf
     before the first) is integrated at clip(NEWTON_TOL_C dz^2, TIGHT_TOL,
-    LOOSE_TOL).  Every iterate keeps only its end state, with no dense
-    output: a returned record is read only at rho.  A loose one only moves
-    z and the bracket, so it carries Jacobi fields and no k.  A node is
-    accepted only on a record integrated at TIGHT_TOL, with Jacobi fields
-    and k, whose residual is below 1e-10 max(|target|, 1), so every
+    LOOSE_TOL).  It is loose above TIGHT_TOL, and also after an iterate at
+    LOOSE_TOL that missed the acceptance bound, whose error the next z
+    carries.  A loose iterate only moves z and the bracket: it is a plain
+    pair (_paired_slope), two lanes at z and z + _PAIR_DELTA with no
+    Jacobi fields, no k and no dense output, whose forward difference,
+    divided by 1 + c _PAIR_DELTA / 2, gives df.  A tight iterate is a leaf
+    record at TIGHT_TOL with Jacobi fields and k that keeps only its end
+    state, the one sample at rho that its readers use, and takes the exact
+    df = p_zeta . grad F from the Jacobi fields.  A node is accepted only on
+    a tight record whose residual is below 1e-10 max(|target|, 1), so every
     returned record is tight.  A round makes one batched integration of its
-    loose lanes and one of its tight lanes, when it has them.  The
+    loose pairs and one of its tight lanes, when it has them.  The
     integrator's lanes are independent, so each root and record is the same
     whatever the order or grouping of the nodes.
     Returns the zeta array and those records.  A centred leaf takes three
@@ -453,15 +492,27 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     z = np.clip(z0, lo, hi)
     sgn = np.zeros(m)               # sign of df at the last iterate, 0 before
     step = np.full(m, np.inf)       # |dz| of the last iterate, inf before
+    rough = np.zeros(m, bool)       # last iterate at LOOSE_TOL, off the root
     out = [None] * m
     todo = np.arange(m)
     for _ in range(30):
         tol = np.clip(NEWTON_TOL_C * step[todo] ** 2, TIGHT_TOL, LOOSE_TOL)
-        recs = _level_iterates(
-            model, origin, rho, [direction_from_angles(z[i], thetas[i],
-                                                       phis[i])
-                                 for i in todo], tol)
-        F, df = _level_slope(model, recs, level, r_floor)
+        loose = (tol > TIGHT_TOL) | rough[todo]
+        F, df = np.empty(len(todo)), np.empty(len(todo))
+        recs = [None] * len(todo)
+        if loose.any():
+            i = todo[loose]
+            F[loose], df[loose] = _paired_slope(
+                model, origin, rho, z[i], thetas[i], phis[i], tol[loose],
+                level, r_floor)
+        if not loose.all():
+            k = np.flatnonzero(~loose)
+            got = _ray_ends(model, origin,
+                            [direction_from_angles(z[i], thetas[i], phis[i])
+                             for i in todo[k]], rho, tol[k])
+            F[k], df[k] = _level_slope(model, got, level, r_floor)
+            for j, rec in zip(k, got):
+                recs[j] = rec
         f = F - target[todo]
         if np.any(sgn[todo] * df < 0):
             raise BracketFailure("level function not monotone on the bracket")
@@ -472,13 +523,14 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
         if np.any((hi[todo] <= lo[todo]) & (np.abs(f) > 3e-6 * scale[todo])):
             raise Unreachable("target level not attained on the zeta bracket")
         d = f / df
-        curv = 1.0 / np.tanh(z[todo]) if level == "t" else -1.0
-        zn = z[todo] - d - 0.5 * curv * d * d
+        zn = z[todo] - d - 0.5 * _flat_curvature(z[todo], level) * d * d
         zn = np.where((zn >= lo[todo]) & (zn <= hi[todo]), zn,
                       0.5 * (lo[todo] + hi[todo]))
         step[todo] = np.abs(zn - z[todo])
         z[todo] = zn
-        done = (tol == TIGHT_TOL) & (np.abs(f) <= 1e-10 * scale[todo])
+        hit = np.abs(f) <= 1e-10 * scale[todo]
+        rough[todo] = (tol == LOOSE_TOL) & ~hit
+        done = ~loose & hit
         for i, rec, accepted in zip(todo, recs, done):
             if accepted:
                 out[i] = rec

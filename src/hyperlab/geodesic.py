@@ -41,10 +41,12 @@ A, C, E3, E5 and D are scipy's, kept bit for bit in dop853.npz, so the
 runtime needs numpy alone) in which each ray is a lane with its own seed,
 step size, error norm, tolerance, accept/reject decision, end point and
 dense output.  Only active lanes are evaluated, and the right-hand side
-takes one rho per lane.  _ray_ends, for every iterate of the leaf solver
-(a loose one without k, a tight leaf record with k), runs the same steps
-without the three dense-output stages and keeps only each lane's end
-state, its one sample at rho.
+takes one rho per lane.  Without dense output the integrator takes the
+same steps without the three dense-output stages and keeps only each
+lane's end state.  The leaf solver runs all its iterates so: its loose
+ones are plain lanes of _lanes (no Jacobi fields, no k), read at their
+end states alone, and _ray_ends gives its tight leaf records, with Jacobi
+fields and k, their one sample at rho.
 The error norm scales each block of the state (x^0, x^i, B^0, B^i, the time
 and the spatial parts of J, P and the triad, q0, khat) by the lane's tol
 (1 + |block|), so it does not change under spatial rotations.  The glued
@@ -568,18 +570,18 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     return recs
 
 
-def _ray_ends(model, origin, directions, rho, ode_tol, with_k):
+def _ray_ends(model, origin, directions, rho, ode_tol):
     """integrate_rays(model, origin, directions, [rho], ode_tol,
-    with_jacobi=True, with_k=with_k) without the dense output: the same
+    with_jacobi=True, with_k=True) without the dense output: the same
     steps, and each record holds its one sample, the integrator's end state
     at rho (none when truncated).  state_at returns that sample at rho and
     raises OutOfRange at any other rho, as nothing else of the ray is
     kept."""
     recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True,
-                         with_k, False)
+                         True, False)
     for rec, y in zip(recs, y_end):
         for key, val in _unpack(y[None][:len(rec.rho)], True,
-                                with_k).items():
+                                True).items():
             setattr(rec, key, val)
     return recs
 

@@ -17,8 +17,9 @@ Cartesian coordinates x = (t, x1, x2, x3) with G = c = 1:
 
 All spatial metric components reduce to two radial profiles,
     g_tt = -n2(r),   g_ij = A(r) delta_ij + Bc(r) x_i x_j,
-whose first and second r-derivatives are coded analytically (also through
-the blend), so jets up to level 2 are exact up to rounding everywhere.
+whose first r-derivatives, and the second ones of n2 and A that the
+curvature reads, are coded analytically (also through the blend), so jets
+up to level 2 are exact up to rounding everywhere.
 
 Index conventions (used throughout the package):
     Gamma[l, m, n]   = Gamma^l_{mn}
@@ -143,12 +144,14 @@ class MetricJet:
         return self.riemann - 0.5 * (gS - np.swapaxes(gS, -1, -2))
 
 
-def _smoothstep(w):
-    """Quintic smoothstep and its first two derivatives on the raw argument."""
+def _smoothstep(w, second):
+    """Quintic smoothstep and its first derivative on the raw argument, and
+    its second derivative when second is set."""
     s = ((6.0 * w - 15.0) * w + 10.0) * w**3
     ds = ((30.0 * w - 60.0) * w + 30.0) * w**2
-    d2s = ((120.0 * w - 180.0) * w + 60.0) * w
-    return s, ds, d2s
+    if not second:
+        return s, ds
+    return s, ds, ((120.0 * w - 180.0) * w + 60.0) * w
 
 
 def _exterior_terms(M, r, curvature):
@@ -178,18 +181,16 @@ def _exterior_terms(M, r, curvature):
     return terms + (-2.0 * k, k, -k, 2.0 * k)
 
 
-def _schw_profiles(M, r):
-    """n2, A, Bc of the Schwarzschild chart with two r-derivatives each: the
-    first-order profiles of _exterior_terms and, with R = r + 2M,
-    n2'' = -2 n2'/R, A'' = A' (1/R - 3/r) and Bc'' = (g Bc)' with
-    g = Bc'/Bc = 1/R - 4/r - 1/(r - 2M)."""
+def _schw_profiles(M, r, second):
+    """n2, n2', A, A', Bc, Bc' of the Schwarzschild chart, the first-order
+    profiles of _exterior_terms, followed, when second is set, by
+    n2'' = -2 n2'/R and A'' = A' (1/R - 3/r), R = r + 2M."""
     n2, dn2, A, dA, Bc, dBc, ir = _exterior_terms(M, r, False)[:7]
+    out = (n2, dn2, A, dA, Bc, dBc)
+    if not second:
+        return out
     iR = 1.0 / (r + 2.0 * M)
-    irm = 1.0 / (r - 2.0 * M)
-    d2Bc = (dBc * (iR - 4.0 * ir - irm)
-            + Bc * (4.0 * ir * ir - iR * iR + irm * irm))
-    return (n2, dn2, -2.0 * dn2 * iR, A, dA, dA * (iR - 3.0 * ir), Bc, dBc,
-            d2Bc)
+    return out + (-2.0 * dn2 * iR, dA * (iR - 3.0 * ir))
 
 
 def _optical_mass_terms(M, r):
@@ -239,34 +240,36 @@ def _orthonormalize(g, fixed, cands, keep):
         f"only {len(out)} of {keep} candidates survive orthonormalization")
 
 
-def _profiles(model, r):
-    """Radial profiles (n2, A, Bc + derivatives) for any model, batched over r.
-
-    Returns a tuple of nine arrays of r's shape, ordered as in
-    _schw_profiles.
+def _profiles(model, r, second):
+    """Radial profiles of any model, batched over r: the tuple
+    (n2, n2', A, A', Bc, Bc') of r's shape, followed by (n2'', A'') when
+    second is set.  Nothing in the package reads Bc'', so it is not formed.
     """
     r = np.asarray(r, dtype=float)
     if model.kind == "minkowski" or model.mass == 0.0:
         one, zero = np.ones(r.shape), np.zeros(r.shape)
-        return one, zero, zero, one, zero, zero, zero, zero, zero
+        return (one, zero, one, zero, zero, zero) + ((zero, zero) if second
+                                                     else ())
     if model.kind == "schwarzschild":
         safe = np.maximum(r, 2.0 * model.mass * (1.0 + HORIZON_MARGIN))
-        return _schw_profiles(model.mass, safe)
+        return _schw_profiles(model.mass, safe, second)
     # glued: piecewise exact + smoothstep blend of the three profiles.  The
-    # clip makes s, ds and d2s exactly 0 in the core and s = 1, ds = d2s = 0
-    # outside, so both zones are exact.
+    # clip makes s and its derivatives exactly 0 in the core and s = 1 with
+    # vanishing derivatives outside, so both zones are exact.
     width = model.r_out - model.r_in
     w = np.clip((r - model.r_in) / width, 0.0, 1.0)
-    s, ds, d2s = _smoothstep(w)
+    s, ds, *d2s = _smoothstep(w, second)
     ds /= width
-    d2s /= width**2
     safe = np.maximum(r, model.r_in)   # below r_in, s = ds = d2s = 0
-    p = _schw_profiles(model.mass, safe)
+    p = _schw_profiles(model.mass, safe, second)
     out = []
-    for j, flat in ((0, 1.0), (3, 1.0), (6, 0.0)):
-        f, df, d2f = p[j] - flat, p[j + 1], p[j + 2]
-        out += [flat + s * f, ds * f + s * df,
-                d2s * f + 2.0 * ds * df + s * d2f]
+    for j, flat in ((0, 1.0), (2, 1.0), (4, 0.0)):
+        f, df = p[j] - flat, p[j + 1]
+        out += [flat + s * f, ds * f + s * df]
+    if second:
+        d2s = d2s[0] / width**2
+        out += [d2s * (p[j] - 1.0) + 2.0 * ds * p[j + 1] + s * d2f
+                for j, d2f in ((0, p[6]), (2, p[7]))]
     return tuple(out)
 
 
@@ -361,7 +364,8 @@ def _colsum(a):
 
 def _radial_terms(model, r, curvature):
     """The terms of _radial from the profiles of _profiles, blend included,
-    for Minkowski, the flat core and the blend annulus.  For -F dt^2
+    for Minkowski, the flat core and the blend annulus; without curvature
+    no second derivative is formed.  For -F dt^2
     + C dr^2 + S dOmega^2 (F = n2, S = A r^2) the orthonormal Riemann
     components in this module's convention are
         K1 = R_trtr = (2CFF'' - CF'^2 - FC'F')/(4C^2F^2),
@@ -372,7 +376,7 @@ def _radial_terms(model, r, curvature):
     every 1/r multiplies a profile derivative and the flat core gives exact
     zeros.
     """
-    F, dF, d2F, A, dA, d2A, Bc, dBc, _ = _profiles(model, r)
+    F, dF, A, dA, Bc, dBc, *d2 = _profiles(model, r, curvature)
     ir = 1.0 / np.maximum(r, _R_FLOOR)
     C = A + Bc * (r * r)
     iA, iC = 1.0 / A, 1.0 / C
@@ -381,6 +385,7 @@ def _radial_terms(model, r, curvature):
     terms = (F, dF, A, dA, Bc, dBc, ir, C, iA, iC, hA, hF)
     if not curvature:
         return terms
+    d2F, d2A = d2
     hC = 0.5 * (dA + (dBc * r + 2.0 * Bc) * r) * iC     # C'/(2C)
     m = hA + ir                                          # S'/(2S)
     K1 = 0.5 * (d2F - dF * (hF + hC)) / F * iC

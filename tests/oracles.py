@@ -75,6 +75,33 @@ def geodesic_rhs(model):
     return f
 
 
+def _bc_second(model, r):
+    """Bc'' of g_ij = A delta_ij + Bc x_i x_j, which the package does not
+    form.  On the Schwarzschild chart Bc'' = (g Bc)' with
+    g = Bc'/Bc = 1/R - 4/r - 1/(r - 2M), R = r + 2M; the glued model blends
+    it as d2s f + 2 ds f' + s f'' with f = Bc of the chart."""
+    from hyperlab.metric import (HORIZON_MARGIN, _exterior_terms,
+                                 _smoothstep)
+
+    M = model.mass
+    if model.kind == "minkowski" or M == 0.0:
+        return np.zeros(np.shape(r))
+    if model.kind == "schwarzschild":
+        safe = np.maximum(r, 2.0 * M * (1.0 + HORIZON_MARGIN))
+    else:
+        safe = np.maximum(r, model.r_in)
+    Bc, dBc, ir = _exterior_terms(M, safe, False)[4:7]
+    iR, irm = 1.0 / (safe + 2.0 * M), 1.0 / (safe - 2.0 * M)
+    d2Bc = (dBc * (iR - 4.0 * ir - irm)
+            + Bc * (4.0 * ir * ir - iR * iR + irm * irm))
+    if model.kind == "schwarzschild":
+        return d2Bc
+    width = model.r_out - model.r_in
+    s, ds, d2s = _smoothstep(np.clip((r - model.r_in) / width, 0.0, 1.0),
+                             True)
+    return d2s / width**2 * Bc + 2.0 * (ds / width) * dBc + s * d2Bc
+
+
 def cartesian_level2(model, x):
     """Second derivatives of g and Riemann from them at points x (n, 4):
     (d2g, riemann) with d2g[k, m, a, b] = d_k d_m g_ab and
@@ -91,17 +118,16 @@ def cartesian_level2(model, x):
     shape = x.shape[:-1]
     xs = x[..., 1:]
     r = np.sqrt(np.sum(xs * xs, axis=-1))
-    p = _profiles(model, r)
-    Bc, dBc = p[6], p[7]
+    _, dn2, _, dA, Bc, dBc, d2n2, d2A = _profiles(model, r, True)
     rs = np.maximum(r, 1e-300)
     u = xs / rs[..., None]
     eye3 = np.eye(3)
     # The Hessians of the radial profiles n2, A, Bc are
     # f'' u_k u_m + f' (delta_km - u_k u_m) / r.
-    fr = np.stack(p[1::3]) / rs
+    fr = np.stack([dn2, dA, dBc]) / rs
     uu = u[..., :, None] * u[..., None, :]
-    Hn2, HA, HBc = ((np.stack(p[2::3]) - fr)[..., None, None] * uu
-                    + fr[..., None, None] * eye3)
+    Hn2, HA, HBc = ((np.stack([d2n2, d2A, _bc_second(model, r)]) - fr)
+                    [..., None, None] * uu + fr[..., None, None] * eye3)
     d2g = np.zeros(shape + (4, 4, 4, 4))
     d2g[..., 1:, 1:, 0, 0] = -Hn2
     # spatial block (k, l, i, j): Hess(A)_kl delta_ij + Hess(Bc)_kl x_i x_j,

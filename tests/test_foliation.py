@@ -1,4 +1,5 @@
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,8 +293,8 @@ def test_solve_level_nodes_unreachable_above_bracket():
 
 def test_solve_level_nodes_monotone_guard(monkeypatch):
     # df changing sign between a node's iterates means the level function
-    # folds over inside the bracket
-    slope = foliation._level_slope
+    # folds over inside the bracket; the second loose round sees the flip
+    slope = foliation._paired_slope
     calls = []
 
     def folded(*args):
@@ -301,23 +302,35 @@ def test_solve_level_nodes_monotone_guard(monkeypatch):
         calls.append(1)
         return F, (df if len(calls) == 1 else -df)
 
-    monkeypatch.setattr(foliation, "_level_slope", folded)
+    monkeypatch.setattr(foliation, "_paired_slope", folded)
     with pytest.raises(BracketFailure, match="not monotone"):
         solve_level_nodes(GLUED, np.zeros(4), 10.0, 40.0, angular_grid(2, 1))
+    assert len(calls) == 2
 
 
 def _spy_solver(monkeypatch):
-    """Every integration of the leaf solver (foliation._ray_ends), as
-    (records, loose) pairs: a round is loose unless its tolerance is
-    TIGHT_TOL, which marks the leaf records."""
+    """Every integration (geodesic._dop853), with its lane count, state
+    width, tolerances, right-hand-side calls and lane evaluations.  A loose
+    round of the leaf solver integrates plain lanes, x and B alone
+    (width 8); a tight one leaf records with Jacobi fields and k."""
     calls = []
 
-    def counted(*args, _run=foliation._ray_ends, **kwargs):
-        recs = _run(*args, **kwargs)
-        calls.append((recs, recs[0].ode_tol != foliation.TIGHT_TOL))
-        return recs
+    def spy(rhs, t, y, t_end, tol, radii, blocks, dense,
+            _run=geodesic._dop853):
+        n = [0]
 
-    monkeypatch.setattr(foliation, "_ray_ends", counted)
+        def counted(rho, lanes):
+            n[0] += 1
+            return rhs(rho, lanes)
+
+        out = _run(counted, t, y, t_end, tol, radii, blocks, dense)
+        calls.append(SimpleNamespace(
+            lanes=len(y), loose=y.shape[1] == 8, width=y.shape[1],
+            tol=tol[:, 0].copy(), dense=dense, rhs_calls=n[0],
+            lane_evals=int(out[4][2].sum())))
+        return out
+
+    monkeypatch.setattr(geodesic, "_dop853", spy)
     return calls
 
 
@@ -330,13 +343,7 @@ def test_seed_region_raised_before_integration(monkeypatch, model, origin,
                                                rho):
     # every leaf record carries k, so an origin that leaves no lane a
     # flat-core seed fails before the loose rounds integrate anything
-    calls = []
-
-    def spy(*args, _run=geodesic._dop853, **kwargs):
-        calls.append(args)
-        return _run(*args, **kwargs)
-
-    monkeypatch.setattr(geodesic, "_dop853", spy)
+    calls = _spy_solver(monkeypatch)
     with pytest.raises(SeedRegionTooSmall):
         mass_of_leaf(model, np.array(origin), 2.0 * rho, rho,
                      angular_grid(4, 1))
@@ -345,35 +352,36 @@ def test_seed_region_raised_before_integration(monkeypatch, model, origin,
 
 def test_leaf_slice_integrate_rays_budget(monkeypatch):
     # the flat seed leaves a few Newton steps, each one batched solve over
-    # the open nodes; no solve is wider than the node count
+    # the open nodes; no solve is wider than a plain pair per node
     calls = _spy_solver(monkeypatch)
     leaf_slice(GLUED, np.zeros(4), 40.0, 10.0, angular_grid(4, 1))
     assert len(calls) <= 4
-    assert max(len(recs) for recs, _ in calls) <= 4
+    assert max(c.lanes for c in calls) <= 2 * 4
 
 
 def test_leaf_work_budget_inexact_newton(monkeypatch):
-    # the Newton iterates before the last run loose (the first at LOOSE_TOL
-    # on every lane); every record returned is tight with the full payload.
-    # An all-tight Newton spends 8,448 lane evaluations on this leaf.  With
-    # every round at its end state only (no dense-output stages) it spends
-    # 4,344, of which the tight round takes 2,264; the bound adds the +-7 %
-    # that rounding-level changes of the RHS move DOP853 step counts by.
+    # the two loose rounds integrate plain pairs (the first at LOOSE_TOL on
+    # every lane); every record returned is tight with the full payload.
+    # On this leaf the rounds take 1,194 RHS calls and the tight round
+    # 2,264 lane evaluations, the only ones with a payload (4,344 when the
+    # loose rounds carried Jacobi fields); each bound adds the +-7 % that
+    # rounding-level changes of the RHS move DOP853 step counts by.  The
+    # plain lanes bring the total lane evaluations to 7,288, by design.
     calls = _spy_solver(monkeypatch)
     nodes = angular_grid(4, 1)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), 15.79, 63.16, nodes)
-    assert len(calls) <= 4
-    assert max(len(c) for c, _ in calls) <= len(nodes)
-    assert calls[0][1]
-    assert all(r.ode_tol == foliation.LOOSE_TOL for r in calls[0][0])
+    assert [c.loose for c in calls] == [True, True, False]
+    assert [c.lanes for c in calls] == [8, 8, 4]
+    assert np.all(calls[0].tol == foliation.LOOSE_TOL)
     for r in recs:
         assert r.ode_tol == 1e-12 and r.has_jacobi and r.has_k
-    assert sum(r.rhs_evals for c, _ in calls for r in c) <= 4650
-    # an exact flat root is found by the loose solve and accepted only by a
-    # tight one
+    assert sum(c.rhs_calls for c in calls) <= 1278
+    assert sum(c.lane_evals for c in calls if not c.loose) <= 2425
+    # an exact flat root is found by the first loose round and accepted
+    # only by a tight one
     calls.clear()
     _, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, nodes)
-    assert len(calls) == 2
+    assert [c.loose for c in calls] == [True, False]
     assert all(r.ode_tol == 1e-12 for r in recs)
 
 
@@ -383,33 +391,83 @@ def test_leaf_work_budget_inexact_newton(monkeypatch):
 def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
     # two loose rounds and one tight round: the curvature-corrected step
     # lands the first tight iterate within the acceptance bound on both
-    # levels.  Every iterate keeps only its end state, with no dense
-    # output: loose ones carry Jacobi fields but no k, and every returned
-    # record is tight with Jacobi fields and k.  A tight record takes the
-    # 12 stages of each step, accepted or rejected, and the 2 evaluations
-    # of the starting step, and no dense-output stage.
+    # levels.  Every integration keeps only its end states, with no dense
+    # output.  A loose round integrates each node as a plain pair, x and B
+    # alone; every returned record is tight with Jacobi fields and k.  A
+    # tight record takes the 12 stages of each step, accepted or rejected,
+    # and the 2 evaluations of the starting step, and no dense-output stage.
     calls = _spy_solver(monkeypatch)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
-    assert [loose for _, loose in calls] == [True, True, False]
-    for c, loose in calls:
-        for r in c:
-            assert r._dense is None
-            assert len(r.x) == 1 and np.array_equal(r.rho, [rho])
-            st = r.state_at(rho)
-            for key in ("x", "b", "j", "jp", "triad", "q0", "khat"):
-                val = getattr(r, key)
-                assert (st[key] is None if val is None
-                        else np.array_equal(st[key], val[0])), key
-            with pytest.raises(OutOfRange):
-                r.state_at(rho / 2)
-            if loose:
-                assert r.has_jacobi and not r.has_k
-                assert r.ode_tol > foliation.TIGHT_TOL
+    assert [c.loose for c in calls] == [True, True, False]
+    for c in calls:
+        assert not c.dense
+        if c.loose:
+            assert c.lanes == 2 * len(nodes)
+            assert np.all(c.tol > foliation.TIGHT_TOL)
+        else:
+            assert c.lanes == len(nodes) and c.width == 51
+            assert np.all(c.tol == foliation.TIGHT_TOL)
     for r in recs:
         assert r.ode_tol == foliation.TIGHT_TOL
-        assert r.has_jacobi and r.has_k
+        assert r.has_jacobi and r.has_k and r._dense is None
+        assert len(r.x) == 1 and np.array_equal(r.rho, [rho])
+        st = r.state_at(rho)
+        for key in ("x", "b", "j", "jp", "triad", "q0", "khat"):
+            assert np.array_equal(st[key], getattr(r, key)[0]), key
+        with pytest.raises(OutOfRange):
+            r.state_at(rho / 2)
         assert r.rhs_evals == 2 + 12 * (r.steps + r.rejected)
+
+
+@pytest.mark.parametrize("model, rho, target, nodes, level", [
+    (GLUED, 6.0, 1.0, angular_grid(6, 1), "uhat"),
+    (MetricModel.glued(0.05), 10.0, 40.0, angular_grid(4, 1), "t"),
+    (GLUED, 6.0, None, angular_grid(6, 1), "uhat"),
+    (GLUED, 10.0, np.repeat([20.0, 40.0, 80.0, 160.0], 6),
+     angular_grid(6, 1) * 4, "t"),
+], ids=["uhat-rho6", "mass0.05", "cone-sphere", "bondi-batch"])
+def test_harder_leaves_three_integrations(monkeypatch, model, rho, target,
+                                          nodes, level):
+    # leaves that took four integrations with Jacobi-field loose rounds, the
+    # cone-sphere leaf of zs-compare on glued_small, and the batch of the
+    # mass subcommand, whose nodes step by different amounts in the first
+    # round: each takes two loose rounds and one tight.  The cone-sphere
+    # target is the uhat of the ray of rapidity 1 along x^1 at rho.
+    if target is None:
+        probe = exp_map(model, np.zeros(4), Direction(1.0, (1.0, 0.0, 0.0)),
+                        [rho])
+        target = foliation._level_value(model, 0.0, probe.x[-1], "uhat")
+    calls = _spy_solver(monkeypatch)
+    solve_level_nodes(model, np.zeros(4), rho, target, nodes, level=level)
+    assert [c.loose for c in calls] == [True, True, False]
+
+
+@pytest.mark.parametrize("rho, target, nodes, level", [
+    (15.79, 63.16, angular_grid(4, 1), "t"),
+    (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t", "uhat"])
+def test_paired_slope_matches_jacobi_slope(rho, target, nodes, level):
+    # the plain pair's forward difference, corrected by the flat level's
+    # curvature, against the exact slope p_zeta . grad F from the Jacobi
+    # fields of a tight record, at the flat root and at the solved root
+    th = np.array([a[0] for a in nodes])
+    ph = np.array([a[1] for a in nodes])
+    r_floor = foliation._zs_floor(GLUED, 0.02) if level == "uhat" else 1e-12
+    z0 = np.arccosh(target / rho) if level == "t" else np.log(rho / target)
+    roots, _ = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
+                                 level=level)
+    for z in (np.full(len(nodes), z0), roots):
+        recs = geodesic._ray_ends(
+            GLUED, np.zeros(4), [geodesic.direction_from_angles(*a)
+                                 for a in zip(z, th, ph)],
+            rho, foliation.TIGHT_TOL)
+        F, exact = foliation._level_slope(GLUED, recs, level, r_floor)
+        for tol in (foliation.LOOSE_TOL, 1e-10, foliation.TIGHT_TOL):
+            Fp, paired = foliation._paired_slope(
+                GLUED, np.zeros(4), rho, z, th, ph, np.full(len(z), tol),
+                level, r_floor)
+            assert np.all(np.abs(paired / exact - 1.0) <= 1e-6), tol
+            assert np.all(np.abs(Fp - F) <= 1e-6 * np.abs(F)), tol
 
 
 def test_leaf_records_match_integrate_rays():
