@@ -30,16 +30,20 @@ Index conventions (used throughout the package):
     weyl per W_abcd  = R_abcd - (1/2)(g_ac S_bd + g_bd S_ac - g_bc S_ad - g_ad S_bc)
 
 Evaluation is batched: x may have any leading shape (..., 4).  Every
-radial coefficient comes from one helper, _radial, which picks per point:
-on the Schwarzschild chart (the Schwarzschild model, and the glued model
-for r >= r_out) it is the closed form of a Schwarzschild metric of mass 2M
-and area radius R = r + 2M, with the orthonormal curvature functions
+radial coefficient is picked per point by one helper, _radial: on the
+Schwarzschild chart (the Schwarzschild model, and the glued model for
+r >= r_out) it is a closed form of a Schwarzschild metric of mass 2M and
+area radius R = r + 2M, with the orthonormal curvature functions
 (K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3; elsewhere (the flat core and the
 blend annulus) it is the general form of _radial_terms on the blended
-profiles.  Level 2 adds Riemann as Kulkarni-Nomizu products of K1-K4; no
-second derivatives of g are formed.  ricci, scalar, schouten and weyl are
-built from Riemann on first access.  _ray_terms builds the geodesic terms
-Gamma(B, .) and R(B, ., B, .) from the same helper.
+profiles.  Each caller takes only the coefficients it reads: metric_at
+those of _radial_terms, the geodesic right-hand side the per-lane scalars
+of _general_ray.  Level 2 adds Riemann as Kulkarni-Nomizu products of
+K1-K4; no second derivatives of g are formed.  ricci, scalar, schouten and
+weyl are built from Riemann on first access.  The geodesic terms form no
+Christoffel or Riemann array: _ray_accel gives Gamma(B, B) from five
+scalars per lane, and _ray_terms builds Gamma(B, .), R(B, ., B, .) and
+g^{-1} at once as V^T c V + d I_s on the per-lane basis V = (e0, u, v).
 """
 
 from dataclasses import dataclass
@@ -154,15 +158,15 @@ def _smoothstep(w, second):
     return s, ds, ((120.0 * w - 180.0) * w + 60.0) * w
 
 
-def _exterior_terms(M, r, curvature):
-    """_radial on the Schwarzschild chart, in closed form.  With R = r + 2M
-    the area radius of a Schwarzschild metric of mass 2M,
-        n2 = 1/C = (r - 2M)/R,   A = R^2/r^2,
-        Bc = (C - A)/r^2 = 4M^2 R/(r^4 (r - 2M)),
-        hA = A'/(2A) = -2M/(rR),   hF = n2'/(2 n2) = 2M/(R(r - 2M)),
+def _schw_profiles(M, r, second):
+    """n2, n2', A, A', Bc, Bc' of the Schwarzschild chart, followed, when
+    second is set, by n2'' and A''.  With R = r + 2M the area radius of a
+    Schwarzschild metric of mass 2M,
+        n2 = (r - 2M)/R,   A = R^2/r^2,   Bc = 4M^2 R/(r^4 (r - 2M)),
         n2' = 2 hF n2,   A' = 2 hA A,   Bc'/Bc = 1/R - 4/r - 1/(r - 2M),
-        (K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3.
-    Bc carries no cancellation of C - A at large r."""
+        n2'' = -2 n2'/R,   A'' = A' (1/R - 3/r),
+    hA = A'/(2A) = -2M/(rR), hF = n2'/(2 n2) = 2M/(R(r - 2M)).  Bc is
+    formed without the cancellation of C - A at large r (C = 1/n2)."""
     m2 = 2.0 * M
     R = r + m2
     rm = r - m2
@@ -173,24 +177,52 @@ def _exterior_terms(M, r, curvature):
     Rr = R * ir
     A = Rr * Rr
     Bc = m2 * m2 * Rr * ir * ir * ir * irm
-    terms = (n2, 2.0 * hF * n2, A, 2.0 * hA * A, Bc,
-             Bc * (iR - 4.0 * ir - irm), ir, R * irm, 1.0 / A, n2, hA, hF)
+    dn2, dA = 2.0 * hF * n2, 2.0 * hA * A
+    out = (n2, dn2, A, dA, Bc, Bc * (iR - 4.0 * ir - irm))
+    if not second:
+        return out
+    return out + (-2.0 * dn2 * iR, dA * (iR - 3.0 * ir))
+
+
+def _exterior_terms(M, r, curvature):
+    """_radial_terms on the Schwarzschild chart, in closed form: the
+    profiles of _schw_profiles, C = R/(r - 2M), 1/A and 1/C = n2, and with
+    curvature (K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3, R = r + 2M."""
+    m2 = 2.0 * M
+    R = r + m2
+    p = _schw_profiles(M, r, False)
+    terms = p + (R * (1.0 / (r - m2)), 1.0 / p[2], p[0])
     if not curvature:
         return terms
+    iR = 1.0 / R
     k = m2 * iR * iR * iR
     return terms + (-2.0 * k, k, -k, 2.0 * k)
 
 
-def _schw_profiles(M, r, second):
-    """n2, n2', A, A', Bc, Bc' of the Schwarzschild chart, the first-order
-    profiles of _exterior_terms, followed, when second is set, by
-    n2'' = -2 n2'/R and A'' = A' (1/R - 3/r), R = r + 2M."""
-    n2, dn2, A, dA, Bc, dBc, ir = _exterior_terms(M, r, False)[:7]
-    out = (n2, dn2, A, dA, Bc, dBc)
-    if not second:
-        return out
-    iR = 1.0 / (r + 2.0 * M)
-    return out + (-2.0 * dn2 * iR, dA * (iR - 3.0 * ir))
+def _exterior_ray(M, r, tidal):
+    """_general_ray on the Schwarzschild chart, in closed form.  With
+    R = r + 2M,
+        hF = 2M/(R(r - 2M)),   n2'/(2C) = hF n2^2 = 2M(r - 2M)/R^3,
+        hA = -2M/(rR),   c_uv = 2M/r^2,
+        c_uu = -8M^2 (r - M)/(r^2 R (r - 2M)) = -2 (r - M) hF c_uv,
+    and with tidal F = 1/C = (r - 2M)/R, A = R^2/r^2,
+    Bc r^2/(A C) = (2M/R)^2 and (K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3.
+    Nothing here cancels, down to the horizon margin."""
+    m2 = 2.0 * M
+    R = r + m2
+    rm = r - m2
+    ir, iR = 1.0 / r, 1.0 / R
+    mR = m2 * iR
+    F = rm * iR
+    hF = mR / rm
+    c_uv = m2 * ir * ir
+    coefs = (ir, hF, hF * F * F, -mR * ir, c_uv, 2.0 * (M - r) * hF * c_uv)
+    if not tidal:
+        return coefs
+    C, Rr, rR = R / rm, R * ir, r * iR
+    k = mR * iR * iR
+    return coefs + (F, C, C, Rr * Rr, rR * rR, mR * mR,
+                    -2.0 * k, k, -k, 2.0 * k)
 
 
 def _optical_mass_terms(M, r):
@@ -257,7 +289,7 @@ def _profiles(model, r, second):
     # clip makes s and its derivatives exactly 0 in the core and s = 1 with
     # vanishing derivatives outside, so both zones are exact.
     width = model.r_out - model.r_in
-    w = np.clip((r - model.r_in) / width, 0.0, 1.0)
+    w = ((r - model.r_in) / width).clip(0.0, 1.0)
     s, ds, *d2s = _smoothstep(w, second)
     ds /= width
     safe = np.maximum(r, model.r_in)   # below r_in, s = ds = d2s = 0
@@ -296,8 +328,8 @@ def metric_at(model, x, level=2):
     xs = x[..., 1:]
     r = np.sqrt(np.sum(xs * xs, axis=-1))
     _check_regular(model, r)
-    n2, dn2, A, dA, Bc, dBc, _, C, iA, iC, _, _, *K = _radial(model, r,
-                                                              level == 2)
+    n2, dn2, A, dA, Bc, dBc, C, iA, iC, *K = _radial(
+        model, r, _exterior_terms, _radial_terms, level == 2)
     u = xs / np.maximum(r, _R_FLOOR)[..., None]  # spatial unit radial vector
 
     g = np.zeros(shape + (4, 4))
@@ -377,115 +409,155 @@ def _radial_terms(model, r, curvature):
     zeros.
     """
     F, dF, A, dA, Bc, dBc, *d2 = _profiles(model, r, curvature)
-    ir = 1.0 / np.maximum(r, _R_FLOOR)
     C = A + Bc * (r * r)
     iA, iC = 1.0 / A, 1.0 / C
-    hA = 0.5 * dA * iA
-    hF = 0.5 * dF / F
-    terms = (F, dF, A, dA, Bc, dBc, ir, C, iA, iC, hA, hF)
+    terms = (F, dF, A, dA, Bc, dBc, C, iA, iC)
     if not curvature:
         return terms
     d2F, d2A = d2
+    ir = 1.0 / np.maximum(r, _R_FLOOR)
+    hA = 0.5 * dA * iA
+    hF = 0.5 * dF / F
     hC = 0.5 * (dA + (dBc * r + 2.0 * Bc) * r) * iC     # C'/(2C)
     m = hA + ir                                          # S'/(2S)
     K1 = 0.5 * (d2F - dF * (hF + hC)) / F * iC
     K2 = hF * m * iC
-    K3 = (-0.5 * d2A * iA - 2.0 * hA * ir + hA * hA + hC * m) * iC
-    K4 = (Bc * iA - 2.0 * hA * ir - hA * hA) * iC
+    hAr, hA2 = 2.0 * hA * ir, hA * hA
+    K3 = (-0.5 * d2A * iA - hAr + hA2 + hC * m) * iC
+    K4 = (Bc * iA - hAr - hA2) * iC
     return terms + (K1, K2, K3, K4)
 
 
-def _radial(model, r, curvature):
-    """Radial coefficients of model at radii r (any shape): the tuple
-    (n2, n2', A, A', Bc, Bc', 1/r, C, 1/A, 1/C, hA, hF), followed by K1-K4
-    when curvature is set; C = A + Bc r^2, hA = A'/(2A), hF = n2'/(2 n2).
-
-    Lanes on the Schwarzschild chart, every Schwarzschild lane and every
-    glued lane with r >= r_out, take the closed form of _exterior_terms; the
-    others, the blend annulus and the flat core, take _radial_terms.  A
-    glued batch with lanes of both kinds computes both and picks per lane,
-    so each lane's values depend on its own r alone.
-    """
+def _radial(model, r, exterior, general, flag):
+    """Radial coefficients at radii r (any shape), in the form each caller
+    reads: exterior(M, r, flag) on the Schwarzschild chart, every
+    Schwarzschild lane (raised to the horizon guard) and every glued lane
+    with r >= r_out; general(model, r, flag) on the others, the flat core
+    and the blend annulus.  metric_at takes _exterior_terms and
+    _radial_terms, the geodesic terms _exterior_ray and _general_ray.  A
+    glued batch with lanes of both kinds computes both and picks per lane
+    with np.where, so each lane's values depend on its own r alone."""
     if model.kind == "schwarzschild":
         guard = 2.0 * model.mass * (1.0 + HORIZON_MARGIN)
-        return _exterior_terms(model.mass, np.maximum(r, guard), curvature)
+        return exterior(model.mass, np.maximum(r, guard), flag)
     if model.kind == "glued":
         out = r >= model.r_out
         if out.all():
-            return _exterior_terms(model.mass, r, curvature)
+            return exterior(model.mass, r, flag)
         if out.any():
-            ext = _exterior_terms(model.mass, np.maximum(r, model.r_out),
-                                  curvature)
-            return tuple(np.where(out, e, b) for e, b in
-                         zip(ext, _radial_terms(model, r, curvature)))
-    return _radial_terms(model, r, curvature)
+            ext = exterior(model.mass, np.maximum(r, model.r_out), flag)
+            return tuple(np.where(out, e, g) for e, g in
+                         zip(ext, general(model, r, flag)))
+    return general(model, r, flag)
+
+
+def _general_ray(model, r, tidal):
+    """Per-lane scalars of the geodesic terms at radii r (n,), from the
+    terms of _radial_terms (the flat core, the blend annulus and
+    Minkowski): (1/r, hF, n2'/(2C), hA, c_uv, c_uu), hA = A'/(2A),
+    hF = n2'/(2 n2),
+        c_uv = (Bc r - A'/2)/C,   c_uu = r^2 (Bc'/2 - 2 Bc hA)/C,
+    followed, when tidal is set, by (F, 1/F, C, A, 1/A, Bc r^2/(A C)) and
+    K1-K4 (F = n2)."""
+    F, dF, A, dA, Bc, dBc, C, iA, iC, *K = _radial_terms(model, r, tidal)
+    hA = 0.5 * dA * iA
+    coefs = (1.0 / np.maximum(r, _R_FLOOR), 0.5 * dF / F, 0.5 * dF * iC, hA,
+             (Bc * r - 0.5 * dA) * iC,
+             (r * r) * (0.5 * dBc - 2.0 * Bc * hA) * iC)
+    if not tidal:
+        return coefs
+    return coefs + (F, 1.0 / F, C, A, iA, Bc * (r * r) * iA * iC, *K)
+
+
+def _lane_coefs(model, x, b, tidal):
+    """u.v and the per-lane scalars of _general_ray (or _exterior_ray) at
+    lane states x, b (n, 4); u = x/r and v the spatial part of B."""
+    xs = x[:, 1:]
+    r = np.sqrt(_colsum(xs * xs))
+    _check_regular(model, r)
+    coefs = _radial(model, r, _exterior_ray, _general_ray, tidal)
+    return _colsum(xs * b[:, 1:]) * coefs[0], coefs
+
+
+def _ray_accel(model, x, b):
+    """The geodesic acceleration B' = -Gamma(B, B) at lane states x, b
+    (n, 4), from five per-lane scalars of _general_ray:
+        Gamma(B, B)^t = 2 hF B^t (u.v),
+        Gamma(B, B)^i = (n2' (B^t)^2/(2C) + c_uu (u.v)^2 + c_uv |v|^2) u^i
+                        + 2 hA (u.v) v^i,
+    u = x/r and v the spatial part of B.  Every operation is elementwise,
+    so a lane's value does not depend on the batch."""
+    v, bt = b[:, 1:], b[:, 0]
+    uv, (ir, hF, q, hA, c_uv, c_uu) = _lane_coefs(model, x, b, False)
+    s = -(q * bt * bt + c_uu * uv * uv + c_uv * _colsum(v * v)) * ir
+    out = np.empty_like(b)
+    out[:, 0] = -2.0 * hF * bt * uv
+    out[:, 1:] = s[:, None] * x[:, 1:] - (2.0 * hA * uv)[:, None] * v
+    return out
 
 
 def _ray_terms(model, x, b, tidal):
-    """Closed-form geodesic terms at lane states x, b (n, 4) from one
-    _radial call: gb[l, k] = Gamma^l_mk B^m and, when tidal is set, the
-    tidal tensor T_bd = R_abcd B^a B^c and g^{-1}; otherwise (gb, None, None).
+    """Closed-form geodesic terms at lane states x, b (n, 4):
+    gb[l, k] = Gamma^l_mk B^m and, when tidal is set, the tidal tensor
+    T_bd = R_abcd B^a B^c and g^{-1}; otherwise (gb, None, None).
 
-    With v the spatial part of B, u = x/r and C = A + Bc r^2, the raised
-    contraction is gb_tt = n2' (u.v)/(2 n2), gb_tj = n2' B^t u_j/(2 n2),
-    gb_it = n2' B^t u_i/(2C) and
-        gb_ij = hA (u.v) d_ij + hA v_i u_j + (Bc r - A'/2)/C u_i v_j
-                + (u.v) r^2 (Bc'/2 - 2 Bc hA)/C u_i u_j,    hA = A'/(2A).
-    With K1-K4 of _radial, the coframe th_t = sqrt(F) dt,
-    th_r = sqrt(C) dr, the transverse metric P = A (d - u u), p = P v and
-    |B_perp|^2 = v.P v,
+    Each is V^T c V + d I_s on the per-lane basis V = (e0, (0, u), (0, v))
+    (rows), u = x/r and v the spatial part of B, with a 3x3 coefficient
+    matrix c and d times the spatial identity I_s: the entries of c and d
+    from _general_ray are stacked by one np.array, and two stacked matmuls
+    build all the matrices at once.  With C = A + Bc r^2,
+        gb:    c_tt = hF (u.v), c_tu = hF B^t, c_ut = n2' B^t/(2C),
+               c_uu = c_uu (u.v), c_uv = c_uv, c_vu = hA, d = hA (u.v);
+        g^-1:  c_tt = -1/F, c_uu = -Bc r^2/(A C), d = 1/A.
+    With K1-K4, the coframe th_t = sqrt(F) dt, th_r = sqrt(C) dr, the
+    transverse metric P = A (d - u u), p = P v and |B_perp|^2 = v.P v,
         T = K1 w w + K2 [(th_t.B)^2 P - (th_t.B)(p th_t + th_t p)
             + |B_perp|^2 th_t th_t] + (the same with th_r for K3)
-            + K4 [|B_perp|^2 P - p p],   w = (th_t.B) th_r - (th_r.B) th_t.
-    Every lane is computed alone (no reductions across lanes or BLAS), and
+            + K4 [|B_perp|^2 P - p p],   w = (th_t.B) th_r - (th_r.B) th_t,
+    which expands on the basis to the symmetric c of the code below.  Every
+    lane is computed alone (elementwise, and a matmul per lane), and
     _radial picks each lane's form by its own r, so a lane's terms do not
     depend on the rest of the batch.
     """
-    xs, v, bt = x[:, 1:], b[:, 1:], b[:, 0]
-    r = np.sqrt(_colsum(xs * xs))
-    _check_regular(model, r)
-    F, dF, A, dA, Bc, dBc, ir, C, iA, iC, hA, hF, *K = _radial(model, r,
-                                                               tidal)
-    u = xs * ir[:, None]
-    uv = _colsum(u * v)
-    r2 = r * r
-    gb = np.empty(x.shape + (4,))
-    gb[:, 0, 0] = hF * uv
-    gb[:, 0, 1:] = (hF * bt)[:, None] * u
-    gb[:, 1:, 0] = (0.5 * dF * bt * iC)[:, None] * u
-    c_uu = uv * r2 * (0.5 * dBc - 2.0 * Bc * hA) * iC
-    c_uv = (Bc * r - 0.5 * dA) * iC
-    gb[:, 1:, 1:] = ((hA * uv)[:, None, None] * _EYE3
-                     + hA[:, None, None] * v[:, :, None] * u[:, None, :]
-                     + u[:, :, None] * (c_uu[:, None] * u
-                                        + c_uv[:, None] * v)[:, None, :])
-    if not tidal:
-        return gb, None, None
-
-    K1, K2, K3, K4 = K
-    p = A[:, None] * (v - uv[:, None] * u)
-    bp2 = _colsum(p * v)                                 # |B_perp|^2
-    Ft2 = F * bt * bt                                    # (th_t.B)^2
-    Cu2 = C * uv * uv                                    # (th_r.B)^2
-    sig = A * (K2 * Ft2 + K3 * Cu2 + K4 * bp2)
-    beta = (K1 * Ft2 + K3 * bp2) * C - sig
-    gam = -K3 * C * uv
-    T = np.empty_like(gb)
-    T[:, 0, 0] = F * (K1 * Cu2 + K2 * bp2)
-    T[:, 0, 1:] = -(F * bt)[:, None] * ((K1 * C * uv)[:, None] * u
-                                        + K2[:, None] * p)
-    T[:, 1:, 0] = T[:, 0, 1:]
-    T[:, 1:, 1:] = (sig[:, None, None] * _EYE3
-                    + u[:, :, None] * (beta[:, None] * u
-                                       + gam[:, None] * p)[:, None, :]
-                    + p[:, :, None] * (gam[:, None] * u
-                                       - K4[:, None] * p)[:, None, :])
-    g_inv = np.zeros_like(gb)
-    g_inv[:, 0, 0] = -1.0 / F
-    g_inv[:, 1:, 1:] = (iA[:, None, None] * _EYE3
-                        - (Bc * r2 * iA * iC)[:, None, None]
-                        * u[:, :, None] * u[:, None, :])
-    return gb, T, g_inv
+    n = len(x)
+    v, bt = b[:, 1:], b[:, 0]
+    uv, (ir, hF, q, hA, c_uv, c_uu, *rest) = _lane_coefs(model, x, b, tidal)
+    zero = np.zeros(n)
+    rows = [[hF * uv, q * bt, zero],       # c of gb^T, so that the matmuls
+            [hF * bt, c_uu * uv, hA],      # of the caller, Y @ gb^T, take
+            [zero, c_uv, zero]]            # a contiguous operand
+    d = [hA * uv]
+    if tidal:
+        F, iF, C, A, iA, g_uu, K1, K2, K3, K4 = rest
+        Fbt, uv2 = F * bt, uv * uv
+        Ft2 = Fbt * bt                                   # (th_t.B)^2
+        bp2 = A * (_colsum(v * v) - uv2)                 # |B_perp|^2
+        K1C, K2A, K3CA, K4A = K1 * C, K2 * A, K3 * C * A, K4 * A
+        A2K4 = A * K4A
+        sig = K2A * Ft2 + K3CA * uv2 + K4A * bp2
+        t_u = (K2A - K1C) * Fbt * uv
+        t_v = -K2A * Fbt
+        u_v = (A2K4 - K3CA) * uv
+        t_uu = (K1 * Ft2 + K3 * bp2) * C - sig + (2.0 * K3CA - A2K4) * uv2
+        rows[0] += [F * (K1C * uv2 + K2 * bp2), t_u, t_v, -iF, zero, zero]
+        rows[1] += [t_u, t_uu, u_v, zero, -g_uu, zero]
+        rows[2] += [t_v, u_v, -A2K4, zero, zero, zero]
+        d += [sig, iA]
+    k = len(d)
+    cd = np.array(rows[0] + rows[1] + rows[2] + d).T     # (n, 10 k)
+    V = np.zeros((n, 3, 4))
+    V[:, 0, 0] = 1.0
+    V[:, 1, 1:] = x[:, 1:] * ir[:, None]
+    V[:, 2, 1:] = v
+    # V^T (c_0 | ... | c_k-1), then each block times V, in contiguous
+    # stacked matmuls (a broadcast or transposed operand is far slower)
+    vc = V.transpose(0, 2, 1).copy() @ cd[:, :9 * k].reshape(n, 3, 3 * k)
+    out = (vc.reshape(n, 4, k, 3).transpose(0, 2, 1, 3).reshape(n, 4 * k, 3)
+           @ V).reshape(n, k, 16)
+    out[:, :, 5::5] += cd[:, 9 * k:, None]              # d I_s
+    out = out.reshape(n, k, 4, 4)
+    gb = out[:, 0].transpose(0, 2, 1)
+    return (gb, out[:, 1], out[:, 2]) if tidal else (gb, None, None)
 
 
 def _squeeze(jet, scalar_input):

@@ -80,8 +80,7 @@ def _bc_second(model, r):
     form.  On the Schwarzschild chart Bc'' = (g Bc)' with
     g = Bc'/Bc = 1/R - 4/r - 1/(r - 2M), R = r + 2M; the glued model blends
     it as d2s f + 2 ds f' + s f'' with f = Bc of the chart."""
-    from hyperlab.metric import (HORIZON_MARGIN, _exterior_terms,
-                                 _smoothstep)
+    from hyperlab.metric import HORIZON_MARGIN, _schw_profiles, _smoothstep
 
     M = model.mass
     if model.kind == "minkowski" or M == 0.0:
@@ -90,7 +89,8 @@ def _bc_second(model, r):
         safe = np.maximum(r, 2.0 * M * (1.0 + HORIZON_MARGIN))
     else:
         safe = np.maximum(r, model.r_in)
-    Bc, dBc, ir = _exterior_terms(M, safe, False)[4:7]
+    Bc, dBc = _schw_profiles(M, safe, False)[4:6]
+    ir = 1.0 / safe
     iR, irm = 1.0 / (safe + 2.0 * M), 1.0 / (safe - 2.0 * M)
     d2Bc = (dBc * (iR - 4.0 * ir - irm)
             + Bc * (4.0 * ir * ir - iR * iR + irm * irm))

@@ -8,7 +8,8 @@ from hyperlab.errors import (CentralLineDegenerate, CoordinateSingularity,
                              UnsupportedLevel)
 from hyperlab.geodesic import _make_rhs
 from hyperlab.metric import (HORIZON_MARGIN, MetricModel, _orthonormalize,
-                             _ray_terms, curvature_at, metric_at)
+                             _exterior_ray, _ray_terms, curvature_at,
+                             metric_at)
 
 from oracles import cartesian_level2, jet_ray_rhs, riemann_fd
 
@@ -362,6 +363,80 @@ def test_ray_terms_batch_independent_across_zones():
                         or got[i:i + 1].tobytes() == ref.tobytes()), (i, tidal)
         for got, ref in zip(mixed, ext):
             assert got is ref is None or got[outer].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("payload", [False, True], ids=["plain", "payload"])
+def test_rhs_batch_independent_across_zones(payload):
+    # the right-hand side at the radii of the _ray_terms test: each lane of
+    # a mixed batch is the lane alone, bit for bit, and each exterior lane
+    # is its value in an all-exterior batch
+    radii = np.array([0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7, 15.0])
+    x, b = _ray_states(GLUED, radii, seed=23)
+    rng = np.random.default_rng(29)
+    y = rng.normal(size=(len(x), 8 + 43 * payload))
+    y[:, 0:4], y[:, 4:8] = x, b
+    rho = rng.uniform(0.5, 10.0, len(x))
+    rhs = _make_rhs(GLUED, payload, payload)
+    mixed = rhs(rho, y)
+    for i in range(len(y)):
+        assert mixed[i:i + 1].tobytes() == rhs(rho[i:i + 1],
+                                               y[i:i + 1]).tobytes(), i
+    outer = radii >= GLUED.r_out
+    assert mixed[outer].tobytes() == rhs(rho[outer], y[outer]).tobytes()
+
+
+def _mp_ray_coefs(M, r):
+    """_general_ray at one radius, at 60 digits, from its formulas on
+    F = (r - 2M)/(r + 2M), A = (r + 2M)^2/r^2 and Bc = (1/F - A)/r^2, every
+    derivative by mpmath.diff, and K1-K4 from the formulas of
+    metric._radial_terms' docstring (C = A + Bc r^2, S = A r^2)."""
+    with mpmath.workdps(60):
+        M, r = mpmath.mpf(M), mpmath.mpf(float(r))
+
+        def F(s):
+            return (s - 2 * M) / (s + 2 * M)
+
+        def A(s):
+            return (s + 2 * M) ** 2 / s ** 2
+
+        def Bc(s):
+            return (1 / F(s) - A(s)) / s ** 2
+
+        def C(s):
+            return A(s) + Bc(s) * s ** 2
+
+        def S(s):
+            return A(s) * s ** 2
+
+        d = mpmath.diff
+        f, a, bc, c, sa = F(r), A(r), Bc(r), C(r), S(r)
+        hA = d(A, r) / (2 * a)
+        coefs = [1 / r, d(F, r) / (2 * f), d(F, r) / (2 * c), hA,
+                 (bc * r - d(A, r) / 2) / c,
+                 r ** 2 * (d(Bc, r) / 2 - 2 * bc * hA) / c,
+                 f, 1 / f, c, a, 1 / a, bc * r ** 2 / (a * c)]
+        dF, d2F, dC = d(F, r), d(F, r, 2), d(C, r)
+        dS, d2S = d(S, r), d(S, r, 2)
+        coefs += [(2 * c * f * d2F - c * dF ** 2 - f * dC * dF)
+                  / (4 * c ** 2 * f ** 2),
+                  dF * dS / (4 * c * f * sa),
+                  (-2 * c * sa * d2S + c * dS ** 2 + sa * dC * dS)
+                  / (4 * c ** 2 * sa ** 2),
+                  (4 * c * sa - dS ** 2) / (4 * c * sa ** 2)]
+        return np.array([float(v) for v in coefs])
+
+
+def test_exterior_ray_coefs_match_mpmath():
+    # the closed forms of the Schwarzschild chart (the Gamma(B, B) scalars,
+    # the metric factors and K1-K4 of _exterior_ray) against their general
+    # form at 60 digits, from r = 15 down to the horizon margin, where the
+    # jet is no oracle (it cancels large terms of C)
+    radii = np.concatenate([[GUARD], 2.0 * SCHW.mass + np.geomspace(
+        GUARD - 2.0 * SCHW.mass, 15.0 - 2.0 * SCHW.mass, 24)])
+    got = np.array(_exterior_ray(SCHW.mass, radii, True)).T
+    for r, g in zip(radii, got):
+        ref = _mp_ray_coefs(SCHW.mass, r)
+        assert np.all(np.abs(g - ref) <= 4e-15 * np.abs(ref)), r
 
 
 def _mp_tidal(M, x, b):
