@@ -56,19 +56,17 @@ The error norm scales each block of the state (x^0, x^i, B^0, B^i, the time
 and the spatial parts of J, P and the triad, q0, khat) by the lane's tol
 (1 + |block|), so it does not change under spatial rotations.  The glued
 profiles are only C^2 at r_in and r_out, so no step straddles either
-radius: a step is shortened onto the crossing, and a step that ends just
-short of a radius (by at most LAND_FRAC of itself) is continued onto it
-by one short third-order step (_land), so a lane lands on the first cut.
-A Schwarzschild lane stops on the horizon guard 2M (1 + 2 HORIZON_MARGIN)
-and is marked truncated.  Every contraction is per lane: the right-hand
-side's products are stacked matmuls, one small matrix product per lane
-(the basis product, Gamma(B, .) of the B, J, P and E rows at once, and
-the two curvature terms), each stage sum is one einsum that sums the stage
-axis in index order, and the rest is elementwise in a fixed order.  No
-lane's arithmetic sees another lane, so every record is bit-identical to
-the same direction integrated alone at its own tolerance, whatever the
-rest of the batch and its tolerances.  A scalar tolerance is the same as
-that value on every lane.
+radius: a step is shortened onto the crossing.  A Schwarzschild lane stops
+on the horizon guard 2M (1 + 2 HORIZON_MARGIN) and is marked truncated.
+Every contraction is per lane: the right-hand side's products are stacked
+matmuls, one small matrix product per lane (the basis product of
+metric._ray_terms, Gamma(B, .) of the B, J, P and E rows at once, and the
+two curvature terms), each stage sum is one einsum that sums the stage axis
+in index order, and the rest is elementwise in a fixed order.  No lane's
+arithmetic sees another lane, so every record is bit-identical to the same
+direction integrated alone at its own tolerance, whatever the rest of the
+batch and its tolerances.  A scalar tolerance is the same as that value on
+every lane.
 """
 
 from dataclasses import dataclass, field
@@ -87,7 +85,6 @@ DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
 RHO_SEED_MIN = 1e-3
 SHELL_TOL = 1e-10       # a step lands on a radius R to within SHELL_TOL R
-LAND_FRAC = 1e-3        # a step ending this close short of R continues
 # packed upper triangle (00, 01, 02, 11, 12, 22) of a symmetric 3x3 matrix
 _SYM6_ROW, _SYM6_COL = np.triu_indices(3)
 _SYM6_OF = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
@@ -275,7 +272,7 @@ def _make_rhs(model, nj, nk):
             return np.concatenate([y[:, 4:8], _ray_accel(model, y[:, 0:4],
                                                          y[:, 4:8])], axis=1)
         n = len(y)
-        gb, T, g_inv = _ray_terms(model, y[:, 0:4], y[:, 4:8], True)
+        gb, T, g_inv = _ray_terms(model, y[:, 0:4], y[:, 4:8])
         Y = y[:, 4:4 + 4 * m].reshape(n, m, 4)
         dY = -(Y @ gb.transpose(0, 2, 1))   # -Gamma(B, row) for every row
         if nj:
@@ -349,66 +346,34 @@ def _radius(y):
 def _reach(y, radii):
     """Proper time to the first crossing of any radius along each lane's
     tangent line (inf when it crosses none, or sits on the radius)."""
-    R = radii[0]
-    if not len(R):
-        return np.full(len(y), np.inf)
     x, v = y[:, 1:4], y[:, 5:8]
-    xx, xv, vv = (_colsum(p)[:, None] for p in (x * x, x * v, v * v))
-    c = xx - R * R
+    xx, xv, vv = _colsum(x * x), _colsum(x * v), _colsum(v * v)
+    out = np.full(len(y), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(xv * xv - vv * c)
-        s = np.where(c < 0, root - xv, np.where(xv < 0, -xv - root, -1.0))
-        s = s / vv
-    near = np.abs(np.sqrt(xx) - R) <= SHELL_TOL * R
-    return np.where((s > 0) & ~near, s, np.inf).min(axis=1)
+        for R, _ in radii:
+            c = xx - R * R
+            root = np.sqrt(xv * xv - vv * c)
+            s = np.where(c < 0, root - xv, np.where(xv < 0, -xv - root, -1.0))
+            s = s / vv
+            near = np.abs(np.sqrt(xx) - R) <= SHELL_TOL * R
+            out = np.where((s > 0) & ~near, np.minimum(out, s), out)
+    return out
 
 
 def _crossing(ya, ys, hs, radii):
-    """Per lane: the secant step onto the first radius that a step
-    straddles (inf if none); whether the step ends on a terminal radius;
-    and the nearest radius R that the step ends short of, moving toward it,
-    by a proper time s along its end tangent of at most LAND_FRAC of the
-    step (0 if none), with that s and whether R is terminal."""
-    R, terminal = radii
-    n = len(ya)
-    if not len(R):
-        none = np.zeros(n, bool)
-        return np.full(n, np.inf), none, (np.zeros(n), np.zeros(n), none)
-    r1 = _radius(ys)
-    g0, g1 = _radius(ya)[:, None] - R, r1[:, None] - R
-    on = np.abs(g1) <= SHELL_TOL * R
-    off = (np.abs(g0) > SHELL_TOL * R) & ~on
-    cross = off & ((g0 > 0) != (g1 > 0))
-    hs2 = hs[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sec = np.where(cross, hs2 * g0 / (g0 - g1), np.inf).min(axis=1)
-        s = -g1 / (_colsum(ys[:, 1:4] * ys[:, 5:8]) / r1)[:, None]
-    s = np.where(off & ~cross & (s > 0) & (s <= LAND_FRAC * hs2), s, np.inf)
-    j = s.argmin(axis=1)
-    ext = s[np.arange(n), j]
-    short = ext < np.inf
-    return (sec, (terminal & on).any(axis=1),
-            (np.where(short, R[j], 0.0), ext, short & terminal[j]))
-
-
-def _land(rhs, t, y, f, s, R):
-    """Continue lanes y at rho = t, just short of a radius R, onto it.
-
-    Two Newton steps on the osculating parabola x + s B + s^2 B'/2 (B' from
-    f) refine the tangent estimate s of the crossing, whose error is then
-    of order s^3 |x'''|; a third-order Runge-Kutta step (Kutta's, two
-    evaluations) carries the state over s with a local error of order
-    s^4 |y''''|, far below the step's own, as s is at most LAND_FRAC of it.
-    Returns s and the states there."""
-    x, v, acc = y[:, 1:4], y[:, 5:8], 0.5 * f[:, 5:8]
-    for _ in range(2):
-        p = x + s[:, None] * (v + s[:, None] * acc)
-        dp = v + (2.0 * s)[:, None] * acc
-        s = s - (_colsum(p * p) - R * R) / (2.0 * _colsum(p * dp))
-    h = s[:, None]
-    k2 = rhs(t + 0.5 * s, y + 0.5 * h * f)
-    k3 = rhs(t + s, y + h * (2.0 * k2 - f))
-    return s, y + (h / 6.0) * (f + 4.0 * k2 + k3)
+    """Secant step onto the first radius that a step straddles (inf if
+    none), and whether the step ends on a terminal radius."""
+    r0, r1 = _radius(ya), _radius(ys)
+    sec = np.full(len(ya), np.inf)
+    land = np.zeros(len(ya), bool)
+    for R, terminal in radii:
+        g0, g1 = r0 - R, r1 - R
+        off = (np.abs(g0) > SHELL_TOL * R) & (np.abs(g1) > SHELL_TOL * R)
+        cross = off & ((g0 > 0) != (g1 > 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sec = np.where(cross, np.minimum(sec, hs * g0 / (g0 - g1)), sec)
+        land |= terminal & (np.abs(g1) <= SHELL_TOL * R)
+    return sec, land
 
 
 @cache
@@ -425,14 +390,12 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
 
     Step-size control, starting step and dense output follow HNW II.4-6 as
     scipy does, with the block norm of _norm_blocks per lane.  radii holds
-    the radii R and their terminal flags, two arrays: a step never
-    straddles R, a step that ends just short of R is continued onto it
-    (_land, a segment of its own in the dense output), and a lane that
-    lands on a terminal R stops there.  Returns the rho reached, the end
-    states, the truncation flags, each lane's dense segments (step ends,
-    coefficients) and the per-lane (steps, rejected, rhs_evals) counts.
-    Without dense the three extra stages of the dense output are skipped
-    and the segments are None; the steps and the end states are the same.
+    (R, terminal) pairs: a step never straddles R, and a lane that lands on
+    a terminal R stops there.  Returns the rho reached, the end states, the
+    truncation flags, each lane's dense segments (step ends, coefficients)
+    and the per-lane (steps, rejected, rhs_evals) counts.  Without dense the
+    three extra stages of the dense output are skipped and the segments are
+    None; the steps and the end states are the same.
     """
     n, dim = y.shape
     tab = _tableau()
@@ -478,7 +441,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
             err = np.where(n5 + n3 > 0,
                            hs * n5 / np.sqrt((n5 + 0.01 * n3) * dim), 0.0)
             fac = 0.9 * err ** -0.125
-        sec, land, (goal, ext, goal_term) = _crossing(ya, ys, hs, radii)
+        sec, land = _crossing(ya, ys, hs, radii)
         ok = (err < 1) & np.isinf(sec)
         grow = hs * np.minimum(np.where(retry[a], 1.0, 10.0), fac)
         h[a] = np.where(ok, np.where(hs < ha, np.maximum(ha, grow), grow),
@@ -503,28 +466,8 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
                 segs[j][1].append(coef[k].copy())
         t[acc], y[acc], f[acc] = tn[i], ys[i], Ka[12]
         steps[acc] += 1
-        c = i[(goal[i] > 0) & (tn[i] + ext[i] < t_end[acc])]
-        if len(c):                      # continue onto the radius ahead
-            sc, yc = _land(rhs, tn[c], ys[c], K[12, c], ext[c], goal[c])
-            nfev[a[c]] += 2
-            good = ((np.abs(_radius(yc) - goal[c]) <= SHELL_TOL * goal[c])
-                    & (sc > 0) & (tn[c] + sc < t_end[a[c]]))
-            c, tc, yc = c[good], tn[c][good] + sc[good], yc[good]
-        if len(c):
-            lanes, fc = a[c], rhs(tc, yc)
-            nfev[lanes] += 1
-            if dense:
-                dy, sk = yc - ys[c], (tc - tn[c])[:, None]
-                coef = np.stack([ys[c], dy, sk * K[12, c] - dy,
-                                 2 * dy - sk * (fc + K[12, c])]
-                                + [np.zeros_like(yc)] * 4, axis=1)
-                for k, j in enumerate(lanes):
-                    segs[j][0].append(tc[k])
-                    segs[j][1].append(coef[k])
-            t[lanes], y[lanes], f[lanes] = tc, yc, fc
-            land[c] |= goal_term[c]
-        trunc[acc] = land[i] & (t[acc] < t_end[acc])
-        done[acc] = land[i] | (t[acc] == t_end[acc])
+        trunc[acc] = land[i] & (tn[i] < t_end[acc])
+        done[acc] = land[i] | (tn[i] == t_end[acc])
     if dense:
         segs = [(np.array(ts), np.array(cs)) for ts, cs in segs]
     return t, y, trunc, segs, (steps, nrej, nfev)
@@ -600,11 +543,9 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
             rho=rho_grid, x=None, b=None, ode_tol=float(tol[i]),
             rho_seed=seed, _line=line, _layout=(nj, nk)))
 
-    radii = list(model.shell_radii)
-    if model.kind == "schwarzschild":     # the horizon guard, terminal
-        radii.append(2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN))
-    radii = (np.array(radii), np.full(len(radii),
-                                      model.kind == "schwarzschild"))
+    radii = [(R, False) for R in model.shell_radii]
+    if model.kind == "schwarzschild":
+        radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
     rho0 = np.array([rec.rho_seed for rec in recs])
     y0 = np.array([rec._line[0] + rec.rho_seed * rec._line[1] for rec in recs])
     reached, y_end, trunc, segs, counts = _dop853(

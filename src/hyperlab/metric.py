@@ -496,10 +496,10 @@ def _ray_accel(model, x, b):
     return out
 
 
-def _ray_terms(model, x, b, tidal):
+def _ray_terms(model, x, b):
     """Closed-form geodesic terms at lane states x, b (n, 4):
-    gb[l, k] = Gamma^l_mk B^m and, when tidal is set, the tidal tensor
-    T_bd = R_abcd B^a B^c and g^{-1}; otherwise (gb, None, None).
+    gb[l, k] = Gamma^l_mk B^m, the tidal tensor T_bd = R_abcd B^a B^c and
+    g^{-1}.
 
     Each is V^T c V + d I_s on the per-lane basis V = (e0, (0, u), (0, v))
     (rows), u = x/r and v the spatial part of B, with a 3x3 coefficient
@@ -521,43 +521,38 @@ def _ray_terms(model, x, b, tidal):
     """
     n = len(x)
     v, bt = b[:, 1:], b[:, 0]
-    uv, (ir, hF, q, hA, c_uv, c_uu, *rest) = _lane_coefs(model, x, b, tidal)
+    uv, (ir, hF, q, hA, c_uv, c_uu, F, iF, C, A, iA, g_uu,
+         K1, K2, K3, K4) = _lane_coefs(model, x, b, True)
     zero = np.zeros(n)
-    rows = [[hF * uv, q * bt, zero],       # c of gb^T, so that the matmuls
-            [hF * bt, c_uu * uv, hA],      # of the caller, Y @ gb^T, take
-            [zero, c_uv, zero]]            # a contiguous operand
-    d = [hA * uv]
-    if tidal:
-        F, iF, C, A, iA, g_uu, K1, K2, K3, K4 = rest
-        Fbt, uv2 = F * bt, uv * uv
-        Ft2 = Fbt * bt                                   # (th_t.B)^2
-        bp2 = A * (_colsum(v * v) - uv2)                 # |B_perp|^2
-        K1C, K2A, K3CA, K4A = K1 * C, K2 * A, K3 * C * A, K4 * A
-        A2K4 = A * K4A
-        sig = K2A * Ft2 + K3CA * uv2 + K4A * bp2
-        t_u = (K2A - K1C) * Fbt * uv
-        t_v = -K2A * Fbt
-        u_v = (A2K4 - K3CA) * uv
-        t_uu = (K1 * Ft2 + K3 * bp2) * C - sig + (2.0 * K3CA - A2K4) * uv2
-        rows[0] += [F * (K1C * uv2 + K2 * bp2), t_u, t_v, -iF, zero, zero]
-        rows[1] += [t_u, t_uu, u_v, zero, -g_uu, zero]
-        rows[2] += [t_v, u_v, -A2K4, zero, zero, zero]
-        d += [sig, iA]
-    k = len(d)
-    cd = np.array(rows[0] + rows[1] + rows[2] + d).T     # (n, 10 k)
+    Fbt, uv2 = F * bt, uv * uv
+    Ft2 = Fbt * bt                                       # (th_t.B)^2
+    bp2 = A * (_colsum(v * v) - uv2)                     # |B_perp|^2
+    K1C, K2A, K3CA, K4A = K1 * C, K2 * A, K3 * C * A, K4 * A
+    A2K4 = A * K4A
+    sig = K2A * Ft2 + K3CA * uv2 + K4A * bp2
+    t_u = (K2A - K1C) * Fbt * uv
+    t_v = -K2A * Fbt
+    u_v = (A2K4 - K3CA) * uv
+    t_uu = (K1 * Ft2 + K3 * bp2) * C - sig + (2.0 * K3CA - A2K4) * uv2
+    # the rows of c for gb^T (so that the caller's matmul Y @ gb^T takes a
+    # contiguous operand), T and g^-1, then d of each
+    cd = np.array([hF * uv, q * bt, zero,
+                   F * (K1C * uv2 + K2 * bp2), t_u, t_v, -iF, zero, zero,
+                   hF * bt, c_uu * uv, hA, t_u, t_uu, u_v, zero, -g_uu, zero,
+                   zero, c_uv, zero, t_v, u_v, -A2K4, zero, zero, zero,
+                   hA * uv, sig, iA]).T                  # (n, 30)
     V = np.zeros((n, 3, 4))
     V[:, 0, 0] = 1.0
     V[:, 1, 1:] = x[:, 1:] * ir[:, None]
     V[:, 2, 1:] = v
-    # V^T (c_0 | ... | c_k-1), then each block times V, in contiguous
+    # V^T (c_0 | c_1 | c_2), then each block times V, in contiguous
     # stacked matmuls (a broadcast or transposed operand is far slower)
-    vc = V.transpose(0, 2, 1).copy() @ cd[:, :9 * k].reshape(n, 3, 3 * k)
-    out = (vc.reshape(n, 4, k, 3).transpose(0, 2, 1, 3).reshape(n, 4 * k, 3)
-           @ V).reshape(n, k, 16)
-    out[:, :, 5::5] += cd[:, 9 * k:, None]              # d I_s
-    out = out.reshape(n, k, 4, 4)
-    gb = out[:, 0].transpose(0, 2, 1)
-    return (gb, out[:, 1], out[:, 2]) if tidal else (gb, None, None)
+    vc = V.transpose(0, 2, 1).copy() @ cd[:, :27].reshape(n, 3, 9)
+    out = (vc.reshape(n, 4, 3, 3).transpose(0, 2, 1, 3).reshape(n, 12, 3)
+           @ V).reshape(n, 3, 16)
+    out[:, :, 5::5] += cd[:, 27:, None]                 # d I_s
+    out = out.reshape(n, 3, 4, 4)
+    return out[:, 0].transpose(0, 2, 1), out[:, 1], out[:, 2]
 
 
 def _squeeze(jet, scalar_input):

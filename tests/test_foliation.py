@@ -362,11 +362,11 @@ def test_leaf_slice_integrate_rays_budget(monkeypatch):
 def test_leaf_work_budget_inexact_newton(monkeypatch):
     # the two loose rounds integrate plain pairs (the first at LOOSE_TOL on
     # every lane); every record returned is tight with the full payload.
-    # On this leaf the rounds take 1,176 RHS calls and the tight round
-    # 2,228 lane evaluations, the only ones with a payload (4,344 when the
+    # On this leaf the rounds take 1,194 RHS calls and the tight round
+    # 2,264 lane evaluations, the only ones with a payload (4,344 when the
     # loose rounds carried Jacobi fields); each bound adds the +-7 % that
     # rounding-level changes of the RHS move DOP853 step counts by.  The
-    # plain lanes bring the total lane evaluations to 7,180, by design.
+    # plain lanes bring the total lane evaluations to 7,288, by design.
     calls = _spy_solver(monkeypatch)
     nodes = angular_grid(4, 1)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), 15.79, 63.16, nodes)
@@ -375,8 +375,8 @@ def test_leaf_work_budget_inexact_newton(monkeypatch):
     assert np.all(calls[0].tol == foliation.LOOSE_TOL)
     for r in recs:
         assert r.ode_tol == 1e-12 and r.has_jacobi and r.has_k
-    assert sum(c.rhs_calls for c in calls) <= 1258
-    assert sum(c.lane_evals for c in calls if not c.loose) <= 2383
+    assert sum(c.rhs_calls for c in calls) <= 1278
+    assert sum(c.lane_evals for c in calls if not c.loose) <= 2425
     # an exact flat root is found by the first loose round and accepted
     # only by a tight one
     calls.clear()
@@ -395,9 +395,7 @@ def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
     # output.  A loose round integrates each node as a plain pair, x and B
     # alone; every returned record is tight with Jacobi fields and k.  A
     # tight record takes the 12 stages of each step, accepted or rejected,
-    # the 2 evaluations of the starting step and 3 for each continuation
-    # onto a shell that a step ends just short of (each shell is crossed
-    # once), and no dense-output stage.
+    # and the 2 evaluations of the starting step, and no dense-output stage.
     calls = _spy_solver(monkeypatch)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
@@ -419,8 +417,7 @@ def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
             assert np.array_equal(st[key], getattr(r, key)[0]), key
         with pytest.raises(OutOfRange):
             r.state_at(rho / 2)
-        extra = r.rhs_evals - 2 - 12 * (r.steps + r.rejected)
-        assert extra in range(0, 3 * len(GLUED.shell_radii) + 1, 3)
+        assert r.rhs_evals == 2 + 12 * (r.steps + r.rejected)
 
 
 @pytest.mark.parametrize("model, rho, target, nodes, level", [

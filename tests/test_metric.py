@@ -98,7 +98,7 @@ def test_glued_core_flat_inside_schwarzschild_horizon(model, x):
     assert np.abs(jet.riemann).max() == 0.0
     xb = np.array([x])
     b = np.array([[1.25, 0.6, 0.0, -0.45]])
-    gb, T, g_inv = _ray_terms(model, xb, b, True)
+    gb, T, g_inv = _ray_terms(model, xb, b)
     assert np.abs(gb).max() == 0.0 and np.abs(T).max() == 0.0
     assert np.array_equal(g_inv[0], np.diag([-1.0, 1, 1, 1]))
 
@@ -303,9 +303,7 @@ def test_ray_terms_match_jet(model, lo, hi, exact, vacuum):
     x, b = _ray_states(model, radii, seed=11)
     jet = metric_at(model, x, level=1)
     d2g, riemann = cartesian_level2(model, x)
-    gb, T, g_inv = _ray_terms(model, x, b, True)
-    gb_only, T_none, _ = _ray_terms(model, x, b, False)
-    assert T_none is None and np.array_equal(gb_only, gb)
+    gb, T, g_inv = _ray_terms(model, x, b)
     babs = np.abs(b).sum(axis=1)
     s_gb = _lane_max(jet.g_inv) * _lane_max(jet.dg) * babs
     s_T = (_lane_max(d2g) + _lane_max(jet.gamma) * _lane_max(jet.dg)) * babs**2
@@ -353,16 +351,14 @@ def test_ray_terms_batch_independent_across_zones():
     radii = np.array([0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7, 15.0])
     x, b = _ray_states(GLUED, radii, seed=19)
     outer = radii >= GLUED.r_out
-    for tidal in (False, True):
-        mixed = _ray_terms(GLUED, x, b, tidal)
-        ext = _ray_terms(GLUED, x[outer], b[outer], tidal)
-        for i in range(len(x)):
-            alone = _ray_terms(GLUED, x[i:i + 1], b[i:i + 1], tidal)
-            for got, ref in zip(mixed, alone):
-                assert (got is ref is None
-                        or got[i:i + 1].tobytes() == ref.tobytes()), (i, tidal)
-        for got, ref in zip(mixed, ext):
-            assert got is ref is None or got[outer].tobytes() == ref.tobytes()
+    mixed = _ray_terms(GLUED, x, b)
+    ext = _ray_terms(GLUED, x[outer], b[outer])
+    for i in range(len(x)):
+        alone = _ray_terms(GLUED, x[i:i + 1], b[i:i + 1])
+        for got, ref in zip(mixed, alone):
+            assert got[i:i + 1].tobytes() == ref.tobytes(), i
+    for got, ref in zip(mixed, ext):
+        assert got[outer].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("payload", [False, True], ids=["plain", "payload"])
