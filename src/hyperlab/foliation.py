@@ -21,17 +21,18 @@ at several rho) from one level-0 metric jet: the leaf scalars, the frame set
 with the radial overlap varpi = N(r), and k in the leaf basis, as arrays
 with a leading point axis that every consumer reads.  Its batching rule is
 elementwise per point: arithmetic runs over all points at once, and each
-contraction is a stacked einsum or matmul with no reduction across points
-and, per point, the operand shapes of the one-point product.  Only the
-sphere-pair Gram-Schmidt, whose candidate order and skips branch per point,
-runs one point at a time.  So every point's result is bit-identical to that
-point evaluated alone.
+contraction is a stacked einsum, matmul or 3x3 inverse with no reduction
+across points and, per point, the operand shapes of the one-point product.
+Only the sphere-pair Gram-Schmidt, whose candidate order and skips branch
+per point, runs one point at a time.  So every point's result is
+bit-identical to that point evaluated alone.
 
 The spheres come from solve_level_nodes, a curvature-corrected Newton
 solve for each node's rapidity.  Its loose iterates are plain pairs: two
 geodesic lanes per node, at zeta and zeta + _PAIR_DELTA, with no Jacobi
 fields and no k, whose forward difference gives the slope.  Only its tight
-iterates carry the Jacobi fields and k that the leaf records need.
+iterates carry Jacobi fields, and still no k: leaf_frames takes the leaf's
+k from the fields (_k_jacobi).
 
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
@@ -145,7 +146,7 @@ class LeafFrames:
     scalars: LeafScalars
     frames: FrameSet            # eA and the radial overlap zero where degenerate
     degenerate: np.ndarray      # rtilde < FRAME_FLOOR: no frame there
-    k: SecondFundamental = None     # when the records carry k
+    k: SecondFundamental = None     # when the records carry k or J
 
     def require_frames(self):
         """Raise CentralLineDegenerate unless every point has a frame."""
@@ -165,9 +166,9 @@ def _sphere_pair(g, fixed):
 
 
 def leaf_frames(model, recs, rhos):
-    """Leaf scalars, frames, radial overlap and (when the records carry k) k
-    in the leaf basis of every record of recs at every rho of rhos, record
-    by record, from one level-0 metric jet.
+    """Leaf scalars, frames, radial overlap and k in the leaf basis (the
+    transported k, else that of the Jacobi fields) of every record of recs
+    at every rho of rhos, record by record, from one level-0 metric jet.
 
     Points with rtilde below FRAME_FLOOR are flagged in `degenerate`; their
     scalars are valid, their frames are not built.
@@ -214,19 +215,34 @@ def leaf_frames(model, recs, rhos):
     snr[ok] = (eA[ok, :, 1:] @ rad)[:, :, 0]
     frames = FrameSet(T=T, N=N, Nbar=Nbar, B=B, L=T + N, Lb=T - N, eA=eA,
                       g=jet.g, x=x, r=r, varpi=varpi, snr=snr)
+    # k in the orthonormal leaf basis f = {Nbar, eA}; 0 from J where degenerate
     k = None
+    leaf = np.concatenate([Nbar[:, None], eA], axis=1)
     if st["q0"] is not None:
-        # k in the orthonormal leaf basis f = {Nbar, eA}, from C = <f_a, E_b>
         trk = 3.0 / rho + st["q0"]
-        leaf = np.concatenate([Nbar[:, None], eA], axis=1)
         C = np.einsum('nai,nij,nbj->nab', leaf, jet.g, st["triad"])
-        k_leaf = C @ _k_triad(st["q0"], st["khat"], rho) @ _T(C)
-        k_leaf = 0.5 * (k_leaf + _T(k_leaf))
+        k = C @ _k_triad(st["q0"], st["khat"], rho) @ _T(C)
+    elif st["j"] is not None:
+        k = np.zeros((len(x), 3, 3))
+        k[ok] = _k_jacobi(leaf[ok], jet.g[ok], st["j"][ok], st["jp"][ok])
+        trk = np.trace(k, axis1=1, axis2=2)
+    if k is not None:
+        k = 0.5 * (k + _T(k))
         k = SecondFundamental(
-            k=k_leaf, trk=trk,
-            khat=k_leaf - (trk / 3.0)[:, None, None] * np.eye(3))
+            k=k, trk=trk, khat=k - (trk / 3.0)[:, None, None] * np.eye(3))
     return LeafFrames(st=st, binv=binv, scalars=sc, frames=frames,
                       degenerate=degenerate, k=k)
+
+
+def _k_jacobi(leaf, g, j, jp):
+    """k in the orthonormal leaf basis f (n, 3, 4) from the boost Jacobi
+    fields j and P = jp.  The J_i are tangent to the leaf and commute with
+    B, so K_ij = k(J_i, J_j) = <P_i, J_j>; with M_ia = <J_i, f_a>, k in the
+    basis f is M^-1 K M^-T (its antisymmetric part is rounding)."""
+    M = np.einsum('nai,nij,nbj->nab', j, g, leaf)
+    K = np.einsum('nai,nij,nbj->nab', jp, g, j)
+    Minv = np.linalg.inv(M)
+    return Minv @ K @ _T(Minv)
 
 
 def _T(a):
@@ -246,10 +262,11 @@ def frames_at(model, rec, rho):
 
 
 def second_fundamental_at(model, rec, rho):
-    """Transported k expressed in the orthonormal leaf basis {Nbar, eA}."""
-    if not rec.has_k:
-        raise MissingK("record has no transported second fundamental form")
-    return _pick(leaf_frames(model, [rec], rho).require_frames().k, 0)
+    """k in the orthonormal leaf basis {Nbar, eA}, as leaf_frames takes it."""
+    lf = leaf_frames(model, [rec], rho).require_frames()
+    if lf.k is None:
+        raise MissingK("record has neither k nor Jacobi fields")
+    return _pick(lf.k, 0)
 
 
 def _k_triad(q0, khat, rho):
@@ -445,7 +462,7 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     pair (_paired_slope), two lanes at z and z + _PAIR_DELTA with no
     Jacobi fields, no k and no dense output, whose forward difference,
     divided by 1 + c _PAIR_DELTA / 2, gives df.  A tight iterate is a leaf
-    record at TIGHT_TOL with Jacobi fields and k that keeps only its end
+    record at TIGHT_TOL with Jacobi fields and no k that keeps only its end
     state, the one sample at rho that its readers use, and takes the exact
     df = p_zeta . grad F from the Jacobi fields.  A node is accepted only on
     a tight record whose residual is below 1e-10 max(|target|, 1), so every
@@ -468,10 +485,10 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     core raises SeedRegionTooSmall before any integration.
     """
     origin = np.asarray(origin, dtype=float)
-    # every returned record carries k, and no lane keeps a longer flat-core
-    # seed than the static line (spatial velocity 0), so an origin where
-    # that seed is too short fails every tight round; a singular origin
-    # raises first, as in integrate_rays
+    # leaf records carry no transported k, but their k is checked against
+    # it only from origins in the flat core: until an off-core oracle for k
+    # exists, an origin whose static line (no lane's seed is longer) has too
+    # short a seed raises; a singular origin first, as in integrate_rays
     _check_regular(model, np.linalg.norm(origin[1:]))
     _k_seed_rho(model, origin, np.eye(4)[0], rho)
     thetas = np.array([a[0] for a in angles])

@@ -51,7 +51,8 @@ same steps without the three dense-output stages and keeps only each
 lane's end state.  The leaf solver runs all its iterates so: its loose
 ones are plain lanes of _lanes (no Jacobi fields, no k), read at their
 end states alone, and _ray_ends gives its tight leaf records, with Jacobi
-fields and k, their one sample at rho.
+fields but no k (read off the fields: k(J_i, J_j) = <P_i, J_j>), their
+one sample at rho.
 The error norm scales each block of the state (x^0, x^i, B^0, B^i, the time
 and the spatial parts of J, P and the triad, q0, khat) by the lane's tol
 (1 + |block|), so it does not change under spatial rotations.  The glued
@@ -582,16 +583,15 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
 
 def _ray_ends(model, origin, directions, rho, ode_tol):
     """integrate_rays(model, origin, directions, [rho], ode_tol,
-    with_jacobi=True, with_k=True) without the dense output: the same
-    steps, and each record holds its one sample, the integrator's end state
-    at rho (none when truncated).  state_at returns that sample at rho and
-    raises OutOfRange at any other rho, as nothing else of the ray is
-    kept."""
+    with_jacobi=True) without the dense output: the same steps, and each
+    record holds its one sample, the integrator's end state at rho (none
+    when truncated).  state_at returns that sample at rho and raises
+    OutOfRange at any other rho, as nothing else of the ray is kept."""
     recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True,
-                         True, False)
+                         False, False)
     for rec, y in zip(recs, y_end):
         for key, val in _unpack(y[None][:len(rec.rho)], True,
-                                True).items():
+                                False).items():
             setattr(rec, key, val)
     return recs
 

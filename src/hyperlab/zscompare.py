@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Horizon, OutsideZs, SphereExitsZone
-from .foliation import (_T, _k_triad, _pick, _residual_table, _rho_cluster,
-                        _sphere_pair, leaf_frames, leaf_slice)
+from .foliation import (_T, _pick, _residual_table, _rho_cluster, _sphere_pair,
+                        leaf_frames, leaf_slice)
 from .metric import (MetricModel, _optical_mass_terms, _zs_floor, curvature_at,
                      metric_at)
 from .nullgeom import gauss_residual
@@ -163,7 +163,7 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
     The dag-lapse is computed both from its definition -<B, L^s>^{-1} and
     from the closed formula; the Gauss curvature comes from the dag-tetrad
     Gauss equation with the null second fundamental forms assembled out of
-    the transported k and the analytic gradient of L^s.
+    the leaf's k (from the Jacobi fields) and the analytic gradient of L^s.
     """
     origin = np.zeros(4) if origin is None else np.asarray(origin, dtype=float)
     sl = leaf_slice(model, origin, 0.0, rho, omega_nodes, level="uhat",
@@ -189,9 +189,10 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
     jet = curvature_at(model, fr.x)     # its Christoffels and its Weyl tensor
     chi = dag_a[:, None, None] * np.einsum(
         'nAm,nmk,nks,nCs->nAC', eA, _grad_ls(model, jet), g, eA)
-    # k(eA, eC) from the transported k (triad components)
-    coefA = np.einsum('nAa,nab,nib->nAi', eA, g, st["triad"])
-    k_AC = coefA @ _k_triad(st["q0"], st["khat"], rho) @ _T(coefA)
+    # k(eA, eC) from the leaf's k in its basis f = {Nbar, eA of the leaf}
+    f = np.concatenate([fr.Nbar[:, None], fr.eA], axis=1)
+    coefA = np.einsum('nAa,nab,nib->nAi', eA, g, f)
+    k_AC = coefA @ lf.k.k @ _T(coefA)
     chib = 2.0 * k_AC - chi
     trchi, trchib = (np.trace(c, axis1=1, axis2=2) for c in (chi, chib))
     chih = chi - 0.5 * trchi[:, None, None] * np.eye(2)

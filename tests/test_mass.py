@@ -78,9 +78,12 @@ def test_bondi_offset_two_resolutions():
     assert abs(tra["m_inf"] - 0.02) <= 5e-3
     assert abs(trb["m_inf"] - 0.02) <= 5e-3
     assert abs(tra["m_inf"] - trb["m_inf"]) <= 1e-4
-    # the offset deviation is genuine and decreases toward the limit
-    deva = [abs(r.mass - 0.02) for r in tra["reports"]]
-    assert deva[0] > deva[-1]
+    # the offset deviation is genuine and decreases strictly toward the
+    # limit over the whole t grid at both resolutions: 3.847e-9, 5.260e-10,
+    # 1.482e-10 (6 nodes) and 3.847e-9, 5.260e-10, 1.476e-10 (10 nodes)
+    for tr in (tra, trb):
+        dev = [abs(r.mass - 0.02) for r in tr["reports"]]
+        assert all(a > b for a, b in zip(dev, dev[1:])), dev
 
 
 def test_bondi_trace_matches_single_leaves():
