@@ -150,13 +150,14 @@ def _validate(rc):
         raise ConfigError("need 0 < rho_min < rho_max")
     if not (rc.rel_tol > 0 and rc.zeta_max > 0):
         raise ConfigError("need rel_tol > 0 and zeta_max > 0")
-    if not all(rho > 0 for rho in rc.mass_rho_list):
-        raise ConfigError("mass.rho_list entries must be > 0")
+    if not all(np.isfinite(rho) and rho > 0 for rho in rc.mass_rho_list):
+        raise ConfigError("mass.rho_list entries must be finite and > 0")
     # a leaf needs t > rho
     f = np.asarray(rc.mass_t_factors)
-    if not (len(f) and np.all(f > 1) and np.all(np.diff(f) > 0)):
-        raise ConfigError("mass.t_factors must be nonempty, > 1 and strictly "
-                          "increasing")
+    if not (len(f) and np.all(np.isfinite(f)) and np.all(f > 1)
+            and np.all(np.diff(f) > 0)):
+        raise ConfigError("mass.t_factors must be nonempty, finite, > 1 and "
+                          "strictly increasing")
     if rc.rho_samples < 2 or rc.zeta_samples < 1:
         raise ConfigError("rho_samples >= 2 and zeta_samples >= 1 required")
     if rc.theta_nodes < 1 or rc.phi_nodes < 1:

@@ -1,5 +1,5 @@
-"""Leaf scalars, intrinsic frames, transported second fundamental form in the
-leaf basis, spheres S_{t,rho} with their null second fundamental forms, and
+"""Leaf scalars, intrinsic frames, the second fundamental form in the leaf
+basis, spheres S_{t,rho} with their null second fundamental forms, and
 the per-ray / per-fan consistency residual tables.
 
 Conventions.  All foliation scalars use time relative to the origin event,
@@ -31,8 +31,8 @@ The spheres come from solve_level_nodes, a curvature-corrected Newton
 solve for each node's rapidity.  Its loose iterates are plain pairs: two
 geodesic lanes per node, at zeta and zeta + _PAIR_DELTA, with no Jacobi
 fields and no k, whose forward difference gives the slope.  Only its tight
-iterates carry Jacobi fields, and still no k: leaf_frames takes the leaf's
-k from the fields (_k_jacobi).
+iterates carry Jacobi fields, and no triad: leaf_frames takes every
+record's k from the fields (geodesic._k_jacobi).
 
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
@@ -57,8 +57,9 @@ import numpy as np
 from .errors import (BracketFailure, CentralLineDegenerate,
                      CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
                      SingularityTruncated, Unreachable)
-from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_seed_rho, _lanes,
-                       _ray_ends, direction_from_angles, integrate_rays)
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_jacobi, _k_seed_rho,
+                       _lanes, _ray_ends, direction_from_angles,
+                       integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
                      _orthonormalize, _zs_floor, curvature_at, metric_at)
 
@@ -146,7 +147,7 @@ class LeafFrames:
     scalars: LeafScalars
     frames: FrameSet            # eA and the radial overlap zero where degenerate
     degenerate: np.ndarray      # rtilde < FRAME_FLOOR: no frame there
-    k: SecondFundamental = None     # when the records carry k or J
+    k: SecondFundamental = None     # when the records carry J
 
     def require_frames(self):
         """Raise CentralLineDegenerate unless every point has a frame."""
@@ -166,8 +167,8 @@ def _sphere_pair(g, fixed):
 
 
 def leaf_frames(model, recs, rhos):
-    """Leaf scalars, frames, radial overlap and k in the leaf basis (the
-    transported k, else that of the Jacobi fields) of every record of recs
+    """Leaf scalars, frames, radial overlap and k in the leaf basis (from
+    the Jacobi fields, when the records carry them) of every record of recs
     at every rho of rhos, record by record, from one level-0 metric jet.
 
     Points with rtilde below FRAME_FLOOR are flagged in `degenerate`; their
@@ -215,34 +216,17 @@ def leaf_frames(model, recs, rhos):
     snr[ok] = (eA[ok, :, 1:] @ rad)[:, :, 0]
     frames = FrameSet(T=T, N=N, Nbar=Nbar, B=B, L=T + N, Lb=T - N, eA=eA,
                       g=jet.g, x=x, r=r, varpi=varpi, snr=snr)
-    # k in the orthonormal leaf basis f = {Nbar, eA}; 0 from J where degenerate
+    # k in the orthonormal leaf basis f = {Nbar, eA}; 0 where degenerate
     k = None
-    leaf = np.concatenate([Nbar[:, None], eA], axis=1)
-    if st["q0"] is not None:
-        trk = 3.0 / rho + st["q0"]
-        C = np.einsum('nai,nij,nbj->nab', leaf, jet.g, st["triad"])
-        k = C @ _k_triad(st["q0"], st["khat"], rho) @ _T(C)
-    elif st["j"] is not None:
+    if st["j"] is not None:
+        leaf = np.concatenate([Nbar[:, None], eA], axis=1)
         k = np.zeros((len(x), 3, 3))
         k[ok] = _k_jacobi(leaf[ok], jet.g[ok], st["j"][ok], st["jp"][ok])
         trk = np.trace(k, axis1=1, axis2=2)
-    if k is not None:
-        k = 0.5 * (k + _T(k))
         k = SecondFundamental(
             k=k, trk=trk, khat=k - (trk / 3.0)[:, None, None] * np.eye(3))
     return LeafFrames(st=st, binv=binv, scalars=sc, frames=frames,
                       degenerate=degenerate, k=k)
-
-
-def _k_jacobi(leaf, g, j, jp):
-    """k in the orthonormal leaf basis f (n, 3, 4) from the boost Jacobi
-    fields j and P = jp.  The J_i are tangent to the leaf and commute with
-    B, so K_ij = k(J_i, J_j) = <P_i, J_j>; with M_ia = <J_i, f_a>, k in the
-    basis f is M^-1 K M^-T (its antisymmetric part is rounding)."""
-    M = np.einsum('nai,nij,nbj->nab', j, g, leaf)
-    K = np.einsum('nai,nij,nbj->nab', jp, g, j)
-    Minv = np.linalg.inv(M)
-    return Minv @ K @ _T(Minv)
 
 
 def _T(a):
@@ -265,13 +249,8 @@ def second_fundamental_at(model, rec, rho):
     """k in the orthonormal leaf basis {Nbar, eA}, as leaf_frames takes it."""
     lf = leaf_frames(model, [rec], rho).require_frames()
     if lf.k is None:
-        raise MissingK("record has neither k nor Jacobi fields")
+        raise MissingK("record has no Jacobi fields")
     return _pick(lf.k, 0)
-
-
-def _k_triad(q0, khat, rho):
-    """k in the parallel triad, khat + (1/rho + q0/3) I, batched."""
-    return khat + np.asarray(1.0 / rho + q0 / 3.0)[..., None, None] * np.eye(3)
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +464,11 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     core raises SeedRegionTooSmall before any integration.
     """
     origin = np.asarray(origin, dtype=float)
-    # leaf records carry no transported k, but their k is checked against
-    # it only from origins in the flat core: until an off-core oracle for k
-    # exists, an origin whose static line (no lane's seed is longer) has too
-    # short a seed raises; a singular origin first, as in integrate_rays
+    # a leaf record's k comes from its Jacobi fields, and it is checked
+    # against an independent oracle only from origins in the flat core:
+    # until an off-core oracle for k exists, an origin whose static line (no
+    # lane's seed is longer) has too short a seed raises (_k_seed_rho); a
+    # singular origin first, as in integrate_rays
     _check_regular(model, np.linalg.norm(origin[1:]))
     _k_seed_rho(model, origin, np.eye(4)[0], rho)
     thetas = np.array([a[0] for a in angles])
@@ -699,9 +679,7 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     the terms entering the equation.
     """
     if not rec.has_k:
-        raise MissingK("record has no transported second fundamental form")
-    if transverse and not rec.has_jacobi:
-        raise MissingK("transverse residuals need the record's Jacobi fields")
+        raise MissingK("record has no triad and k")
     if transverse and rec.direction.zeta < 2.0 * _FAN_DELTA:
         raise CentralLineDegenerate(
             f"zeta={rec.direction.zeta:.3g} leaves no room for the transverse "
@@ -797,7 +775,7 @@ def _transverse_residuals(model, rec, rhos, lf, C):
     dirs = [direction_from_angles(*(params + _FAN_DELTA * j))
             for j in _stencil5((5, 5, 5), (2, 2, 2), steps)]
     recs = integrate_rays(model, rec.origin, dirs, [float(rhos.max())],
-                          ode_tol=rec.ode_tol, with_jacobi=False, with_k=True)
+                          ode_tol=rec.ode_tol, with_k=True)
     sc = leaf_frames(model, recs, rhos).scalars
     du_p = _fan_partials(sc.u.reshape(len(recs), -1), steps)
     dbinv_p = _fan_partials((1.0 / sc.b).reshape(len(recs), -1), steps)

@@ -1,7 +1,6 @@
 """Exponential map from an origin event: timelike geodesics parametrized by
 proper time rho, Jacobi fields realizing the intrinsic boost vector fields,
-a parallel-transported spatial triad, and the regularized second fundamental
-form variables transported along each ray.
+and a parallel-transported spatial triad.
 
 The full per-ray state is integrated as one first-order system:
 
@@ -10,51 +9,53 @@ The full per-ray state is integrated as one first-order system:
     J'^l = P^l - G^l_mn B^m J^n             (Jacobi field, coordinate comps)
     P'^l = R^l_bcd B^b B^c J^d - G^l_mn B^m P^n     (D^2 J/drho^2 = R(B,J)B)
     E'^l = -G^l_mn B^m E^n                  (parallel triad, orthogonal to B)
-    q0'  = -(2/rho) q0 - q0^2/3 - Ric(B,B) - |kh|^2      (q0 = trk - 3/rho)
-    kh'  = -(2/3) trk kh - Rhat(B,E,B,E) - (kh^2 - |kh|^2 I/3)
 
-with Rhat the trace-free tidal tensor in the triad.  No Christoffel or
-Riemann array is built.  A plain lane (x and B alone, the leaf solver's
-loose iterates) takes B' = -Gamma(B, B) from metric._ray_accel, five
-scalars per lane.  A lane with a payload makes one metric._ray_terms call,
-which gives G^l_mn B^m, the tidal tensor T_bd = R_abcd B^a B^c (from the
-four orthonormal curvature functions K1-K4 of a static spherical metric)
-and g^{-1} at once, as V^T c V + d I_s on the per-lane basis
-V = (e0, u, v): one coefficient stack and two stacked matmuls.  Both take
-their scalars from metric._radial: a lane on the Schwarzschild chart
-(r >= r_out in the glued model) takes closed exterior forms, K =
-(-2, 1, -1, 2) 2M/R^3 with R = r + 2M, and skips the blend; the other
-lanes of the batch take the blended profiles.  Both curvature terms use T:
-Rhat is E T E^T less its trace, and R^l_bcd B^b B^c = -g^{la} T_ad by
-pair symmetry.
+No Christoffel or Riemann array is built.  A plain lane (x and B alone, the
+leaf solver's loose iterates) takes B' = -Gamma(B, B) from
+metric._ray_accel, five scalars per lane.  A lane with a payload makes one
+metric._ray_terms call, which gives G^l_mn B^m, the tidal tensor
+T_bd = R_abcd B^a B^c (from the four orthonormal curvature functions K1-K4
+of a static spherical metric) and g^{-1} at once, as V^T c V + d I_s on the
+per-lane basis V = (e0, u, v): one coefficient stack and two stacked
+matmuls.  Both take their scalars from metric._radial: a lane on the
+Schwarzschild chart (r >= r_out in the glued model) takes closed exterior
+forms, K = (-2, 1, -1, 2) 2M/R^3 with R = r + 2M, and skips the blend; the
+other lanes of the batch take the blended profiles.  The Jacobi term uses
+T by pair symmetry: R^l_bcd B^b B^c = -g^{la} T_ad.
+
+The second fundamental form of H_rho is read off the Jacobi fields, not
+integrated: the J_i are tangent to the leaf and commute with B, so
+k(J_i, J_j) = <P_i, J_j> (_k_jacobi).  A record with k carries the
+Jacobi fields and the triad, and its k in the triad, q0 = trk - 3/rho and
+the trace-free khat, is computed where the record is read.
 
 Each record holds its straight line as one (2, dim) array _line: the lane
 state at rho = 0 (x = origin, B = V, P = W, the triad E) and its
 rho-derivative (x' = V, J' = W), with W_i = V^i e_0 + V^0 e_i the boost
-Jacobi data; the regularized variables vanish, as k = gbar/rho exactly.
-One seed rule holds for every lane (_seed_rho): from an origin in the flat
-core the line is exact there, and the integrator starts from it at the
-largest proper time still inside the core, with or without k; from an
-origin outside the core a lane without k starts at rho = 0 exactly, from
-the origin state (its right-hand side does not read rho), and a lane with
-k, whose q0' has a 1/rho term, raises SeedRegionTooSmall.  state_at
-evaluates the line below the seed.
+Jacobi data; there k = gbar/rho exactly, so q0 and khat are zero.  One seed
+rule holds for every lane (_seed_rho): from an origin in the flat core the
+line is exact there, and the integrator starts from it at the largest
+proper time still inside the core, with or without k; from an origin
+outside the core a lane without k starts at rho = 0 exactly, from the
+origin state (its right-hand side does not read rho), and a lane with k
+raises SeedRegionTooSmall (_k_seed_rho).  state_at evaluates the line below
+the seed.
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
 A, C, E3, E5 and D are scipy's, kept bit for bit in dop853.npz, so the
 runtime needs numpy alone) in which each ray is a lane with its own seed,
 step size, error norm, tolerance, accept/reject decision, end point and
-dense output.  Only active lanes are evaluated, and the right-hand side
-takes one rho per lane.  Without dense output the integrator takes the
-same steps without the three dense-output stages and keeps only each
-lane's end state.  The leaf solver runs all its iterates so: its loose
-ones are plain lanes of _lanes (no Jacobi fields, no k), read at their
-end states alone, and _ray_ends gives its tight leaf records, with Jacobi
-fields but no k (read off the fields: k(J_i, J_j) = <P_i, J_j>), their
-one sample at rho.
+dense output.  Only active lanes are evaluated, and the system is
+autonomous: the right-hand side reads the lane states alone.  Without
+dense output the integrator takes the same steps without the three
+dense-output stages and keeps only each lane's end state.  The leaf solver
+runs all its iterates so: its loose ones are plain lanes of _lanes (no
+Jacobi fields, no k), read at their end states alone, and _ray_ends gives
+its tight leaf records, with Jacobi fields but no triad, their one sample
+at rho.
 The error norm scales each block of the state (x^0, x^i, B^0, B^i, the time
-and the spatial parts of J, P and the triad, q0, khat) by the lane's tol
+and the spatial parts of J, P and the triad) by the lane's tol
 (1 + |block|), so it does not change under spatial rotations.  The glued
 profiles are only C^2 at r_in and r_out, so no step straddles either
 radius: a step is shortened onto the crossing.  A Schwarzschild lane stops
@@ -62,8 +63,8 @@ on the horizon guard 2M (1 + 2 HORIZON_MARGIN) and is marked truncated.
 Every contraction is per lane: the right-hand side's products are stacked
 matmuls, one small matrix product per lane (the basis product of
 metric._ray_terms, Gamma(B, .) of the B, J, P and E rows at once, and the
-two curvature terms), each stage sum is one einsum that sums the stage axis
-in index order, and the rest is elementwise in a fixed order.  No lane's
+Jacobi term), each stage sum is one einsum that sums the stage axis in
+index order, and the rest is elementwise in a fixed order.  No lane's
 arithmetic sees another lane, so every record is bit-identical to the same
 direction integrated alone at its own tolerance, whatever the rest of the
 batch and its tolerances.  A scalar tolerance is the same as that value on
@@ -86,18 +87,7 @@ DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
 RHO_SEED_MIN = 1e-3
 SHELL_TOL = 1e-10       # a step lands on a radius R to within SHELL_TOL R
-# packed upper triangle (00, 01, 02, 11, 12, 22) of a symmetric 3x3 matrix
-_SYM6_ROW, _SYM6_COL = np.triu_indices(3)
-_SYM6_OF = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _FIELDS = ("x", "b", "j", "jp", "triad", "q0", "khat")   # keys of _unpack
-
-
-def sym6_to_mat(v):
-    return v[..., _SYM6_OF]
-
-
-def mat_to_sym6(m):
-    return m[..., _SYM6_ROW, _SYM6_COL]
 
 
 @dataclass(frozen=True)
@@ -110,8 +100,8 @@ class Direction:
     omega: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.zeta < 0:
-            raise ValueError("zeta must be nonnegative")
+        if not (np.isfinite(self.zeta) and self.zeta >= 0):
+            raise ValueError("zeta must be finite and nonnegative")
         w = np.asarray(self.omega, dtype=float)
         nw = np.linalg.norm(w)
         if not np.isfinite(nw) or nw == 0.0:
@@ -148,8 +138,9 @@ def _frame(g):
 
 @dataclass
 class GeodesicRecord:
-    """One rho-parametrized timelike geodesic with optional Jacobi fields,
-    parallel triad and transported second fundamental form."""
+    """One rho-parametrized timelike geodesic, optionally with Jacobi
+    fields; a record with k also carries the parallel triad, and k in that
+    triad as read off its Jacobi fields."""
 
     model: object
     origin: np.ndarray
@@ -161,9 +152,9 @@ class GeodesicRecord:
     b: np.ndarray                   # (n,4)
     j: np.ndarray = None            # (n,3,4)
     jp: np.ndarray = None           # (n,3,4) covariant rho-derivatives
-    triad: np.ndarray = None        # (n,3,4)
-    q0: np.ndarray = None           # (n,)   trk - 3/rho
-    khat: np.ndarray = None         # (n,3,3) trace-free part in the triad
+    triad: np.ndarray = None        # (n,3,4) parallel triad, orthogonal to B
+    q0: np.ndarray = None           # (n,)   trk - 3/rho, k from the J fields
+    khat: np.ndarray = None         # (n,3,3) trace-free part of k in the triad
     ode_tol: float = DEFAULT_TOL    # this lane's own tolerance
     rho_seed: float = 0.0
     truncated: bool = False
@@ -203,20 +194,56 @@ class GeodesicRecord:
             out = {key: None if getattr(self, key) is None
                    else getattr(self, key)[end] for key in _FIELDS}
         else:
-            out = _eval_ray(self, rq)
+            out = _eval_rays([self], [rq])[0]
         if scalar:
             out = {k: (v[0] if v is not None else None) for k, v in out.items()}
         return out
 
 
-def _eval_ray(rec, rq):
-    """The lane's fields at the proper times rq: the straight line up to
-    rho_seed, the dense output above it."""
-    y = rec._line[0] + rq[:, None] * rec._line[1]
-    above = rq > rec.rho_seed
-    if np.any(above):
-        y[above] = _dense_eval(*rec._dense, rq[above])
-    return _unpack(y, *rec._layout)
+def _eval_rays(recs, rqs):
+    """The fields of each record of recs (one model and layout) at its
+    proper times rqs[i]: the straight line up to rho_seed, the dense output
+    above it.  With k, q0 and khat are k in the triad from the Jacobi
+    fields (_k_jacobi), over all points at once; on the line, where
+    k = gbar/rho, they are exact zeros."""
+    ys, above = [], []
+    for rec, rq in zip(recs, rqs):
+        y = rec._line[0] + rq[:, None] * rec._line[1]
+        above.append(rq > rec.rho_seed)
+        if np.any(above[-1]):
+            y[above[-1]] = _dense_eval(*rec._dense, rq[above[-1]])
+        ys.append(y)
+    out = _unpack(np.concatenate(ys), *recs[0]._layout)
+    if recs[0]._layout[1]:
+        rq, up = np.concatenate(rqs), np.concatenate(above)
+        k = np.zeros((len(rq), 3, 3))
+        if np.any(up):
+            g = metric_at(recs[0].model, out["x"][up], level=0).g
+            k[up] = _k_jacobi(out["triad"][up], g, out["j"][up],
+                              out["jp"][up])
+        trk = np.trace(k, axis1=1, axis2=2)
+        out["q0"] = np.where(up, trk - 3.0 / rq, 0.0)
+        out["khat"] = k - (trk / 3.0)[:, None, None] * np.eye(3)
+    cuts = np.cumsum([len(rq) for rq in rqs])[:-1]
+    parts = {key: None if v is None else np.split(v, cuts)
+             for key, v in out.items()}
+    return [{key: None if v is None else v[i] for key, v in parts.items()}
+            for i in range(len(recs))]
+
+
+def _k_jacobi(basis, g, j, jp):
+    """k in a g-orthonormal basis (n, 3, 4) of the leaf's tangent space
+    (the parallel triad, or the leaf basis {Nbar, e_A}) from the boost
+    Jacobi fields j and P = jp.  The J_i are tangent to the leaf and commute
+    with B, so K_ij = k(J_i, J_j) = <P_i, J_j>; with M_ia = <J_i, f_a>, k in
+    the basis f is M^-1 K M^-T, symmetrised (its antisymmetric part is
+    rounding).  Stacked matmuls, one per point."""
+    jg = j @ g
+    M = jg @ basis.transpose(0, 2, 1)
+    K = jp @ jg.transpose(0, 2, 1)
+    Minv = np.linalg.inv(M)
+    k = Minv @ K @ Minv.transpose(0, 2, 1)
+    return 0.5 * (k + k.transpose(0, 2, 1))
 
 
 def _dense_eval(ts, coef, rq):
@@ -234,8 +261,8 @@ def _dense_eval(ts, coef, rq):
 
 
 def _unpack(y, nj, nk):
-    """y: (m, dim) lane states -> dict of views into y (khat, unpacked from
-    its upper triangle, is a copy)."""
+    """y: (m, dim) lane states -> dict of views into y; q0 and khat, which
+    no lane state holds, are None."""
     m = y.shape[0]
     o = {}
     o["x"] = y[:, 0:4]
@@ -247,28 +274,22 @@ def _unpack(y, nj, nk):
         p += 24
     else:
         o["j"] = o["jp"] = None
-    if nk:
-        o["triad"] = y[:, p:p + 12].reshape(m, 3, 4)
-        o["q0"] = y[:, p + 12]
-        o["khat"] = sym6_to_mat(y[:, p + 13:p + 19])
-        p += 19
-    else:
-        o["triad"] = o["q0"] = o["khat"] = None
+    o["triad"] = y[:, p:p + 12].reshape(m, 3, 4) if nk else None
+    o["q0"] = o["khat"] = None
     return o
 
 
 def _make_rhs(model, nj, nk):
-    """Right-hand side rhs(rho, y) on lane states y (n, dim), one rho per
-    lane.  A plain lane (x and B alone) takes B' = -Gamma(B, B) from the
-    five per-lane scalars of metric._ray_accel and forms no matrix.  A
-    payload lane takes Gamma(B, .), the tidal tensor T and g^{-1} from one
-    metric._ray_terms call; B, J, P and the triad E are contiguous rows of
-    4 in the state, so one per-lane matmul with gb^T gives Gamma(B, .) of
-    every row at once."""
-    eye3 = np.eye(3)
+    """Right-hand side rhs(y) on lane states y (n, dim); the system is
+    autonomous, so it reads no rho.  A plain lane (x and B alone) takes
+    B' = -Gamma(B, B) from the five per-lane scalars of metric._ray_accel
+    and forms no matrix.  A payload lane takes Gamma(B, .), the tidal
+    tensor T and g^{-1} from one metric._ray_terms call; B, J, P and the
+    triad E are contiguous rows of 4 in the state, so one per-lane matmul
+    with gb^T gives Gamma(B, .) of every row at once."""
     m = 1 + 3 * (2 * nj + nk)               # rows B, J_i, P_i, E_i
 
-    def rhs(rho, y):
+    def rhs(y):
         if m == 1:
             return np.concatenate([y[:, 4:8], _ray_accel(model, y[:, 0:4],
                                                          y[:, 4:8])], axis=1)
@@ -282,22 +303,6 @@ def _make_rhs(model, nj, nk):
         dy = np.empty_like(y)
         dy[:, 0:4] = y[:, 4:8]
         dy[:, 4:4 + 4 * m] = dY.reshape(n, 4 * m)
-        if nk:
-            p = 4 + 4 * m
-            E = Y[:, m - 3:]
-            q0 = y[:, p]
-            kh = sym6_to_mat(y[:, p + 1:p + 7])
-            tidal = (E @ T) @ E.transpose(0, 2, 1)
-            ric_bb = np.einsum('nii->n', tidal)
-            rhat = tidal - (ric_bb[:, None, None] / 3.0) * eye3
-            kh2 = np.einsum('nij,njk->nik', kh, kh)
-            kh_sq = np.einsum('nii->n', kh2)
-            trk = 3.0 / rho + q0
-            dq0 = -(2.0 / rho) * q0 - q0 * q0 / 3.0 - ric_bb - kh_sq
-            dkh = (-(2.0 / 3.0) * trk[:, None, None] * kh - rhat
-                   - (kh2 - (kh_sq[:, None, None] / 3.0) * eye3))
-            dy[:, p] = dq0
-            dy[:, p + 1:p + 7] = mat_to_sym6(dkh)
         return dy
 
     return rhs
@@ -307,32 +312,24 @@ def _make_rhs(model, nj, nk):
 # batched DOP853 with per-lane step control
 
 def _norm_blocks(nj, nk):
-    """Error-norm blocks of the state layout: an index table (blocks, 9)
-    padded with dim (a zero column), and the weight of each component.
-    The blocks are x^0, x^i, B^0, B^i, the time and the spatial parts of J,
-    P and the triad over their three fields, q0 and khat, whose packed
-    off-diagonals count twice."""
+    """Error-norm blocks of the state layout, an index table (blocks, 9)
+    padded with dim (a zero column): x^0, x^i, B^0, B^i, and the time and
+    the spatial parts of J, P and the triad over their three fields."""
     blocks = [[0], [1, 2, 3], [4], [5, 6, 7]]
-    p = 8
-    for _ in range(2 * nj + nk):
+    dim = 8 + 12 * (2 * nj + nk)
+    for p in range(8, dim, 12):
         f = np.arange(p, p + 12).reshape(3, 4)
         blocks += [f[:, 0], f[:, 1:].ravel()]
-        p += 12
-    weight = np.ones(p + 7 * nk)
-    if nk:
-        blocks += [[p], np.arange(p + 1, p + 7)]
-        weight[[p + 2, p + 3, p + 5]] = 2.0
-    table = np.full((len(blocks), 9), len(weight))
+    table = np.full((len(blocks), 9), dim)
     for i, blk in enumerate(blocks):
         table[i, :len(blk)] = blk
-    return table, weight
+    return table
 
 
 def _block_sq(v, blocks):
     """Squared norm of every block of every lane, (n, blocks)."""
-    table, weight = blocks
-    s = np.concatenate([weight * v * v, np.zeros((len(v), 1))], axis=1)
-    return _colsum(s[:, table])
+    s = np.concatenate([v * v, np.zeros((len(v), 1))], axis=1)
+    return _colsum(s[:, blocks])
 
 
 def _lincomb(coef, K):
@@ -401,7 +398,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
     n, dim = y.shape
     tab = _tableau()
     t, y = t.copy(), y.copy()
-    f = rhs(t, y)
+    f = rhs(y)
     sc = tol + tol * np.sqrt(_block_sq(y, blocks))
 
     def rms(v):
@@ -411,7 +408,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
     with np.errstate(divide="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_end - t)
-        dmax = np.maximum(d1, rms(rhs(t + h0, y + h0[:, None] * f) - f) / h0)
+        dmax = np.maximum(d1, rms(rhs(y + h0[:, None] * f) - f) / h0)
         h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
                       (0.01 / dmax) ** 0.125)
     h = np.minimum(np.minimum(100.0 * h0, h1), t_end - t)
@@ -423,8 +420,10 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
     while not done.all():
         a = np.flatnonzero(~done)
         ta, ya, ha = t[a], y[a], h[a]
-        if np.any(ha < 10 * np.abs(np.nextafter(ta, np.inf) - ta)):
-            raise StepFailure("step size fell below the rounding level of rho")
+        # written so that a NaN step (a non-finite lane state) fails too
+        if not np.all(ha >= 10 * np.abs(np.nextafter(ta, np.inf) - ta)):
+            raise StepFailure("step size fell below the rounding level of "
+                              "rho, or is not finite")
         tn = np.minimum(ta + np.minimum(np.minimum(ha, cap[a]),
                                         _reach(ya, radii)), t_end[a])
         hs = tn - ta
@@ -432,7 +431,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
         K[0] = f[a]
         for s in range(1, 13):          # stage 12: the step end, y_new
             ys = ya + hs[:, None] * _lincomb(tab.A[s, :s], K)
-            K[s] = rhs(ta + tab.C[s] * hs, ys)
+            K[s] = rhs(ys)
         nfev[a] += 12
         scale = tol[a] + tol[a] * np.sqrt(np.maximum(_block_sq(ya, blocks),
                                                      _block_sq(ys, blocks)))
@@ -456,8 +455,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
         acc, hk, Ka = a[i], hs[i][:, None], K[:, i]
         if dense:
             for s in (13, 14, 15):      # extra stages of the dense output
-                Ka[s] = rhs(ta[i] + tab.C[s] * hs[i],
-                            ya[i] + hk * _lincomb(tab.A[s, :s], Ka))
+                Ka[s] = rhs(ya[i] + hk * _lincomb(tab.A[s, :s], Ka))
             nfev[acc] += 3
             dy, f0, f1 = ys[i] - ya[i], Ka[0], Ka[12]
             coef = np.stack([ya[i], dy, hk * f0 - dy, 2 * dy - hk * (f1 + f0)]
@@ -500,7 +498,11 @@ def _seed_rho(model, origin, v0, rho_max):
 
 def _k_seed_rho(model, origin, v0, rho_max):
     """_seed_rho of a lane with k, which must start inside the flat core:
-    SeedRegionTooSmall when it is below RHO_SEED_MIN."""
+    SeedRegionTooSmall when it is below RHO_SEED_MIN.  Such a lane could
+    start at rho = 0 like any other (k is read off its Jacobi fields), but
+    k is checked against an independent oracle (the finite-difference fan)
+    only from origins in the flat core, so the guard stands until there is
+    an oracle for k from off-core origins."""
     seed = _seed_rho(model, origin, v0, rho_max)
     if seed < RHO_SEED_MIN:
         raise SeedRegionTooSmall(
@@ -515,8 +517,10 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
     their dense output but no samples yet, and the end states (n, dim)."""
     origin = np.asarray(origin, dtype=float)
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
-    if np.any(np.diff(rho_grid) <= 0) or rho_grid[0] <= 0:
-        raise ValueError("rho grid must be positive and strictly increasing")
+    if (not np.all(np.isfinite(rho_grid)) or np.any(np.diff(rho_grid) <= 0)
+            or rho_grid[0] <= 0):
+        raise ValueError("rho grid must be finite, positive and strictly "
+                         "increasing")
     tol = np.broadcast_to(np.asarray(ode_tol, dtype=float),
                           (len(directions),))
     if not np.all(tol > 0):
@@ -525,12 +529,13 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
     g0 = metric_at(model, origin, level=0).g   # also g on each seed line
     frame0 = _frame(g0)
     blocks = _norm_blocks(nj, nk)
+    dim = 8 + 12 * (2 * nj + nk)
     recs = []
     for i, d in enumerate(directions):
         vh = d.hyperboloid_point()
         v0 = vh @ frame0
         seed = (_k_seed_rho if nk else _seed_rho)(model, origin, v0, rho_max)
-        line = np.zeros((2, len(blocks[1])))      # state, d/drho at rho = 0
+        line = np.zeros((2, dim))       # state, d/drho at rho = 0
         st = _unpack(line, nj, nk)
         st["x"][:] = origin, v0
         st["b"][0] = v0
@@ -566,17 +571,19 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     """Integrate several directions from one origin, one lane each.
 
     ode_tol is one tolerance for all directions or one per direction.
-    Returns one GeodesicRecord per direction, each bit-identical to the
-    same direction integrated alone at its own tolerance.  All directions
-    must start inside the flat core when with_k is requested; without k, a
-    lane from an origin outside it starts at rho = 0.  A Schwarzschild
-    lane that reaches the horizon guard stops there (truncated, with its
-    own rho_reached).
+    with_k implies with_jacobi: a record with k integrates x, B, the
+    Jacobi fields and the parallel triad, and its q0 and khat are k in the
+    triad, taken from the Jacobi fields.  Returns one GeodesicRecord per
+    direction, each bit-identical to the same direction integrated alone
+    at its own tolerance.  All directions must start inside the flat core
+    when with_k is requested; without k, a lane from an origin outside it
+    starts at rho = 0.  A Schwarzschild lane that reaches the horizon guard
+    stops there (truncated, with its own rho_reached).
     """
     recs, _ = _lanes(model, origin, directions, rho_grid, ode_tol,
-                     with_jacobi, with_k, True)
-    for rec in recs:
-        for key, val in _eval_ray(rec, rec.rho).items():
+                     with_jacobi or with_k, with_k, True)
+    for rec, st in zip(recs, _eval_rays(recs, [rec.rho for rec in recs])):
+        for key, val in st.items():
             setattr(rec, key, val)
     return recs
 
@@ -598,8 +605,8 @@ def _ray_ends(model, origin, directions, rho, ode_tol):
 
 def exp_map(model, origin, direction, rho_grid, ode_tol=DEFAULT_TOL,
             with_jacobi=False, with_k=False):
-    """Integrate a single geodesic record (optionally with Jacobi fields and
-    the transported second fundamental form)."""
+    """Integrate a single geodesic record (optionally with Jacobi fields,
+    and with the triad and k)."""
     return integrate_rays(model, origin, [direction], rho_grid,
                           ode_tol=ode_tol, with_jacobi=with_jacobi,
                           with_k=with_k)[0]

@@ -159,12 +159,9 @@ def jet_ray_rhs(model, nj, nk):
     from metric_at's level-1 gamma and T_bd = R_abcd B^a B^c from
     cartesian_level2, so independent of the K1-K4 formulas, with the same
     transport arithmetic as geodesic._make_rhs."""
-    from hyperlab.geodesic import mat_to_sym6, sym6_to_mat
     from hyperlab.metric import metric_at
 
-    eye3 = np.eye(3)
-
-    def rhs(rho, y):
+    def rhs(y):
         b = y[:, 4:8]
         jet = metric_at(model, y[:, 0:4], level=1)
         gb = np.einsum('nlmk,nm->nlk', jet.gamma, b)
@@ -186,19 +183,7 @@ def jet_ray_rhs(model, nj, nk):
             p += 24
         if nk:
             E = y[:, p:p + 12].reshape(-1, 3, 4)
-            q0 = y[:, p + 12]
-            kh = sym6_to_mat(y[:, p + 13:p + 19])
-            tidal = np.einsum('nbd,nib,njd->nij', T, E, E)
-            ric_bb = np.einsum('nii->n', tidal)
-            kh2 = np.einsum('nij,njk->nik', kh, kh)
-            kh_sq = np.einsum('nii->n', kh2)
             dy[:, p:p + 12] = -np.einsum('nlk,njk->njl', gb, E).reshape(-1, 12)
-            dy[:, p + 12] = (-(2.0 / rho) * q0 - q0 * q0 / 3.0 - ric_bb
-                             - kh_sq)
-            dkh = (-(2.0 / 3.0) * (3.0 / rho + q0)[:, None, None] * kh
-                   - (tidal - (ric_bb[:, None, None] / 3.0) * eye3)
-                   - (kh2 - (kh_sq[:, None, None] / 3.0) * eye3))
-            dy[:, p + 13:p + 19] = mat_to_sym6(dkh)
         return dy
 
     return rhs

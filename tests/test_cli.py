@@ -61,6 +61,22 @@ def test_exit_code_validation_error(tmp_path, capsys):
         assert not out.exists(), text
 
 
+@pytest.mark.parametrize("text, key", [
+    ("rho_list = inf\n", "rho_list"),
+    ("t_factors = 2.0 inf\n", "t_factors")])
+def test_mass_grid_rejects_non_finite(tmp_path, capsys, text, key):
+    # rho_list = inf passed the > 0 check and the mass run never returned;
+    # t_factors = 2.0 inf passed the > 1 check and wrote an inf row
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[metric]\nkind = minkowski\n[mass]\n" + text)
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(bad))
+    out = tmp_path / "out"
+    assert run_cli(["mass", "--config", str(bad), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_weyl_check_outputs(tmp_path):
     code = run_cli(["weyl-check", "--config", str(CONFIGS / "schwarzschild.ini"),
                     "--out", str(tmp_path), "--plot"])

@@ -345,10 +345,9 @@ def test_ray_terms_match_jet(model, lo, hi, exact, vacuum):
 
     rng = np.random.default_rng(5)
     for nj, nk in ((False, False), (True, True)):
-        y = rng.normal(size=(len(x), 8 + 24 * nj + 19 * nk))
+        y = rng.normal(size=(len(x), 8 + 24 * nj + 12 * nk))
         y[:, 0:4], y[:, 4:8] = x, b
-        rho = rng.uniform(0.5, 10.0, len(x))
-        got, ref = _make_rhs(model, nj, nk)(rho, y), jet_ray_rhs(model, nj, nk)(rho, y)
+        got, ref = _make_rhs(model, nj, nk)(y), jet_ray_rhs(model, nj, nk)(y)
         # every term that differs is gb or T (raised by g^{-1}) times at
         # most two state factors
         s_rhs = ((s_gb + (1.0 + _lane_max(jet.g_inv)) * s_T)
@@ -394,16 +393,14 @@ def test_rhs_batch_independent_across_zones(payload):
     radii = np.array([0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7, 15.0])
     x, b = _ray_states(GLUED, radii, seed=23)
     rng = np.random.default_rng(29)
-    y = rng.normal(size=(len(x), 8 + 43 * payload))
+    y = rng.normal(size=(len(x), 8 + 36 * payload))
     y[:, 0:4], y[:, 4:8] = x, b
-    rho = rng.uniform(0.5, 10.0, len(x))
     rhs = _make_rhs(GLUED, payload, payload)
-    mixed = rhs(rho, y)
+    mixed = rhs(y)
     for i in range(len(y)):
-        assert mixed[i:i + 1].tobytes() == rhs(rho[i:i + 1],
-                                               y[i:i + 1]).tobytes(), i
+        assert mixed[i:i + 1].tobytes() == rhs(y[i:i + 1]).tobytes(), i
     outer = radii >= GLUED.r_out
-    assert mixed[outer].tobytes() == rhs(rho[outer], y[outer]).tobytes()
+    assert mixed[outer].tobytes() == rhs(y[outer]).tobytes()
 
 
 def _mp_ray_coefs(M, r):
