@@ -31,8 +31,9 @@ The spheres come from solve_level_nodes, a curvature-corrected Newton
 solve for each node's rapidity.  Its loose iterates are plain pairs: two
 geodesic lanes per node, at zeta and zeta + _PAIR_DELTA, with no Jacobi
 fields and no k, whose forward difference gives the slope.  Only its tight
-iterates carry Jacobi fields, and no triad: leaf_frames takes every
-record's k from the fields (geodesic._k_jacobi).
+iterates carry Jacobi fields, in coordinates and with no triad:
+leaf_frames takes their k from the fields (geodesic._k_jacobi), and that of
+a record with k from its triad k.
 
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
@@ -216,12 +217,19 @@ def leaf_frames(model, recs, rhos):
     snr[ok] = (eA[ok, :, 1:] @ rad)[:, :, 0]
     frames = FrameSet(T=T, N=N, Nbar=Nbar, B=B, L=T + N, Lb=T - N, eA=eA,
                       g=jet.g, x=x, r=r, varpi=varpi, snr=snr)
-    # k in the orthonormal leaf basis f = {Nbar, eA}; 0 where degenerate
-    k = None
-    if st["j"] is not None:
-        leaf = np.concatenate([Nbar[:, None], eA], axis=1)
-        k = np.zeros((len(x), 3, 3))
-        k[ok] = _k_jacobi(leaf[ok], jet.g[ok], st["j"][ok], st["jp"][ok])
+    # k in the orthonormal leaf basis f = {Nbar, eA}; 0 where degenerate.
+    # With k: the triad's khat rotated by C_ab = <f_a, E_b>, plus trk/3 I,
+    # so the error of C (terms of size cosh(zeta)^2) meets only the small khat
+    k = None if st["j"] is None else np.zeros((len(x), 3, 3))
+    leaf = np.concatenate([Nbar[:, None], eA], axis=1)[ok]
+    if st["q0"] is not None:
+        C = leaf @ jet.g[ok] @ _T(st["triad"][ok])
+        k[ok] = C @ st["khat"][ok] @ _T(C) + (1.0 / rho[ok] + st["q0"][ok]
+                                              / 3.0)[:, None, None] * np.eye(3)
+        k = 0.5 * (k + _T(k))
+    elif k is not None:
+        k[ok] = _k_jacobi(leaf, jet.g[ok], st["j"][ok], st["jp"][ok])
+    if k is not None:
         trk = np.trace(k, axis1=1, axis2=2)
         k = SecondFundamental(
             k=k, trk=trk, khat=k - (trk / 3.0)[:, None, None] * np.eye(3))
@@ -770,12 +778,13 @@ def _transverse_residuals(model, rec, rhos, lf, C):
     d = rec.direction
     params = np.array([d.zeta, *d.angles()])
     # the mini-fan: a 5x5x5 fan of spacing _FAN_DELTA with the record in the
-    # middle, of which only the 12 stencil neighbours are integrated
+    # middle, of which only the 12 stencil neighbours are integrated, as
+    # plain lanes: only their leaf scalars u and b^-1 are read
     steps = [_FAN_DELTA] * 3
     dirs = [direction_from_angles(*(params + _FAN_DELTA * j))
             for j in _stencil5((5, 5, 5), (2, 2, 2), steps)]
     recs = integrate_rays(model, rec.origin, dirs, [float(rhos.max())],
-                          ode_tol=rec.ode_tol, with_k=True)
+                          ode_tol=rec.ode_tol)
     sc = leaf_frames(model, recs, rhos).scalars
     du_p = _fan_partials(sc.u.reshape(len(recs), -1), steps)
     dbinv_p = _fan_partials((1.0 / sc.b).reshape(len(recs), -1), steps)

@@ -1,74 +1,65 @@
 """Exponential map from an origin event: timelike geodesics parametrized by
 proper time rho, Jacobi fields realizing the intrinsic boost vector fields,
-and a parallel-transported spatial triad.
+and a parallel-transported spatial triad E, orthogonal to B.
 
-The full per-ray state is integrated as one first-order system:
+Each ray is one first-order system: x' = B, B' = -Gamma(B, B), and a
+payload.  A record with Jacobi fields alone (the leaf solver's tight
+iterates) carries them in coordinates,
 
-    x' = B                                  (position)
-    B'^l = -G^l_mn B^m B^n                  (geodesic)
-    J'^l = P^l - G^l_mn B^m J^n             (Jacobi field, coordinate comps)
-    P'^l = R^l_bcd B^b B^c J^d - G^l_mn B^m P^n     (D^2 J/drho^2 = R(B,J)B)
-    E'^l = -G^l_mn B^m E^n                  (parallel triad, orthogonal to B)
+    J' = P - Gamma(B, J),   P' = R(B, J)B - Gamma(B, P);
 
-No Christoffel or Riemann array is built.  A plain lane (x and B alone, the
-leaf solver's loose iterates) takes B' = -Gamma(B, B) from
-metric._ray_accel, five scalars per lane.  A lane with a payload makes one
-metric._ray_terms call, which gives G^l_mn B^m, the tidal tensor
+a record with k carries E' = -Gamma(B, E) and the Jacobi fields J_a with
+J_a = 0 and DJ_a/drho = E_a at rho = 0 as triad components, J_a = j_ab E_b
+and DJ_a/drho = p_ab E_b:  j' = p,  p' = -j Tt,  Tt_ab = T(E_a, E_b).
+
+No Christoffel or Riemann array is built.  A plain lane (x and B alone)
+takes B' from metric._ray_accel, five scalars per lane.  A payload lane
+makes one metric._ray_terms call, which gives G^l_mn B^m, the tidal tensor
 T_bd = R_abcd B^a B^c (from the four orthonormal curvature functions K1-K4
 of a static spherical metric) and g^{-1} at once, as V^T c V + d I_s on the
-per-lane basis V = (e0, u, v): one coefficient stack and two stacked
-matmuls.  Both take their scalars from metric._radial: a lane on the
-Schwarzschild chart (r >= r_out in the glued model) takes closed exterior
-forms, K = (-2, 1, -1, 2) 2M/R^3 with R = r + 2M, and skips the blend; the
-other lanes of the batch take the blended profiles.  The Jacobi term uses
-T by pair symmetry: R^l_bcd B^b B^c = -g^{la} T_ad.
+per-lane basis V = (e0, u, v).  Both take their scalars from
+metric._radial: a lane on the Schwarzschild chart (r >= r_out in the glued
+model) takes closed exterior forms and skips the blend.  The coordinate
+Jacobi term uses R^l_bcd B^b B^c = -g^{la} T_ad.
 
 The second fundamental form of H_rho is read off the Jacobi fields, not
-integrated: the J_i are tangent to the leaf and commute with B, so
-k(J_i, J_j) = <P_i, J_j> (_k_jacobi).  A record with k carries the
-Jacobi fields and the triad, and its k in the triad, q0 = trk - 3/rho and
-the trace-free khat, is computed where the record is read.
+integrated: they are tangent to the leaf and commute with B, so
+k(J_a, J_b) = <P_a, J_b>, and k in the triad is j^-1 p (q0 = trk - 3/rho
+and the trace-free khat).  j ~ rho I and p ~ I have invariant sizes, so
+the error norm holds k to the lane's tolerance at any rapidity; coordinate
+J and P grow like cosh(zeta), and k read off them is off by about
+cosh(zeta)^2 times the tolerance.  A record with k gives the boost fields
+J_i = C_ia J_a, C_ia = <W_i, E_a> at rho = 0, in coordinates on read.
 
 Each record holds its straight line as one (2, dim) array _line: the lane
-state at rho = 0 (x = origin, B = V, P = W, the triad E) and its
-rho-derivative (x' = V, J' = W), with W_i = V^i e_0 + V^0 e_i the boost
-Jacobi data; there k = gbar/rho exactly, so q0 and khat are zero.  One seed
-rule holds for every lane (_seed_rho): from an origin in the flat core the
-line is exact there, and the integrator starts from it at the largest
-proper time still inside the core, with or without k; from an origin
-outside the core a lane without k starts at rho = 0 exactly, from the
-origin state (its right-hand side does not read rho), and a lane with k
-raises SeedRegionTooSmall (_k_seed_rho).  state_at evaluates the line below
-the seed.
+state at rho = 0 and its rho-derivative, with W_i = V^i e_0 + V^0 e_i the
+boost Jacobi data (J = rho W, P = W, or j = rho I, p = I).  There
+k = gbar/rho exactly, so q0 and khat are zero.  One seed rule holds for
+every lane (_seed_rho): from an origin in the flat core the integrator
+starts from the line at the largest proper time still inside the core;
+from an origin outside it a lane without k starts at rho = 0 from the
+origin state, and a lane with k raises SeedRegionTooSmall (_k_seed_rho).
+state_at evaluates the line below the seed.
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
-A, C, E3, E5 and D are scipy's, kept bit for bit in dop853.npz, so the
-runtime needs numpy alone) in which each ray is a lane with its own seed,
-step size, error norm, tolerance, accept/reject decision, end point and
-dense output.  Only active lanes are evaluated, and the system is
-autonomous: the right-hand side reads the lane states alone.  Without
-dense output the integrator takes the same steps without the three
-dense-output stages and keeps only each lane's end state.  The leaf solver
-runs all its iterates so: its loose ones are plain lanes of _lanes (no
-Jacobi fields, no k), read at their end states alone, and _ray_ends gives
-its tight leaf records, with Jacobi fields but no triad, their one sample
-at rho.
-The error norm scales each block of the state (x^0, x^i, B^0, B^i, the time
-and the spatial parts of J, P and the triad) by the lane's tol
-(1 + |block|), so it does not change under spatial rotations.  The glued
-profiles are only C^2 at r_in and r_out, so no step straddles either
-radius: a step is shortened onto the crossing.  A Schwarzschild lane stops
-on the horizon guard 2M (1 + 2 HORIZON_MARGIN) and is marked truncated.
-Every contraction is per lane: the right-hand side's products are stacked
-matmuls, one small matrix product per lane (the basis product of
-metric._ray_terms, Gamma(B, .) of the B, J, P and E rows at once, and the
-Jacobi term), each stage sum is one einsum that sums the stage axis in
-index order, and the rest is elementwise in a fixed order.  No lane's
-arithmetic sees another lane, so every record is bit-identical to the same
-direction integrated alone at its own tolerance, whatever the rest of the
-batch and its tolerances.  A scalar tolerance is the same as that value on
-every lane.
+are scipy's, kept bit for bit in dop853.npz, so the runtime needs numpy
+alone) in which each ray is a lane with its own seed, step size, error
+norm, tolerance, accept/reject decision, end point and dense output.  Only
+active lanes are evaluated, and the system is autonomous.  Without dense
+output (the leaf solver's iterates, read at their end states by _lanes and
+_ray_ends) the integrator takes the same steps without the three
+dense-output stages.  The error norm scales each block of the state (x^0,
+x^i, B^0, B^i, the time and the spatial parts of J, P or E, and each
+field's row of j and p) by the lane's tol (1 + |block|), so it does not
+change under spatial rotations.  The glued profiles are only C^2 at r_in and r_out, so
+a step that would straddle either radius is shortened onto it.  A
+Schwarzschild lane stops on the horizon guard 2M (1 + 2 HORIZON_MARGIN) and
+is marked truncated.  Every contraction is per lane (stacked matmuls, and
+one einsum per stage sum, summing the stage axis in index order), so every
+record is bit-identical to the same direction integrated alone at its own
+tolerance, whatever the rest of the batch.  A scalar tolerance is the same
+as that value on every lane.
 """
 
 from dataclasses import dataclass, field
@@ -87,7 +78,8 @@ DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
 RHO_SEED_MIN = 1e-3
 SHELL_TOL = 1e-10       # a step lands on a radius R to within SHELL_TOL R
-_FIELDS = ("x", "b", "j", "jp", "triad", "q0", "khat")   # keys of _unpack
+_FIELDS = ("x", "b", "j", "jp", "triad", "q0", "khat")   # keys of state_at
+_DIM = {(0, 0): 8, (1, 0): 32, (1, 1): 38}  # lane width by (jacobi, k)
 
 
 @dataclass(frozen=True)
@@ -150,10 +142,10 @@ class GeodesicRecord:
     rho: np.ndarray                 # requested sample grid
     x: np.ndarray                   # (n,4)
     b: np.ndarray                   # (n,4)
-    j: np.ndarray = None            # (n,3,4)
+    j: np.ndarray = None            # (n,3,4) boost Jacobi fields J_i
     jp: np.ndarray = None           # (n,3,4) covariant rho-derivatives
     triad: np.ndarray = None        # (n,3,4) parallel triad, orthogonal to B
-    q0: np.ndarray = None           # (n,)   trk - 3/rho, k from the J fields
+    q0: np.ndarray = None           # (n,)   trk - 3/rho, k = j^-1 p in the triad
     khat: np.ndarray = None         # (n,3,3) trace-free part of k in the triad
     ode_tol: float = DEFAULT_TOL    # this lane's own tolerance
     rho_seed: float = 0.0
@@ -165,6 +157,7 @@ class GeodesicRecord:
     _line: np.ndarray = field(default=None, repr=False)  # y, y' at rho = 0
     _dense: tuple = field(default=None, repr=False)    # (step ends, coefs)
     _layout: tuple = field(default=None, repr=False)   # (with_jacobi, with_k)
+    _boost: np.ndarray = field(default=None, repr=False)  # with k: W | C
 
     @property
     def has_jacobi(self):
@@ -203,9 +196,8 @@ class GeodesicRecord:
 def _eval_rays(recs, rqs):
     """The fields of each record of recs (one model and layout) at its
     proper times rqs[i]: the straight line up to rho_seed, the dense output
-    above it.  With k, q0 and khat are k in the triad from the Jacobi
-    fields (_k_jacobi), over all points at once; on the line, where
-    k = gbar/rho, they are exact zeros."""
+    above it.  With k, k = j^-1 p and J_i = C_ia j_ab E_b, P_i = C_ia p_ab E_b
+    above the seed, and J_i = rho W_i, P_i = W_i and zero q0, khat on it."""
     ys, above = [], []
     for rec, rq in zip(recs, rqs):
         y = rec._line[0] + rq[:, None] * rec._line[1]
@@ -213,14 +205,19 @@ def _eval_rays(recs, rqs):
         if np.any(above[-1]):
             y[above[-1]] = _dense_eval(*rec._dense, rq[above[-1]])
         ys.append(y)
-    out = _unpack(np.concatenate(ys), *recs[0]._layout)
+    raw = _unpack(np.concatenate(ys), *recs[0]._layout)
+    out = {key: raw.get(key) for key in _FIELDS}
     if recs[0]._layout[1]:
         rq, up = np.concatenate(rqs), np.concatenate(above)
+        WC = np.concatenate([np.broadcast_to(rec._boost, (len(r), 3, 7))
+                             for rec, r in zip(recs, rqs)])
+        W, C = WC[..., :4], WC[..., 4:]
+        E, jt, pt = raw["triad"][up], raw["jt"][up], raw["pt"][up]
+        out["j"], out["jp"] = rq[:, None, None] * W, W.copy()
+        out["j"][up], out["jp"][up] = (C[up] @ jt) @ E, (C[up] @ pt) @ E
         k = np.zeros((len(rq), 3, 3))
-        if np.any(up):
-            g = metric_at(recs[0].model, out["x"][up], level=0).g
-            k[up] = _k_jacobi(out["triad"][up], g, out["j"][up],
-                              out["jp"][up])
+        k[up] = np.linalg.solve(jt, pt)
+        k = 0.5 * (k + k.transpose(0, 2, 1))
         trk = np.trace(k, axis1=1, axis2=2)
         out["q0"] = np.where(up, trk - 3.0 / rq, 0.0)
         out["khat"] = k - (trk / 3.0)[:, None, None] * np.eye(3)
@@ -232,12 +229,9 @@ def _eval_rays(recs, rqs):
 
 
 def _k_jacobi(basis, g, j, jp):
-    """k in a g-orthonormal basis (n, 3, 4) of the leaf's tangent space
-    (the parallel triad, or the leaf basis {Nbar, e_A}) from the boost
-    Jacobi fields j and P = jp.  The J_i are tangent to the leaf and commute
-    with B, so K_ij = k(J_i, J_j) = <P_i, J_j>; with M_ia = <J_i, f_a>, k in
-    the basis f is M^-1 K M^-T, symmetrised (its antisymmetric part is
-    rounding).  Stacked matmuls, one per point."""
+    """k in a g-orthonormal basis f (n, 3, 4) of the leaf's tangent space
+    from coordinate Jacobi fields j and P = jp: with K_ij = <P_i, J_j> and
+    M_ia = <J_i, f_a>, k = M^-1 K M^-T, symmetrised (the rest is rounding)."""
     jg = j @ g
     M = jg @ basis.transpose(0, 2, 1)
     K = jp @ jg.transpose(0, 2, 1)
@@ -261,21 +255,17 @@ def _dense_eval(ts, coef, rq):
 
 
 def _unpack(y, nj, nk):
-    """y: (m, dim) lane states -> dict of views into y; q0 and khat, which
-    no lane state holds, are None."""
+    """y: (m, dim) lane states -> dict of views: x, b, and coordinate j and
+    jp, or the triad with the triad components jt and pt of the J_a."""
     m = y.shape[0]
-    o = {}
-    o["x"] = y[:, 0:4]
-    o["b"] = y[:, 4:8]
-    p = 8
-    if nj:
-        o["j"] = y[:, p:p + 12].reshape(m, 3, 4)
-        o["jp"] = y[:, p + 12:p + 24].reshape(m, 3, 4)
-        p += 24
-    else:
-        o["j"] = o["jp"] = None
-    o["triad"] = y[:, p:p + 12].reshape(m, 3, 4) if nk else None
-    o["q0"] = o["khat"] = None
+    o = {"x": y[:, 0:4], "b": y[:, 4:8]}
+    if nk:
+        o["triad"] = y[:, 8:20].reshape(m, 3, 4)
+        o["jt"] = y[:, 20:29].reshape(m, 3, 3)
+        o["pt"] = y[:, 29:38].reshape(m, 3, 3)
+    elif nj:
+        o["j"] = y[:, 8:20].reshape(m, 3, 4)
+        o["jp"] = y[:, 20:32].reshape(m, 3, 4)
     return o
 
 
@@ -284,10 +274,10 @@ def _make_rhs(model, nj, nk):
     autonomous, so it reads no rho.  A plain lane (x and B alone) takes
     B' = -Gamma(B, B) from the five per-lane scalars of metric._ray_accel
     and forms no matrix.  A payload lane takes Gamma(B, .), the tidal
-    tensor T and g^{-1} from one metric._ray_terms call; B, J, P and the
-    triad E are contiguous rows of 4 in the state, so one per-lane matmul
-    with gb^T gives Gamma(B, .) of every row at once."""
-    m = 1 + 3 * (2 * nj + nk)               # rows B, J_i, P_i, E_i
+    tensor T and g^{-1} from one metric._ray_terms call; B and the rows of
+    J and P, or of the triad E, are contiguous rows of 4 in the state, so
+    one per-lane matmul with gb^T gives Gamma(B, .) of every row at once."""
+    m = 1 + (3 if nk else 6 * nj)          # rows B, J_i, P_i or B, E_a
 
     def rhs(y):
         if m == 1:
@@ -297,10 +287,15 @@ def _make_rhs(model, nj, nk):
         gb, T, g_inv = _ray_terms(model, y[:, 0:4], y[:, 4:8])
         Y = y[:, 4:4 + 4 * m].reshape(n, m, 4)
         dY = -(Y @ gb.transpose(0, 2, 1))   # -Gamma(B, row) for every row
-        if nj:
+        dy = np.empty_like(y)
+        if nk:
+            E = Y[:, 1:4]
+            Tt = (E @ T) @ E.transpose(0, 2, 1)
+            dy[:, 20:29] = y[:, 29:38]          # dj = p, dp = -j E T E^T
+            dy[:, 29:38] = -(y[:, 20:29].reshape(n, 3, 3) @ Tt).reshape(n, 9)
+        else:
             dY[:, 1:4] += Y[:, 4:7]                 # dJ = P - Gamma(B, J)
             dY[:, 4:7] -= (Y[:, 1:4] @ T) @ g_inv   # dP = R(B, J)B - Gamma(B, P)
-        dy = np.empty_like(y)
         dy[:, 0:4] = y[:, 4:8]
         dy[:, 4:4 + 4 * m] = dY.reshape(n, 4 * m)
         return dy
@@ -313,13 +308,16 @@ def _make_rhs(model, nj, nk):
 
 def _norm_blocks(nj, nk):
     """Error-norm blocks of the state layout, an index table (blocks, 9)
-    padded with dim (a zero column): x^0, x^i, B^0, B^i, and the time and
-    the spatial parts of J, P and the triad over their three fields."""
+    padded with dim (a zero column): x^0, x^i, B^0, B^i, the time and the
+    spatial parts of J, P or E over their three fields, and each row of j
+    and p, whose norm is the invariant length of one J_a or DJ_a/drho."""
     blocks = [[0], [1, 2, 3], [4], [5, 6, 7]]
-    dim = 8 + 12 * (2 * nj + nk)
-    for p in range(8, dim, 12):
+    dim = _DIM[nj, nk]
+    for p in range(8, 20 if nk else dim, 12):
         f = np.arange(p, p + 12).reshape(3, 4)
         blocks += [f[:, 0], f[:, 1:].ravel()]
+    if nk:
+        blocks += list(np.arange(20, 38).reshape(6, 3))
     table = np.full((len(blocks), 9), dim)
     for i, blk in enumerate(blocks):
         table[i, :len(blk)] = blk
@@ -529,7 +527,7 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
     g0 = metric_at(model, origin, level=0).g   # also g on each seed line
     frame0 = _frame(g0)
     blocks = _norm_blocks(nj, nk)
-    dim = 8 + 12 * (2 * nj + nk)
+    dim = _DIM[nj, nk]
     recs = []
     for i, d in enumerate(directions):
         vh = d.hyperboloid_point()
@@ -539,15 +537,18 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
         st = _unpack(line, nj, nk)
         st["x"][:] = origin, v0
         st["b"][0] = v0
-        if nj:      # the boost fields: W_i = V^i e_0 + V^0 e_i
-            st["jp"][0] = st["j"][1] = (vh[1:, None] * frame0[0]
-                                        + vh[0] * frame0[1:])
+        W = vh[1:, None] * frame0[0] + vh[0] * frame0[1:]   # boost fields
+        boost = None
         if nk:      # the frame vectors are coordinate-constant in the core
-            st["triad"][0] = _orthonormalize(g0, [v0], frame0[1:], 3)
+            E = st["triad"][0] = _orthonormalize(g0, [v0], frame0[1:], 3)
+            st["pt"][0] = st["jt"][1] = np.eye(3)       # J_a = rho E_a
+            boost = np.concatenate([W, W @ g0 @ E.T], axis=1)
+        elif nj:
+            st["jp"][0] = st["j"][1] = W
         recs.append(GeodesicRecord(
             model=model, origin=origin, direction=d, v0=v0, frame0=frame0,
             rho=rho_grid, x=None, b=None, ode_tol=float(tol[i]),
-            rho_seed=seed, _line=line, _layout=(nj, nk)))
+            rho_seed=seed, _line=line, _layout=(nj, nk), _boost=boost))
 
     radii = [(R, False) for R in model.shell_radii]
     if model.kind == "schwarzschild":
@@ -572,9 +573,9 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
 
     ode_tol is one tolerance for all directions or one per direction.
     with_k implies with_jacobi: a record with k integrates x, B, the
-    Jacobi fields and the parallel triad, and its q0 and khat are k in the
-    triad, taken from the Jacobi fields.  Returns one GeodesicRecord per
-    direction, each bit-identical to the same direction integrated alone
+    parallel triad and the Jacobi fields in the triad, and its q0 and khat
+    are k in the triad, taken from the Jacobi fields.  Returns one
+    GeodesicRecord per direction, each bit-identical to the same direction integrated alone
     at its own tolerance.  All directions must start inside the flat core
     when with_k is requested; without k, a lane from an origin outside it
     starts at rho = 0.  A Schwarzschild lane that reaches the horizon guard
@@ -597,9 +598,9 @@ def _ray_ends(model, origin, directions, rho, ode_tol):
     recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True,
                          False, False)
     for rec, y in zip(recs, y_end):
-        for key, val in _unpack(y[None][:len(rec.rho)], True,
-                                False).items():
-            setattr(rec, key, val)
+        st = _unpack(y[None][:len(rec.rho)], True, False)
+        for key in _FIELDS:
+            setattr(rec, key, st.get(key))
     return recs
 
 

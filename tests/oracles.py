@@ -158,7 +158,9 @@ def jet_ray_rhs(model, nj, nk):
     """Geodesic right-hand side built on the Cartesian jet: Gamma(B, .)
     from metric_at's level-1 gamma and T_bd = R_abcd B^a B^c from
     cartesian_level2, so independent of the K1-K4 formulas, with the same
-    transport arithmetic as geodesic._make_rhs."""
+    transport arithmetic as geodesic._make_rhs: coordinate J and P with
+    Jacobi fields alone, the triad E and the triad components j and p of
+    the Jacobi fields (j' = p, p' = -j E T E^T) with k."""
     from hyperlab.metric import metric_at
 
     def rhs(y):
@@ -170,20 +172,22 @@ def jet_ray_rhs(model, nj, nk):
         dy = np.empty_like(y)
         dy[:, 0:4] = b
         dy[:, 4:8] = -np.einsum('nlk,nk->nl', gb, b)
-        p = 8
-        if nj:
-            J = y[:, p:p + 12].reshape(-1, 3, 4)
-            P = y[:, p + 12:p + 24].reshape(-1, 3, 4)
+        if nk:
+            E = y[:, 8:20].reshape(-1, 3, 4)
+            jt = y[:, 20:29].reshape(-1, 3, 3)
+            Tt = np.einsum('nai,nij,nbj->nab', E, T, E)
+            dy[:, 8:20] = -np.einsum('nlk,njk->njl', gb, E).reshape(-1, 12)
+            dy[:, 20:29] = y[:, 29:38]
+            dy[:, 29:38] = -np.einsum('nac,ncb->nab', jt, Tt).reshape(-1, 9)
+        elif nj:
+            J = y[:, 8:20].reshape(-1, 3, 4)
+            P = y[:, 20:32].reshape(-1, 3, 4)
             RB = -np.einsum('nlb,nbd->nld', jet.g_inv, T)
             dJ = P - np.einsum('nlk,njk->njl', gb, J)
             dP = (np.einsum('nld,njd->njl', RB, J)
                   - np.einsum('nlk,njk->njl', gb, P))
-            dy[:, p:p + 12] = dJ.reshape(-1, 12)
-            dy[:, p + 12:p + 24] = dP.reshape(-1, 12)
-            p += 24
-        if nk:
-            E = y[:, p:p + 12].reshape(-1, 3, 4)
-            dy[:, p:p + 12] = -np.einsum('nlk,njk->njl', gb, E).reshape(-1, 12)
+            dy[:, 8:20] = dJ.reshape(-1, 12)
+            dy[:, 20:32] = dP.reshape(-1, 12)
         return dy
 
     return rhs

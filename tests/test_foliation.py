@@ -245,8 +245,8 @@ def test_structure_residuals_requires_k():
 def test_transverse_residuals_polar_axis():
     # on the polar axis of the mini-fan's (theta, phi) chart d/dphi vanishes
     # and the Gram matrix of the parameter tangents is singular; a record
-    # tilted off the axis by 1e-6 keeps the identity (t_of_u 4.6e-11), and
-    # so does one tilted by 1e-8 (t_of_u 4.7e-11), a tilt at which
+    # tilted off the axis by 1e-6 keeps the identity (t_of_u 2.5e-11), and
+    # so does one tilted by 1e-8 (t_of_u 2.5e-11), a tilt at which
     # arccos(omega_z) would round theta to 0
     for tilt, singular in ((0.0, True), (1e-6, False), (1e-8, False)):
         rec = exp_map(GLUED, np.zeros(4),
@@ -496,11 +496,10 @@ def test_leaf_records_match_integrate_rays():
     (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t", "uhat"])
 def test_leaf_k_matches_tighter_records(rho, target, nodes, level):
     # the leaf records keep only their end states, at TIGHT_TOL; their k,
-    # from the Jacobi fields, against that of integrate_rays at 1e-13 on
-    # the same directions, in the same leaf basis.  Both come from
-    # _k_jacobi, so this checks the tight round's accuracy, and the FD fan
-    # oracle (criterion 6) checks the formula.  Largest entry difference,
-    # relative to the largest entry of k: 6.4e-12 (t) and 1.3e-12 (uhat)
+    # from the coordinate Jacobi fields (_k_jacobi), against that of
+    # integrate_rays with k at 1e-13 on the same directions (j^-1 p in the
+    # triad, rotated), in the same leaf basis.  Largest entry difference,
+    # relative to the largest entry of k: 7.7e-12 (t) and 1.7e-12 (uhat)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
     assert not any(r.has_k for r in recs)
@@ -514,24 +513,22 @@ def test_leaf_k_matches_tighter_records(rho, target, nodes, level):
 
 
 def test_triad_k_matches_leaf_k():
-    # one helper, geodesic._k_jacobi, gives k in the parallel triad E of
-    # state_at and in the leaf basis f = {Nbar, e_A} of leaf_frames; on the
-    # same records the two agree after the rotation C_ab = <f_a, E_b>, up
-    # to the drift of <E_a, E_b>, <E_a, B> and <B, B> off their exact
-    # values, which is of the order of ode_tol.  At 1e-13 the largest
-    # difference is 3.3e-13 (centred) and 5.5e-13 (offset) of |k|
+    # the two sources of k agree: a record with k reads it as j^-1 p in its
+    # parallel triad, and leaf_frames rotates that into the leaf basis
+    # f = {Nbar, e_A}; a record with Jacobi fields alone integrates them in
+    # coordinates, and leaf_frames takes its k by geodesic._k_jacobi.  At
+    # 1e-14 the largest difference is 2.9e-14 (centred) and 1.6e-13
+    # (offset) of |k|
     for origin, d, rho in (
             (np.zeros(4), Direction(1.0, (1, 0, 0)), np.linspace(1, 30, 8)),
             (np.array([0.0, 0.2, 0.0, 0.0]), Direction(2.0, (0.6, 0.0, 0.8)),
              np.linspace(1, 55, 12))):
-        rec = exp_map(GLUED, origin, d, rho, ode_tol=1e-13, with_k=True)
-        lf = leaf_frames(GLUED, [rec], rec.rho).require_frames()
-        leaf = np.concatenate([lf.frames.Nbar[:, None], lf.frames.eA], axis=1)
-        C = np.einsum('nai,nij,nbj->nab', leaf, lf.frames.g, lf.st["triad"])
-        k_triad = (lf.st["khat"] + (1.0 / rec.rho + lf.st["q0"] / 3.0)
-                   [:, None, None] * np.eye(3))
-        k_leaf = C @ k_triad @ np.swapaxes(C, 1, 2)
-        assert np.abs(k_leaf - lf.k.k).max() <= 1e-12 * np.abs(lf.k.k).max()
+        rec = exp_map(GLUED, origin, d, rho, ode_tol=1e-14, with_k=True)
+        jac = exp_map(GLUED, origin, d, rho, ode_tol=1e-14, with_jacobi=True)
+        assert rec.has_k and not jac.has_k
+        k_triad = leaf_frames(GLUED, [rec], rec.rho).require_frames().k.k
+        k_jac = leaf_frames(GLUED, [jac], jac.rho).require_frames().k.k
+        assert np.abs(k_triad - k_jac).max() <= 1e-12 * np.abs(k_jac).max()
 
 
 def test_centred_leaves_work_and_mass(monkeypatch):

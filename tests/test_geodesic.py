@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
-from hyperlab.foliation import second_fundamental_fd_oracle
+from hyperlab.foliation import leaf_frames, second_fundamental_fd_oracle
 from hyperlab.geodesic import (RHO_SEED_MIN, Direction, GeodesicRecord,
                                _lincomb, _make_rhs, _tableau, exp_map,
                                fan_build, integrate_rays)
@@ -122,6 +122,25 @@ def test_norm_and_tangency_invariants_glued():
             assert abs(rec.jp[i, j] @ g @ rec.b[i]) < 1e-8
         tri = np.einsum('ia,ab,jb->ij', rec.triad[i], g, rec.triad[i])
         assert np.abs(tri - np.eye(3)).max() < 1e-9
+
+
+@pytest.mark.parametrize("zeta", [4.5, 6.0])
+def test_k_at_high_rapidity(zeta):
+    # k at the CLI's default tolerance 1e-10 against the same ray at 1e-14,
+    # within 10 tol: in the triad (q0, khat) and rotated into the leaf
+    # basis (leaf_frames).  The Jacobi fields are integrated as triad
+    # components, whose size does not grow with the rapidity; in coordinates
+    # they grow like cosh(zeta), and k was 3.4e-8 (4.5) and 8.2e-7 (6) off.
+    # It reads 6.1e-12 and 1.5e-12 in the triad, 3.5e-12 and 3.0e-11 in the
+    # leaf basis
+    d = [Direction(zeta, (0.6, 0.0, 0.8))]
+    rho = np.linspace(2.0, 20.0, 10)
+    got, ref = (integrate_rays(GLUED, np.zeros(4), d, rho, ode_tol=tol,
+                               with_k=True)[0] for tol in (1e-10, 1e-14))
+    assert np.abs(got.q0 - ref.q0).max() <= 1e-9
+    assert np.abs(got.khat - ref.khat).max() <= 1e-9
+    k_got, k_ref = (leaf_frames(GLUED, [r], rho).k.k for r in (got, ref))
+    assert np.abs(k_got - k_ref).max() <= 1e-9
 
 
 def test_gram_symmetry_along_ray(glued_record):

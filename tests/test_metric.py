@@ -344,12 +344,14 @@ def test_ray_terms_match_jet(model, lo, hi, exact, vacuum):
         assert np.all(np.abs(np.einsum('nbd,nbd->n', g_inv, T)) <= 1e-10 * terms)
 
     rng = np.random.default_rng(5)
-    for nj, nk in ((False, False), (True, True)):
-        y = rng.normal(size=(len(x), 8 + 24 * nj + 12 * nk))
+    for nj, nk, dim in ((False, False, 8), (True, False, 32),
+                        (True, True, 38)):
+        y = rng.normal(size=(len(x), dim))
         y[:, 0:4], y[:, 4:8] = x, b
         got, ref = _make_rhs(model, nj, nk)(y), jet_ray_rhs(model, nj, nk)(y)
         # every term that differs is gb or T (raised by g^{-1}) times at
-        # most two state factors
+        # most two state factors, or with k T times j and two triad rows,
+        # which the same scale still bounds
         s_rhs = ((s_gb + (1.0 + _lane_max(jet.g_inv)) * s_T)
                  * np.maximum(1.0, _lane_max(y)) ** 2)
         assert np.all(_lane_max(got - ref) <= 1e-13 * s_rhs)
@@ -393,7 +395,7 @@ def test_rhs_batch_independent_across_zones(payload):
     radii = np.array([0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7, 15.0])
     x, b = _ray_states(GLUED, radii, seed=23)
     rng = np.random.default_rng(29)
-    y = rng.normal(size=(len(x), 8 + 36 * payload))
+    y = rng.normal(size=(len(x), 8 + 30 * payload))
     y[:, 0:4], y[:, 4:8] = x, b
     rhs = _make_rhs(GLUED, payload, payload)
     mixed = rhs(y)
