@@ -59,8 +59,8 @@ from .errors import (BracketFailure, CentralLineDegenerate,
                      CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
                      SingularityTruncated, Unreachable)
 from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_jacobi, _k_seed_rho,
-                       _lanes, _ray_ends, direction_from_angles,
-                       integrate_rays)
+                       _lanes, _ray_ends, _states_at,
+                       direction_from_angles, integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
                      _orthonormalize, _zs_floor, curvature_at, metric_at)
 
@@ -170,13 +170,13 @@ def _sphere_pair(g, fixed):
 def leaf_frames(model, recs, rhos):
     """Leaf scalars, frames, radial overlap and k in the leaf basis (from
     the Jacobi fields, when the records carry them) of every record of recs
-    at every rho of rhos, record by record, from one level-0 metric jet.
+    at every rho of rhos, read in one batch, from one level-0 metric jet.
 
     Points with rtilde below FRAME_FLOOR are flagged in `degenerate`; their
     scalars are valid, their frames are not built.
     """
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    sts = [rec.state_at(rhos) for rec in recs]
+    sts = _states_at(recs, rhos)
     st = {key: None if sts[0][key] is None
           else np.concatenate([s[key] for s in sts]) for key in sts[0]}
     rho = np.tile(rhos, len(recs))
@@ -422,7 +422,7 @@ def _paired_slope(model, origin, rho, z, thetas, phis, tol, level, r_floor):
             zip(np.concatenate([z, z + _PAIR_DELTA]), np.tile(thetas, 2),
                 np.tile(phis, 2))]
     recs, y = _lanes(model, origin, dirs, [rho], np.tile(tol, 2), False,
-                     False, False)
+                     False)
     F = _level_at(model, origin[0], y[:, :4],
                   [rec.truncated for rec in recs], level, r_floor)
     corr = 1.0 + 0.5 * _flat_curvature(z, level) * _PAIR_DELTA
@@ -625,9 +625,9 @@ def second_fundamental_fd_oracle(model, fan, index, rho):
     """
     steps = [np.diff(grid).mean()
              for grid in (fan.zeta_grid, fan.theta_grid, fan.phi_grid)]
-    sts = [fan.record(*j).state_at(rho)
-           for j in np.add(index, _stencil5(fan.shape, index, steps))]
-    center = fan.record(*index).state_at(rho)
+    nbrs = np.add(index, _stencil5(fan.shape, index, steps))
+    *sts, center = _states_at([fan.record(*j) for j in nbrs]
+                              + [fan.record(*index)], rho)
     x0, b0 = center["x"], center["b"]
     jet = metric_at(model, x0, level=1)
     X = _fan_partials([st["x"] for st in sts], steps)

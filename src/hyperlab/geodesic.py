@@ -45,21 +45,22 @@ Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
 are scipy's, kept bit for bit in dop853.npz, so the runtime needs numpy
 alone) in which each ray is a lane with its own seed, step size, error
-norm, tolerance, accept/reject decision, end point and dense output.  Only
-active lanes are evaluated, and the system is autonomous.  Without dense
-output (the leaf solver's iterates, read at their end states by _lanes and
-_ray_ends) the integrator takes the same steps without the three
-dense-output stages.  The error norm scales each block of the state (x^0,
-x^i, B^0, B^i, the time and the spatial parts of J, P or E, and each
-field's row of j and p) by the lane's tol (1 + |block|), so it does not
-change under spatial rotations.  The glued profiles are only C^2 at r_in and r_out, so
-a step that would straddle either radius is shortened onto it.  A
-Schwarzschild lane stops on the horizon guard 2M (1 + 2 HORIZON_MARGIN) and
-is marked truncated.  Every contraction is per lane (stacked matmuls, and
-one einsum per stage sum, summing the stage axis in index order), so every
-record is bit-identical to the same direction integrated alone at its own
-tolerance, whatever the rest of the batch.  A scalar tolerance is the same
-as that value on every lane.
+norm, tolerance, accept/reject decision and end point.  Only active lanes
+are evaluated, and the system is autonomous.  The integrator keeps each
+lane's step ends (rho, y, y') and forms no dense output: a read re-takes
+the steps it needs and has not cached, for all the records it reads, in one
+batched _stages pass (the one stage loop) with the three dense stages, 15
+right-hand-side calls, bit for bit as they were taken.  The error norm
+scales each block of the state (x^0, x^i, B^0, B^i, the time and the
+spatial parts of J, P or E, and each field's row of j and p) by the lane's
+tol (1 + |block|), so it does not change under spatial rotations.  The
+glued profiles are only C^2 at r_in and r_out, so a step that would
+straddle either radius is shortened onto it.  A Schwarzschild lane stops on
+the horizon guard 2M (1 + 2 HORIZON_MARGIN) and is marked truncated.  Every
+contraction is per lane (stacked matmuls, and one einsum per stage sum,
+summing the stage axis in index order), so every record is bit-identical to
+the same direction integrated alone at its own tolerance, whatever the rest
+of the batch.  A scalar tolerance is the same as that value on every lane.
 """
 
 from dataclasses import dataclass, field
@@ -153,9 +154,10 @@ class GeodesicRecord:
     rho_reached: float = 0.0
     steps: int = 0                  # accepted integrator steps
     rejected: int = 0               # rejected steps, shell retries included
-    rhs_evals: int = 0              # right-hand-side evaluations of this lane
+    rhs_evals: int = 0              # RHS evaluations; reads not counted
     _line: np.ndarray = field(default=None, repr=False)  # y, y' at rho = 0
-    _dense: tuple = field(default=None, repr=False)    # (step ends, coefs)
+    _ends: tuple = field(default=None, repr=False)  # rho, (y, y') per step end
+    _coefs: dict = field(default_factory=dict, repr=False)  # step: dense coefs
     _layout: tuple = field(default=None, repr=False)   # (with_jacobi, with_k)
     _boost: np.ndarray = field(default=None, repr=False)  # with k: W | C
 
@@ -168,47 +170,63 @@ class GeodesicRecord:
         return self.q0 is not None
 
     def state_at(self, rho):
-        """Evaluate the integrated state at arbitrary rho (scalar or array).
-        A record without dense output (_ray_ends) keeps its end state only:
-        it returns that one sample at its own rho and raises OutOfRange at
-        any other rho."""
-        rho = np.asarray(rho, dtype=float)
-        scalar = rho.ndim == 0
-        rq = np.atleast_1d(rho)
-        if np.any(rq <= 0.0) or np.any(rq > self.rho_reached * (1 + 1e-12)):
-            if self.truncated and np.any(rq > self.rho_reached):
+        """The integrated state at rho (scalar or array).  A record without
+        step ends (_ray_ends) returns its one sample at its own rho and
+        raises OutOfRange at any other rho."""
+        return _states_at([self], rho)[0]
+
+
+def _states_at(recs, rho):
+    """[rec.state_at(rho) for rec in recs], with the records that keep their
+    step ends read in one _eval_rays batch (one model and layout)."""
+    rho = np.asarray(rho, dtype=float)
+    rq = np.atleast_1d(rho)
+    for rec in recs:
+        if np.any(rq <= 0.0) or np.any(rq > rec.rho_reached * (1 + 1e-12)):
+            if rec.truncated and np.any(rq > rec.rho_reached):
                 raise SingularityTruncated(
-                    f"record truncated at rho={self.rho_reached:.6g}")
+                    f"record truncated at rho={rec.rho_reached:.6g}")
             raise OutOfRange("rho outside the integrated range")
-        if self._dense is None:
-            if len(self.rho) == 0 or np.any(rq != self.rho[-1]):
-                raise OutOfRange("record keeps its end state only")
-            end = np.zeros(len(rq), int)
-            out = {key: None if getattr(self, key) is None
-                   else getattr(self, key)[end] for key in _FIELDS}
-        else:
-            out = _eval_rays([self], [rq])[0]
-        if scalar:
-            out = {k: (v[0] if v is not None else None) for k, v in out.items()}
-        return out
+        if rec._ends is None and not np.isin(rq, rec.rho).all():
+            raise OutOfRange("record keeps its end state only")
+    read = [rec for rec in recs if rec._ends is not None]
+    sts = iter(_eval_rays(read, [rq] * len(read)) if read else [])
+    end = np.zeros(len(rq), int)
+    out = [next(sts) if rec._ends is not None else
+           {key: None if getattr(rec, key) is None else getattr(rec, key)[end]
+            for key in _FIELDS} for rec in recs]
+    if rho.ndim == 0:
+        out = [{k: (v[0] if v is not None else None) for k, v in st.items()}
+               for st in out]
+    return out
 
 
 def _eval_rays(recs, rqs):
     """The fields of each record of recs (one model and layout) at its
-    proper times rqs[i]: the straight line up to rho_seed, the dense output
-    above it.  With k, k = j^-1 p and J_i = C_ia j_ab E_b, P_i = C_ia p_ab E_b
-    above the seed, and J_i = rho W_i, P_i = W_i and zero q0, khat on it."""
-    ys, above = [], []
+    proper times rqs[i], all points at once: the straight line up to
+    rho_seed, the dense output above it.  With k, k = j^-1 p and
+    J_i = C_ia j_ab E_b, P_i = C_ia p_ab E_b above the seed, and
+    J_i = rho W_i, P_i = W_i and zero q0, khat on it."""
+    ys, above, pts = [], [], []
     for rec, rq in zip(recs, rqs):
-        y = rec._line[0] + rq[:, None] * rec._line[1]
+        ys.append(rec._line[0] + rq[:, None] * rec._line[1])
         above.append(rq > rec.rho_seed)
-        if np.any(above[-1]):
-            y[above[-1]] = _dense_eval(*rec._dense, rq[above[-1]])
-        ys.append(y)
-    raw = _unpack(np.concatenate(ys), *recs[0]._layout)
+        ts, q = rec._ends[0], rq[above[-1]]     # step k: ts[k] to ts[k+1]
+        k = np.clip(np.searchsorted(ts, q) - 1, 0, len(ts) - 2)
+        pts += zip([rec] * len(q), k.tolist(),
+                   (q - ts[k]) / (ts[k + 1] - ts[k]))
+    y, up = np.concatenate(ys), np.concatenate(above)
+    if pts:                 # DOP853 dense output (HNW II.6), in Horner form
+        c, x = _dense_coefs(pts), np.array([p[2] for p in pts])[:, None]
+        d = np.zeros((len(pts), c.shape[2]))
+        for i in range(7, 0, -1):
+            d += c[:, i]
+            d *= x if i % 2 else 1.0 - x
+        y[up] = d + c[:, 0]
+    raw = _unpack(y, *recs[0]._layout)
     out = {key: raw.get(key) for key in _FIELDS}
     if recs[0]._layout[1]:
-        rq, up = np.concatenate(rqs), np.concatenate(above)
+        rq = np.concatenate(rqs)
         WC = np.concatenate([np.broadcast_to(rec._boost, (len(r), 3, 7))
                              for rec, r in zip(recs, rqs)])
         W, C = WC[..., :4], WC[..., 4:]
@@ -240,18 +258,26 @@ def _k_jacobi(basis, g, j, jp):
     return 0.5 * (k + k.transpose(0, 2, 1))
 
 
-def _dense_eval(ts, coef, rq):
-    """DOP853 dense output of one lane at the proper times rq.  Step k runs
-    from ts[k] to ts[k+1]; coef[k] holds y there and the seven
-    interpolation coefficients F_0..F_6."""
-    k = np.clip(np.searchsorted(ts, rq) - 1, 0, len(coef) - 1)
-    x = ((rq - ts[k]) / (ts[k + 1] - ts[k]))[:, None]
-    c = coef[k]
-    y = np.zeros((len(rq), c.shape[2]))
-    for i in range(7, 0, -1):
-        y += c[:, i]
-        y *= x if i % 2 else 1.0 - x
-    return y + c[:, 0]
+def _dense_coefs(pts):
+    """Dense-output coefficients (n, 8, dim) of the points pts, (record,
+    step k, ...): y at the start of step k and F_0..F_6.  Steps not yet
+    cached on their records are re-taken from their stored starts in one
+    batched pass of _stages with the three dense stages, and cached."""
+    todo = list({(id(rec), k): (rec, k) for rec, k, _ in pts
+                 if k not in rec._coefs}.values())
+    if todo:
+        rec = todo[0][0]
+        ts = np.array([r._ends[0][k:k + 2] for r, k in todo])
+        yf = np.array([r._ends[1][k:k + 2] for r, k in todo])
+        ya, hs = yf[:, 0, 0], ts[:, 1] - ts[:, 0]
+        K, _ = _stages(_make_rhs(rec.model, *rec._layout), ya, hs,
+                       yf[:, 0, 1], 16)
+        h, dy = hs[:, None], yf[:, 1, 0] - ya
+        coef = np.stack([ya, dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0])]
+                        + [h * _lincomb(d, K) for d in _tableau().D], axis=1)
+        for (r, k), c in zip(todo, coef):
+            r._coefs[k] = c
+    return np.array([rec._coefs[k] for rec, k, _ in pts])
 
 
 def _unpack(y, nj, nk):
@@ -380,18 +406,31 @@ def _tableau():
         return SimpleNamespace(**f)
 
 
-def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
+def _stages(rhs, ya, hs, f0, n=13):
+    """The first n stages K (16, lanes, dim) of DOP853 steps of size hs from
+    ya, f0 = rhs(ya), and the last stage's argument: 13 take the steps (stage
+    12's argument is the step end), 16 add the three dense-output stages."""
+    A = _tableau().A
+    K = np.empty((16,) + ya.shape)
+    K[0] = f0
+    for s in range(1, n):
+        ys = ya + hs[:, None] * _lincomb(A[s, :s], K)
+        K[s] = rhs(ys)
+    return K, ys
+
+
+def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     """Integrate the lanes y (n, dim) from rho = t to t_end, both (n,),
     each at its own tolerance tol (n, 1).
 
-    Step-size control, starting step and dense output follow HNW II.4-6 as
-    scipy does, with the block norm of _norm_blocks per lane.  radii holds
-    (R, terminal) pairs: a step never straddles R, and a lane that lands on
-    a terminal R stops there.  Returns the rho reached, the end states, the
-    truncation flags, each lane's dense segments (step ends, coefficients)
-    and the per-lane (steps, rejected, rhs_evals) counts.  Without dense the
-    three extra stages of the dense output are skipped and the segments are
-    None; the steps and the end states are the same.
+    Step-size control and the starting step follow HNW II.4 as scipy does,
+    with the block norm of _norm_blocks per lane.  radii holds (R, terminal)
+    pairs: a step never straddles R, and a lane that lands on a terminal R
+    stops there.  Returns the rho reached, the end states, the truncation
+    flags, each lane's step ends (rho (m+1,), and y, y' (m+1, 2, dim): its
+    start and the end of each accepted step, from which _stages re-takes
+    any step bit for bit) and the per-lane (steps, rejected, rhs_evals)
+    counts.  No dense output is formed here.
     """
     n, dim = y.shape
     tab = _tableau()
@@ -414,7 +453,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
     retry = np.zeros(n, bool)           # error-rejected since the last step
     done, trunc = np.zeros(n, bool), np.zeros(n, bool)
     steps, nrej, nfev = np.zeros(n, int), np.zeros(n, int), np.full(n, 2)
-    segs = [([ti], []) for ti in t] if dense else None
+    log = [(np.arange(n), t.copy(), np.stack([y, f], axis=1))]
     while not done.all():
         a = np.flatnonzero(~done)
         ta, ya, ha = t[a], y[a], h[a]
@@ -425,11 +464,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
         tn = np.minimum(ta + np.minimum(np.minimum(ha, cap[a]),
                                         _reach(ya, radii)), t_end[a])
         hs = tn - ta
-        K = np.empty((16, len(a), dim))
-        K[0] = f[a]
-        for s in range(1, 13):          # stage 12: the step end, y_new
-            ys = ya + hs[:, None] * _lincomb(tab.A[s, :s], K)
-            K[s] = rhs(ys)
+        K, ys = _stages(rhs, ya, hs, f[a])
         nfev[a] += 12
         scale = tol[a] + tol[a] * np.sqrt(np.maximum(_block_sq(ya, blocks),
                                                      _block_sq(ys, blocks)))
@@ -450,24 +485,16 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks, dense):
         i = np.flatnonzero(ok)
         if len(i) == 0:
             continue
-        acc, hk, Ka = a[i], hs[i][:, None], K[:, i]
-        if dense:
-            for s in (13, 14, 15):      # extra stages of the dense output
-                Ka[s] = rhs(ya[i] + hk * _lincomb(tab.A[s, :s], Ka))
-            nfev[acc] += 3
-            dy, f0, f1 = ys[i] - ya[i], Ka[0], Ka[12]
-            coef = np.stack([ya[i], dy, hk * f0 - dy, 2 * dy - hk * (f1 + f0)]
-                            + [hk * _lincomb(d, Ka) for d in tab.D], axis=1)
-            for k, j in enumerate(acc):
-                segs[j][0].append(tn[i[k]])
-                segs[j][1].append(coef[k].copy())
-        t[acc], y[acc], f[acc] = tn[i], ys[i], Ka[12]
+        acc, yf = a[i], np.stack([ys[i], K[12, i]], axis=1)
+        t[acc], y[acc], f[acc] = tn[i], yf[:, 0], yf[:, 1]
+        log.append((acc, tn[i], yf))
         steps[acc] += 1
         trunc[acc] = land[i] & (tn[i] < t_end[acc])
         done[acc] = land[i] | (tn[i] == t_end[acc])
-    if dense:
-        segs = [(np.array(ts), np.array(cs)) for ts, cs in segs]
-    return t, y, trunc, segs, (steps, nrej, nfev)
+    lane, ts, yf = (np.concatenate(c) for c in zip(*log))
+    o, cuts = np.argsort(lane, kind="stable"), np.cumsum(steps + 1)[:-1]
+    ends = list(zip(np.split(ts[o], cuts), np.split(yf[o], cuts)))
+    return t, y, trunc, ends, (steps, nrej, nfev)
 
 
 def _seed_rho(model, origin, v0, rho_max):
@@ -509,11 +536,13 @@ def _k_seed_rho(model, origin, v0, rho_max):
     return seed
 
 
-def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
+def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
     """Seed one lane per direction by _seed_rho and integrate them all to
-    the end of rho_grid: the records, with their counters and (when dense)
-    their dense output but no samples yet, and the end states (n, dim)."""
+    the end of rho_grid: the records, with their counters and step ends but
+    no samples yet, and the end states (n, dim)."""
     origin = np.asarray(origin, dtype=float)
+    if not np.all(np.isfinite(origin)):
+        raise ValueError("origin must be finite")
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
     if (not np.all(np.isfinite(rho_grid)) or np.any(np.diff(rho_grid) <= 0)
             or rho_grid[0] <= 0):
@@ -555,11 +584,11 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk, dense):
         radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
     rho0 = np.array([rec.rho_seed for rec in recs])
     y0 = np.array([rec._line[0] + rec.rho_seed * rec._line[1] for rec in recs])
-    reached, y_end, trunc, segs, counts = _dop853(
+    reached, y_end, trunc, ends, counts = _dop853(
         _make_rhs(model, nj, nk), rho0, y0, np.full(len(recs), rho_max),
-        tol[:, None], radii, blocks, dense)
+        tol[:, None], radii, blocks)
     for i, rec in enumerate(recs):
-        rec._dense = segs[i] if dense else None
+        rec._ends = ends[i]
         rec.truncated = bool(trunc[i])
         rec.rho_reached = float(reached[i])
         rec.steps, rec.rejected, rec.rhs_evals = (int(c[i]) for c in counts)
@@ -582,7 +611,7 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     stops there (truncated, with its own rho_reached).
     """
     recs, _ = _lanes(model, origin, directions, rho_grid, ode_tol,
-                     with_jacobi or with_k, with_k, True)
+                     with_jacobi or with_k, with_k)
     for rec, st in zip(recs, _eval_rays(recs, [rec.rho for rec in recs])):
         for key, val in st.items():
             setattr(rec, key, val)
@@ -591,13 +620,14 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
 
 def _ray_ends(model, origin, directions, rho, ode_tol):
     """integrate_rays(model, origin, directions, [rho], ode_tol,
-    with_jacobi=True) without the dense output: the same steps, and each
-    record holds its one sample, the integrator's end state at rho (none
-    when truncated).  state_at returns that sample at rho and raises
-    OutOfRange at any other rho, as nothing else of the ray is kept."""
+    with_jacobi=True) without step ends: the same steps, and each record
+    holds its one sample, the integrator's end state at rho (none when
+    truncated).  state_at returns that sample at rho and raises OutOfRange
+    at any other rho, as nothing else of the ray is kept."""
     recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True,
-                         False, False)
+                         False)
     for rec, y in zip(recs, y_end):
+        rec._ends = None
         st = _unpack(y[None][:len(rec.rho)], True, False)
         for key in _FIELDS:
             setattr(rec, key, st.get(key))

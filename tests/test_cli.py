@@ -123,6 +123,18 @@ def test_determinism_and_golden(tmp_path):
         assert code == 0
     for name in ("closed_forms.csv", "weyl_identities.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    # the subcommands that read geodesic records, each run twice in one
+    # process: their CSVs do not depend on what the process ran before
+    for sub in ("foliate", "zs-compare", "residuals"):
+        outs = [tmp_path / sub / str(i) for i in (1, 2)]
+        for out in outs:
+            assert run_cli([sub, "--config", str(CONFIGS / "glued_small.ini"),
+                            "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].glob("*.csv"))
+        assert names and names == sorted(p.name for p in outs[1].glob("*.csv"))
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), (sub, name)
     # golden comparison: pass against itself, fail against a corrupted copy
     code = run_cli(["weyl-check", "--config",
                     str(CONFIGS / "schwarzschild.ini"), "--out", str(b),

@@ -316,18 +316,17 @@ def _spy_solver(monkeypatch):
     (width 32)."""
     calls = []
 
-    def spy(rhs, t, y, t_end, tol, radii, blocks, dense,
-            _run=geodesic._dop853):
+    def spy(rhs, t, y, t_end, tol, radii, blocks, _run=geodesic._dop853):
         n = [0]
 
         def counted(*args):
             n[0] += 1
             return rhs(*args)
 
-        out = _run(counted, t, y, t_end, tol, radii, blocks, dense)
+        out = _run(counted, t, y, t_end, tol, radii, blocks)
         calls.append(SimpleNamespace(
             lanes=len(y), loose=y.shape[1] == 8, width=y.shape[1],
-            tol=tol[:, 0].copy(), dense=dense, rhs_calls=n[0],
+            tol=tol[:, 0].copy(), rhs_calls=n[0],
             lane_evals=int(out[4][2].sum())))
         return out
 
@@ -393,8 +392,8 @@ def test_leaf_work_budget_inexact_newton(monkeypatch):
 def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
     # two loose rounds and one tight round: the curvature-corrected step
     # lands the first tight iterate within the acceptance bound on both
-    # levels.  Every integration keeps only its end states, with no dense
-    # output.  A loose round integrates each node as a plain pair, x and B
+    # levels.  Every returned record keeps only its end state, with no step
+    # ends to read the ray between.  A loose round integrates each node as a plain pair, x and B
     # alone; every returned record is tight with Jacobi fields and no k.  A
     # tight record takes the 12 stages of each step, accepted or rejected,
     # and the 2 evaluations of the starting step, and no dense-output stage.
@@ -403,7 +402,6 @@ def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
                                 level=level)
     assert [c.loose for c in calls] == [True, True, False]
     for c in calls:
-        assert not c.dense
         if c.loose:
             assert c.lanes == 2 * len(nodes)
             assert np.all(c.tol > foliation.TIGHT_TOL)
@@ -412,7 +410,7 @@ def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
             assert np.all(c.tol == foliation.TIGHT_TOL)
     for r in recs:
         assert r.ode_tol == foliation.TIGHT_TOL
-        assert r.has_jacobi and not r.has_k and r._dense is None
+        assert r.has_jacobi and not r.has_k and r._ends is None
         assert len(r.x) == 1 and np.array_equal(r.rho, [rho])
         st = r.state_at(rho)
         for key in ("x", "b", "j", "jp"):

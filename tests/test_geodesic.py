@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperlab import geodesic
 from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
 from hyperlab.foliation import leaf_frames, second_fundamental_fd_oracle
-from hyperlab.geodesic import (RHO_SEED_MIN, Direction, GeodesicRecord,
-                               _lincomb, _make_rhs, _tableau, exp_map,
-                               fan_build, integrate_rays)
+from hyperlab.geodesic import (_FIELDS, RHO_SEED_MIN, Direction,
+                               GeodesicRecord, _lincomb, _make_rhs, _stages,
+                               _states_at, _tableau, exp_map, fan_build,
+                               integrate_rays)
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 
 from oracles import geodesic_rhs, rk8_fixed
@@ -270,6 +272,17 @@ def test_non_finite_rho_grid_rejected():
         "                       [Direction(1.0)], grid)\n")
 
 
+@pytest.mark.parametrize("origin", [[np.nan, 0.0, 0.0, 0.0],
+                                    [0.0, np.nan, 0.0, 0.0],
+                                    [0.0, np.inf, 0.0, 0.0]],
+                         ids=["nan-t", "nan-x", "inf-x"])
+def test_non_finite_origin_rejected(origin):
+    # a non-finite origin is rejected up front, like the rho grid and the
+    # tolerance, before the metric, the triad or the step guard meet it
+    with pytest.raises(ValueError, match="finite"):
+        integrate_rays(GLUED, np.array(origin), [Direction(1.0)], [2.0])
+
+
 def test_non_finite_lane_raises_step_failure():
     # a lane whose state is NaN has a NaN step; the step guard reads it as
     # a failed step, and the healthy lane beside it does not keep the loop
@@ -284,8 +297,7 @@ def test_non_finite_lane_raises_step_failure():
         "with pytest.raises(StepFailure, match='not finite'):\n"
         "    _dop853(_make_rhs(MetricModel.glued(0.01), False, False),\n"
         "            np.full(2, 0.5), y, np.full(2, 5.0),\n"
-        "            np.full((2, 1), 1e-10), [], _norm_blocks(False, False),\n"
-        "            False)\n")
+        "            np.full((2, 1), 1e-10), [], _norm_blocks(False, False))\n")
 
 
 def test_fan_non_monotone_grid_rejected():
@@ -335,14 +347,13 @@ def test_state_below_seed_is_the_straight_line(model, origin, payload):
     # starts at rho = 0 from the origin state.
     rec = exp_map(model, origin, Direction(1.2, (0.6, 0.0, -0.8)),
                   [2.0, 6.0], with_jacobi=payload, with_k=payload)
-    ts, coef = rec._dense
+    ts, yf = rec._ends
     assert ts[0] == rec.rho_seed
-    assert np.array_equal(coef[0][0],
+    assert np.array_equal(yf[0, 0],
                           rec._line[0] + rec.rho_seed * rec._line[1])
     if model is SCHW:
         assert rec.rho_seed == 0.0
-        assert np.array_equal(coef[0][0][:8], np.concatenate([origin,
-                                                              rec.v0]))
+        assert np.array_equal(yf[0, 0, :8], np.concatenate([origin, rec.v0]))
         return
     assert rec.rho_seed >= RHO_SEED_MIN      # the flat-core seed, k or not
     V, e = rec.direction.hyperboloid_point(), rec.frame0
@@ -358,7 +369,7 @@ def test_state_below_seed_is_the_straight_line(model, origin, payload):
         assert np.array_equal(st["triad"], np.tile(st["triad"][0], (4, 1, 1)))
     else:
         assert st["j"] is st["triad"] is st["q0"] is None
-    assert np.array_equal(rec.state_at(rec.rho_seed)["x"], coef[0][0][:4])
+    assert np.array_equal(rec.state_at(rec.rho_seed)["x"], yf[0, 0, :4])
 
 
 def test_dop853_tableau_matches_scipy():
@@ -400,6 +411,11 @@ def test_batch_matches_single_ray_offset_payload():
         assert all(np.array_equal(sa[k], sb[k]) for k in sa)
 
 
+# the fields compared record to record: not the dense-output coefficient
+# cache, which holds the steps that earlier reads have re-taken
+_COMPARED = [f.name for f in fields(GeodesicRecord) if f.name != "_coefs"]
+
+
 def _same_field(va, vb):
     """Equality of two record field values, arrays (also inside tuples)
     compared bit for bit."""
@@ -425,9 +441,9 @@ def test_per_lane_tolerance_matches_single_ray(origin):
         assert rec.ode_tol == tol
         single = exp_map(GLUED, origin, d, rho, ode_tol=tol,
                          with_jacobi=True, with_k=True)
-        for f in fields(GeodesicRecord):
-            assert _same_field(getattr(rec, f.name),
-                               getattr(single, f.name)), f.name
+        for name in _COMPARED:
+            assert _same_field(getattr(rec, name),
+                               getattr(single, name)), name
     assert len({rec.rhs_evals for rec in recs}) == 3
 
 
@@ -440,9 +456,76 @@ def test_wide_batch_matches_single_ray(probe_fan):
         single = exp_map(GLUED, probe_fan.origin, rec.direction,
                          probe_fan.rho_grid, ode_tol=1e-11,
                          with_jacobi=True, with_k=True)
-        for f in fields(GeodesicRecord):
-            assert _same_field(getattr(rec, f.name),
-                               getattr(single, f.name)), (i, f.name)
+        for name in _COMPARED:
+            assert _same_field(getattr(rec, name),
+                               getattr(single, name)), (i, name)
+
+
+@pytest.mark.parametrize("model, origin, nj, nk", [
+    (GLUED, np.zeros(4), False, False), (GLUED, np.zeros(4), True, False),
+    (GLUED, np.zeros(4), True, True), (GLUED, OFFSET, False, False),
+    (GLUED, OFFSET, True, False), (GLUED, OFFSET, True, True),
+    (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), False, False),
+    (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), True, False)],
+    ids=["centred-8", "centred-32", "centred-38", "offset-8", "offset-32",
+         "offset-38", "schwarzschild-8", "schwarzschild-32"])
+def test_retaken_step_is_the_step_taken(model, origin, nj, nk):
+    # the oracle of the dense-output cache: every accepted step, re-taken by
+    # _stages from its stored start (rho_k, y_k, y'_k), all steps of all
+    # lanes in one batch, ends on the stored (y_k+1, y'_k+1) bit for bit;
+    # the three dense stages leave the first 13 as they are.  The lanes
+    # cross both shells of the glued model, or reach the horizon guard
+    dirs = [Direction(0.3, (0.0, 0.6, 0.8)), Direction(1.2, (1, 0, 0)),
+            Direction(2.0, (-0.6, 0.0, -0.8)), Direction(1.0, (-1, 0, 0))]
+    recs = integrate_rays(model, origin, dirs, [0.5, 15.0], ode_tol=1e-10,
+                          with_jacobi=nj, with_k=nk)
+    assert any(r.truncated for r in recs) == (model is SCHW)
+    hs = [np.diff(r._ends[0]) for r in recs]      # step sizes, lane by lane
+    yf = np.concatenate([r._ends[1] for r in recs])
+    start = np.concatenate([np.arange(len(h)) + sum(map(len, hs[:i])) + i
+                            for i, h in enumerate(hs)])
+    assert len(start) == sum(r.steps for r in recs)
+    assert yf.shape[2] == {(0, 0): 8, (1, 0): 32, (1, 1): 38}[nj, nk]
+    rhs, hs = _make_rhs(model, nj, nk), np.concatenate(hs)
+    K, y_new = _stages(rhs, yf[start, 0], hs, yf[start, 1])
+    assert np.array_equal(y_new, yf[start + 1, 0])
+    assert np.array_equal(K[12], yf[start + 1, 1])
+    K16, _ = _stages(rhs, yf[start, 0], hs, yf[start, 1], 16)
+    assert np.array_equal(K16[:13], K[:13])
+
+
+def test_reads_independent_of_order_grouping_and_cache():
+    # one record read at the proper times A and B, A then B, B then A and
+    # both in one call, alone and in a batch with other records, from a
+    # warm and a cold coefficient cache and from a fresh integration of its
+    # direction alone: every field is the same bit for bit
+    dirs = [Direction(0.4, (0.0, 0.6, 0.8)), Direction(1.1, (1, 0, 0)),
+            Direction(1.6, (-0.3, 0.2, -0.9))]
+    rho = np.linspace(1, 18, 4)
+
+    def fresh():
+        return integrate_rays(GLUED, OFFSET, dirs, rho, ode_tol=1e-11,
+                              with_jacobi=True, with_k=True)
+
+    A = np.array([0.01, 2.5, 6.667, 12.0, 18.0])
+    B = np.array([1.0, 2.6, 9.3, 17.9])
+    AB = np.concatenate([A, B])
+    rec = fresh()[1]
+    a, b = rec.state_at(A), rec.state_at(B)
+    reads = [{k: np.concatenate([a[k], b[k]]) for k in _FIELDS}]
+    rec = fresh()[1]
+    b, a = rec.state_at(B), rec.state_at(A)
+    reads.append({k: np.concatenate([a[k], b[k]]) for k in _FIELDS})
+    reads.append(fresh()[1].state_at(AB))
+    reads.append(_states_at(fresh(), AB)[1])
+    alone = exp_map(GLUED, OFFSET, dirs[1], rho, ode_tol=1e-11, with_k=True)
+    reads.append(alone.state_at(AB))
+    alone._coefs.clear()
+    reads.append(alone.state_at(AB))
+    assert reads[0]["x"].shape == (len(AB), 4)
+    for st in reads[1:]:
+        for k in _FIELDS:
+            assert np.array_equal(st[k], reads[0][k]), k
 
 
 @pytest.mark.parametrize("n", [1, 4, 125])
@@ -467,8 +550,9 @@ def test_einsums_per_step(monkeypatch, payload, per_rhs):
     # work budget of the integrator: the right-hand side contracts by
     # per-lane matmul and calls no einsum, and k is read off the Jacobi
     # fields by matmuls; each DOP853 stage sum is one einsum, 12 stages and
-    # two error estimates per attempt, 3 dense stages and 4 dense
-    # coefficients per accepted step
+    # two error estimates per attempt.  The read at the grid re-takes its
+    # steps in one batch: 15 stages and 4 dense coefficients, whatever the
+    # number of steps
     calls = []
     einsum = np.einsum
 
@@ -480,13 +564,46 @@ def test_einsums_per_step(monkeypatch, payload, per_rhs):
     rec = exp_map(GLUED, OFFSET, Direction(1.1, (1, 0, 0)), [1.0, 18.0],
                   with_jacobi=payload, with_k=payload)
     attempts = rec.steps + rec.rejected
-    assert len(calls) == (per_rhs * rec.rhs_evals + 14 * attempts
-                          + 7 * rec.steps)
-    y = np.zeros((4, rec._dense[1].shape[2]))
+    assert len(calls) == per_rhs * rec.rhs_evals + 14 * attempts + 19
+    y = np.zeros((4, rec._ends[1].shape[2]))
     y[:, 0:4], y[:, 4:8] = rec.x[-1], rec.b[-1]
     calls.clear()
     _make_rhs(GLUED, payload, payload)(y)
     assert len(calls) == per_rhs
+
+
+def test_fan_work_structure(monkeypatch):
+    # one fixed 5x5x5 fan: each lane's integration makes 2 evaluations for
+    # its starting step and 12 per attempted step, and the read at the
+    # fan's rho grid re-takes every step it needs, for all 125 records, in
+    # one batch of 15 right-hand-side calls (12 stages and the 3 of the
+    # dense output).  So does a read of all records at new proper times
+    # (leaf_frames), and a read of cached steps makes none.  Totals are not
+    # pinned: rounding-level changes of the RHS move DOP853 step counts by
+    # up to +-7 %
+    calls = []
+    make = geodesic._make_rhs
+
+    def spy(*args):
+        rhs, n = make(*args), [0]
+        calls.append(n)
+
+        def counted(y):
+            n[0] += 1
+            return rhs(y)
+        return counted
+
+    monkeypatch.setattr(geodesic, "_make_rhs", spy)
+    steps = 4e-3 * np.arange(-2, 3)
+    fan = fan_build(GLUED, np.zeros(4), 1.0 + steps, 1.2 + steps,
+                    0.4 + steps, [1.0, 25.0], ode_tol=1e-11)
+    assert len(calls) == 2 and calls[1] == [15]
+    for rec in fan.records:
+        assert rec.rhs_evals == 2 + 12 * (rec.steps + rec.rejected)
+    leaf_frames(GLUED, fan.records, [5.0, 15.0])
+    assert len(calls) == 3 and calls[2] == [15]
+    leaf_frames(GLUED, fan.records, [1.0, 5.0, 15.0, 25.0])
+    assert len(calls) == 3
 
 
 def _static_invariants(model, x, b):
