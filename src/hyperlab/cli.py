@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, GoldenMismatch, HyperlabError
-from .foliation import (TIGHT_TOL, angular_grid, leaf_frames,
+from .foliation import (TIGHT_TOL, leaf_frames, origin_grid,
                         structure_residuals)
 from .geodesic import Direction, direction_from_angles, exp_map, integrate_rays
 from .kgflat import KGConfig, energy, evolve_kg
@@ -368,13 +368,14 @@ def cmd_zs_compare(rc, out, config_path):
 
     cs_rows = []
     if model.kind == "glued":
-        rho = rc.rho_max / 2.0
-        probe = exp_map(model, origin, Direction(1.0, (1.0, 0.0, 0.0)),
+        rho, off = rc.rho_max / 2.0, origin[1:]     # probe along the axis
+        probe = exp_map(model, origin, Direction(1.0, off if off.any() else
+                                                 (1.0, 0.0, 0.0)),
                         [rho], ode_tol=rc.rel_tol)
         st = probe.state_at(rho)
         r = float(np.linalg.norm(st["x"][1:]))
         uh = schw_optical(model.mass, st["x"][0] - origin[0], r)["uhat"]
-        rep = cone_sphere_geometry(model, rho, uh, angular_grid(6, 1),
+        rep = cone_sphere_geometry(model, rho, uh, origin_grid(origin, 6),
                                    origin=origin)
         for i in range(len(rep.t_nodes)):
             cs_rows.append([rep.rho, rep.uhat, i, rep.t_nodes[i],
@@ -397,7 +398,7 @@ def cmd_mass(rc, out, config_path):
     for rho in rc.mass_rho_list:
         t_grid = [f * rho for f in rc.mass_t_factors]
         tr = bondi_trace(model, rho, t_grid, origin=origin,
-                         omega_nodes=angular_grid(6, 1))
+                         omega_nodes=origin_grid(origin, 6))
         for rep in tr["reports"]:
             rows.append([rep.t, rep.rho, rep.area_radius, rep.mass,
                          rep.status])

@@ -58,8 +58,8 @@ import numpy as np
 from .errors import (BracketFailure, CentralLineDegenerate,
                      CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
                      SingularityTruncated, Unreachable)
-from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_jacobi, _k_seed_rho,
-                       _lanes, _ray_ends, _states_at,
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_jacobi, _lanes,
+                       _ray_ends, _seed_rho, _states_at,
                        direction_from_angles, integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
                      _orthonormalize, _zs_floor, curvature_at, metric_at)
@@ -322,27 +322,25 @@ def angular_grid(n_theta, n_phi, axis=None):
     the polar axis of the grid onto that direction.
     """
     xs, ws = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(xs)
-    nodes = []
-    if n_phi == 1:
-        for th, w in zip(thetas, ws):
-            nodes.append((th, 0.0, 2.0 * np.pi * w))
-    else:
-        phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        wp = 2.0 * np.pi / n_phi
-        for th, w in zip(thetas, ws):
-            for ph in phis:
-                nodes.append((th, ph, w * wp))
+    phis = [0.0] if n_phi == 1 else 2.0 * np.pi * np.arange(n_phi) / n_phi
+    nodes = [(th, ph, w * (2.0 * np.pi / n_phi))
+             for th, w in zip(np.arccos(xs), ws) for ph in phis]
     if axis is None:
         return nodes
     R = _rotation_to(np.asarray(axis, dtype=float))
     out = []
     for th, ph, w in nodes:
-        om = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                       np.cos(th)])
-        th_r, ph_r = Direction(0.0, R @ om).angles()
-        out.append((float(th_r), float(ph_r), w))
+        om = R @ [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
+        out.append((*map(float, Direction(0.0, om).angles()), w))
     return out
+
+
+def origin_grid(origin, n_theta):
+    """angular_grid(n_theta, 1) about the origin's spatial offset, or about
+    z when it is 0: the axisymmetric reduction is exact only about the
+    problem's axis, and an offset origin's axis is its offset."""
+    off = np.asarray(origin, dtype=float)[1:]
+    return angular_grid(n_theta, 1, axis=off if off.any() else None)
 
 
 def _rotation_to(axis):
@@ -475,10 +473,10 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     # a leaf record's k comes from its Jacobi fields, and it is checked
     # against an independent oracle only from origins in the flat core:
     # until an off-core oracle for k exists, an origin whose static line (no
-    # lane's seed is longer) has too short a seed raises (_k_seed_rho); a
-    # singular origin first, as in integrate_rays
+    # lane's seed is longer) has too short a seed raises (_seed_rho with k);
+    # a singular origin first, as in integrate_rays
     _check_regular(model, np.linalg.norm(origin[1:]))
-    _k_seed_rho(model, origin, np.eye(4)[0], rho)
+    _seed_rho(model, origin, np.eye(4)[:1], rho, True)
     thetas = np.array([a[0] for a in angles])
     phis = np.array([a[1] for a in angles])
     m = len(angles)

@@ -16,11 +16,11 @@ No Christoffel or Riemann array is built.  A plain lane (x and B alone)
 takes B' from metric._ray_accel, five scalars per lane.  A payload lane
 makes one metric._ray_terms call, which gives G^l_mn B^m, the tidal tensor
 T_bd = R_abcd B^a B^c (from the four orthonormal curvature functions K1-K4
-of a static spherical metric) and g^{-1} at once, as V^T c V + d I_s on the
-per-lane basis V = (e0, u, v).  Both take their scalars from
-metric._radial: a lane on the Schwarzschild chart (r >= r_out in the glued
-model) takes closed exterior forms and skips the blend.  The coordinate
-Jacobi term uses R^l_bcd B^b B^c = -g^{la} T_ad.
+of a static spherical metric) and, for coordinate Jacobi fields, g^{-1}
+at once, as V^T c V + d I_s on the per-lane basis V = (e0, u, v).  Both
+take their scalars from metric._radial: a lane on the Schwarzschild chart
+(r >= r_out in the glued model) takes closed exterior forms and skips the
+blend.  The coordinate Jacobi term uses R^l_bcd B^b B^c = -g^{la} T_ad.
 
 The second fundamental form of H_rho is read off the Jacobi fields, not
 integrated: they are tangent to the leaf and commute with B, so
@@ -34,11 +34,12 @@ J_i = C_ia J_a, C_ia = <W_i, E_a> at rho = 0, in coordinates on read.
 Each record holds its straight line as one (2, dim) array _line: the lane
 state at rho = 0 and its rho-derivative, with W_i = V^i e_0 + V^0 e_i the
 boost Jacobi data (J = rho W, P = W, or j = rho I, p = I).  There
-k = gbar/rho exactly, so q0 and khat are zero.  One seed rule holds for
-every lane (_seed_rho): from an origin in the flat core the integrator
-starts from the line at the largest proper time still inside the core;
-from an origin outside it a lane without k starts at rho = 0 from the
-origin state, and a lane with k raises SeedRegionTooSmall (_k_seed_rho).
+k = gbar/rho exactly, so q0 and khat are zero.  All lanes are seeded at
+once, in stacked per-lane products, by one seed rule (_seed_rho, also the
+leaf solver's origin check): from an origin in the flat core the
+integrator starts from the line at the largest proper time still inside
+the core; from an origin outside it a lane without k starts at rho = 0
+from the origin state, and a lane with k raises SeedRegionTooSmall.
 state_at evaluates the line below the seed.
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
@@ -46,11 +47,11 @@ Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
 are scipy's, kept bit for bit in dop853.npz, so the runtime needs numpy
 alone) in which each ray is a lane with its own seed, step size, error
 norm, tolerance, accept/reject decision and end point.  Only active lanes
-are evaluated, and the system is autonomous.  The integrator keeps each
-lane's step ends (rho, y, y') and forms no dense output: a read re-takes
-the steps it needs and has not cached, for all the records it reads, in one
-batched _stages pass (the one stage loop) with the three dense stages, 15
-right-hand-side calls, bit for bit as they were taken.  The error norm
+are evaluated, and the system is autonomous.  The integrator forms no
+dense output: its records share its step log, the step ends (rho, y, y')
+of all lanes.  A read gathers its steps by index and re-takes those not
+yet cached, per log, in one _stages pass (the one stage loop) with the
+three dense stages, 15 right-hand-side calls, bit for bit.  The error norm
 scales each block of the state (x^0, x^i, B^0, B^i, the time and the
 spatial parts of J, P or E, and each field's row of j and p) by the lane's
 tol (1 + |block|), so it does not change under spatial rotations.  The
@@ -70,8 +71,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (OutOfRange, SeedRegionTooSmall, SingularityTruncated,
-                     StepFailure)
+from .errors import (CentralLineDegenerate, OutOfRange, SeedRegionTooSmall,
+                     SingularityTruncated, StepFailure)
 from .metric import (HORIZON_MARGIN, _colsum, _orthonormalize, _ray_accel,
                      _ray_terms, metric_at)
 
@@ -97,7 +98,7 @@ class Direction:
             raise ValueError("zeta must be finite and nonnegative")
         w = np.asarray(self.omega, dtype=float)
         nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
+        if w.shape != (3,) or not np.isfinite(nw) or nw == 0.0:
             raise ValueError("omega must be a nonzero 3-vector")
         object.__setattr__(self, "omega", tuple(w / nw))
 
@@ -119,14 +120,6 @@ def direction_from_angles(zeta, theta, phi):
     return Direction(zeta, (np.sin(theta) * np.cos(phi),
                             np.sin(theta) * np.sin(phi),
                             np.cos(theta)))
-
-
-def _frame(g):
-    """Orthonormal frame {e_mu} at the origin from the metric g there, e_0
-    along the static observer; rows are the frame vectors in coordinates."""
-    e0 = np.zeros(4)
-    e0[0] = 1.0 / np.sqrt(-g[0, 0])
-    return np.vstack([e0, _orthonormalize(g, [e0], np.eye(4)[1:], 3)])
 
 
 @dataclass
@@ -156,8 +149,8 @@ class GeodesicRecord:
     rejected: int = 0               # rejected steps, shell retries included
     rhs_evals: int = 0              # RHS evaluations; reads not counted
     _line: np.ndarray = field(default=None, repr=False)  # y, y' at rho = 0
-    _ends: tuple = field(default=None, repr=False)  # rho, (y, y') per step end
-    _coefs: dict = field(default_factory=dict, repr=False)  # step: dense coefs
+    _log: object = field(default=None, repr=False)  # its integration's steps
+    _at: int = field(default=0, repr=False)     # rows _at.._at + steps of _log
     _layout: tuple = field(default=None, repr=False)   # (with_jacobi, with_k)
     _boost: np.ndarray = field(default=None, repr=False)  # with k: W | C
 
@@ -171,14 +164,14 @@ class GeodesicRecord:
 
     def state_at(self, rho):
         """The integrated state at rho (scalar or array).  A record without
-        step ends (_ray_ends) returns its one sample at its own rho and
+        a step log (_ray_ends) returns its one sample at its own rho and
         raises OutOfRange at any other rho."""
         return _states_at([self], rho)[0]
 
 
 def _states_at(recs, rho):
     """[rec.state_at(rho) for rec in recs], with the records that keep their
-    step ends read in one _eval_rays batch (one model and layout)."""
+    step log read in one _eval_rays batch (one model and layout)."""
     rho = np.asarray(rho, dtype=float)
     rq = np.atleast_1d(rho)
     for rec in recs:
@@ -187,12 +180,14 @@ def _states_at(recs, rho):
                 raise SingularityTruncated(
                     f"record truncated at rho={rec.rho_reached:.6g}")
             raise OutOfRange("rho outside the integrated range")
-        if rec._ends is None and not np.isin(rq, rec.rho).all():
+        if rec._log is None and not np.isin(rq, rec.rho).all():
             raise OutOfRange("record keeps its end state only")
-    read = [rec for rec in recs if rec._ends is not None]
-    sts = iter(_eval_rays(read, [rq] * len(read)) if read else [])
-    end = np.zeros(len(rq), int)
-    out = [next(sts) if rec._ends is not None else
+    read = [rec for rec in recs if rec._log is not None]
+    got, n = _eval_rays(read, [rq] * len(read)) if read else {}, len(rq)
+    sts = iter({key: None if v is None else v[i:i + n] for key, v in
+                got.items()} for i in range(0, n * len(read), n))
+    end = np.zeros(n, int)
+    out = [next(sts) if rec._log is not None else
            {key: None if getattr(rec, key) is None else getattr(rec, key)[end]
             for key in _FIELDS} for rec in recs]
     if rho.ndim == 0:
@@ -202,34 +197,32 @@ def _states_at(recs, rho):
 
 
 def _eval_rays(recs, rqs):
-    """The fields of each record of recs (one model and layout) at its
-    proper times rqs[i], all points at once: the straight line up to
-    rho_seed, the dense output above it.  With k, k = j^-1 p and
-    J_i = C_ia j_ab E_b, P_i = C_ia p_ab E_b above the seed, and
-    J_i = rho W_i, P_i = W_i and zero q0, khat on it."""
-    ys, above, pts = [], [], []
-    for rec, rq in zip(recs, rqs):
-        ys.append(rec._line[0] + rq[:, None] * rec._line[1])
-        above.append(rq > rec.rho_seed)
-        ts, q = rec._ends[0], rq[above[-1]]     # step k: ts[k] to ts[k+1]
-        k = np.clip(np.searchsorted(ts, q) - 1, 0, len(ts) - 2)
-        pts += zip([rec] * len(q), k.tolist(),
-                   (q - ts[k]) / (ts[k + 1] - ts[k]))
-    y, up = np.concatenate(ys), np.concatenate(above)
-    if pts:                 # DOP853 dense output (HNW II.6), in Horner form
-        c, x = _dense_coefs(pts), np.array([p[2] for p in pts])[:, None]
-        d = np.zeros((len(pts), c.shape[2]))
-        for i in range(7, 0, -1):
-            d += c[:, i]
-            d *= x if i % 2 else 1.0 - x
-        y[up] = d + c[:, 0]
+    """The fields of the records recs (one model and layout) at their proper
+    times rqs[i], all at once, as arrays over the points, record after
+    record: the straight line up to rho_seed, each step log's dense output
+    above it.  With k, k = j^-1 p and J_i = C_ia j_ab E_b, P_i = C_ia p_ab E_b
+    above the seed, and J_i = rho W_i, P_i = W_i and zero q0, khat on it."""
+    rq = np.concatenate(rqs)
+    pr = np.repeat(np.arange(len(recs)), [len(r) for r in rqs])  # record
+    line = np.array([rec._line for rec in recs])[pr]
+    y = line[:, 0] + rq[:, None] * line[:, 1]
+    up = rq > np.array([rec.rho_seed for rec in recs])[pr]
+    lid = np.array([id(rec._log) for rec in recs])[pr]
+    lo = np.array([rec._at for rec in recs])[pr]
+    hi = lo + np.array([rec.steps for rec in recs])[pr]
+    for log in {id(rec._log): rec._log for rec in recs}.values():
+        p = up & (lid == id(log))   # DOP853 dense output (HNW II.6), Horner
+        if p.any():
+            c, x = _dense_coefs(log, lo[p], hi[p], rq[p], recs[0])
+            d = np.zeros((len(x), c.shape[2]))
+            for i in range(7, 0, -1):
+                d += c[:, i]
+                d *= x if i % 2 else 1.0 - x
+            y[p] = d + c[:, 0]
     raw = _unpack(y, *recs[0]._layout)
     out = {key: raw.get(key) for key in _FIELDS}
     if recs[0]._layout[1]:
-        rq = np.concatenate(rqs)
-        WC = np.concatenate([np.broadcast_to(rec._boost, (len(r), 3, 7))
-                             for rec, r in zip(recs, rqs)])
-        W, C = WC[..., :4], WC[..., 4:]
+        W, C = np.split(np.array([rec._boost for rec in recs])[pr], [4], 2)
         E, jt, pt = raw["triad"][up], raw["jt"][up], raw["pt"][up]
         out["j"], out["jp"] = rq[:, None, None] * W, W.copy()
         out["j"][up], out["jp"][up] = (C[up] @ jt) @ E, (C[up] @ pt) @ E
@@ -239,11 +232,7 @@ def _eval_rays(recs, rqs):
         trk = np.trace(k, axis1=1, axis2=2)
         out["q0"] = np.where(up, trk - 3.0 / rq, 0.0)
         out["khat"] = k - (trk / 3.0)[:, None, None] * np.eye(3)
-    cuts = np.cumsum([len(rq) for rq in rqs])[:-1]
-    parts = {key: None if v is None else np.split(v, cuts)
-             for key, v in out.items()}
-    return [{key: None if v is None else v[i] for key, v in parts.items()}
-            for i in range(len(recs))]
+    return out
 
 
 def _k_jacobi(basis, g, j, jp):
@@ -258,26 +247,27 @@ def _k_jacobi(basis, g, j, jp):
     return 0.5 * (k + k.transpose(0, 2, 1))
 
 
-def _dense_coefs(pts):
-    """Dense-output coefficients (n, 8, dim) of the points pts, (record,
-    step k, ...): y at the start of step k and F_0..F_6.  Steps not yet
-    cached on their records are re-taken from their stored starts in one
-    batched pass of _stages with the three dense stages, and cached."""
-    todo = list({(id(rec), k): (rec, k) for rec, k, _ in pts
-                 if k not in rec._coefs}.values())
-    if todo:
-        rec = todo[0][0]
-        ts = np.array([r._ends[0][k:k + 2] for r, k in todo])
-        yf = np.array([r._ends[1][k:k + 2] for r, k in todo])
-        ya, hs = yf[:, 0, 0], ts[:, 1] - ts[:, 0]
-        K, _ = _stages(_make_rhs(rec.model, *rec._layout), ya, hs,
-                       yf[:, 0, 1], 16)
-        h, dy = hs[:, None], yf[:, 1, 0] - ya
+def _dense_coefs(log, lo, hi, q, rec):
+    """Dense-output coefficients (m, 8, dim) of the points q (m,) of one
+    step log, whose lanes end their steps in rows lo to hi (y at the start
+    of each point's step, F_0..F_6), and each point's step fraction (m, 1),
+    all found by index.  Steps not yet cached are re-taken from their starts
+    in one _stages pass with the three dense stages (model and layout of
+    rec) and cached on the log, as row slot[s] of coefs."""
+    ts = log.ts
+    ends = ts[np.minimum(lo[:, None] + np.arange((hi - lo).max() + 1),
+                         hi[:, None])]
+    s = lo + np.clip((ends < q[:, None]).sum(axis=1) - 1, 0, hi - lo - 1)
+    new = np.unique(s[log.slot[s] < 0])
+    if len(new):
+        (ya, f0), hs = log.yf[new].transpose(1, 0, 2), ts[new + 1] - ts[new]
+        K, _ = _stages(_make_rhs(rec.model, *rec._layout), ya, hs, f0, 16)
+        h, dy = hs[:, None], log.yf[new + 1, 0] - ya
         coef = np.stack([ya, dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0])]
                         + [h * _lincomb(d, K) for d in _tableau().D], axis=1)
-        for (r, k), c in zip(todo, coef):
-            r._coefs[k] = c
-    return np.array([rec._coefs[k] for rec, k, _ in pts])
+        log.slot[new] = len(log.coefs) + np.arange(len(new))
+        log.coefs = np.concatenate([log.coefs, coef])
+    return log.coefs[log.slot[s]], ((q - ts[s]) / (ts[s + 1] - ts[s]))[:, None]
 
 
 def _unpack(y, nj, nk):
@@ -300,9 +290,10 @@ def _make_rhs(model, nj, nk):
     autonomous, so it reads no rho.  A plain lane (x and B alone) takes
     B' = -Gamma(B, B) from the five per-lane scalars of metric._ray_accel
     and forms no matrix.  A payload lane takes Gamma(B, .), the tidal
-    tensor T and g^{-1} from one metric._ray_terms call; B and the rows of
-    J and P, or of the triad E, are contiguous rows of 4 in the state, so
-    one per-lane matmul with gb^T gives Gamma(B, .) of every row at once."""
+    tensor T and, for coordinate J and P, g^{-1} from one metric._ray_terms
+    call; B and the rows of J and P, or of the triad E, are contiguous rows
+    of 4 in the state, so one per-lane matmul with gb^T gives Gamma(B, .)
+    of every row at once."""
     m = 1 + (3 if nk else 6 * nj)          # rows B, J_i, P_i or B, E_a
 
     def rhs(y):
@@ -310,7 +301,7 @@ def _make_rhs(model, nj, nk):
             return np.concatenate([y[:, 4:8], _ray_accel(model, y[:, 0:4],
                                                          y[:, 4:8])], axis=1)
         n = len(y)
-        gb, T, g_inv = _ray_terms(model, y[:, 0:4], y[:, 4:8])
+        gb, T, g_inv = _ray_terms(model, y[:, 0:4], y[:, 4:8], not nk)
         Y = y[:, 4:4 + 4 * m].reshape(n, m, 4)
         dY = -(Y @ gb.transpose(0, 2, 1))   # -Gamma(B, row) for every row
         dy = np.empty_like(y)
@@ -427,10 +418,11 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     with the block norm of _norm_blocks per lane.  radii holds (R, terminal)
     pairs: a step never straddles R, and a lane that lands on a terminal R
     stops there.  Returns the rho reached, the end states, the truncation
-    flags, each lane's step ends (rho (m+1,), and y, y' (m+1, 2, dim): its
-    start and the end of each accepted step, from which _stages re-takes
-    any step bit for bit) and the per-lane (steps, rejected, rhs_evals)
-    counts.  No dense output is formed here.
+    flags, the step log and the per-lane (steps, rejected, rhs_evals)
+    counts.  The log holds ts (N,) and yf (N, 2, dim), rho and y, y' at each
+    lane's start and accepted step ends, lane after lane, from which
+    _stages re-takes any step bit for bit; at (n,), each lane's first row;
+    and an empty cache of re-taken steps (row slot[s] of coefs, or -1).
     """
     n, dim = y.shape
     tab = _tableau()
@@ -453,7 +445,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     retry = np.zeros(n, bool)           # error-rejected since the last step
     done, trunc = np.zeros(n, bool), np.zeros(n, bool)
     steps, nrej, nfev = np.zeros(n, int), np.zeros(n, int), np.full(n, 2)
-    log = [(np.arange(n), t.copy(), np.stack([y, f], axis=1))]
+    ends = [(np.arange(n), t.copy(), np.stack([y, f], axis=1))]
     while not done.all():
         a = np.flatnonzero(~done)
         ta, ya, ha = t[a], y[a], h[a]
@@ -487,59 +479,70 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
             continue
         acc, yf = a[i], np.stack([ys[i], K[12, i]], axis=1)
         t[acc], y[acc], f[acc] = tn[i], yf[:, 0], yf[:, 1]
-        log.append((acc, tn[i], yf))
+        ends.append((acc, tn[i], yf))
         steps[acc] += 1
         trunc[acc] = land[i] & (tn[i] < t_end[acc])
         done[acc] = land[i] | (tn[i] == t_end[acc])
-    lane, ts, yf = (np.concatenate(c) for c in zip(*log))
-    o, cuts = np.argsort(lane, kind="stable"), np.cumsum(steps + 1)[:-1]
-    ends = list(zip(np.split(ts[o], cuts), np.split(yf[o], cuts)))
-    return t, y, trunc, ends, (steps, nrej, nfev)
+    lane, ts, yf = (np.concatenate(c) for c in zip(*ends))
+    o, at = np.argsort(lane, kind="stable"), np.cumsum(steps + 1) - steps - 1
+    log = SimpleNamespace(ts=ts[o], yf=yf[o], at=at, slot=np.full(len(o), -1),
+                          coefs=np.empty((0, 8, dim)))
+    return t, y, trunc, log, (steps, nrej, nfev)
 
 
-def _seed_rho(model, origin, v0, rho_max):
-    """Largest rho for which the straight line is still inside the flat core
-    (with a safety factor), capped to stay below the first samples; 0 when
-    the origin is not inside that core, where no line is exact."""
-    core = model.flat_core_radius
-    cap = min(1.0, 0.25 * rho_max)
-    if not np.isfinite(core):
-        return cap
-    if core <= 0.0:
-        return 0.0
-    xs = np.asarray(origin, dtype=float)[1:]
-    b2 = (0.98 * core) ** 2
-    if xs @ xs >= b2:
-        return 0.0
-    vs = np.asarray(v0)[1:]
-    v2 = vs @ vs
-    if v2 < 1e-28:                      # central line: never exits the core
-        return cap
-    # |xs + rho vs| = 0.98 * core, the exit ahead of the origin
-    disc = (xs @ vs) ** 2 + v2 * (b2 - xs @ xs)
-    rho_exit = (-(xs @ vs) + np.sqrt(disc)) / v2
-    return min(rho_exit, cap)
-
-
-def _k_seed_rho(model, origin, v0, rho_max):
-    """_seed_rho of a lane with k, which must start inside the flat core:
-    SeedRegionTooSmall when it is below RHO_SEED_MIN.  Such a lane could
-    start at rho = 0 like any other (k is read off its Jacobi fields), but
-    k is checked against an independent oracle (the finite-difference fan)
-    only from origins in the flat core, so the guard stands until there is
-    an oracle for k from off-core origins."""
-    seed = _seed_rho(model, origin, v0, rho_max)
-    if seed < RHO_SEED_MIN:
+def _seed_rho(model, origin, v0, rho_max, with_k):
+    """Per lane, v0 (n, 4) its velocity at the origin, the largest rho for
+    which the straight line is still inside the flat core (with a safety
+    factor), capped below the first samples; 0 when the origin is not
+    inside that core.  with_k raises SeedRegionTooSmall at the first lane
+    below RHO_SEED_MIN: k is checked against an independent oracle (the
+    finite-difference fan) only from origins in the flat core.  Dots are
+    stacked per-lane matmuls and a square is libm's pow (a scalar's ** 2;
+    an array's is x * x, at times a bit off), so a lane's seed is its own."""
+    xs, b2 = origin[1:], (0.98 * model.flat_core_radius) ** 2
+    cap, seed = min(1.0, 0.25 * rho_max), np.zeros(len(v0))
+    if xs @ xs < b2:
+        vs = v0[:, 1:, None]
+        v2, xv = (vs.transpose(0, 2, 1) @ vs)[:, 0, 0], (xs @ vs)[:, 0]
+        # |xs + rho vs| = 0.98 * core, the exit ahead of the origin (inf in
+        # an infinite core); the central line (v2 < 1e-28) never exits
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exit_ = (-xv + np.sqrt(np.float_power(xv, 2)
+                                   + v2 * (b2 - xs @ xs))) / v2
+        seed = np.where(v2 < 1e-28, cap, np.minimum(exit_, cap))
+    if with_k and np.any(seed < RHO_SEED_MIN):
         raise SeedRegionTooSmall(
-            f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}: a "
-            f"lane with k must start inside the flat core")
+            f"flat-core seed rho={seed[seed < RHO_SEED_MIN][0]:.3g} below "
+            f"{RHO_SEED_MIN:g}: a lane with k must start inside the flat core")
     return seed
 
 
+def _triad(g, v0, cands):
+    """metric._orthonormalize(g, [v], cands, 3), (n, 3, 4), of every lane v
+    of v0 (n, 4) in stacked per-lane matmuls, bit for bit.  No remainder
+    is below g-norm 1 for unit timelike v and the origin frame's spatial
+    vectors; one below 1e-10 raises CentralLineDegenerate."""
+    def dot(a, b):                              # a g b, lane by lane
+        return ((a[:, None] @ g) @ b[:, :, None])[:, 0]
+
+    out, sign = [], np.sign(dot(v0, v0))
+    for c in cands:
+        c = c - sign * dot(np.broadcast_to(c, v0.shape), v0) * v0
+        for e in out:
+            c = c - dot(c, e) * e
+        nc = np.sqrt(np.maximum(dot(c, c), 0.0))
+        if not np.all(nc > 1e-10):
+            raise CentralLineDegenerate("a triad candidate has no remainder")
+        out.append(c / nc)
+    return np.stack(out, axis=1)
+
+
 def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
-    """Seed one lane per direction by _seed_rho and integrate them all to
-    the end of rho_grid: the records, with their counters and step ends but
-    no samples yet, and the end states (n, dim)."""
+    """Seed one lane per direction, as arrays over lanes (the hyperboloid
+    points, v0, _seed_rho, _triad, the boost fields W and C and the lines
+    (n, 2, dim)), and integrate them all to the end of rho_grid: the
+    records, with their counters and step log but no samples yet, and the
+    end states (n, dim)."""
     origin = np.asarray(origin, dtype=float)
     if not np.all(np.isfinite(origin)):
         raise ValueError("origin must be finite")
@@ -548,51 +551,46 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
             or rho_grid[0] <= 0):
         raise ValueError("rho grid must be finite, positive and strictly "
                          "increasing")
-    tol = np.broadcast_to(np.asarray(ode_tol, dtype=float),
-                          (len(directions),))
+    n, dim = len(directions), _DIM[nj, nk]
+    tol = np.broadcast_to(np.asarray(ode_tol, dtype=float), (n,))
     if not np.all(tol > 0):
         raise ValueError("ode_tol must be > 0")
-    rho_max = rho_grid[-1]
     g0 = metric_at(model, origin, level=0).g   # also g on each seed line
-    frame0 = _frame(g0)
-    blocks = _norm_blocks(nj, nk)
-    dim = _DIM[nj, nk]
-    recs = []
-    for i, d in enumerate(directions):
-        vh = d.hyperboloid_point()
-        v0 = vh @ frame0
-        seed = (_k_seed_rho if nk else _seed_rho)(model, origin, v0, rho_max)
-        line = np.zeros((2, dim))       # state, d/drho at rho = 0
-        st = _unpack(line, nj, nk)
-        st["x"][:] = origin, v0
-        st["b"][0] = v0
-        W = vh[1:, None] * frame0[0] + vh[0] * frame0[1:]   # boost fields
-        boost = None
-        if nk:      # the frame vectors are coordinate-constant in the core
-            E = st["triad"][0] = _orthonormalize(g0, [v0], frame0[1:], 3)
-            st["pt"][0] = st["jt"][1] = np.eye(3)       # J_a = rho E_a
-            boost = np.concatenate([W, W @ g0 @ E.T], axis=1)
-        elif nj:
-            st["jp"][0] = st["j"][1] = W
-        recs.append(GeodesicRecord(
-            model=model, origin=origin, direction=d, v0=v0, frame0=frame0,
-            rho=rho_grid, x=None, b=None, ode_tol=float(tol[i]),
-            rho_seed=seed, _line=line, _layout=(nj, nk), _boost=boost))
+    e0 = np.eye(4)[0] / np.sqrt(-g0[0, 0])     # the static observer
+    frame0 = np.vstack([e0, _orthonormalize(g0, [e0], np.eye(4)[1:], 3)])
+    zw = np.array([(d.zeta,) + d.omega for d in directions]).reshape(n, 4)
+    vh = np.concatenate([np.cosh(zw[:, :1]), np.sinh(zw[:, :1]) * zw[:, 1:]],
+                        axis=1)                 # Direction.hyperboloid_point
+    v0 = (vh[:, None] @ frame0)[:, 0]
+    seed = _seed_rho(model, origin, v0, rho_grid[-1], nk)
+    line = np.zeros((n, 2, dim))                # state, d/drho at rho = 0
+    st, dst = _unpack(line[:, 0], nj, nk), _unpack(line[:, 1], nj, nk)
+    st["x"][:], dst["x"][:] = origin, v0
+    st["b"][:] = v0
+    W = vh[:, 1:, None] * frame0[0] + vh[:, :1, None] * frame0[1:]  # boosts
+    boost = [None] * n
+    if nk:      # the frame vectors are coordinate-constant in the core
+        E = st["triad"][:] = _triad(g0, v0, frame0[1:])
+        st["pt"][:] = dst["jt"][:] = np.eye(3)          # J_a = rho E_a
+        boost = np.concatenate([W, (W @ g0) @ E.transpose(0, 2, 1)], axis=2)
+    elif nj:
+        st["jp"][:] = dst["j"][:] = W
 
     radii = [(R, False) for R in model.shell_radii]
     if model.kind == "schwarzschild":
         radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
-    rho0 = np.array([rec.rho_seed for rec in recs])
-    y0 = np.array([rec._line[0] + rec.rho_seed * rec._line[1] for rec in recs])
-    reached, y_end, trunc, ends, counts = _dop853(
-        _make_rhs(model, nj, nk), rho0, y0, np.full(len(recs), rho_max),
-        tol[:, None], radii, blocks)
-    for i, rec in enumerate(recs):
-        rec._ends = ends[i]
-        rec.truncated = bool(trunc[i])
-        rec.rho_reached = float(reached[i])
-        rec.steps, rec.rejected, rec.rhs_evals = (int(c[i]) for c in counts)
-        rec.rho = rho_grid[rho_grid <= rec.rho_reached * (1 + 1e-12)]
+    reached, y_end, trunc, log, counts = _dop853(
+        _make_rhs(model, nj, nk), seed, line[:, 0] + seed[:, None] * line[:, 1],
+        np.full(n, rho_grid[-1]), tol[:, None], radii, _norm_blocks(nj, nk))
+    steps, nrej, nfev = (c.tolist() for c in counts)
+    recs = [GeodesicRecord(
+        model=model, origin=origin, direction=d, v0=v0[i], frame0=frame0,
+        rho=rho_grid[rho_grid <= reached[i] * (1 + 1e-12)], x=None, b=None,
+        ode_tol=float(tol[i]), rho_seed=float(seed[i]),
+        truncated=bool(trunc[i]), rho_reached=float(reached[i]),
+        steps=steps[i], rejected=nrej[i], rhs_evals=nfev[i], _line=line[i],
+        _log=log, _at=int(log.at[i]), _layout=(nj, nk), _boost=boost[i])
+        for i, d in enumerate(directions)]
     return recs, y_end
 
 
@@ -612,9 +610,11 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     """
     recs, _ = _lanes(model, origin, directions, rho_grid, ode_tol,
                      with_jacobi or with_k, with_k)
-    for rec, st in zip(recs, _eval_rays(recs, [rec.rho for rec in recs])):
-        for key, val in st.items():
-            setattr(rec, key, val)
+    out, i = _eval_rays(recs, [rec.rho for rec in recs]), 0
+    for rec in recs:
+        for key, val in out.items():
+            setattr(rec, key, None if val is None else val[i:i + len(rec.rho)])
+        i += len(rec.rho)
     return recs
 
 
@@ -627,7 +627,7 @@ def _ray_ends(model, origin, directions, rho, ode_tol):
     recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True,
                          False)
     for rec, y in zip(recs, y_end):
-        rec._ends = None
+        rec._log = None
         st = _unpack(y[None][:len(rec.rho)], True, False)
         for key in _FIELDS:
             setattr(rec, key, st.get(key))

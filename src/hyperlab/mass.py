@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import (_slice_of_records, angular_grid, leaf_slice,
+from .foliation import (_slice_of_records, leaf_slice, origin_grid,
                          solve_level_nodes)
 from .metric import _colsum
 
@@ -45,7 +45,7 @@ def hawking_mass(sl):
 def mass_of_leaf(model, origin, t, rho, omega_nodes=None):
     """Build the slice and return its mass report."""
     if omega_nodes is None:
-        omega_nodes = angular_grid(8, 1)
+        omega_nodes = origin_grid(origin, 8)
     return hawking_mass(leaf_slice(model, origin, t, rho, omega_nodes))
 
 
@@ -62,7 +62,7 @@ def bondi_trace(model, rho, t_grid, origin=None, omega_nodes=None):
         raise ValueError("t grid must be strictly increasing")
     origin = np.zeros(4) if origin is None else np.asarray(origin, dtype=float)
     if omega_nodes is None:
-        omega_nodes = angular_grid(8, 1)
+        omega_nodes = origin_grid(origin, 8)
     k = len(omega_nodes)
     _, recs = solve_level_nodes(model, origin, rho, np.repeat(t_grid, k),
                                 list(omega_nodes) * len(t_grid))

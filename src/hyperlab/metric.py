@@ -42,8 +42,8 @@ of _general_ray.  Level 2 adds Riemann as Kulkarni-Nomizu products of
 K1-K4; no second derivatives of g are formed.  ricci, scalar, schouten and
 weyl are built from Riemann on first access.  The geodesic terms form no
 Christoffel or Riemann array: _ray_accel gives Gamma(B, B) from five
-scalars per lane, and _ray_terms builds Gamma(B, .), R(B, ., B, .) and
-g^{-1} at once as V^T c V + d I_s on the per-lane basis V = (e0, u, v).
+scalars per lane, and _ray_terms builds Gamma(B, .), R(B, ., B, .) and (if
+asked) g^{-1} at once as V^T c V + d I_s on the per-lane basis V = (e0, u, v).
 """
 
 from dataclasses import dataclass
@@ -496,10 +496,10 @@ def _ray_accel(model, x, b):
     return out
 
 
-def _ray_terms(model, x, b):
+def _ray_terms(model, x, b, inverse):
     """Closed-form geodesic terms at lane states x, b (n, 4):
     gb[l, k] = Gamma^l_mk B^m, the tidal tensor T_bd = R_abcd B^a B^c and
-    g^{-1}.
+    g^{-1}, or None unless inverse is set.
 
     Each is V^T c V + d I_s on the per-lane basis V = (e0, (0, u), (0, v))
     (rows), u = x/r and v the spatial part of B, with a 3x3 coefficient
@@ -517,7 +517,7 @@ def _ray_terms(model, x, b):
     which expands on the basis to the symmetric c of the code below.  Every
     lane is computed alone (elementwise, and a matmul per lane), and
     _radial picks each lane's form by its own r, so a lane's terms do not
-    depend on the rest of the batch.
+    depend on the rest of the batch, nor gb and T on inverse.
     """
     n = len(x)
     v, bt = b[:, 1:], b[:, 0]
@@ -535,24 +535,27 @@ def _ray_terms(model, x, b):
     u_v = (A2K4 - K3CA) * uv
     t_uu = (K1 * Ft2 + K3 * bp2) * C - sig + (2.0 * K3CA - A2K4) * uv2
     # the rows of c for gb^T (so that the caller's matmul Y @ gb^T takes a
-    # contiguous operand), T and g^-1, then d of each
+    # contiguous operand), T and g^-1 if asked for, then d of each
+    m, gi = ((3, [[-iF, zero, zero], [zero, -g_uu, zero], [zero] * 3, [iA]])
+             if inverse else (2, [[]] * 4))             # m matrices built
     cd = np.array([hF * uv, q * bt, zero,
-                   F * (K1C * uv2 + K2 * bp2), t_u, t_v, -iF, zero, zero,
-                   hF * bt, c_uu * uv, hA, t_u, t_uu, u_v, zero, -g_uu, zero,
-                   zero, c_uv, zero, t_v, u_v, -A2K4, zero, zero, zero,
-                   hA * uv, sig, iA]).T                  # (n, 30)
+                   F * (K1C * uv2 + K2 * bp2), t_u, t_v, *gi[0],
+                   hF * bt, c_uu * uv, hA, t_u, t_uu, u_v, *gi[1],
+                   zero, c_uv, zero, t_v, u_v, -A2K4, *gi[2],
+                   hA * uv, sig, *gi[3]]).T              # (n, 10 m)
     V = np.zeros((n, 3, 4))
     V[:, 0, 0] = 1.0
     V[:, 1, 1:] = x[:, 1:] * ir[:, None]
     V[:, 2, 1:] = v
     # V^T (c_0 | c_1 | c_2), then each block times V, in contiguous
     # stacked matmuls (a broadcast or transposed operand is far slower)
-    vc = V.transpose(0, 2, 1).copy() @ cd[:, :27].reshape(n, 3, 9)
-    out = (vc.reshape(n, 4, 3, 3).transpose(0, 2, 1, 3).reshape(n, 12, 3)
-           @ V).reshape(n, 3, 16)
-    out[:, :, 5::5] += cd[:, 27:, None]                 # d I_s
-    out = out.reshape(n, 3, 4, 4)
-    return out[:, 0].transpose(0, 2, 1), out[:, 1], out[:, 2]
+    vc = V.transpose(0, 2, 1).copy() @ cd[:, :9 * m].reshape(n, 3, 3 * m)
+    out = (vc.reshape(n, 4, m, 3).transpose(0, 2, 1, 3).reshape(n, 4 * m, 3)
+           @ V).reshape(n, m, 16)
+    out[:, :, 5::5] += cd[:, 9 * m:, None]              # d I_s
+    out = out.reshape(n, m, 4, 4)
+    return (out[:, 0].transpose(0, 2, 1), out[:, 1],
+            out[:, 2] if inverse else None)
 
 
 def _squeeze(jet, scalar_input):

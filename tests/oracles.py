@@ -193,6 +193,53 @@ def jet_ray_rhs(model, nj, nk):
     return rhs
 
 
+def lane_seed(model, origin, direction, rho_max, nj, nk):
+    """One lane's seed by the per-lane rule, one direction at a time: v0,
+    the seed rho, the straight line (2, dim) (state and rho-derivative at
+    rho = 0) and, with k, the boost block W | C, with the triad from
+    metric._orthonormalize.  A lane with k whose seed is below
+    RHO_SEED_MIN raises SeedRegionTooSmall."""
+    from hyperlab.errors import SeedRegionTooSmall
+    from hyperlab.geodesic import _DIM, RHO_SEED_MIN, _unpack
+    from hyperlab.metric import _orthonormalize, metric_at
+
+    g0 = metric_at(model, origin, level=0).g
+    e0 = np.zeros(4)
+    e0[0] = 1.0 / np.sqrt(-g0[0, 0])
+    frame0 = np.vstack([e0, _orthonormalize(g0, [e0], np.eye(4)[1:], 3)])
+    vh = direction.hyperboloid_point()
+    v0 = vh @ frame0
+    core, cap = model.flat_core_radius, min(1.0, 0.25 * rho_max)
+    xs, vs = np.asarray(origin, dtype=float)[1:], v0[1:]
+    b2 = (0.98 * core) ** 2
+    if not np.isfinite(core):
+        seed = cap
+    elif core <= 0.0 or xs @ xs >= b2:
+        seed = 0.0
+    elif vs @ vs < 1e-28:               # central line: never exits the core
+        seed = cap
+    else:               # |xs + rho vs| = 0.98 * core, the exit ahead
+        disc = (xs @ vs) ** 2 + (vs @ vs) * (b2 - xs @ xs)
+        seed = min((-(xs @ vs) + np.sqrt(disc)) / (vs @ vs), cap)
+    if nk and seed < RHO_SEED_MIN:
+        raise SeedRegionTooSmall(
+            f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}: a "
+            f"lane with k must start inside the flat core")
+    line = np.zeros((2, _DIM[nj, nk]))
+    st = _unpack(line, nj, nk)
+    st["x"][:] = origin, v0
+    st["b"][0] = v0
+    W = vh[1:, None] * frame0[0] + vh[0] * frame0[1:]
+    boost = None
+    if nk:
+        E = st["triad"][0] = _orthonormalize(g0, [v0], frame0[1:], 3)
+        st["pt"][0] = st["jt"][1] = np.eye(3)
+        boost = np.concatenate([W, W @ g0 @ E.T], axis=1)
+    elif nj:
+        st["jp"][0] = st["j"][1] = W
+    return v0, seed, line, boost
+
+
 def riemann_fd(model, x, h=1e-3):
     """Fully lowered R_abcd at one point from central differences of Gamma.
 

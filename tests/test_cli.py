@@ -115,6 +115,36 @@ def test_kg_and_mass_subcommands(tmp_path):
     assert abs(float(fits[0].split(",")[1])) < 1e-8
 
 
+def _csv_column(path, name):
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(name)
+    return [row.split(",")[col] for row in lines[1:]]
+
+
+def test_offset_origin_grids_follow_its_axis(tmp_path):
+    # mass and zs-compare from an origin offset along x are the same
+    # problem as along z, rotated, so their axisymmetric sphere grids (and
+    # the cone sphere's probe) follow the offset.  glued_small with only the
+    # offset changed: the 12 masses agree to 1e-10 (measured 8.5e-12), osc_t
+    # and diam_bound of the cone sphere to 1e-10 (measured 8.4e-13 and
+    # 5.2e-12).  With the z-axis grid, (0.2, 0, 0) read m = 0.0343 at rho 5,
+    # t 10, where 2M = 0.02, every row with status ok
+    text = (CONFIGS / "glued_small.ini").read_text()
+    got = []
+    for off in ("0.2 0.0 0.0", "0.0 0.0 0.2"):
+        cfg, out = tmp_path / "offset.ini", tmp_path / off.replace(" ", "_")
+        cfg.write_text(text.replace("offset = 0.0 0.0 0.0", f"offset = {off}"))
+        for sub in ("mass", "zs-compare"):
+            assert run_cli([sub, "--config", str(cfg), "--out", str(out)]) == 0
+        assert set(_csv_column(out / "masses.csv", "status")) == {"ok"}
+        got.append([float(v) for v in _csv_column(out / "masses.csv", "mass")]
+                   + [float(_csv_column(out / "cone_spheres.csv", key)[0])
+                      for key in ("osc_t", "diam_bound")])
+    assert len(got[0]) == 14
+    assert max(abs(a - b) for a, b in zip(*got)) <= 1e-10
+    assert max(abs(m - 0.02) for m in got[0][:12]) <= 1e-6
+
+
 def test_determinism_and_golden(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

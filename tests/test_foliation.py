@@ -410,7 +410,7 @@ def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
             assert np.all(c.tol == foliation.TIGHT_TOL)
     for r in recs:
         assert r.ode_tol == foliation.TIGHT_TOL
-        assert r.has_jacobi and not r.has_k and r._ends is None
+        assert r.has_jacobi and not r.has_k and r._log is None
         assert len(r.x) == 1 and np.array_equal(r.rho, [rho])
         st = r.state_at(rho)
         for key in ("x", "b", "j", "jp"):

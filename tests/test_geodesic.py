@@ -7,22 +7,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperlab import geodesic
+from hyperlab import geodesic, metric
 from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
 from hyperlab.foliation import leaf_frames, second_fundamental_fd_oracle
-from hyperlab.geodesic import (_FIELDS, RHO_SEED_MIN, Direction,
-                               GeodesicRecord, _lincomb, _make_rhs, _stages,
-                               _states_at, _tableau, exp_map, fan_build,
-                               integrate_rays)
+from hyperlab.geodesic import (_FIELDS, RHO_SEED_MIN, ZETA_MAX_DEFAULT,
+                               Direction, GeodesicRecord, _lincomb, _make_rhs,
+                               _stages, _states_at, _tableau, exp_map,
+                               fan_build, integrate_rays)
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 
-from oracles import geodesic_rhs, rk8_fixed
+from oracles import geodesic_rhs, lane_seed, rk8_fixed
 
 MINK = MetricModel.minkowski()
 GLUED = MetricModel.glued(0.01)
 SCHW = MetricModel.schwarzschild(0.05)
 OFFSET = np.array([0.0, 0.2, 0.0, 0.0])
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _step_ends(rec):
+    """A record's stored step ends, rho and (y, y'): its lane's rows of its
+    integration's step log."""
+    rows = slice(rec._at, rec._at + rec.steps + 1)
+    return rec._log.ts[rows], rec._log.yf[rows]
 
 
 def minkowski_norm(v):
@@ -48,6 +55,15 @@ def test_direction_angles_near_poles(pole):
         want = tilt if pole > 0 else np.pi - tilt
         assert abs(theta - want) <= 4 * eps * want, tilt
         assert phi == pytest.approx(0.7, rel=1e-14)
+
+
+def test_direction_rejects_non_3_vector_omega():
+    # omega is one 3-vector: a 2-vector, a 4-vector, a nested (1, 3) array or
+    # a scalar is rejected where the Direction is made, not later inside the
+    # lane set-up, where stacked omegas would misread or fail in numpy
+    for omega in [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), ((1, 0, 0),), 1.0]:
+        with pytest.raises(ValueError, match="nonzero 3-vector"):
+            Direction(1.0, omega)
 
 
 def test_minkowski_straight_lines():
@@ -336,6 +352,88 @@ def test_seed_region_guard():
                        with_k=True)
 
 
+# directions of the seeding tests: the central line (zeta = 0, the
+# v2 < 1e-28 branch of the seed rule) up to ZETA_MAX_DEFAULT
+_SEED_DIRECTIONS = [Direction(0.0, (0, 0, 1)), Direction(0.0, (1, 0, 0)),
+                    Direction(1e-9, (0, 1, 0)), Direction(0.3, (1, 2, 2)),
+                    Direction(1.0, (-1, 0, 0)), Direction(1.7, (0.2, -0.9, 0.4)),
+                    Direction(3.0, (0.6, 0.0, -0.8)),
+                    Direction(ZETA_MAX_DEFAULT, (0.3, -0.4, 0.5))]
+
+
+@pytest.mark.parametrize("model, origin, with_k", [
+    (GLUED, np.zeros(4), True),
+    (GLUED, np.array([0.3, 0.2, -0.1, 0.15]), True),
+    (MetricModel.glued(0.05), np.zeros(4), True),
+    (MINK, np.array([0.0, 3.0, 1.0, -2.0]), True),
+    (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), False),
+    (GLUED, np.array([0.0, 1.5, 0.0, 0.0]), False)],
+    ids=["centred", "offset-core", "glued-m005", "minkowski", "schwarzschild",
+         "glued-off-core"])
+def test_batched_seeding_matches_lane_rule(model, origin, with_k):
+    # _lanes seeds all lanes at once, as arrays over lanes; each lane's v0,
+    # seed, straight line (the triad in it) and boost block are those of
+    # the per-lane rule bit for bit (oracles.lane_seed, with the triad from
+    # metric._orthonormalize), in every layout the origin allows.  The
+    # triad is g-orthonormal and g-orthogonal to v0 to 1e-14 cosh(zeta)^2,
+    # the size of the terms of a product of boosted vectors, up to zeta = 3
+    # (measured <= 4.4e-16 cosh^2); at ZETA_MAX_DEFAULT the classical
+    # Gram-Schmidt's cancellation reads 1.65e-14 cosh^2 (6.7e-10)
+    g = metric_at(model, origin, level=0).g
+    for nj, nk in [(False, False), (True, False), (True, True)][:2 + with_k]:
+        recs, _ = geodesic._lanes(model, origin, _SEED_DIRECTIONS, [4.0],
+                                  1e-8, nj, nk)
+        for d, rec in zip(_SEED_DIRECTIONS, recs):
+            v0, seed, line, boost = lane_seed(model, origin, d, 4.0, nj, nk)
+            assert np.array_equal(rec.v0, v0) and rec.rho_seed == seed
+            assert np.array_equal(rec._line, line)
+            assert _same_field(rec._boost, boost)
+            if nk:
+                E = rec._line[0, 8:20].reshape(3, 4)
+                gram = np.vstack([E, rec.v0]) @ g @ E.T - np.eye(4, 3)
+                bound = 1e-14 if d.zeta <= 3.0 else 2e-14
+                assert np.abs(gram).max() <= bound * np.cosh(d.zeta) ** 2
+    # the lanes from the flat core start on their lines, the others at 0
+    assert {rec.rho_seed > 0.0 for rec in recs} == {with_k}
+
+
+def test_off_core_seed_message_names_the_first_lane():
+    # a with-k batch whose lanes leave the flat core too soon raises at its
+    # first such lane, with the message of the per-lane rule: the origin
+    # 0.975 from the centre, where lanes along +x above zeta ~ 2.3 have too
+    # short a seed, and an origin in the blend, where every seed is 0
+    dirs = [Direction(1.0, (-1, 0, 0)), Direction(0.5, (1, 0, 0)),
+            Direction(3.0, (1, 0, 0)), Direction(4.0, (1, 0, 0))]
+    for x, seed in ((0.975, "rho=0.000499 "), (1.5, "rho=0 ")):
+        origin = np.array([0.0, x, 0.0, 0.0])
+        with pytest.raises(SeedRegionTooSmall) as want:
+            for d in dirs:
+                lane_seed(GLUED, origin, d, 5.0, True, True)
+        with pytest.raises(SeedRegionTooSmall) as got:
+            integrate_rays(GLUED, origin, dirs, [5.0], with_k=True)
+        assert str(got.value) == str(want.value)
+        assert seed in str(got.value)
+
+
+def test_fan_seeding_makes_one_orthonormalize_call(monkeypatch):
+    # the 125 triads of a 5x5x5 fan are one stacked Gram-Schmidt: the one
+    # metric._orthonormalize call left is the origin frame's (126 when each
+    # lane took its own)
+    calls = []
+    orthonormalize = metric._orthonormalize
+
+    def spy(*args):
+        calls.append(1)
+        return orthonormalize(*args)
+
+    monkeypatch.setattr(metric, "_orthonormalize", spy)
+    monkeypatch.setattr(geodesic, "_orthonormalize", spy)
+    steps = 4e-3 * np.arange(-2, 3)
+    fan_build(GLUED, np.zeros(4), 1.0 + steps, 1.2 + steps, 0.4 + steps,
+              [1.0, 5.0], ode_tol=1e-9)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("model, origin, payload", [
     (GLUED, OFFSET, True), (GLUED, OFFSET, False),
     (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), False)],
@@ -347,7 +445,7 @@ def test_state_below_seed_is_the_straight_line(model, origin, payload):
     # starts at rho = 0 from the origin state.
     rec = exp_map(model, origin, Direction(1.2, (0.6, 0.0, -0.8)),
                   [2.0, 6.0], with_jacobi=payload, with_k=payload)
-    ts, yf = rec._ends
+    ts, yf = _step_ends(rec)
     assert ts[0] == rec.rho_seed
     assert np.array_equal(yf[0, 0],
                           rec._line[0] + rec.rho_seed * rec._line[1])
@@ -411,9 +509,11 @@ def test_batch_matches_single_ray_offset_payload():
         assert all(np.array_equal(sa[k], sb[k]) for k in sa)
 
 
-# the fields compared record to record: not the dense-output coefficient
-# cache, which holds the steps that earlier reads have re-taken
-_COMPARED = [f.name for f in fields(GeodesicRecord) if f.name != "_coefs"]
+# the fields compared record to record: not the step log, which the batch's
+# records share (with the cache of the steps that earlier reads have
+# re-taken), and not a lane's first row in it, but the lane's step ends
+_COMPARED = [f.name for f in fields(GeodesicRecord)
+             if f.name not in ("_log", "_at")]
 
 
 def _same_field(va, vb):
@@ -444,6 +544,7 @@ def test_per_lane_tolerance_matches_single_ray(origin):
         for name in _COMPARED:
             assert _same_field(getattr(rec, name),
                                getattr(single, name)), name
+        assert _same_field(_step_ends(rec), _step_ends(single))
     assert len({rec.rhs_evals for rec in recs}) == 3
 
 
@@ -459,6 +560,7 @@ def test_wide_batch_matches_single_ray(probe_fan):
         for name in _COMPARED:
             assert _same_field(getattr(rec, name),
                                getattr(single, name)), (i, name)
+        assert _same_field(_step_ends(rec), _step_ends(single)), i
 
 
 @pytest.mark.parametrize("model, origin, nj, nk", [
@@ -480,8 +582,8 @@ def test_retaken_step_is_the_step_taken(model, origin, nj, nk):
     recs = integrate_rays(model, origin, dirs, [0.5, 15.0], ode_tol=1e-10,
                           with_jacobi=nj, with_k=nk)
     assert any(r.truncated for r in recs) == (model is SCHW)
-    hs = [np.diff(r._ends[0]) for r in recs]      # step sizes, lane by lane
-    yf = np.concatenate([r._ends[1] for r in recs])
+    hs = [np.diff(_step_ends(r)[0]) for r in recs]  # step sizes, lane by lane
+    yf = np.concatenate([_step_ends(r)[1] for r in recs])
     start = np.concatenate([np.arange(len(h)) + sum(map(len, hs[:i])) + i
                             for i, h in enumerate(hs)])
     assert len(start) == sum(r.steps for r in recs)
@@ -520,7 +622,7 @@ def test_reads_independent_of_order_grouping_and_cache():
     reads.append(_states_at(fresh(), AB)[1])
     alone = exp_map(GLUED, OFFSET, dirs[1], rho, ode_tol=1e-11, with_k=True)
     reads.append(alone.state_at(AB))
-    alone._coefs.clear()
+    alone._log.slot[:] = -1                 # clear the cache of re-taken steps
     reads.append(alone.state_at(AB))
     assert reads[0]["x"].shape == (len(AB), 4)
     for st in reads[1:]:
@@ -565,7 +667,7 @@ def test_einsums_per_step(monkeypatch, payload, per_rhs):
                   with_jacobi=payload, with_k=payload)
     attempts = rec.steps + rec.rejected
     assert len(calls) == per_rhs * rec.rhs_evals + 14 * attempts + 19
-    y = np.zeros((4, rec._ends[1].shape[2]))
+    y = np.zeros((4, rec._log.yf.shape[2]))
     y[:, 0:4], y[:, 4:8] = rec.x[-1], rec.b[-1]
     calls.clear()
     _make_rhs(GLUED, payload, payload)(y)

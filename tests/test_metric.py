@@ -98,7 +98,7 @@ def test_glued_core_flat_inside_schwarzschild_horizon(model, x):
     assert np.abs(jet.riemann).max() == 0.0
     xb = np.array([x])
     b = np.array([[1.25, 0.6, 0.0, -0.45]])
-    gb, T, g_inv = _ray_terms(model, xb, b)
+    gb, T, g_inv = _ray_terms(model, xb, b, True)
     assert np.abs(gb).max() == 0.0 and np.abs(T).max() == 0.0
     assert np.array_equal(g_inv[0], np.diag([-1.0, 1, 1, 1]))
 
@@ -324,11 +324,17 @@ def test_ray_terms_match_jet(model, lo, hi, exact, vacuum):
     # Riemann, times the |B| factors), which is where its own rounding sits:
     # near the horizon the Cartesian T is only good to ~1e-9 of |T| while
     # those terms are ~1e10 |T|.  In the flat core both are exact zeros.
+    # The call without g^{-1} (the triad layout's) gives the same Gamma(B, .)
+    # and T bit for bit.
     radii = np.concatenate([exact, np.random.default_rng(7).uniform(lo, hi, 200)])
     x, b = _ray_states(model, radii, seed=11)
     jet = metric_at(model, x, level=1)
     d2g, riemann = cartesian_level2(model, x)
-    gb, T, g_inv = _ray_terms(model, x, b)
+    gb, T, g_inv = _ray_terms(model, x, b, True)
+    trimmed = _ray_terms(model, x, b, False)
+    assert trimmed[2] is None
+    assert gb.tobytes() == trimmed[0].tobytes()
+    assert T.tobytes() == trimmed[1].tobytes()
     babs = np.abs(b).sum(axis=1)
     s_gb = _lane_max(jet.g_inv) * _lane_max(jet.dg) * babs
     s_T = (_lane_max(d2g) + _lane_max(jet.gamma) * _lane_max(jet.dg)) * babs**2
@@ -373,18 +379,23 @@ def test_exterior_vacuum_ricci(model, radii):
 def test_ray_terms_batch_independent_across_zones():
     # lanes in the core, at r_in, in the annulus, at r_out and outside: each
     # lane of the mixed batch is the lane alone, bit for bit, and each
-    # exterior lane is its value in an all-exterior batch
+    # exterior lane is its value in an all-exterior batch, with and without
+    # g^{-1}; without it, Gamma(B, .) and T are those of the full mixed call
     radii = np.array([0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7, 15.0])
     x, b = _ray_states(GLUED, radii, seed=19)
     outer = radii >= GLUED.r_out
-    mixed = _ray_terms(GLUED, x, b)
-    ext = _ray_terms(GLUED, x[outer], b[outer])
-    for i in range(len(x)):
-        alone = _ray_terms(GLUED, x[i:i + 1], b[i:i + 1])
-        for got, ref in zip(mixed, alone):
-            assert got[i:i + 1].tobytes() == ref.tobytes(), i
-    for got, ref in zip(mixed, ext):
-        assert got[outer].tobytes() == ref.tobytes()
+    full = _ray_terms(GLUED, x, b, True)
+    for inverse in (True, False):
+        mixed = _ray_terms(GLUED, x, b, inverse)[:2 + inverse]
+        ext = _ray_terms(GLUED, x[outer], b[outer], inverse)
+        for i in range(len(x)):
+            alone = _ray_terms(GLUED, x[i:i + 1], b[i:i + 1], inverse)
+            for got, ref in zip(mixed, alone):
+                assert got[i:i + 1].tobytes() == ref.tobytes(), i
+        for got, ref in zip(mixed, ext):
+            assert got[outer].tobytes() == ref.tobytes()
+        for got, ref in zip(mixed, full):
+            assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("payload", [False, True], ids=["plain", "payload"])
