@@ -253,21 +253,25 @@ def _dense_coefs(log, lo, hi, q, rec):
     of each point's step, F_0..F_6), and each point's step fraction (m, 1),
     all found by index.  Steps not yet cached are re-taken from their starts
     in one _stages pass with the three dense stages (model and layout of
-    rec) and cached on the log, as row slot[s] of coefs."""
+    rec) and cached on the log: step s is row row[s] of coefs[chunk[s]],
+    the coefficients of the read that re-took it, kept without a copy."""
     ts = log.ts
     ends = ts[np.minimum(lo[:, None] + np.arange((hi - lo).max() + 1),
                          hi[:, None])]
     s = lo + np.clip((ends < q[:, None]).sum(axis=1) - 1, 0, hi - lo - 1)
-    new = np.unique(s[log.slot[s] < 0])
+    new = np.unique(s[log.chunk[s] < 0])
     if len(new):
         (ya, f0), hs = log.yf[new].transpose(1, 0, 2), ts[new + 1] - ts[new]
         K, _ = _stages(_make_rhs(rec.model, *rec._layout), ya, hs, f0, 16)
         h, dy = hs[:, None], log.yf[new + 1, 0] - ya
         coef = np.stack([ya, dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0])]
                         + [h * _lincomb(d, K) for d in _tableau().D], axis=1)
-        log.slot[new] = len(log.coefs) + np.arange(len(new))
-        log.coefs = np.concatenate([log.coefs, coef])
-    return log.coefs[log.slot[s]], ((q - ts[s]) / (ts[s + 1] - ts[s]))[:, None]
+        log.chunk[new], log.row[new] = len(log.coefs), np.arange(len(new))
+        log.coefs.append(coef)
+    ch, c = log.chunk[s], np.empty((len(q), 8, log.yf.shape[2]))
+    for j in np.unique(ch):
+        c[ch == j] = log.coefs[j][log.row[s[ch == j]]]
+    return c, ((q - ts[s]) / (ts[s + 1] - ts[s]))[:, None]
 
 
 def _unpack(y, nj, nk):
@@ -422,7 +426,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     counts.  The log holds ts (N,) and yf (N, 2, dim), rho and y, y' at each
     lane's start and accepted step ends, lane after lane, from which
     _stages re-takes any step bit for bit; at (n,), each lane's first row;
-    and an empty cache of re-taken steps (row slot[s] of coefs, or -1).
+    and an empty cache of re-taken steps (_dense_coefs; chunk[s] is -1).
     """
     n, dim = y.shape
     tab = _tableau()
@@ -485,8 +489,8 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
         done[acc] = land[i] | (tn[i] == t_end[acc])
     lane, ts, yf = (np.concatenate(c) for c in zip(*ends))
     o, at = np.argsort(lane, kind="stable"), np.cumsum(steps + 1) - steps - 1
-    log = SimpleNamespace(ts=ts[o], yf=yf[o], at=at, slot=np.full(len(o), -1),
-                          coefs=np.empty((0, 8, dim)))
+    log = SimpleNamespace(ts=ts[o], yf=yf[o], at=at, coefs=[],
+                          chunk=np.full(len(o), -1), row=np.zeros(len(o), int))
     return t, y, trunc, log, (steps, nrej, nfev)
 
 

@@ -622,7 +622,7 @@ def test_reads_independent_of_order_grouping_and_cache():
     reads.append(_states_at(fresh(), AB)[1])
     alone = exp_map(GLUED, OFFSET, dirs[1], rho, ode_tol=1e-11, with_k=True)
     reads.append(alone.state_at(AB))
-    alone._log.slot[:] = -1                 # clear the cache of re-taken steps
+    alone._log.chunk[:] = -1                # clear the cache of re-taken steps
     reads.append(alone.state_at(AB))
     assert reads[0]["x"].shape == (len(AB), 4)
     for st in reads[1:]:
