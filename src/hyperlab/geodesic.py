@@ -203,7 +203,7 @@ def _eval_rays(recs, rqs):
     above it.  With k, k = j^-1 p and J_i = C_ia j_ab E_b, P_i = C_ia p_ab E_b
     above the seed, and J_i = rho W_i, P_i = W_i and zero q0, khat on it."""
     rq = np.concatenate(rqs)
-    pr = np.repeat(np.arange(len(recs)), [len(r) for r in rqs])  # record
+    pr = np.repeat(np.arange(len(recs)), [len(r) for r in rqs])  # its rec
     line = np.array([rec._line for rec in recs])[pr]
     y = line[:, 0] + rq[:, None] * line[:, 1]
     up = rq > np.array([rec.rho_seed for rec in recs])[pr]
