@@ -598,9 +598,10 @@ def test_retaken_step_is_the_step_taken(model, origin, nj, nk):
 
 def test_reads_independent_of_order_grouping_and_cache():
     # one record read at the proper times A and B, A then B, B then A and
-    # both in one call, alone and in a batch with other records, from a
-    # warm and a cold coefficient cache and from a fresh integration of its
-    # direction alone: every field is the same bit for bit
+    # both in one call, alone and in a batch with other records (of its own
+    # integration, or each of another), from a warm and a cold coefficient
+    # cache and from a fresh integration of its direction alone: every
+    # field is the same bit for bit
     dirs = [Direction(0.4, (0.0, 0.6, 0.8)), Direction(1.1, (1, 0, 0)),
             Direction(1.6, (-0.3, 0.2, -0.9))]
     rho = np.linspace(1, 18, 4)
@@ -620,6 +621,7 @@ def test_reads_independent_of_order_grouping_and_cache():
     reads.append({k: np.concatenate([a[k], b[k]]) for k in _FIELDS})
     reads.append(fresh()[1].state_at(AB))
     reads.append(_states_at(fresh(), AB)[1])
+    reads.append(_states_at([fresh()[i] for i in range(3)], AB)[1])
     alone = exp_map(GLUED, OFFSET, dirs[1], rho, ode_tol=1e-11, with_k=True)
     reads.append(alone.state_at(AB))
     alone._log.chunk[:] = -1                # clear the cache of re-taken steps
