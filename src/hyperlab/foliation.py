@@ -23,17 +23,17 @@ with a leading point axis that every consumer reads.  Its batching rule is
 elementwise per point: arithmetic runs over all points at once, and each
 contraction is a stacked einsum, matmul or 3x3 inverse with no reduction
 across points and, per point, the operand shapes of the one-point product.
-Only the sphere-pair Gram-Schmidt, whose candidate order and skips branch
-per point, runs one point at a time.  So every point's result is
-bit-identical to that point evaluated alone.
+The sphere pairs too are one stacked Gram-Schmidt, each point with its own
+order of candidate axes.  So every point's result is bit-identical to that
+point evaluated alone.
 
-The spheres come from solve_level_nodes, a curvature-corrected Newton
-solve for each node's rapidity.  Its loose iterates are plain pairs: two
-geodesic lanes per node, at zeta and zeta + _PAIR_DELTA, with no Jacobi
-fields and no k, whose forward difference gives the slope.  Only its tight
-iterates carry Jacobi fields, in coordinates and with no triad:
-leaf_frames takes their k from the fields (geodesic._k_jacobi), and that of
-a record with k from its triad k.
+The spheres come from solve_level_nodes, which finds each node's
+rapidity in two integrations as a rule.  A stencil round integrates plain
+lanes (no Jacobi fields, no k) at the Chebyshev points of a rapidity span
+about the flat root, and the root of their interpolant is the next
+iterate.  Only the tight rounds that follow carry Jacobi fields, in
+coordinates and with no triad: leaf_frames takes their k from the fields
+(geodesic._k_jacobi), and that of a record with k from its triad k.
 
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
@@ -62,38 +62,32 @@ from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_jacobi, _lanes,
                        _ray_ends, _seed_rho, _states_at,
                        direction_from_angles, integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
-                     _orthonormalize, _zs_floor, curvature_at, metric_at)
+                     _zs_floor, curvature_at, metric_at)
 
 FRAME_FLOOR = 1e-6
-# Tolerance of a loose Newton iterate of the leaf solver: LOOSE_TOL before
-# the first step, then NEWTON_TOL_C dz^2 after a step dz (solve_level_nodes).
-# A loose iterate is a plain pair (_paired_slope): two lanes of x and B
-# alone, read at their end states, and the step is Newton's with the flat
-# level's curvature term.  A lane at tol tau moves the next z by about
-# alpha tau, with alpha larger on level uhat than on level t; after the
-# flat-root step (dz ~ 3e-3) that error must stay below the acceptance
-# threshold, about 1e-10 in z, or the first tight iterate misses it and a
-# fourth integration follows.  Plain pairs need a smaller NEWTON_TOL_C
-# than loose iterates with Jacobi fields did (3e-6).  Scan on glued
-# M = 0.01, RHS calls over 12 centred t-leaves (t/rho = 2, 4, 8; rho = 5,
-# 10, 15.79, 20; angular_grid(4, 1)), each of which takes three
-# integrations throughout, and the integrations of three harder leaves:
-# uhat rho 15 target 3 and uhat rho 6 target 1 (angular_grid(6, 1)), and
-# t 40 on rho 10 of glued M = 0.05 (angular_grid(4, 1)):
-#     LOOSE_TOL \ NEWTON_TOL_C   3e-6        1e-6        3e-7        1e-7
-#     1e-8                 12,732 4,4,4 13,128 3,4,3 13,560 3,3,3 13,848 3,3,3
-#     3e-9                 12,948 4,4,4 13,344 3,4,3 13,776 3,3,3 14,064 3,3,3
-#     1e-9                 13,200 4,4,4 13,596 3,4,3 14,028 3,3,3 14,316 3,3,3
-# (6e-7 reads as 1e-6 with 180 more calls.)  3e-7 is the largest
-# NEWTON_TOL_C that leaves every leaf three integrations, and LOOSE_TOL
-# only sets the first round's accuracy, which the second round corrects,
-# so the loosest 1e-8 is kept.  The mass subcommand's batches (rho 5, 10,
-# 20; t/rho = 2, 4, 8, 16; angular_grid(6, 1)) take three integrations at
-# every entry of the table.
-LOOSE_TOL = 1e-8
-NEWTON_TOL_C = 3e-7
+# The leaf solver's stencil (solve_level_nodes): _Z_POINTS plain lanes per
+# node at STENCIL_TOL, at the Chebyshev points of _Z_SPAN about the flat
+# root.  Scan on glued M = 0.01, 5 points: RHS calls of the 12 centred
+# t-leaves (t/rho = 2, 4, 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)),
+# and the most integrations and, per span, the largest first tight residual
+# |f| / max(|target|, 1) (bound 1e-10) over them, uhat rho 15 target 3 and
+# rho 6 target 1, t 40 on rho 10 at M = 0.05, the zs-compare cone sphere,
+# the mass subcommand's batch at rho 10 and 12 leaves from the origins
+# (0.5, 0, 0), (0, 0.3, 0.6) and (0.97, 0, 0):
+#     STENCIL_TOL            1e-10    3e-11    1e-11    3e-12
+#     RHS calls              8,280    8,712    9,120    9,600
+#     integrations               3        2        2        2
+#     [-0.02, 0.005]       1.6e-10  5.6e-11  2.3e-11  7.9e-12
+#     [-0.03, 0.005]       1.6e-10  5.5e-11  2.4e-11  8.8e-12
+#     [-0.04, 0.005]       1.5e-10  5.3e-11  2.1e-11  5.9e-12
+# 4 points take three integrations, 6 as many calls as 5.  1e-11 keeps a
+# margin of 4 below the bound (3e-11 saves 4.5 % of the calls for half of
+# it); on [-0.03, 0.005], the narrowest span to do so, M = 0.1 (root
+# outside it) takes two integrations, M = 0.2 three.
+STENCIL_TOL = 1e-11
+_Z_SPAN = (-0.03, 0.005)    # the stencil's span about the flat root
+_Z_POINTS = 5               # its Chebyshev points, ends included
 TIGHT_TOL = 1e-12           # tolerance of every accepted leaf record
-_PAIR_DELTA = 1e-5          # rapidity offset of a loose iterate's second lane
 _FAN_DELTA = 5e-3           # parameter spacing of the transverse mini-fan
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
 _SIDES5 = tuple((s, _STENCIL5[s + 2]) for s in (-2, -1, 1, 2))
@@ -159,12 +153,31 @@ class LeafFrames:
         return self
 
 
-def _sphere_pair(g, fixed):
-    """g-orthonormal pair orthogonal to the unit vectors fixed: the spatial
-    coordinate axes least aligned with fixed[-1], orthogonalized."""
-    cands = np.eye(4)[1:]
-    cands = cands[np.argsort([abs(c @ g @ fixed[-1]) for c in cands])]
-    return _orthonormalize(g, fixed, cands, 2)
+def _sphere_pairs(g, fixed):
+    """g-orthonormal pairs (n, 2, 4) g-orthogonal to the unit vectors fixed
+    (n, k, 4): per point, the two spatial axes least aligned with fixed[-1],
+    by metric._orthonormalize's arithmetic in stacked matmuls.  Remainders
+    are >= 1/sqrt(2) in flat space and larger near a mass (measured down to
+    the horizon guard), far from its skip at 1e-10, so one there raises."""
+    def dot(a, b):                              # a g b, point by point
+        return ((a[:, None] @ g) @ b[:, :, None])[:, 0, 0]
+
+    fixed = np.swapaxes(fixed, 0, 1)
+    axes = np.eye(4)[1:]
+    tilt = np.stack([np.abs(dot(np.broadcast_to(c, fixed[-1].shape),
+                                fixed[-1])) for c in axes], axis=1)
+    out = []
+    for c in np.swapaxes(axes[np.argsort(tilt, axis=1)[:, :2]], 0, 1):
+        coef = [np.sign(dot(f, f)) * dot(c, f) for f in fixed]
+        for a, f in zip(coef, fixed):
+            c = c - a[:, None] * f
+        for e in out:
+            c = c - dot(c, e)[:, None] * e
+        nc = np.sqrt(np.maximum(dot(c, c), 0.0))
+        if not np.all(nc > 1e-10):
+            raise CentralLineDegenerate("a sphere-pair axis has no remainder")
+        out.append(c / nc[:, None])
+    return np.stack(out, axis=1)
 
 
 def leaf_frames(model, recs, rhos):
@@ -208,8 +221,7 @@ def leaf_frames(model, recs, rhos):
     eA = np.zeros((len(x), 2, 4))
     r, varpi, snr = np.zeros(len(x)), np.zeros(len(x)), np.zeros((len(x), 2))
     ok = ~degenerate
-    for i in np.flatnonzero(ok):
-        eA[i] = _sphere_pair(jet.g[i], [T[i], N[i]])
+    eA[ok] = _sphere_pairs(jet.g[ok], np.stack([T, N], axis=1)[ok])
     xs = x[ok, 1:, None]
     r[ok] = np.sqrt(_T(xs) @ xs)[:, 0, 0]
     rad = xs / r[ok, None, None]
@@ -389,12 +401,6 @@ def _level_at(model, origin_t, x, truncated, level, r_floor):
     return _level_value(model, origin_t, x, level)
 
 
-def _flat_curvature(z, level):
-    """c = F''/F' of the flat level function along the rapidity: coth(z) on
-    level t (t = rho cosh z), -1 on level uhat (uhat = rho e^-z)."""
-    return 1.0 / np.tanh(z) if level == "t" else -1.0
-
-
 def _level_slope(model, recs, level, r_floor):
     """The level function t or uhat at the end of each tight record, its
     one sample at the leaf's rho, and its exact derivative p_zeta . grad F
@@ -407,24 +413,44 @@ def _level_slope(model, recs, level, r_floor):
     return F, (p_zeta[:, :1] @ grad[:, :, None])[:, 0, 0]
 
 
-def _paired_slope(model, origin, rho, z, thetas, phis, tol, level, r_floor):
-    """A loose Newton round: the level function F at each node's z and its
-    slope along the rapidity from a plain pair.  Each node runs as two
-    plain geodesic lanes, at z and at z + _PAIR_DELTA, all in one batch
-    with no Jacobi fields, no k and no dense output, read at their end
-    states alone.  The pair's forward difference is
-    F' (1 + c delta / 2) + O(delta^2) with c = F''/F', so it is divided by
-    that factor at the flat level's curvature c."""
-    n = len(z)
-    dirs = [direction_from_angles(zeta, th, ph) for zeta, th, ph in
-            zip(np.concatenate([z, z + _PAIR_DELTA]), np.tile(thetas, 2),
-                np.tile(phis, 2))]
-    recs, y = _lanes(model, origin, dirs, [rho], np.tile(tol, 2), False,
-                     False)
-    F = _level_at(model, origin[0], y[:, :4],
-                  [rec.truncated for rec in recs], level, r_floor)
-    corr = 1.0 + 0.5 * _flat_curvature(z, level) * _PAIR_DELTA
-    return F[:n], (F[n:] - F[:n]) / _PAIR_DELTA / corr
+def _stencil_level(model, origin, rho, zk, thetas, phis, level, r_floor):
+    """The level function F at the rapidities zk (m, p), a node per row:
+    all m p points as plain lanes (x and B alone) at STENCIL_TOL in one
+    batch, read at their end states."""
+    m, p = zk.shape
+    dirs = [direction_from_angles(*a) for a in
+            zip(zk.ravel(), np.repeat(thetas, p), np.repeat(phis, p))]
+    recs, y = _lanes(model, origin, dirs, [rho], STENCIL_TOL, False, False)
+    return _level_at(model, origin[0], y[:, :4],
+                     [rec.truncated for rec in recs], level,
+                     r_floor).reshape(m, p)
+
+
+def _interp_root(zk, f, z):
+    """Each node's root of the polynomial interpolating f at zk (m, p), by
+    eight Newton steps from z on its divided differences, elementwise."""
+    c = f.copy()
+    for j in range(1, zk.shape[1]):
+        c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) / (zk[:, j:] - zk[:, :-j])
+    for _ in range(8):
+        v, dv = c[:, -1], 0.0
+        for j in range(zk.shape[1] - 2, -1, -1):
+            dv = dv * (z - zk[:, j]) + v
+            v = v * (z - zk[:, j]) + c[:, j]
+        z = z - v / dv
+    return z
+
+
+def _narrow(zk, f, s, lo, hi, scale, zn):
+    """Each node's bracket [lo, hi] shrunk by its values f (m, p) at zk, s
+    the sign of its slope, and its next iterate: zn, or the midpoint when
+    zn leaves the bracket.  Unreachable on a collapsed bracket."""
+    below = f * s[:, None] < 0              # the root lies above the point
+    lo = np.maximum(lo, np.where(below, zk, -np.inf).max(axis=1))
+    hi = np.minimum(hi, np.where(below, np.inf, zk).min(axis=1))
+    if np.any((hi <= lo) & (np.abs(f).min(axis=1) > 3e-6 * scale)):
+        raise Unreachable("target level not attained on the zeta bracket")
+    return lo, hi, np.where((zn >= lo) & (zn <= hi), zn, 0.5 * (lo + hi))
 
 
 def solve_level_nodes(model, origin, rho, target, angles, level="t"):
@@ -432,42 +458,29 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     level function (t or uhat) equals target on H_rho; target is one value,
     or one per direction.
 
-    Every node starts at the flat root, arccosh(max(target/rho, 1)) on level
-    t and ln(rho/target) on level uhat (ZETA_MAX_DEFAULT if target <= 0),
-    clipped into the bracket [1e-8, ZETA_MAX_DEFAULT].  Each step is
-    z - d - c d^2 / 2 with d = f / df: Newton's step corrected to second
-    order by the curvature c = F''/F' of the flat level, coth(z) on level t
-    and -1 on level uhat (uhat = rho e^-z).  The sign of f df tells on
-    which side of z the root lies, the bracket shrinks onto it, and a step
-    leaving the bracket bisects it.  A node whose last step was |dz| (inf
-    before the first) is integrated at clip(NEWTON_TOL_C dz^2, TIGHT_TOL,
-    LOOSE_TOL).  It is loose above TIGHT_TOL, and also after an iterate at
-    LOOSE_TOL that missed the acceptance bound, whose error the next z
-    carries.  A loose iterate only moves z and the bracket: it is a plain
-    pair (_paired_slope), two lanes at z and z + _PAIR_DELTA with no
-    Jacobi fields, no k and no dense output, whose forward difference,
-    divided by 1 + c _PAIR_DELTA / 2, gives df.  A tight iterate is a leaf
-    record at TIGHT_TOL with Jacobi fields and no k that keeps only its end
-    state, the one sample at rho that its readers use, and takes the exact
-    df = p_zeta . grad F from the Jacobi fields.  A node is accepted only on
-    a tight record whose residual is below 1e-10 max(|target|, 1), so every
-    returned record is tight.  A round makes one batched integration of its
-    loose pairs and one of its tight lanes, when it has them.  The
-    integrator's lanes are independent, so each root and record is the same
-    whatever the order or grouping of the nodes.
-    Returns the zeta array and those records.  A centred leaf takes three
-    integrations: two loose, one tight.  An exact flat root (Minkowski)
-    still takes two: the loose one that finds it and the tight one that
-    accepts it.
+    The first round is the stencil (_stencil_level): F at the _Z_POINTS
+    Chebyshev points of the span _Z_SPAN about each node's flat root,
+    arccosh(max(target/rho, 1)) on level t and ln(rho/target) on level
+    uhat, the span shifted into the bracket [1e-8, ZETA_MAX_DEFAULT].  Its
+    values shrink each node's bracket, and the root of their interpolant
+    (_interp_root) is the next zeta.  Each later round is tight: a record
+    at TIGHT_TOL with Jacobi fields and no k that keeps only its end state
+    at rho, with the exact slope df = p_zeta . grad F.  A node is accepted
+    on a tight residual below 1e-10 max(|target|, 1); else it steps to
+    z - d - c d^2 / 2, d = f / df, with the flat level's curvature
+    c = F''/F' (coth(z) on level t, -1 on level uhat = rho e^-z).  A next
+    zeta outside the bracket bisects it.  Lanes are independent and roots
+    are taken per node, so no root or record depends on the order or
+    grouping of the nodes.  Returns the zeta array and the records; a leaf
+    takes two integrations when the stencil's root meets the bound.
 
-    Errors come from the Newton iterates: Unreachable when a node's bracket
-    collapses onto one of its ends with |f| still above 3e-6 max(|target|,
-    1) (the target is not attained for zeta in the bracket);
-    BracketFailure("level function not monotone on the bracket") when a
-    node's df changes sign between iterates; BracketFailure when the
-    iteration does not converge, or when a uhat iterate falls below the
-    exterior zone, where uhat is undefined.  An origin outside the flat
-    core raises SeedRegionTooSmall before any integration.
+    Errors: Unreachable when a node's bracket collapses onto one of its
+    ends with |f| above 3e-6 max(|target|, 1); BracketFailure("level
+    function not monotone on the bracket") when F is not monotone over a
+    node's stencil or its slope changes sign between rounds; BracketFailure
+    when the iteration does not converge, or when a uhat iterate falls
+    below the exterior zone, where uhat is undefined.  An origin outside
+    the flat core raises SeedRegionTooSmall before any integration.
     """
     origin = np.asarray(origin, dtype=float)
     # a leaf record's k comes from its Jacobi fields, and it is checked
@@ -492,48 +505,35 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
         z0[target > 0] = np.log(rho / target[target > 0])
     lo = np.full(m, 1e-8)
     hi = np.full(m, ZETA_MAX_DEFAULT)
-    z = np.clip(z0, lo, hi)
-    sgn = np.zeros(m)               # sign of df at the last iterate, 0 before
-    step = np.full(m, np.inf)       # |dz| of the last iterate, inf before
-    rough = np.zeros(m, bool)       # last iterate at LOOSE_TOL, off the root
+    width = _Z_SPAN[1] - _Z_SPAN[0]
+    cheb = 0.5 * (1.0 - np.cos(np.pi * np.arange(_Z_POINTS) / (_Z_POINTS - 1)))
+    a = np.clip(z0 + _Z_SPAN[0], lo, hi - width)
+    zk = np.minimum(a[:, None] + width * cheb, hi[:, None])
+    f = _stencil_level(model, origin, rho, zk, thetas, phis, level,
+                       r_floor) - target[:, None]
+    sgn = np.sign(f[:, -1] - f[:, 0])       # sign of the slope of each node
+    if np.any(np.diff(f, axis=1) * sgn[:, None] < 0):
+        raise BracketFailure("level function not monotone on the bracket")
+    lo, hi, z = _narrow(zk, f, sgn, lo, hi, scale,
+                        _interp_root(zk, f, np.clip(z0, zk[:, 0], zk[:, -1])))
     out = [None] * m
     todo = np.arange(m)
     for _ in range(30):
-        tol = np.clip(NEWTON_TOL_C * step[todo] ** 2, TIGHT_TOL, LOOSE_TOL)
-        loose = (tol > TIGHT_TOL) | rough[todo]
-        F, df = np.empty(len(todo)), np.empty(len(todo))
-        recs = [None] * len(todo)
-        if loose.any():
-            i = todo[loose]
-            F[loose], df[loose] = _paired_slope(
-                model, origin, rho, z[i], thetas[i], phis[i], tol[loose],
-                level, r_floor)
-        if not loose.all():
-            k = np.flatnonzero(~loose)
-            got = _ray_ends(model, origin,
-                            [direction_from_angles(z[i], thetas[i], phis[i])
-                             for i in todo[k]], rho, tol[k])
-            F[k], df[k] = _level_slope(model, got, level, r_floor)
-            for j, rec in zip(k, got):
-                recs[j] = rec
+        recs = _ray_ends(model, origin,
+                         [direction_from_angles(z[i], thetas[i], phis[i])
+                          for i in todo], rho, TIGHT_TOL)
+        F, df = _level_slope(model, recs, level, r_floor)
         f = F - target[todo]
         if np.any(sgn[todo] * df < 0):
             raise BracketFailure("level function not monotone on the bracket")
         sgn[todo] = np.sign(df)
-        below = f * df < 0
-        lo[todo] = np.where(below, z[todo], lo[todo])
-        hi[todo] = np.where(below, hi[todo], z[todo])
-        if np.any((hi[todo] <= lo[todo]) & (np.abs(f) > 3e-6 * scale[todo])):
-            raise Unreachable("target level not attained on the zeta bracket")
         d = f / df
-        zn = z[todo] - d - 0.5 * _flat_curvature(z[todo], level) * d * d
-        zn = np.where((zn >= lo[todo]) & (zn <= hi[todo]), zn,
-                      0.5 * (lo[todo] + hi[todo]))
-        step[todo] = np.abs(zn - z[todo])
-        z[todo] = zn
-        hit = np.abs(f) <= 1e-10 * scale[todo]
-        rough[todo] = (tol == LOOSE_TOL) & ~hit
-        done = ~loose & hit
+        c = 1.0 / np.tanh(z[todo]) if level == "t" else -1.0   # flat F''/F'
+        zn = z[todo] - d - 0.5 * c * d * d
+        lo[todo], hi[todo], z[todo] = _narrow(
+            z[todo, None], f[:, None], sgn[todo], lo[todo], hi[todo],
+            scale[todo], zn)
+        done = np.abs(f) <= 1e-10 * scale[todo]
         for i, rec, accepted in zip(todo, recs, done):
             if accepted:
                 out[i] = rec

@@ -328,10 +328,10 @@ def _make_rhs(model, nj, nk):
 # batched DOP853 with per-lane step control
 
 def _norm_blocks(nj, nk):
-    """Error-norm blocks of the state layout, an index table (blocks, 9)
-    padded with dim (a zero column): x^0, x^i, B^0, B^i, the time and the
-    spatial parts of J, P or E over their three fields, and each row of j
-    and p, whose norm is the invariant length of one J_a or DJ_a/drho."""
+    """Error-norm blocks of the state layout, an index table as wide as its
+    longest block, padded with dim (a zero column): x^0, x^i, B^0, B^i, the
+    time and the spatial parts of J, P or E over their three fields, and
+    each row of j and p (the invariant length of one J_a or DJ_a/drho)."""
     blocks = [[0], [1, 2, 3], [4], [5, 6, 7]]
     dim = _DIM[nj, nk]
     for p in range(8, 20 if nk else dim, 12):
@@ -339,7 +339,7 @@ def _norm_blocks(nj, nk):
         blocks += [f[:, 0], f[:, 1:].ravel()]
     if nk:
         blocks += list(np.arange(20, 38).reshape(6, 3))
-    table = np.full((len(blocks), 9), dim)
+    table = np.full((len(blocks), max(map(len, blocks))), dim)
     for i, blk in enumerate(blocks):
         table[i, :len(blk)] = blk
     return table

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTetrad, Horizon, OutsideZs
-from .foliation import _sphere_pair, frames_at
+from .foliation import _sphere_pairs, frames_at
 from .metric import _optical_mass_terms, curvature_at
 
 TETRAD_TOL = 1e-9
@@ -142,7 +142,7 @@ def hat_tetrad(jet):
     # against the g-unit radial vector
     g = jet.g
     radu = rad / np.sqrt(rad @ g @ rad)
-    eA = _sphere_pair(g, [radu])
+    eA = _sphere_pairs(g[None], radu[None, None])[0]
     return NullTetrad(e4=Lhat / n, e3=Lbhat / n, eA=eA)
 
 

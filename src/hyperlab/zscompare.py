@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Horizon, OutsideZs, SphereExitsZone
-from .foliation import (_T, _pick, _residual_table, _rho_cluster, _sphere_pair,
-                        leaf_frames, leaf_slice)
+from .foliation import (_T, _pick, _residual_table, _rho_cluster,
+                        _sphere_pairs, leaf_frames, leaf_slice)
 from .metric import (MetricModel, _optical_mass_terms, _zs_floor, curvature_at,
                      metric_at)
 from .nullgeom import gauss_residual
@@ -184,7 +184,7 @@ def cone_sphere_geometry(model, rho, uhat, omega_nodes, origin=None):
     dag_nb = dag_a[:, None] * Ls - B
     nbu = dag_nb / np.sqrt((dag_nb[:, None] @ g) @ dag_nb[:, :, None])[:, 0]
     # orthonormal pair orthogonal to {B, dag_nb}
-    eA = np.stack([_sphere_pair(g[i], [B[i], nbu[i]]) for i in range(len(r))])
+    eA = _sphere_pairs(g, np.stack([B, nbu], axis=1))
     # dag chi_AC = dag_a <cov_{eA} L^s, eC>;  dag chib = 2 k(eA, eC) - chi
     jet = curvature_at(model, fr.x)     # its Christoffels and its Weyl tensor
     chi = dag_a[:, None, None] * np.einsum(

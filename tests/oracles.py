@@ -240,6 +240,18 @@ def lane_seed(model, origin, direction, rho_max, nj, nk):
     return v0, seed, line, boost
 
 
+def sphere_pair(g, fixed):
+    """One point's sphere pair by the per-point rule: the spatial
+    coordinate axes sorted by |<e_i, fixed[-1]>|, least aligned first, and
+    metric._orthonormalize of them against the unit vectors fixed, keeping
+    two."""
+    from hyperlab.metric import _orthonormalize
+
+    cands = np.eye(4)[1:]
+    cands = cands[np.argsort([abs(c @ g @ fixed[-1]) for c in cands])]
+    return _orthonormalize(g, fixed, cands, 2)
+
+
 def riemann_fd(model, x, h=1e-3):
     """Fully lowered R_abcd at one point from central differences of Gamma.
 

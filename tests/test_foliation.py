@@ -16,7 +16,8 @@ from hyperlab.foliation import (angular_grid, frames_at, leaf_frames,
                                 solve_level_nodes, structure_residuals)
 from hyperlab.geodesic import Direction, exp_map, fan_build
 from hyperlab.mass import mass_of_leaf
-from hyperlab.metric import MetricModel
+from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
+from oracles import sphere_pair
 
 MINK = MetricModel.minkowski()
 GLUED = MetricModel.glued(0.01)
@@ -292,27 +293,30 @@ def test_solve_level_nodes_unreachable_above_bracket():
 
 
 def test_solve_level_nodes_monotone_guard(monkeypatch):
-    # df changing sign between a node's iterates means the level function
-    # folds over inside the bracket; the second loose round sees the flip
-    slope = foliation._paired_slope
-    calls = []
-
-    def folded(*args):
-        F, df = slope(*args)
-        calls.append(1)
-        return F, (df if len(calls) == 1 else -df)
-
-    monkeypatch.setattr(foliation, "_paired_slope", folded)
-    with pytest.raises(BracketFailure, match="not monotone"):
-        solve_level_nodes(GLUED, np.zeros(4), 10.0, 40.0, angular_grid(2, 1))
-    assert len(calls) == 2
+    # the level function folding over inside the bracket: the stencil's F
+    # reversed, so that its slope and the tight round's exact slope differ
+    # in sign (raised in the tight round), or folded back over the
+    # stencil's upper points (raised before any tight round)
+    stencil = foliation._stencil_level
+    calls = _spy_solver(monkeypatch)
+    for fold, integrations in (
+            (lambda F: F[:, ::-1], 2),
+            (lambda F: np.concatenate([F[:, :3], 2 * F[:, 2:3] - F[:, 3:]],
+                                      axis=1), 1)):
+        calls.clear()
+        monkeypatch.setattr(foliation, "_stencil_level",
+                            lambda *args, fold=fold: fold(stencil(*args)))
+        with pytest.raises(BracketFailure, match="not monotone"):
+            solve_level_nodes(GLUED, np.zeros(4), 10.0, 40.0,
+                              angular_grid(2, 1))
+        assert len(calls) == integrations
 
 
 def _spy_solver(monkeypatch):
     """Every integration (geodesic._dop853), with its lane count, state
-    width, tolerances, right-hand-side calls and lane evaluations.  A loose
-    round of the leaf solver integrates plain lanes, x and B alone
-    (width 8); a tight one leaf records with Jacobi fields and no k
+    width, tolerances, right-hand-side calls and lane evaluations.  The
+    leaf solver's stencil integrates plain lanes, x and B alone (width 8,
+    `loose`); a tight round leaf records with Jacobi fields and no k
     (width 32)."""
     calls = []
 
@@ -342,7 +346,7 @@ def _spy_solver(monkeypatch):
 def test_seed_region_raised_before_integration(monkeypatch, model, origin,
                                                rho):
     # an origin that leaves the static line no flat-core seed fails before
-    # the loose rounds integrate anything
+    # the stencil integrates anything
     calls = _spy_solver(monkeypatch)
     with pytest.raises(SeedRegionTooSmall):
         mass_of_leaf(model, np.array(origin), 2.0 * rho, rho,
@@ -351,35 +355,34 @@ def test_seed_region_raised_before_integration(monkeypatch, model, origin,
 
 
 def test_leaf_slice_integrate_rays_budget(monkeypatch):
-    # the flat seed leaves a few Newton steps, each one batched solve over
-    # the open nodes; no solve is wider than a plain pair per node
+    # the stencil and a few tight rounds, each one batched solve over the
+    # open nodes; no solve is wider than the stencil's points per node
     calls = _spy_solver(monkeypatch)
     leaf_slice(GLUED, np.zeros(4), 40.0, 10.0, angular_grid(4, 1))
     assert len(calls) <= 4
-    assert max(c.lanes for c in calls) <= 2 * 4
+    assert max(c.lanes for c in calls) <= 5 * 4
 
 
 def test_leaf_work_budget_inexact_newton(monkeypatch):
-    # the two loose rounds integrate plain pairs (the first at LOOSE_TOL on
-    # every lane); every record returned is tight with the Jacobi fields
-    # and no k.  On this leaf the rounds take 1,062 RHS calls and the tight
-    # round 1,736 lane evaluations, the only ones with a payload (2,264 when
-    # the tight round transported k, 4,344 when the loose rounds carried
-    # Jacobi fields as well); each bound adds the +-7 % that rounding-level
-    # changes of the RHS move DOP853 step counts by.  The plain lanes bring
-    # the total lane evaluations to 6,760, by design.
+    # the stencil integrates five plain lanes per node, all at STENCIL_TOL;
+    # every record returned is tight with the Jacobi fields and no k.  On
+    # this leaf the two rounds take 808 RHS calls (1,062 with two
+    # loose rounds of plain pairs) and the tight round 1,736 lane
+    # evaluations, the only ones with a payload (2,264 when the tight round
+    # transported k); each bound adds the +-7 % that rounding-level changes
+    # of the RHS move DOP853 step counts by
     calls = _spy_solver(monkeypatch)
     nodes = angular_grid(4, 1)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), 15.79, 63.16, nodes)
-    assert [c.loose for c in calls] == [True, True, False]
-    assert [c.lanes for c in calls] == [8, 8, 4]
-    assert np.all(calls[0].tol == foliation.LOOSE_TOL)
+    assert [c.loose for c in calls] == [True, False]
+    assert [c.lanes for c in calls] == [20, 4]
+    assert np.all(calls[0].tol == foliation.STENCIL_TOL)
     for r in recs:
         assert r.ode_tol == 1e-12 and r.has_jacobi and not r.has_k
-    assert sum(c.rhs_calls for c in calls) <= 1137
+    assert sum(c.rhs_calls for c in calls) <= 865
     assert sum(c.lane_evals for c in calls if not c.loose) <= 1858
-    # an exact flat root is found by the first loose round and accepted
-    # only by a tight one
+    # an exact flat root is found by the stencil and accepted only by a
+    # tight round
     calls.clear()
     _, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, nodes)
     assert [c.loose for c in calls] == [True, False]
@@ -389,22 +392,23 @@ def test_leaf_work_budget_inexact_newton(monkeypatch):
 @pytest.mark.parametrize("rho, target, nodes, level", [
     (10.0, 20.0, angular_grid(4, 1), "t"),
     (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t=2rho", "uhat"])
-def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
-    # two loose rounds and one tight round: the curvature-corrected step
-    # lands the first tight iterate within the acceptance bound on both
-    # levels.  Every returned record keeps only its end state, with no step
-    # ends to read the ray between.  A loose round integrates each node as a plain pair, x and B
-    # alone; every returned record is tight with Jacobi fields and no k.  A
-    # tight record takes the 12 stages of each step, accepted or rejected,
-    # and the 2 evaluations of the starting step, and no dense-output stage.
+def test_leaf_two_integrations(monkeypatch, rho, target, nodes, level):
+    # the stencil and one tight round: the stencil's root lands the first
+    # tight iterate within the acceptance bound on both levels.  Every
+    # returned record keeps only its end state, with no step ends to read
+    # the ray between.  The stencil integrates five plain lanes per node, x
+    # and B alone; every returned record is tight with Jacobi fields and no
+    # k.  A tight record takes the 12 stages of each step, accepted or
+    # rejected, and the 2 evaluations of the starting step, and no
+    # dense-output stage.
     calls = _spy_solver(monkeypatch)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
-    assert [c.loose for c in calls] == [True, True, False]
+    assert [c.loose for c in calls] == [True, False]
     for c in calls:
         if c.loose:
-            assert c.lanes == 2 * len(nodes)
-            assert np.all(c.tol > foliation.TIGHT_TOL)
+            assert c.lanes == 5 * len(nodes)
+            assert np.all(c.tol == foliation.STENCIL_TOL)
         else:
             assert c.lanes == len(nodes) and c.width == 32
             assert np.all(c.tol == foliation.TIGHT_TOL)
@@ -428,47 +432,77 @@ def test_leaf_three_integrations(monkeypatch, rho, target, nodes, level):
     (GLUED, 10.0, np.repeat([20.0, 40.0, 80.0, 160.0], 6),
      angular_grid(6, 1) * 4, "t"),
 ], ids=["uhat-rho6", "mass0.05", "cone-sphere", "bondi-batch"])
-def test_harder_leaves_three_integrations(monkeypatch, model, rho, target,
-                                          nodes, level):
+def test_harder_leaves_two_integrations(monkeypatch, model, rho, target,
+                                        nodes, level):
     # leaves that took four integrations with Jacobi-field loose rounds, the
     # cone-sphere leaf of zs-compare on glued_small, and the batch of the
-    # mass subcommand, whose nodes step by different amounts in the first
-    # round: each takes two loose rounds and one tight.  The cone-sphere
-    # target is the uhat of the ray of rapidity 1 along x^1 at rho.
+    # mass subcommand, whose nodes lie at different rapidities: each takes
+    # the stencil and one tight round.  The cone-sphere target is the uhat
+    # of the ray of rapidity 1 along x^1 at rho.
     if target is None:
         probe = exp_map(model, np.zeros(4), Direction(1.0, (1.0, 0.0, 0.0)),
                         [rho])
         target = foliation._level_value(model, 0.0, probe.x[-1], "uhat")
     calls = _spy_solver(monkeypatch)
     solve_level_nodes(model, np.zeros(4), rho, target, nodes, level=level)
-    assert [c.loose for c in calls] == [True, True, False]
+    assert [c.loose for c in calls] == [True, False]
+
+
+def _spy_stencil(monkeypatch):
+    """The stencil of each solve (its rapidities and F, each (m, 5)) and
+    the rapidities of each tight round."""
+    seen = SimpleNamespace(stencil=[], tight=[])
+    stencil, ends = foliation._stencil_level, foliation._ray_ends
+
+    def spy_stencil(model, origin, rho, zk, *args):
+        F = stencil(model, origin, rho, zk, *args)
+        seen.stencil.append((zk, F))
+        return F
+
+    def spy_ends(model, origin, dirs, *args):
+        seen.tight.append(np.array([d.zeta for d in dirs]))
+        return ends(model, origin, dirs, *args)
+
+    monkeypatch.setattr(foliation, "_stencil_level", spy_stencil)
+    monkeypatch.setattr(foliation, "_ray_ends", spy_ends)
+    return seen
 
 
 @pytest.mark.parametrize("rho, target, nodes, level", [
     (15.79, 63.16, angular_grid(4, 1), "t"),
     (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t", "uhat"])
-def test_paired_slope_matches_jacobi_slope(rho, target, nodes, level):
-    # the plain pair's forward difference, corrected by the flat level's
-    # curvature, against the exact slope p_zeta . grad F from the Jacobi
-    # fields of a tight record, at the flat root and at the solved root
-    th = np.array([a[0] for a in nodes])
-    ph = np.array([a[1] for a in nodes])
+def test_stencil_matches_tight_records(monkeypatch, rho, target, nodes,
+                                       level):
+    # the stencil's F at each of its points against a tight record at the
+    # same rapidity, and its root, the first tight iterate, against the
+    # root of tight Newton steps with the exact slope p_zeta . grad F from
+    # the Jacobi fields; measured on level uhat, the larger: 2.2e-11
+    # relative in F and 2.0e-11 in zeta, and 4.9e-14 on Minkowski
+    th = np.repeat([a[0] for a in nodes], 5)
+    ph = np.repeat([a[1] for a in nodes], 5)
     r_floor = foliation._zs_floor(GLUED, 0.02) if level == "uhat" else 1e-12
-    z0 = np.arccosh(target / rho) if level == "t" else np.log(rho / target)
-    roots, _ = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
-                                 level=level)
-    for z in (np.full(len(nodes), z0), roots):
+    seen = _spy_stencil(monkeypatch)
+    solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes, level=level)
+    (zk, F), root = seen.stencil[0], seen.tight[0]
+    recs = geodesic._ray_ends(
+        GLUED, np.zeros(4), [geodesic.direction_from_angles(*a)
+                             for a in zip(zk.ravel(), th, ph)],
+        rho, foliation.TIGHT_TOL)
+    ref, _ = foliation._level_slope(GLUED, recs, level, r_floor)
+    assert np.all(np.abs(F.ravel() - ref) <= 1e-8 * np.abs(ref))
+    z = root.copy()
+    for _ in range(2):
         recs = geodesic._ray_ends(
             GLUED, np.zeros(4), [geodesic.direction_from_angles(*a)
-                                 for a in zip(z, th, ph)],
+                                 for a in zip(z, th[::5], ph[::5])],
             rho, foliation.TIGHT_TOL)
-        F, exact = foliation._level_slope(GLUED, recs, level, r_floor)
-        for tol in (foliation.LOOSE_TOL, 1e-10, foliation.TIGHT_TOL):
-            Fp, paired = foliation._paired_slope(
-                GLUED, np.zeros(4), rho, z, th, ph, np.full(len(z), tol),
-                level, r_floor)
-            assert np.all(np.abs(paired / exact - 1.0) <= 1e-6), tol
-            assert np.all(np.abs(Fp - F) <= 1e-6 * np.abs(F)), tol
+        Fz, df = foliation._level_slope(GLUED, recs, level, r_floor)
+        z = z - (Fz - target) / df
+    assert np.all(np.abs(root - z) <= 1e-10)
+    # on Minkowski the level function is rho cosh(zeta) exactly
+    seen.tight.clear()
+    solve_level_nodes(MINK, np.zeros(4), rho, 4.0 * rho, nodes)
+    assert np.abs(seen.tight[0] - np.arccosh(4.0)).max() <= 1e-12
 
 
 def test_leaf_records_match_integrate_rays():
@@ -531,12 +565,13 @@ def test_triad_k_matches_leaf_k():
 
 def test_centred_leaves_work_and_mass(monkeypatch):
     # the 12 centred leaves of the benchmark's leaf workload (t/rho = 2, 4,
-    # 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)): three integrations
-    # each, the tight one 32 wide (Jacobi fields, no k).  Their tight rounds
-    # take 19,680 lane evaluations (26,424 when they transported k); the
-    # bound adds the +-7 % that rounding-level changes of the RHS move
-    # DOP853 step counts by.  The exact mass of each leaf is 2M; the
-    # largest |m - 2M| is 1.7e-11 (2.9e-9 with the transported k)
+    # 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)): two integrations
+    # each, the stencil and a tight one 32 wide (Jacobi fields, no k).  They
+    # take 9,120 RHS calls (11,868 with two loose rounds of plain pairs),
+    # and their tight rounds 19,680 lane evaluations (26,424 when they
+    # transported k); each bound adds the +-7 % that rounding-level changes
+    # of the RHS move DOP853 step counts by.  The exact mass of each leaf
+    # is 2M; the largest |m - 2M| is 1.8e-11 (2.9e-9 with the transported k)
     calls = _spy_solver(monkeypatch)
     worst = 0.0
     for rho in (5.0, 10.0, 15.79, 20.0):
@@ -544,10 +579,11 @@ def test_centred_leaves_work_and_mass(monkeypatch):
             n = len(calls)
             rep = mass_of_leaf(GLUED, np.zeros(4), f * rho, rho,
                                angular_grid(4, 1))
-            assert [c.loose for c in calls[n:]] == [True, True, False]
+            assert [c.loose for c in calls[n:]] == [True, False]
             worst = max(worst, abs(rep.mass - 0.02))
     tight = [c for c in calls if not c.loose]
     assert all(c.width == 32 for c in tight)
+    assert sum(c.rhs_calls for c in calls) <= 9760
     assert sum(c.lane_evals for c in tight) <= 21058
     assert worst <= 1e-10
 
@@ -631,6 +667,44 @@ def test_leaf_frames_batch_independent(offset_record, probe_fan, case):
         alone = _leaf_frame_arrays(leaf_frames(GLUED, [rec], [rho]))
         for name, v in batch.items():
             assert np.array_equal(v[i], alone[name][0]), (name, i)
+
+
+def test_sphere_pairs_match_point_rule(offset_record, probe_fan):
+    # the stacked sphere pairs equal the per-point rule bit for bit, with
+    # the fixed vectors of leaf_frames ({T, N}), of the cone sphere (B and a
+    # unit vector off it, here Nbar) and of the static tetrad (the radial
+    # unit vector), at the points of an offset record and of a fan, and on
+    # the Schwarzschild horizon guard, where the coordinate axes are most
+    # nearly g-parallel to the radial direction
+    lf = leaf_frames(GLUED, [offset_record] + probe_fan.records[::7],
+                     np.linspace(2.0, 25.0, 4))
+    fr = lf.frames
+    schw = MetricModel.schwarzschild(0.4)
+    xs = np.array([[0.0, *v] for v in ([1.0, 1.0, 1.0], [1.0, 0.0, 0.0],
+                                       [0.3, -0.5, 0.8])])
+    xs[:, 1:] *= (0.8 * (1.0 + 2.0 * HORIZON_MARGIN)
+                  / np.linalg.norm(xs[:, 1:], axis=1))[:, None]
+    g_s = metric_at(schw, xs, level=0).g
+    rad = np.concatenate([np.zeros((3, 1)), xs[:, 1:]], axis=1)
+    rad /= np.sqrt(np.einsum('na,nab,nb->n', rad, g_s, rad))[:, None]
+    T_s = np.zeros((3, 4))
+    T_s[:, 0] = 1.0 / np.sqrt(-g_s[:, 0, 0])
+    cases = [(fr.g, np.stack([fr.T, fr.N], axis=1)),
+             (fr.g, np.stack([fr.B, fr.Nbar], axis=1)),
+             (fr.g, fr.N[:, None]),
+             (g_s, np.stack([T_s, rad], axis=1)), (g_s, rad[:, None])]
+    for g, fixed in cases:
+        got = foliation._sphere_pairs(g, fixed)
+        for i in range(len(g)):
+            assert np.array_equal(got[i], sphere_pair(g[i], list(fixed[i])))
+    assert np.array_equal(fr.eA, foliation._sphere_pairs(
+        fr.g, np.stack([fr.T, fr.N], axis=1)))
+    # a fixed plane holding the least aligned axis: both rules raise
+    flat = np.diag([-1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(CentralLineDegenerate):
+        foliation._sphere_pairs(flat[None], np.eye(4)[None, 1:3])
+    with pytest.raises(CentralLineDegenerate):
+        sphere_pair(flat, list(np.eye(4)[1:3]))
 
 
 def test_slice_frames_match_frames_at(probe_fan):

@@ -648,6 +648,26 @@ def test_stage_sums_match_loop(n):
         assert np.array_equal(got[-1:], _lincomb(coef, K[:, -1:]))
 
 
+@pytest.mark.parametrize("nj, nk, width", [(False, False, 3),
+                                           (True, False, 9), (True, True, 9)])
+def test_norm_blocks_as_wide_as_the_longest(nj, nk, width):
+    # the table is as wide as the layout's longest block; a 9-wide table
+    # only adds +0.0 to each sum of squares, so the block norms are the
+    # same bit for bit, also on zeros, signed zeros and extreme sizes
+    table = geodesic._norm_blocks(nj, nk)
+    dim = geodesic._DIM[nj, nk]
+    assert table.shape[1] == width
+    wide = np.full((len(table), 9), dim)
+    wide[:, :width] = table
+    v = np.random.default_rng(dim).normal(size=(64, dim))
+    v *= 10.0 ** np.random.default_rng(1).integers(-150, 150, size=v.shape)
+    v[:8] = 0.0
+    v[8:16] = -0.0
+    for rows in (v, v[:1], v[40:]):
+        assert np.array_equal(geodesic._block_sq(rows, table),
+                              geodesic._block_sq(rows, wide))
+
+
 @pytest.mark.parametrize("payload, per_rhs", [(True, 0), (False, 0)],
                          ids=["payload", "bare"])
 def test_einsums_per_step(monkeypatch, payload, per_rhs):
