@@ -62,7 +62,8 @@ from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_jacobi, _lanes,
                        _ray_ends, _seed_rho, _states_at,
                        direction_from_angles, integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
-                     _zs_floor, curvature_at, metric_at)
+                     _orthonormalize_stacked, _zs_floor, curvature_at,
+                     metric_at)
 
 FRAME_FLOOR = 1e-6
 # The leaf solver's stencil (solve_level_nodes): _Z_POINTS plain lanes per
@@ -155,29 +156,14 @@ class LeafFrames:
 
 def _sphere_pairs(g, fixed):
     """g-orthonormal pairs (n, 2, 4) g-orthogonal to the unit vectors fixed
-    (n, k, 4): per point, the two spatial axes least aligned with fixed[-1],
-    by metric._orthonormalize's arithmetic in stacked matmuls.  Remainders
-    are >= 1/sqrt(2) in flat space and larger near a mass (measured down to
-    the horizon guard), far from its skip at 1e-10, so one there raises."""
-    def dot(a, b):                              # a g b, point by point
-        return ((a[:, None] @ g) @ b[:, :, None])[:, 0, 0]
-
-    fixed = np.swapaxes(fixed, 0, 1)
-    axes = np.eye(4)[1:]
-    tilt = np.stack([np.abs(dot(np.broadcast_to(c, fixed[-1].shape),
-                                fixed[-1])) for c in axes], axis=1)
-    out = []
-    for c in np.swapaxes(axes[np.argsort(tilt, axis=1)[:, :2]], 0, 1):
-        coef = [np.sign(dot(f, f)) * dot(c, f) for f in fixed]
-        for a, f in zip(coef, fixed):
-            c = c - a[:, None] * f
-        for e in out:
-            c = c - dot(c, e)[:, None] * e
-        nc = np.sqrt(np.maximum(dot(c, c), 0.0))
-        if not np.all(nc > 1e-10):
-            raise CentralLineDegenerate("a sphere-pair axis has no remainder")
-        out.append(c / nc[:, None])
-    return np.stack(out, axis=1)
+    (n, k, 4): per point, metric._orthonormalize of the spatial axes sorted
+    by |<e_i, fixed[-1]>|, least aligned first, keeping two.  An axis with
+    no remainder, which takes an exact alignment with the fixed vectors, is
+    skipped for the next; a point left with one raises."""
+    f, axes = fixed[:, -1], np.eye(4)[1:]
+    tilt = np.stack([np.abs(((np.broadcast_to(c, f.shape)[:, None] @ g)
+                             @ f[:, :, None])[:, 0, 0]) for c in axes], axis=1)
+    return _orthonormalize_stacked(g, fixed, axes[np.argsort(tilt)], 2)
 
 
 def leaf_frames(model, recs, rhos):
@@ -416,14 +402,17 @@ def _level_slope(model, recs, level, r_floor):
 def _stencil_level(model, origin, rho, zk, thetas, phis, level, r_floor):
     """The level function F at the rapidities zk (m, p), a node per row:
     all m p points as plain lanes (x and B alone) at STENCIL_TOL in one
-    batch, read at their end states."""
+    batch, read at their end states; NaN where one ends at r <= r_floor."""
     m, p = zk.shape
     dirs = [direction_from_angles(*a) for a in
             zip(zk.ravel(), np.repeat(thetas, p), np.repeat(phis, p))]
     recs, y = _lanes(model, origin, dirs, [rho], STENCIL_TOL, False, False)
-    return _level_at(model, origin[0], y[:, :4],
-                     [rec.truncated for rec in recs], level,
-                     r_floor).reshape(m, p)
+    x = y[:, :4]
+    out = np.linalg.norm(x[:, 1:], axis=1) > r_floor
+    F = np.full(m * p, np.nan)
+    F[out] = _level_at(model, origin[0], x[out],
+                       [rec.truncated for rec in recs], level, r_floor)
+    return F.reshape(m, p)
 
 
 def _interp_root(zk, f, z):
@@ -444,11 +433,13 @@ def _interp_root(zk, f, z):
 def _narrow(zk, f, s, lo, hi, scale, zn):
     """Each node's bracket [lo, hi] shrunk by its values f (m, p) at zk, s
     the sign of its slope, and its next iterate: zn, or the midpoint when
-    zn leaves the bracket.  Unreachable on a collapsed bracket."""
-    below = f * s[:, None] < 0              # the root lies above the point
+    zn leaves the bracket; a point where f is NaN lies below the root.
+    Unreachable on a collapsed bracket."""
+    below = ~(f * s[:, None] >= 0)          # the root lies above the point
     lo = np.maximum(lo, np.where(below, zk, -np.inf).max(axis=1))
     hi = np.minimum(hi, np.where(below, np.inf, zk).min(axis=1))
-    if np.any((hi <= lo) & (np.abs(f).min(axis=1) > 3e-6 * scale)):
+    fmin = np.fmin.reduce(np.abs(f), axis=1)            # NaN when all are
+    if np.any((hi <= lo) & (fmin > 3e-6 * scale)):
         raise Unreachable("target level not attained on the zeta bracket")
     return lo, hi, np.where((zn >= lo) & (zn <= hi), zn, 0.5 * (lo + hi))
 
@@ -463,7 +454,10 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     arccosh(max(target/rho, 1)) on level t and ln(rho/target) on level
     uhat, the span shifted into the bracket [1e-8, ZETA_MAX_DEFAULT].  Its
     values shrink each node's bracket, and the root of their interpolant
-    (_interp_root) is the next zeta.  Each later round is tight: a record
+    (_interp_root) is the next zeta.  A point that ends below the exterior
+    zone (level uhat) and those below it only bound the root from below: a
+    node interpolates the points above them, and bisects its bracket when
+    fewer than two remain.  Each later round is tight: a record
     at TIGHT_TOL with Jacobi fields and no k that keeps only its end state
     at rho, with the exact slope df = p_zeta . grad F.  A node is accepted
     on a tight residual below 1e-10 max(|target|, 1); else it steps to
@@ -478,8 +472,8 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     ends with |f| above 3e-6 max(|target|, 1); BracketFailure("level
     function not monotone on the bracket") when F is not monotone over a
     node's stencil or its slope changes sign between rounds; BracketFailure
-    when the iteration does not converge, or when a uhat iterate falls
-    below the exterior zone, where uhat is undefined.  An origin outside
+    when the iteration does not converge, or when a tight uhat iterate
+    falls below the exterior zone, where uhat is undefined.  An origin outside
     the flat core raises SeedRegionTooSmall before any integration.
     """
     origin = np.asarray(origin, dtype=float)
@@ -511,11 +505,20 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     zk = np.minimum(a[:, None] + width * cheb, hi[:, None])
     f = _stencil_level(model, origin, rho, zk, thetas, phis, level,
                        r_floor) - target[:, None]
-    sgn = np.sign(f[:, -1] - f[:, 0])       # sign of the slope of each node
+    # NaN below the zone's floor, and below such a point: the k points
+    # above them are interpolated, and the rest bound the root from below
+    f[np.cumsum(np.isnan(f[:, ::-1]), axis=1)[:, ::-1] > 0] = np.nan
+    k = np.sum(~np.isnan(f), axis=1)
+    sgn = np.sign(f[:, -1] - f[np.arange(m), np.minimum(-k, -1)])
+    sgn[k < 2] = 1.0 if level == "t" else -1.0      # the flat level's
     if np.any(np.diff(f, axis=1) * sgn[:, None] < 0):
         raise BracketFailure("level function not monotone on the bracket")
-    lo, hi, z = _narrow(zk, f, sgn, lo, hi, scale,
-                        _interp_root(zk, f, np.clip(z0, zk[:, 0], zk[:, -1])))
+    zn = np.full(m, np.nan)
+    for kk in set(k[k > 1]):                # nodes by their count of points
+        i = np.flatnonzero(k == kk)
+        zn[i] = _interp_root(zk[i, -kk:], f[i, -kk:],
+                             np.clip(z0[i], zk[i, -kk], zk[i, -1]))
+    lo, hi, z = _narrow(zk, f, sgn, lo, hi, scale, zn)
     out = [None] * m
     todo = np.arange(m)
     for _ in range(30):

@@ -71,10 +71,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (CentralLineDegenerate, OutOfRange, SeedRegionTooSmall,
-                     SingularityTruncated, StepFailure)
-from .metric import (HORIZON_MARGIN, _colsum, _orthonormalize, _ray_accel,
-                     _ray_terms, metric_at)
+from .errors import (OutOfRange, SeedRegionTooSmall, SingularityTruncated,
+                     StepFailure)
+from .metric import (HORIZON_MARGIN, _colsum, _orthonormalize,
+                     _orthonormalize_stacked, _ray_accel, _ray_terms,
+                     metric_at)
 
 DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
@@ -521,29 +522,9 @@ def _seed_rho(model, origin, v0, rho_max, with_k):
     return seed
 
 
-def _triad(g, v0, cands):
-    """metric._orthonormalize(g, [v], cands, 3), (n, 3, 4), of every lane v
-    of v0 (n, 4) in stacked per-lane matmuls, bit for bit.  No remainder
-    is below g-norm 1 for unit timelike v and the origin frame's spatial
-    vectors; one below 1e-10 raises CentralLineDegenerate."""
-    def dot(a, b):                              # a g b, lane by lane
-        return ((a[:, None] @ g) @ b[:, :, None])[:, 0]
-
-    out, sign = [], np.sign(dot(v0, v0))
-    for c in cands:
-        c = c - sign * dot(np.broadcast_to(c, v0.shape), v0) * v0
-        for e in out:
-            c = c - dot(c, e) * e
-        nc = np.sqrt(np.maximum(dot(c, c), 0.0))
-        if not np.all(nc > 1e-10):
-            raise CentralLineDegenerate("a triad candidate has no remainder")
-        out.append(c / nc)
-    return np.stack(out, axis=1)
-
-
 def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
     """Seed one lane per direction, as arrays over lanes (the hyperboloid
-    points, v0, _seed_rho, _triad, the boost fields W and C and the lines
+    points, v0, _seed_rho, the triad, the boost fields W and C and the lines
     (n, 2, dim)), and integrate them all to the end of rho_grid: the
     records, with their counters and step log but no samples yet, and the
     end states (n, dim)."""
@@ -573,8 +554,10 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
     st["b"][:] = v0
     W = vh[:, 1:, None] * frame0[0] + vh[:, :1, None] * frame0[1:]  # boosts
     boost = [None] * n
-    if nk:      # the frame vectors are coordinate-constant in the core
-        E = st["triad"][:] = _triad(g0, v0, frame0[1:])
+    if nk:      # the frame vectors are coordinate-constant in the core;
+        # no triad remainder is below g-norm 1 for unit timelike v0
+        E = st["triad"][:] = _orthonormalize_stacked(
+            g0, v0[:, None], np.broadcast_to(frame0[1:], (n, 3, 4)), 3)
         st["pt"][:] = dst["jt"][:] = np.eye(3)          # J_a = rho E_a
         boost = np.concatenate([W, (W @ g0) @ E.transpose(0, 2, 1)], axis=2)
     elif nj:

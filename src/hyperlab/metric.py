@@ -256,20 +256,35 @@ def _orthonormalize(g, fixed, cands, keep):
     A candidate whose remainder has norm <= 1e-10 is skipped; fewer than
     `keep` survivors raise CentralLineDegenerate.  Returns (keep, 4).
     """
-    out = []
-    for c in cands:
-        coef = [np.sign(f @ g @ f) * (c @ g @ f) for f in fixed]
+    return _orthonormalize_stacked(g, np.asarray(fixed)[None],
+                                   np.asarray(cands)[None], keep)[0]
+
+
+def _orthonormalize_stacked(g, fixed, cands, keep):
+    """_orthonormalize at n points at once in stacked matmuls: g (n, 4, 4)
+    or one (4, 4), fixed (n, k, 4) and cands (n, c, 4), each point with its
+    own candidates, each point's arithmetic that of the point alone."""
+    def dot(a, b):                              # a g b, point by point
+        return ((a[:, None] @ g) @ b[:, :, None])[:, 0]
+
+    n, fixed = len(cands), np.swapaxes(fixed, 0, 1)
+    out, got = np.zeros((n, keep, 4)), np.zeros(n, dtype=int)
+    for c in np.swapaxes(cands, 0, 1):
+        if np.all(got == keep):
+            break
+        coef = [np.sign(dot(f, f)) * dot(c, f) for f in fixed]
         for a, f in zip(coef, fixed):
             c = c - a * f
-        for e in out:
-            c = c - (c @ g @ e) * e
-        nc = np.sqrt(max(c @ g @ c, 0.0))
-        if nc > 1e-10:
-            out.append(c / nc)
-            if len(out) == keep:
-                return np.stack(out)
-    raise CentralLineDegenerate(
-        f"only {len(out)} of {keep} candidates survive orthonormalization")
+        for j, e in enumerate(np.swapaxes(out, 0, 1)):  # survivors, in order
+            c = np.where((got > j)[:, None], c - dot(c, e) * e, c)
+        nc = np.sqrt(np.maximum(dot(c, c), 0.0))
+        take = (nc[:, 0] > 1e-10) & (got < keep)
+        out[take, got[take]] = c[take] / nc[take]
+        got += take
+    if np.any(got < keep):
+        raise CentralLineDegenerate(f"only {got.min()} of {keep} candidates "
+                                    "survive orthonormalization")
+    return out
 
 
 def _profiles(model, r, second):

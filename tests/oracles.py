@@ -197,16 +197,16 @@ def lane_seed(model, origin, direction, rho_max, nj, nk):
     """One lane's seed by the per-lane rule, one direction at a time: v0,
     the seed rho, the straight line (2, dim) (state and rho-derivative at
     rho = 0) and, with k, the boost block W | C, with the triad from
-    metric._orthonormalize.  A lane with k whose seed is below
+    orthonormalize.  A lane with k whose seed is below
     RHO_SEED_MIN raises SeedRegionTooSmall."""
     from hyperlab.errors import SeedRegionTooSmall
     from hyperlab.geodesic import _DIM, RHO_SEED_MIN, _unpack
-    from hyperlab.metric import _orthonormalize, metric_at
+    from hyperlab.metric import metric_at
 
     g0 = metric_at(model, origin, level=0).g
     e0 = np.zeros(4)
     e0[0] = 1.0 / np.sqrt(-g0[0, 0])
-    frame0 = np.vstack([e0, _orthonormalize(g0, [e0], np.eye(4)[1:], 3)])
+    frame0 = np.vstack([e0, orthonormalize(g0, [e0], np.eye(4)[1:], 3)])
     vh = direction.hyperboloid_point()
     v0 = vh @ frame0
     core, cap = model.flat_core_radius, min(1.0, 0.25 * rho_max)
@@ -232,7 +232,7 @@ def lane_seed(model, origin, direction, rho_max, nj, nk):
     W = vh[1:, None] * frame0[0] + vh[0] * frame0[1:]
     boost = None
     if nk:
-        E = st["triad"][0] = _orthonormalize(g0, [v0], frame0[1:], 3)
+        E = st["triad"][0] = orthonormalize(g0, [v0], frame0[1:], 3)
         st["pt"][0] = st["jt"][1] = np.eye(3)
         boost = np.concatenate([W, W @ g0 @ E.T], axis=1)
     elif nj:
@@ -240,16 +240,37 @@ def lane_seed(model, origin, direction, rho_max, nj, nk):
     return v0, seed, line, boost
 
 
+def orthonormalize(g, fixed, cands, keep):
+    """metric._orthonormalize by the per-point rule, one point at a time:
+    the first `keep` candidates, in the order given, made g-orthonormal to
+    each other and g-orthogonal to the unit vectors `fixed`; a candidate
+    whose remainder has norm <= 1e-10 is skipped, and fewer than `keep`
+    survivors raise CentralLineDegenerate."""
+    from hyperlab.errors import CentralLineDegenerate
+
+    out = []
+    for c in cands:
+        coef = [np.sign(f @ g @ f) * (c @ g @ f) for f in fixed]
+        for a, f in zip(coef, fixed):
+            c = c - a * f
+        for e in out:
+            c = c - (c @ g @ e) * e
+        nc = np.sqrt(max(c @ g @ c, 0.0))
+        if nc > 1e-10:
+            out.append(c / nc)
+            if len(out) == keep:
+                return np.stack(out)
+    raise CentralLineDegenerate(
+        f"only {len(out)} of {keep} candidates survive orthonormalization")
+
+
 def sphere_pair(g, fixed):
     """One point's sphere pair by the per-point rule: the spatial
     coordinate axes sorted by |<e_i, fixed[-1]>|, least aligned first, and
-    metric._orthonormalize of them against the unit vectors fixed, keeping
-    two."""
-    from hyperlab.metric import _orthonormalize
-
+    orthonormalize of them against the unit vectors fixed, keeping two."""
     cands = np.eye(4)[1:]
     cands = cands[np.argsort([abs(c @ g @ fixed[-1]) for c in cands])]
-    return _orthonormalize(g, fixed, cands, 2)
+    return orthonormalize(g, fixed, cands, 2)
 
 
 def riemann_fd(model, x, h=1e-3):

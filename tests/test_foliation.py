@@ -505,6 +505,30 @@ def test_stencil_matches_tight_records(monkeypatch, rho, target, nodes,
     assert np.abs(seen.tight[0] - np.arccosh(4.0)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("rho, r_flat", [
+    (10.0, 2.05), (10.0, 2.2), (6.0, 2.1), (3.5, 2.1)],
+    ids=["rho10-2.05", "rho10-2.2", "rho6-2.1", "rho3.5-2.1"])
+def test_solve_level_nodes_uhat_near_zone_floor(monkeypatch, rho, r_flat):
+    # uhat spheres within 0.3 of the exterior zone's floor (r_out + 0.02),
+    # whose lower stencil points end below it, where uhat is undefined:
+    # those points only bound the root from below, and every node is
+    # accepted on its tight residual, at most one tight round later than a
+    # leaf far from the floor
+    r_floor = foliation._zs_floor(GLUED, 0.02)
+    target = rho * np.exp(-np.arcsinh(r_flat / rho))
+    seen = _spy_stencil(monkeypatch)
+    calls = _spy_solver(monkeypatch)
+    _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target,
+                                angular_grid(4, 1), level="uhat")
+    assert np.isnan(seen.stencil[0][1]).any()
+    x = np.concatenate([rec.x for rec in recs])
+    r = np.linalg.norm(x[:, 1:], axis=1)
+    assert np.all((r > r_floor) & (r < r_floor + 0.3))
+    f = foliation._level_value(GLUED, 0.0, x, "uhat") - target
+    assert np.abs(f).max() <= 1e-10 * max(abs(target), 1.0)
+    assert len(calls) <= 3
+
+
 def test_leaf_records_match_integrate_rays():
     # a tight leaf record takes the steps of integrate_rays on its direction
     # at TIGHT_TOL with Jacobi fields and no k; only its sample at rho comes
@@ -699,8 +723,18 @@ def test_sphere_pairs_match_point_rule(offset_record, probe_fan):
             assert np.array_equal(got[i], sphere_pair(g[i], list(fixed[i])))
     assert np.array_equal(fr.eA, foliation._sphere_pairs(
         fr.g, np.stack([fr.T, fr.N], axis=1)))
-    # a fixed plane holding the least aligned axis: both rules raise
+    # a fixed plane holding the second least aligned axis e_z: both rules
+    # skip it for the third, e_x
     flat = np.diag([-1.0, 1.0, 1.0, 1.0])
+    T = np.array([np.sqrt(6.41), 2.1, 0.0, 1.0])
+    fixed = np.stack([T, (np.eye(4)[3] + T) / np.sqrt(2.0)])
+    got = foliation._sphere_pairs(flat[None], fixed[None])[0]
+    assert np.array_equal(got, sphere_pair(flat, list(fixed)))
+    assert np.array_equal(got[0], np.eye(4)[2])
+    assert np.allclose(got @ flat @ np.vstack([fixed, got]).T,
+                       [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                       rtol=0, atol=1e-14)
+    # a fixed plane holding the least aligned axis: both rules raise
     with pytest.raises(CentralLineDegenerate):
         foliation._sphere_pairs(flat[None], np.eye(4)[None, 1:3])
     with pytest.raises(CentralLineDegenerate):

@@ -8,10 +8,10 @@ from hyperlab.errors import (CentralLineDegenerate, CoordinateSingularity,
                              UnsupportedLevel)
 from hyperlab.geodesic import _make_rhs
 from hyperlab.metric import (HORIZON_MARGIN, MetricModel, _orthonormalize,
-                             _exterior_ray, _ray_terms, curvature_at,
-                             metric_at)
+                             _orthonormalize_stacked, _exterior_ray,
+                             _ray_terms, curvature_at, metric_at)
 
-from oracles import cartesian_level2, jet_ray_rhs, riemann_fd
+from oracles import cartesian_level2, jet_ray_rhs, orthonormalize, riemann_fd
 
 MINK = MetricModel.minkowski()
 SCHW = MetricModel.schwarzschild(0.05)
@@ -253,6 +253,28 @@ def test_orthonormalize_skips_and_rejects_parallel_candidates():
     with pytest.raises(CentralLineDegenerate):
         _orthonormalize(g, [B, Nbar], np.stack([2.5 * Nbar, -3.0 * B,
                                                 cands[0]]), 2)
+
+
+def test_orthonormalize_stacked_matches_point_rule():
+    # the stacked Gram-Schmidt gives each point the per-point rule's result
+    # bit for bit, each point with its own candidates, also where a point
+    # skips a candidate parallel to a fixed vector and its neighbours do not
+    rng = np.random.default_rng(5)
+    x = np.zeros((24, 4))
+    x[:, 1:] = rng.normal(size=(24, 3)) * 1.5
+    g = metric_at(GLUED, x, level=0).g
+    fixed = np.stack([np.stack(_boosted_pair(gi, z)) for gi, z in
+                      zip(g, rng.uniform(0.0, 3.0, 24))])
+    cands = np.stack([np.eye(4)[1:][rng.permutation(3)] for _ in range(24)])
+    cands = np.concatenate([cands[:, :1], cands], axis=1)
+    cands[::3, 0] = 2.5 * fixed[::3, 1]         # no remainder: skipped
+    for keep, k in ((2, 2), (3, 1)):
+        got = _orthonormalize_stacked(g, fixed[:, :k], cands, keep)
+        for i in range(len(x)):
+            want = orthonormalize(g[i], list(fixed[i, :k]), cands[i], keep)
+            assert np.array_equal(got[i], want)
+    with pytest.raises(CentralLineDegenerate):
+        _orthonormalize_stacked(g, fixed, cands[:, :2], 2)
 
 
 GUARD = 2.0 * SCHW.mass * (1.0 + HORIZON_MARGIN) * (1.0 + 1e-12)  # lowest r allowed
