@@ -275,8 +275,7 @@ def cmd_foliate(rc, out, config_path):
     params = [(z, th, ph) for z in zg for th in thetas for ph in phis]
     recs = integrate_rays(model, rc.origin(),
                           [direction_from_angles(*p) for p in params],
-                          rho_grid, ode_tol=rc.rel_tol, with_jacobi=True,
-                          with_k=True)
+                          rho_grid, ode_tol=rc.rel_tol, with_k=True)
     rows = []
     res_rows = []
     for (z, th, ph), rec in zip(params, recs):
@@ -355,8 +354,7 @@ def cmd_zs_compare(rc, out, config_path):
     zg, _, _ = _fan_directions(rc)
     recs = integrate_rays(model, origin,
                           [Direction(z, (1.0, 0.0, 0.0)) for z in zg],
-                          rho_grid, ode_tol=rc.rel_tol, with_jacobi=True,
-                          with_k=True)
+                          rho_grid, ode_tol=rc.rel_tol, with_k=True)
     rows = [[row.rho, row.t, row.r, row.n, row.varpi, row.n_minus_varpi,
              row.u, row.uhat, row.u_minus_uhat, row.rt_over_r_minus_ninv,
              row.status]
@@ -436,7 +434,7 @@ def cmd_residuals(rc, out, config_path):
     rho_grid = np.linspace(rc.rho_min, rc.rho_max, rc.rho_samples)
     rows = []
     rec = exp_map(model, origin, Direction(1.0, (1.0, 0.0, 0.0)), rho_grid,
-                  ode_tol=rc.rel_tol, with_jacobi=True, with_k=True)
+                  ode_tol=rc.rel_tol, with_k=True)
     tab = structure_residuals(model, rec)
     for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu", "t_of_u",
                 "n_of_binv"):

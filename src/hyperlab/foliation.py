@@ -31,9 +31,9 @@ The spheres come from solve_level_nodes, which finds each node's
 rapidity in two integrations as a rule.  A stencil round integrates plain
 lanes (no Jacobi fields, no k) at the Chebyshev points of a rapidity span
 about the flat root, and the root of their interpolant is the next
-iterate.  Only the tight rounds that follow carry Jacobi fields, in
-coordinates and with no triad: leaf_frames takes their k from the fields
-(geodesic._k_jacobi), and that of a record with k from its triad k.
+iterate.  Only the tight rounds that follow carry a payload: the triad,
+the Jacobi fields in it and k, as every record with k does, and
+leaf_frames rotates that k into the leaf basis.
 
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
@@ -58,9 +58,9 @@ import numpy as np
 from .errors import (BracketFailure, CentralLineDegenerate,
                      CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
                      SingularityTruncated, Unreachable)
-from .geodesic import (ZETA_MAX_DEFAULT, Direction, _k_jacobi, _lanes,
-                       _ray_ends, _seed_rho, _states_at,
-                       direction_from_angles, integrate_rays)
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, _lanes, _ray_ends,
+                       _seed_rho, _states_at, direction_from_angles,
+                       integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
                      _orthonormalize_stacked, _zs_floor, curvature_at,
                      metric_at)
@@ -143,7 +143,7 @@ class LeafFrames:
     scalars: LeafScalars
     frames: FrameSet            # eA and the radial overlap zero where degenerate
     degenerate: np.ndarray      # rtilde < FRAME_FLOOR: no frame there
-    k: SecondFundamental = None     # when the records carry J
+    k: SecondFundamental = None     # when the records carry k
 
     def require_frames(self):
         """Raise CentralLineDegenerate unless every point has a frame."""
@@ -167,8 +167,8 @@ def _sphere_pairs(g, fixed):
 
 
 def leaf_frames(model, recs, rhos):
-    """Leaf scalars, frames, radial overlap and k in the leaf basis (from
-    the Jacobi fields, when the records carry them) of every record of recs
+    """Leaf scalars, frames, radial overlap and k in the leaf basis (when
+    the records carry k) of every record of recs
     at every rho of rhos, read in one batch, from one level-0 metric jet.
 
     Points with rtilde below FRAME_FLOOR are flagged in `degenerate`; their
@@ -215,19 +215,17 @@ def leaf_frames(model, recs, rhos):
     snr[ok] = (eA[ok, :, 1:] @ rad)[:, :, 0]
     frames = FrameSet(T=T, N=N, Nbar=Nbar, B=B, L=T + N, Lb=T - N, eA=eA,
                       g=jet.g, x=x, r=r, varpi=varpi, snr=snr)
-    # k in the orthonormal leaf basis f = {Nbar, eA}; 0 where degenerate.
-    # With k: the triad's khat rotated by C_ab = <f_a, E_b>, plus trk/3 I,
-    # so the error of C (terms of size cosh(zeta)^2) meets only the small khat
-    k = None if st["j"] is None else np.zeros((len(x), 3, 3))
-    leaf = np.concatenate([Nbar[:, None], eA], axis=1)[ok]
+    # k in the orthonormal leaf basis f = {Nbar, eA}; 0 where degenerate:
+    # the triad's khat rotated by C_ab = <f_a, E_b>, plus trk/3 I, so the
+    # error of C (terms of size cosh(zeta)^2) meets only the small khat
+    k = None
     if st["q0"] is not None:
+        leaf = np.concatenate([Nbar[:, None], eA], axis=1)[ok]
         C = leaf @ jet.g[ok] @ _T(st["triad"][ok])
+        k = np.zeros((len(x), 3, 3))
         k[ok] = C @ st["khat"][ok] @ _T(C) + (1.0 / rho[ok] + st["q0"][ok]
                                               / 3.0)[:, None, None] * np.eye(3)
         k = 0.5 * (k + _T(k))
-    elif k is not None:
-        k[ok] = _k_jacobi(leaf, jet.g[ok], st["j"][ok], st["jp"][ok])
-    if k is not None:
         trk = np.trace(k, axis1=1, axis2=2)
         k = SecondFundamental(
             k=k, trk=trk, khat=k - (trk / 3.0)[:, None, None] * np.eye(3))
@@ -255,7 +253,7 @@ def second_fundamental_at(model, rec, rho):
     """k in the orthonormal leaf basis {Nbar, eA}, as leaf_frames takes it."""
     lf = leaf_frames(model, [rec], rho).require_frames()
     if lf.k is None:
-        raise MissingK("record has no Jacobi fields")
+        raise MissingK("record has no k")
     return _pick(lf.k, 0)
 
 
@@ -406,7 +404,7 @@ def _stencil_level(model, origin, rho, zk, thetas, phis, level, r_floor):
     m, p = zk.shape
     dirs = [direction_from_angles(*a) for a in
             zip(zk.ravel(), np.repeat(thetas, p), np.repeat(phis, p))]
-    recs, y = _lanes(model, origin, dirs, [rho], STENCIL_TOL, False, False)
+    recs, y = _lanes(model, origin, dirs, [rho], STENCIL_TOL, False)
     x = y[:, :4]
     out = np.linalg.norm(x[:, 1:], axis=1) > r_floor
     F = np.full(m * p, np.nan)
@@ -457,11 +455,12 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     (_interp_root) is the next zeta.  A point that ends below the exterior
     zone (level uhat) and those below it only bound the root from below: a
     node interpolates the points above them, and bisects its bracket when
-    fewer than two remain.  Each later round is tight: a record
-    at TIGHT_TOL with Jacobi fields and no k that keeps only its end state
-    at rho, with the exact slope df = p_zeta . grad F.  A node is accepted
-    on a tight residual below 1e-10 max(|target|, 1); else it steps to
-    z - d - c d^2 / 2, d = f / df, with the flat level's curvature
+    fewer than two remain.  Each later round is tight: a record at
+    TIGHT_TOL with the triad, the Jacobi fields in it and k that keeps only
+    its end state at rho (geodesic._ray_ends), with the exact slope
+    df = p_zeta . grad F from its Jacobi fields in coordinates.  A node is
+    accepted on a tight residual below 1e-10 max(|target|, 1); else it
+    steps to z - d - c d^2 / 2, d = f / df, with the flat level's curvature
     c = F''/F' (coth(z) on level t, -1 on level uhat = rho e^-z).  A next
     zeta outside the bracket bisects it.  Lanes are independent and roots
     are taken per node, so no root or record depends on the order or
@@ -474,14 +473,16 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     node's stencil or its slope changes sign between rounds; BracketFailure
     when the iteration does not converge, or when a tight uhat iterate
     falls below the exterior zone, where uhat is undefined.  An origin outside
-    the flat core raises SeedRegionTooSmall before any integration.
+    the flat core raises SeedRegionTooSmall before any integration, and a
+    tight lane that leaves the core too soon (_seed_rho) raises it in its
+    round.
     """
     origin = np.asarray(origin, dtype=float)
-    # a leaf record's k comes from its Jacobi fields, and it is checked
-    # against an independent oracle only from origins in the flat core:
-    # until an off-core oracle for k exists, an origin whose static line (no
-    # lane's seed is longer) has too short a seed raises (_seed_rho with k);
-    # a singular origin first, as in integrate_rays
+    # a leaf record carries k, which is checked against an independent
+    # oracle only from origins in the flat core: until an off-core oracle
+    # for k exists, an origin whose static line (no lane's seed is longer)
+    # has too short a seed raises (_seed_rho with k) before any
+    # integration; a singular origin first, as in integrate_rays
     _check_regular(model, np.linalg.norm(origin[1:]))
     _seed_rho(model, origin, np.eye(4)[:1], rho, True)
     thetas = np.array([a[0] for a in angles])

@@ -2,45 +2,41 @@
 proper time rho, Jacobi fields realizing the intrinsic boost vector fields,
 and a parallel-transported spatial triad E, orthogonal to B.
 
-Each ray is one first-order system: x' = B, B' = -Gamma(B, B), and a
-payload.  A record with Jacobi fields alone (the leaf solver's tight
-iterates) carries them in coordinates,
-
-    J' = P - Gamma(B, J),   P' = R(B, J)B - Gamma(B, P);
-
-a record with k carries E' = -Gamma(B, E) and the Jacobi fields J_a with
-J_a = 0 and DJ_a/drho = E_a at rho = 0 as triad components, J_a = j_ab E_b
-and DJ_a/drho = p_ab E_b:  j' = p,  p' = -j Tt,  Tt_ab = T(E_a, E_b).
+Each ray is one first-order system: x' = B, B' = -Gamma(B, B), and, in a
+record with k, a payload: the parallel triad E' = -Gamma(B, E) and the
+Jacobi fields J_a with J_a = 0 and DJ_a/drho = E_a at rho = 0 as triad
+components, J_a = j_ab E_b and DJ_a/drho = p_ab E_b:  j' = p,  p' = -j Tt,
+Tt_ab = T(E_a, E_b).
 
 No Christoffel or Riemann array is built.  A plain lane (x and B alone)
-takes B' from metric._ray_accel, five scalars per lane.  A payload lane
-makes one metric._ray_terms call, which gives G^l_mn B^m, the tidal tensor
-T_bd = R_abcd B^a B^c (from the four orthonormal curvature functions K1-K4
-of a static spherical metric) and, for coordinate Jacobi fields, g^{-1}
-at once, as V^T c V + d I_s on the per-lane basis V = (e0, u, v).  Both
-take their scalars from metric._radial: a lane on the Schwarzschild chart
-(r >= r_out in the glued model) takes closed exterior forms and skips the
-blend.  The coordinate Jacobi term uses R^l_bcd B^b B^c = -g^{la} T_ad.
+takes B' from metric._ray_accel, five scalars per lane.  A lane with k
+makes one metric._ray_terms call, which gives G^l_mn B^m and the tidal
+tensor T_bd = R_abcd B^a B^c (from the four orthonormal curvature functions
+K1-K4 of a static spherical metric) at once, as V^T c V + d I_s on the
+per-lane basis V = (e0, u, v).  Both take their scalars from
+metric._radial: a lane on the Schwarzschild chart (r >= r_out in the glued
+model) takes closed exterior forms and skips the blend.
 
 The second fundamental form of H_rho is read off the Jacobi fields, not
 integrated: they are tangent to the leaf and commute with B, so
 k(J_a, J_b) = <P_a, J_b>, and k in the triad is j^-1 p (q0 = trk - 3/rho
 and the trace-free khat).  j ~ rho I and p ~ I have invariant sizes, so
-the error norm holds k to the lane's tolerance at any rapidity; coordinate
-J and P grow like cosh(zeta), and k read off them is off by about
-cosh(zeta)^2 times the tolerance.  A record with k gives the boost fields
-J_i = C_ia J_a, C_ia = <W_i, E_a> at rho = 0, in coordinates on read.
+the error norm holds k to the lane's tolerance at any rapidity (Jacobi
+fields in coordinates grow like cosh(zeta), and k read off them is off by
+about cosh(zeta)^2 times the tolerance).  _fields forms a record's fields
+from its lane states: k, and the boost fields J_i = C_ia J_a,
+C_ia = <W_i, E_a> at rho = 0, in coordinates.
 
 Each record holds its straight line as one (2, dim) array _line: the lane
 state at rho = 0 and its rho-derivative, with W_i = V^i e_0 + V^0 e_i the
-boost Jacobi data (J = rho W, P = W, or j = rho I, p = I).  There
-k = gbar/rho exactly, so q0 and khat are zero.  All lanes are seeded at
-once, in stacked per-lane products, by one seed rule (_seed_rho, also the
-leaf solver's origin check): from an origin in the flat core the
-integrator starts from the line at the largest proper time still inside
-the core; from an origin outside it a lane without k starts at rho = 0
-from the origin state, and a lane with k raises SeedRegionTooSmall.
-state_at evaluates the line below the seed.
+boost Jacobi data (j = rho I, p = I, so J = rho W).  There k = gbar/rho
+exactly, so q0 and khat are zero.  All lanes are seeded at once, in
+stacked per-lane products, by one seed rule (_seed_rho, also the leaf
+solver's origin check): from an origin in the flat core the integrator
+starts from the line at the largest proper time still inside the core;
+from an origin outside it a plain lane starts at rho = 0 from the origin
+state, and a lane with k raises SeedRegionTooSmall.  state_at evaluates
+the line below the seed.
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
@@ -53,7 +49,7 @@ of all lanes.  A read gathers its steps by index and re-takes those not
 yet cached, per log, in one _stages pass (the one stage loop) with the
 three dense stages, 15 right-hand-side calls, bit for bit.  The error norm
 scales each block of the state (x^0, x^i, B^0, B^i, the time and the
-spatial parts of J, P or E, and each field's row of j and p) by the lane's
+spatial parts of E, and each field's row of j and p) by the lane's
 tol (1 + |block|), so it does not change under spatial rotations.  The
 glued profiles are only C^2 at r_in and r_out, so a step that would
 straddle either radius is shortened onto it.  A Schwarzschild lane stops on
@@ -82,7 +78,7 @@ ZETA_MAX_DEFAULT = 6.0
 RHO_SEED_MIN = 1e-3
 SHELL_TOL = 1e-10       # a step lands on a radius R to within SHELL_TOL R
 _FIELDS = ("x", "b", "j", "jp", "triad", "q0", "khat")   # keys of state_at
-_DIM = {(0, 0): 8, (1, 0): 32, (1, 1): 38}  # lane width by (jacobi, k)
+_DIM = (8, 38)          # lane width, plain or with k
 
 
 @dataclass(frozen=True)
@@ -125,9 +121,9 @@ def direction_from_angles(zeta, theta, phi):
 
 @dataclass
 class GeodesicRecord:
-    """One rho-parametrized timelike geodesic, optionally with Jacobi
-    fields; a record with k also carries the parallel triad, and k in that
-    triad as read off its Jacobi fields."""
+    """One rho-parametrized timelike geodesic; a record with k also carries
+    the parallel triad, the boost Jacobi fields and k in that triad as read
+    off them."""
 
     model: object
     origin: np.ndarray
@@ -152,12 +148,8 @@ class GeodesicRecord:
     _line: np.ndarray = field(default=None, repr=False)  # y, y' at rho = 0
     _log: object = field(default=None, repr=False)  # its integration's steps
     _at: int = field(default=0, repr=False)     # rows _at.._at + steps of _log
-    _layout: tuple = field(default=None, repr=False)   # (with_jacobi, with_k)
+    _layout: bool = field(default=False, repr=False)   # with k
     _boost: np.ndarray = field(default=None, repr=False)  # with k: W | C
-
-    @property
-    def has_jacobi(self):
-        return self.j is not None
 
     @property
     def has_k(self):
@@ -200,9 +192,8 @@ def _states_at(recs, rho):
 def _eval_rays(recs, rqs):
     """The fields of the records recs (one model and layout) at their proper
     times rqs[i], all at once, as arrays over the points, record after
-    record: the straight line up to rho_seed, each step log's dense output
-    above it.  With k, k = j^-1 p and J_i = C_ia j_ab E_b, P_i = C_ia p_ab E_b
-    above the seed, and J_i = rho W_i, P_i = W_i and zero q0, khat on it."""
+    record (_fields): the straight line up to rho_seed, each step log's
+    dense output above it."""
     rq = np.concatenate(rqs)
     pr = np.repeat(np.arange(len(recs)), [len(r) for r in rqs])  # its rec
     line = np.array([rec._line for rec in recs])[pr]
@@ -220,9 +211,18 @@ def _eval_rays(recs, rqs):
                 d += c[:, i]
                 d *= x if i % 2 else 1.0 - x
             y[p] = d + c[:, 0]
-    raw = _unpack(y, *recs[0]._layout)
+    return _fields(recs, pr, y, rq, up)
+
+
+def _fields(recs, pr, y, rq, up):
+    """The fields of _FIELDS at lane states y (m, dim) of the records
+    recs[pr] (one layout) at proper times rq (m,), up where above the
+    record's seed.  With k, k = j^-1 p and J_i = C_ia j_ab E_b,
+    P_i = C_ia p_ab E_b above the seed, and J_i = rho W_i, P_i = W_i and
+    zero q0, khat on the straight line below it."""
+    raw = _unpack(y, recs[0]._layout)
     out = {key: raw.get(key) for key in _FIELDS}
-    if recs[0]._layout[1]:
+    if recs[0]._layout:
         W, C = np.split(np.array([rec._boost for rec in recs])[pr], [4], 2)
         E, jt, pt = raw["triad"][up], raw["jt"][up], raw["pt"][up]
         out["j"], out["jp"] = rq[:, None, None] * W, W.copy()
@@ -234,18 +234,6 @@ def _eval_rays(recs, rqs):
         out["q0"] = np.where(up, trk - 3.0 / rq, 0.0)
         out["khat"] = k - (trk / 3.0)[:, None, None] * np.eye(3)
     return out
-
-
-def _k_jacobi(basis, g, j, jp):
-    """k in a g-orthonormal basis f (n, 3, 4) of the leaf's tangent space
-    from coordinate Jacobi fields j and P = jp: with K_ij = <P_i, J_j> and
-    M_ia = <J_i, f_a>, k = M^-1 K M^-T, symmetrised (the rest is rounding)."""
-    jg = j @ g
-    M = jg @ basis.transpose(0, 2, 1)
-    K = jp @ jg.transpose(0, 2, 1)
-    Minv = np.linalg.inv(M)
-    k = Minv @ K @ Minv.transpose(0, 2, 1)
-    return 0.5 * (k + k.transpose(0, 2, 1))
 
 
 def _dense_coefs(log, lo, hi, q, rec):
@@ -263,7 +251,7 @@ def _dense_coefs(log, lo, hi, q, rec):
     new = np.flatnonzero(np.bincount(s[log.chunk[s] < 0], minlength=len(ts)))
     if len(new):
         (ya, f0), hs = log.yf[new].transpose(1, 0, 2), ts[new + 1] - ts[new]
-        K, _ = _stages(_make_rhs(rec.model, *rec._layout), ya, hs, f0, 16)
+        K, _ = _stages(_make_rhs(rec.model, rec._layout), ya, hs, f0, 16)
         h, dy = hs[:, None], log.yf[new + 1, 0] - ya
         coef = np.stack([ya, dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0])]
                         + [h * _lincomb(d, K) for d in _tableau().D], axis=1)
@@ -275,51 +263,42 @@ def _dense_coefs(log, lo, hi, q, rec):
     return c, ((q - ts[s]) / (ts[s + 1] - ts[s]))[:, None]
 
 
-def _unpack(y, nj, nk):
-    """y: (m, dim) lane states -> dict of views: x, b, and coordinate j and
-    jp, or the triad with the triad components jt and pt of the J_a."""
+def _unpack(y, with_k):
+    """y: (m, dim) lane states -> dict of views: x, b and, with k, the triad
+    with the triad components jt and pt of the J_a."""
     m = y.shape[0]
     o = {"x": y[:, 0:4], "b": y[:, 4:8]}
-    if nk:
+    if with_k:
         o["triad"] = y[:, 8:20].reshape(m, 3, 4)
         o["jt"] = y[:, 20:29].reshape(m, 3, 3)
         o["pt"] = y[:, 29:38].reshape(m, 3, 3)
-    elif nj:
-        o["j"] = y[:, 8:20].reshape(m, 3, 4)
-        o["jp"] = y[:, 20:32].reshape(m, 3, 4)
     return o
 
 
-def _make_rhs(model, nj, nk):
+def _make_rhs(model, with_k):
     """Right-hand side rhs(y) on lane states y (n, dim); the system is
     autonomous, so it reads no rho.  A plain lane (x and B alone) takes
     B' = -Gamma(B, B) from the five per-lane scalars of metric._ray_accel
-    and forms no matrix.  A payload lane takes Gamma(B, .), the tidal
-    tensor T and, for coordinate J and P, g^{-1} from one metric._ray_terms
-    call; B and the rows of J and P, or of the triad E, are contiguous rows
-    of 4 in the state, so one per-lane matmul with gb^T gives Gamma(B, .)
-    of every row at once."""
-    m = 1 + (3 if nk else 6 * nj)          # rows B, J_i, P_i or B, E_a
+    and forms no matrix.  A lane with k takes Gamma(B, .) and the tidal
+    tensor T from one metric._ray_terms call; B and the rows of the triad
+    E are contiguous rows of 4 in the state, so one per-lane matmul with
+    gb^T gives Gamma(B, .) of every row at once."""
 
     def rhs(y):
-        if m == 1:
+        if not with_k:
             return np.concatenate([y[:, 4:8], _ray_accel(model, y[:, 0:4],
                                                          y[:, 4:8])], axis=1)
         n = len(y)
-        gb, T, g_inv = _ray_terms(model, y[:, 0:4], y[:, 4:8], not nk)
-        Y = y[:, 4:4 + 4 * m].reshape(n, m, 4)
+        gb, T = _ray_terms(model, y[:, 0:4], y[:, 4:8])
+        Y = y[:, 4:20].reshape(n, 4, 4)
         dY = -(Y @ gb.transpose(0, 2, 1))   # -Gamma(B, row) for every row
+        E = Y[:, 1:4]
+        Tt = (E @ T) @ E.transpose(0, 2, 1)
         dy = np.empty_like(y)
-        if nk:
-            E = Y[:, 1:4]
-            Tt = (E @ T) @ E.transpose(0, 2, 1)
-            dy[:, 20:29] = y[:, 29:38]          # dj = p, dp = -j E T E^T
-            dy[:, 29:38] = -(y[:, 20:29].reshape(n, 3, 3) @ Tt).reshape(n, 9)
-        else:
-            dY[:, 1:4] += Y[:, 4:7]                 # dJ = P - Gamma(B, J)
-            dY[:, 4:7] -= (Y[:, 1:4] @ T) @ g_inv   # dP = R(B, J)B - Gamma(B, P)
         dy[:, 0:4] = y[:, 4:8]
-        dy[:, 4:4 + 4 * m] = dY.reshape(n, 4 * m)
+        dy[:, 4:20] = dY.reshape(n, 16)
+        dy[:, 20:29] = y[:, 29:38]          # dj = p, dp = -j E T E^T
+        dy[:, 29:38] = -(y[:, 20:29].reshape(n, 3, 3) @ Tt).reshape(n, 9)
         return dy
 
     return rhs
@@ -328,19 +307,17 @@ def _make_rhs(model, nj, nk):
 # ---------------------------------------------------------------------------
 # batched DOP853 with per-lane step control
 
-def _norm_blocks(nj, nk):
+def _norm_blocks(with_k):
     """Error-norm blocks of the state layout, an index table as wide as its
-    longest block, padded with dim (a zero column): x^0, x^i, B^0, B^i, the
-    time and the spatial parts of J, P or E over their three fields, and
+    longest block, padded with dim (a zero column): x^0, x^i, B^0, B^i and,
+    with k, the time and the spatial parts of E over its three fields and
     each row of j and p (the invariant length of one J_a or DJ_a/drho)."""
     blocks = [[0], [1, 2, 3], [4], [5, 6, 7]]
-    dim = _DIM[nj, nk]
-    for p in range(8, 20 if nk else dim, 12):
-        f = np.arange(p, p + 12).reshape(3, 4)
-        blocks += [f[:, 0], f[:, 1:].ravel()]
-    if nk:
-        blocks += list(np.arange(20, 38).reshape(6, 3))
-    table = np.full((len(blocks), max(map(len, blocks))), dim)
+    if with_k:
+        f = np.arange(8, 20).reshape(3, 4)
+        blocks += [f[:, 0], f[:, 1:].ravel(),
+                   *np.arange(20, 38).reshape(6, 3)]
+    table = np.full((len(blocks), max(map(len, blocks))), _DIM[with_k])
     for i, blk in enumerate(blocks):
         table[i, :len(blk)] = blk
     return table
@@ -522,7 +499,7 @@ def _seed_rho(model, origin, v0, rho_max, with_k):
     return seed
 
 
-def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
+def _lanes(model, origin, directions, rho_grid, ode_tol, with_k):
     """Seed one lane per direction, as arrays over lanes (the hyperboloid
     points, v0, _seed_rho, the triad, the boost fields W and C and the lines
     (n, 2, dim)), and integrate them all to the end of rho_grid: the
@@ -536,7 +513,7 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
             or rho_grid[0] <= 0):
         raise ValueError("rho grid must be finite, positive and strictly "
                          "increasing")
-    n, dim = len(directions), _DIM[nj, nk]
+    n, dim = len(directions), _DIM[with_k]
     tol = np.broadcast_to(np.asarray(ode_tol, dtype=float), (n,))
     if not np.all(tol > 0):
         raise ValueError("ode_tol must be > 0")
@@ -547,28 +524,27 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
     vh = np.concatenate([np.cosh(zw[:, :1]), np.sinh(zw[:, :1]) * zw[:, 1:]],
                         axis=1)                 # Direction.hyperboloid_point
     v0 = (vh[:, None] @ frame0)[:, 0]
-    seed = _seed_rho(model, origin, v0, rho_grid[-1], nk)
+    seed = _seed_rho(model, origin, v0, rho_grid[-1], with_k)
     line = np.zeros((n, 2, dim))                # state, d/drho at rho = 0
-    st, dst = _unpack(line[:, 0], nj, nk), _unpack(line[:, 1], nj, nk)
+    st, dst = _unpack(line[:, 0], with_k), _unpack(line[:, 1], with_k)
     st["x"][:], dst["x"][:] = origin, v0
     st["b"][:] = v0
-    W = vh[:, 1:, None] * frame0[0] + vh[:, :1, None] * frame0[1:]  # boosts
     boost = [None] * n
-    if nk:      # the frame vectors are coordinate-constant in the core;
+    if with_k:  # the frame vectors are coordinate-constant in the core;
         # no triad remainder is below g-norm 1 for unit timelike v0
         E = st["triad"][:] = _orthonormalize_stacked(
             g0, v0[:, None], np.broadcast_to(frame0[1:], (n, 3, 4)), 3)
         st["pt"][:] = dst["jt"][:] = np.eye(3)          # J_a = rho E_a
+        W = vh[:, 1:, None] * frame0[0] + vh[:, :1, None] * frame0[1:]
         boost = np.concatenate([W, (W @ g0) @ E.transpose(0, 2, 1)], axis=2)
-    elif nj:
-        st["jp"][:] = dst["j"][:] = W
 
     radii = [(R, False) for R in model.shell_radii]
     if model.kind == "schwarzschild":
         radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
     reached, y_end, trunc, log, counts = _dop853(
-        _make_rhs(model, nj, nk), seed, line[:, 0] + seed[:, None] * line[:, 1],
-        np.full(n, rho_grid[-1]), tol[:, None], radii, _norm_blocks(nj, nk))
+        _make_rhs(model, with_k), seed,
+        line[:, 0] + seed[:, None] * line[:, 1], np.full(n, rho_grid[-1]),
+        tol[:, None], radii, _norm_blocks(with_k))
     steps, nrej, nfev = (c.tolist() for c in counts)
     recs = [GeodesicRecord(
         model=model, origin=origin, direction=d, v0=v0[i], frame0=frame0,
@@ -576,7 +552,7 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, nj, nk):
         ode_tol=float(tol[i]), rho_seed=float(seed[i]),
         truncated=bool(trunc[i]), rho_reached=float(reached[i]),
         steps=steps[i], rejected=nrej[i], rhs_evals=nfev[i], _line=line[i],
-        _log=log, _at=int(log.at[i]), _layout=(nj, nk), _boost=boost[i])
+        _log=log, _at=int(log.at[i]), _layout=with_k, _boost=boost[i])
         for i, d in enumerate(directions)]
     return recs, y_end
 
@@ -586,18 +562,26 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     """Integrate several directions from one origin, one lane each.
 
     ode_tol is one tolerance for all directions or one per direction.
-    with_k implies with_jacobi: a record with k integrates x, B, the
-    parallel triad and the Jacobi fields in the triad, and its q0 and khat
-    are k in the triad, taken from the Jacobi fields.  Returns one
-    GeodesicRecord per direction, each bit-identical to the same direction integrated alone
-    at its own tolerance.  All directions must start inside the flat core
-    when with_k is requested; without k, a lane from an origin outside it
-    starts at rho = 0.  A Schwarzschild lane that reaches the horizon guard
-    stops there (truncated, with its own rho_reached).
+    A record with k integrates x, B, the parallel triad and the Jacobi
+    fields in the triad, and its q0 and khat are k in the triad, taken from
+    the Jacobi fields.  with_jacobi is an alias of with_k, kept because the
+    benchmark passes it: a record carries Jacobi fields exactly when it
+    carries k.  Returns one GeodesicRecord per direction, each
+    bit-identical to the same direction integrated alone at its own
+    tolerance.  All directions must start inside the flat core when k is
+    requested; a plain lane from an origin outside it starts at rho = 0.  A
+    Schwarzschild lane that reaches the horizon guard stops there
+    (truncated, with its own rho_reached).
     """
     recs, _ = _lanes(model, origin, directions, rho_grid, ode_tol,
-                     with_jacobi or with_k, with_k)
-    out, i = _eval_rays(recs, [rec.rho for rec in recs]), 0
+                     with_jacobi or with_k)
+    return _set_samples(recs, _eval_rays(recs, [rec.rho for rec in recs]))
+
+
+def _set_samples(recs, out):
+    """The records recs, each given its samples: the fields out, arrays
+    over the samples of all records, len(rec.rho) rows each, in order."""
+    i = 0
     for rec in recs:
         for key, val in out.items():
             setattr(rec, key, None if val is None else val[i:i + len(rec.rho)])
@@ -607,27 +591,26 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
 
 def _ray_ends(model, origin, directions, rho, ode_tol):
     """integrate_rays(model, origin, directions, [rho], ode_tol,
-    with_jacobi=True) without step ends: the same steps, and each record
-    holds its one sample, the integrator's end state at rho (none when
-    truncated).  state_at returns that sample at rho and raises OutOfRange
-    at any other rho, as nothing else of the ray is kept."""
-    recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True,
-                         False)
-    for rec, y in zip(recs, y_end):
+    with_k=True) without step ends: the same steps, and each record holds
+    its one sample, the integrator's end state at rho with the fields that
+    a read forms from it (_fields; none when truncated).  state_at returns
+    that sample at rho and raises OutOfRange at any other rho, as nothing
+    else of the ray is kept."""
+    recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True)
+    for rec in recs:
         rec._log = None
-        st = _unpack(y[None][:len(rec.rho)], True, False)
-        for key in _FIELDS:
-            setattr(rec, key, st.get(key))
-    return recs
+    i = np.flatnonzero([len(rec.rho) for rec in recs])     # not truncated
+    # every end lies above its seed, which is at most rho / 4
+    rq, up = np.full(len(i), float(rho)), np.ones(len(i), bool)
+    return _set_samples(recs, _fields(recs, i, y_end[i], rq, up))
 
 
 def exp_map(model, origin, direction, rho_grid, ode_tol=DEFAULT_TOL,
-            with_jacobi=False, with_k=False):
-    """Integrate a single geodesic record (optionally with Jacobi fields,
-    and with the triad and k)."""
+            with_k=False):
+    """Integrate a single geodesic record (optionally with the triad, the
+    Jacobi fields and k)."""
     return integrate_rays(model, origin, [direction], rho_grid,
-                          ode_tol=ode_tol, with_jacobi=with_jacobi,
-                          with_k=with_k)[0]
+                          ode_tol=ode_tol, with_k=with_k)[0]
 
 
 @dataclass
@@ -654,7 +637,7 @@ class FanGrid:
 
 
 def fan_build(model, origin, zeta_grid, theta_grid, phi_grid, rho_grid,
-              ode_tol=DEFAULT_TOL, with_jacobi=True, with_k=True):
+              ode_tol=DEFAULT_TOL, with_k=True):
     """Build the full fan in a single batched integration.
 
     Record order is lexicographic in (zeta, theta, phi), independent of any
@@ -673,7 +656,7 @@ def fan_build(model, origin, zeta_grid, theta_grid, phi_grid, rho_grid,
     dirs = [direction_from_angles(z, th, ph)
             for z in zeta_grid for th in theta_grid for ph in phi_grid]
     recs = integrate_rays(model, origin, dirs, rho_grid, ode_tol=ode_tol,
-                          with_jacobi=with_jacobi, with_k=with_k)
+                          with_k=with_k)
     return FanGrid(model=model, origin=np.asarray(origin, dtype=float),
                    zeta_grid=zeta_grid, theta_grid=theta_grid,
                    phi_grid=phi_grid, rho_grid=np.atleast_1d(rho_grid),

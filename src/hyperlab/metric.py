@@ -42,8 +42,8 @@ of _general_ray.  Level 2 adds Riemann as Kulkarni-Nomizu products of
 K1-K4; no second derivatives of g are formed.  ricci, scalar, schouten and
 weyl are built from Riemann on first access.  The geodesic terms form no
 Christoffel or Riemann array: _ray_accel gives Gamma(B, B) from five
-scalars per lane, and _ray_terms builds Gamma(B, .), R(B, ., B, .) and (if
-asked) g^{-1} at once as V^T c V + d I_s on the per-lane basis V = (e0, u, v).
+scalars per lane, and _ray_terms builds Gamma(B, .) and R(B, ., B, .) at
+once as V^T c V + d I_s on the per-lane basis V = (e0, u, v).
 """
 
 from dataclasses import dataclass
@@ -205,8 +205,8 @@ def _exterior_ray(M, r, tidal):
         hF = 2M/(R(r - 2M)),   n2'/(2C) = hF n2^2 = 2M(r - 2M)/R^3,
         hA = -2M/(rR),   c_uv = 2M/r^2,
         c_uu = -8M^2 (r - M)/(r^2 R (r - 2M)) = -2 (r - M) hF c_uv,
-    and with tidal F = 1/C = (r - 2M)/R, A = R^2/r^2,
-    Bc r^2/(A C) = (2M/R)^2 and (K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3.
+    and with tidal F = 1/C = (r - 2M)/R, A = R^2/r^2 and
+    (K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3.
     Nothing here cancels, down to the horizon margin."""
     m2 = 2.0 * M
     R = r + m2
@@ -219,10 +219,9 @@ def _exterior_ray(M, r, tidal):
     coefs = (ir, hF, hF * F * F, -mR * ir, c_uv, 2.0 * (M - r) * hF * c_uv)
     if not tidal:
         return coefs
-    C, Rr, rR = R / rm, R * ir, r * iR
+    C, Rr = R / rm, R * ir
     k = mR * iR * iR
-    return coefs + (F, C, C, Rr * Rr, rR * rR, mR * mR,
-                    -2.0 * k, k, -k, 2.0 * k)
+    return coefs + (F, C, Rr * Rr, -2.0 * k, k, -k, 2.0 * k)
 
 
 def _optical_mass_terms(M, r):
@@ -472,8 +471,7 @@ def _general_ray(model, r, tidal):
     Minkowski): (1/r, hF, n2'/(2C), hA, c_uv, c_uu), hA = A'/(2A),
     hF = n2'/(2 n2),
         c_uv = (Bc r - A'/2)/C,   c_uu = r^2 (Bc'/2 - 2 Bc hA)/C,
-    followed, when tidal is set, by (F, 1/F, C, A, 1/A, Bc r^2/(A C)) and
-    K1-K4 (F = n2)."""
+    followed, when tidal is set, by (F, C, A) and K1-K4 (F = n2)."""
     F, dF, A, dA, Bc, dBc, C, iA, iC, *K = _radial_terms(model, r, tidal)
     hA = 0.5 * dA * iA
     coefs = (1.0 / np.maximum(r, _R_FLOOR), 0.5 * dF / F, 0.5 * dF * iC, hA,
@@ -481,7 +479,7 @@ def _general_ray(model, r, tidal):
              (r * r) * (0.5 * dBc - 2.0 * Bc * hA) * iC)
     if not tidal:
         return coefs
-    return coefs + (F, 1.0 / F, C, A, iA, Bc * (r * r) * iA * iC, *K)
+    return coefs + (F, C, A, *K)
 
 
 def _lane_coefs(model, x, b, tidal):
@@ -511,10 +509,9 @@ def _ray_accel(model, x, b):
     return out
 
 
-def _ray_terms(model, x, b, inverse):
+def _ray_terms(model, x, b):
     """Closed-form geodesic terms at lane states x, b (n, 4):
-    gb[l, k] = Gamma^l_mk B^m, the tidal tensor T_bd = R_abcd B^a B^c and
-    g^{-1}, or None unless inverse is set.
+    gb[l, k] = Gamma^l_mk B^m and the tidal tensor T_bd = R_abcd B^a B^c.
 
     Each is V^T c V + d I_s on the per-lane basis V = (e0, (0, u), (0, v))
     (rows), u = x/r and v the spatial part of B, with a 3x3 coefficient
@@ -522,8 +519,7 @@ def _ray_terms(model, x, b, inverse):
     from _general_ray are stacked by one np.array, and two stacked matmuls
     build all the matrices at once.  With C = A + Bc r^2,
         gb:    c_tt = hF (u.v), c_tu = hF B^t, c_ut = n2' B^t/(2C),
-               c_uu = c_uu (u.v), c_uv = c_uv, c_vu = hA, d = hA (u.v);
-        g^-1:  c_tt = -1/F, c_uu = -Bc r^2/(A C), d = 1/A.
+               c_uu = c_uu (u.v), c_uv = c_uv, c_vu = hA, d = hA (u.v).
     With K1-K4, the coframe th_t = sqrt(F) dt, th_r = sqrt(C) dr, the
     transverse metric P = A (d - u u), p = P v and |B_perp|^2 = v.P v,
         T = K1 w w + K2 [(th_t.B)^2 P - (th_t.B)(p th_t + th_t p)
@@ -532,11 +528,11 @@ def _ray_terms(model, x, b, inverse):
     which expands on the basis to the symmetric c of the code below.  Every
     lane is computed alone (elementwise, and a matmul per lane), and
     _radial picks each lane's form by its own r, so a lane's terms do not
-    depend on the rest of the batch, nor gb and T on inverse.
+    depend on the rest of the batch.
     """
     n = len(x)
     v, bt = b[:, 1:], b[:, 0]
-    uv, (ir, hF, q, hA, c_uv, c_uu, F, iF, C, A, iA, g_uu,
+    uv, (ir, hF, q, hA, c_uv, c_uu, F, C, A,
          K1, K2, K3, K4) = _lane_coefs(model, x, b, True)
     zero = np.zeros(n)
     Fbt, uv2 = F * bt, uv * uv
@@ -550,27 +546,24 @@ def _ray_terms(model, x, b, inverse):
     u_v = (A2K4 - K3CA) * uv
     t_uu = (K1 * Ft2 + K3 * bp2) * C - sig + (2.0 * K3CA - A2K4) * uv2
     # the rows of c for gb^T (so that the caller's matmul Y @ gb^T takes a
-    # contiguous operand), T and g^-1 if asked for, then d of each
-    m, gi = ((3, [[-iF, zero, zero], [zero, -g_uu, zero], [zero] * 3, [iA]])
-             if inverse else (2, [[]] * 4))             # m matrices built
+    # contiguous operand) and T, then d of each
     cd = np.array([hF * uv, q * bt, zero,
-                   F * (K1C * uv2 + K2 * bp2), t_u, t_v, *gi[0],
-                   hF * bt, c_uu * uv, hA, t_u, t_uu, u_v, *gi[1],
-                   zero, c_uv, zero, t_v, u_v, -A2K4, *gi[2],
-                   hA * uv, sig, *gi[3]]).T              # (n, 10 m)
+                   F * (K1C * uv2 + K2 * bp2), t_u, t_v,
+                   hF * bt, c_uu * uv, hA, t_u, t_uu, u_v,
+                   zero, c_uv, zero, t_v, u_v, -A2K4,
+                   hA * uv, sig]).T                      # (n, 20)
     V = np.zeros((n, 3, 4))
     V[:, 0, 0] = 1.0
     V[:, 1, 1:] = x[:, 1:] * ir[:, None]
     V[:, 2, 1:] = v
     # V^T (c_0 | c_1 | c_2), then each block times V, in contiguous
     # stacked matmuls (a broadcast or transposed operand is far slower)
-    vc = V.transpose(0, 2, 1).copy() @ cd[:, :9 * m].reshape(n, 3, 3 * m)
-    out = (vc.reshape(n, 4, m, 3).transpose(0, 2, 1, 3).reshape(n, 4 * m, 3)
-           @ V).reshape(n, m, 16)
-    out[:, :, 5::5] += cd[:, 9 * m:, None]              # d I_s
-    out = out.reshape(n, m, 4, 4)
-    return (out[:, 0].transpose(0, 2, 1), out[:, 1],
-            out[:, 2] if inverse else None)
+    vc = V.transpose(0, 2, 1).copy() @ cd[:, :18].reshape(n, 3, 6)
+    out = (vc.reshape(n, 4, 2, 3).transpose(0, 2, 1, 3).reshape(n, 8, 3)
+           @ V).reshape(n, 2, 16)
+    out[:, :, 5::5] += cd[:, 18:, None]                 # d I_s
+    out = out.reshape(n, 2, 4, 4)
+    return out[:, 0].transpose(0, 2, 1), out[:, 1]
 
 
 def _squeeze(jet, scalar_input):

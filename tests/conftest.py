@@ -23,7 +23,7 @@ def glued_record():
     """Centered glued record with Jacobi fields and k, zeta=1, rho to 30."""
     return exp_map(GLUED_M001, np.zeros(4), Direction(1.0, (1, 0, 0)),
                    np.linspace(1.0, 30.0, 8), ode_tol=1e-11,
-                   with_jacobi=True, with_k=True)
+                   with_k=True)
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ def offset_record():
     """Offset glued record reaching deep into the exterior zone."""
     return exp_map(GLUED_M001, OFFSET, Direction(2.0, (0.6, 0.0, 0.8)),
                    np.linspace(1.0, 55.0, 12), ode_tol=1e-11,
-                   with_jacobi=True, with_k=True)
+                   with_k=True)
 
 
 @pytest.fixture(scope="session")

@@ -154,13 +154,12 @@ def cartesian_level2(model, x):
     return d2g, Z - np.swapaxes(Z, -1, -2)
 
 
-def jet_ray_rhs(model, nj, nk):
+def jet_ray_rhs(model, with_k):
     """Geodesic right-hand side built on the Cartesian jet: Gamma(B, .)
     from metric_at's level-1 gamma and T_bd = R_abcd B^a B^c from
     cartesian_level2, so independent of the K1-K4 formulas, with the same
-    transport arithmetic as geodesic._make_rhs: coordinate J and P with
-    Jacobi fields alone, the triad E and the triad components j and p of
-    the Jacobi fields (j' = p, p' = -j E T E^T) with k."""
+    transport arithmetic as geodesic._make_rhs: with k, the triad E and the
+    triad components j and p of the Jacobi fields (j' = p, p' = -j E T E^T)."""
     from hyperlab.metric import metric_at
 
     def rhs(y):
@@ -172,28 +171,19 @@ def jet_ray_rhs(model, nj, nk):
         dy = np.empty_like(y)
         dy[:, 0:4] = b
         dy[:, 4:8] = -np.einsum('nlk,nk->nl', gb, b)
-        if nk:
+        if with_k:
             E = y[:, 8:20].reshape(-1, 3, 4)
             jt = y[:, 20:29].reshape(-1, 3, 3)
             Tt = np.einsum('nai,nij,nbj->nab', E, T, E)
             dy[:, 8:20] = -np.einsum('nlk,njk->njl', gb, E).reshape(-1, 12)
             dy[:, 20:29] = y[:, 29:38]
             dy[:, 29:38] = -np.einsum('nac,ncb->nab', jt, Tt).reshape(-1, 9)
-        elif nj:
-            J = y[:, 8:20].reshape(-1, 3, 4)
-            P = y[:, 20:32].reshape(-1, 3, 4)
-            RB = -np.einsum('nlb,nbd->nld', jet.g_inv, T)
-            dJ = P - np.einsum('nlk,njk->njl', gb, J)
-            dP = (np.einsum('nld,njd->njl', RB, J)
-                  - np.einsum('nlk,njk->njl', gb, P))
-            dy[:, 8:20] = dJ.reshape(-1, 12)
-            dy[:, 20:32] = dP.reshape(-1, 12)
         return dy
 
     return rhs
 
 
-def lane_seed(model, origin, direction, rho_max, nj, nk):
+def lane_seed(model, origin, direction, rho_max, with_k):
     """One lane's seed by the per-lane rule, one direction at a time: v0,
     the seed rho, the straight line (2, dim) (state and rho-derivative at
     rho = 0) and, with k, the boost block W | C, with the triad from
@@ -221,22 +211,20 @@ def lane_seed(model, origin, direction, rho_max, nj, nk):
     else:               # |xs + rho vs| = 0.98 * core, the exit ahead
         disc = (xs @ vs) ** 2 + (vs @ vs) * (b2 - xs @ xs)
         seed = min((-(xs @ vs) + np.sqrt(disc)) / (vs @ vs), cap)
-    if nk and seed < RHO_SEED_MIN:
+    if with_k and seed < RHO_SEED_MIN:
         raise SeedRegionTooSmall(
             f"flat-core seed rho={seed:.3g} below {RHO_SEED_MIN:g}: a "
             f"lane with k must start inside the flat core")
-    line = np.zeros((2, _DIM[nj, nk]))
-    st = _unpack(line, nj, nk)
+    line = np.zeros((2, _DIM[with_k]))
+    st = _unpack(line, with_k)
     st["x"][:] = origin, v0
     st["b"][0] = v0
-    W = vh[1:, None] * frame0[0] + vh[0] * frame0[1:]
     boost = None
-    if nk:
+    if with_k:
         E = st["triad"][0] = orthonormalize(g0, [v0], frame0[1:], 3)
         st["pt"][0] = st["jt"][1] = np.eye(3)
+        W = vh[1:, None] * frame0[0] + vh[0] * frame0[1:]
         boost = np.concatenate([W, W @ g0 @ E.T], axis=1)
-    elif nj:
-        st["jp"][0] = st["j"][1] = W
     return v0, seed, line, boost
 
 

@@ -14,7 +14,7 @@ from hyperlab.foliation import (angular_grid, frames_at, leaf_frames,
                                 leaf_scalars, leaf_slice, second_fundamental_at,
                                 second_fundamental_fd_oracle,
                                 solve_level_nodes, structure_residuals)
-from hyperlab.geodesic import Direction, exp_map, fan_build
+from hyperlab.geodesic import _FIELDS, Direction, exp_map, fan_build
 from hyperlab.mass import mass_of_leaf
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 from oracles import sphere_pair
@@ -26,7 +26,7 @@ GLUED = MetricModel.glued(0.01)
 @pytest.fixture(scope="module")
 def mink_record():
     return exp_map(MINK, np.zeros(4), Direction(0.5, (1, 0, 0)),
-                   [1.0, 2.0, 3.0], with_jacobi=True, with_k=True)
+                   [1.0, 2.0, 3.0], with_k=True)
 
 
 def test_leaf_scalars_minkowski_closed_form(mink_record):
@@ -59,7 +59,7 @@ def test_rho_squared_invariant_glued(glued_record):
 def test_flat_core_origin_limits():
     # b^{-1} -> n(O) = 1 and tau/t -> 1 as rho -> 0 (exactly flat core)
     rec = exp_map(GLUED, np.zeros(4), Direction(0.8, (0, 0, 1)),
-                  [0.05, 0.1, 0.2, 1.0], with_jacobi=True, with_k=True)
+                  [0.05, 0.1, 0.2, 1.0], with_k=True)
     for rho in (0.05, 0.1, 0.2):
         sc = leaf_scalars(GLUED, rec, rho)
         assert abs(1.0 / sc.b - 1.0) < 1e-12
@@ -114,13 +114,13 @@ def test_leaf_normal_has_no_time_part(glued_record, offset_record):
 
 def test_central_line_degenerate(monkeypatch):
     rec = exp_map(GLUED, np.zeros(4), Direction(0.0, (1, 0, 0)), [5.0],
-                  with_jacobi=True, with_k=True)
+                  with_k=True)
     with pytest.raises(CentralLineDegenerate):
         frames_at(GLUED, rec, 5.0)
     # closer to the central line than the transverse mini-fan's half-width
     # 2 _FAN_DELTA: raised before the mini-fan is integrated
     rec = exp_map(GLUED, np.zeros(4), Direction(0.005, (1, 0, 0)),
-                  [1.0, 3.0, 5.0], with_jacobi=True, with_k=True)
+                  [1.0, 3.0, 5.0], with_k=True)
 
     def no_integration(*args, **kwargs):
         raise AssertionError("mini-fan integrated")
@@ -140,7 +140,7 @@ def test_second_fundamental_minkowski_umbilic(mink_record):
 def test_second_fundamental_regularized_small_rho():
     # trk - 3/rho -> 0 and khat -> 0 as rho -> 0 for the glued model
     rec = exp_map(GLUED, np.zeros(4), Direction(1.2, (1, 0, 0)),
-                  [0.05, 0.2, 0.8], with_jacobi=True, with_k=True)
+                  [0.05, 0.2, 0.8], with_k=True)
     q = np.abs(rec.q0)
     kh = np.abs(rec.khat).max(axis=(1, 2))
     assert q[0] < 1e-12 and kh[0] < 1e-12       # still inside the core
@@ -232,15 +232,14 @@ def test_structure_residuals_offset(offset_record):
 
 
 def test_structure_residuals_requires_k():
-    rec = exp_map(GLUED, np.zeros(4), Direction(1.0, (1, 0, 0)), [1.0, 2.0],
-                  with_jacobi=True)
+    rec = exp_map(GLUED, np.zeros(4), Direction(1.0, (1, 0, 0)), [1.0, 2.0])
     with pytest.raises(MissingK):
         structure_residuals(GLUED, rec)
     # k implies the Jacobi fields it is read off, which the transverse
     # residuals need too
     rec = exp_map(GLUED, np.zeros(4), Direction(1.0, (1, 0, 0)), [1.0, 2.0],
                   with_k=True)
-    assert rec.has_k and rec.has_jacobi
+    assert rec.has_k and rec.j is not None
 
 
 def test_transverse_residuals_polar_axis():
@@ -252,8 +251,7 @@ def test_transverse_residuals_polar_axis():
     for tilt, singular in ((0.0, True), (1e-6, False), (1e-8, False)):
         rec = exp_map(GLUED, np.zeros(4),
                       Direction(1.0, (np.sin(tilt), 0.0, np.cos(tilt))),
-                      [1.0, 5.0, 10.0], ode_tol=1e-11, with_jacobi=True,
-                      with_k=True)
+                      [1.0, 5.0, 10.0], ode_tol=1e-11, with_k=True)
         if singular:
             with pytest.raises(CoordinateSingularity, match="polar axis"):
                 structure_residuals(GLUED, rec, probe_rhos=[5.0])
@@ -270,7 +268,7 @@ def test_solve_level_nodes_minkowski_closed_forms():
     zs, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 2.0, nodes,
                                  level="uhat")
     assert np.abs(zs - np.log(5.0)).max() <= 1e-10
-    assert all(r.has_jacobi and not r.has_k for r in recs)
+    assert all(r.has_k for r in recs)
 
 
 def test_solve_level_nodes_batch_order():
@@ -316,8 +314,8 @@ def _spy_solver(monkeypatch):
     """Every integration (geodesic._dop853), with its lane count, state
     width, tolerances, right-hand-side calls and lane evaluations.  The
     leaf solver's stencil integrates plain lanes, x and B alone (width 8,
-    `loose`); a tight round leaf records with Jacobi fields and no k
-    (width 32)."""
+    `loose`); a tight round leaf records with the triad, the Jacobi fields
+    and k (width 38)."""
     calls = []
 
     def spy(rhs, t, y, t_end, tol, radii, blocks, _run=geodesic._dop853):
@@ -365,8 +363,8 @@ def test_leaf_slice_integrate_rays_budget(monkeypatch):
 
 def test_leaf_work_budget_inexact_newton(monkeypatch):
     # the stencil integrates five plain lanes per node, all at STENCIL_TOL;
-    # every record returned is tight with the Jacobi fields and no k.  On
-    # this leaf the two rounds take 808 RHS calls (1,062 with two
+    # every record returned is tight with the triad, the Jacobi fields and
+    # k.  On this leaf the two rounds take 808 RHS calls (1,062 with two
     # loose rounds of plain pairs) and the tight round 1,736 lane
     # evaluations, the only ones with a payload (2,264 when the tight round
     # transported k); each bound adds the +-7 % that rounding-level changes
@@ -378,7 +376,7 @@ def test_leaf_work_budget_inexact_newton(monkeypatch):
     assert [c.lanes for c in calls] == [20, 4]
     assert np.all(calls[0].tol == foliation.STENCIL_TOL)
     for r in recs:
-        assert r.ode_tol == 1e-12 and r.has_jacobi and not r.has_k
+        assert r.ode_tol == 1e-12 and r.has_k
     assert sum(c.rhs_calls for c in calls) <= 865
     assert sum(c.lane_evals for c in calls if not c.loose) <= 1858
     # an exact flat root is found by the stencil and accepted only by a
@@ -397,10 +395,10 @@ def test_leaf_two_integrations(monkeypatch, rho, target, nodes, level):
     # tight iterate within the acceptance bound on both levels.  Every
     # returned record keeps only its end state, with no step ends to read
     # the ray between.  The stencil integrates five plain lanes per node, x
-    # and B alone; every returned record is tight with Jacobi fields and no
-    # k.  A tight record takes the 12 stages of each step, accepted or
-    # rejected, and the 2 evaluations of the starting step, and no
-    # dense-output stage.
+    # and B alone; every returned record is tight with the triad, the Jacobi
+    # fields and k.  A tight record takes the 12 stages of each step,
+    # accepted or rejected, and the 2 evaluations of the starting step, and
+    # no dense-output stage.
     calls = _spy_solver(monkeypatch)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
@@ -410,16 +408,15 @@ def test_leaf_two_integrations(monkeypatch, rho, target, nodes, level):
             assert c.lanes == 5 * len(nodes)
             assert np.all(c.tol == foliation.STENCIL_TOL)
         else:
-            assert c.lanes == len(nodes) and c.width == 32
+            assert c.lanes == len(nodes) and c.width == 38
             assert np.all(c.tol == foliation.TIGHT_TOL)
     for r in recs:
         assert r.ode_tol == foliation.TIGHT_TOL
-        assert r.has_jacobi and not r.has_k and r._log is None
+        assert r.has_k and r._log is None
         assert len(r.x) == 1 and np.array_equal(r.rho, [rho])
         st = r.state_at(rho)
-        for key in ("x", "b", "j", "jp"):
+        for key in _FIELDS:
             assert np.array_equal(st[key], getattr(r, key)[0]), key
-        assert st["triad"] is st["q0"] is st["khat"] is None
         with pytest.raises(OutOfRange):
             r.state_at(rho / 2)
         assert r.rhs_evals == 2 + 12 * (r.steps + r.rejected)
@@ -531,18 +528,18 @@ def test_solve_level_nodes_uhat_near_zone_floor(monkeypatch, rho, r_flat):
 
 def test_leaf_records_match_integrate_rays():
     # a tight leaf record takes the steps of integrate_rays on its direction
-    # at TIGHT_TOL with Jacobi fields and no k; only its sample at rho comes
-    # from the integrator's end state instead of the dense output there
+    # at TIGHT_TOL with k; only its sample at rho comes from the
+    # integrator's end state instead of the dense output there, and both
+    # form their fields from it alike (geodesic._fields)
     rho = 15.79
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, 63.16,
                                 angular_grid(4, 1))
     dense = geodesic.integrate_rays(GLUED, np.zeros(4),
                                     [r.direction for r in recs], [rho],
-                                    ode_tol=foliation.TIGHT_TOL,
-                                    with_jacobi=True, with_k=False)
+                                    ode_tol=foliation.TIGHT_TOL, with_k=True)
     for r, d in zip(recs, dense):
         assert (r.steps, r.rejected) == (d.steps, d.rejected)
-        for key in ("x", "b", "j", "jp"):
+        for key in _FIELDS:
             a, b = getattr(r, key), getattr(d, key)
             assert np.all(np.abs(a - b) <= 4 * np.spacing(np.abs(b))), key
 
@@ -551,51 +548,57 @@ def test_leaf_records_match_integrate_rays():
     (15.79, 63.16, angular_grid(4, 1), "t"),
     (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t", "uhat"])
 def test_leaf_k_matches_tighter_records(rho, target, nodes, level):
-    # the leaf records keep only their end states, at TIGHT_TOL; their k,
-    # from the coordinate Jacobi fields (_k_jacobi), against that of
-    # integrate_rays with k at 1e-13 on the same directions (j^-1 p in the
-    # triad, rotated), in the same leaf basis.  Largest entry difference,
-    # relative to the largest entry of k: 7.7e-12 (t) and 1.7e-12 (uhat)
+    # the leaf records keep only their end states, at TIGHT_TOL; their k
+    # (j^-1 p in the triad, rotated) against that of integrate_rays with k
+    # at 1e-13 on the same directions, in the same leaf basis.  Largest
+    # entry difference, relative to the largest entry of k: 1.2e-14 (t)
+    # and 7.3e-15 (uhat); 7.7e-12 and 1.6e-12 when the leaf records took k
+    # from Jacobi fields integrated in coordinates
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
-    assert not any(r.has_k for r in recs)
+    assert all(r.has_k for r in recs)
     jac = leaf_frames(GLUED, recs, rho).k
     ref = geodesic.integrate_rays(GLUED, np.zeros(4),
                                   [r.direction for r in recs], [rho],
-                                  ode_tol=1e-13, with_jacobi=True,
-                                  with_k=True)
+                                  ode_tol=1e-13, with_k=True)
     tight = leaf_frames(GLUED, ref, rho).k
     assert np.abs(jac.k - tight.k).max() <= 3e-11 * np.abs(tight.k).max()
 
 
 def test_triad_k_matches_leaf_k():
-    # the two sources of k agree: a record with k reads it as j^-1 p in its
-    # parallel triad, and leaf_frames rotates that into the leaf basis
-    # f = {Nbar, e_A}; a record with Jacobi fields alone integrates them in
-    # coordinates, and leaf_frames takes its k by geodesic._k_jacobi.  At
-    # 1e-14 the largest difference is 2.9e-14 (centred) and 1.6e-13
-    # (offset) of |k|
+    # the k of leaf records (geodesic._ray_ends at TIGHT_TOL, j^-1 p in the
+    # parallel triad) against the finite-difference oracle in the triad of
+    # the probe of a 5x5x5 fan about the same direction, at 1e-14 and
+    # spacing 2e-3.  The oracle's truncation goes as h^4: at rho = 1 on the
+    # centred ray it reads 1.8e-9 of |k| at spacing 4e-3 and 1.1e-10 at
+    # 2e-3; everywhere else the difference is at most 8.3e-12
     for origin, d, rho in (
-            (np.zeros(4), Direction(1.0, (1, 0, 0)), np.linspace(1, 30, 8)),
+            (np.zeros(4), Direction(1.0, (1, 0, 0)), np.linspace(1, 30, 4)),
             (np.array([0.0, 0.2, 0.0, 0.0]), Direction(2.0, (0.6, 0.0, 0.8)),
-             np.linspace(1, 55, 12))):
-        rec = exp_map(GLUED, origin, d, rho, ode_tol=1e-14, with_k=True)
-        jac = exp_map(GLUED, origin, d, rho, ode_tol=1e-14, with_jacobi=True)
-        assert rec.has_k and not jac.has_k
-        k_triad = leaf_frames(GLUED, [rec], rec.rho).require_frames().k.k
-        k_jac = leaf_frames(GLUED, [jac], jac.rho).require_frames().k.k
-        assert np.abs(k_triad - k_jac).max() <= 1e-12 * np.abs(k_jac).max()
+             np.linspace(1, 55, 4))):
+        side = 2e-3 * np.arange(-2, 3)
+        theta, phi = d.angles()
+        fan = fan_build(GLUED, origin, d.zeta + side, theta + side,
+                        phi + side, rho, ode_tol=1e-14)
+        for r in rho:
+            (rec,) = geodesic._ray_ends(GLUED, origin, [d], r,
+                                        foliation.TIGHT_TOL)
+            k = rec.khat[0] + (1.0 / r + rec.q0[0] / 3.0) * np.eye(3)
+            ko = second_fundamental_fd_oracle(GLUED, fan, (2, 2, 2), r)
+            assert np.abs(ko - k).max() <= 3e-10 * np.abs(k).max(), r
 
 
 def test_centred_leaves_work_and_mass(monkeypatch):
     # the 12 centred leaves of the benchmark's leaf workload (t/rho = 2, 4,
     # 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)): two integrations
-    # each, the stencil and a tight one 32 wide (Jacobi fields, no k).  They
-    # take 9,120 RHS calls (11,868 with two loose rounds of plain pairs),
-    # and their tight rounds 19,680 lane evaluations (26,424 when they
-    # transported k); each bound adds the +-7 % that rounding-level changes
-    # of the RHS move DOP853 step counts by.  The exact mass of each leaf
-    # is 2M; the largest |m - 2M| is 1.8e-11 (2.9e-9 with the transported k)
+    # each, the stencil and a tight one 38 wide (the triad, the Jacobi
+    # fields in it and k).  They take 9,012 RHS calls (11,868 with two
+    # loose rounds of plain pairs), and their tight rounds 19,248 lane
+    # evaluations (19,680 with Jacobi fields in coordinates, 26,424 when
+    # they transported k); each bound adds the +-7 % that rounding-level
+    # changes of the RHS move DOP853 step counts by.  The exact mass of each
+    # leaf is 2M; the largest |m - 2M| is 2.4e-11 (1.8e-11 with Jacobi
+    # fields in coordinates, 2.9e-9 with the transported k)
     calls = _spy_solver(monkeypatch)
     worst = 0.0
     for rho in (5.0, 10.0, 15.79, 20.0):
@@ -606,7 +609,7 @@ def test_centred_leaves_work_and_mass(monkeypatch):
             assert [c.loose for c in calls[n:]] == [True, False]
             worst = max(worst, abs(rep.mass - 0.02))
     tight = [c for c in calls if not c.loose]
-    assert all(c.width == 32 for c in tight)
+    assert all(c.width == 38 for c in tight)
     assert sum(c.rhs_calls for c in calls) <= 9760
     assert sum(c.lane_evals for c in tight) <= 21058
     assert worst <= 1e-10

@@ -80,7 +80,7 @@ def test_minkowski_straight_lines():
 
 def test_minkowski_boost_jacobi_closed_form():
     rec = exp_map(MINK, np.zeros(4), Direction(0.5, (1, 0, 0)), [3.0],
-                  with_jacobi=True)
+                  with_k=True)
     # J1 is the exact Lorentz boost x^1 d_t + t d_1 along the ray
     assert np.allclose(rec.j[-1, 0], [1.5632859, 3.3828780, 0, 0], atol=1e-6)
     assert np.allclose(rec.j[-1, 0],
@@ -89,7 +89,7 @@ def test_minkowski_boost_jacobi_closed_form():
 
 def test_minkowski_exactness_large_rho():
     rec = exp_map(MINK, np.zeros(4), Direction(1.3, (0, 0.6, 0.8)),
-                  [10.0, 50.0, 100.0], with_jacobi=True, with_k=True)
+                  [10.0, 50.0, 100.0], with_k=True)
     V = rec.v0
     for i, rho in enumerate(rec.rho):
         assert np.abs(rec.x[i] - rho * V).max() < 1e-10
@@ -130,7 +130,7 @@ def test_rk8_oracle_is_eighth_order():
 def test_norm_and_tangency_invariants_glued():
     rec = exp_map(GLUED, np.zeros(4), Direction(1.0, (1, 0, 0)),
                   np.linspace(1, 30, 6), ode_tol=1e-10,
-                  with_jacobi=True, with_k=True)
+                  with_k=True)
     for i, rho in enumerate(rec.rho):
         g = metric_at(GLUED, rec.x[i], level=0).g
         assert abs(rec.b[i] @ g @ rec.b[i] + 1.0) < 1e-9
@@ -183,7 +183,7 @@ def test_jacobi_vs_neighbor_finite_difference():
         z = np.arccosh(V[0])
         w = V[1:] / np.linalg.norm(V[1:])
         recs.append(exp_map(GLUED, np.zeros(4), Direction(z, tuple(w)),
-                            [rho], ode_tol=1e-11, with_jacobi=True))
+                            [rho], ode_tol=1e-11, with_k=True))
     fd = (recs[2].x[-1] - recs[0].x[-1]) / (2 * eps)
     J1 = recs[1].j[-1, 0]
     assert np.abs(fd - J1).max() < 1e-4 * max(1.0, np.abs(J1).max())
@@ -222,7 +222,7 @@ def assert_same_lane(a, b):
 def reversed_theta(fan, payload=True):
     """The fan's directions with the theta axis reversed, and the fan itself
     rebuilt when payload is False."""
-    kw = dict(ode_tol=1e-11, with_jacobi=payload, with_k=payload)
+    kw = dict(ode_tol=1e-11, with_k=payload)
     up = fan if payload else fan_build(GLUED, fan.origin, fan.zeta_grid,
                                        fan.theta_grid, fan.phi_grid,
                                        fan.rho_grid, **kw)
@@ -311,9 +311,9 @@ def test_non_finite_lane_raises_step_failure():
         "y = np.zeros((2, 8))\n"
         "y[:, 0], y[:, 4], y[1, 5] = 0.5, 1.0, np.nan\n"
         "with pytest.raises(StepFailure, match='not finite'):\n"
-        "    _dop853(_make_rhs(MetricModel.glued(0.01), False, False),\n"
+        "    _dop853(_make_rhs(MetricModel.glued(0.01), False),\n"
         "            np.full(2, 0.5), y, np.full(2, 5.0),\n"
-        "            np.full((2, 1), 1e-10), [], _norm_blocks(False, False))\n")
+        "            np.full((2, 1), 1e-10), [], _norm_blocks(False))\n")
 
 
 def test_fan_non_monotone_grid_rejected():
@@ -348,8 +348,32 @@ def test_seed_region_guard():
     # this line runs into the core, but from an origin in the curved blend
     with pytest.raises(SeedRegionTooSmall):
         integrate_rays(GLUED, np.array([0.0, 1.5, 0.0, 0.0]),
-                       [Direction(1.0, (-1, 0, 0))], [5.0], with_jacobi=True,
-                       with_k=True)
+                       [Direction(1.0, (-1, 0, 0))], [5.0], with_k=True)
+
+
+@pytest.mark.parametrize("origin", [np.zeros(4), OFFSET],
+                         ids=["centred", "offset-core"])
+def test_with_jacobi_is_an_alias_of_with_k(origin):
+    # a record carries Jacobi fields exactly when it carries k: with_jacobi,
+    # with_k and both (the sixth and seventh arguments) give the same
+    # records, bit for bit in every field
+    dirs = [Direction(0.4, (0.0, 0.6, 0.8)), Direction(1.6, (-0.3, 0.2, -0.9))]
+    rho = [2.0, 9.0]
+    ref, *alias = (integrate_rays(GLUED, origin, dirs, rho, 1e-10, *flags)
+                   for flags in ((False, True), (True, False), (True, True)))
+    assert all(rec.has_k for rec in ref)
+    for recs in alias:
+        for a, b in zip(ref, recs):
+            for key in _FIELDS:
+                assert np.array_equal(getattr(a, key), getattr(b, key)), key
+
+
+def test_off_core_jacobi_raises():
+    # Jacobi fields come with k, which needs a flat-core seed; the
+    # Schwarzschild origin has none (a plain lane starts at rho = 0)
+    with pytest.raises(SeedRegionTooSmall):
+        integrate_rays(SCHW, np.array([0.0, 1.0, 0.0, 0.0]),
+                       [Direction(1.0, (1, 0, 0))], [2.0], with_jacobi=True)
 
 
 # directions of the seeding tests: the central line (zeta = 0, the
@@ -380,11 +404,11 @@ def test_batched_seeding_matches_lane_rule(model, origin, with_k):
     # (measured <= 4.4e-16 cosh^2); at ZETA_MAX_DEFAULT the classical
     # Gram-Schmidt's cancellation reads 1.65e-14 cosh^2 (6.7e-10)
     g = metric_at(model, origin, level=0).g
-    for nj, nk in [(False, False), (True, False), (True, True)][:2 + with_k]:
+    for nk in [False, True][:1 + with_k]:
         recs, _ = geodesic._lanes(model, origin, _SEED_DIRECTIONS, [4.0],
-                                  1e-8, nj, nk)
+                                  1e-8, nk)
         for d, rec in zip(_SEED_DIRECTIONS, recs):
-            v0, seed, line, boost = lane_seed(model, origin, d, 4.0, nj, nk)
+            v0, seed, line, boost = lane_seed(model, origin, d, 4.0, nk)
             assert np.array_equal(rec.v0, v0) and rec.rho_seed == seed
             assert np.array_equal(rec._line, line)
             assert _same_field(rec._boost, boost)
@@ -408,7 +432,7 @@ def test_off_core_seed_message_names_the_first_lane():
         origin = np.array([0.0, x, 0.0, 0.0])
         with pytest.raises(SeedRegionTooSmall) as want:
             for d in dirs:
-                lane_seed(GLUED, origin, d, 5.0, True, True)
+                lane_seed(GLUED, origin, d, 5.0, True)
         with pytest.raises(SeedRegionTooSmall) as got:
             integrate_rays(GLUED, origin, dirs, [5.0], with_k=True)
         assert str(got.value) == str(want.value)
@@ -444,7 +468,7 @@ def test_state_below_seed_is_the_straight_line(model, origin, payload):
     # origin outside the flat core (Schwarzschild) has no line: the lane
     # starts at rho = 0 from the origin state.
     rec = exp_map(model, origin, Direction(1.2, (0.6, 0.0, -0.8)),
-                  [2.0, 6.0], with_jacobi=payload, with_k=payload)
+                  [2.0, 6.0], with_k=payload)
     ts, yf = _step_ends(rec)
     assert ts[0] == rec.rho_seed
     assert np.array_equal(yf[0, 0],
@@ -482,10 +506,10 @@ def test_dop853_tableau_matches_scipy():
 def test_batch_matches_single_ray():
     dirs = [Direction(z, (1, 0, 0)) for z in (0.4, 0.9, 1.5)]
     recs = integrate_rays(GLUED, np.zeros(4), dirs, np.linspace(1, 20, 4),
-                          ode_tol=1e-11, with_jacobi=True, with_k=True)
+                          ode_tol=1e-11, with_k=True)
     for d, rec in zip(dirs, recs):
         single = exp_map(GLUED, np.zeros(4), d, np.linspace(1, 20, 4),
-                         ode_tol=1e-11, with_jacobi=True, with_k=True)
+                         ode_tol=1e-11, with_k=True)
         assert_same_lane(rec, single)
         rq = np.linspace(0.5, 20.0, 17)
         sa, sb = rec.state_at(rq), single.state_at(rq)
@@ -499,11 +523,11 @@ def test_batch_matches_single_ray_offset_payload():
             Direction(1.6, (-0.3, 0.2, -0.9))]
     rho = np.linspace(1, 18, 4)
     recs = integrate_rays(GLUED, OFFSET, dirs, rho, ode_tol=1e-11,
-                          with_jacobi=True, with_k=True)
+                          with_k=True)
     rq = np.linspace(0.5, 18.0, 13)
     for d, rec in zip(dirs, recs):
         single = exp_map(GLUED, OFFSET, d, rho, ode_tol=1e-11,
-                         with_jacobi=True, with_k=True)
+                         with_k=True)
         assert_same_lane(rec, single)
         sa, sb = rec.state_at(rq), single.state_at(rq)
         assert all(np.array_equal(sa[k], sb[k]) for k in sa)
@@ -536,11 +560,11 @@ def test_per_lane_tolerance_matches_single_ray(origin):
     tols = (1e-8, 1e-10, 1e-12)
     rho = np.linspace(1, 18, 4)
     recs = integrate_rays(GLUED, origin, dirs, rho, ode_tol=tols,
-                          with_jacobi=True, with_k=True)
+                          with_k=True)
     for d, tol, rec in zip(dirs, tols, recs):
         assert rec.ode_tol == tol
         single = exp_map(GLUED, origin, d, rho, ode_tol=tol,
-                         with_jacobi=True, with_k=True)
+                         with_k=True)
         for name in _COMPARED:
             assert _same_field(getattr(rec, name),
                                getattr(single, name)), name
@@ -556,22 +580,20 @@ def test_wide_batch_matches_single_ray(probe_fan):
         rec = probe_fan.records[i]
         single = exp_map(GLUED, probe_fan.origin, rec.direction,
                          probe_fan.rho_grid, ode_tol=1e-11,
-                         with_jacobi=True, with_k=True)
+                         with_k=True)
         for name in _COMPARED:
             assert _same_field(getattr(rec, name),
                                getattr(single, name)), (i, name)
         assert _same_field(_step_ends(rec), _step_ends(single)), i
 
 
-@pytest.mark.parametrize("model, origin, nj, nk", [
-    (GLUED, np.zeros(4), False, False), (GLUED, np.zeros(4), True, False),
-    (GLUED, np.zeros(4), True, True), (GLUED, OFFSET, False, False),
-    (GLUED, OFFSET, True, False), (GLUED, OFFSET, True, True),
-    (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), False, False),
-    (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), True, False)],
-    ids=["centred-8", "centred-32", "centred-38", "offset-8", "offset-32",
-         "offset-38", "schwarzschild-8", "schwarzschild-32"])
-def test_retaken_step_is_the_step_taken(model, origin, nj, nk):
+@pytest.mark.parametrize("model, origin, with_k", [
+    (GLUED, np.zeros(4), False), (GLUED, np.zeros(4), True),
+    (GLUED, OFFSET, False), (GLUED, OFFSET, True),
+    (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), False)],
+    ids=["centred-8", "centred-38", "offset-8", "offset-38",
+         "schwarzschild-8"])
+def test_retaken_step_is_the_step_taken(model, origin, with_k):
     # the oracle of the dense-output cache: every accepted step, re-taken by
     # _stages from its stored start (rho_k, y_k, y'_k), all steps of all
     # lanes in one batch, ends on the stored (y_k+1, y'_k+1) bit for bit;
@@ -580,15 +602,15 @@ def test_retaken_step_is_the_step_taken(model, origin, nj, nk):
     dirs = [Direction(0.3, (0.0, 0.6, 0.8)), Direction(1.2, (1, 0, 0)),
             Direction(2.0, (-0.6, 0.0, -0.8)), Direction(1.0, (-1, 0, 0))]
     recs = integrate_rays(model, origin, dirs, [0.5, 15.0], ode_tol=1e-10,
-                          with_jacobi=nj, with_k=nk)
+                          with_k=with_k)
     assert any(r.truncated for r in recs) == (model is SCHW)
     hs = [np.diff(_step_ends(r)[0]) for r in recs]  # step sizes, lane by lane
     yf = np.concatenate([_step_ends(r)[1] for r in recs])
     start = np.concatenate([np.arange(len(h)) + sum(map(len, hs[:i])) + i
                             for i, h in enumerate(hs)])
     assert len(start) == sum(r.steps for r in recs)
-    assert yf.shape[2] == {(0, 0): 8, (1, 0): 32, (1, 1): 38}[nj, nk]
-    rhs, hs = _make_rhs(model, nj, nk), np.concatenate(hs)
+    assert yf.shape[2] == (38 if with_k else 8)
+    rhs, hs = _make_rhs(model, with_k), np.concatenate(hs)
     K, y_new = _stages(rhs, yf[start, 0], hs, yf[start, 1])
     assert np.array_equal(y_new, yf[start + 1, 0])
     assert np.array_equal(K[12], yf[start + 1, 1])
@@ -608,7 +630,7 @@ def test_reads_independent_of_order_grouping_and_cache():
 
     def fresh():
         return integrate_rays(GLUED, OFFSET, dirs, rho, ode_tol=1e-11,
-                              with_jacobi=True, with_k=True)
+                              with_k=True)
 
     A = np.array([0.01, 2.5, 6.667, 12.0, 18.0])
     B = np.array([1.0, 2.6, 9.3, 17.9])
@@ -648,14 +670,13 @@ def test_stage_sums_match_loop(n):
         assert np.array_equal(got[-1:], _lincomb(coef, K[:, -1:]))
 
 
-@pytest.mark.parametrize("nj, nk, width", [(False, False, 3),
-                                           (True, False, 9), (True, True, 9)])
-def test_norm_blocks_as_wide_as_the_longest(nj, nk, width):
+@pytest.mark.parametrize("with_k, width", [(False, 3), (True, 9)])
+def test_norm_blocks_as_wide_as_the_longest(with_k, width):
     # the table is as wide as the layout's longest block; a 9-wide table
     # only adds +0.0 to each sum of squares, so the block norms are the
     # same bit for bit, also on zeros, signed zeros and extreme sizes
-    table = geodesic._norm_blocks(nj, nk)
-    dim = geodesic._DIM[nj, nk]
+    table = geodesic._norm_blocks(with_k)
+    dim = geodesic._DIM[with_k]
     assert table.shape[1] == width
     wide = np.full((len(table), 9), dim)
     wide[:, :width] = table
@@ -686,13 +707,13 @@ def test_einsums_per_step(monkeypatch, payload, per_rhs):
 
     monkeypatch.setattr(np, "einsum", spy)
     rec = exp_map(GLUED, OFFSET, Direction(1.1, (1, 0, 0)), [1.0, 18.0],
-                  with_jacobi=payload, with_k=payload)
+                  with_k=payload)
     attempts = rec.steps + rec.rejected
     assert len(calls) == per_rhs * rec.rhs_evals + 14 * attempts + 19
     y = np.zeros((4, rec._log.yf.shape[2]))
     y[:, 0:4], y[:, 4:8] = rec.x[-1], rec.b[-1]
     calls.clear()
-    _make_rhs(GLUED, payload, payload)(y)
+    _make_rhs(GLUED, payload)(y)
     assert len(calls) == per_rhs
 
 

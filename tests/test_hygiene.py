@@ -3,9 +3,12 @@
 private module-level function or class is used, every parameter is read,
 every dataclass field is read, every module-level function or class is
 reached from the CLI, the benchmark or the acceptance suite, every module
-compiles with warnings treated as errors, and the runtime loads no scipy."""
+compiles with warnings treated as errors, the runtime loads no scipy, and
+every call the benchmark makes into the package binds to its signature."""
 
 import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -269,3 +272,92 @@ def test_runtime_loads_no_scipy(tmp_path):
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def _chain(node):
+    """The names of an attribute chain a.b.c as [a, b, c]; [] for any other
+    expression."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.insert(0, node.attr)
+        node = node.value
+    return [node.id] + names if isinstance(node, ast.Name) else []
+
+
+def _benchmark_calls(tree):
+    """(line, module, attribute path, positional count, keyword names) of
+    every call that a perfbench module makes into the package through its
+    imported namespace hl: hl.<module>.<name>..., or a local name bound to
+    hl.<module>.  A starred argument counts as no position."""
+    modules = {p.stem for p in MODULES}
+    alias = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name):
+            chain = _chain(n.value)
+            if chain[-2:-1] == ["hl"] and chain[-1] in modules:
+                alias[n.targets[0].id] = chain[-1]
+    for n in ast.walk(tree):
+        chain = _chain(n.func) if isinstance(n, ast.Call) else []
+        at = chain.index("hl") if "hl" in chain else -1
+        if 0 <= at < len(chain) - 2 and chain[at + 1] in modules:
+            module, path = chain[at + 1], chain[at + 2:]
+        elif chain[:1] and chain[0] in alias and len(chain) > 1:
+            module, path = alias[chain[0]], chain[1:]
+        else:
+            continue
+        npos = sum(not isinstance(a, ast.Starred) for a in n.args)
+        yield n.lineno, module, path, npos, [k.arg for k in n.keywords
+                                             if k.arg is not None]
+
+
+def test_benchmark_calls_bind_to_signatures():
+    """perfbench/ is frozen while the package changes under it: every call
+    it makes into the package binds to the callee's current signature (its
+    positional count and keyword names), and every argument that a tracer
+    hook reads (tracer._arg, by keyword, else by position) is a parameter
+    of the hooked function, at the position read unless no call of the
+    package or the benchmark passes that many positional arguments.  The
+    tracer counts payload rays by integrate_rays' sixth and seventh
+    parameters, with_jacobi and with_k; it reads them at positions 6 and 7
+    (0-based, one past each), which no call reaches."""
+    widest = {}         # the most positional arguments passed, by callee
+    for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob(
+            "*.py")):
+        for name, n, _ in _passed_arguments(ast.parse(p.read_text())):
+            widest[name] = max(widest.get(name, 0), n)
+    bad, seen = [], set()
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        for line, module, path, npos, kws in _benchmark_calls(
+                ast.parse(p.read_text())):
+            fn = importlib.import_module(f"hyperlab.{module}")
+            for name in path:
+                fn = getattr(fn, name)
+            seen.add(f"{module}.{'.'.join(path)}")
+            try:
+                inspect.signature(fn).bind(*range(npos), **dict.fromkeys(kws))
+            except TypeError as err:
+                bad.append(f"{p.name}:{line} {module}.{'.'.join(path)}: {err}")
+    assert {"geodesic.integrate_rays", "geodesic.fan_build",
+            "mass.mass_of_leaf", "cli.main"} <= seen
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    hooks = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                 and _chain(n.targets[0]) == ["_HOOKS"])
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for key, value in zip(hooks.keys, hooks.values):
+        module, name = key.value.split(".")
+        params = list(inspect.signature(getattr(
+            importlib.import_module(f"hyperlab.{module}"), name)).parameters)
+        before = value.elts[0]
+        if not isinstance(before, ast.Name):
+            continue
+        for n in ast.walk(defs[before.id]):
+            if isinstance(n, ast.Call) and _chain(n.func) == ["_arg"]:
+                i, arg = (a.value for a in n.args[2:4])
+                if arg not in params or (params[i:i + 1] != [arg]
+                                         and widest.get(name, 0) > i):
+                    bad.append(f"tracer.py:{n.lineno} {key} reads {arg} at "
+                               f"position {i}, which is {params[i:i + 1]}")
+    params = inspect.signature(importlib.import_module(
+        "hyperlab.geodesic").integrate_rays).parameters
+    assert list(params)[5:7] == ["with_jacobi", "with_k"]
+    assert bad == []

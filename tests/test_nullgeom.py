@@ -179,7 +179,7 @@ def test_varrho_consistency_outside_zone(glued_record):
 
 def test_varrho_consistency_minkowski():
     rec = exp_map(MINK, np.zeros(4), Direction(1.0, (1, 0, 0)), [5.0],
-                  with_jacobi=True, with_k=True)
+                  with_k=True)
     out = ng.varrho_consistency(MINK, rec, 5.0)
     assert abs(out["varrho_direct"]) < 1e-14
     assert abs(out["varrho_formula"]) < 1e-14

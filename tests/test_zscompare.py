@@ -50,7 +50,7 @@ def test_eikonal_exact_many_points():
 
 def test_varpi_minkowski():
     rec = exp_map(MINK, np.zeros(4), Direction(1.0, (0, 1, 0)), [5.0],
-                  with_jacobi=True, with_k=True)
+                  with_k=True)
     fr = frames_at(MINK, rec, 5.0)
     assert fr.varpi == pytest.approx(1.0, abs=1e-10)
     assert np.abs(fr.snr).max() < 1e-10
@@ -75,7 +75,7 @@ def test_varpi_identity_offset(offset_record):
 
 def test_comparison_series_minkowski():
     rec = exp_map(MINK, np.zeros(4), Direction(1.0, (1, 0, 0)),
-                  np.linspace(1, 20, 5), with_jacobi=True, with_k=True)
+                  np.linspace(1, 20, 5), with_k=True)
     for row in radial_comparison_series(MINK, rec):
         assert abs(row.n_minus_varpi) < 1e-10
         assert abs(row.u_minus_uhat) < 1e-9
@@ -147,7 +147,7 @@ def test_transport_residuals_offset(offset_record):
 
 def test_transport_residuals_minkowski():
     rec = exp_map(MINK, np.zeros(4), Direction(1.0, (1, 0, 0)),
-                  np.linspace(1, 20, 5), with_jacobi=True, with_k=True)
+                  np.linspace(1, 20, 5), with_k=True)
     out = transport_residuals_zs(MINK, rec, probe_rhos=[5.0, 10.0])
     assert out["bvarpi"] <= 1e-9
     assert out["cmr_1"] <= 1e-9
