@@ -15,7 +15,8 @@ tensor T_bd = R_abcd B^a B^c (from the four orthonormal curvature functions
 K1-K4 of a static spherical metric) at once, as V^T c V + d I_s on the
 per-lane basis V = (e0, u, v).  Both take their scalars from
 metric._radial: a lane on the Schwarzschild chart (r >= r_out in the glued
-model) takes closed exterior forms and skips the blend.
+model) takes closed exterior forms, and a lane in the blend annulus reads
+them off the glued model's table (metric._table_ray), not the blend.
 
 The second fundamental form of H_rho is read off the Jacobi fields, not
 integrated: they are tangent to the leaf and commute with B, so
@@ -33,10 +34,12 @@ boost Jacobi data (j = rho I, p = I, so J = rho W).  There k = gbar/rho
 exactly, so q0 and khat are zero.  All lanes are seeded at once, in
 stacked per-lane products, by one seed rule (_seed_rho, also the leaf
 solver's origin check): from an origin in the flat core the integrator
-starts from the line at the largest proper time still inside the core;
-from an origin outside it a plain lane starts at rho = 0 from the origin
-state, and a lane with k raises SeedRegionTooSmall.  state_at evaluates
-the line below the seed.
+starts from the line where it leaves the core, on r_in itself (the core is
+exactly Minkowski up to and including r_in, so the line is exact there,
+and no step is taken inside the core), or at the seed cap; from an origin
+outside it a plain lane starts at rho = 0 from the origin state, and a
+lane with k raises SeedRegionTooSmall.  state_at evaluates the line below
+the seed.
 
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
@@ -473,21 +476,22 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
 
 
 def _seed_rho(model, origin, v0, rho_max, with_k):
-    """Per lane, v0 (n, 4) its velocity at the origin, the largest rho for
-    which the straight line is still inside the flat core (with a safety
-    factor), capped below the first samples; 0 when the origin is not
-    inside that core.  with_k raises SeedRegionTooSmall at the first lane
-    below RHO_SEED_MIN: k is checked against an independent oracle (the
-    finite-difference fan) only from origins in the flat core.  Dots are
+    """Per lane, v0 (n, 4) its velocity at the origin, the rho at which
+    the straight line leaves the flat core, on its edge r_in (the core is
+    exactly Minkowski up to and including r_in), capped below the first
+    samples; 0 when the origin is not inside that core.  with_k raises
+    SeedRegionTooSmall at the first lane below RHO_SEED_MIN: k is checked
+    against an independent oracle (the finite-difference fan) only from
+    origins in the flat core.  Dots are
     stacked per-lane matmuls and a square is libm's pow (a scalar's ** 2;
     an array's is x * x, at times a bit off), so a lane's seed is its own."""
-    xs, b2 = origin[1:], (0.98 * model.flat_core_radius) ** 2
+    xs, b2 = origin[1:], model.flat_core_radius ** 2
     cap, seed = min(1.0, 0.25 * rho_max), np.zeros(len(v0))
     if xs @ xs < b2:
         vs = v0[:, 1:, None]
         v2, xv = (vs.transpose(0, 2, 1) @ vs)[:, 0, 0], (xs @ vs)[:, 0]
-        # |xs + rho vs| = 0.98 * core, the exit ahead of the origin (inf in
-        # an infinite core); the central line (v2 < 1e-28) never exits
+        # |xs + rho vs| = core, the exit ahead of the origin (inf in an
+        # infinite core); the central line (v2 < 1e-28) never exits
         with np.errstate(divide="ignore", invalid="ignore"):
             exit_ = (-xv + np.sqrt(np.float_power(xv, 2)
                                    + v2 * (b2 - xs @ xs))) / v2

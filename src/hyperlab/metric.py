@@ -34,20 +34,25 @@ radial coefficient is picked per point by one helper, _radial: on the
 Schwarzschild chart (the Schwarzschild model, and the glued model for
 r >= r_out) it is a closed form of a Schwarzschild metric of mass 2M and
 area radius R = r + 2M, with the orthonormal curvature functions
-(K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3; elsewhere (the flat core and the
-blend annulus) it is the general form of _radial_terms on the blended
-profiles.  Each caller takes only the coefficients it reads: metric_at
-those of _radial_terms, the geodesic right-hand side the per-lane scalars
-of _general_ray.  Level 2 adds Riemann as Kulkarni-Nomizu products of
-K1-K4; no second derivatives of g are formed.  ricci, scalar, schouten and
-weyl are built from Riemann on first access.  The geodesic terms form no
-Christoffel or Riemann array: _ray_accel gives Gamma(B, B) from five
-scalars per lane, and _ray_terms builds Gamma(B, .) and R(B, ., B, .) at
-once as V^T c V + d I_s on the per-lane basis V = (e0, u, v).
+(K1, K2, K3, K4) = (-2, 1, -1, 2) 2M/R^3.  Elsewhere (the flat core and the
+blend annulus) metric_at takes the general form of _radial_terms on the
+blended profiles, and stays the independent oracle of the geodesic
+right-hand side.  That reads the per-lane scalars of _general_ray, and
+takes them in the blend annulus from a table per glued model
+(_annulus_table, built on the first right-hand side call of the model,
+never at import): piecewise polynomials fitted to _general_ray's values,
+read by _table_ray in one gather and one polynomial pass over all lanes
+and scalars; in the flat core they are exact zeros and ones.  Level 2
+adds Riemann as Kulkarni-Nomizu products of K1-K4; no second derivatives
+of g are formed.  ricci, scalar, schouten and weyl are built from Riemann
+on first access.  The geodesic terms form no Christoffel or Riemann array:
+_ray_accel gives Gamma(B, B) from five scalars per lane, and _ray_terms
+builds Gamma(B, .) and R(B, ., B, .) at once as V^T c V + d I_s on the
+per-lane basis V = (e0, u, v).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -57,6 +62,14 @@ from .errors import (CentralLineDegenerate, CoordinateSingularity,
 HORIZON_MARGIN = 1e-6   # relative guard above r = 2M
 _R_FLOOR = 1e-300       # avoids 0/0 in direction vectors at the origin
 _EYE3 = np.eye(3)
+# the annulus table: panels, and the degree of each polynomial (_DEGREE + 1
+# a power of 2, for Estrin's scheme); per scalar of _annulus_table (hF,
+# n2'/(2C), hA, c_uv, c_uu, F, C, A, K1-K4), the order of its zero at r_in
+# (the power of x divided out before the fit) and its flat value
+_PANELS, _DEGREE = 64, 7
+_TABLE_POW = np.array([2, 2, 2, 2, 2, 0, 0, 0, 1, 2, 1, 2])
+_TABLE_FLAT = np.array([0.0] * 5 + [1.0] * 3 + [0.0] * 4)[:, None]
+_X_TOP = np.nextafter(_PANELS, 0.0)     # x below it lies in a panel
 
 
 @dataclass(frozen=True)
@@ -448,7 +461,7 @@ def _radial(model, r, exterior, general, flag):
     Schwarzschild lane (raised to the horizon guard) and every glued lane
     with r >= r_out; general(model, r, flag) on the others, the flat core
     and the blend annulus.  metric_at takes _exterior_terms and
-    _radial_terms, the geodesic terms _exterior_ray and _general_ray.  A
+    _radial_terms, the geodesic terms _exterior_ray and _table_ray.  A
     glued batch with lanes of both kinds computes both and picks per lane
     with np.where, so each lane's values depend on its own r alone."""
     if model.kind == "schwarzschild":
@@ -465,30 +478,79 @@ def _radial(model, r, exterior, general, flag):
     return general(model, r, flag)
 
 
-def _general_ray(model, r, tidal):
-    """Per-lane scalars of the geodesic terms at radii r (n,), from the
-    terms of _radial_terms (the flat core, the blend annulus and
-    Minkowski): (1/r, hF, n2'/(2C), hA, c_uv, c_uu), hA = A'/(2A),
+def _general_ray(model, r):
+    """Per-lane scalars of the geodesic terms at radii r (n,) of the blend
+    annulus, from the terms of _radial_terms, which _annulus_table is
+    fitted to: (1/r, hF, n2'/(2C), hA, c_uv, c_uu), hA = A'/(2A),
     hF = n2'/(2 n2),
         c_uv = (Bc r - A'/2)/C,   c_uu = r^2 (Bc'/2 - 2 Bc hA)/C,
-    followed, when tidal is set, by (F, C, A) and K1-K4 (F = n2)."""
-    F, dF, A, dA, Bc, dBc, C, iA, iC, *K = _radial_terms(model, r, tidal)
+    followed by (F, C, A) and K1-K4 (F = n2)."""
+    F, dF, A, dA, Bc, dBc, C, iA, iC, *K = _radial_terms(model, r, True)
     hA = 0.5 * dA * iA
-    coefs = (1.0 / np.maximum(r, _R_FLOOR), 0.5 * dF / F, 0.5 * dF * iC, hA,
-             (Bc * r - 0.5 * dA) * iC,
-             (r * r) * (0.5 * dBc - 2.0 * Bc * hA) * iC)
-    if not tidal:
-        return coefs
-    return coefs + (F, C, A, *K)
+    return (1.0 / np.maximum(r, _R_FLOOR), 0.5 * dF / F, 0.5 * dF * iC, hA,
+            (Bc * r - 0.5 * dA) * iC,
+            (r * r) * (0.5 * dBc - 2.0 * Bc * hA) * iC, F, C, A, *K)
+
+
+@cache
+def _annulus_table(model):
+    """The table of the glued model's blend annulus, built on first use:
+    on each of _PANELS panels of equal width in x = _PANELS (r - r_in)/
+    (r_out - r_in), the coefficients of the polynomials of degree _DEGREE
+    in u = x - panel in [0, 1] that interpolate the scalars of _general_ray
+    but 1/r at the panel's Chebyshev points, an array (_DEGREE + 1, 12,
+    _PANELS), lowest power first.  The Gamma scalars, K2 and K4 vanish like
+    x^2 at r_in and K1 and K3 like x, so each is divided by its power of x
+    (_TABLE_POW) before the fit, which keeps its relative accuracy near
+    r_in (a table of the undivided scalars loses it there)."""
+    u = 0.5 - 0.5 * np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5)
+                           / (_DEGREE + 1))
+    width = model.r_out - model.r_in
+    r = model.r_in + (width / _PANELS) * (np.arange(_PANELS)[:, None] + u)
+    x = (r - model.r_in) * (_PANELS / width)    # as _table_ray forms it
+    vals = np.array(_general_ray(model, r.ravel())[1:]).reshape(
+        12, _PANELS, -1) / x ** _TABLE_POW[:, None, None]
+    u = x - np.arange(_PANELS)[:, None]
+    V = u[..., None] ** np.arange(_DEGREE + 1)  # (panels, points, powers)
+    table = np.linalg.solve(V, vals.transpose(1, 2, 0)).transpose(1, 2, 0)
+    table.flags.writeable = False           # one array for every caller
+    return table
+
+
+def _table_ray(model, r, tidal):
+    """_general_ray's scalars at radii r (n,) of a glued model, without
+    (F, C, A) and K1-K4 unless tidal is set: 1/r, and from _annulus_table
+    one gather of each lane's panel, one pass of Estrin's scheme (pairs of
+    terms in u, u^2, u^4) over the scalars stacked (k, n) and the powers of
+    x divided out, with exact zeros and ones at r <= r_in.  Minkowski takes
+    the flat values.  Elementwise per lane, so a lane's values do not
+    depend on the batch."""
+    k = 12 if tidal else 5
+    ir = 1.0 / np.maximum(r, _R_FLOOR)
+    if model.kind == "minkowski":
+        return (ir, *np.broadcast_to(_TABLE_FLAT[:k], (k, len(r))))
+    x = (r - model.r_in) * (_PANELS / (model.r_out - model.r_in))
+    x = np.minimum(np.fmax(x, 0.0), _X_TOP)     # NaN: 0; exterior: any panel
+    p = x.astype(int)
+    c, u = _annulus_table(model)[:, :k].take(p, axis=2), x - p
+    while len(c) > 1:
+        c = c[0::2] + c[1::2] * u
+        u = u * u
+    c = c[0]
+    c[:5] *= x * x                  # the powers of x of _TABLE_POW
+    if tidal:
+        c[8:] *= x
+        c[9::2] *= x
+    return (ir, *np.where(x > 0.0, c, _TABLE_FLAT[:k]))
 
 
 def _lane_coefs(model, x, b, tidal):
-    """u.v and the per-lane scalars of _general_ray (or _exterior_ray) at
+    """u.v and the per-lane scalars of _table_ray (or _exterior_ray) at
     lane states x, b (n, 4); u = x/r and v the spatial part of B."""
     xs = x[:, 1:]
     r = np.sqrt(_colsum(xs * xs))
     _check_regular(model, r)
-    coefs = _radial(model, r, _exterior_ray, _general_ray, tidal)
+    coefs = _radial(model, r, _exterior_ray, _table_ray, tidal)
     return _colsum(xs * b[:, 1:]) * coefs[0], coefs
 
 

@@ -201,14 +201,14 @@ def lane_seed(model, origin, direction, rho_max, with_k):
     v0 = vh @ frame0
     core, cap = model.flat_core_radius, min(1.0, 0.25 * rho_max)
     xs, vs = np.asarray(origin, dtype=float)[1:], v0[1:]
-    b2 = (0.98 * core) ** 2
+    b2 = core ** 2
     if not np.isfinite(core):
         seed = cap
     elif core <= 0.0 or xs @ xs >= b2:
         seed = 0.0
     elif vs @ vs < 1e-28:               # central line: never exits the core
         seed = cap
-    else:               # |xs + rho vs| = 0.98 * core, the exit ahead
+    else:               # |xs + rho vs| = core, the exit ahead
         disc = (xs @ vs) ** 2 + (vs @ vs) * (b2 - xs @ xs)
         seed = min((-(xs @ vs) + np.sqrt(disc)) / (vs @ vs), cap)
     if with_k and seed < RHO_SEED_MIN:

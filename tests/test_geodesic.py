@@ -10,10 +10,10 @@ import pytest
 from hyperlab import geodesic, metric
 from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
 from hyperlab.foliation import leaf_frames, second_fundamental_fd_oracle
-from hyperlab.geodesic import (_FIELDS, RHO_SEED_MIN, ZETA_MAX_DEFAULT,
-                               Direction, GeodesicRecord, _lincomb, _make_rhs,
-                               _stages, _states_at, _tableau, exp_map,
-                               fan_build, integrate_rays)
+from hyperlab.geodesic import (_FIELDS, RHO_SEED_MIN, SHELL_TOL,
+                               ZETA_MAX_DEFAULT, Direction, GeodesicRecord,
+                               _lincomb, _make_rhs, _stages, _states_at,
+                               _tableau, exp_map, fan_build, integrate_rays)
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
 
 from oracles import geodesic_rhs, lane_seed, rk8_fixed
@@ -341,9 +341,10 @@ def test_fan_offset_planarity():
 
 
 def test_seed_region_guard():
+    # an origin on the edge of the flat core has no seed
     with pytest.raises(SeedRegionTooSmall):
         integrate_rays(MetricModel.glued(0.4, r_in=0.9, r_out=2.0),
-                       np.array([0.0, 0.895, 0.0, 0.0]),
+                       np.array([0.0, 0.9, 0.0, 0.0]),
                        [Direction(1.0, (1, 0, 0))], [5.0], with_k=True)
     # this line runs into the core, but from an origin in the curved blend
     with pytest.raises(SeedRegionTooSmall):
@@ -421,14 +422,36 @@ def test_batched_seeding_matches_lane_rule(model, origin, with_k):
     assert {rec.rho_seed > 0.0 for rec in recs} == {with_k}
 
 
+@pytest.mark.parametrize("with_k", [False, True], ids=["plain", "with-k"])
+@pytest.mark.parametrize("origin", [np.zeros(4), OFFSET],
+                         ids=["centred", "offset-core"])
+def test_core_seed_takes_no_step_inside_the_core(origin, with_k):
+    # the flat core is exactly Minkowski up to and including r_in, so a lane
+    # whose line leaves the core below the seed cap starts on r_in: the
+    # first row of its step log (the seed state) lies on r_in to
+    # SHELL_TOL r_in, and no row of its log lies inside the core (with the
+    # seed at 0.98 r_in, each such lane took a step from 0.98 to 1)
+    recs = integrate_rays(GLUED, origin, _SEED_DIRECTIONS, [2.0, 8.0],
+                          with_k=with_k)
+    cap, r_in = min(1.0, 0.25 * 8.0), GLUED.r_in
+    seeded = [rec for rec in recs if rec.rho_seed < cap]
+    assert len(seeded) >= 3
+    for rec in seeded:
+        rows = rec._log.yf[rec._at:rec._at + rec.steps + 1, 0, 1:4]
+        r = np.sqrt(np.sum(rows * rows, axis=1))
+        assert abs(r[0] - r_in) <= SHELL_TOL * r_in
+        assert np.all(r >= r_in * (1.0 - SHELL_TOL))
+
+
 def test_off_core_seed_message_names_the_first_lane():
     # a with-k batch whose lanes leave the flat core too soon raises at its
     # first such lane, with the message of the per-lane rule: the origin
-    # 0.975 from the centre, where lanes along +x above zeta ~ 2.3 have too
-    # short a seed, and an origin in the blend, where every seed is 0
+    # 0.975 from the centre, where lanes along +x above zeta ~ 3.9 have too
+    # short a seed (0.025/sinh(4) at zeta = 4), and an origin in the blend,
+    # where every seed is 0
     dirs = [Direction(1.0, (-1, 0, 0)), Direction(0.5, (1, 0, 0)),
             Direction(3.0, (1, 0, 0)), Direction(4.0, (1, 0, 0))]
-    for x, seed in ((0.975, "rho=0.000499 "), (1.5, "rho=0 ")):
+    for x, seed in ((0.975, "rho=0.000916 "), (1.5, "rho=0 ")):
         origin = np.array([0.0, x, 0.0, 0.0])
         with pytest.raises(SeedRegionTooSmall) as want:
             for d in dirs:

@@ -274,6 +274,34 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_annulus_table_built_lazily():
+    # the glued annulus table (metric._annulus_table) is set-up work, which
+    # the benchmark times in setup_s: importing every module and evaluating
+    # the metric build none, the first right-hand side call with a lane in
+    # the annulus builds one for its model, and later calls reuse it
+    code = (
+        "import importlib\n"
+        "import numpy as np\n"
+        f"for m in {[p.stem for p in MODULES if p.stem != '__init__']!r}:\n"
+        "    importlib.import_module('hyperlab.' + m)\n"
+        "from hyperlab import geodesic, metric\n"
+        "info = metric._annulus_table.cache_info\n"
+        "models = [metric.MetricModel.glued(0.01), "
+        "metric.MetricModel.glued(0.05)]\n"
+        "for model in models:\n"
+        "    for level in (0, 1, 2):\n"
+        "        metric.metric_at(model, [0.0, 0.0, 1.5, 0.0], level)\n"
+        "assert info().misses == 0, info()\n"
+        "for n, model in enumerate(models, 1):\n"
+        "    for width in (8, 38, 8):\n"
+        "        y = np.zeros((2, width))\n"
+        "        y[:, 1], y[:, 4] = (0.5, 1.5), 1.0\n"
+        "        geodesic._make_rhs(model, width == 38)(y)\n"
+        "        assert info().misses == n and info().currsize == n, info()\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
 def _chain(node):
     """The names of an attribute chain a.b.c as [a, b, c]; [] for any other
     expression."""

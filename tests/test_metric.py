@@ -9,7 +9,8 @@ from hyperlab.errors import (CentralLineDegenerate, CoordinateSingularity,
 from hyperlab.geodesic import _make_rhs
 from hyperlab.metric import (HORIZON_MARGIN, MetricModel, _orthonormalize,
                              _orthonormalize_stacked, _exterior_ray,
-                             _ray_terms, curvature_at, metric_at)
+                             _general_ray, _ray_terms, _table_ray,
+                             curvature_at, metric_at)
 
 from oracles import cartesian_level2, jet_ray_rhs, orthonormalize, riemann_fd
 
@@ -433,28 +434,40 @@ def test_rhs_batch_independent_across_zones(payload):
     assert mixed[outer].tobytes() == rhs(y[outer]).tobytes()
 
 
-def _mp_ray_coefs(M, r):
+def _mp_ray_coefs(M, r, shells=None):
     """_general_ray at one radius, at 60 digits, from its formulas on
-    F = (r - 2M)/(r + 2M), A = (r + 2M)^2/r^2 and Bc = (1/F - A)/r^2, every
-    derivative by mpmath.diff, and K1-K4 from the formulas of
-    metric._radial_terms' docstring (C = A + Bc r^2, S = A r^2)."""
+    F = (r - 2M)/(r + 2M), A = (r + 2M)^2/r^2 and Bc = (1/F - A)/r^2, or,
+    with shells = (r_in, r_out), on the blend of each with its flat value
+    (1, 1, 0) by the quintic smoothstep s(w) = 6w^5 - 15w^4 + 10w^3,
+    w = (r - r_in)/(r_out - r_in), taken as the polynomial on
+    r_in <= r <= r_out (C^2 across both shells, so the derivatives there
+    are those of the blend); every derivative by mpmath.diff, and K1-K4
+    from the formulas of metric._radial_terms' docstring (C = A + Bc r^2,
+    S = A r^2)."""
     with mpmath.workdps(60):
         M, r = mpmath.mpf(M), mpmath.mpf(float(r))
 
-        def F(s):
-            return (s - 2 * M) / (s + 2 * M)
+        def s(x):
+            if shells is None:
+                return 1
+            w = (x - shells[0]) / (mpmath.mpf(shells[1]) - shells[0])
+            return ((6 * w - 15) * w + 10) * w ** 3
 
-        def A(s):
-            return (s + 2 * M) ** 2 / s ** 2
+        def F(x):
+            return 1 + s(x) * ((x - 2 * M) / (x + 2 * M) - 1)
 
-        def Bc(s):
-            return (1 / F(s) - A(s)) / s ** 2
+        def A(x):
+            return 1 + s(x) * ((x + 2 * M) ** 2 / x ** 2 - 1)
 
-        def C(s):
-            return A(s) + Bc(s) * s ** 2
+        def Bc(x):
+            return s(x) * ((x + 2 * M) / (x - 2 * M)
+                           - (x + 2 * M) ** 2 / x ** 2) / x ** 2
 
-        def S(s):
-            return A(s) * s ** 2
+        def C(x):
+            return A(x) + Bc(x) * x ** 2
+
+        def S(x):
+            return A(x) * x ** 2
 
         d = mpmath.diff
         f, a, bc, c, sa = F(r), A(r), Bc(r), C(r), S(r)
@@ -484,6 +497,32 @@ def test_exterior_ray_coefs_match_mpmath():
     for r, g in zip(radii, got):
         ref = _mp_ray_coefs(SCHW.mass, r)
         assert np.all(np.abs(g - ref) <= 4e-15 * np.abs(ref)), r
+
+
+@pytest.mark.parametrize("mass", [0.01, 0.05, 0.2])
+def test_annulus_ray_coefs_match_mpmath(mass):
+    # the blend annulus of glued models (r_in 1, r_out 2): the scalars of
+    # _general_ray (the blend) and of _table_ray (its table, which the
+    # geodesic right-hand side reads) against the blended profiles at 60
+    # digits, at r_in, r_out, 1e-6, 1e-9 and 1e-12 inside each, and 192
+    # random radii.  Each scalar vanishes like w^p at r_in (w = r - r_in;
+    # p = 2 for the Gamma scalars, K2 and K4, 1 for K1 and K3, 0 for the
+    # rest) and some cross zero inside, so its error is measured against
+    # |value| + w^p max|value|.  Both read <= 1.53e-14 (M = 0.01), 8.8e-15
+    # (0.05) and 7.0e-15 (0.2): the blend's own rounding, where terms of a
+    # profile derivative cancel, which the table inherits from the values it
+    # is fitted to.  At r_in both are exact zeros and ones; the 60-digit
+    # derivatives there are ~1e-65
+    model = MetricModel.glued(mass)
+    d = np.array([1e-6, 1e-9, 1e-12])
+    radii = np.concatenate([[1.0, 2.0], 1.0 + d, 2.0 - d,
+                            np.random.default_rng(31).uniform(1.0, 2.0, 192)])
+    ref = np.array([_mp_ray_coefs(mass, r, (1.0, 2.0)) for r in radii]).T
+    p = np.array([0, 2, 2, 2, 2, 2, 0, 0, 0, 1, 2, 1, 2])[:, None]
+    scale = np.abs(ref) + np.abs(ref).max(axis=1)[:, None] * (radii - 1.0)**p
+    for got in (_general_ray(model, radii), _table_ray(model, radii, True)):
+        err = np.abs(np.array(got) - ref)
+        assert np.all(err <= 3e-14 * scale + 1e-60)
 
 
 def _mp_tidal(M, x, b):
