@@ -2,6 +2,15 @@
 metadata sidecars, optional SVG plots, and golden-file comparisons.
 
 Subcommands: foliate, weyl-check, zs-compare, mass, kg, residuals.
+  foliate     a fan of records with k (one batch): leaf scalars and the
+              per-ray structure residuals
+  weyl-check  closed forms and Weyl identities; integrates nothing
+  zs-compare  the radial series and, on a glued model, the cone sphere's
+              probe as plain lanes of one batch, then the cone sphere's leaf
+  mass        Hawking masses of the leaves S_{t,rho} and their Bondi fits
+  kg          flat Klein-Gordon decay
+  residuals   one record with k and its transverse mini-fan in one batch:
+              the structure and exterior-zone transport residuals
 Exit codes: 0 success, 2 config validation error, 3 numerical failure,
 4 golden mismatch.  Output is byte-identical across repeated runs (all
 orchestration is single-threaded and deterministic; rows are emitted in
@@ -20,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, GoldenMismatch, HyperlabError
-from .foliation import (TIGHT_TOL, leaf_frames, origin_grid,
-                        structure_residuals)
-from .geodesic import Direction, direction_from_angles, exp_map, integrate_rays
+from .foliation import (TIGHT_TOL, leaf_frames, mini_fan_directions,
+                        origin_grid, structure_residuals)
+from .geodesic import Direction, direction_from_angles, integrate_rays
 from .kgflat import KGConfig, energy, evolve_kg
 from .mass import bondi_trace
 from .metric import MetricModel, curvature_at
@@ -291,7 +300,7 @@ def cmd_foliate(rc, out, config_path):
             rows.append([rho, z, sc.t[i], float(np.linalg.norm(x[i, 1:])),
                          sc.tau[i], sc.b[i], sc.rtilde[i], sc.u[i], sc.ubar[i],
                          q0[i], khat_nn, khat_na, status])
-        tab = structure_residuals(model, rec, transverse=False)
+        tab = structure_residuals(model, rec)
         for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu"):
             res_rows.append([z, th, ph, key, tab[key],
                              tab[key + "_scale"], "ok"])
@@ -352,13 +361,18 @@ def cmd_zs_compare(rc, out, config_path):
     origin = rc.origin()
     rho_grid = np.linspace(rc.rho_min, rc.rho_max, rc.rho_samples)
     zg, _, _ = _fan_directions(rc)
-    recs = integrate_rays(model, origin,
-                          [Direction(z, (1.0, 0.0, 0.0)) for z in zg],
-                          rho_grid, ode_tol=rc.rel_tol, with_k=True)
+    dirs = [Direction(z, (1.0, 0.0, 0.0)) for z in zg]
+    rho, off = rc.rho_max / 2.0, origin[1:]
+    if model.kind == "glued":       # the cone sphere's probe, along the axis
+        dirs.append(Direction(1.0, off if off.any() else (1.0, 0.0, 0.0)))
+    # one batch of plain lanes: the series read leaf scalars, r and varpi,
+    # and the probe its position
+    recs = integrate_rays(model, origin, dirs, rho_grid, ode_tol=rc.rel_tol)
     rows = [[row.rho, row.t, row.r, row.n, row.varpi, row.n_minus_varpi,
              row.u, row.uhat, row.u_minus_uhat, row.rt_over_r_minus_ninv,
              row.status]
-            for rec in recs for row in radial_comparison_series(model, rec)]
+            for rec in recs[:len(zg)]
+            for row in radial_comparison_series(model, rec)]
     write_csv(out / "compare.csv",
               ["rho", "t", "r", "n", "varpi", "n_minus_varpi", "u", "uhat",
                "u_minus_uhat", "rt_over_r_minus_ninv", "status"], rows)
@@ -366,11 +380,7 @@ def cmd_zs_compare(rc, out, config_path):
 
     cs_rows = []
     if model.kind == "glued":
-        rho, off = rc.rho_max / 2.0, origin[1:]     # probe along the axis
-        probe = exp_map(model, origin, Direction(1.0, off if off.any() else
-                                                 (1.0, 0.0, 0.0)),
-                        [rho], ode_tol=rc.rel_tol)
-        st = probe.state_at(rho)
+        st = recs[-1].state_at(rho)
         r = float(np.linalg.norm(st["x"][1:]))
         uh = schw_optical(model.mass, st["x"][0] - origin[0], r)["uhat"]
         rep = cone_sphere_geometry(model, rho, uh, origin_grid(origin, 6),
@@ -433,9 +443,11 @@ def cmd_residuals(rc, out, config_path):
     origin = rc.origin()
     rho_grid = np.linspace(rc.rho_min, rc.rho_max, rc.rho_samples)
     rows = []
-    rec = exp_map(model, origin, Direction(1.0, (1.0, 0.0, 0.0)), rho_grid,
-                  ode_tol=rc.rel_tol, with_k=True)
-    tab = structure_residuals(model, rec)
+    d = Direction(1.0, (1.0, 0.0, 0.0))
+    # the record and its transverse mini-fan in one batch
+    rec, *nbrs = integrate_rays(model, origin, [d] + mini_fan_directions(d),
+                                rho_grid, ode_tol=rc.rel_tol, with_k=True)
+    tab = structure_residuals(model, rec, neighbours=nbrs)
     for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu", "t_of_u",
                 "n_of_binv"):
         rows.append(["structure", key, tab[key], tab[key + "_scale"], "ok"])

@@ -47,8 +47,10 @@ spacing above 2e-2 in size, else FanTooCoarse.  It returns the probe's 12
 neighbours axis by axis, each axis in _SIDES5 order (offsets -2, -1, +1,
 +2), and _fan_partials takes the values at those 12 neighbours.
 second_fundamental_fd_oracle reads the probe and its neighbours at rho; the
-transverse residuals of structure_residuals integrate only the 12 neighbours
-of a mini-fan of spacing _FAN_DELTA about the record's own parameters.
+transverse residuals of structure_residuals read the 12 neighbours of a
+mini-fan of spacing _FAN_DELTA about the record's own parameters
+(mini_fan_directions), which the caller integrates, as a rule in the
+record's own batch.
 """
 
 from dataclasses import dataclass, fields
@@ -59,8 +61,7 @@ from .errors import (BracketFailure, CentralLineDegenerate,
                      CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
                      SingularityTruncated, Unreachable)
 from .geodesic import (ZETA_MAX_DEFAULT, Direction, _lanes, _ray_ends,
-                       _seed_rho, _states_at, direction_from_angles,
-                       integrate_rays)
+                       _seed_rho, _states_at, direction_from_angles)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
                      _orthonormalize_stacked, _zs_floor, curvature_at,
                      metric_at)
@@ -679,27 +680,58 @@ def _residual_table(res):
     return table
 
 
-def structure_residuals(model, rec, probe_rhos=None, transverse=True):
+def mini_fan_directions(direction):
+    """The 12 neighbours of the transverse mini-fan about direction: the
+    5-point stencil (_stencil5 order) of a 5x5x5 fan of spacing _FAN_DELTA
+    in (zeta, theta, phi) with direction in the middle.
+
+    CentralLineDegenerate when zeta < 2 _FAN_DELTA leaves no room for it.
+    """
+    if direction.zeta < 2.0 * _FAN_DELTA:
+        raise CentralLineDegenerate(
+            f"zeta={direction.zeta:.3g} leaves no room for the transverse "
+            f"mini-fan (needs zeta >= {2.0 * _FAN_DELTA:.3g})")
+    params = np.array([direction.zeta, *direction.angles()])
+    return [direction_from_angles(*(params + _FAN_DELTA * j))
+            for j in _stencil5((5, 5, 5), (2, 2, 2), [_FAN_DELTA] * 3)]
+
+
+def structure_residuals(model, rec, probe_rhos=None, neighbours=()):
     """Residual table of the per-ray structure equations.
 
-    Keys: Bb1, ctt, s1, eq_3_14_1, s1_1, Bu and (with transverse=True,
-    needing a local mini-fan) t_of_u (T(u) identity) and n_of_binv (N(b^-1)
-    identity); zbar_max is a derived diagnostic.  Each entry is the maximum
-    absolute residual over the probe rhos; *_scale entries give the size of
-    the terms entering the equation.
+    Keys: Bb1, ctt, s1, eq_3_14_1, s1_1, Bu and, when neighbours holds the
+    records of the record's mini-fan, t_of_u (T(u) identity) and n_of_binv
+    (N(b^-1) identity); zbar_max is a derived diagnostic.  Each entry is
+    the maximum absolute residual over the probe rhos; *_scale entries give
+    the size of the terms entering the equation.
+
+    neighbours is empty (no transverse rows) or exactly the 12 records of
+    mini_fan_directions(rec.direction), in that order, from rec's origin and
+    reaching the largest probe rho; they may be plain or carry k.  Else
+    ValueError, naming what is wrong.
     """
     if not rec.has_k:
         raise MissingK("record has no triad and k")
-    if transverse and rec.direction.zeta < 2.0 * _FAN_DELTA:
-        raise CentralLineDegenerate(
-            f"zeta={rec.direction.zeta:.3g} leaves no room for the transverse "
-            f"mini-fan (needs zeta >= {2.0 * _FAN_DELTA:.3g})")
+    if len(neighbours):
+        if len(neighbours) != 12:
+            raise ValueError(f"{len(neighbours)} neighbour records; the "
+                             f"mini-fan has 12")
+        if any(not np.array_equal(nb.origin, rec.origin) for nb in neighbours):
+            raise ValueError("a neighbour record has another origin")
+        if any(nb.direction != d for nb, d in
+               zip(neighbours, mini_fan_directions(rec.direction))):
+            raise ValueError("neighbour directions are not the record's "
+                             "mini-fan in _stencil5 order")
     rhos = np.asarray(probe_rhos if probe_rhos is not None
                       else rec.rho[1:-1], dtype=float)
     rhos = rhos[(rhos > max(2.0 * rec.rho_seed, 0.05))
                 & (rhos < rec.rho_reached * 0.999)]
     if len(rhos) == 0:
         raise OutOfRange("no admissible probe rhos")
+    short = [nb.rho_reached for nb in neighbours if nb.rho_reached < rhos.max()]
+    if short:
+        raise ValueError(f"a neighbour record ends at rho={short[0]:.6g}, "
+                         f"below the largest probe rho {rhos.max():.6g}")
     h = min(6e-3, 0.03 * float(rhos.min()))
 
     cl, center, ddr = _rho_cluster(rhos, h)
@@ -765,8 +797,8 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     ealogn = np.einsum('nAa,na->nA', center(lf.frames.eA), gradn) / n[:, None]
     table["zbar_max"] = float(np.max(np.abs((bt / rtilde)[:, None] * ealogn)))
 
-    if transverse:
-        tb = _transverse_residuals(model, rec, rhos, lf,
+    if len(neighbours):
+        tb = _transverse_residuals(model, rec, neighbours, rhos, lf,
                                    dict(t=t, bt=bt, u=u, rtilde=rtilde,
                                         q0=q0, khat=khat, N_log_n=N_log_n,
                                         d_u=d_u, d_binv=ddr(lf.binv)))
@@ -774,22 +806,15 @@ def structure_residuals(model, rec, probe_rhos=None, transverse=True):
     return table
 
 
-def _transverse_residuals(model, rec, rhos, lf, C):
-    """T(u) and N(b^-1) identities, using a mini-fan for leaf gradients; lf
+def _transverse_residuals(model, rec, neighbours, rhos, lf, C):
+    """T(u) and N(b^-1) identities, using the mini-fan's neighbour records
+    for leaf gradients (only their leaf scalars u and b^-1 are read); lf
     holds the record at the 5-point rho clusters around the probe rhos."""
     d = rec.direction
-    params = np.array([d.zeta, *d.angles()])
-    # the mini-fan: a 5x5x5 fan of spacing _FAN_DELTA with the record in the
-    # middle, of which only the 12 stencil neighbours are integrated, as
-    # plain lanes: only their leaf scalars u and b^-1 are read
     steps = [_FAN_DELTA] * 3
-    dirs = [direction_from_angles(*(params + _FAN_DELTA * j))
-            for j in _stencil5((5, 5, 5), (2, 2, 2), steps)]
-    recs = integrate_rays(model, rec.origin, dirs, [float(rhos.max())],
-                          ode_tol=rec.ode_tol)
-    sc = leaf_frames(model, recs, rhos).scalars
-    du_p = _fan_partials(sc.u.reshape(len(recs), -1), steps)
-    dbinv_p = _fan_partials((1.0 / sc.b).reshape(len(recs), -1), steps)
+    sc = leaf_frames(model, neighbours, rhos).scalars
+    du_p = _fan_partials(sc.u.reshape(len(neighbours), -1), steps)
+    dbinv_p = _fan_partials((1.0 / sc.b).reshape(len(neighbours), -1), steps)
 
     mid = slice(2 * len(rhos), 3 * len(rhos))   # probe rhos in the clusters
     g, Nbar = lf.frames.g[mid], lf.frames.Nbar[mid]

@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hyperlab import geodesic
 from hyperlab.geodesic import Direction, exp_map, fan_build
 from hyperlab.metric import MetricModel
 
@@ -50,6 +52,32 @@ def offset_fan():
     return fan_build(GLUED_M001, OFFSET, 1.2 + dz * np.arange(-2, 3),
                      1.1 + dz * np.arange(-2, 3),
                      0.4 + dz * np.arange(-2, 3), [1.0, 20.0], ode_tol=1e-11)
+
+
+def spy_integrations(monkeypatch):
+    """Every integration (geodesic._dop853) from now on, in a list: its lane
+    count, state width, tolerances, right-hand-side calls and lane
+    evaluations.  Plain lanes carry x and B alone (width 8, `loose`, as the
+    leaf solver's stencil); lanes with k the triad, the Jacobi fields and k
+    (width 38, as a tight round's leaf records)."""
+    calls = []
+
+    def spy(rhs, t, y, t_end, tol, radii, blocks, _run=geodesic._dop853):
+        n = [0]
+
+        def counted(*args):
+            n[0] += 1
+            return rhs(*args)
+
+        out = _run(counted, t, y, t_end, tol, radii, blocks)
+        calls.append(SimpleNamespace(
+            lanes=len(y), loose=y.shape[1] == 8, width=y.shape[1],
+            tol=tol[:, 0].copy(), rhs_calls=n[0],
+            lane_evals=int(out[4][2].sum())))
+        return out
+
+    monkeypatch.setattr(geodesic, "_dop853", spy)
+    return calls
 
 
 FIXTURE_SECONDS = {}

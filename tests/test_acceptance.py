@@ -165,8 +165,7 @@ def test_criterion_6_transport_oracle_and_residuals(probe_fan, glued_record,
             assert np.abs(ko - kt).max() <= 1e-4 * np.abs(kt).max()
         for rec, probes in ((glued_record, [5.0, 15.0, 25.0]),
                             (offset_record, [10.0, 30.0, 50.0])):
-            tab = structure_residuals(GLUED_M001, rec, probe_rhos=probes,
-                                      transverse=False)
+            tab = structure_residuals(GLUED_M001, rec, probe_rhos=probes)
             for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1"):
                 assert tab[key] <= 1e-5 * tab[key + "_scale"], key
 

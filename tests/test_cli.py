@@ -1,11 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import spy_integrations
 from hyperlab.cli import load_config, main, write_csv
 from hyperlab.errors import ConfigError
 from hyperlab.foliation import TIGHT_TOL
+from hyperlab.geodesic import Direction, exp_map
+from hyperlab.zscompare import schw_optical
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -143,6 +147,39 @@ def test_offset_origin_grids_follow_its_axis(tmp_path):
     assert len(got[0]) == 14
     assert max(abs(a - b) for a, b in zip(*got)) <= 1e-10
     assert max(abs(m - 0.02) for m in got[0][:12]) <= 1e-6
+
+
+def test_integrations_per_subcommand(tmp_path, monkeypatch):
+    # geodesic._dop853 runs of each subcommand the benchmark's cli pass
+    # makes, on glued_small: foliate its fan; weyl-check none; zs-compare
+    # one batch of the radial series and the cone sphere's probe, then the
+    # cone sphere's leaf (stencil and tight round); residuals one batch of
+    # the record and its mini-fan.  Before they were batched: 1, 0, 4, 2
+    calls = spy_integrations(monkeypatch)
+    for sub, n in (("foliate", 1), ("weyl-check", 0), ("zs-compare", 3),
+                   ("residuals", 1)):
+        calls.clear()
+        assert run_cli([sub, "--config", str(CONFIGS / "glued_small.ini"),
+                        "--out", str(tmp_path)]) == 0
+        assert len(calls) == n, sub
+
+
+def test_cone_sphere_uhat_matches_standalone_probe(tmp_path):
+    # zs-compare reads the cone sphere's probe at rho_max / 2 off a plain
+    # lane of its radial-series batch, integrated to rho_max; the probe
+    # integrated alone to rho_max / 2 gives the same uhat to 1e-9 (measured
+    # 6.8e-11)
+    rc = load_config(str(CONFIGS / "glued_small.ini"))
+    assert run_cli(["zs-compare", "--config", str(CONFIGS / "glued_small.ini"),
+                    "--out", str(tmp_path)]) == 0
+    rho, origin = rc.rho_max / 2.0, rc.origin()
+    x = exp_map(rc.model(), origin, Direction(1.0, (1.0, 0.0, 0.0)), [rho],
+                ode_tol=rc.rel_tol).state_at(rho)["x"]
+    uhat = schw_optical(rc.mass, x[0] - origin[0],
+                        float(np.linalg.norm(x[1:])))["uhat"]
+    got = [float(v) for v in _csv_column(tmp_path / "cone_spheres.csv", "uhat")]
+    assert len(got) == 6
+    assert max(abs(v - uhat) for v in got) <= 1e-9
 
 
 def test_determinism_and_golden(tmp_path):

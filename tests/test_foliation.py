@@ -11,12 +11,15 @@ from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
                              CoordinateSingularity, FanTooCoarse, MissingK,
                              OutOfRange, SeedRegionTooSmall, Unreachable)
 from hyperlab.foliation import (angular_grid, frames_at, leaf_frames,
-                                leaf_scalars, leaf_slice, second_fundamental_at,
+                                leaf_scalars, leaf_slice, mini_fan_directions,
+                                second_fundamental_at,
                                 second_fundamental_fd_oracle,
                                 solve_level_nodes, structure_residuals)
-from hyperlab.geodesic import _FIELDS, Direction, exp_map, fan_build
+from hyperlab.geodesic import (_FIELDS, Direction, exp_map, fan_build,
+                               integrate_rays)
 from hyperlab.mass import mass_of_leaf
 from hyperlab.metric import HORIZON_MARGIN, MetricModel, metric_at
+from conftest import spy_integrations
 from oracles import sphere_pair
 
 MINK = MetricModel.minkowski()
@@ -112,22 +115,16 @@ def test_leaf_normal_has_no_time_part(glued_record, offset_record):
         assert np.all(leaf_frames(GLUED, [rec], rec.rho).frames.N[:, 0] == 0.0)
 
 
-def test_central_line_degenerate(monkeypatch):
+def test_central_line_degenerate():
     rec = exp_map(GLUED, np.zeros(4), Direction(0.0, (1, 0, 0)), [5.0],
                   with_k=True)
     with pytest.raises(CentralLineDegenerate):
         frames_at(GLUED, rec, 5.0)
     # closer to the central line than the transverse mini-fan's half-width
-    # 2 _FAN_DELTA: raised before the mini-fan is integrated
-    rec = exp_map(GLUED, np.zeros(4), Direction(0.005, (1, 0, 0)),
-                  [1.0, 3.0, 5.0], with_k=True)
-
-    def no_integration(*args, **kwargs):
-        raise AssertionError("mini-fan integrated")
-
-    monkeypatch.setattr(foliation, "integrate_rays", no_integration)
+    # 2 _FAN_DELTA: the mini-fan's directions raise, so it is never
+    # integrated
     with pytest.raises(CentralLineDegenerate):
-        structure_residuals(GLUED, rec, probe_rhos=[3.0])
+        mini_fan_directions(Direction(0.005, (1, 0, 0)))
 
 
 def test_second_fundamental_minkowski_umbilic(mink_record):
@@ -205,8 +202,16 @@ def test_minkowski_fd_oracle_matches_umbilic():
     assert np.abs(ko - np.eye(3) / 10.0).max() < 1e-6
 
 
+def _mini_fan(model, rec, rho):
+    """The record's mini-fan integrated on its own to rho, as plain lanes."""
+    return integrate_rays(model, rec.origin,
+                          mini_fan_directions(rec.direction), [rho],
+                          ode_tol=rec.ode_tol)
+
+
 def test_structure_residuals_minkowski(mink_record):
-    tab = structure_residuals(MINK, mink_record, probe_rhos=[2.0, 3.0])
+    tab = structure_residuals(MINK, mink_record, probe_rhos=[2.0, 3.0],
+                              neighbours=_mini_fan(MINK, mink_record, 3.0))
     for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu", "t_of_u",
                 "n_of_binv"):
         assert tab[key] <= 1e-9, key
@@ -215,7 +220,8 @@ def test_structure_residuals_minkowski(mink_record):
 
 def test_structure_residuals_glued(glued_record):
     tab = structure_residuals(GLUED, glued_record,
-                              probe_rhos=[5.0, 15.0, 25.0])
+                              probe_rhos=[5.0, 15.0, 25.0],
+                              neighbours=_mini_fan(GLUED, glued_record, 25.0))
     assert tab["ctt"] <= 1e-7
     assert tab["s1"] <= 1e-6
     for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu"):
@@ -252,12 +258,66 @@ def test_transverse_residuals_polar_axis():
         rec = exp_map(GLUED, np.zeros(4),
                       Direction(1.0, (np.sin(tilt), 0.0, np.cos(tilt))),
                       [1.0, 5.0, 10.0], ode_tol=1e-11, with_k=True)
+        nbrs = _mini_fan(GLUED, rec, 5.0)
         if singular:
             with pytest.raises(CoordinateSingularity, match="polar axis"):
-                structure_residuals(GLUED, rec, probe_rhos=[5.0])
+                structure_residuals(GLUED, rec, probe_rhos=[5.0],
+                                    neighbours=nbrs)
         else:
-            tab = structure_residuals(GLUED, rec, probe_rhos=[5.0])
+            tab = structure_residuals(GLUED, rec, probe_rhos=[5.0],
+                                      neighbours=nbrs)
             assert tab["t_of_u"] <= 1e-9 and tab["n_of_binv"] <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def fan_case():
+    """A glued record with k (zeta 1 along x^1, rho to 10) and the 12 lanes
+    of its mini-fan with k from the same batch, as hyperlab residuals
+    integrates them."""
+    d = Direction(1.0, (1.0, 0.0, 0.0))
+    rec, *nbrs = integrate_rays(GLUED, np.zeros(4),
+                                [d] + mini_fan_directions(d),
+                                [1.0, 5.0, 10.0], ode_tol=1e-10, with_k=True)
+    return rec, nbrs
+
+
+def test_transverse_rows_from_batch_neighbours(fan_case):
+    # the mini-fan integrated as plain lanes on its own, or with k in the
+    # record's batch, keeps the transverse identities within 1e-9 at probe
+    # rho 5 (measured: t_of_u 3.0e-10 and 8.9e-12, n_of_binv 1.7e-11 and
+    # 4.1e-12); the batch leaves the record bit-identical to itself alone
+    rec, batch = fan_case
+    alone = exp_map(GLUED, np.zeros(4), rec.direction, rec.rho,
+                    ode_tol=rec.ode_tol, with_k=True)
+    for key in _FIELDS:
+        assert np.array_equal(getattr(rec, key), getattr(alone, key)), key
+    for nbrs, with_k in ((_mini_fan(GLUED, rec, 5.0), False), (batch, True)):
+        assert all(nb.has_k == with_k for nb in nbrs)
+        tab = structure_residuals(GLUED, rec, probe_rhos=[5.0],
+                                  neighbours=nbrs)
+        assert tab["t_of_u"] <= 1e-9 and tab["n_of_binv"] <= 1e-9
+    assert "t_of_u" not in structure_residuals(GLUED, rec, probe_rhos=[5.0])
+
+
+def _other_origin(rec, nbrs):
+    return integrate_rays(GLUED, [0.0, 0.2, 0.0, 0.0],
+                          [nb.direction for nb in nbrs], [5.0])
+
+
+@pytest.mark.parametrize("neighbours, words", [
+    (lambda rec, nbrs: nbrs[:11], "11 neighbour records"),
+    (_other_origin, "another origin"),
+    (lambda rec, nbrs: nbrs[4:8] + nbrs[:4] + nbrs[8:], "_stencil5 order"),
+    (lambda rec, nbrs: _mini_fan(GLUED, rec, 4.0), "largest probe rho"),
+], ids=["count", "origin", "order", "short"])
+def test_structure_residuals_rejects_foreign_neighbours(fan_case, neighbours,
+                                                       words):
+    # anything but the record's own 12 mini-fan records, reaching the
+    # largest probe rho, would difference the wrong leaf function
+    rec, nbrs = fan_case
+    with pytest.raises(ValueError, match=words):
+        structure_residuals(GLUED, rec, probe_rhos=[2.0, 5.0],
+                            neighbours=neighbours(rec, nbrs))
 
 
 def test_solve_level_nodes_minkowski_closed_forms():
@@ -296,7 +356,7 @@ def test_solve_level_nodes_monotone_guard(monkeypatch):
     # in sign (raised in the tight round), or folded back over the
     # stencil's upper points (raised before any tight round)
     stencil = foliation._stencil_level
-    calls = _spy_solver(monkeypatch)
+    calls = spy_integrations(monkeypatch)
     for fold, integrations in (
             (lambda F: F[:, ::-1], 2),
             (lambda F: np.concatenate([F[:, :3], 2 * F[:, 2:3] - F[:, 3:]],
@@ -310,32 +370,6 @@ def test_solve_level_nodes_monotone_guard(monkeypatch):
         assert len(calls) == integrations
 
 
-def _spy_solver(monkeypatch):
-    """Every integration (geodesic._dop853), with its lane count, state
-    width, tolerances, right-hand-side calls and lane evaluations.  The
-    leaf solver's stencil integrates plain lanes, x and B alone (width 8,
-    `loose`); a tight round leaf records with the triad, the Jacobi fields
-    and k (width 38)."""
-    calls = []
-
-    def spy(rhs, t, y, t_end, tol, radii, blocks, _run=geodesic._dop853):
-        n = [0]
-
-        def counted(*args):
-            n[0] += 1
-            return rhs(*args)
-
-        out = _run(counted, t, y, t_end, tol, radii, blocks)
-        calls.append(SimpleNamespace(
-            lanes=len(y), loose=y.shape[1] == 8, width=y.shape[1],
-            tol=tol[:, 0].copy(), rhs_calls=n[0],
-            lane_evals=int(out[4][2].sum())))
-        return out
-
-    monkeypatch.setattr(geodesic, "_dop853", spy)
-    return calls
-
-
 @pytest.mark.parametrize("model, origin, rho", [
     (GLUED, [0.0, 1.5, 0.0, 0.0], 10.0),       # origin in the blend annulus
     (GLUED, [0.0, 1.0, 0.0, 0.0], 10.0),       # on the edge of the core
@@ -345,7 +379,7 @@ def test_seed_region_raised_before_integration(monkeypatch, model, origin,
                                                rho):
     # an origin that leaves the static line no flat-core seed fails before
     # the stencil integrates anything
-    calls = _spy_solver(monkeypatch)
+    calls = spy_integrations(monkeypatch)
     with pytest.raises(SeedRegionTooSmall):
         mass_of_leaf(model, np.array(origin), 2.0 * rho, rho,
                      angular_grid(4, 1))
@@ -355,7 +389,7 @@ def test_seed_region_raised_before_integration(monkeypatch, model, origin,
 def test_leaf_slice_integrate_rays_budget(monkeypatch):
     # the stencil and a few tight rounds, each one batched solve over the
     # open nodes; no solve is wider than the stencil's points per node
-    calls = _spy_solver(monkeypatch)
+    calls = spy_integrations(monkeypatch)
     leaf_slice(GLUED, np.zeros(4), 40.0, 10.0, angular_grid(4, 1))
     assert len(calls) <= 4
     assert max(c.lanes for c in calls) <= 5 * 4
@@ -369,7 +403,7 @@ def test_leaf_work_budget_inexact_newton(monkeypatch):
     # evaluations, the only ones with a payload (2,264 when the tight round
     # transported k); each bound adds the +-7 % that rounding-level changes
     # of the RHS move DOP853 step counts by
-    calls = _spy_solver(monkeypatch)
+    calls = spy_integrations(monkeypatch)
     nodes = angular_grid(4, 1)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), 15.79, 63.16, nodes)
     assert [c.loose for c in calls] == [True, False]
@@ -399,7 +433,7 @@ def test_leaf_two_integrations(monkeypatch, rho, target, nodes, level):
     # fields and k.  A tight record takes the 12 stages of each step,
     # accepted or rejected, and the 2 evaluations of the starting step, and
     # no dense-output stage.
-    calls = _spy_solver(monkeypatch)
+    calls = spy_integrations(monkeypatch)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
     assert [c.loose for c in calls] == [True, False]
@@ -440,7 +474,7 @@ def test_harder_leaves_two_integrations(monkeypatch, model, rho, target,
         probe = exp_map(model, np.zeros(4), Direction(1.0, (1.0, 0.0, 0.0)),
                         [rho])
         target = foliation._level_value(model, 0.0, probe.x[-1], "uhat")
-    calls = _spy_solver(monkeypatch)
+    calls = spy_integrations(monkeypatch)
     solve_level_nodes(model, np.zeros(4), rho, target, nodes, level=level)
     assert [c.loose for c in calls] == [True, False]
 
@@ -514,7 +548,7 @@ def test_solve_level_nodes_uhat_near_zone_floor(monkeypatch, rho, r_flat):
     r_floor = foliation._zs_floor(GLUED, 0.02)
     target = rho * np.exp(-np.arcsinh(r_flat / rho))
     seen = _spy_stencil(monkeypatch)
-    calls = _spy_solver(monkeypatch)
+    calls = spy_integrations(monkeypatch)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target,
                                 angular_grid(4, 1), level="uhat")
     assert np.isnan(seen.stencil[0][1]).any()
@@ -600,7 +634,7 @@ def test_centred_leaves_work_and_mass(monkeypatch):
     # changes of the RHS move DOP853 step counts by.  The exact mass of each
     # leaf is 2M; the largest |m - 2M| is 2.5e-11 (1.8e-11 with Jacobi
     # fields in coordinates, 2.9e-9 with the transported k)
-    calls = _spy_solver(monkeypatch)
+    calls = spy_integrations(monkeypatch)
     worst = 0.0
     for rho in (5.0, 10.0, 15.79, 20.0):
         for f in (2.0, 4.0, 8.0):
