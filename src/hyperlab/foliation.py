@@ -28,12 +28,13 @@ order of candidate axes.  So every point's result is bit-identical to that
 point evaluated alone.
 
 The spheres come from solve_level_nodes, which finds each node's
-rapidity in two integrations as a rule.  A stencil round integrates plain
-lanes (no Jacobi fields, no k) at the Chebyshev points of a rapidity span
-about the flat root, and the root of their interpolant is the next
-iterate.  Only the tight rounds that follow carry a payload: the triad,
-the Jacobi fields in it and k, as every record with k does, and
-leaf_frames rotates that k into the leaf basis.
+rapidity in one integration as a rule.  Its stencil integrates nothing:
+the level function of plain lanes at the Chebyshev points of a rapidity
+span about the flat root comes from a quadrature of the static first
+integrals (geodesic._static_ends), and the root of its interpolant is the
+first iterate.  Only the tight rounds that follow integrate, with a
+payload: the triad, the Jacobi fields in it and k, as every record with k
+does, and leaf_frames rotates that k into the leaf basis.
 
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
@@ -60,35 +61,35 @@ import numpy as np
 from .errors import (BracketFailure, CentralLineDegenerate,
                      CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
                      SingularityTruncated, Unreachable)
-from .geodesic import (ZETA_MAX_DEFAULT, Direction, _lanes, _ray_ends,
-                       _seed_rho, _states_at, direction_from_angles)
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, _ray_ends, _seed_rho,
+                       _states_at, _static_ends, direction_from_angles)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
                      _orthonormalize_stacked, _zs_floor, curvature_at,
                      metric_at)
 
 FRAME_FLOOR = 1e-6
-# The leaf solver's stencil (solve_level_nodes): _Z_POINTS plain lanes per
-# node at STENCIL_TOL, at the Chebyshev points of _Z_SPAN about the flat
-# root.  Scan on glued M = 0.01, 5 points: RHS calls of the 12 centred
-# t-leaves (t/rho = 2, 4, 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)),
-# and the most integrations and, per span, the largest first tight residual
-# |f| / max(|target|, 1) (bound 1e-10) over them, uhat rho 15 target 3 and
-# rho 6 target 1, t 40 on rho 10 at M = 0.05, the zs-compare cone sphere,
-# the mass subcommand's batch at rho 10 and 12 leaves from the origins
-# (0.5, 0, 0), (0, 0.3, 0.6) and (0.97, 0, 0):
-#     STENCIL_TOL            1e-10    3e-11    1e-11    3e-12
-#     RHS calls              8,280    8,712    9,120    9,600
-#     integrations               3        2        2        2
-#     [-0.02, 0.005]       1.6e-10  5.6e-11  2.3e-11  7.9e-12
-#     [-0.03, 0.005]       1.6e-10  5.5e-11  2.4e-11  8.8e-12
-#     [-0.04, 0.005]       1.5e-10  5.3e-11  2.1e-11  5.9e-12
-# 4 points take three integrations, 6 as many calls as 5.  1e-11 keeps a
-# margin of 4 below the bound (3e-11 saves 4.5 % of the calls for half of
-# it); on [-0.03, 0.005], the narrowest span to do so, M = 0.1 (root
-# outside it) takes two integrations, M = 0.2 three.
-STENCIL_TOL = 1e-11
-_Z_SPAN = (-0.03, 0.005)    # the stencil's span about the flat root
-_Z_POINTS = 5               # its Chebyshev points, ends included
+# The leaf solver's stencil (solve_level_nodes): the level function of
+# _Z_POINTS plain lanes per node, their t and r at rho by quadrature
+# (geodesic._static_ends), at the Chebyshev points of _Z_SPAN about the
+# flat root.  Scan on glued M = 0.01 unless named: the largest first tight
+# residual |f| / max(|target|, 1) over the 12 centred t-leaves (t/rho = 2,
+# 4, 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)), uhat rho 15 target 3
+# and rho 6 target 1, t 40 on rho 10 at M = 0.05 and M = 0.2, the
+# zs-compare cone sphere, the mass subcommand's batch at rho 10 and 12
+# leaves from the origins (0.5, 0, 0), (0, 0.3, 0.6) and (0.97, 0, 0); a
+# residual above the acceptance bound 1e-10 takes a second integration:
+#     points                   5        6        7        9
+#     [-0.03, 0.005]     7.4e-09  7.9e-11  5.1e-12  2.7e-10
+#     [-0.06, 0.005]     9.3e-10  6.1e-12  3.6e-12  3.5e-12
+#     [-0.09, 0.005]     1.6e-10  4.0e-12  3.6e-12  3.5e-12
+#     [-0.12, 0.005]     8.1e-10  5.2e-12  3.6e-12  3.5e-12
+#     [-0.15, 0.005]     1.2e-09  1.7e-11  3.6e-12  3.6e-12
+# 3.6e-12 (uhat rho 6) is the tight records' own error.  [-0.12, 0.005]
+# holds the M = 0.2 root, 0.076 below the flat root, which the narrower
+# spans reach only by extrapolation (9 points on [-0.03, 0.005] miss it),
+# and 7 points reach the floor with a margin of 28 below the bound.
+_Z_SPAN = (-0.12, 0.005)    # the stencil's span about the flat root
+_Z_POINTS = 7               # its Chebyshev points, ends included
 TIGHT_TOL = 1e-12           # tolerance of every accepted leaf record
 _FAN_DELTA = 5e-3           # parameter spacing of the transverse mini-fan
 _STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # f' * h
@@ -353,12 +354,16 @@ def _rotation_to(axis):
 
 def _level_value(model, origin_t, x, level):
     """The level function t or uhat = t - gamma_r, t relative to origin_t."""
-    t = x[..., 0] - origin_t
+    xs = x[..., 1:]
+    return _level_of(model, x[..., 0] - origin_t,
+                     np.sqrt(np.sum(xs * xs, axis=-1)), level)
+
+
+def _level_of(model, t, r, level):
+    """The level function at time t (relative to the origin) and radius r."""
     if level == "t":
         return t
     if level == "uhat":
-        xs = x[..., 1:]
-        r = np.sqrt(np.sum(xs * xs, axis=-1))
         return t - r - _optical_mass_terms(model.mass, r)[0]
     raise ValueError(level)
 
@@ -399,18 +404,18 @@ def _level_slope(model, recs, level, r_floor):
 
 
 def _stencil_level(model, origin, rho, zk, thetas, phis, level, r_floor):
-    """The level function F at the rapidities zk (m, p), a node per row:
-    all m p points as plain lanes (x and B alone) at STENCIL_TOL in one
-    batch, read at their end states; NaN where one ends at r <= r_floor."""
+    """The level function F at the rapidities zk (m, p), a node per row,
+    from the time and radius at rho of the plain lane of each point, all
+    m p points by quadrature of the static first integrals
+    (geodesic._static_ends) in one batch; NaN where one ends at
+    r <= r_floor."""
     m, p = zk.shape
     dirs = [direction_from_angles(*a) for a in
             zip(zk.ravel(), np.repeat(thetas, p), np.repeat(phis, p))]
-    recs, y = _lanes(model, origin, dirs, [rho], STENCIL_TOL, False)
-    x = y[:, :4]
-    out = np.linalg.norm(x[:, 1:], axis=1) > r_floor
+    t, r = _static_ends(model, origin, dirs, rho)
+    out = r > r_floor
     F = np.full(m * p, np.nan)
-    F[out] = _level_at(model, origin[0], x[out],
-                       [rec.truncated for rec in recs], level, r_floor)
+    F[out] = _level_of(model, t[out], r[out], level)
     return F.reshape(m, p)
 
 
@@ -451,7 +456,8 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     The first round is the stencil (_stencil_level): F at the _Z_POINTS
     Chebyshev points of the span _Z_SPAN about each node's flat root,
     arccosh(max(target/rho, 1)) on level t and ln(rho/target) on level
-    uhat, the span shifted into the bracket [1e-8, ZETA_MAX_DEFAULT].  Its
+    uhat, the span shifted into the bracket [1e-8, ZETA_MAX_DEFAULT], by
+    quadrature of the static first integrals, with no integration.  Its
     values shrink each node's bracket, and the root of their interpolant
     (_interp_root) is the next zeta.  A point that ends below the exterior
     zone (level uhat) and those below it only bound the root from below: a
@@ -466,7 +472,7 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     zeta outside the bracket bisects it.  Lanes are independent and roots
     are taken per node, so no root or record depends on the order or
     grouping of the nodes.  Returns the zeta array and the records; a leaf
-    takes two integrations when the stencil's root meets the bound.
+    takes one integration when the stencil's root meets the bound.
 
     Errors: Unreachable when a node's bracket collapses onto one of its
     ends with |f| above 3e-6 max(|target|, 1); BracketFailure("level
@@ -474,16 +480,17 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     node's stencil or its slope changes sign between rounds; BracketFailure
     when the iteration does not converge, or when a tight uhat iterate
     falls below the exterior zone, where uhat is undefined.  An origin outside
-    the flat core raises SeedRegionTooSmall before any integration, and a
-    tight lane that leaves the core too soon (_seed_rho) raises it in its
-    round.
+    the flat core raises SeedRegionTooSmall before the stencil, and a tight
+    lane that leaves the core too soon (_seed_rho) raises it in its round,
+    before that round integrates.
     """
     origin = np.asarray(origin, dtype=float)
     # a leaf record carries k, which is checked against an independent
     # oracle only from origins in the flat core: until an off-core oracle
     # for k exists, an origin whose static line (no lane's seed is longer)
-    # has too short a seed raises (_seed_rho with k) before any
-    # integration; a singular origin first, as in integrate_rays
+    # has too short a seed raises (_seed_rho with k) before the stencil,
+    # whose quadrature starts in the flat core; a singular origin first, as
+    # in integrate_rays
     _check_regular(model, np.linalg.norm(origin[1:]))
     _seed_rho(model, origin, np.eye(4)[:1], rho, True)
     thetas = np.array([a[0] for a in angles])

@@ -41,6 +41,13 @@ outside it a plain lane starts at rho = 0 from the origin state, and a
 lane with k raises SeedRegionTooSmall.  state_at evaluates the line below
 the seed.
 
+The leaf solver's stencil needs only t and r at one rho of plain lanes
+from a flat-core origin, and integrates nothing: the models are static and
+spherical, so a lane keeps its energy and angular momentum
+(_static_invariants), and _static_ends finds t and r by Gauss-Legendre
+quadrature of the radial first integrals, zone by zone, with a Newton
+solve per lane for the end radius.
+
 Many rays are integrated together by a batched DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
 are scipy's, kept bit for bit in dop853.npz, so the runtime needs numpy
@@ -73,8 +80,8 @@ import numpy as np
 from .errors import (OutOfRange, SeedRegionTooSmall, SingularityTruncated,
                      StepFailure)
 from .metric import (HORIZON_MARGIN, _colsum, _orthonormalize,
-                     _orthonormalize_stacked, _ray_accel, _ray_terms,
-                     metric_at)
+                     _orthonormalize_stacked, _profiles, _ray_accel,
+                     _ray_terms, metric_at)
 
 DEFAULT_TOL = 1e-10
 ZETA_MAX_DEFAULT = 6.0
@@ -82,6 +89,9 @@ RHO_SEED_MIN = 1e-3
 SHELL_TOL = 1e-10       # a step lands on a radius R to within SHELL_TOL R
 _FIELDS = ("x", "b", "j", "jp", "triad", "q0", "khat")   # keys of state_at
 _DIM = (8, 38)          # lane width, plain or with k
+_GL_NODES = 20          # nodes of _static_ends' rule, per panel
+_ANNULUS_PANELS = (0.0, 0.15, 1.0)   # its panels over the annulus
+_NEWTON_MAX = 12        # Newton steps of a lane's end in _static_ends
 
 
 @dataclass(frozen=True)
@@ -475,32 +485,187 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     return t, y, trunc, log, (steps, nrej, nfev)
 
 
+def _velocities(model, origin, directions):
+    """g at the origin (also g on each seed line), the orthonormal frame of
+    the static observer there (4, 4), rows e_0..e_3, and per direction its
+    hyperboloid point vh (Direction.hyperboloid_point) and coordinate
+    velocity v0 = vh frame, each (n, 4)."""
+    g0 = metric_at(model, origin, level=0).g
+    e0 = np.eye(4)[0] / np.sqrt(-g0[0, 0])
+    frame0 = np.vstack([e0, _orthonormalize(g0, [e0], np.eye(4)[1:], 3)])
+    zw = np.array([(d.zeta,) + d.omega for d in directions]).reshape(-1, 4)
+    vh = np.concatenate([np.cosh(zw[:, :1]), np.sinh(zw[:, :1]) * zw[:, 1:]],
+                        axis=1)
+    return g0, frame0, vh, (vh[:, None] @ frame0)[:, 0]
+
+
 def _seed_rho(model, origin, v0, rho_max, with_k):
     """Per lane, v0 (n, 4) its velocity at the origin, the rho at which
-    the straight line leaves the flat core, on its edge r_in (the core is
-    exactly Minkowski up to and including r_in), capped below the first
-    samples; 0 when the origin is not inside that core.  with_k raises
-    SeedRegionTooSmall at the first lane below RHO_SEED_MIN: k is checked
-    against an independent oracle (the finite-difference fan) only from
-    origins in the flat core.  Dots are
-    stacked per-lane matmuls and a square is libm's pow (a scalar's ** 2;
-    an array's is x * x, at times a bit off), so a lane's seed is its own."""
-    xs, b2 = origin[1:], model.flat_core_radius ** 2
-    cap, seed = min(1.0, 0.25 * rho_max), np.zeros(len(v0))
-    if xs @ xs < b2:
-        vs = v0[:, 1:, None]
-        v2, xv = (vs.transpose(0, 2, 1) @ vs)[:, 0, 0], (xs @ vs)[:, 0]
-        # |xs + rho vs| = core, the exit ahead of the origin (inf in an
-        # infinite core); the central line (v2 < 1e-28) never exits
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exit_ = (-xv + np.sqrt(np.float_power(xv, 2)
-                                   + v2 * (b2 - xs @ xs))) / v2
-        seed = np.where(v2 < 1e-28, cap, np.minimum(exit_, cap))
+    the straight line leaves the flat core (_core_exit), capped below the
+    first samples; 0 when the origin is not inside that core.  with_k
+    raises SeedRegionTooSmall at the first lane below RHO_SEED_MIN: k is
+    checked against an independent oracle (the finite-difference fan) only
+    from origins in the flat core."""
+    xs, cap = origin[1:], min(1.0, 0.25 * rho_max)
+    seed = np.zeros(len(v0))
+    if xs @ xs < model.flat_core_radius ** 2:
+        seed = np.minimum(_core_exit(model, origin, v0)[0], cap)
     if with_k and np.any(seed < RHO_SEED_MIN):
         raise SeedRegionTooSmall(
             f"flat-core seed rho={seed[seed < RHO_SEED_MIN][0]:.3g} below "
             f"{RHO_SEED_MIN:g}: a lane with k must start inside the flat core")
     return seed
+
+
+def _core_exit(model, origin, v0):
+    """Per lane of an origin inside the flat core, v0 (n, 4) its velocity
+    there: the rho at which the straight line leaves the core, on its edge
+    r_in (the core is exactly Minkowski up to and including r_in; inf on
+    the central line, v2 < 1e-28, and in an infinite core), and x.v at the
+    exit (r dr/drho there), formed from the origin's x.v as
+    sqrt((x.v)^2 + v2 (r_in^2 - |x|^2)), without cancellation.  Dots are
+    stacked per-lane matmuls and a square is libm's pow (a scalar's ** 2;
+    an array's is x * x, at times a bit off), so a lane's exit is its
+    own."""
+    xs, b2 = origin[1:], model.flat_core_radius ** 2
+    vs = v0[:, 1:, None]
+    v2, xv = (vs.transpose(0, 2, 1) @ vs)[:, 0, 0], (xs @ vs)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.float_power(xv, 2) + v2 * (b2 - xs @ xs))
+        return np.where(v2 < 1e-28, np.inf, (-xv + root) / v2), root
+
+
+def _static_invariants(model, x, b):
+    """The conserved energy E = n2 B^t and angular momentum L = A |x ^ v|
+    of geodesics in a static spherical model (metric._profiles), at lane
+    states x, b (n, 4), v the spatial part of B; elementwise per lane."""
+    xs = x[:, 1:]
+    n2, _, A, *_ = _profiles(model, np.sqrt(_colsum(xs * xs)), False)
+    c = np.cross(xs, b[:, 1:])
+    return n2 * b[:, 0], A * np.sqrt(_colsum(c * c))
+
+
+@cache
+def _gauss_legendre():
+    """The _GL_NODES-point Gauss-Legendre rule on [-1, 1], nodes and
+    weights, built on first use (not at import); nothing writes to it."""
+    rule = np.polynomial.legendre.leggauss(_GL_NODES)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _quad(f, a, b, panels=(0.0, 1.0)):
+    """Per lane, the sums over [a, b] (n,) of the integrands (k, n, nodes)
+    that f maps the nodes (n, nodes) to, an array (k, n): the
+    Gauss-Legendre rule on each panel of [a, b], its ends at the fractions
+    panels of b - a, all nodes in one call of f and summed in index order
+    (_colsum)."""
+    x, w = _gauss_legendre()
+    p = np.array(panels)
+    h = 0.5 * np.diff(p)[:, None]
+    y, wy = (p[:-1, None] + h * (1.0 + x)).ravel(), (h * w).ravel()
+    return (b - a) * _colsum(wy * f(a[:, None] + (b - a)[:, None] * y))
+
+
+def _end_by_newton(f, a, b, dist, panels=(0.0, 1.0)):
+    """Per lane, the end b of [a, b] over which the first integrand of f
+    (positive; f(u, lanes) as _quad's f, on those lanes) sums to dist, by
+    Newton steps from b (n,), and the sums (k, n) of every integrand over
+    [a, b].  Each lane stops on its own, on a step below 1e-9 (b - a) or
+    after _NEWTON_MAX steps, and its last step moves its sums to first
+    order, by the integrands at the step's start."""
+    sums = np.zeros((2, len(b)))
+    todo = np.arange(len(b))
+    for _ in range(_NEWTON_MAX):
+        if len(todo) == 0:
+            break
+        q = _quad(lambda u: f(u, todo), a[todo], b[todo], panels)
+        g = f(b[todo, None], todo)[:, :, 0]
+        d = (q[0] - dist[todo]) / g[0]
+        b[todo] -= d
+        sums[:, todo] = q - g * d
+        todo = todo[np.abs(d) > 1e-9 * (b[todo] - a[todo])]
+    return b, sums
+
+
+def _static_ends(model, origin, directions, rho):
+    """Time (relative to the origin) and radius at proper time rho of the
+    plain lanes of directions from an origin in the flat core of a glued or
+    Minkowski model, by quadrature, with no integration.  A lane follows
+    its straight line up to its core exit (_core_exit, uncapped).  Past
+    r_in it keeps E = n2 B^t and L = A |x ^ v| (_static_invariants, E = B^t
+    in the core), so with v2 = |v|^2 = E^2 - 1, sigma^2 = v2 r^2 - L^2 and
+        D = (r dr/drho)^2 C = sigma^2 + E^2 r^2 (1 - n2)/n2 + L^2 (A - 1)/A
+    (metric._profiles, C = A + Bc r^2), drho/dr = r sqrt(C/D) and
+    dt/drho = E/n2.  n2 <= 1 and A r^2 grows with r, so D >= sigma^2 > 0
+    and no lane leaving the core turns back.  The profiles are only C^2 at
+    r_out, so each zone takes its own Gauss-Legendre rule (_quad): the
+    annulus in sigma, drho/dsigma = sigma sqrt(C/D)/v2, smooth also on a
+    lane that leaves the core grazing it (sigma = 0 at r_in), and the
+    exterior in ln r, drho/dln r = r^2 sqrt(C/D).  Newton steps from the
+    straight line (_end_by_newton) find where each lane reaches rho.  Every
+    operation is elementwise per lane, so a lane's t and r do not depend
+    on the batch."""
+    origin = np.asarray(origin, dtype=float)
+    *_, v0 = _velocities(model, origin, directions)
+    exit_, sig_in = _core_exit(model, origin, v0)
+    t = rho * v0[:, 0]
+    x = origin[1:] + rho * v0[:, 1:]
+    r = np.sqrt(_colsum(x * x))
+    i = np.flatnonzero(rho > exit_)             # lanes that leave the core
+    if len(i) == 0:
+        return t, r
+    E, L = _static_invariants(model, np.broadcast_to(origin, v0.shape), v0)
+    E, L2, sig_in, v0 = E[i], L[i] * L[i], sig_in[i], v0[i]
+    v2 = _colsum(v0[:, 1:] * v0[:, 1:])
+    b2, r_out = model.r_in ** 2, model.r_out
+
+    def rates(lanes, r, sig2, jac):
+        """drho and dt per unit of a zone's variable at radii r, jac being
+        drho per unit of it times sqrt(D/C)."""
+        n2, _, A, _, Bc, _ = _profiles(model, r, False)
+        e = E[lanes, None]
+        D = (sig2 + e * e * (r * r) * ((1.0 - n2) / n2)
+             + L2[lanes, None] * ((A - 1.0) / A))
+        drho = jac * np.sqrt((A + Bc * (r * r)) / D)
+        return np.array([drho, e / n2 * drho])
+
+    def r_of(s, lanes):                         # the annulus radius
+        si = sig_in[lanes, None]
+        return np.sqrt(b2 + (s - si) * (s + si) / v2[lanes, None])
+
+    def annulus(s, lanes):
+        return rates(lanes, r_of(s, lanes), s * s, s / v2[lanes, None])
+
+    def exterior(s, lanes):
+        r = np.exp(s)
+        return rates(lanes, r, v2[lanes, None] * (r * r) - L2[lanes, None],
+                     r * r)
+
+    # the proper time left past the exit, and the whole annulus's sums;
+    # each Newton solve starts from the straight line, sigma growing by v2
+    # per unit of rho (sigma = x.v on a line)
+    dist, t0 = rho - exit_[i], exit_[i] * E
+    sig_out = np.sqrt(sig_in * sig_in + v2 * (r_out * r_out - b2))
+    every = np.arange(len(i))
+    full = _quad(lambda s: annulus(s, every), sig_in, sig_out,
+                 _ANNULUS_PANELS)
+    j = np.flatnonzero(dist <= full[0])         # ends in the annulus
+    s, (_, dt) = _end_by_newton(
+        lambda u, m: annulus(u, j[m]), sig_in[j],
+        np.minimum(sig_in[j] + v2[j] * dist[j], sig_out[j]), dist[j],
+        _ANNULUS_PANELS)
+    t[i[j]], r[i[j]] = t0[j] + dt, r_of(s[:, None], j)[:, 0]
+    k = np.flatnonzero(dist > full[0])          # ends in the exterior
+    left = dist[k] - full[0, k]
+    flat = sig_out[k] + v2[k] * left
+    s, (_, dt) = _end_by_newton(
+        lambda u, m: exterior(u, k[m]), np.full(len(k), np.log(r_out)),
+        0.5 * np.log(r_out * r_out + (flat - sig_out[k]) * (flat + sig_out[k])
+                     / v2[k]), left)
+    t[i[k]], r[i[k]] = t0[k] + full[1, k] + dt, np.exp(s)
+    return t, r
 
 
 def _lanes(model, origin, directions, rho_grid, ode_tol, with_k):
@@ -521,13 +686,7 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, with_k):
     tol = np.broadcast_to(np.asarray(ode_tol, dtype=float), (n,))
     if not np.all(tol > 0):
         raise ValueError("ode_tol must be > 0")
-    g0 = metric_at(model, origin, level=0).g   # also g on each seed line
-    e0 = np.eye(4)[0] / np.sqrt(-g0[0, 0])     # the static observer
-    frame0 = np.vstack([e0, _orthonormalize(g0, [e0], np.eye(4)[1:], 3)])
-    zw = np.array([(d.zeta,) + d.omega for d in directions]).reshape(n, 4)
-    vh = np.concatenate([np.cosh(zw[:, :1]), np.sinh(zw[:, :1]) * zw[:, 1:]],
-                        axis=1)                 # Direction.hyperboloid_point
-    v0 = (vh[:, None] @ frame0)[:, 0]
+    g0, frame0, vh, v0 = _velocities(model, origin, directions)
     seed = _seed_rho(model, origin, v0, rho_grid[-1], with_k)
     line = np.zeros((n, 2, dim))                # state, d/drho at rho = 0
     st, dst = _unpack(line[:, 0], with_k), _unpack(line[:, 1], with_k)

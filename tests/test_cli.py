@@ -150,14 +150,16 @@ def test_offset_origin_grids_follow_its_axis(tmp_path):
 
 
 def test_integrations_per_subcommand(tmp_path, monkeypatch):
-    # geodesic._dop853 runs of each subcommand the benchmark's cli pass
-    # makes, on glued_small: foliate its fan; weyl-check none; zs-compare
-    # one batch of the radial series and the cone sphere's probe, then the
-    # cone sphere's leaf (stencil and tight round); residuals one batch of
-    # the record and its mini-fan.  Before they were batched: 1, 0, 4, 2
+    # geodesic._dop853 runs of each subcommand on glued_small: foliate its
+    # fan; weyl-check none; zs-compare one batch of the radial series and
+    # the cone sphere's probe, then the cone sphere's leaf (its tight round;
+    # the stencil is a quadrature); residuals one batch of the record and
+    # its mini-fan; mass one leaf solve per rho, three.  Before they were
+    # batched: 1, 0, 4, 2; with a stencil integration per leaf, zs-compare
+    # 3 and mass 6
     calls = spy_integrations(monkeypatch)
-    for sub, n in (("foliate", 1), ("weyl-check", 0), ("zs-compare", 3),
-                   ("residuals", 1)):
+    for sub, n in (("foliate", 1), ("weyl-check", 0), ("zs-compare", 2),
+                   ("residuals", 1), ("mass", 3)):
         calls.clear()
         assert run_cli([sub, "--config", str(CONFIGS / "glued_small.ini"),
                         "--out", str(tmp_path)]) == 0

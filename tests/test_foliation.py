@@ -353,14 +353,15 @@ def test_solve_level_nodes_unreachable_above_bracket():
 def test_solve_level_nodes_monotone_guard(monkeypatch):
     # the level function folding over inside the bracket: the stencil's F
     # reversed, so that its slope and the tight round's exact slope differ
-    # in sign (raised in the tight round), or folded back over the
-    # stencil's upper points (raised before any tight round)
+    # in sign (raised in the tight round, the one integration), or folded
+    # back over the stencil's upper points (raised before any integration:
+    # the stencil is a quadrature)
     stencil = foliation._stencil_level
     calls = spy_integrations(monkeypatch)
     for fold, integrations in (
-            (lambda F: F[:, ::-1], 2),
+            (lambda F: F[:, ::-1], 1),
             (lambda F: np.concatenate([F[:, :3], 2 * F[:, 2:3] - F[:, 3:]],
-                                      axis=1), 1)):
+                                      axis=1), 0)):
         calls.clear()
         monkeypatch.setattr(foliation, "_stencil_level",
                             lambda *args, fold=fold: fold(stencil(*args)))
@@ -386,38 +387,52 @@ def test_seed_region_raised_before_integration(monkeypatch, model, origin,
     assert calls == []
 
 
+@pytest.mark.parametrize("origin, t", [
+    ([0.0, 0.97, 0.0, 0.0], 320.0), ([0.0, 0.99, 0.0, 0.0], 160.0)],
+    ids=["0.97-t320", "0.99-t160"])
+def test_tight_seed_raised_before_integration(monkeypatch, origin, t):
+    # a core origin whose static line has a seed, but whose tight lanes at
+    # the stencil's root leave the core too soon: the tight round raises
+    # while seeding, and the stencil integrates nothing, so no integration
+    # runs before the raise
+    calls = spy_integrations(monkeypatch)
+    with pytest.raises(SeedRegionTooSmall):
+        solve_level_nodes(GLUED, np.array(origin), 10.0, t,
+                          angular_grid(8, 1, axis=(1.0, 0.0, 0.0)))
+    assert calls == []
+
+
 def test_leaf_slice_integrate_rays_budget(monkeypatch):
-    # the stencil and a few tight rounds, each one batched solve over the
-    # open nodes; no solve is wider than the stencil's points per node
+    # a few tight rounds at most, each one batched solve over the open
+    # nodes, one lane per node (the stencil integrates nothing)
     calls = spy_integrations(monkeypatch)
     leaf_slice(GLUED, np.zeros(4), 40.0, 10.0, angular_grid(4, 1))
     assert len(calls) <= 4
-    assert max(c.lanes for c in calls) <= 5 * 4
+    assert max(c.lanes for c in calls) <= 4
 
 
 def test_leaf_work_budget_inexact_newton(monkeypatch):
-    # the stencil integrates five plain lanes per node, all at STENCIL_TOL;
-    # every record returned is tight with the triad, the Jacobi fields and
-    # k.  On this leaf the two rounds take 808 RHS calls (1,062 with two
-    # loose rounds of plain pairs) and the tight round 1,736 lane
-    # evaluations, the only ones with a payload (2,264 when the tight round
-    # transported k); each bound adds the +-7 % that rounding-level changes
-    # of the RHS move DOP853 step counts by
+    # the stencil integrates nothing (a quadrature); the one integration is
+    # the tight round, and every record returned is tight with the triad,
+    # the Jacobi fields and k.  On this leaf the tight round takes 410 RHS
+    # calls (760 with the stencil's integration of plain lanes, 1,062 with
+    # two loose rounds of plain pairs) and 1,640 lane evaluations (2,264
+    # when the tight round transported k); each bound adds the +-7 % that
+    # rounding-level changes of the RHS move DOP853 step counts by
     calls = spy_integrations(monkeypatch)
     nodes = angular_grid(4, 1)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), 15.79, 63.16, nodes)
-    assert [c.loose for c in calls] == [True, False]
-    assert [c.lanes for c in calls] == [20, 4]
-    assert np.all(calls[0].tol == foliation.STENCIL_TOL)
+    assert [c.loose for c in calls] == [False]
+    assert [c.lanes for c in calls] == [4]
     for r in recs:
         assert r.ode_tol == 1e-12 and r.has_k
-    assert sum(c.rhs_calls for c in calls) <= 865
-    assert sum(c.lane_evals for c in calls if not c.loose) <= 1858
+    assert sum(c.rhs_calls for c in calls) <= 439
+    assert sum(c.lane_evals for c in calls) <= 1755
     # an exact flat root is found by the stencil and accepted only by a
     # tight round
     calls.clear()
     _, recs = solve_level_nodes(MINK, np.zeros(4), 10.0, 40.0, nodes)
-    assert [c.loose for c in calls] == [True, False]
+    assert [c.loose for c in calls] == [False]
     assert all(r.ode_tol == 1e-12 for r in recs)
 
 
@@ -425,25 +440,20 @@ def test_leaf_work_budget_inexact_newton(monkeypatch):
     (10.0, 20.0, angular_grid(4, 1), "t"),
     (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t=2rho", "uhat"])
 def test_leaf_two_integrations(monkeypatch, rho, target, nodes, level):
-    # the stencil and one tight round: the stencil's root lands the first
-    # tight iterate within the acceptance bound on both levels.  Every
-    # returned record keeps only its end state, with no step ends to read
-    # the ray between.  The stencil integrates five plain lanes per node, x
-    # and B alone; every returned record is tight with the triad, the Jacobi
-    # fields and k.  A tight record takes the 12 stages of each step,
-    # accepted or rejected, and the 2 evaluations of the starting step, and
-    # no dense-output stage.
+    # the stencil (a quadrature, no integration) and one tight round, the
+    # leaf's one integration: the stencil's root lands the first tight
+    # iterate within the acceptance bound on both levels.  Every returned
+    # record keeps only its end state, with no step ends to read the ray
+    # between, and is tight with the triad, the Jacobi fields and k.  A
+    # tight record takes the 12 stages of each step, accepted or rejected,
+    # and the 2 evaluations of the starting step, and no dense-output stage.
     calls = spy_integrations(monkeypatch)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
-    assert [c.loose for c in calls] == [True, False]
+    assert [c.loose for c in calls] == [False]
     for c in calls:
-        if c.loose:
-            assert c.lanes == 5 * len(nodes)
-            assert np.all(c.tol == foliation.STENCIL_TOL)
-        else:
-            assert c.lanes == len(nodes) and c.width == 38
-            assert np.all(c.tol == foliation.TIGHT_TOL)
+        assert c.lanes == len(nodes) and c.width == 38
+        assert np.all(c.tol == foliation.TIGHT_TOL)
     for r in recs:
         assert r.ode_tol == foliation.TIGHT_TOL
         assert r.has_k and r._log is None
@@ -459,28 +469,33 @@ def test_leaf_two_integrations(monkeypatch, rho, target, nodes, level):
 @pytest.mark.parametrize("model, rho, target, nodes, level", [
     (GLUED, 6.0, 1.0, angular_grid(6, 1), "uhat"),
     (MetricModel.glued(0.05), 10.0, 40.0, angular_grid(4, 1), "t"),
+    (MetricModel.glued(0.2), 10.0, 40.0, angular_grid(4, 1), "t"),
     (GLUED, 6.0, None, angular_grid(6, 1), "uhat"),
     (GLUED, 10.0, np.repeat([20.0, 40.0, 80.0, 160.0], 6),
      angular_grid(6, 1) * 4, "t"),
-], ids=["uhat-rho6", "mass0.05", "cone-sphere", "bondi-batch"])
-def test_harder_leaves_two_integrations(monkeypatch, model, rho, target,
-                                        nodes, level):
-    # leaves that took four integrations with Jacobi-field loose rounds, the
-    # cone-sphere leaf of zs-compare on glued_small, and the batch of the
-    # mass subcommand, whose nodes lie at different rapidities: each takes
-    # the stencil and one tight round.  The cone-sphere target is the uhat
-    # of the ray of rapidity 1 along x^1 at rho.
+], ids=["uhat-rho6", "mass0.05", "mass0.2", "cone-sphere", "bondi-batch"])
+def test_harder_leaves_one_integration(monkeypatch, model, rho, target,
+                                       nodes, level):
+    # leaves that took four integrations with Jacobi-field loose rounds, a
+    # heavier model whose root lies 0.076 below the flat root (three
+    # integrations with the stencil's span [-0.03, 0.005]), the cone-sphere
+    # leaf of zs-compare on glued_small, and the batch of the mass
+    # subcommand, whose nodes lie at different rapidities: each takes the
+    # stencil, which integrates nothing, and one tight round.  The
+    # cone-sphere target is the uhat of the ray of rapidity 1 along x^1 at
+    # rho.
     if target is None:
         probe = exp_map(model, np.zeros(4), Direction(1.0, (1.0, 0.0, 0.0)),
                         [rho])
         target = foliation._level_value(model, 0.0, probe.x[-1], "uhat")
     calls = spy_integrations(monkeypatch)
     solve_level_nodes(model, np.zeros(4), rho, target, nodes, level=level)
-    assert [c.loose for c in calls] == [True, False]
+    assert [c.loose for c in calls] == [False]
 
 
 def _spy_stencil(monkeypatch):
-    """The stencil of each solve (its rapidities and F, each (m, 5)) and
+    """The stencil of each solve (its rapidities and F, each (m, p), p the
+    stencil's points per node) and
     the rapidities of each tight round."""
     seen = SimpleNamespace(stencil=[], tight=[])
     stencil, ends = foliation._stencil_level, foliation._ray_ends
@@ -504,13 +519,15 @@ def _spy_stencil(monkeypatch):
     (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t", "uhat"])
 def test_stencil_matches_tight_records(monkeypatch, rho, target, nodes,
                                        level):
-    # the stencil's F at each of its points against a tight record at the
-    # same rapidity, and its root, the first tight iterate, against the
-    # root of tight Newton steps with the exact slope p_zeta . grad F from
-    # the Jacobi fields; measured on level uhat, the larger: 2.2e-11
-    # relative in F and 2.0e-11 in zeta, and 4.9e-14 on Minkowski
-    th = np.repeat([a[0] for a in nodes], 5)
-    ph = np.repeat([a[1] for a in nodes], 5)
+    # the stencil's F at each of its points (by quadrature) against a tight
+    # record at the same rapidity, and its root, the first tight iterate,
+    # against the root of tight Newton steps with the exact slope
+    # p_zeta . grad F from the Jacobi fields; measured on level uhat, the
+    # larger: 2.2e-12 relative in F (2.2e-11 when the stencil integrated
+    # its lanes at 1e-11) and 1.9e-12 in zeta, and 5.3e-15 on Minkowski
+    p = foliation._Z_POINTS
+    th = np.repeat([a[0] for a in nodes], p)
+    ph = np.repeat([a[1] for a in nodes], p)
     r_floor = foliation._zs_floor(GLUED, 0.02) if level == "uhat" else 1e-12
     seen = _spy_stencil(monkeypatch)
     solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes, level=level)
@@ -520,12 +537,12 @@ def test_stencil_matches_tight_records(monkeypatch, rho, target, nodes,
                              for a in zip(zk.ravel(), th, ph)],
         rho, foliation.TIGHT_TOL)
     ref, _ = foliation._level_slope(GLUED, recs, level, r_floor)
-    assert np.all(np.abs(F.ravel() - ref) <= 1e-8 * np.abs(ref))
+    assert np.all(np.abs(F.ravel() - ref) <= 1e-10 * np.abs(ref))
     z = root.copy()
     for _ in range(2):
         recs = geodesic._ray_ends(
             GLUED, np.zeros(4), [geodesic.direction_from_angles(*a)
-                                 for a in zip(z, th[::5], ph[::5])],
+                                 for a in zip(z, th[::p], ph[::p])],
             rho, foliation.TIGHT_TOL)
         Fz, df = foliation._level_slope(GLUED, recs, level, r_floor)
         z = z - (Fz - target) / df
@@ -624,16 +641,17 @@ def test_triad_k_matches_leaf_k():
 
 def test_centred_leaves_work_and_mass(monkeypatch):
     # the 12 centred leaves of the benchmark's leaf workload (t/rho = 2, 4,
-    # 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)): two integrations
-    # each, the stencil and a tight one 38 wide (the triad, the Jacobi
-    # fields in it and k).  They take 8,556 RHS calls (9,012 with lanes
-    # seeded to 0.98 r_in, 11,868 with two loose rounds of plain pairs),
-    # and their tight rounds 18,528 lane evaluations (19,248 with the 0.98
-    # seed, 19,680 with Jacobi fields in coordinates, 26,424 when they
-    # transported k); each bound adds the +-7 % that rounding-level
-    # changes of the RHS move DOP853 step counts by.  The exact mass of each
-    # leaf is 2M; the largest |m - 2M| is 2.5e-11 (1.8e-11 with Jacobi
-    # fields in coordinates, 2.9e-9 with the transported k)
+    # 8; rho = 5, 10, 15.79, 20; angular_grid(4, 1)): one integration each,
+    # the tight round 38 wide (the triad, the Jacobi fields in it and k);
+    # the stencil is a quadrature.  They take 4,632 RHS calls (8,556 when
+    # the stencil integrated its lanes, 9,012 with lanes seeded to 0.98
+    # r_in, 11,868 with two loose rounds of plain pairs) and 18,528 lane
+    # evaluations (19,248 with the 0.98 seed, 19,680 with Jacobi fields in
+    # coordinates, 26,424 when they transported k); each bound adds the
+    # +-7 % that rounding-level changes of the RHS move DOP853 step counts
+    # by.  The exact mass of each leaf is 2M; the largest |m - 2M| is
+    # 2.5e-11 (1.8e-11 with Jacobi fields in coordinates, 2.9e-9 with the
+    # transported k)
     calls = spy_integrations(monkeypatch)
     worst = 0.0
     for rho in (5.0, 10.0, 15.79, 20.0):
@@ -641,12 +659,11 @@ def test_centred_leaves_work_and_mass(monkeypatch):
             n = len(calls)
             rep = mass_of_leaf(GLUED, np.zeros(4), f * rho, rho,
                                angular_grid(4, 1))
-            assert [c.loose for c in calls[n:]] == [True, False]
+            assert [c.loose for c in calls[n:]] == [False]
             worst = max(worst, abs(rep.mass - 0.02))
-    tight = [c for c in calls if not c.loose]
-    assert all(c.width == 38 for c in tight)
-    assert sum(c.rhs_calls for c in calls) <= 9155
-    assert sum(c.lane_evals for c in tight) <= 19825
+    assert all(c.width == 38 for c in calls)
+    assert sum(c.rhs_calls for c in calls) <= 4957
+    assert sum(c.lane_evals for c in calls) <= 19825
     assert worst <= 1e-10
 
 

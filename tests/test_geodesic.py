@@ -803,6 +803,102 @@ def test_static_invariants_conserved(glued_record, offset_record):
         assert np.abs(L - L[0]).max() <= 1e-8 * l_scale
 
 
+def test_static_invariants_helper_matches_metric(glued_record,
+                                                offset_record):
+    # the package's E = n2 B^t and L = A |x ^ v| from the profiles
+    # (geodesic._static_invariants, which the leaf solver's stencil reads)
+    # against E and |x ^ (g v)| from metric_at, along two records, to the
+    # rounding level of their terms
+    for rec in (glued_record, offset_record):
+        st = rec.state_at(np.linspace(0.0, rec.rho_reached, 21)[1:])
+        x, b = np.vstack([rec.origin, st["x"]]), np.vstack([rec.v0, st["b"]])
+        E, L = geodesic._static_invariants(rec.model, x, b)
+        e, lv, gv = _static_invariants(rec.model, x, b)
+        assert np.abs(E - e).max() <= 1e-15 * np.abs(e).max()
+        l_scale = (np.linalg.norm(x[:, 1:], axis=1)
+                   * np.linalg.norm(gv, axis=1)).max()
+        assert np.abs(L - np.linalg.norm(lv, axis=1)).max() <= 1e-15 * l_scale
+
+
+_END_ORIGINS = [np.zeros(4), np.array([0.0, 0.5, 0.0, 0.0]),
+                np.array([0.0, 0.3, 0.2, 0.5]),
+                np.array([0.0, 0.97, 0.0, 0.0])]
+
+
+def _end_directions():
+    """Directions for the static ends: rapidities from 0.05 to
+    ZETA_MAX_DEFAULT, each along five axes; (0, 1, 0) leaves the origin
+    0.97 along x grazing the core, and (-1, 0, 0) crosses the core first."""
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0),
+            (0.3, -0.5, 0.8), (-0.2, 0.1, -0.9)]
+    return [Direction(z, a) for z in (0.05, 0.3, 1.0, 2.5, ZETA_MAX_DEFAULT)
+            for a in axes]
+
+
+@pytest.mark.parametrize("model", [GLUED, MINK], ids=["glued", "minkowski"])
+def test_static_ends_match_dop853(model):
+    # t and r at rho from the static first integrals (geodesic._static_ends,
+    # the leaf solver's stencil) against the plain lanes integrated by
+    # DOP853 at 1e-14, with ends in the core, the annulus and the exterior;
+    # the largest relative difference reads 1.3e-13 (2.1e-15 on Minkowski)
+    dirs, zones, rhos = _end_directions(), set(), [0.3, 1.5, 6.0, 40.0]
+    for origin in _END_ORIGINS:
+        recs = integrate_rays(model, origin, dirs, rhos, ode_tol=1e-14)
+        for i, rho in enumerate(rhos):
+            t, r = geodesic._static_ends(model, origin, dirs, rho)
+            x = np.array([rec.x[i] for rec in recs])
+            rr = np.linalg.norm(x[:, 1:], axis=1)
+            assert np.all(np.abs(t - (x[:, 0] - origin[0])) <= 1e-12 * t)
+            assert np.all(np.abs(r - rr) <= 1e-12 * rr)
+            zones |= set(np.searchsorted([1.0, 2.0], rr))
+    assert zones == {0, 1, 2}       # every zone holds an end
+
+
+def test_static_ends_batch_independent():
+    # each lane's t and r are its own: bit-identical alone and in a
+    # shuffled batch
+    dirs = _end_directions()
+    order = np.random.default_rng(7).permutation(len(dirs))
+    for origin in _END_ORIGINS[::3]:
+        t, r = geodesic._static_ends(GLUED, origin, dirs, 6.0)
+        ts, rs = geodesic._static_ends(GLUED, origin,
+                                       [dirs[i] for i in order], 6.0)
+        assert np.array_equal(ts, t[order]) and np.array_equal(rs, r[order])
+        for i in range(0, len(dirs), 4):
+            (ta,), (ra,) = geodesic._static_ends(GLUED, origin, [dirs[i]],
+                                                 6.0)
+            assert ta == t[i] and ra == r[i]
+
+
+def test_quadrature_rule_built_lazily():
+    # the leaf solver's stencil sums a Gauss-Legendre rule
+    # (geodesic._gauss_legendre), which is set-up work that the benchmark
+    # times in setup_s: importing every module builds no Gauss-Legendre
+    # rule at all, the first stencil builds the stencil's rule once, and
+    # later stencils reuse it
+    modules = sorted(p.stem for p in (SRC / "hyperlab").glob("*.py")
+                     if p.stem != "__init__")
+    code = (
+        "import importlib\n"
+        "import numpy as np\n"
+        "from numpy.polynomial import legendre\n"
+        "built, leggauss = [], legendre.leggauss\n"
+        "legendre.leggauss = lambda n: built.append(n) or leggauss(n)\n"
+        f"for m in {modules!r}:\n"
+        "    importlib.import_module('hyperlab.' + m)\n"
+        "assert built == [], built\n"
+        "from hyperlab import foliation, geodesic, metric\n"
+        "info = geodesic._gauss_legendre.cache_info\n"
+        "assert info().misses == 0, info()\n"
+        "for model in (metric.MetricModel.glued(0.01), "
+        "metric.MetricModel.glued(0.05)):\n"
+        "    foliation.solve_level_nodes(model, np.zeros(4), 10.0, 40.0, "
+        "foliation.angular_grid(2, 1))\n"
+        "    assert info().misses == 1 and info().currsize == 1, info()\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
 def test_lane_counts_alone_and_in_batch():
     # a lane's accepted steps, rejected steps and RHS evaluations are its
     # own: the same alone as next to a faster lane that crosses the shells

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hyperlab.errors import CFLViolation, InsufficientStates, UnstableDetected
+from hyperlab.errors import (CFLViolation, InsufficientResolution,
+                             InsufficientStates, UnstableDetected)
 from hyperlab.kgflat import (KGConfig, KGState, _dr4, _TimeInterp,
                              commutation_residual, decay_report, decay_slope,
                              energy, evolve_kg, hyperboloid_energy,
@@ -315,6 +318,16 @@ def test_commutation_zero_data():
     h = cfg.dr
     states = evolve_kg(cfg, [10.0 + j * h for j in (-2, -1, 0, 1, 2)])
     assert commutation_residual(cfg, states, "S") == 0.0
+
+
+def test_commutation_residual_needs_equal_five_cluster():
+    # the residual's stencils take five snapshots equally spaced in t
+    cfg = KGConfig()
+    with pytest.raises(InsufficientResolution, match="5-cluster"):
+        commutation_residual(cfg, [SimpleNamespace(t=t) for t in range(4)])
+    with pytest.raises(InsufficientResolution, match="equally spaced"):
+        commutation_residual(cfg, [SimpleNamespace(t=t)
+                                   for t in (0.0, 0.1, 0.2, 0.3, 0.5)])
 
 
 def test_output_beyond_tmax_rejected():

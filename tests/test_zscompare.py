@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hyperlab.errors import Horizon
+from hyperlab import zscompare
+from hyperlab.errors import Horizon, SphereExitsZone
 from hyperlab.foliation import (_level_gradient, _level_value, angular_grid,
                                 frames_at)
 from hyperlab.geodesic import Direction, exp_map
@@ -200,3 +201,12 @@ def test_cone_sphere_umbilicity(cone_report):
 def test_cone_sphere_radial_speed(cone_report):
     assert np.abs(cone_report.dag_nb_t - cone_report.dag_nb_t_model).max() \
         <= 1e-6 * np.abs(cone_report.dag_nb_t_model).max()
+
+
+def test_cone_sphere_exits_zone(monkeypatch, cone_uhat):
+    # a sphere with a node below the exterior zone's floor has no dag-tetrad
+    # geometry: SphereExitsZone.  The leaf solver keeps every uhat node
+    # above r_out + 0.02, so the floor is raised past the sphere here
+    monkeypatch.setattr(zscompare, "_zs_floor", lambda model: 1e3)
+    with pytest.raises(SphereExitsZone, match="below r_out"):
+        cone_sphere_geometry(GLUED5, 10.0, cone_uhat, angular_grid(4, 1))
