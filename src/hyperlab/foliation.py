@@ -32,9 +32,10 @@ rapidity in one integration as a rule.  Its stencil integrates nothing:
 the level function of plain lanes at the Chebyshev points of a rapidity
 span about the flat root comes from a quadrature of the static first
 integrals (geodesic._static_ends), and the root of its interpolant is the
-first iterate.  Only the tight rounds that follow integrate, with a
-payload: the triad, the Jacobi fields in it and k, as every record with k
-does, and leaf_frames rotates that k into the leaf basis.
+first iterate.  Only the tight rounds that follow integrate, each one
+integrate_rays call with k: the triad, the Jacobi fields in it and k, as
+every record with k carries, and leaf_frames rotates that k into the leaf
+basis.
 
 The models are static with zero shift, so the maximal-slice second
 fundamental form vanishes identically and the static-observer acceleration
@@ -61,8 +62,8 @@ import numpy as np
 from .errors import (BracketFailure, CentralLineDegenerate,
                      CoordinateSingularity, FanTooCoarse, MissingK, OutOfRange,
                      SingularityTruncated, Unreachable)
-from .geodesic import (ZETA_MAX_DEFAULT, Direction, _ray_ends, _seed_rho,
-                       _states_at, _static_ends, direction_from_angles)
+from .geodesic import (ZETA_MAX_DEFAULT, Direction, _seed_rho, _states_at,
+                       _static_ends, direction_from_angles, integrate_rays)
 from .metric import (_check_regular, _colsum, _optical_mass_terms,
                      _orthonormalize_stacked, _zs_floor, curvature_at,
                      metric_at)
@@ -380,24 +381,18 @@ def _level_gradient(model, x, level):
     return grad
 
 
-def _level_at(model, origin_t, x, truncated, level, r_floor):
-    """The level function t or uhat at the end points x (n, 4) of level
-    iterates: SingularityTruncated when an iterate stopped short of rho,
-    BracketFailure when one ends where the level function is undefined."""
-    if np.any(truncated):
-        raise SingularityTruncated("a level iterate stopped short of rho")
-    if np.any(np.linalg.norm(x[:, 1:], axis=1) <= r_floor):
-        raise BracketFailure("level function undefined inside the bracket")
-    return _level_value(model, origin_t, x, level)
-
-
 def _level_slope(model, recs, level, r_floor):
     """The level function t or uhat at the end of each tight record, its
     one sample at the leaf's rho, and its exact derivative p_zeta . grad F
-    along the rapidity from the Jacobi fields."""
+    along the rapidity from the Jacobi fields.  SingularityTruncated when a
+    record stopped short of rho, BracketFailure when one ends where the
+    level function is undefined."""
+    if any(rec.truncated for rec in recs):
+        raise SingularityTruncated("a level iterate stopped short of rho")
     x = np.concatenate([rec.x for rec in recs])
-    F = _level_at(model, recs[0].origin[0], x,
-                  [rec.truncated for rec in recs], level, r_floor)
+    if np.any(np.linalg.norm(x[:, 1:], axis=1) <= r_floor):
+        raise BracketFailure("level function undefined inside the bracket")
+    F = _level_value(model, recs[0].origin[0], x, level)
     grad = _level_gradient(model, x, level)
     p_zeta = param_tangents(recs, np.concatenate([rec.j for rec in recs]))
     return F, (p_zeta[:, :1] @ grad[:, :, None])[:, 0, 0]
@@ -462,17 +457,17 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     (_interp_root) is the next zeta.  A point that ends below the exterior
     zone (level uhat) and those below it only bound the root from below: a
     node interpolates the points above them, and bisects its bracket when
-    fewer than two remain.  Each later round is tight: a record at
-    TIGHT_TOL with the triad, the Jacobi fields in it and k that keeps only
-    its end state at rho (geodesic._ray_ends), with the exact slope
-    df = p_zeta . grad F from its Jacobi fields in coordinates.  A node is
-    accepted on a tight residual below 1e-10 max(|target|, 1); else it
-    steps to z - d - c d^2 / 2, d = f / df, with the flat level's curvature
-    c = F''/F' (coth(z) on level t, -1 on level uhat = rho e^-z).  A next
-    zeta outside the bracket bisects it.  Lanes are independent and roots
-    are taken per node, so no root or record depends on the order or
-    grouping of the nodes.  Returns the zeta array and the records; a leaf
-    takes one integration when the stencil's root meets the bound.
+    fewer than two remain.  Each later round is tight: one integrate_rays
+    call to rho at TIGHT_TOL with k (the triad, the Jacobi fields in it and
+    k), with the exact slope df = p_zeta . grad F from each record's Jacobi
+    fields in coordinates.  A node is accepted on a tight residual below
+    1e-10 max(|target|, 1); else it steps to z - d - c d^2 / 2, d = f / df,
+    with the flat level's curvature c = F''/F' (coth(z) on level t, -1 on
+    level uhat = rho e^-z).  A next zeta outside the bracket bisects it.
+    Lanes are independent and roots are taken per node, so no root or
+    record depends on the order or grouping of the nodes.  Returns the zeta
+    array and the records; a leaf takes one integration when the stencil's
+    root meets the bound.
 
     Errors: Unreachable when a node's bracket collapses onto one of its
     ends with |f| above 3e-6 max(|target|, 1); BracketFailure("level
@@ -531,9 +526,9 @@ def solve_level_nodes(model, origin, rho, target, angles, level="t"):
     out = [None] * m
     todo = np.arange(m)
     for _ in range(30):
-        recs = _ray_ends(model, origin,
-                         [direction_from_angles(z[i], thetas[i], phis[i])
-                          for i in todo], rho, TIGHT_TOL)
+        recs = integrate_rays(
+            model, origin, [direction_from_angles(z[i], thetas[i], phis[i])
+                            for i in todo], [rho], TIGHT_TOL, with_k=True)
         F, df = _level_slope(model, recs, level, r_floor)
         f = F - target[todo]
         if np.any(sgn[todo] * df < 0):

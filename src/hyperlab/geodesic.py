@@ -54,20 +54,23 @@ are scipy's, kept bit for bit in dop853.npz, so the runtime needs numpy
 alone) in which each ray is a lane with its own seed, step size, error
 norm, tolerance, accept/reject decision and end point.  Only active lanes
 are evaluated, and the system is autonomous.  The integrator forms no
-dense output: its records share its step log, the step ends (rho, y, y')
-of all lanes.  A read gathers its steps by index and re-takes those not
-yet cached, per log, in one _stages pass (the one stage loop) with the
-three dense stages, 15 right-hand-side calls, bit for bit.  The error norm
-scales each block of the state (x^0, x^i, B^0, B^i, the time and the
-spatial parts of E, and each field's row of j and p) by the lane's
-tol (1 + |block|), so it does not change under spatial rotations.  The
-glued profiles are only C^2 at r_in and r_out, so a step that would
-straddle either radius is shortened onto it.  A Schwarzschild lane stops on
-the horizon guard 2M (1 + 2 HORIZON_MARGIN) and is marked truncated.  Every
-contraction is per lane (stacked matmuls, and one einsum per stage sum,
-summing the stage axis in index order), so every record is bit-identical to
-the same direction integrated alone at its own tolerance, whatever the rest
-of the batch.  A scalar tolerance is the same as that value on every lane.
+dense output: its records, every record made, share its step log, the
+step ends (rho, y, y') of all lanes, and read at any rho up to
+rho_reached.  A read gathers its steps by index (_dense).  A point on a
+step end takes that end's row, the dense output there; the steps of the
+others that are not yet cached are re-taken, per log, in one _stages pass
+(the one stage loop) with the three dense stages, 15 right-hand-side
+calls, bit for bit.  The error norm scales each block of the state (x^0,
+x^i, B^0, B^i, the time and the spatial parts of E, and each field's row
+of j and p) by the lane's tol (1 + |block|), so it does not change under
+spatial rotations.  The glued profiles are only C^2 at r_in and r_out,
+so a step that would straddle either radius is shortened onto it.  A
+Schwarzschild lane stops on the horizon guard 2M (1 + 2 HORIZON_MARGIN)
+and is marked truncated.  Every contraction is per lane (stacked
+matmuls, and one einsum per stage sum, summing the stage axis in index
+order), so every record is bit-identical to the same direction integrated
+alone at its own tolerance, whatever the rest of the batch.  A scalar
+tolerance is the same as that value on every lane.
 """
 
 from dataclasses import dataclass, field
@@ -169,15 +172,14 @@ class GeodesicRecord:
         return self.q0 is not None
 
     def state_at(self, rho):
-        """The integrated state at rho (scalar or array).  A record without
-        a step log (_ray_ends) returns its one sample at its own rho and
-        raises OutOfRange at any other rho."""
+        """The integrated state at rho (scalar or array), any rho in
+        (0, rho_reached]."""
         return _states_at([self], rho)[0]
 
 
 def _states_at(recs, rho):
-    """[rec.state_at(rho) for rec in recs], with the records that keep their
-    step log read in one _eval_rays batch (one model and layout)."""
+    """[rec.state_at(rho) for rec in recs], read in one _eval_rays batch
+    (one model and layout)."""
     rho = np.asarray(rho, dtype=float)
     rq = np.atleast_1d(rho)
     for rec in recs:
@@ -186,27 +188,17 @@ def _states_at(recs, rho):
                 raise SingularityTruncated(
                     f"record truncated at rho={rec.rho_reached:.6g}")
             raise OutOfRange("rho outside the integrated range")
-        if rec._log is None and not np.isin(rq, rec.rho).all():
-            raise OutOfRange("record keeps its end state only")
-    read = [rec for rec in recs if rec._log is not None]
-    got, n = _eval_rays(read, [rq] * len(read)) if read else {}, len(rq)
-    sts = iter({key: None if v is None else v[i:i + n] for key, v in
-                got.items()} for i in range(0, n * len(read), n))
-    end = np.zeros(n, int)
-    out = [next(sts) if rec._log is not None else
-           {key: None if getattr(rec, key) is None else getattr(rec, key)[end]
-            for key in _FIELDS} for rec in recs]
-    if rho.ndim == 0:
-        out = [{k: (v[0] if v is not None else None) for k, v in st.items()}
-               for st in out]
-    return out
+    got, n = _eval_rays(recs, [rq] * len(recs)), len(rq)
+    return [{key: None if v is None else v[i] if rho.ndim == 0
+             else v[i * n:(i + 1) * n] for key, v in got.items()}
+            for i in range(len(recs))]
 
 
 def _eval_rays(recs, rqs):
     """The fields of the records recs (one model and layout) at their proper
     times rqs[i], all at once, as arrays over the points, record after
     record (_fields): the straight line up to rho_seed, each step log's
-    dense output above it."""
+    dense output above it (_dense)."""
     rq = np.concatenate(rqs)
     pr = np.repeat(np.arange(len(recs)), [len(r) for r in rqs])  # its rec
     line = np.array([rec._line for rec in recs])[pr]
@@ -216,14 +208,9 @@ def _eval_rays(recs, rqs):
     lo = np.array([rec._at for rec in recs])[pr]
     hi = lo + np.array([rec.steps for rec in recs])[pr]
     for log in {id(rec._log): rec._log for rec in recs}.values():
-        p = up & (lid == id(log))   # DOP853 dense output (HNW II.6), Horner
+        p = up & (lid == id(log))
         if p.any():
-            c, x = _dense_coefs(log, lo[p], hi[p], rq[p], recs[0])
-            d = np.zeros((len(x), c.shape[2]))
-            for i in range(7, 0, -1):
-                d += c[:, i]
-                d *= x if i % 2 else 1.0 - x
-            y[p] = d + c[:, 0]
+            y[p] = _dense(log, lo[p], hi[p], rq[p], recs[0])
     return _fields(recs, pr, y, rq, up)
 
 
@@ -249,17 +236,24 @@ def _fields(recs, pr, y, rq, up):
     return out
 
 
-def _dense_coefs(log, lo, hi, q, rec):
-    """Dense-output coefficients (m, 8, dim) of the points q (m,) of one
-    step log (y at the start of each point's step, F_0..F_6), whose lanes
-    end their steps in rows lo to hi, and each point's step fraction (m, 1),
-    all found by index.  Steps not yet cached are re-taken in one _stages
-    pass with the three dense stages (model and layout of rec); each read's
-    coefficients are kept whole: step s is row row[s] of coefs[chunk[s]]."""
+def _dense(log, lo, hi, q, rec):
+    """Lane states (m, dim) at the points q (m,) of one step log, whose
+    lanes end their steps in rows lo to hi, each point's step found by
+    index.  A point on its step's end takes the logged state there, which
+    is the DOP853 dense output at that end (HNW II.6); the others take
+    their step's dense output, by Horner.  Steps not yet cached are
+    re-taken in one _stages pass with the three dense stages (model and
+    layout of rec); each read's coefficients (y at the step's start,
+    F_0..F_6) are kept whole: step s is row row[s] of coefs[chunk[s]]."""
     ts = log.ts
     ends = ts[np.minimum(lo[:, None] + np.arange((hi - lo).max() + 1),
                          hi[:, None])]
     s = lo + np.clip((ends < q[:, None]).sum(axis=1) - 1, 0, hi - lo - 1)
+    y = log.yf[s + 1, 0]
+    p = q != ts[s + 1]                  # off the step ends
+    if not p.any():
+        return y
+    s, q = s[p], q[p]
     # each step once (np.unique's first call costs 0.7 MB of resident memory)
     new = np.flatnonzero(np.bincount(s[log.chunk[s] < 0], minlength=len(ts)))
     if len(new):
@@ -273,7 +267,13 @@ def _dense_coefs(log, lo, hi, q, rec):
     ch, c = log.chunk[s], np.empty((len(q), 8, log.yf.shape[2]))
     for j in np.flatnonzero(np.bincount(ch)):
         c[ch == j] = log.coefs[j][log.row[s[ch == j]]]
-    return c, ((q - ts[s]) / (ts[s + 1] - ts[s]))[:, None]
+    x = ((q - ts[s]) / (ts[s + 1] - ts[s]))[:, None]
+    d = np.zeros((len(q), c.shape[2]))
+    for i in range(7, 0, -1):
+        d += c[:, i]
+        d *= x if i % 2 else 1.0 - x
+    y[p] = d + c[:, 0]
+    return y
 
 
 def _unpack(y, with_k):
@@ -417,7 +417,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     counts.  The log holds ts (N,) and yf (N, 2, dim), rho and y, y' at each
     lane's start and accepted step ends, lane after lane, from which
     _stages re-takes any step bit for bit; at (n,), each lane's first row;
-    and an empty cache of re-taken steps (_dense_coefs; chunk[s] is -1).
+    and an empty cache of re-taken steps (_dense; chunk[s] is -1).
     """
     n, dim = y.shape
     tab = _tableau()
@@ -672,8 +672,7 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, with_k):
     """Seed one lane per direction, as arrays over lanes (the hyperboloid
     points, v0, _seed_rho, the triad, the boost fields W and C and the lines
     (n, 2, dim)), and integrate them all to the end of rho_grid: the
-    records, with their counters and step log but no samples yet, and the
-    end states (n, dim)."""
+    records, with their counters and step log but no samples yet."""
     origin = np.asarray(origin, dtype=float)
     if not np.all(np.isfinite(origin)):
         raise ValueError("origin must be finite")
@@ -704,7 +703,7 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, with_k):
     radii = [(R, False) for R in model.shell_radii]
     if model.kind == "schwarzschild":
         radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
-    reached, y_end, trunc, log, counts = _dop853(
+    reached, _, trunc, log, counts = _dop853(
         _make_rhs(model, with_k), seed,
         line[:, 0] + seed[:, None] * line[:, 1], np.full(n, rho_grid[-1]),
         tol[:, None], radii, _norm_blocks(with_k))
@@ -717,7 +716,7 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, with_k):
         steps=steps[i], rejected=nrej[i], rhs_evals=nfev[i], _line=line[i],
         _log=log, _at=int(log.at[i]), _layout=with_k, _boost=boost[i])
         for i, d in enumerate(directions)]
-    return recs, y_end
+    return recs
 
 
 def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
@@ -736,36 +735,14 @@ def integrate_rays(model, origin, directions, rho_grid, ode_tol=DEFAULT_TOL,
     Schwarzschild lane that reaches the horizon guard stops there
     (truncated, with its own rho_reached).
     """
-    recs, _ = _lanes(model, origin, directions, rho_grid, ode_tol,
-                     with_jacobi or with_k)
-    return _set_samples(recs, _eval_rays(recs, [rec.rho for rec in recs]))
-
-
-def _set_samples(recs, out):
-    """The records recs, each given its samples: the fields out, arrays
-    over the samples of all records, len(rec.rho) rows each, in order."""
-    i = 0
-    for rec in recs:
+    recs = _lanes(model, origin, directions, rho_grid, ode_tol,
+                  with_jacobi or with_k)
+    out, i = _eval_rays(recs, [rec.rho for rec in recs]), 0
+    for rec in recs:                    # len(rec.rho) rows each, in order
         for key, val in out.items():
             setattr(rec, key, None if val is None else val[i:i + len(rec.rho)])
         i += len(rec.rho)
     return recs
-
-
-def _ray_ends(model, origin, directions, rho, ode_tol):
-    """integrate_rays(model, origin, directions, [rho], ode_tol,
-    with_k=True) without step ends: the same steps, and each record holds
-    its one sample, the integrator's end state at rho with the fields that
-    a read forms from it (_fields; none when truncated).  state_at returns
-    that sample at rho and raises OutOfRange at any other rho, as nothing
-    else of the ray is kept."""
-    recs, y_end = _lanes(model, origin, directions, [rho], ode_tol, True)
-    for rec in recs:
-        rec._log = None
-    i = np.flatnonzero([len(rec.rho) for rec in recs])     # not truncated
-    # every end lies above its seed, which is at most rho / 4
-    rq, up = np.full(len(i), float(rho)), np.ones(len(i), bool)
-    return _set_samples(recs, _fields(recs, i, y_end[i], rq, up))
 
 
 def exp_map(model, origin, direction, rho_grid, ode_tol=DEFAULT_TOL,

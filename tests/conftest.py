@@ -57,9 +57,9 @@ def offset_fan():
 def spy_integrations(monkeypatch):
     """Every integration (geodesic._dop853) from now on, in a list: its lane
     count, state width, tolerances, right-hand-side calls and lane
-    evaluations.  Plain lanes carry x and B alone (width 8, `loose`, as the
-    leaf solver's stencil); lanes with k the triad, the Jacobi fields and k
-    (width 38, as a tight round's leaf records)."""
+    evaluations.  Plain lanes carry x and B alone (width 8, `loose`); lanes
+    with k the triad, the Jacobi fields and k (width 38, as a tight round's
+    leaf records).  The leaf solver's stencil integrates nothing."""
     calls = []
 
     def spy(rhs, t, y, t_end, tol, radii, blocks, _run=geodesic._dop853):

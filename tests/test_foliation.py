@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hyperlab import foliation, geodesic
 from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
                              CoordinateSingularity, FanTooCoarse, MissingK,
-                             OutOfRange, SeedRegionTooSmall, Unreachable)
+                             SeedRegionTooSmall, Unreachable)
 from hyperlab.foliation import (angular_grid, frames_at, leaf_frames,
                                 leaf_scalars, leaf_slice, mini_fan_directions,
                                 second_fundamental_at,
@@ -443,10 +443,11 @@ def test_leaf_two_integrations(monkeypatch, rho, target, nodes, level):
     # the stencil (a quadrature, no integration) and one tight round, the
     # leaf's one integration: the stencil's root lands the first tight
     # iterate within the acceptance bound on both levels.  Every returned
-    # record keeps only its end state, with no step ends to read the ray
-    # between, and is tight with the triad, the Jacobi fields and k.  A
-    # tight record takes the 12 stages of each step, accepted or rejected,
-    # and the 2 evaluations of the starting step, and no dense-output stage.
+    # record is tight with the triad, the Jacobi fields and k, keeps its
+    # step log and reads at rho / 2 and at rho the bits that integrate_rays
+    # reads on its direction at TIGHT_TOL with k.  A tight record takes the
+    # 12 stages of each step, accepted or rejected, and the 2 evaluations
+    # of the starting step, and no dense-output stage.
     calls = spy_integrations(monkeypatch)
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
@@ -456,13 +457,17 @@ def test_leaf_two_integrations(monkeypatch, rho, target, nodes, level):
         assert np.all(c.tol == foliation.TIGHT_TOL)
     for r in recs:
         assert r.ode_tol == foliation.TIGHT_TOL
-        assert r.has_k and r._log is None
+        assert r.has_k and r._log is not None
         assert len(r.x) == 1 and np.array_equal(r.rho, [rho])
         st = r.state_at(rho)
         for key in _FIELDS:
             assert np.array_equal(st[key], getattr(r, key)[0]), key
-        with pytest.raises(OutOfRange):
-            r.state_at(rho / 2)
+        (ref,) = integrate_rays(GLUED, np.zeros(4), [r.direction], [rho],
+                                foliation.TIGHT_TOL, with_k=True)
+        for q in (rho / 2, rho):
+            got, want = r.state_at(q), ref.state_at(q)
+            for key in _FIELDS:
+                assert np.array_equal(got[key], want[key]), (q, key)
         assert r.rhs_evals == 2 + 12 * (r.steps + r.rejected)
 
 
@@ -498,19 +503,19 @@ def _spy_stencil(monkeypatch):
     stencil's points per node) and
     the rapidities of each tight round."""
     seen = SimpleNamespace(stencil=[], tight=[])
-    stencil, ends = foliation._stencil_level, foliation._ray_ends
+    stencil, rays = foliation._stencil_level, foliation.integrate_rays
 
     def spy_stencil(model, origin, rho, zk, *args):
         F = stencil(model, origin, rho, zk, *args)
         seen.stencil.append((zk, F))
         return F
 
-    def spy_ends(model, origin, dirs, *args):
+    def spy_rays(model, origin, dirs, *args, **kwargs):
         seen.tight.append(np.array([d.zeta for d in dirs]))
-        return ends(model, origin, dirs, *args)
+        return rays(model, origin, dirs, *args, **kwargs)
 
     monkeypatch.setattr(foliation, "_stencil_level", spy_stencil)
-    monkeypatch.setattr(foliation, "_ray_ends", spy_ends)
+    monkeypatch.setattr(foliation, "integrate_rays", spy_rays)
     return seen
 
 
@@ -532,18 +537,18 @@ def test_stencil_matches_tight_records(monkeypatch, rho, target, nodes,
     seen = _spy_stencil(monkeypatch)
     solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes, level=level)
     (zk, F), root = seen.stencil[0], seen.tight[0]
-    recs = geodesic._ray_ends(
+    recs = integrate_rays(
         GLUED, np.zeros(4), [geodesic.direction_from_angles(*a)
                              for a in zip(zk.ravel(), th, ph)],
-        rho, foliation.TIGHT_TOL)
+        [rho], foliation.TIGHT_TOL, with_k=True)
     ref, _ = foliation._level_slope(GLUED, recs, level, r_floor)
     assert np.all(np.abs(F.ravel() - ref) <= 1e-10 * np.abs(ref))
     z = root.copy()
     for _ in range(2):
-        recs = geodesic._ray_ends(
+        recs = integrate_rays(
             GLUED, np.zeros(4), [geodesic.direction_from_angles(*a)
                                  for a in zip(z, th[::p], ph[::p])],
-            rho, foliation.TIGHT_TOL)
+            [rho], foliation.TIGHT_TOL, with_k=True)
         Fz, df = foliation._level_slope(GLUED, recs, level, r_floor)
         z = z - (Fz - target) / df
     assert np.all(np.abs(root - z) <= 1e-10)
@@ -578,10 +583,9 @@ def test_solve_level_nodes_uhat_near_zone_floor(monkeypatch, rho, r_flat):
 
 
 def test_leaf_records_match_integrate_rays():
-    # a tight leaf record takes the steps of integrate_rays on its direction
-    # at TIGHT_TOL with k; only its sample at rho comes from the
-    # integrator's end state instead of the dense output there, and both
-    # form their fields from it alike (geodesic._fields)
+    # a tight leaf record is integrate_rays on its direction at TIGHT_TOL
+    # with k: the same steps, and its sample at rho, the step log's last
+    # row, bit for bit
     rho = 15.79
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, 63.16,
                                 angular_grid(4, 1))
@@ -592,19 +596,19 @@ def test_leaf_records_match_integrate_rays():
         assert (r.steps, r.rejected) == (d.steps, d.rejected)
         for key in _FIELDS:
             a, b = getattr(r, key), getattr(d, key)
-            assert np.all(np.abs(a - b) <= 4 * np.spacing(np.abs(b))), key
+            assert np.array_equal(a, b), key
 
 
 @pytest.mark.parametrize("rho, target, nodes, level", [
     (15.79, 63.16, angular_grid(4, 1), "t"),
     (15.0, 3.0, angular_grid(6, 1), "uhat")], ids=["t", "uhat"])
 def test_leaf_k_matches_tighter_records(rho, target, nodes, level):
-    # the leaf records keep only their end states, at TIGHT_TOL; their k
-    # (j^-1 p in the triad, rotated) against that of integrate_rays with k
-    # at 1e-13 on the same directions, in the same leaf basis.  Largest
-    # entry difference, relative to the largest entry of k: 1.2e-14 (t)
-    # and 7.3e-15 (uhat); 7.7e-12 and 1.6e-12 when the leaf records took k
-    # from Jacobi fields integrated in coordinates
+    # the k of the leaf records, at TIGHT_TOL (j^-1 p in the triad,
+    # rotated), against that of integrate_rays with k at 1e-13 on the same
+    # directions, in the same leaf basis.  Largest entry difference,
+    # relative to the largest entry of k: 1.2e-14 (t) and 7.3e-15 (uhat);
+    # 7.7e-12 and 1.6e-12 when the leaf records took k from Jacobi fields
+    # integrated in coordinates
     _, recs = solve_level_nodes(GLUED, np.zeros(4), rho, target, nodes,
                                 level=level)
     assert all(r.has_k for r in recs)
@@ -617,7 +621,7 @@ def test_leaf_k_matches_tighter_records(rho, target, nodes, level):
 
 
 def test_triad_k_matches_leaf_k():
-    # the k of leaf records (geodesic._ray_ends at TIGHT_TOL, j^-1 p in the
+    # the k of leaf records (integrate_rays at TIGHT_TOL, j^-1 p in the
     # parallel triad) against the finite-difference oracle in the triad of
     # the probe of a 5x5x5 fan about the same direction, at 1e-14 and
     # spacing 2e-3.  The oracle's truncation goes as h^4: at rho = 1 on the
@@ -632,8 +636,8 @@ def test_triad_k_matches_leaf_k():
         fan = fan_build(GLUED, origin, d.zeta + side, theta + side,
                         phi + side, rho, ode_tol=1e-14)
         for r in rho:
-            (rec,) = geodesic._ray_ends(GLUED, origin, [d], r,
-                                        foliation.TIGHT_TOL)
+            (rec,) = integrate_rays(GLUED, origin, [d], [r],
+                                    foliation.TIGHT_TOL, with_k=True)
             k = rec.khat[0] + (1.0 / r + rec.q0[0] / 3.0) * np.eye(3)
             ko = second_fundamental_fd_oracle(GLUED, fan, (2, 2, 2), r)
             assert np.abs(ko - k).max() <= 3e-10 * np.abs(k).max(), r

@@ -406,8 +406,8 @@ def test_batched_seeding_matches_lane_rule(model, origin, with_k):
     # Gram-Schmidt's cancellation reads 1.65e-14 cosh^2 (6.7e-10)
     g = metric_at(model, origin, level=0).g
     for nk in [False, True][:1 + with_k]:
-        recs, _ = geodesic._lanes(model, origin, _SEED_DIRECTIONS, [4.0],
-                                  1e-8, nk)
+        recs = geodesic._lanes(model, origin, _SEED_DIRECTIONS, [4.0],
+                               1e-8, nk)
         for d, rec in zip(_SEED_DIRECTIONS, recs):
             v0, seed, line, boost = lane_seed(model, origin, d, 4.0, nk)
             assert np.array_equal(rec.v0, v0) and rec.rho_seed == seed
@@ -642,8 +642,9 @@ def test_retaken_step_is_the_step_taken(model, origin, with_k):
 
 
 def test_reads_independent_of_order_grouping_and_cache():
-    # one record read at the proper times A and B, A then B, B then A and
-    # both in one call, alone and in a batch with other records (of its own
+    # one record read at the proper times A, B and C (C on step ends: an
+    # interior accepted one and rho_reached), A, B, C in turn, C, B, A and
+    # all in one call, alone and in a batch with other records (of its own
     # integration, or each of another), from a warm and a cold coefficient
     # cache and from a fresh integration of its direction alone: every
     # field is the same bit for bit
@@ -657,24 +658,61 @@ def test_reads_independent_of_order_grouping_and_cache():
 
     A = np.array([0.01, 2.5, 6.667, 12.0, 18.0])
     B = np.array([1.0, 2.6, 9.3, 17.9])
-    AB = np.concatenate([A, B])
     rec = fresh()[1]
-    a, b = rec.state_at(A), rec.state_at(B)
-    reads = [{k: np.concatenate([a[k], b[k]]) for k in _FIELDS}]
+    ts, _ = _step_ends(rec)
+    C = np.array([ts[len(ts) // 2], rec.rho_reached])
+    ABC = np.concatenate([A, B, C])
+    a, b, c = rec.state_at(A), rec.state_at(B), rec.state_at(C)
+    reads = [{k: np.concatenate([a[k], b[k], c[k]]) for k in _FIELDS}]
     rec = fresh()[1]
-    b, a = rec.state_at(B), rec.state_at(A)
-    reads.append({k: np.concatenate([a[k], b[k]]) for k in _FIELDS})
-    reads.append(fresh()[1].state_at(AB))
-    reads.append(_states_at(fresh(), AB)[1])
-    reads.append(_states_at([fresh()[i] for i in range(3)], AB)[1])
+    c, b, a = rec.state_at(C), rec.state_at(B), rec.state_at(A)
+    reads.append({k: np.concatenate([a[k], b[k], c[k]]) for k in _FIELDS})
+    reads.append(fresh()[1].state_at(ABC))
+    reads.append(_states_at(fresh(), ABC)[1])
+    reads.append(_states_at([fresh()[i] for i in range(3)], ABC)[1])
     alone = exp_map(GLUED, OFFSET, dirs[1], rho, ode_tol=1e-11, with_k=True)
-    reads.append(alone.state_at(AB))
+    reads.append(alone.state_at(ABC))
     alone._log.chunk[:] = -1                # clear the cache of re-taken steps
-    reads.append(alone.state_at(AB))
-    assert reads[0]["x"].shape == (len(AB), 4)
+    reads.append(alone.state_at(ABC))
+    assert reads[0]["x"].shape == (len(ABC), 4)
     for st in reads[1:]:
         for k in _FIELDS:
             assert np.array_equal(st[k], reads[0][k]), k
+
+
+@pytest.mark.parametrize("model, origin, with_k", [
+    (GLUED, np.zeros(4), False), (GLUED, OFFSET, True),
+    (SCHW, np.array([0.0, 1.0, 0.0, 0.0]), False)],
+    ids=["centred-8", "offset-38", "schwarzschild-8"])
+def test_step_end_reads_take_the_log_rows(monkeypatch, model, origin,
+                                          with_k):
+    # the dense output of a step at its end is the step end itself (HNW
+    # II.6), so a read made only of accepted step ends (landings on the
+    # shells and on the horizon guard, and rho_reached, included) re-takes
+    # no step: it makes no _stages call, and its lane states are the step
+    # log's rows bit for bit
+    dirs = [Direction(0.3, (0.0, 0.6, 0.8)), Direction(1.2, (1, 0, 0)),
+            Direction(2.0, (-0.6, 0.0, -0.8)), Direction(1.0, (-1, 0, 0))]
+    recs = integrate_rays(model, origin, dirs, [0.5, 15.0], ode_tol=1e-10,
+                          with_k=with_k)
+    recs[0]._log.chunk[:] = -1              # clear the cache of re-taken steps
+    stages = []
+    monkeypatch.setattr(geodesic, "_stages",
+                        lambda *args: stages.append(args) or _stages(*args))
+    for rec in recs:
+        ts, yf = _step_ends(rec)
+        ts, y = ts[1:], yf[1:, 0]           # the accepted step ends
+        assert ts[-1] == rec.rho_reached
+        lo = np.full(len(ts), rec._at)
+        got = geodesic._dense(rec._log, lo, lo + rec.steps, ts, rec)
+        assert np.array_equal(got, y)
+        st = rec.state_at(ts)
+        assert np.array_equal(st["x"], y[:, 0:4])
+        assert np.array_equal(st["b"], y[:, 4:8])
+        if with_k:
+            assert np.array_equal(st["triad"], y[:, 8:20].reshape(-1, 3, 4))
+    assert any(r.truncated for r in recs) == (model is SCHW)
+    assert stages == [] and (recs[0]._log.chunk == -1).all()
 
 
 @pytest.mark.parametrize("n", [1, 4, 125])

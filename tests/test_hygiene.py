@@ -3,8 +3,9 @@
 private module-level function or class is used, every parameter is read,
 every dataclass field is read, every module-level function or class is
 reached from the CLI, the benchmark or the acceptance suite, every module
-compiles with warnings treated as errors, the runtime loads no scipy, and
-every call the benchmark makes into the package binds to its signature."""
+compiles with warnings treated as errors, the runtime loads no scipy,
+every call the benchmark makes into the package binds to its signature,
+and every private name that a docstring or comment cites still exists."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 import warnings
 from pathlib import Path
 
@@ -389,3 +391,49 @@ def test_benchmark_calls_bind_to_signatures():
         "hyperlab.geodesic").integrate_rays).parameters
     assert list(params)[5:7] == ["with_jacobi", "with_k"]
     assert bad == []
+
+
+def _prose(path):
+    """The docstrings and comments of a module, as (line, text) pairs."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:
+                yield node.body[0].lineno, doc
+    with path.open("rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            if tok.type == tokenize.COMMENT:
+                yield tok.start[0], tok.string
+
+
+# a private name, word-initial or after a dot, with the word before the dot;
+# not a subscript (R_abcd, KN(h, k)_abcd) or a suffix pattern (*_scale)
+CITED = re.compile(r"(?<![\w.)*])(?:(\w+)\.)?(_\w*[A-Za-z0-9])")
+
+
+def test_cited_private_names_exist():
+    # a docstring or comment that cites a private helper by name, as _name
+    # or module._name, must not outlive it: module._name must be an
+    # attribute of that package module, any other _name an identifier
+    # somewhere in the package
+    names = set()
+    for path in MODULES:
+        for n in ast.walk(ast.parse(path.read_text())):
+            names.update(v for v in (getattr(n, "id", None),
+                                     getattr(n, "name", None),
+                                     getattr(n, "attr", None),
+                                     getattr(n, "arg", None))
+                         if isinstance(v, str))
+    mods = {p.stem: importlib.import_module(f"hyperlab.{p.stem}")
+            for p in MODULES if p.stem != "__init__"}
+    stale = []
+    for path in MODULES:
+        for line, text in _prose(path):
+            for mod, name in CITED.findall(text):
+                ok = (hasattr(mods[mod], name) if mod in mods
+                      else name in names)
+                if not ok:
+                    stale.append(f"{path.name} (line {line}): "
+                                 f"{mod + '.' if mod else ''}{name}")
+    assert stale == []
