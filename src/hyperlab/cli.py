@@ -1,6 +1,11 @@
 """Batch driver: load a config, run a named experiment, emit CSV tables with
 metadata sidecars, optional SVG plots, and golden-file comparisons.
 
+Each subcommand takes the run configuration alone and returns its tables
+as (file name, header, rows, sidecar extra); main writes every CSV, its
+.meta.json sidecar and, under --plot, its SVG, and runs the golden check,
+so a run that fails writes no table.
+
 Subcommands: foliate, weyl-check, zs-compare, mass, kg, residuals.
   foliate     a fan of records with k (one batch): leaf scalars and the
               per-ray structure residuals
@@ -203,7 +208,7 @@ def write_csv(path, header, rows):
 _LEAF_META = {"tolerances": {"rel_tol": TIGHT_TOL, "abs_tol": TIGHT_TOL}}
 
 
-def write_meta(csv_path, config_path, rc, extra=None):
+def write_meta(csv_path, config_path, rc, extra):
     meta = {
         "code_version": __version__,
         "config_sha256": hashlib.sha256(
@@ -218,19 +223,21 @@ def write_meta(csv_path, config_path, rc, extra=None):
     p.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def write_svg(csv_path):
-    """Minimal line plot of every numeric column against the first column."""
-    text = Path(csv_path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    cols = {h: [] for h in header}
-    for line in text[1:]:
-        for h, v in zip(header, line.split(",")):
-            try:
-                cols[h].append(float(v))
-            except ValueError:
-                cols[h].append(np.nan)
+def _num(v):
+    """A table cell as the number its CSV text reads, else NaN."""
+    try:
+        return float(_fmt(v))
+    except ValueError:
+        return np.nan
+
+
+def write_svg(csv_path, header, rows):
+    """Minimal line plot of every numeric column of a table against its
+    first column, beside its CSV."""
+    cols = dict(zip(header, np.array(
+        [[_num(v) for v in row] for row in rows]).reshape(-1, len(header)).T))
     xname = header[0]
-    x = np.asarray(cols[xname])
+    x = cols[xname]
     W, H, pad = 640, 420, 50
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
              f'<rect width="{W}" height="{H}" fill="white"/>']
@@ -240,7 +247,7 @@ def write_svg(csv_path):
     xv = x[np.isfinite(x)]
     if len(xv) >= 2 and xv.max() > xv.min():
         for h in header[1:]:
-            y = np.asarray(cols[h])
+            y = cols[h]
             ok = np.isfinite(x) & np.isfinite(y)
             if ok.sum() < 2 or h == "status":
                 continue
@@ -277,7 +284,7 @@ def _fan_directions(rc):
     return zg, thetas, phis
 
 
-def cmd_foliate(rc, out, config_path):
+def cmd_foliate(rc):
     model = rc.model()
     rho_grid = np.linspace(rc.rho_min, rc.rho_max, rc.rho_samples)
     zg, thetas, phis = _fan_directions(rc)
@@ -304,19 +311,16 @@ def cmd_foliate(rc, out, config_path):
         for key in ("Bb1", "ctt", "s1", "eq_3_14_1", "s1_1", "Bu"):
             res_rows.append([z, th, ph, key, tab[key],
                              tab[key + "_scale"], "ok"])
-    write_csv(out / "foliate.csv",
-              ["rho", "zeta", "t", "r", "tau", "b", "rtilde", "u", "ubar",
-               "trk_minus_3_over_rho", "khat_nn", "khat_na_max", "status"],
-              rows)
-    write_meta(out / "foliate.csv", config_path, rc)
-    write_csv(out / "structure_residuals.csv",
-              ["zeta", "theta", "phi", "equation", "residual", "scale",
-               "status"], res_rows)
-    write_meta(out / "structure_residuals.csv", config_path, rc)
-    return ["foliate.csv", "structure_residuals.csv"]
+    return [("foliate.csv",
+             ["rho", "zeta", "t", "r", "tau", "b", "rtilde", "u", "ubar",
+              "trk_minus_3_over_rho", "khat_nn", "khat_na_max", "status"],
+             rows, None),
+            ("structure_residuals.csv",
+             ["zeta", "theta", "phi", "equation", "residual", "scale",
+              "status"], res_rows, None)]
 
 
-def cmd_weyl_check(rc, out, config_path):
+def cmd_weyl_check(rc):
     model = rc.model()
     M = model.mass
     radii = [3.0, 5.0, 10.0]
@@ -346,17 +350,14 @@ def cmd_weyl_check(rc, out, config_path):
         gauss = cf["K_sphere"] - (r - 2 * M) / (r + 2 * M) ** 3 \
             + cf["varrho_hat_n4"]
         id_rows.append([r, "gauss_closure", abs(gauss), cf["K_sphere"], "ok"])
-    write_csv(out / "closed_forms.csv",
-              ["r", "varrho_hat_n4", "K", "trchi_s", "trchib_s", "gamma_r",
-               "varrho_pipeline", "status"], rows)
-    write_meta(out / "closed_forms.csv", config_path, rc)
-    write_csv(out / "weyl_identities.csv",
-              ["r", "identity", "residual", "scale", "status"], id_rows)
-    write_meta(out / "weyl_identities.csv", config_path, rc)
-    return ["closed_forms.csv", "weyl_identities.csv"]
+    return [("closed_forms.csv",
+             ["r", "varrho_hat_n4", "K", "trchi_s", "trchib_s", "gamma_r",
+              "varrho_pipeline", "status"], rows, None),
+            ("weyl_identities.csv",
+             ["r", "identity", "residual", "scale", "status"], id_rows, None)]
 
 
-def cmd_zs_compare(rc, out, config_path):
+def cmd_zs_compare(rc):
     model = rc.model()
     origin = rc.origin()
     rho_grid = np.linspace(rc.rho_min, rc.rho_max, rc.rho_samples)
@@ -373,11 +374,6 @@ def cmd_zs_compare(rc, out, config_path):
              row.status]
             for rec in recs[:len(zg)]
             for row in radial_comparison_series(model, rec)]
-    write_csv(out / "compare.csv",
-              ["rho", "t", "r", "n", "varpi", "n_minus_varpi", "u", "uhat",
-               "u_minus_uhat", "rt_over_r_minus_ninv", "status"], rows)
-    write_meta(out / "compare.csv", config_path, rc)
-
     cs_rows = []
     if model.kind == "glued":
         st = recs[-1].state_at(rho)
@@ -390,15 +386,16 @@ def cmd_zs_compare(rc, out, config_path):
                             rep.r_nodes[i], rep.dag_a[i], rep.dag_a_def[i],
                             rep.dag_nb_t[i], rep.K_sphere[i], rep.K_model[i],
                             rep.osc_t, rep.diam_bound, "ok"])
-    write_csv(out / "cone_spheres.csv",
-              ["rho", "uhat", "node", "t", "r", "dag_a", "dag_a_def",
-               "dag_nb_t", "K_sphere", "K_model", "osc_t", "diam_bound",
-               "status"], cs_rows)
-    write_meta(out / "cone_spheres.csv", config_path, rc, _LEAF_META)
-    return ["compare.csv", "cone_spheres.csv"]
+    return [("compare.csv",
+             ["rho", "t", "r", "n", "varpi", "n_minus_varpi", "u", "uhat",
+              "u_minus_uhat", "rt_over_r_minus_ninv", "status"], rows, None),
+            ("cone_spheres.csv",
+             ["rho", "uhat", "node", "t", "r", "dag_a", "dag_a_def",
+              "dag_nb_t", "K_sphere", "K_model", "osc_t", "diam_bound",
+              "status"], cs_rows, _LEAF_META)]
 
 
-def cmd_mass(rc, out, config_path):
+def cmd_mass(rc):
     model = rc.model()
     origin = rc.origin()
     rows = []
@@ -411,16 +408,14 @@ def cmd_mass(rc, out, config_path):
             rows.append([rep.t, rep.rho, rep.area_radius, rep.mass,
                          rep.status])
         fits.append([rho, tr["m_inf"], tr["c"], tr["fit_residual"], "ok"])
-    write_csv(out / "masses.csv",
-              ["t", "rho", "area_radius", "mass", "status"], rows)
-    write_meta(out / "masses.csv", config_path, rc, _LEAF_META)
-    write_csv(out / "mass_fits.csv",
-              ["rho", "m_inf", "c_over_t", "fit_residual", "status"], fits)
-    write_meta(out / "mass_fits.csv", config_path, rc, _LEAF_META)
-    return ["masses.csv", "mass_fits.csv"]
+    return [("masses.csv", ["t", "rho", "area_radius", "mass", "status"],
+             rows, _LEAF_META),
+            ("mass_fits.csv",
+             ["rho", "m_inf", "c_over_t", "fit_residual", "status"], fits,
+             _LEAF_META)]
 
 
-def cmd_kg(rc, out, config_path):
+def cmd_kg(rc):
     cfg = rc.kg
     times = np.linspace(0.0, cfg.t_max, rc.kg_t_samples + 1)
     states = evolve_kg(cfg, times)
@@ -429,16 +424,13 @@ def cmd_kg(rc, out, config_path):
         if s.t <= 0:
             continue
         rows.append([s.t, s.sup_phi, s.t ** 1.5 * s.sup_phi, energy(s), "ok"])
-    write_csv(out / "kg_decay.csv",
-              ["t", "sup_phi", "t32_sup_phi", "energy", "status"], rows)
-    write_meta(out / "kg_decay.csv", config_path, rc,
-               extra={"kg": {"dr": cfg.dr, "cfl": cfg.cfl,
-                             "t_max": cfg.t_max, "width": cfg.width,
-                             "center": cfg.center}})
-    return ["kg_decay.csv"]
+    return [("kg_decay.csv",
+             ["t", "sup_phi", "t32_sup_phi", "energy", "status"], rows,
+             {"kg": {"dr": cfg.dr, "cfl": cfg.cfl, "t_max": cfg.t_max,
+                     "width": cfg.width, "center": cfg.center}})]
 
 
-def cmd_residuals(rc, out, config_path):
+def cmd_residuals(rc):
     model = rc.model()
     origin = rc.origin()
     rho_grid = np.linspace(rc.rho_min, rc.rho_max, rc.rho_samples)
@@ -462,10 +454,9 @@ def cmd_residuals(rc, out, config_path):
         except HyperlabError as e:
             rows.append(["zs_transport", "bvarpi", np.nan, np.nan,
                          type(e).__name__])
-    write_csv(out / "residuals.csv",
-              ["family", "equation", "residual", "scale", "status"], rows)
-    write_meta(out / "residuals.csv", config_path, rc)
-    return ["residuals.csv"]
+    return [("residuals.csv",
+             ["family", "equation", "residual", "scale", "status"], rows,
+             None)]
 
 
 COMMANDS = {
@@ -512,20 +503,19 @@ def main(argv=None):
     golden = args.golden if args.golden is not None else (rc.golden or None)
 
     try:
-        produced = COMMANDS[args.subcommand](rc, out, args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+        tables = COMMANDS[args.subcommand](rc)
     except HyperlabError as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
-    if rc.plot:
-        for name in produced:
-            write_svg(out / name)
+    for name, header, rows, extra in tables:
+        write_csv(out / name, header, rows)
+        write_meta(out / name, args.config, rc, extra)
+        if rc.plot:
+            write_svg(out / name, header, rows)
     if golden:
         try:
-            _compare_golden(out, golden, produced)
+            _compare_golden(out, golden, [name for name, *_ in tables])
         except GoldenMismatch as e:
             print(f"golden mismatch: {e}", file=sys.stderr)
             return 4

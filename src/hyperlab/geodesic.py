@@ -53,9 +53,10 @@ Wanner, Solving ODEs I, II.4-6; the tableau and dense-output coefficients
 are scipy's, kept bit for bit in dop853.npz, so the runtime needs numpy
 alone) in which each ray is a lane with its own seed, step size, error
 norm, tolerance, accept/reject decision and end point.  Only active lanes
-are evaluated, and the system is autonomous.  The integrator forms no
-dense output: its records, every record made, share its step log, the
-step ends (rho, y, y') of all lanes, and read at any rho up to
+are evaluated, and the system is autonomous.  _dop853 forms no dense
+output and returns no end state: only its step log, the step ends (rho,
+y, y') of all lanes, and its counters.  Every record made shares that
+log, takes rho_reached off its lane's last row and reads at any rho up to
 rho_reached.  A read gathers its steps by index (_dense).  A point on a
 step end takes that end's row, the dense output there; the steps of the
 others that are not yet cached are re-taken, per log, in one _stages pass
@@ -66,11 +67,12 @@ of j and p) by the lane's tol (1 + |block|), so it does not change under
 spatial rotations.  The glued profiles are only C^2 at r_in and r_out,
 so a step that would straddle either radius is shortened onto it.  A
 Schwarzschild lane stops on the horizon guard 2M (1 + 2 HORIZON_MARGIN)
-and is marked truncated.  Every contraction is per lane (stacked
-matmuls, and one einsum per stage sum, summing the stage axis in index
-order), so every record is bit-identical to the same direction integrated
-alone at its own tolerance, whatever the rest of the batch.  A scalar
-tolerance is the same as that value on every lane.
+and is marked truncated (a trial stage below it reads the guard's
+scalars, metric._radial, and raises nothing).  Every contraction is per
+lane (stacked matmuls, and one einsum per stage sum, summing the stage
+axis in index order), so every record is bit-identical to the same
+direction integrated alone at its own tolerance, whatever the rest of
+the batch.  A scalar tolerance is the same as that value on every lane.
 """
 
 from dataclasses import dataclass, field
@@ -412,12 +414,13 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     Step-size control and the starting step follow HNW II.4 as scipy does,
     with the block norm of _norm_blocks per lane.  radii holds (R, terminal)
     pairs: a step never straddles R, and a lane that lands on a terminal R
-    stops there.  Returns the rho reached, the end states, the truncation
-    flags, the step log and the per-lane (steps, rejected, rhs_evals)
-    counts.  The log holds ts (N,) and yf (N, 2, dim), rho and y, y' at each
-    lane's start and accepted step ends, lane after lane, from which
-    _stages re-takes any step bit for bit; at (n,), each lane's first row;
-    and an empty cache of re-taken steps (_dense; chunk[s] is -1).
+    stops there; a Schwarzschild trial stage below the horizon guard reads
+    the guard's scalars (metric._radial).  Returns the step log and the
+    per-lane (steps, rejected, rhs_evals) counts.  The log holds ts (N,)
+    and yf (N, 2, dim), rho and y, y' at each lane's start and accepted
+    step ends, lane after lane, from which _stages re-takes any step bit
+    for bit; at (n,), each lane's first row (its last is at + steps); and
+    an empty cache of re-taken steps (_dense; chunk[s] is -1).
     """
     n, dim = y.shape
     tab = _tableau()
@@ -438,7 +441,7 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
     h = np.minimum(np.minimum(100.0 * h0, h1), t_end - t)
     cap = np.full(n, np.inf)            # secant step onto a straddled radius
     retry = np.zeros(n, bool)           # error-rejected since the last step
-    done, trunc = np.zeros(n, bool), np.zeros(n, bool)
+    done = np.zeros(n, bool)
     steps, nrej, nfev = np.zeros(n, int), np.zeros(n, int), np.full(n, 2)
     ends = [(np.arange(n), t.copy(), np.stack([y, f], axis=1))]
     while not done.all():
@@ -476,13 +479,12 @@ def _dop853(rhs, t, y, t_end, tol, radii, blocks):
         t[acc], y[acc], f[acc] = tn[i], yf[:, 0], yf[:, 1]
         ends.append((acc, tn[i], yf))
         steps[acc] += 1
-        trunc[acc] = land[i] & (tn[i] < t_end[acc])
         done[acc] = land[i] | (tn[i] == t_end[acc])
     lane, ts, yf = (np.concatenate(c) for c in zip(*ends))
     o, at = np.argsort(lane, kind="stable"), np.cumsum(steps + 1) - steps - 1
     log = SimpleNamespace(ts=ts[o], yf=yf[o], at=at, coefs=[],
                           chunk=np.full(len(o), -1), row=np.zeros(len(o), int))
-    return t, y, trunc, log, (steps, nrej, nfev)
+    return log, (steps, nrej, nfev)
 
 
 def _velocities(model, origin, directions):
@@ -703,16 +705,18 @@ def _lanes(model, origin, directions, rho_grid, ode_tol, with_k):
     radii = [(R, False) for R in model.shell_radii]
     if model.kind == "schwarzschild":
         radii.append((2.0 * model.mass * (1.0 + 2.0 * HORIZON_MARGIN), True))
-    reached, _, trunc, log, counts = _dop853(
+    log, counts = _dop853(
         _make_rhs(model, with_k), seed,
         line[:, 0] + seed[:, None] * line[:, 1], np.full(n, rho_grid[-1]),
         tol[:, None], radii, _norm_blocks(with_k))
+    reached = log.ts[log.at + counts[0]]        # each lane's last row
     steps, nrej, nfev = (c.tolist() for c in counts)
     recs = [GeodesicRecord(
         model=model, origin=origin, direction=d, v0=v0[i], frame0=frame0,
         rho=rho_grid[rho_grid <= reached[i] * (1 + 1e-12)], x=None, b=None,
         ode_tol=float(tol[i]), rho_seed=float(seed[i]),
-        truncated=bool(trunc[i]), rho_reached=float(reached[i]),
+        truncated=bool(reached[i] < rho_grid[-1]),
+        rho_reached=float(reached[i]),
         steps=steps[i], rejected=nrej[i], rhs_evals=nfev[i], _line=line[i],
         _log=log, _at=int(log.at[i]), _layout=with_k, _boost=boost[i])
         for i, d in enumerate(directions)]

@@ -549,7 +549,6 @@ def _lane_coefs(model, x, b, tidal):
     lane states x, b (n, 4); u = x/r and v the spatial part of B."""
     xs = x[:, 1:]
     r = np.sqrt(_colsum(xs * xs))
-    _check_regular(model, r)
     coefs = _radial(model, r, _exterior_ray, _table_ray, tidal)
     return _colsum(xs * b[:, 1:]) * coefs[0], coefs
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hyperlab import foliation, geodesic
 from hyperlab.errors import (BracketFailure, CentralLineDegenerate,
                              CoordinateSingularity, FanTooCoarse, MissingK,
-                             SeedRegionTooSmall, Unreachable)
+                             OutOfRange, SeedRegionTooSmall, Unreachable)
 from hyperlab.foliation import (angular_grid, frames_at, leaf_frames,
                                 leaf_scalars, leaf_slice, mini_fan_directions,
                                 second_fundamental_at,
@@ -200,6 +200,11 @@ def test_minkowski_fd_oracle_matches_umbilic():
                     [1.0, 10.0], ode_tol=1e-11)
     ko = second_fundamental_fd_oracle(MINK, fan, (2, 2, 2), 10.0)
     assert np.abs(ko - np.eye(3) / 10.0).max() < 1e-6
+    # the oracle expresses k in the probe's triad, which a plain fan lacks
+    plain = fan_build(MINK, np.zeros(4), fan.zeta_grid, fan.theta_grid,
+                      fan.phi_grid, [1.0, 10.0], ode_tol=1e-11, with_k=False)
+    with pytest.raises(MissingK, match="probe record lacks the parallel"):
+        second_fundamental_fd_oracle(MINK, plain, (2, 2, 2), 10.0)
 
 
 def _mini_fan(model, rec, rho):
@@ -241,11 +246,16 @@ def test_structure_residuals_requires_k():
     rec = exp_map(GLUED, np.zeros(4), Direction(1.0, (1, 0, 0)), [1.0, 2.0])
     with pytest.raises(MissingK):
         structure_residuals(GLUED, rec)
+    with pytest.raises(MissingK, match="record has no k"):
+        second_fundamental_at(GLUED, rec, 2.0)
     # k implies the Jacobi fields it is read off, which the transverse
     # residuals need too
     rec = exp_map(GLUED, np.zeros(4), Direction(1.0, (1, 0, 0)), [1.0, 2.0],
                   with_k=True)
     assert rec.has_k and rec.j is not None
+    # a probe rho must lie inside (2 rho_seed, 0.999 rho_reached)
+    with pytest.raises(OutOfRange, match="no admissible probe rhos"):
+        structure_residuals(GLUED, rec, probe_rhos=[2.0])
 
 
 def test_transverse_residuals_polar_axis():

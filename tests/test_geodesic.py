@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hyperlab import geodesic, metric
-from hyperlab.errors import SeedRegionTooSmall, SingularityTruncated
+from hyperlab.errors import (OutOfRange, SeedRegionTooSmall,
+                             SingularityTruncated)
 from hyperlab.foliation import leaf_frames, second_fundamental_fd_oracle
 from hyperlab.geodesic import (_FIELDS, RHO_SEED_MIN, SHELL_TOL,
                                ZETA_MAX_DEFAULT, Direction, GeodesicRecord,
@@ -954,19 +955,26 @@ def test_lane_counts_alone_and_in_batch():
 
 def test_schwarzschild_horizon_guard_per_lane():
     # the inward lane stops on the horizon guard on its own; the outward
-    # lane of the same batch reaches the end of the grid
+    # lane of the same batch reaches the end of the grid.  The fast oblique
+    # inward lanes take DOP853 trial stages below the guard, which read the
+    # guard's scalars and must not raise
     origin = np.array([0.0, 1.0, 0.0, 0.0])
     rho = np.linspace(0.5, 5.0, 10)
-    inward, outward = integrate_rays(
-        SCHW, origin, [Direction(1.0, (-1, 0, 0)), Direction(1.0, (1, 0, 0))],
-        rho)
     guard = 2.0 * SCHW.mass * (1.0 + 2.0 * HORIZON_MARGIN)
-    assert inward.truncated and inward.rho_reached < rho[-1]
-    x_end = inward.state_at(inward.rho_reached)["x"]
-    assert abs(np.linalg.norm(x_end[1:]) - guard) <= 1e-10 * guard
-    assert np.all(inward.rho <= inward.rho_reached)
-    with pytest.raises(SingularityTruncated):
-        inward.state_at(0.5 * (inward.rho_reached + rho[-1]))
-    assert not outward.truncated and outward.rho_reached == rho[-1]
-    assert np.array_equal(outward.rho, rho)
-    assert_same_lane(inward, exp_map(SCHW, origin, inward.direction, rho))
+    for zeta, omega in [(1.0, (-1, 0, 0)), (5.0, (-1, 0.1, 0)),
+                        (6.0, (-1, 0.1, 0))]:
+        inward, outward = integrate_rays(
+            SCHW, origin, [Direction(zeta, omega), Direction(1.0, (1, 0, 0))],
+            rho)
+        assert inward.truncated and inward.rho_reached < rho[-1]
+        x_end = inward.state_at(inward.rho_reached)["x"]
+        assert abs(np.linalg.norm(x_end[1:]) - guard) <= 1e-10 * guard
+        assert np.all(inward.rho <= inward.rho_reached)
+        with pytest.raises(SingularityTruncated):
+            inward.state_at(0.5 * (inward.rho_reached + rho[-1]))
+        assert not outward.truncated and outward.rho_reached == rho[-1]
+        assert np.array_equal(outward.rho, rho)
+        for rec, rq in ((inward, 0.0), (outward, 0.0), (outward, 6.0)):
+            with pytest.raises(OutOfRange, match="outside the integrated"):
+                rec.state_at(rq)
+        assert_same_lane(inward, exp_map(SCHW, origin, inward.direction, rho))

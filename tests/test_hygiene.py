@@ -5,7 +5,8 @@ every dataclass field is read, every module-level function or class is
 reached from the CLI, the benchmark or the acceptance suite, every module
 compiles with warnings treated as errors, the runtime loads no scipy,
 every call the benchmark makes into the package binds to its signature,
-and every private name that a docstring or comment cites still exists."""
+every private name that a docstring or comment cites still exists, and the
+CLI's subcommands return their tables for main alone to write."""
 
 import ast
 import importlib
@@ -437,3 +438,28 @@ def test_cited_private_names_exist():
                     stale.append(f"{path.name} (line {line}): "
                                  f"{mod + '.' if mod else ''}{name}")
     assert stale == []
+
+
+WRITERS = ("write_csv", "write_meta", "write_svg")
+
+
+def test_main_alone_writes_the_tables():
+    # each subcommand is a function of the run configuration that returns
+    # its tables; main alone writes every CSV, sidecar and plot, so one
+    # output policy has one home and a failed run writes no table
+    from hyperlab import cli
+    assert {name: list(inspect.signature(fn).parameters)
+            for name, fn in cli.COMMANDS.items()} == {
+                name: ["rc"] for name in cli.COMMANDS}
+    main = next(n for n in ast.parse((SRC / "cli.py").read_text()).body
+                if isinstance(n, ast.FunctionDef) and n.name == "main")
+    calls = [(p.name, n) for p in MODULES
+             for n in ast.walk(ast.parse(p.read_text()))
+             if isinstance(n, ast.Call) and getattr(
+                 n.func, "id", getattr(n.func, "attr", None)) in WRITERS]
+    inside = {ast.unparse(n.func) for name, n in calls if name == "cli.py"
+              and main.lineno <= n.lineno <= main.end_lineno}
+    assert inside == set(WRITERS)
+    assert [f"{name} (line {n.lineno}): {ast.unparse(n.func)}"
+            for name, n in calls if name != "cli.py"
+            or not main.lineno <= n.lineno <= main.end_lineno] == []

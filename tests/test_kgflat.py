@@ -334,3 +334,15 @@ def test_output_beyond_tmax_rejected():
     cfg = KGConfig(r_max=16.0, dr=1 / 32, t_max=10.0)
     with pytest.raises(InsufficientStates):
         evolve_kg(cfg, [12.0])
+    # the hyperboloid energy interpolates 4 or more snapshots, increasing in
+    # t, and needs a leaf that starts below the last of them
+    r = (np.arange(8) + 0.5) / 4.0
+    states = [KGState(t=t, phi=np.ones_like(r), phit=np.zeros_like(r), r=r,
+                      dr=0.25) for t in (1.0, 2.0, 3.0, 4.0)]
+    for bad, words in ((states[:3], "at least 4 snapshots"),
+                       (states[:2] + states[3:1:-1], "strictly increasing")):
+        with pytest.raises(InsufficientStates, match=words):
+            hyperboloid_energy(bad, 0.5)
+    for rho in (4.0, 5.0):
+        with pytest.raises(InsufficientStates, match="beyond stored times"):
+            hyperboloid_energy(states, rho)

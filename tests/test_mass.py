@@ -54,6 +54,9 @@ def test_bondi_minkowski():
     assert abs(tr["m_inf"]) < 1e-8
     for rep in tr["reports"]:
         assert abs(rep.mass) < 1e-8
+    for t_grid in ([10.0, 20.0, 20.0], [20.0, 10.0]):
+        with pytest.raises(ValueError, match="t grid must be strictly"):
+            bondi_trace(MINK, 5.0, t_grid)
 
 
 def test_bondi_centered_limit(bondi_centered):

@@ -198,6 +198,10 @@ def test_errors():
         metric_at(SCHW, [0.0, 0.1, 0.0, 0.0], level=0)
     with pytest.raises(UnsupportedLevel):
         metric_at(MINK, [0.0, 1.0, 0.0, 0.0], level=3)
+    with pytest.raises(ValueError, match="unknown metric kind 'kerr'"):
+        MetricModel("kerr", mass=0.1)
+    with pytest.raises(ValueError, match="mass must be nonnegative"):
+        MetricModel("minkowski", mass=-0.1)
     with pytest.raises(ValueError):
         MetricModel("schwarzschild", mass=0.0)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperlab import zscompare
-from hyperlab.errors import Horizon, SphereExitsZone
+from hyperlab.errors import Horizon, OutsideZs, SphereExitsZone
 from hyperlab.foliation import (_level_gradient, _level_value, angular_grid,
                                 frames_at)
 from hyperlab.geodesic import Direction, exp_map
@@ -137,6 +137,9 @@ def test_transport_residuals_centered(glued_record):
                                  probe_rhos=[10.0, 20.0, 25.0])
     assert out["bvarpi"] <= 1e-7
     assert out["cmr_1"] <= 1e-7 * max(out["cmr_1_scale"], 1.0) + 1e-9
+    # at rho 1 and 1.5 the lane is still inside r_out + 0.1
+    with pytest.raises(OutsideZs, match="no probe rhos inside the exterior"):
+        transport_residuals_zs(GLUED, glued_record, probe_rhos=[1.0, 1.5])
 
 
 def test_transport_residuals_offset(offset_record):
